@@ -3,10 +3,12 @@
 Library surface, one module per concern:
 
 - ``model``     rescaled constants, reaction terms, Jacobian, coordinate maps
-- ``grid``      uniform truncated grid, difference operators, profile I/O
+- ``grid``      uniform truncated grid, difference operators, the
+                linearization's banded Jacobian, profile I/O
 - ``kpp``       scalar front solves seeding the bounds
 - ``bounds``    vector upper/lower solutions, inequality margins, ordering
-- ``wave``      monotone iteration, phase normalization, decay fits, verdicts
+- ``wave``      monotone iteration with a Newton finish, phase normalization,
+                decay fits, verdicts
 - ``spectrum``  essential-spectrum geometry, weighted operator, eigensolves
 - ``dynamics``  IMEX time stepping and the stability/instability/spreading runs
 - ``cli``       reproducible command-line experiments

@@ -94,7 +94,8 @@ def cmd_wave(cfg: RunConfig) -> int:
                 {"fits": [f.to_dict() for f in fits],
                  "verdict": verdict.to_dict()}, cfg)
     mins = wave.check_monotone(prof)
-    print(f"converged in {report.iterations} iterations; "
+    print(f"converged in {report.iterations} iterations and "
+          f"{len(report.newton_steps)} Newton steps; "
           f"residual {report.final_residual:.3e}; "
           f"min forward differences {mins[0]:.3e}, {mins[1]:.3e}")
     for f in fits:

@@ -3,7 +3,8 @@
 Profiles live on the n interior nodes of [-L, L]; the two endpoint values are
 Dirichlet data stored alongside the samples and folded into every difference
 stencil as ghost values at distance h.  All operators are plain centered
-second-order stencils.
+second-order stencils.  ``linearization_bands`` is the banded Jacobian of
+``residual``; the wave's Newton finish and the weighted spectrum both use it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GridError
-from .model import ModelParams, StateVec, reaction
+from .model import ModelParams, StateVec, jacobian, reaction
 
 __all__ = [
     "Grid",
@@ -23,6 +24,7 @@ __all__ = [
     "make_grid",
     "apply_advection_diffusion",
     "residual",
+    "linearization_bands",
     "save_profile",
     "load_profile",
 ]
@@ -97,6 +99,47 @@ def residual(p: ModelParams, prof: Profile) -> np.ndarray:
                                       prof.boundary_left[1], prof.boundary_right[1])
     f = reaction(p, StateVec(prof.u, prof.v))
     return np.stack([lin_u + f[0], lin_v + f[1]], axis=1)
+
+
+def linearization_bands(p: ModelParams, prof: Profile, g1=0.0,
+                        g2=0.0) -> np.ndarray:
+    """Banded V'' - (2 g1 + c) V' + M(xi) V with Dirichlet ends, shape (5, 2n).
+
+    M(xi) = (2 g1^2 - g2 + c g1) I + dF/dU evaluated along the profile; g1, g2
+    are the weight's logarithmic-derivative pair (scalars or per node).  At
+    g1 = g2 = 0 this is the Jacobian of ``residual`` with respect to the
+    interior samples.  Components are interleaved (u_1, v_1, u_2, v_2, ...),
+    keeping the five diagonals at offsets -2..2, stored in LAPACK banded
+    order: row d holds offset 2 - d.
+    """
+    if prof.c is None:
+        raise GridError("profile has no wave speed set")
+    g, c = prof.grid, prof.c
+    h, n = g.h, g.n
+    g1 = np.broadcast_to(np.asarray(g1, dtype=float), (n,))
+    g2 = np.broadcast_to(np.asarray(g2, dtype=float), (n,))
+    shift = 2.0 * g1**2 - g2 + c * g1
+    A = jacobian(p, StateVec(prof.u, prof.v))
+    adv = 2.0 * g1 + c
+
+    bands = np.zeros((5, 2 * n))
+    # offset 0: diagonal = -2/h^2 + shift + A_jj
+    bands[2, 0::2] = -2.0 / h**2 + shift + A[0, 0]
+    bands[2, 1::2] = -2.0 / h**2 + shift + A[1, 1]
+    # offset +1: (u_i -> v_i) coupling A12 on even rows; odd rows are
+    # (v_i -> u_{i+1}) and stay zero
+    bands[1, 1::2] = A[0, 1]
+    # offset -1: A21 on odd rows
+    bands[3, 0:-1:2] = A[1, 0]
+    # offset +2: right neighbor, same component
+    right = 1.0 / h**2 - adv / (2.0 * h)
+    bands[0, 2::2] = right[:-1]
+    bands[0, 3::2] = right[:-1]
+    # offset -2: left neighbor
+    left = 1.0 / h**2 + adv / (2.0 * h)
+    bands[4, 0:-2:2] = left[1:]
+    bands[4, 1:-2:2] = left[1:]
+    return bands
 
 
 def _fmt(x: float) -> str:

@@ -147,7 +147,14 @@ def scalar_residual(nl: KppNonlinearity, prof: ScalarProfile) -> np.ndarray:
 
 
 def _newton(nl, g: Grid, c, w, bl, br, tol, max_iter):
-    """Damped Newton on the discretized BVP; returns (w, converged)."""
+    """Damped Newton on the discretized BVP; returns (w, converged).
+
+    Deuflhard's natural monotonicity test: a trial w + lam*dw is accepted
+    when the simplified correction J(w)^{-1} r(w + lam*dw), with the same
+    matrix, has sup-norm at most (1 - lam/4) |dw|, or when the trial
+    residual is already below tol.  lam halves down to 1/1024; below that
+    the step has stalled.
+    """
     h = g.h
     lo = 1.0 / h**2 + c / (2.0 * h)
     hi = 1.0 / h**2 - c / (2.0 * h)
@@ -159,25 +166,27 @@ def _newton(nl, g: Grid, c, w, bl, br, tol, max_iter):
 
     r = res(w)
     for _ in range(max_iter):
-        rmax = np.max(np.abs(r))
-        if rmax < tol:
+        if np.max(np.abs(r)) < tol:
             return w, True
         ab = np.zeros((3, g.n))
         ab[0, 1:] = hi
         ab[1, :] = -2.0 / h**2 + nl.fprime(w)
         ab[2, :-1] = lo
         dw = solve_banded((1, 1), ab, -r)
+        dw_norm = np.max(np.abs(dw))
         lam = 1.0
-        while lam >= 1.0 / 64.0:
+        while lam >= 1.0 / 1024.0:
             wn = w + lam * dw
             rn = res(wn)
-            if np.max(np.abs(rn)) < rmax:
+            if (np.max(np.abs(rn)) < tol
+                    or np.max(np.abs(solve_banded((1, 1), ab, -rn)))
+                    <= (1.0 - lam / 4.0) * dw_norm):
                 w, r = wn, rn
                 break
             lam /= 2.0
         else:
             return w, False  # stalled
-    return w, np.max(np.abs(res(w))) < tol
+    return w, np.max(np.abs(r)) < tol
 
 
 def _monotone_fallback(nl, g: Grid, c, bl, br, tol, max_iter):
@@ -218,12 +227,20 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid, tol: float = 1e-12,
               fallback_max_iter: int = 200_000) -> ScalarProfile:
     """Solve the scalar front BVP, phase-pinned so w(0) = plateau/2.
 
-    Damped Newton from a tanh initial guess, with a scalar monotone-iteration
-    fallback if Newton stalls.  The phase loop translates the converged
-    profile (monotone interpolation, clamped to [0, plateau] beyond the
-    ends, Dirichlet data included) and re-solves until the half-plateau
-    crossing sits at the origin; each pass the left datum moves by the factor
-    e^{mu * crossing}, so the loop converges in a handful of passes.
+    Damped Newton from a tanh initial guess, each pass warm-started from the
+    translated previous profile.  A damped step is accepted by Deuflhard's
+    natural monotonicity test (the simplified correction, computed with the
+    same Jacobian, must shrink by the factor 1 - lam/4) rather than by a
+    residual decrease: after the left datum moves, the residual can rise on
+    the way to a much better iterate.  A scalar monotone iteration from the
+    constant plateau remains as the fallback should Newton stall (damping
+    below 1/1024) or exhaust ``max_iter``.
+
+    The phase loop translates the converged profile (monotone interpolation,
+    clamped to [0, plateau] beyond the ends, Dirichlet data included) and
+    re-solves until the half-plateau crossing sits at the origin; each pass
+    the left datum moves by the factor e^{mu * crossing}, so the loop
+    converges in a handful of passes.
     """
     if tol <= 0:
         raise ParameterError("tolerance must be positive")

@@ -23,8 +23,8 @@ import scipy.sparse.linalg
 
 from .errors import (ConvergenceError, DegenerateWeightError, EmptyWindowError,
                      ParameterError)
-from .grid import Grid, Profile
-from .model import ModelParams, StateVec, jacobian
+from .grid import Grid, Profile, linearization_bands
+from .model import ModelParams
 from .wave import derivative_profile, derivative_system_residual
 
 __all__ = [
@@ -189,36 +189,14 @@ def assemble_weighted_operator(p: ModelParams, prof: Profile,
     """Discretize V'' - (2 g1 + c) V' + M(xi) V with Dirichlet ends.
 
     M(xi) = (2 g1^2 - g2 + c g1) I + dF/dU evaluated along the profile.  At
-    zero weights this is exactly the discretized unweighted linearization.
+    zero weights this is exactly the discretized unweighted linearization,
+    the Jacobian the wave solver's Newton finish uses.
     """
     if prof.c is None:
         raise ParameterError("profile has no wave speed set")
-    g, c = prof.grid, prof.c
-    h, n = g.h, g.n
-    g1, g2 = weight_functions(w, g.nodes)
-    shift = 2.0 * g1**2 - g2 + c * g1
-    A = jacobian(p, StateVec(prof.u, prof.v))
-    adv = 2.0 * g1 + c
-
-    N = 2 * n
-    bands = np.zeros((5, N))
-    # offset 0: diagonal = -2/h^2 + shift + A_jj
-    bands[2, 0::2] = -2.0 / h**2 + shift + A[0, 0]
-    bands[2, 1::2] = -2.0 / h**2 + shift + A[1, 1]
-    # offset +1: (u_i -> v_i) coupling A12 on even rows; odd rows are
-    # (v_i -> u_{i+1}) and stay zero
-    bands[1, 1::2] = A[0, 1]
-    # offset -1: A21 on odd rows
-    bands[3, 0:-1:2] = A[1, 0]
-    # offset +2: right neighbor, same component
-    right = 1.0 / h**2 - adv / (2.0 * h)
-    bands[0, 2::2] = right[:-1]
-    bands[0, 3::2] = right[:-1]
-    # offset -2: left neighbor
-    left = 1.0 / h**2 + adv / (2.0 * h)
-    bands[4, 0:-2:2] = left[1:]
-    bands[4, 1:-2:2] = left[1:]
-    return OperatorMatrix(bands=bands, grid=g, weights=w, c=c)
+    g1, g2 = weight_functions(w, prof.grid.nodes)
+    return OperatorMatrix(bands=linearization_bands(p, prof, g1, g2),
+                          grid=prof.grid, weights=w, c=prof.c)
 
 
 def _gershgorin_right_edge(m: OperatorMatrix) -> float:

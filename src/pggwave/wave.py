@@ -10,6 +10,14 @@ left-hand matrix is an M-matrix for c*h/2 < 1.  Started from the shifted
 upper solution the iterates decrease nodewise and stay inside the
 [lower, upper] envelope; the fixed point is the discretized front.
 
+The sweeps contract at a rate rho that tends to 1 at the critical speed, so
+once the sweep sup-diff falls below ``NEWTON_SWITCH`` the solve is finished
+by Newton's method on the interleaved pentadiagonal Jacobian of the
+discretized system (``grid.linearization_bands``, the zero-weight operator
+of the spectrum module).  Newton iterates get the same envelope check as
+sweeps; a step that leaves the envelope, or whose correction does not
+shrink, is dropped and the sweeps resume from the last accepted iterate.
+
 Dirichlet data: the right end is pinned at the exact limit (K*, 1); the left
 end uses the upper bound's tiny positive datum, which is what fixes the
 front's position on the truncated domain (with exactly zero data the
@@ -20,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -30,7 +38,8 @@ from scipy.optimize import brentq
 from .bounds import BoundPair, shifted_upper_samples
 from .errors import (ConvergenceError, EnvelopeViolationError, FitWindowError,
                      LevelNotCrossedError, ParameterError)
-from .grid import Grid, Profile, apply_advection_diffusion, residual
+from .grid import (Grid, Profile, apply_advection_diffusion,
+                   linearization_bands, residual)
 from .model import ModelParams, StateVec, jacobian, reaction
 
 __all__ = [
@@ -47,13 +56,44 @@ __all__ = [
 ]
 
 
+# sweep sup-diff below which the solve switches to the Newton finish
+NEWTON_SWITCH = 1e-6
+# Newton steps allowed before the sweeps take over again
+NEWTON_MAX_STEPS = 20
+# slack of the envelope check on every accepted iterate
+ENVELOPE_SLACK = 1e-12
+# sweeps over which the contraction rate is estimated
+CONTRACTION_TAIL = 50
+
+
+def _contraction_rate(sup_diffs) -> float:
+    """Geometric-mean ratio of successive sup-diffs over the last <= 50 sweeps.
+
+    NaN when fewer than three sweeps were made or a sup-diff is zero.
+    """
+    d = [float(x) for x in sup_diffs]
+    m = min(len(d), CONTRACTION_TAIL)
+    if m < 3 or d[-1] <= 0.0 or d[-m] <= 0.0:
+        return math.nan
+    return math.exp((math.log(d[-1]) - math.log(d[-m])) / (m - 1))
+
+
 @dataclass
 class IterationReport:
+    """What ``solve_wave`` did.
+
+    ``iterations`` and ``sup_diffs`` count monotone sweeps only;
+    ``newton_steps`` holds the sup-norm of each accepted Newton correction
+    and ``contraction`` the sweeps' estimated contraction rate.
+    """
+
     iterations: int
     sup_diffs: list
     final_residual: float
     beta: float
     converged: bool
+    newton_steps: list = field(default_factory=list)
+    contraction: float = math.nan
 
     def to_dict(self) -> dict:
         return {
@@ -62,6 +102,9 @@ class IterationReport:
             "final_residual": self.final_residual,
             "beta": self.beta,
             "converged": self.converged,
+            "newton_steps": list(map(float, self.newton_steps)),
+            "contraction": (self.contraction if math.isfinite(self.contraction)
+                            else None),
         }
 
 
@@ -96,16 +139,49 @@ def _beta_for(p: ModelParams, samples: int = 50) -> float:
     return max(0.0, float(-A[0, 0].min()), float(-A[1, 1].min())) + 1.0
 
 
+def _newton_finish(p: ModelParams, U: np.ndarray, as_profile, envelope_gap,
+                   tol: float):
+    """Newton steps on the discretized system from the sweep iterate U.
+
+    Yields (iterate, correction sup-norm) per accepted step.  Stops after a
+    correction below tol, or at the first step whose correction does not
+    shrink or whose iterate leaves the envelope; that step is dropped.
+    """
+    prev = math.inf
+    for _ in range(NEWTON_MAX_STEPS):
+        prof = as_profile(U)
+        dU = solve_banded((2, 2), linearization_bands(p, prof),
+                          -residual(p, prof).ravel()).reshape(U.shape)
+        size = float(np.max(np.abs(dU)))
+        if not size < prev or envelope_gap(U + dU) < -ENVELOPE_SLACK:
+            return
+        U = U + dU
+        prev = size
+        yield U, size
+        if size < tol:
+            return
+
+
 def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
                tol: float = 1e-10, max_iter: int = 20000,
                direction: str = "down", initial: Profile | None = None,
                callback=None) -> tuple[Profile, IterationReport]:
-    """Monotone iteration between the ordered bounds; returns (wave, report).
+    """Monotone iteration between the ordered bounds with a Newton finish.
 
     direction="down" iterates from the shifted upper solution (default);
     "up" from the lower, exposed for the uniqueness regression.  ``initial``
     overrides the starting iterate (a converged wave is a fixed point).
-    Every iterate is checked against the envelope with slack 1e-12.
+
+    The sweeps stop when their sup-diff drops below ``tol``.  With
+    ``tol > 0``, once it drops below ``NEWTON_SWITCH`` Newton steps on the
+    discretized system take over and stop when the correction's sup-norm is
+    below ``tol``.  A Newton step is accepted only if its correction is
+    smaller than the previous one and the new iterate lies in the envelope;
+    otherwise it is dropped and the sweeps resume from the last accepted
+    iterate, without a second Newton attempt.  Every accepted iterate is
+    checked against the envelope with slack 1e-12 (a sweep outside it
+    raises) and passed to ``callback(k, U)``, k counting accepted iterates.
+    ``max_iter`` bounds the sweeps.
     """
     if direction not in ("down", "up"):
         raise ParameterError(f"direction must be 'down' or 'up', got {direction!r}")
@@ -125,6 +201,14 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
     dl = np.array(bounds.upper.boundary_left, dtype=float)
     dr = np.array([p.kstar, 1.0])
 
+    def as_profile(U):
+        return Profile(grid=g, u=U[:, 0].copy(), v=U[:, 1].copy(), c=float(c),
+                       boundary_left=StateVec(dl[0], dl[1]),
+                       boundary_right=StateVec(dr[0], dr[1]))
+
+    def envelope_gap(U):
+        return min(float(np.min(upper_env - U)), float(np.min(U - lower_env)))
+
     if initial is not None:
         U = initial.samples().copy()
     elif direction == "down":
@@ -141,7 +225,9 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
     ab[2, :-1] = -lo
 
     sup_diffs: list[float] = []
+    newton_steps: list[float] = []
     converged = False
+    newton_pending = tol > 0
     warned_direction = warned_supdiff = False
     for it in range(1, max_iter + 1):
         F = reaction(p, StateVec(U[:, 0], U[:, 1]))
@@ -153,35 +239,44 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
 
         d = float(np.max(np.abs(Un - U)))
         sup_diffs.append(d)
+        # both warnings watch the monotone chain, which a Newton step leaves
         if (direction == "down" and initial is None and not warned_direction
-                and float(np.max(Un - U)) > 1e-12):
+                and not newton_steps and float(np.max(Un - U)) > 1e-12):
             warned_direction = True
             warnings.warn(f"iterate {it} increased somewhere during the "
                           "downward iteration", RuntimeWarning, stacklevel=2)
-        if (it > 5 and not warned_supdiff
+        if (it > 5 and not warned_supdiff and not newton_steps
                 and sup_diffs[-1] > sup_diffs[-2]):
             warned_supdiff = True
             warnings.warn(f"sup-diff increased at iteration {it}",
                           RuntimeWarning, stacklevel=2)
-        env = min(float(np.min(upper_env - Un)), float(np.min(Un - lower_env)))
-        if env < -1e-12:
+        env = envelope_gap(Un)
+        if env < -ENVELOPE_SLACK:
             raise EnvelopeViolationError(
                 f"iterate {it} left the envelope by {-env:.3e}"
             )
         U = Un
         if callback is not None:
-            callback(it, U)
+            callback(len(sup_diffs) + len(newton_steps), U)
         if tol > 0 and d < tol:
             converged = True
             break
+        if newton_pending and d < NEWTON_SWITCH:
+            newton_pending = False
+            for U, size in _newton_finish(p, U, as_profile, envelope_gap, tol):
+                newton_steps.append(size)
+                if callback is not None:
+                    callback(len(sup_diffs) + len(newton_steps), U)
+            if newton_steps and newton_steps[-1] < tol:
+                converged = True
+                break
 
-    prof = Profile(grid=g, u=U[:, 0].copy(), v=U[:, 1].copy(), c=float(c),
-                   boundary_left=StateVec(dl[0], dl[1]),
-                   boundary_right=StateVec(dr[0], dr[1]))
+    prof = as_profile(U)
     final_res = float(np.max(np.abs(residual(p, prof))))
     report = IterationReport(iterations=len(sup_diffs), sup_diffs=sup_diffs,
                              final_residual=final_res, beta=beta,
-                             converged=converged)
+                             converged=converged, newton_steps=newton_steps,
+                             contraction=_contraction_rate(sup_diffs))
     if not converged:
         raise ConvergenceError(
             f"monotone iteration did not reach tol={tol} in {max_iter} "

@@ -66,6 +66,16 @@ def test_wave_pipeline_and_determinism(capsys, tmp_path):
     assert "config" in rep and rep["config"]["n"] == 799
 
 
+def test_wave_report_records_solver_state(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "wave", "--L", "20", "--n", "799",
+                           "--tol", "1e-10", "--output-dir", str(tmp_path))
+    assert code == 0
+    rep = json.loads((tmp_path / "wave" / "iteration_report.json").read_text())
+    assert rep["newton_steps"] and rep["newton_steps"][-1] < 1e-10
+    assert 0.0 < rep["contraction"] < 1.0
+    assert f"{len(rep['newton_steps'])} Newton steps" in out
+
+
 def test_bounds_check(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "bounds-check", "--L", "20", "--n", "799",
                            "--output-dir", str(tmp_path))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from pggwave import (Profile, StateVec, apply_advection_diffusion, load_profile,
+from pggwave import (Profile, StateVec, WeightPair, apply_advection_diffusion,
+                     assemble_weighted_operator, derive_params, load_profile,
                      make_grid, reaction, residual, save_profile)
+from pggwave.grid import linearization_bands
 from pggwave.errors import GridError
 
 
@@ -110,3 +112,26 @@ def test_serialization_round_trip(tmp_path):
     assert loaded.boundary_right == prof.boundary_right
     assert meta == {"alpha": 0.25, "k": 0.5, "c": 1.25, "L": 7.0, "n": 23,
                     "sigma1": 0.05, "sigma2": 0.5}
+
+
+def test_linearization_bands_are_residual_jacobian():
+    p = derive_params(0.25, 0.5)
+    g = make_grid(10.0, 199)
+    x = g.nodes
+    sig = 1.0 / (1.0 + np.exp(-x))
+    prof = Profile(grid=g, u=p.kstar * sig, v=sig, c=1.25,
+                   boundary_left=StateVec(1e-5, 1e-5),
+                   boundary_right=StateVec(p.kstar, 1.0))
+    bands = linearization_bands(p, prof)
+    # the spectrum's zero-weight operator is the same matrix, bit for bit
+    op = assemble_weighted_operator(p, prof, WeightPair(0.0, 0.0))
+    assert np.array_equal(op.bands, bands)
+    # directional derivative of the residual against the banded product
+    e = np.sin(0.37 * np.arange(2 * g.n)).reshape(g.n, 2)
+    eps = 1e-6
+    plus = Profile(grid=g, u=prof.u + eps * e[:, 0], v=prof.v + eps * e[:, 1],
+                   c=prof.c, boundary_left=prof.boundary_left,
+                   boundary_right=prof.boundary_right)
+    fd = ((residual(p, plus) - residual(p, prof)) / eps).ravel()
+    Je = op.to_dense() @ e.ravel()
+    assert np.max(np.abs(fd - Je)) < 1e-4 * np.max(np.abs(Je))

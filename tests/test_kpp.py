@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pggwave import (lower_nonlinearity, make_grid, plateau_of, solve_kpp,
+from pggwave import (kpp, lower_nonlinearity, make_grid, plateau_of, solve_kpp,
                      upper_nonlinearity)
 from pggwave.errors import ConvergenceError, ParameterError, SubcriticalSpeedError
 from pggwave.kpp import scalar_residual
@@ -98,6 +98,22 @@ def test_unreachable_tolerance(base_params):
     with pytest.raises(ConvergenceError):
         solve_kpp(upper_nonlinearity(base_params), C, g, tol=1e-300,
                   fallback_max_iter=40)
+
+
+@pytest.mark.parametrize("c,L,n", [(1.0, 80.0, 7999), (C, 40.0, 3999)])
+def test_newton_needs_no_fallback(base_params, monkeypatch, c, L, n):
+    # at the critical speed the left datum moves by ~66x on phase pass 2;
+    # the natural monotonicity test still accepts Newton's full step there
+    def fallback_ran(*args, **kwargs):
+        raise AssertionError("scalar monotone fallback ran")
+
+    monkeypatch.setattr(kpp, "_monotone_fallback", fallback_ran)
+    g = make_grid(L, n)
+    for nl in (upper_nonlinearity(base_params),
+               lower_nonlinearity(base_params, 0.3)):
+        s = solve_kpp(nl, c, g)
+        assert np.max(np.abs(scalar_residual(nl, s))) < 1e-12
+        assert np.min(np.diff(s.w)) >= 0.0
 
 
 def _tail_rate(g, y, lo, hi, floor=1e-14):

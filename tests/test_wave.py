@@ -1,14 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pggwave import (BoundPair, Profile, StateVec, check_monotone, derive_params,
                      fit_decay, make_bounds, make_grid, normalize_phase, residual,
-                     solve_wave, subcritical_verdict)
+                     solve_wave, subcritical_verdict, wave)
 from pggwave.errors import (ConvergenceError, EnvelopeViolationError,
                             FitWindowError, LevelNotCrossedError, ParameterError)
-from pggwave.wave import derivative_profile, derivative_system_residual
+from pggwave.bounds import shifted_upper_samples
+from pggwave.grid import linearization_bands
+from pggwave.wave import (IterationReport, derivative_profile,
+                          derivative_system_residual)
 
 C = 1.25
 
@@ -66,6 +70,82 @@ def test_upward_iteration_agrees(base_params, base_grid, base_bounds, base_wave)
     assert rep.converged
     gap = np.max(np.abs(prof_up.samples() - prof_down.samples()))
     assert gap < 1e-6
+
+
+def _envelope_recorder(g, bp):
+    """Callback collecting each iterate's envelope gap, and the gap list."""
+    m = int(round(bp.shift / g.h))
+    upper_env = shifted_upper_samples(bp.upper, m)
+    lower_env = bp.lower.samples()
+    gaps = []
+
+    def cb(it, U):
+        gaps.append(min(float(np.min(upper_env - U)),
+                        float(np.min(U - lower_env))))
+    return cb, gaps
+
+
+def test_critical_speed_certificate(base_params):
+    g = make_grid(80.0, 7999)
+    bp = make_bounds(base_params, 1.0, g)
+    cb, gaps = _envelope_recorder(g, bp)
+    tol = 1e-10
+    prof, rep = solve_wave(base_params, 1.0, g, bp, tol=tol, callback=cb)
+    assert rep.converged
+    assert rep.final_residual < 1e-8
+    # every sweep and Newton iterate reached the callback, in the envelope
+    assert len(gaps) == rep.iterations + len(rep.newton_steps)
+    assert min(gaps) >= -1e-12
+    du, dv = check_monotone(prof)
+    assert du > 0 and dv > 0
+    assert rep.newton_steps and rep.newton_steps[-1] < tol
+
+
+def test_newton_finish_agrees_up_and_down(base_params, base_grid, base_bounds,
+                                          base_wave):
+    prof_down, rep_down = base_wave
+    prof_up, rep_up = solve_wave(base_params, C, base_grid, base_bounds,
+                                 tol=1e-10, direction="up")
+    assert rep_down.newton_steps[-1] < 1e-10
+    assert rep_up.newton_steps[-1] < 1e-10
+    gap = np.max(np.abs(prof_up.samples() - prof_down.samples()))
+    assert gap < 1e-12
+
+
+@pytest.mark.parametrize("scale", [0.5, 1e-3])
+def test_rejected_newton_resumes_sweeps(base_params, base_grid, base_bounds,
+                                        base_wave, monkeypatch, scale):
+    # a wrong Jacobian: at 0.5 the corrections barely shrink, at 1e-3 the
+    # first step overshoots by ~1000x; either way the sweeps must finish
+    monkeypatch.setattr(wave, "linearization_bands",
+                        lambda p, prof: scale * linearization_bands(p, prof))
+    cb, gaps = _envelope_recorder(base_grid, base_bounds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof, rep = solve_wave(base_params, C, base_grid, base_bounds,
+                               tol=1e-10, callback=cb)
+    assert rep.converged
+    assert rep.sup_diffs[-1] < 1e-10
+    assert not rep.newton_steps or rep.newton_steps[-1] >= 1e-10
+    assert rep.iterations > base_wave[1].iterations
+    assert min(gaps) >= -1e-12
+    assert np.max(np.abs(prof.samples() - base_wave[0].samples())) < 1e-8
+
+
+def test_report_records_solver_state(base_wave):
+    _, rep = base_wave
+    assert rep.iterations == len(rep.sup_diffs)
+    tail = rep.sup_diffs[-50:]
+    rho = (tail[-1] / tail[0]) ** (1.0 / (len(tail) - 1))
+    assert rep.contraction == pytest.approx(rho, rel=1e-12)
+    assert 0.9 < rep.contraction < 1.0
+    d = rep.to_dict()
+    assert d["newton_steps"] == rep.newton_steps
+    assert d["contraction"] == rep.contraction
+    short = IterationReport(iterations=1, sup_diffs=[1e-3], final_residual=0.0,
+                            beta=1.0, converged=True)
+    assert short.to_dict()["contraction"] is None
+    assert short.to_dict()["newton_steps"] == []
 
 
 def test_envelope_violation_detected(base_params):
