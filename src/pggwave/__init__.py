@@ -3,8 +3,8 @@
 Library surface, one module per concern:
 
 - ``model``     rescaled constants, reaction terms, Jacobian, coordinate maps
-- ``grid``      uniform truncated grid, difference operators, the
-                linearization's banded Jacobian, profile I/O
+- ``grid``      uniform grid, the one stencil (explicit and banded), the
+                linearization's bands, phase translation, profile I/O
 - ``kpp``       scalar front solves seeding the bounds
 - ``bounds``    vector upper/lower solutions, inequality margins, ordering
 - ``wave``      monotone iteration with a Newton finish, phase normalization,

@@ -12,14 +12,14 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import dynamics, kpp, spectrum, wave
-from .config import RunConfig, _coerce, resolve_config
+from .config import RunConfig, _coerce, resolve_config, validate_config
 from .errors import (BlowUpError, ConvergenceError, EnvelopeViolationError,
-                     FitWindowError, FrontNotFoundError, LevelNotCrossedError,
+                     FitWindowError, FrontNotFoundError, ParameterError,
                      ShiftNotFoundError)
 from .grid import make_grid, save_profile
 from .model import derive_params
@@ -30,7 +30,7 @@ EXIT_CONVERGENCE = 3
 
 _CONVERGENCE_ERRORS = (ConvergenceError, EnvelopeViolationError,
                        ShiftNotFoundError, BlowUpError, FitWindowError,
-                       FrontNotFoundError, LevelNotCrossedError)
+                       FrontNotFoundError)
 
 
 def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
@@ -151,17 +151,17 @@ def cmd_eigs(cfg: RunConfig, count: int) -> int:
     p, g, bp, prof, _ = _solve_pipeline(cfg)
     w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
     op = spectrum.assemble_weighted_operator(p, prof, w)
-    vals, frac = spectrum.eigen_report(op, count)
+    rep = spectrum.make_spectrum_report(p, cfg.c, w, operator=op, count=count)
     out = _outdir(cfg, "eigs")
     lines = ["re,im,boundary_mass_fraction"]
-    for v, f in zip(vals, frac):
-        lines.append(f"{v.real:.17g},{v.imag:.17g},{f:.17g}")
+    for re, im, frac, _ in rep.eigenvalues:
+        lines.append(f"{re:.17g},{im:.17g},{frac:.17g}")
     (out / "eigenvalues.csv").write_text("\n".join(lines) + "\n")
     tm = spectrum.translation_mode_check(p, prof, w)
-    rep = spectrum.make_spectrum_report(p, cfg.c, w, operator=op, count=count)
     _write_json(out / "spectrum_report.json",
                 {**rep.to_dict(), "translation_mode": tm.to_dict()}, cfg)
-    print(f"rightmost eigenvalue: {vals[0].real:.8f} {vals[0].imag:+.8f}i")
+    print(f"rightmost eigenvalue: {rep.rightmost.real:.8f} "
+          f"{rep.rightmost.imag:+.8f}i")
     print(f"translation mode residual {tm.residual_sup:.3e}, "
           f"weighted tail factor {tm.tail_factor:.3e}")
     return EXIT_OK
@@ -252,42 +252,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep")
     _add_common(sp)
     sp.add_argument("--run", type=str, required=True,
-                    choices=["wave", "bounds-check", "spectrum", "eigs",
-                             "stability", "instability", "spread"])
+                    choices=[c for c in COMMANDS if c not in ("params", "sweep")])
     sp.add_argument("--vary", action="append", default=[],
                     metavar="KEY=V1,V2,...",
                     help="repeatable; cartesian product over listed values")
     return ap
 
 
-def _dispatch(command: str, cfg: RunConfig, args) -> int:
-    if command == "params":
-        return cmd_params(cfg)
-    if command == "wave":
-        return cmd_wave(cfg)
-    if command == "bounds-check":
-        return cmd_bounds_check(cfg)
-    if command == "spectrum":
-        return cmd_spectrum(cfg)
-    if command == "eigs":
-        return cmd_eigs(cfg, getattr(args, "count", 6))
-    if command == "stability":
-        return cmd_stability(cfg)
-    if command == "instability":
-        return cmd_instability(cfg)
-    if command == "spread":
-        return cmd_spread(cfg, getattr(args, "t0", 40.0),
-                          getattr(args, "t1", 80.0))
-    raise ValueError(f"unknown command {command!r}")
-
-
 def cmd_sweep(cfg: RunConfig, args) -> int:
+    """Run ``args.run`` over the grid of points, each validated up front."""
+    sweepable = {f.name for f in fields(RunConfig)} - {"output_dir"}
     axes = []
     for item in args.vary:
         key, _, vals = item.partition("=")
         key = key.strip()
+        if key not in sweepable:
+            raise ParameterError(f"cannot sweep {key!r}: not a sweepable key")
         axes.append((key, [_coerce(key, v) for v in vals.split(",")]))
     base_out = Path(cfg.output_dir)
+    points = []
     for combo in itertools.product(*(vals for _, vals in axes)):
         point = dict(zip((k for k, _ in axes), combo))
         sub = base_out / args.run
@@ -295,19 +278,35 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             sub = sub / (f"{key}={val:g}" if isinstance(val, float)
                          else f"{key}={val}")
         point_cfg = replace(cfg, output_dir=str(sub), **point)
-        code = _dispatch(args.run, point_cfg, args)
+        validate_config(point_cfg)
+        points.append(point_cfg)
+    for point_cfg in points:
+        code = COMMANDS[args.run](point_cfg, args)
         if code != EXIT_OK:
             return code
     return EXIT_OK
 
 
+# subcommand -> runner(cfg, args).  Sweep points run with the sweep's
+# arguments, whose parser has no --count, --t0 or --t1: hence the defaults.
+COMMANDS = {
+    "params": lambda cfg, args: cmd_params(cfg),
+    "wave": lambda cfg, args: cmd_wave(cfg),
+    "bounds-check": lambda cfg, args: cmd_bounds_check(cfg),
+    "spectrum": lambda cfg, args: cmd_spectrum(cfg),
+    "eigs": lambda cfg, args: cmd_eigs(cfg, getattr(args, "count", 6)),
+    "stability": lambda cfg, args: cmd_stability(cfg),
+    "instability": lambda cfg, args: cmd_instability(cfg),
+    "spread": lambda cfg, args: cmd_spread(cfg, getattr(args, "t0", 40.0),
+                                           getattr(args, "t1", 80.0)),
+    "sweep": cmd_sweep,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _cfg_from_args(args)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args)
-        return _dispatch(args.command, cfg, args)
+        return COMMANDS[args.command](_cfg_from_args(args), args)
     except _CONVERGENCE_ERRORS as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

@@ -52,8 +52,8 @@ class ShiftNotFoundError(RuntimeError):
     """No admissible ordering shift exists within the truncated domain."""
 
 
-class LevelNotCrossedError(RuntimeError):
-    """Phase normalization could not locate the requested level crossing."""
+class LevelNotCrossedError(ConvergenceError):
+    """Phase pinning or normalization found no upward level crossing."""
 
 
 class FitWindowError(RuntimeError):

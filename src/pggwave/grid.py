@@ -3,8 +3,9 @@
 Profiles live on the n interior nodes of [-L, L]; the two endpoint values are
 Dirichlet data stored alongside the samples and folded into every difference
 stencil as ghost values at distance h.  All operators are plain centered
-second-order stencils.  ``linearization_bands`` is the banded Jacobian of
-``residual``; the wave's Newton finish and the weighted spectrum both use it.
+second-order stencils; the one copy of T = d^2/dxi^2 - c d/dxi is here, as
+is the phase translation of profiles.  ``linearization_bands`` is the banded
+Jacobian of ``residual``; the wave's Newton finish and the spectrum use it.
 """
 
 from __future__ import annotations
@@ -14,17 +15,26 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
-from .errors import GridError
+from .errors import GridError, LevelNotCrossedError
 from .model import ModelParams, StateVec, jacobian, reaction
 
 __all__ = [
     "Grid",
     "Profile",
     "make_grid",
+    "require_m_matrix",
+    "stencil_coefficients",
     "apply_advection_diffusion",
+    "stencil_bands",
+    "boundary_vector",
     "residual",
     "linearization_bands",
+    "monotone_interpolant",
+    "level_crossing",
+    "translate",
     "save_profile",
     "load_profile",
 ]
@@ -72,15 +82,52 @@ class Profile:
         return np.stack([self.u, self.v], axis=1)
 
 
+def require_m_matrix(g: Grid, c: float) -> None:
+    """Raise GridError unless c*h/2 < 1: only then is -T an M-matrix, the
+    sign structure the monotone iterations and comparison arguments need."""
+    if abs(c) * g.h / 2.0 >= 1.0:
+        raise GridError(f"c*h/2 = {abs(c) * g.h / 2.0:.3g} >= 1: the stencil "
+                        "is not monotone on this grid; refine it")
+
+
+def stencil_coefficients(g: Grid, c: float) -> tuple[float, float]:
+    """Weights (lo, hi) of the left and right neighbour in T."""
+    h = g.h
+    return 1.0 / h**2 + c / (2.0 * h), 1.0 / h**2 - c / (2.0 * h)
+
+
 def apply_advection_diffusion(g: Grid, c: float, f: np.ndarray,
-                              bl: float, br: float) -> np.ndarray:
-    """Centered f'' - c f' with Dirichlet ghosts bl, br at -L and +L."""
+                              bl, br) -> np.ndarray:
+    """Centered f'' - c f' with Dirichlet ghosts bl, br at -L and +L; f has
+    shape (n,), or (n, 2) with a ghost value per column."""
     f = np.asarray(f, dtype=float)
     if len(f) != g.n:
         raise GridError("sample array must match the grid's node count")
-    fl = np.concatenate(([bl], f[:-1]))
-    fr = np.concatenate((f[1:], [br]))
+    fl = np.concatenate((np.broadcast_to(bl, f[:1].shape), f[:-1]))
+    fr = np.concatenate((f[1:], np.broadcast_to(br, f[:1].shape)))
     return (fl - 2.0 * f + fr) / g.h**2 - c * (fr - fl) / (2.0 * g.h)
+
+
+def stencil_bands(g: Grid, c: float, scale: float, diag) -> np.ndarray:
+    """LAPACK (1, 1) bands of scale*T + diag(d) on the interior samples;
+    the Dirichlet data enter through ``boundary_vector``."""
+    lo, hi = stencil_coefficients(g, c)
+    ab = np.zeros((3, g.n))
+    ab[0, 1:] = scale * hi
+    ab[1, :] = diag - 2.0 * scale / g.h**2
+    ab[2, :-1] = scale * lo
+    return ab
+
+
+def boundary_vector(g: Grid, c: float, left, right) -> np.ndarray:
+    """Ghost terms of T: lo*left in row 0, hi*right in row n-1, zero between;
+    shape (n,), or (n, 2) for a pair of data per end."""
+    lo, hi = stencil_coefficients(g, c)
+    left = np.asarray(left, dtype=float)
+    out = np.zeros((g.n,) + left.shape)
+    out[0] = lo * left
+    out[-1] = hi * np.asarray(right, dtype=float)
+    return out
 
 
 def residual(p: ModelParams, prof: Profile) -> np.ndarray:
@@ -92,13 +139,9 @@ def residual(p: ModelParams, prof: Profile) -> np.ndarray:
     """
     if prof.c is None:
         raise GridError("profile has no wave speed set")
-    g = prof.grid
-    lin_u = apply_advection_diffusion(g, prof.c, prof.u,
-                                      prof.boundary_left[0], prof.boundary_right[0])
-    lin_v = apply_advection_diffusion(g, prof.c, prof.v,
-                                      prof.boundary_left[1], prof.boundary_right[1])
-    f = reaction(p, StateVec(prof.u, prof.v))
-    return np.stack([lin_u + f[0], lin_v + f[1]], axis=1)
+    lin = apply_advection_diffusion(prof.grid, prof.c, prof.samples(),
+                                    prof.boundary_left, prof.boundary_right)
+    return lin + reaction(p, StateVec(prof.u, prof.v)).T
 
 
 def linearization_bands(p: ModelParams, prof: Profile, g1=0.0,
@@ -140,6 +183,34 @@ def linearization_bands(p: ModelParams, prof: Profile, g1=0.0,
     bands[4, 0:-2:2] = left[1:]
     bands[4, 1:-2:2] = left[1:]
     return bands
+
+
+def monotone_interpolant(g: Grid, y, left, right) -> PchipInterpolator:
+    """PCHIP interpolant over [-L, L] of samples y, (n,) or (n, 2), and
+    their boundary data."""
+    xs = np.concatenate(([-g.L], g.nodes, [g.L]))
+    return PchipInterpolator(xs, np.concatenate(([left], y, [right])))
+
+
+def level_crossing(g: Grid, y, left, right, level: float) -> float:
+    """Where the interpolant of (n,) samples y first crosses level, upward;
+    level must lie strictly inside the range of the data."""
+    ys = np.concatenate(([left], y, [right]))
+    if not (ys.min() < level < ys.max()):
+        raise LevelNotCrossedError(f"profile does not cross {level} on the domain")
+    i = int(np.nonzero(ys >= level)[0][0])
+    if i == 0:
+        raise LevelNotCrossedError(f"profile does not cross {level} upward")
+    interp = monotone_interpolant(g, y, left, right)
+    return brentq(lambda x: float(interp(x)) - level, interp.x[i - 1],
+                  interp.x[i], xtol=1e-14)
+
+
+def translate(g: Grid, y, left, right, x0: float) -> np.ndarray:
+    """The interpolant at [-L, nodes, L] + x0, queries clamped to [-L, L]:
+    new boundary data in the first and last row, samples between."""
+    interp = monotone_interpolant(g, y, left, right)
+    return interp(np.clip(interp.x + x0, -g.L, g.L))
 
 
 def _fmt(x: float) -> str:

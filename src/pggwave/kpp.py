@@ -21,12 +21,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, ParameterError, SubcriticalSpeedError
-from .grid import Grid
+from .grid import (Grid, apply_advection_diffusion, boundary_vector,
+                   level_crossing, require_m_matrix, stencil_bands, translate)
 from .model import ModelParams
 
 __all__ = [
@@ -139,11 +138,9 @@ class ScalarProfile:
 
 def scalar_residual(nl: KppNonlinearity, prof: ScalarProfile) -> np.ndarray:
     """Nodewise residual w'' - c w' + f(w) with the profile's Dirichlet data."""
-    g, w = prof.grid, prof.w
-    fl = np.concatenate(([prof.boundary_left], w[:-1]))
-    fr = np.concatenate((w[1:], [prof.boundary_right]))
-    lin = (fl - 2.0 * w + fr) / g.h**2 - prof.c * (fr - fl) / (2.0 * g.h)
-    return lin + nl.f(w)
+    return apply_advection_diffusion(prof.grid, prof.c, prof.w,
+                                     prof.boundary_left,
+                                     prof.boundary_right) + nl.f(prof.w)
 
 
 def _newton(nl, g: Grid, c, w, bl, br, tol, max_iter):
@@ -155,23 +152,14 @@ def _newton(nl, g: Grid, c, w, bl, br, tol, max_iter):
     residual is already below tol.  lam halves down to 1/1024; below that
     the step has stalled.
     """
-    h = g.h
-    lo = 1.0 / h**2 + c / (2.0 * h)
-    hi = 1.0 / h**2 - c / (2.0 * h)
-
     def res(w_):
-        fl = np.concatenate(([bl], w_[:-1]))
-        fr = np.concatenate((w_[1:], [br]))
-        return (fl - 2.0 * w_ + fr) / h**2 - c * (fr - fl) / (2.0 * h) + nl.f(w_)
+        return apply_advection_diffusion(g, c, w_, bl, br) + nl.f(w_)
 
     r = res(w)
     for _ in range(max_iter):
         if np.max(np.abs(r)) < tol:
             return w, True
-        ab = np.zeros((3, g.n))
-        ab[0, 1:] = hi
-        ab[1, :] = -2.0 / h**2 + nl.fprime(w)
-        ab[2, :-1] = lo
+        ab = stencil_bands(g, c, 1.0, nl.fprime(w))
         dw = solve_banded((1, 1), ab, -r)
         dw_norm = np.max(np.abs(dw))
         lam = 1.0
@@ -191,35 +179,17 @@ def _newton(nl, g: Grid, c, w, bl, br, tol, max_iter):
 
 def _monotone_fallback(nl, g: Grid, c, bl, br, tol, max_iter):
     """Monotone iteration from the constant plateau; guaranteed but slow."""
-    h = g.h
     beta = max(0.0, float(-np.min(nl.fprime(np.linspace(0.0, nl.plateau, 201))))) + 1.0
-    ab = np.zeros((3, g.n))
-    ab[0, 1:] = -(1.0 / h**2 - c / (2.0 * h))
-    ab[1, :] = 2.0 / h**2 + beta
-    ab[2, :-1] = -(1.0 / h**2 + c / (2.0 * h))
+    ab = stencil_bands(g, c, -1.0, beta)
+    bvec = boundary_vector(g, c, bl, br)
     w = np.full(g.n, nl.plateau)
     for _ in range(max_iter):
-        rhs = nl.f(w) + beta * w
-        rhs[0] += (1.0 / h**2 + c / (2.0 * h)) * bl
-        rhs[-1] += (1.0 / h**2 - c / (2.0 * h)) * br
-        wn = solve_banded((1, 1), ab, rhs)
+        wn = solve_banded((1, 1), ab, nl.f(w) + beta * w + bvec)
         d = np.max(np.abs(wn - w))
         w = wn
         if d < tol:
             return w
     raise ConvergenceError("scalar monotone fallback did not converge")
-
-
-def _crossing(g: Grid, w, bl, br, level) -> float:
-    """Location where the monotone interpolant of the profile crosses level."""
-    xs = np.concatenate(([-g.L], g.nodes, [g.L]))
-    ys = np.concatenate(([bl], w, [br]))
-    interp = PchipInterpolator(xs, ys)
-    idx = np.nonzero(ys >= level)[0]
-    if len(idx) == 0 or idx[0] == 0:
-        raise ConvergenceError("profile does not cross the pinning level")
-    a, b = xs[idx[0] - 1], xs[idx[0]]
-    return brentq(lambda x: float(interp(x)) - level, a, b, xtol=1e-13)
 
 
 def solve_kpp(nl: KppNonlinearity, c: float, g: Grid, tol: float = 1e-12,
@@ -249,6 +219,7 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid, tol: float = 1e-12,
         raise SubcriticalSpeedError(
             f"speed {c} below critical {2.0 * math.sqrt(a1)} for the scalar front"
         )
+    require_m_matrix(g, c)
     b = nl.plateau
     half = b / 2.0
     mu = (c - math.sqrt(max(c * c - 4.0 * a1, 0.0))) / 2.0
@@ -262,16 +233,10 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid, tol: float = 1e-12,
         w, ok = _newton(nl, g, c, w, bl, br, tol, max_iter)
         if not ok:
             w = _monotone_fallback(nl, g, c, bl, br, tol, fallback_max_iter)
-        x0 = _crossing(g, w, bl, br, half)
+        x0 = level_crossing(g, w, bl, br, half)
         if abs(x0) < phase_tol:
             break
-        # translate by x0: evaluate the monotone interpolant at xi + x0,
-        # clamped to the boundary data outside [-L, L]
-        xs = np.concatenate(([-g.L], g.nodes, [g.L]))
-        ys = np.concatenate(([bl], w, [br]))
-        interp = PchipInterpolator(xs, ys)
-        q = np.clip(g.nodes + x0, -g.L, g.L)
-        w = np.clip(interp(q), 0.0, b)
+        w = np.clip(translate(g, w, bl, br, x0)[1:-1], 0.0, b)
         # move the left datum: pure exponential heuristic first, then secant
         # on (log datum, crossing), which also handles the critical-speed
         # polynomial prefactor

@@ -101,10 +101,12 @@ def jacobian(p: ModelParams, s: StateVec) -> np.ndarray:
 
 
 def to_original(p: ModelParams, s: StateVec) -> StateVec:
-    """Map monotone variables (u, v) to original densities (u_hat, v_hat)."""
+    """Map monotone variables (u, v) to original densities (u_hat, v_hat).
+
+    The map (u, v) -> (K* - u, v) is an involution, so the same function
+    maps original densities back; ``to_transformed`` is bound to it.
+    """
     return StateVec(p.kstar - np.asarray(s[0], dtype=float), np.asarray(s[1], dtype=float))
 
 
-def to_transformed(p: ModelParams, s: StateVec) -> StateVec:
-    """Map original densities to monotone variables; inverse of to_original."""
-    return StateVec(p.kstar - np.asarray(s[0], dtype=float), np.asarray(s[1], dtype=float))
+to_transformed = to_original

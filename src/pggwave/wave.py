@@ -6,9 +6,10 @@ The iteration solves, per component,
 
 with beta at least one above the largest negative Jacobian diagonal over the
 state box, so the right-hand side is monotone in U and the tridiagonal
-left-hand matrix is an M-matrix for c*h/2 < 1.  Started from the shifted
-upper solution the iterates decrease nodewise and stay inside the
-[lower, upper] envelope; the fixed point is the discretized front.
+left-hand matrix is an M-matrix for c*h/2 < 1 (required; a coarser grid
+raises GridError).  Started from the shifted upper solution the iterates
+decrease nodewise and stay inside the [lower, upper] envelope; the fixed
+point is the discretized front.
 
 The sweeps contract at a rate rho that tends to 1 at the critical speed, so
 once the sweep sup-diff falls below ``NEWTON_SWITCH`` the solve is finished
@@ -31,15 +32,15 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.linalg import solve_banded
-from scipy.optimize import brentq
 
 from .bounds import BoundPair, shifted_upper_samples
 from .errors import (ConvergenceError, EnvelopeViolationError, FitWindowError,
-                     LevelNotCrossedError, ParameterError)
-from .grid import (Grid, Profile, apply_advection_diffusion,
-                   linearization_bands, residual)
+                     ParameterError)
+from .grid import (Grid, Profile, apply_advection_diffusion, boundary_vector,
+                   level_crossing, linearization_bands, monotone_interpolant,
+                   require_m_matrix, residual, stencil_bands,
+                   stencil_coefficients, translate)
 from .model import ModelParams, StateVec, jacobian, reaction
 
 __all__ = [
@@ -189,12 +190,12 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
         raise ParameterError(
             f"speed {c} below critical {p.cmin}; no monotone front exists"
         )
+    require_m_matrix(g, c)
     bg = bounds.upper.grid
     if bg.n != g.n or bg.L != g.L:
         raise ParameterError("bounds were built on a different grid")
-    h = g.h
 
-    m = int(round(bounds.shift / h))
+    m = int(round(bounds.shift / g.h))
     upper_env = shifted_upper_samples(bounds.upper, m)
     lower_env = bounds.lower.samples()
     # iteration Dirichlet data: upper's tiny left datum, exact limit on the right
@@ -217,12 +218,8 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
         U = lower_env.copy()
 
     beta = _beta_for(p)
-    lo = 1.0 / h**2 + c / (2.0 * h)
-    hi = 1.0 / h**2 - c / (2.0 * h)
-    ab = np.zeros((3, g.n))
-    ab[0, 1:] = -hi
-    ab[1, :] = 2.0 / h**2 + beta
-    ab[2, :-1] = -lo
+    ab = stencil_bands(g, c, -1.0, beta)
+    bvec = boundary_vector(g, c, dl, dr)
 
     sup_diffs: list[float] = []
     newton_steps: list[float] = []
@@ -231,11 +228,7 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
     warned_direction = warned_supdiff = False
     for it in range(1, max_iter + 1):
         F = reaction(p, StateVec(U[:, 0], U[:, 1]))
-        rhs = np.stack([F[0], F[1]], axis=1) + beta * U
-        rhs[0] += lo * dl
-        rhs[-1] += hi * dr
-        Un = np.stack([solve_banded((1, 1), ab, rhs[:, 0]),
-                       solve_banded((1, 1), ab, rhs[:, 1])], axis=1)
+        Un = solve_banded((1, 1), ab, F.T + beta * U + bvec)
 
         d = float(np.max(np.abs(Un - U)))
         sup_diffs.append(d)
@@ -290,11 +283,10 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
 
 
 def _interpolators(prof: Profile):
-    g = prof.grid
-    xs = np.concatenate(([-g.L], g.nodes, [g.L]))
-    yu = np.concatenate(([prof.boundary_left[0]], prof.u, [prof.boundary_right[0]]))
-    yv = np.concatenate(([prof.boundary_left[1]], prof.v, [prof.boundary_right[1]]))
-    return PchipInterpolator(xs, yu), PchipInterpolator(xs, yv)
+    """Monotone interpolants of u and v, as ``normalize_phase`` translates them."""
+    bl, br = prof.boundary_left, prof.boundary_right
+    return (monotone_interpolant(prof.grid, prof.u, bl[0], br[0]),
+            monotone_interpolant(prof.grid, prof.v, bl[1], br[1]))
 
 
 def normalize_phase(prof: Profile, level: float = 0.5) -> Profile:
@@ -303,23 +295,13 @@ def normalize_phase(prof: Profile, level: float = 0.5) -> Profile:
     Queries beyond the truncated domain are clamped to the boundary data.
     Idempotent to below 1e-12.
     """
-    g = prof.grid
-    iu, iv = _interpolators(prof)
-    vall = np.concatenate(([prof.boundary_left[1]], prof.v, [prof.boundary_right[1]]))
-    if not (vall.min() < level < vall.max()):
-        raise LevelNotCrossedError(f"v does not cross {level} on the domain")
-    xs = np.concatenate(([-g.L], g.nodes, [g.L]))
-    idx = np.nonzero(vall >= level)[0]
-    if len(idx) == 0 or idx[0] == 0:
-        raise LevelNotCrossedError(f"v does not cross {level} upward")
-    x0 = brentq(lambda x: float(iv(x)) - level, xs[idx[0] - 1], xs[idx[0]],
-                xtol=1e-14)
-    q = np.clip(np.concatenate(([-g.L], g.nodes, [g.L])) + x0, -g.L, g.L)
-    u = iu(q)
-    v = iv(q)
-    return Profile(grid=g, u=u[1:-1], v=v[1:-1], c=prof.c,
-                   boundary_left=StateVec(float(u[0]), float(v[0])),
-                   boundary_right=StateVec(float(u[-1]), float(v[-1])))
+    g, bl, br = prof.grid, prof.boundary_left, prof.boundary_right
+    x0 = level_crossing(g, prof.v, bl[1], br[1], level)
+    ext = translate(g, prof.samples(), bl, br, x0)
+    return Profile(grid=g, u=ext[1:-1, 0].copy(), v=ext[1:-1, 1].copy(),
+                   c=prof.c,
+                   boundary_left=StateVec(float(ext[0, 0]), float(ext[0, 1])),
+                   boundary_right=StateVec(float(ext[-1, 0]), float(ext[-1, 1])))
 
 
 def check_monotone(prof: Profile) -> tuple[float, float]:
@@ -425,10 +407,8 @@ def _ghost_states(p: ModelParams, prof: Profile) -> tuple[np.ndarray, np.ndarray
     The discrete wave equation is imposed at the ghost node (where the
     Dirichlet datum lives) and solved for the out-of-domain neighbor.
     """
-    g, c = prof.grid, prof.c
-    h = g.h
-    lo = 1.0 / h**2 + c / (2.0 * h)
-    hi = 1.0 / h**2 - c / (2.0 * h)
+    h = prof.grid.h
+    lo, hi = stencil_coefficients(prof.grid, prof.c)
     dl = np.array(prof.boundary_left, dtype=float)
     dr = np.array(prof.boundary_right, dtype=float)
     Fdl = reaction(p, StateVec(dl[0], dl[1]))
@@ -468,12 +448,8 @@ def derivative_system_residual(p: ModelParams, prof: Profile,
     profile's own Dirichlet data; small sup-norm certifies that the front's
     derivative is the translation null mode of the linearization.
     """
-    g, c = prof.grid, prof.c
-    lin_u = apply_advection_diffusion(g, c, deriv.u, deriv.boundary_left[0],
-                                      deriv.boundary_right[0])
-    lin_v = apply_advection_diffusion(g, c, deriv.v, deriv.boundary_left[1],
-                                      deriv.boundary_right[1])
+    lin = apply_advection_diffusion(prof.grid, prof.c, deriv.samples(),
+                                    deriv.boundary_left, deriv.boundary_right)
     A = jacobian(p, StateVec(prof.u, prof.v))
-    res_u = lin_u + A[0, 0] * deriv.u + A[0, 1] * deriv.v
-    res_v = lin_v + A[1, 0] * deriv.u + A[1, 1] * deriv.v
-    return np.stack([res_u, res_v], axis=1)
+    return np.stack([lin[:, 0] + A[0, 0] * deriv.u + A[0, 1] * deriv.v,
+                     lin[:, 1] + A[1, 0] * deriv.u + A[1, 1] * deriv.v], axis=1)

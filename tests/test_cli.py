@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pggwave import spectrum
 from pggwave.cli import main
 from pggwave.config import load_config_file, resolve_config
 from pggwave.errors import ParameterError
@@ -76,6 +77,14 @@ def test_wave_report_records_solver_state(capsys, tmp_path):
     assert f"{len(rep['newton_steps'])} Newton steps" in out
 
 
+@pytest.mark.parametrize("n", ["30", "20"])
+def test_wave_rejects_non_monotone_stencil(capsys, tmp_path, n):
+    code, _, err = run_cli(capsys, "wave", "--L", "40", "--n", n,
+                           "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "invalid configuration" in err and "c*h/2" in err
+
+
 def test_bounds_check(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "bounds-check", "--L", "20", "--n", "799",
                            "--output-dir", str(tmp_path))
@@ -97,6 +106,21 @@ def test_eigs(capsys, tmp_path):
     rightmost = float(lines[1].split(",")[0])
     assert rightmost < 0.0
     assert "translation mode residual" in out
+
+
+def test_eigs_solves_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    solve = spectrum.eigen_report
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigen_report", counted)
+    code, _, _ = run_cli(capsys, "eigs", "--L", "40", "--n", "200",
+                         "--count", "4", "--output-dir", str(tmp_path))
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_stability_smoke(capsys, tmp_path):
@@ -141,6 +165,15 @@ def test_sweep(capsys, tmp_path):
             "spectrum_report.json").exists()
     assert (tmp_path / "spectrum" / "sigma2=0.5" / "spectrum" /
             "spectrum_report.json").exists()
+
+
+@pytest.mark.parametrize("vary", ["tol=-1", "dt=5", "foo=1"])
+def test_sweep_rejects_invalid_point(capsys, tmp_path, vary):
+    code, _, err = run_cli(capsys, "sweep", "--run", "spectrum",
+                           "--vary", vary, "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "invalid configuration" in err
+    assert not (tmp_path / "spectrum").exists()
 
 
 def test_config_file(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from pggwave import (Profile, StateVec, WeightPair, apply_advection_diffusion,
                      assemble_weighted_operator, derive_params, load_profile,
                      make_grid, reaction, residual, save_profile)
-from pggwave.grid import linearization_bands
+from pggwave.grid import boundary_vector, linearization_bands, stencil_bands
 from pggwave.errors import GridError
 
 
@@ -135,3 +135,36 @@ def test_linearization_bands_are_residual_jacobian():
     fd = ((residual(p, plus) - residual(p, prof)) / eps).ravel()
     Je = op.to_dense() @ e.ravel()
     assert np.max(np.abs(fd - Je)) < 1e-4 * np.max(np.abs(Je))
+
+
+def _tridiagonal(ab):
+    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+
+
+@pytest.mark.parametrize("scale,diag", [
+    (1.0, np.linspace(-0.3, 0.2, 57)),   # scalar Newton: T + diag(f'(w))
+    (-1.0, 1.7),                          # monotone sweeps: beta - T
+    (-0.005, 1.0),                        # Crank-Nicolson: I - dt/2 T
+])
+def test_stencil_bands_match_explicit_stencil(scale, diag):
+    # implicit half (bands and ghost terms) and explicit half are one operator
+    g = make_grid(10.0, 57)
+    c, bl, br = 1.25, 0.3, -0.8
+    f = np.cos(0.4 * g.nodes) + 0.1 * g.nodes
+    implicit = (_tridiagonal(stencil_bands(g, c, scale, diag)) @ f
+                + scale * boundary_vector(g, c, bl, br))
+    explicit = scale * apply_advection_diffusion(g, c, f, bl, br) + diag * f
+    assert np.max(np.abs(implicit - explicit)) < 1e-12 / g.h**2
+
+
+def test_stencil_two_columns_match_per_column():
+    g = make_grid(10.0, 57)
+    F = np.stack([np.sin(g.nodes), np.tanh(g.nodes)], axis=1)
+    left, right = StateVec(0.1, -1.0), StateVec(0.2, 1.0)
+    both = apply_advection_diffusion(g, 1.25, F, left, right)
+    ghosts = boundary_vector(g, 1.25, left, right)
+    for j in range(2):
+        assert np.array_equal(both[:, j], apply_advection_diffusion(
+            g, 1.25, F[:, j], left[j], right[j]))
+        assert np.array_equal(ghosts[:, j],
+                              boundary_vector(g, 1.25, left[j], right[j]))

@@ -8,7 +8,8 @@ from pggwave import (BoundPair, Profile, StateVec, check_monotone, derive_params
                      fit_decay, make_bounds, make_grid, normalize_phase, residual,
                      solve_wave, subcritical_verdict, wave)
 from pggwave.errors import (ConvergenceError, EnvelopeViolationError,
-                            FitWindowError, LevelNotCrossedError, ParameterError)
+                            FitWindowError, GridError, LevelNotCrossedError,
+                            ParameterError)
 from pggwave.bounds import shifted_upper_samples
 from pggwave.grid import linearization_bands
 from pggwave.wave import (IterationReport, derivative_profile,
@@ -61,6 +62,16 @@ def test_zero_tolerance_never_converges(base_params):
     bp = make_bounds(base_params, C, g)
     with pytest.raises(ConvergenceError):
         solve_wave(base_params, C, g, bp, tol=0.0, max_iter=10)
+
+
+@pytest.mark.parametrize("n", [30, 20])
+def test_non_monotone_stencil_rejected(base_params, base_bounds, n):
+    # c*h/2 = 1.61 and 2.38: -T is no M-matrix, the sweeps are not monotone
+    g = make_grid(40.0, n)
+    with pytest.raises(GridError):
+        make_bounds(base_params, C, g)
+    with pytest.raises(GridError):
+        solve_wave(base_params, C, g, base_bounds)
 
 
 def test_upward_iteration_agrees(base_params, base_grid, base_bounds, base_wave):
