@@ -28,8 +28,8 @@ from .model import (ModelParams, StateVec, derive_params, jacobian, reaction,
                     to_original, to_transformed)
 from .spectrum import (OperatorMatrix, SpectrumReport, WeightPair,
                        WeightWindow, assemble_weighted_operator,
-                       essential_spectrum_max, rightmost_eigenvalues,
-                       spectrum_curves, translation_mode_check, weight_window)
+                       essential_spectrum_max, spectrum_curves,
+                       translation_mode_check, weight_window)
 from .wave import (DecayFit, IterationReport, SpeedVerdict, check_monotone,
                    derivative_profile, fit_decay, normalize_phase, solve_wave,
                    subcritical_verdict)

@@ -28,7 +28,6 @@ class RunConfig:
     max_iter: int = 20000
     dt: float = 0.01
     t_end: float = 50.0
-    deterministic: bool = True   # no RNG anywhere; echoed for provenance
     output_dir: str = "out"
 
     def echo(self) -> dict:
@@ -39,19 +38,10 @@ class RunConfig:
         return d
 
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False,
-         "yes": True, "no": False}
-
-
 def _coerce(name: str, text: str):
     text = text.strip()
     if name == "output_dir":
         return text
-    if name == "deterministic":
-        try:
-            return _BOOL[text.lower()]
-        except KeyError:
-            raise ParameterError(f"cannot parse boolean {text!r} for {name}")
     if name in ("n", "max_iter"):
         return int(text)
     if name == "l" and text.lower() == "none":

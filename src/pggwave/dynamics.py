@@ -47,7 +47,6 @@ class SimConfig:
     dt: float = 0.01
     t_end: float = 50.0
     record_every: int = 100
-    scheme: str = "imex-cnab2"
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -106,7 +105,7 @@ def front_position(g: Grid, v: np.ndarray, level: float = 0.5) -> float:
 def run_simulation(p: ModelParams, frame_speed: float, initial: Profile,
                    cfg: SimConfig, w: WeightPair | None = None,
                    reference: Profile | None = None, forcing=None,
-                   on_blowup: str = "raise", refit_phase: bool = False) -> Trace:
+                   on_blowup: str = "raise") -> Trace:
     """Advance U_t = U_xx - frame_speed U_x + F(U) [+ forcing] and record norms.
 
     Norms are of U - reference when a reference is supplied, otherwise of U
@@ -114,11 +113,6 @@ def run_simulation(p: ModelParams, frame_speed: float, initial: Profile,
     doubled sup norm).  ``forcing(xi, t) -> (n, 2)`` supports manufactured
     solutions.  Blow-up (sup|U| > 10 max(K*, 1)) raises by default; with
     on_blowup="stop" the trace is truncated and flagged instead.
-
-    ``refit_phase`` re-aligns the state's half-level crossing with the
-    reference's before measuring deviations (linear resampling at record
-    times only); useful for long runs where phase drift would otherwise
-    swamp the decay signal.
     """
     if frame_speed < 0:
         raise ParameterError("frame_speed must be nonnegative")
@@ -141,21 +135,9 @@ def run_simulation(p: ModelParams, frame_speed: float, initial: Profile,
     F_prev = None
     times, wnorms, snorms, fronts, masses = [], [], [], [], []
     blew_up = False
-    ref_front = (front_position(g, ref[:, 1]) if refit_phase and ref is not None
-                 else math.nan)
 
     def record(mstep, Ucur):
-        if ref is not None:
-            cur = Ucur
-            if refit_phase and math.isfinite(ref_front):
-                delta = front_position(g, Ucur[:, 1]) - ref_front
-                if math.isfinite(delta):
-                    cur = np.stack(
-                        [np.interp(g.nodes + delta, g.nodes, Ucur[:, j])
-                         for j in range(2)], axis=1)
-            dev = cur - ref
-        else:
-            dev = Ucur
+        dev = Ucur - ref if ref is not None else Ucur
         times.append(mstep * dt)
         wnorms.append(weighted_norm(dev[:, 0], dev[:, 1], g, wpair))
         snorms.append(float(np.max(np.abs(dev))))

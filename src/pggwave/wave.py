@@ -38,9 +38,8 @@ from .bounds import BoundPair, shifted_upper_samples
 from .errors import (ConvergenceError, EnvelopeViolationError, FitWindowError,
                      ParameterError)
 from .grid import (Grid, Profile, apply_advection_diffusion, boundary_vector,
-                   level_crossing, linearization_bands, monotone_interpolant,
-                   require_m_matrix, residual, stencil_bands,
-                   stencil_coefficients, translate)
+                   level_crossing, linearization_bands, require_m_matrix,
+                   residual, stencil_bands, stencil_coefficients, translate)
 from .model import ModelParams, StateVec, jacobian, reaction
 
 __all__ = [
@@ -280,13 +279,6 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
             f"converged iterate has residual {final_res:.3e} > 10*tol"
         )
     return prof, report
-
-
-def _interpolators(prof: Profile):
-    """Monotone interpolants of u and v, as ``normalize_phase`` translates them."""
-    bl, br = prof.boundary_left, prof.boundary_right
-    return (monotone_interpolant(prof.grid, prof.u, bl[0], br[0]),
-            monotone_interpolant(prof.grid, prof.v, bl[1], br[1]))
 
 
 def normalize_phase(prof: Profile, level: float = 0.5) -> Profile:

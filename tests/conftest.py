@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pggwave import (WeightPair, derive_params, make_bounds, make_grid,
@@ -36,3 +37,13 @@ def base_wave_normalized(base_wave):
 @pytest.fixture(scope="session")
 def base_weights():
     return WeightPair(0.05, 0.5)
+
+
+@pytest.fixture(scope="session")
+def dense_eigenvalues():
+    """The oracle for ``spectrum.eigen_report``: a full dense eigensolve of
+    the operator, the ``count`` eigenvalues of largest real part first."""
+    def solve(op, count):
+        vals = np.linalg.eigvals(op.to_dense())
+        return vals[np.argsort(-vals.real, kind="stable")][:count]
+    return solve

@@ -12,8 +12,8 @@ import pytest
 from pggwave import (SimConfig, StateVec, WeightPair, assemble_weighted_operator,
                      derive_params, essential_spectrum_max, fit_decay,
                      instability_experiment, jacobian, make_bounds, make_grid,
-                     normalize_phase, reaction, residual, rightmost_eigenvalues,
-                     solve_wave, spreading_experiment, stability_experiment,
+                     normalize_phase, reaction, residual, solve_wave,
+                     spreading_experiment, stability_experiment,
                      subcritical_verdict, translation_mode_check, weight_window)
 from pggwave.bounds import shifted_upper_samples, verify_bound
 from pggwave.errors import EmptyWindowError
@@ -205,9 +205,9 @@ def test_criterion_09_weight_window(base_params):
 
 
 def test_criterion_10_point_spectrum(base_params, base_wave, coarse_wave_400,
-                                     base_weights):
+                                     base_weights, dense_eigenvalues):
     op = assemble_weighted_operator(base_params, coarse_wave_400, base_weights)
-    vals = rightmost_eigenvalues(op, count=8, method="dense")  # dense oracle
+    vals = dense_eigenvalues(op, 8)
     rightmost = vals[0]
     ok_eig = rightmost.real < 0 and bool(np.all(vals.real < 0))
     # regression value pinned by the dense-oracle run

@@ -123,6 +123,14 @@ def test_eigs_solves_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("count", ["0", "-1", "199"])
+def test_eigs_rejects_count(capsys, tmp_path, count):
+    code, _, err = run_cli(capsys, "eigs", "--L", "40", "--n", "100",
+                           "--count", count, "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "eigenvalue count" in err
+
+
 def test_stability_smoke(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "stability", "--L", "20", "--n", "399",
                            "--t-end", "8", "--output-dir", str(tmp_path))
@@ -185,8 +193,7 @@ def test_config_file(tmp_path):
     assert cfg.alpha == 0.3 and cfg.k == 0.4 and cfg.n == 499 and cfg.c == 1.5
     echo = cfg.echo()
     assert set(echo) == {"alpha", "k", "c", "l", "L", "n", "sigma1", "sigma2",
-                         "tol", "max_iter", "dt", "t_end", "deterministic",
-                         "output_dir"}
+                         "tol", "max_iter", "dt", "t_end", "output_dir"}
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 3\n")

@@ -3,8 +3,8 @@ import pytest
 
 from pggwave import (Profile, StateVec, WeightPair, assemble_weighted_operator,
                      essential_spectrum_max, jacobian, make_bounds, make_grid,
-                     rightmost_eigenvalues, solve_wave, spectrum_curves,
-                     translation_mode_check, weight_window)
+                     solve_wave, spectrum_curves, translation_mode_check,
+                     weight_window)
 from pggwave.errors import (DegenerateWeightError, EmptyWindowError,
                             ParameterError)
 from pggwave.spectrum import (OperatorMatrix, branch_vertices, eigen_report,
@@ -226,33 +226,46 @@ def test_zero_matrix_eigenvalues():
     g = make_grid(5.0, 10)
     op = OperatorMatrix(bands=np.zeros((5, 20)), grid=g,
                         weights=WeightPair(0, 0), c=0.0)
-    vals = rightmost_eigenvalues(op, count=5, method="dense")
+    vals, _ = eigen_report(op, count=5)
     assert np.max(np.abs(vals)) == 0.0
 
 
-def test_scalar_constant_coefficient_eigenvalues():
+def test_scalar_constant_coefficient_eigenvalues(dense_eigenvalues):
     L, c = 10.0, 0.8
     op = _scalar_test_operator(L, 199, c)
-    vals = rightmost_eigenvalues(op, count=6, method="dense")
+    vals, _ = eigen_report(op, count=6)
     analytic = [-1.0 - c**2 / 4.0 - (m * np.pi / (2 * L)) ** 2 for m in (1, 1, 2, 2, 3, 3)]
     assert np.allclose(vals.real, analytic, atol=2e-3)   # O(h^2) discretization
     assert np.max(np.abs(vals.imag)) < 1e-8
+    # each eigenvalue is double (two decoupled copies), found twice
+    assert np.max(np.abs(vals[0::2] - vals[1::2])) < 1e-10
     # dense oracle agreement at machine level for the same matrix
-    dense_vals = np.linalg.eigvals(op.to_dense())
-    dense_top = dense_vals[np.argsort(-dense_vals.real)][:6]
-    assert np.allclose(np.sort(vals.real), np.sort(dense_top.real), atol=1e-9)
+    assert np.allclose(vals.real, dense_eigenvalues(op, 6).real, atol=1e-9)
 
 
-def test_arpack_agrees_with_dense(base_params, coarse_wave):
+def test_arpack_agrees_with_dense(base_params, coarse_wave, dense_eigenvalues):
+    for w in (WeightPair(0.05, 0.5), WeightPair(0.1, 0.9)):
+        op = assemble_weighted_operator(base_params, coarse_wave, w)
+        vals, _ = eigen_report(op, count=6)
+        assert np.max(np.abs(vals - dense_eigenvalues(op, 6))) < 1e-8
+
+
+def test_eigen_report_is_reproducible(base_params, coarse_wave):
     op = assemble_weighted_operator(base_params, coarse_wave, WeightPair(0.05, 0.5))
-    dense = rightmost_eigenvalues(op, count=5, method="dense")
-    sparse = rightmost_eigenvalues(op, count=5, method="arpack")
-    assert np.max(np.abs(dense - sparse)) < 1e-6
+    other = assemble_weighted_operator(base_params, coarse_wave,
+                                       WeightPair(0.1, 0.9))
+    vals, frac = eigen_report(op, count=6)
+    for between in (None, other):
+        if between is not None:
+            eigen_report(between, count=6)
+        again, frac_again = eigen_report(op, count=6)
+        assert np.array_equal(again, vals)
+        assert np.array_equal(frac_again, frac)
 
 
 def test_rightmost_negative_base(base_params, coarse_wave):
     op = assemble_weighted_operator(base_params, coarse_wave, WeightPair(0.05, 0.5))
-    vals = rightmost_eigenvalues(op, count=8)
+    vals, _ = eigen_report(op, count=8)
     assert vals[0].real < 0.0
     assert np.all(vals.real < 0.0)
     # regression value pinned by the dense oracle
@@ -266,7 +279,7 @@ def test_rightmost_stable_under_refinement(base_params):
         bp = make_bounds(base_params, C, g)
         prof, _ = solve_wave(base_params, C, g, bp, tol=1e-11)
         op = assemble_weighted_operator(base_params, prof, WeightPair(0.05, 0.5))
-        vals.append(rightmost_eigenvalues(op, count=1, method="dense")[0])
+        vals.append(eigen_report(op, count=1)[0][0])
     assert abs(vals[0].real - vals[1].real) < 1e-3
 
 
@@ -279,8 +292,12 @@ def test_boundary_mass_fractions(base_params, coarse_wave):
 
 def test_count_validation(base_params, coarse_wave):
     op = assemble_weighted_operator(base_params, coarse_wave, WeightPair(0.0, 0.0))
-    with pytest.raises(ParameterError):
-        rightmost_eigenvalues(op, count=0)
+    for count in (0, -1, op.size - 1):
+        with pytest.raises(ParameterError):
+            eigen_report(op, count=count)
+    small = _scalar_test_operator(10.0, 9, 0.8)   # size 18: count 16 is the limit
+    vals, frac = eigen_report(small, count=small.size - 2)
+    assert vals.shape == frac.shape == (small.size - 2,)
 
 
 # --- translation mode ---

@@ -11,7 +11,7 @@ from pggwave.errors import (ConvergenceError, EnvelopeViolationError,
                             FitWindowError, GridError, LevelNotCrossedError,
                             ParameterError)
 from pggwave.bounds import shifted_upper_samples
-from pggwave.grid import linearization_bands
+from pggwave.grid import linearization_bands, translate
 from pggwave.wave import (IterationReport, derivative_profile,
                           derivative_system_residual)
 
@@ -186,13 +186,11 @@ def test_normalize_round_trip(base_wave_normalized):
     prof = base_wave_normalized
     g = prof.grid
     # translate by +3.7 via the same monotone machinery, then re-normalize
-    from pggwave.wave import _interpolators
-    iu, iv = _interpolators(prof)
-    q = np.clip(g.nodes + 3.7, -g.L, g.L)
-    shifted = Profile(grid=g, u=iu(q), v=iv(q), c=prof.c,
-                      boundary_left=StateVec(float(iu(-g.L + 3.7)),
-                                             float(iv(-g.L + 3.7))),
-                      boundary_right=prof.boundary_right)
+    ext = translate(g, prof.samples(), prof.boundary_left,
+                    prof.boundary_right, 3.7)
+    shifted = Profile(grid=g, u=ext[1:-1, 0], v=ext[1:-1, 1], c=prof.c,
+                      boundary_left=StateVec(*ext[0]),
+                      boundary_right=StateVec(*ext[-1]))
     back = normalize_phase(shifted)
     interior = slice(200, g.n - 200)   # translation clamps the outermost band
     err = np.max(np.abs(back.samples()[interior] - prof.samples()[interior]))
