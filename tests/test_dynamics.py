@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+import pggwave.dynamics
 from pggwave import (Profile, SimConfig, StateVec, Trace, WeightPair,
                      fit_decay_constant, instability_experiment, make_grid,
                      perturb, run_simulation, spreading_experiment,
@@ -10,6 +12,9 @@ from pggwave import (Profile, SimConfig, StateVec, Trace, WeightPair,
 from pggwave.dynamics import front_position, trace_to_csv
 from pggwave.errors import (BlowUpError, FrontNotFoundError, NormError,
                             ParameterError)
+from pggwave.grid import (apply_advection_diffusion, boundary_vector,
+                          stencil_bands)
+from pggwave.model import reaction
 
 C = 1.25
 
@@ -166,6 +171,87 @@ def test_blowup_paths(base_params, base_wave):
     tr = run_simulation(base_params, C, bad, SimConfig(dt=0.01, t_end=5.0),
                         on_blowup="stop")
     assert tr.blew_up
+
+
+def _nan_forcing(xi, t):
+    return np.full((len(xi), 2), math.nan if t > 0.05 else 0.0)
+
+
+def _plateau(p):
+    g = make_grid(10.0, 199)
+    return Profile(grid=g, u=np.full(g.n, p.kstar), v=np.ones(g.n), c=C,
+                   boundary_left=StateVec(p.kstar, 1.0),
+                   boundary_right=StateVec(p.kstar, 1.0))
+
+
+def test_nonfinite_state_is_a_blowup(base_params):
+    init = _plateau(base_params)
+    cfg = SimConfig(dt=0.01, t_end=1.0)
+    with pytest.raises(BlowUpError, match="sup\\|U\\| is not finite"):
+        run_simulation(base_params, C, init, cfg, forcing=_nan_forcing)
+    tr = run_simulation(base_params, C, init, cfg, forcing=_nan_forcing,
+                        on_blowup="stop")
+    assert tr.blew_up
+    assert list(tr.times) == [0.0]
+
+
+def _reference_steps(p, c, init, dt, nsteps):
+    """CNAB2 in the explicit form: A U' = U + dt/2 T U + dt ghosts + dt G,
+    G = F on the first step and 3/2 F - 1/2 F_prev after it."""
+    g = init.grid
+    dl = np.array(init.boundary_left, dtype=float)
+    dr = np.array(init.boundary_right, dtype=float)
+    ab = stencil_bands(g, c, -dt / 2.0, 1.0)
+    bvec = boundary_vector(g, c, dl, dr)
+    U = init.samples()
+    F_prev = None
+    for _ in range(nsteps):
+        F = reaction(p, StateVec(U[:, 0], U[:, 1])).T
+        G = F if F_prev is None else 1.5 * F - 0.5 * F_prev
+        F_prev = F
+        rhs = (U + dt / 2.0 * apply_advection_diffusion(g, c, U, dl, dr)
+               + dt / 2.0 * bvec + dt * G)
+        U = solve_banded((1, 1), ab, rhs)
+    return U
+
+
+@pytest.mark.parametrize("c", [0.0, C])
+@pytest.mark.parametrize("nsteps", [1, 2])
+def test_step_matches_explicit_form(base_params, c, nsteps):
+    g = make_grid(10.0, 199)
+    th, tl, tr_ = np.tanh(g.nodes / 2.0), math.tanh(-5.0), math.tanh(5.0)
+    init = Profile(grid=g, u=0.4 + 0.2 * th, v=0.55 - 0.5 * th, c=c,
+                   boundary_left=StateVec(0.4 + 0.2 * tl, 0.55 - 0.5 * tl),
+                   boundary_right=StateVec(0.4 + 0.2 * tr_, 0.55 - 0.5 * tr_))
+    dt = 0.01
+    tr = run_simulation(base_params, c, init,
+                        SimConfig(dt=dt, t_end=nsteps * dt, record_every=1))
+    assert len(tr.times) == nsteps + 1
+    ref = _reference_steps(base_params, c, init, dt, nsteps)
+    got = tr.final_state.samples()
+    assert np.max(np.abs(got - init.samples())) > 1e-4
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_one_solve_and_one_reaction_per_step(base_params, monkeypatch):
+    counts = {"solve_banded": 0, "reaction": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pggwave.dynamics, "solve_banded",
+                        counted("solve_banded", pggwave.dynamics.solve_banded))
+    monkeypatch.setattr(pggwave.dynamics, "reaction",
+                        counted("reaction", pggwave.dynamics.reaction))
+    nsteps = 7
+    tr = run_simulation(base_params, C, _plateau(base_params),
+                        SimConfig(dt=0.01, t_end=nsteps * 0.01,
+                                  record_every=3))
+    assert not tr.blew_up
+    assert counts == {"solve_banded": nsteps, "reaction": nsteps}
 
 
 # --- fitting helpers ---
