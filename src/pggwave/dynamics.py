@@ -78,7 +78,6 @@ class Trace:
     weighted_norms: np.ndarray
     sup_norms: np.ndarray
     front_positions: np.ndarray
-    mass_checks: np.ndarray        # domain integral of u + v, drift diagnostic
     blew_up: bool = False
     final_state: Profile | None = field(default=None, repr=False)
 
@@ -146,7 +145,7 @@ def run_simulation(p: ModelParams, frame_speed: float, initial: Profile,
     nsteps = int(round(cfg.t_end / dt))
     U = np.asfortranarray(initial.samples())
     F_prev = None
-    times, wnorms, snorms, fronts, masses = [], [], [], [], []
+    times, wnorms, snorms, fronts = [], [], [], []
     blew_up = False
 
     def record(mstep, Ucur):
@@ -155,7 +154,6 @@ def run_simulation(p: ModelParams, frame_speed: float, initial: Profile,
         wnorms.append(weighted_norm(dev[:, 0], dev[:, 1], g, wpair))
         snorms.append(float(np.max(np.abs(dev))))
         fronts.append(front_position(g, Ucur[:, 1]))
-        masses.append(float(g.h * np.sum(Ucur)))
 
     record(0, U)
     for mstep in range(nsteps):
@@ -190,8 +188,7 @@ def run_simulation(p: ModelParams, frame_speed: float, initial: Profile,
                     boundary_right=StateVec(dr[0], dr[1]))
     return Trace(times=np.array(times), weighted_norms=np.array(wnorms),
                  sup_norms=np.array(snorms), front_positions=np.array(fronts),
-                 mass_checks=np.array(masses), blew_up=blew_up,
-                 final_state=final)
+                 blew_up=blew_up, final_state=final)
 
 
 def perturb(base: Profile, kind: str, amplitude: float,

@@ -38,8 +38,6 @@ __all__ = [
     "scalar_residual",
 ]
 
-_FD_STEP = 1e-6
-
 
 @dataclass(frozen=True)
 class KppNonlinearity:
@@ -62,10 +60,6 @@ class KppNonlinearity:
                 )
 
     @property
-    def is_upper(self) -> bool:
-        return self.l is None
-
-    @property
     def plateau(self) -> float:
         return plateau_of(self)
 
@@ -74,29 +68,41 @@ class KppNonlinearity:
         """f'(0); equals alpha exactly for both variants."""
         return self.params.alpha
 
-    def f(self, w):
+    def _terms(self):
+        """(pref, k K*, l, q) of f = pref w (1 - q w) / (1 + k K* (1 - l w)).
+
+        The upper variant is l = q = 1; the lower has q = 1/plateau.
+        """
         p = self.params
-        w = np.asarray(w, dtype=float)
         pref = p.alpha / (1.0 - p.k + p.alpha * p.k)
         if self.l is None:
-            return pref / (1.0 + p.k * p.kstar * (1.0 - w)) * w * (1.0 - w)
-        q = 1.0 / self.plateau
-        return pref / (1.0 + p.k * p.kstar * (1.0 - self.l * w)) * w * (1.0 - q * w)
+            return pref, p.k * p.kstar, 1.0, 1.0
+        return pref, p.k * p.kstar, self.l, 1.0 / self.plateau
+
+    def f(self, w):
+        pref, kk, l, q = self._terms()
+        w = np.asarray(w, dtype=float)
+        return pref / (1.0 + kk * (1.0 - l * w)) * w * (1.0 - q * w)
 
     def fprime(self, w):
-        """Centered finite difference of f; accurate far beyond solver needs."""
-        return (self.f(w + _FD_STEP) - self.f(w - _FD_STEP)) / (2.0 * _FD_STEP)
+        """Closed-form derivative of f, with D = 1 + k K* (1 - l w):
+        f' = pref ((1 - 2 q w) D + k K* l w (1 - q w)) / D^2."""
+        pref, kk, l, q = self._terms()
+        w = np.asarray(w, dtype=float)
+        den = 1.0 + kk * (1.0 - l * w)
+        return pref * ((1.0 - 2.0 * q * w) * den
+                       + kk * l * w * (1.0 - q * w)) / den**2
 
     def decay_rate_at_plateau(self) -> float:
-        """-f'(plateau) > 0, computed numerically from the closed-form f."""
+        """-f'(plateau) > 0, from the closed-form derivative."""
         return -float(self.fprime(self.plateau))
 
     def plateau_slope_report(self) -> dict:
-        """Numeric f'(plateau) next to the closed constants quoted for each variant.
+        """f'(plateau) ("numeric") next to the closed constants quoted for each variant.
 
         For the lower variant the quoted constant disagrees with the
-        closed-form f; the numeric value is authoritative and is the one the
-        solvers use.
+        closed-form f; the derivative of f is authoritative and is the one
+        the solvers use.
         """
         p = self.params
         numeric = float(self.fprime(self.plateau))

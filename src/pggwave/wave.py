@@ -11,13 +11,14 @@ raises GridError).  Started from the shifted upper solution the iterates
 decrease nodewise and stay inside the [lower, upper] envelope; the fixed
 point is the discretized front.
 
-The sweeps contract at a rate rho that tends to 1 at the critical speed, so
-once the sweep sup-diff falls below ``NEWTON_SWITCH`` the solve is finished
-by Newton's method on the interleaved pentadiagonal Jacobian of the
-discretized system (``grid.linearization_bands``, the zero-weight operator
-of the spectrum module).  Newton iterates get the same envelope check as
-sweeps; a step that leaves the envelope, or whose correction does not
-shrink, is dropped and the sweeps resume from the last accepted iterate.
+The sweeps contract at a rate rho that tends to 1 at the critical speed
+(rho ~ 0.9987 at c = 1, L = 80), so after the first sweep Newton's method on
+the interleaved pentadiagonal Jacobian of the discretized system
+(``grid.linearization_bands``, the zero-weight operator of the spectrum
+module) takes over, with the envelope check on every iterate.  Only a sweep
+whose sup-diff is below the tolerance ends the solve: a fixed point of the
+monotone map inside the envelope is, by the uniqueness of the front, the
+front, however the iterate got there.
 
 Dirichlet data: the right end is pinned at the exact limit (K*, 1); the left
 end uses the upper bound's tiny positive datum, which is what fixes the
@@ -56,8 +57,6 @@ __all__ = [
 ]
 
 
-# sweep sup-diff below which the solve switches to the Newton finish
-NEWTON_SWITCH = 1e-6
 # Newton steps allowed before the sweeps take over again
 NEWTON_MAX_STEPS = 20
 # slack of the envelope check on every accepted iterate
@@ -84,7 +83,8 @@ class IterationReport:
 
     ``iterations`` and ``sup_diffs`` count monotone sweeps only;
     ``newton_steps`` holds the sup-norm of each accepted Newton correction
-    and ``contraction`` the sweeps' estimated contraction rate.
+    and ``contraction`` the sweeps' estimated contraction rate, NaN when
+    fewer than three sweeps were made (the default path makes two).
     """
 
     iterations: int
@@ -166,22 +166,22 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
                tol: float = 1e-10, max_iter: int = 20000,
                direction: str = "down", initial: Profile | None = None,
                callback=None) -> tuple[Profile, IterationReport]:
-    """Monotone iteration between the ordered bounds with a Newton finish.
+    """Monotone iteration between the ordered bounds, accelerated by Newton.
 
     direction="down" iterates from the shifted upper solution (default);
     "up" from the lower, exposed for the uniqueness regression.  ``initial``
     overrides the starting iterate (a converged wave is a fixed point).
 
-    The sweeps stop when their sup-diff drops below ``tol``.  With
-    ``tol > 0``, once it drops below ``NEWTON_SWITCH`` Newton steps on the
-    discretized system take over and stop when the correction's sup-norm is
-    below ``tol``.  A Newton step is accepted only if its correction is
-    smaller than the previous one and the new iterate lies in the envelope;
-    otherwise it is dropped and the sweeps resume from the last accepted
-    iterate, without a second Newton attempt.  Every accepted iterate is
-    checked against the envelope with slack 1e-12 (a sweep outside it
-    raises) and passed to ``callback(k, U)``, k counting accepted iterates.
-    ``max_iter`` bounds the sweeps.
+    The solve converges only at a sweep whose sup-diff is below ``tol``.
+    Newton attempts on the discretized system follow sweeps 1, 2, 4, 8, ...
+    (unless that sweep converged); an attempt stops when the correction's
+    sup-norm is below ``tol``, and the next sweep then certifies the result.
+    A Newton step is accepted only if its correction is smaller than the
+    previous one and the new iterate lies in the envelope; otherwise it is
+    dropped and the sweeps resume from the last accepted iterate.  Every
+    accepted iterate is checked against the envelope with slack 1e-12 (a
+    sweep outside it raises) and passed to ``callback(k, U)``, k counting
+    accepted iterates.  ``max_iter`` bounds the sweeps.
     """
     if direction not in ("down", "up"):
         raise ParameterError(f"direction must be 'down' or 'up', got {direction!r}")
@@ -223,7 +223,7 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
     sup_diffs: list[float] = []
     newton_steps: list[float] = []
     converged = False
-    newton_pending = tol > 0
+    newton_at = 1
     warned_direction = warned_supdiff = False
     for it in range(1, max_iter + 1):
         F = reaction(p, StateVec(U[:, 0], U[:, 1]))
@@ -253,15 +253,12 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
         if tol > 0 and d < tol:
             converged = True
             break
-        if newton_pending and d < NEWTON_SWITCH:
-            newton_pending = False
+        if it == newton_at:
+            newton_at *= 2
             for U, size in _newton_finish(p, U, as_profile, envelope_gap, tol):
                 newton_steps.append(size)
                 if callback is not None:
                     callback(len(sup_diffs) + len(newton_steps), U)
-            if newton_steps and newton_steps[-1] < tol:
-                converged = True
-                break
 
     prof = as_profile(U)
     final_res = float(np.max(np.abs(residual(p, prof))))

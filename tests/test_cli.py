@@ -73,7 +73,9 @@ def test_wave_report_records_solver_state(capsys, tmp_path):
     assert code == 0
     rep = json.loads((tmp_path / "wave" / "iteration_report.json").read_text())
     assert rep["newton_steps"] and rep["newton_steps"][-1] < 1e-10
-    assert 0.0 < rep["contraction"] < 1.0
+    # the default path makes two sweeps, too few for a contraction rate
+    assert rep["iterations"] == len(rep["sup_diffs"]) < 3
+    assert rep["contraction"] is None
     assert f"{len(rep['newton_steps'])} Newton steps" in out
 
 

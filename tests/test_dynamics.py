@@ -259,8 +259,7 @@ def test_one_solve_and_one_reaction_per_step(base_params, monkeypatch):
 def test_fit_decay_constant_exact():
     t = np.linspace(0.0, 30.0, 61)
     tr = Trace(times=t, weighted_norms=3.0 * np.exp(-0.2 * t),
-               sup_norms=np.zeros_like(t), front_positions=np.zeros_like(t),
-               mass_checks=np.zeros_like(t))
+               sup_norms=np.zeros_like(t), front_positions=np.zeros_like(t))
     M, b = fit_decay_constant(tr, t_start=0.0)
     assert M == pytest.approx(3.0, abs=1e-10)
     assert b == pytest.approx(0.2, abs=1e-10)
@@ -269,8 +268,7 @@ def test_fit_decay_constant_exact():
 def test_fit_decay_constant_flat_and_invalid():
     t = np.linspace(0.0, 10.0, 21)
     tr = Trace(times=t, weighted_norms=np.full_like(t, 0.7),
-               sup_norms=np.zeros_like(t), front_positions=np.zeros_like(t),
-               mass_checks=np.zeros_like(t))
+               sup_norms=np.zeros_like(t), front_positions=np.zeros_like(t))
     M, b = fit_decay_constant(tr, 0.0)
     assert abs(b) < 1e-12
     tr.weighted_norms[3] = 0.0
@@ -281,13 +279,11 @@ def test_fit_decay_constant_flat_and_invalid():
 def test_spreading_speed_synthetic():
     t = np.linspace(0.0, 20.0, 41)
     tr = Trace(times=t, weighted_norms=np.ones_like(t),
-               sup_norms=np.ones_like(t), front_positions=0.3 + 1.0 * t,
-               mass_checks=np.zeros_like(t))
+               sup_norms=np.ones_like(t), front_positions=0.3 + 1.0 * t)
     assert spreading_speed(tr, (0.0, 20.0)) == pytest.approx(1.0, abs=1e-12)
     tr2 = Trace(times=t, weighted_norms=np.ones_like(t),
                 sup_norms=np.ones_like(t),
-                front_positions=np.full_like(t, 2.5),
-                mass_checks=np.zeros_like(t))
+                front_positions=np.full_like(t, 2.5))
     assert spreading_speed(tr2, (0.0, 20.0)) == pytest.approx(0.0, abs=1e-12)
     tr2.front_positions[5] = math.nan
     with pytest.raises(FrontNotFoundError):

@@ -52,7 +52,7 @@ def test_plateau_slope_report(base_params):
     p = base_params
     up = upper_nonlinearity(p).plateau_slope_report()
     # for the rise-to-1 variant the closed constant matches the numeric slope
-    assert up["numeric"] == pytest.approx(up["printed"], abs=1e-6)
+    assert up["numeric"] == pytest.approx(up["printed"], abs=1e-8)
     assert up["printed"] == pytest.approx(-p.alpha / (1 - p.k + p.alpha * p.k))
 
     low = lower_nonlinearity(p, 0.3)
@@ -62,8 +62,17 @@ def test_plateau_slope_report(base_params):
     # so solvers use the numeric slope and the report keeps both on record
     pref = p.alpha / (1 - p.k + p.alpha * p.k)
     expected = -pref / (1 + p.k * p.kstar * (1 - 0.3 * b))
-    assert rep["numeric"] == pytest.approx(expected, abs=1e-6)
+    assert rep["numeric"] == pytest.approx(expected, abs=1e-8)
     assert abs(rep["numeric"] - rep["printed"]) > 0.1
+
+
+@pytest.mark.parametrize("l", [None, 0.05, 0.3, 0.6])
+def test_fprime_is_derivative_of_f(base_params, l):
+    nl = kpp.KppNonlinearity(params=base_params, l=l)
+    w = np.linspace(0.0, nl.plateau, 401)
+    step = 1e-5
+    centered = (nl.f(w + step) - nl.f(w - step)) / (2.0 * step)
+    assert np.max(np.abs(nl.fprime(w) - centered)) < 1e-7
 
 
 def test_solve_upper_base(base_params, grid40, upper):

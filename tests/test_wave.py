@@ -22,11 +22,11 @@ def test_solve_converges(base_params, base_grid, base_bounds, base_wave):
     prof, rep = base_wave
     assert rep.converged
     assert rep.final_residual < 1e-8
-    assert 100 < rep.iterations < 800   # regression corridor (289 at base)
+    # one sweep, the Newton finish, and the closing sweep that certifies it
+    assert rep.iterations == 2
+    assert rep.sup_diffs[-1] < 1e-10
+    assert rep.newton_steps[-1] < 1e-10
     assert all(d > 0 for d in rep.sup_diffs[:-1])
-    # sup-diffs decrease monotonically after the first few iterations
-    tail = rep.sup_diffs[5:]
-    assert all(b <= a for a, b in zip(tail, tail[1:]))
     res = residual(base_params, prof)
     assert np.max(np.abs(res)) == rep.final_residual
 
@@ -123,6 +123,54 @@ def test_newton_finish_agrees_up_and_down(base_params, base_grid, base_bounds,
     assert gap < 1e-12
 
 
+BOX_GRID = (40.0, 2999)
+
+
+def _box_points():
+    # the admissible box: alpha, k in (0, 1), c >= cmin = 2 sqrt(alpha)
+    for alpha in (0.05, 0.25, 0.6, 0.9):
+        for k in (0.1, 0.5, 0.9):
+            for ratio in (1.0, 1.3, 2.5):
+                marks = ()
+                if k == 0.9 and ratio == 1.0 and alpha != 0.05:
+                    # the Dirichlet data are not ordered with the bounds
+                    # (ROADMAP item 2); these points fail the same way when
+                    # the solve is all sweeps
+                    marks = pytest.mark.xfail(raises=EnvelopeViolationError,
+                                              strict=True)
+                yield pytest.param(alpha, k, ratio, marks=marks,
+                                   id=f"a{alpha}-k{k}-c{ratio}cmin")
+
+
+@pytest.mark.parametrize("alpha,k,ratio", _box_points())
+def test_parameter_box_one_sweep_then_newton(alpha, k, ratio):
+    p = derive_params(alpha, k)
+    c = ratio * p.cmin
+    g = make_grid(*BOX_GRID)
+    bp = make_bounds(p, c, g)
+    cb, gaps = _envelope_recorder(g, bp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof, rep = solve_wave(p, c, g, bp, tol=1e-10, callback=cb)
+    assert rep.converged
+    assert rep.iterations <= 2
+    assert len(rep.newton_steps) <= 8
+    assert len(gaps) == rep.iterations + len(rep.newton_steps)
+    assert min(gaps) >= -1e-12
+    du, dv = check_monotone(prof)
+    assert du > 0 and dv > 0
+
+
+def test_up_and_down_agree_at_critical_speed(base_params):
+    g = make_grid(*BOX_GRID)
+    bp = make_bounds(base_params, 1.0, g)
+    down, _ = solve_wave(base_params, 1.0, g, bp, tol=1e-10)
+    up, rep_up = solve_wave(base_params, 1.0, g, bp, tol=1e-10,
+                            direction="up")
+    assert rep_up.converged
+    assert np.max(np.abs(up.samples() - down.samples())) < 1e-12
+
+
 @pytest.mark.parametrize("scale", [0.5, 1e-3])
 def test_rejected_newton_resumes_sweeps(base_params, base_grid, base_bounds,
                                         base_wave, monkeypatch, scale):
@@ -143,16 +191,27 @@ def test_rejected_newton_resumes_sweeps(base_params, base_grid, base_bounds,
     assert np.max(np.abs(prof.samples() - base_wave[0].samples())) < 1e-8
 
 
-def test_report_records_solver_state(base_wave):
+def test_report_records_solver_state(base_params, base_grid, base_bounds,
+                                     base_wave, monkeypatch):
     _, rep = base_wave
     assert rep.iterations == len(rep.sup_diffs)
-    tail = rep.sup_diffs[-50:]
-    rho = (tail[-1] / tail[0]) ** (1.0 / (len(tail) - 1))
-    assert rep.contraction == pytest.approx(rho, rel=1e-12)
-    assert 0.9 < rep.contraction < 1.0
+    # two sweeps are too few to estimate a contraction rate
+    assert math.isnan(rep.contraction)
     d = rep.to_dict()
     assert d["newton_steps"] == rep.newton_steps
-    assert d["contraction"] == rep.contraction
+    assert d["contraction"] is None
+    # with no Newton steps allowed, the plain monotone iteration
+    monkeypatch.setattr(wave, "NEWTON_MAX_STEPS", 0)
+    _, swept = solve_wave(base_params, C, base_grid, base_bounds, tol=1e-10)
+    assert not swept.newton_steps and swept.iterations >= 50
+    tail = swept.sup_diffs[-50:]
+    rho = (tail[-1] / tail[0]) ** (1.0 / (len(tail) - 1))
+    assert swept.contraction == pytest.approx(rho, rel=1e-12)
+    assert 0.9 < swept.contraction < 1.0
+    assert swept.to_dict()["contraction"] == swept.contraction
+    # sup-diffs decrease monotonically after the first few sweeps
+    tail = swept.sup_diffs[5:]
+    assert all(b <= a for a, b in zip(tail, tail[1:]))
     short = IterationReport(iterations=1, sup_diffs=[1e-3], final_residual=0.0,
                             beta=1.0, converged=True)
     assert short.to_dict()["contraction"] is None
