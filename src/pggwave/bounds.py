@@ -11,12 +11,11 @@ O(h^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ParameterError, ShiftNotFoundError, VerificationError
-from .grid import Grid, Profile, residual
+from .grid import Grid, Profile, residual, write_csv
 from .kpp import ScalarProfile, lower_nonlinearity, solve_kpp, upper_nonlinearity
 from .model import ModelParams, StateVec
 
@@ -172,7 +171,5 @@ def make_bounds(p: ModelParams, c: float, g: Grid, l: float | None = None,
 
 
 def margins_to_csv(report: MarginReport, grid: Grid, path) -> None:
-    lines = ["xi,margin_u,margin_v"]
-    for x, (mu, mv) in zip(grid.nodes, report.margins):
-        lines.append(f"{x:.17g},{mu:.17g},{mv:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, "xi,margin_u,margin_v", grid.nodes, report.margins[:, 0],
+              report.margins[:, 1])

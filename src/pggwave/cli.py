@@ -21,7 +21,7 @@ from .config import RunConfig, _coerce, resolve_config, validate_config
 from .errors import (BlowUpError, ConvergenceError, EnvelopeViolationError,
                      FitWindowError, FrontNotFoundError, ParameterError,
                      ShiftNotFoundError)
-from .grid import make_grid, save_profile
+from .grid import make_grid, save_profile, write_csv
 from .model import derive_params
 
 EXIT_OK = 0
@@ -131,11 +131,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
     rep = spectrum.make_spectrum_report(p, cfg.c, w)
     out = _outdir(cfg, "spectrum")
-    lines = ["branch,y,x"]
-    for curve in rep.curves:
-        for y, x in zip(curve["y"], curve["x"]):
-            lines.append(f"{curve['branch']},{y:.17g},{x:.17g}")
-    (out / "curves.csv").write_text("\n".join(lines) + "\n")
+    write_csv(out / "curves.csv", "branch,y,x",
+              [cv["branch"] for cv in rep.curves for _ in cv["y"]],
+              [y for cv in rep.curves for y in cv["y"]],
+              [x for cv in rep.curves for x in cv["x"]])
     _write_json(out / "spectrum_report.json", rep.to_dict(), cfg)
     try:
         win = spectrum.weight_window(p, cfg.c)
@@ -153,10 +152,9 @@ def cmd_eigs(cfg: RunConfig, count: int) -> int:
     op = spectrum.assemble_weighted_operator(p, prof, w)
     rep = spectrum.make_spectrum_report(p, cfg.c, w, operator=op, count=count)
     out = _outdir(cfg, "eigs")
-    lines = ["re,im,boundary_mass_fraction"]
-    for re, im, frac, _ in rep.eigenvalues:
-        lines.append(f"{re:.17g},{im:.17g},{frac:.17g}")
-    (out / "eigenvalues.csv").write_text("\n".join(lines) + "\n")
+    ev = rep.eigenvalues
+    write_csv(out / "eigenvalues.csv", "re,im,boundary_mass_fraction",
+              [e[0] for e in ev], [e[1] for e in ev], [e[2] for e in ev])
     tm = spectrum.translation_mode_check(p, prof, w)
     _write_json(out / "spectrum_report.json",
                 {**rep.to_dict(), "translation_mode": tm.to_dict()}, cfg)

@@ -35,7 +35,7 @@ from scipy.linalg import solve_banded
 
 from .errors import (BlowUpError, FrontNotFoundError, NormError,
                      ParameterError)
-from .grid import Grid, Profile, boundary_vector, stencil_bands
+from .grid import Grid, Profile, boundary_vector, stencil_bands, write_csv
 from .model import ModelParams, StateVec, reaction, to_transformed
 from .spectrum import WeightPair
 
@@ -341,9 +341,5 @@ def spreading_experiment(p: ModelParams, g: Grid, cfg: SimConfig | None = None,
 
 
 def trace_to_csv(tr: Trace, path) -> None:
-    from pathlib import Path
-    lines = ["t,weighted_norm,sup_norm,front_position"]
-    for t, wn, sn, fp in zip(tr.times, tr.weighted_norms, tr.sup_norms,
-                             tr.front_positions):
-        lines.append(f"{t:.17g},{wn:.17g},{sn:.17g},{fp:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, "t,weighted_norm,sup_norm,front_position", tr.times,
+              tr.weighted_norms, tr.sup_norms, tr.front_positions)

@@ -6,6 +6,13 @@ stencil as ghost values at distance h.  All operators are plain centered
 second-order stencils; the one copy of T = d^2/dxi^2 - c d/dxi is here, as
 is the phase translation of profiles.  ``linearization_bands`` is the banded
 Jacobian of ``residual``; the wave's Newton finish and the spectrum use it.
+
+Phase translation is a PCHIP (Fritsch & Butland) interpolant written in
+numpy, bit-identical to scipy's; a level crossing is found by bisecting its
+bracketing cubic.  The package takes only LAPACK banded solves and ARPACK
+from scipy: its interpolation and root-finding subpackages, and the special
+functions they load, would cost every run a third of its import time and a
+fifth of its memory.  Every CSV artifact goes through ``write_csv``.
 """
 
 from __future__ import annotations
@@ -15,8 +22,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import GridError, LevelNotCrossedError
 from .model import ModelParams, StateVec, jacobian, reaction
@@ -35,6 +40,7 @@ __all__ = [
     "monotone_interpolant",
     "level_crossing",
     "translate",
+    "write_csv",
     "save_profile",
     "load_profile",
 ]
@@ -185,53 +191,115 @@ def linearization_bands(p: ModelParams, prof: Profile, g1=0.0,
     return bands
 
 
-def monotone_interpolant(g: Grid, y, left, right) -> PchipInterpolator:
-    """PCHIP interpolant over [-L, L] of samples y, (n,) or (n, 2), and
-    their boundary data."""
+def monotone_interpolant(g: Grid, y, left, right) -> tuple[np.ndarray, tuple]:
+    """PCHIP interpolant over [-L, L] of samples y, (n,) or (n, 2), and their
+    boundary data: the knots xs = [-L, nodes, L] and coefficients
+    (c0, c1, c2, c3) of the cubic c0 s^3 + c1 s^2 + c2 s + c3, s = x - xs[i],
+    on [xs[i], xs[i+1]].
+
+    The slopes are Fritsch & Butland's weighted harmonic means (zero at a
+    sign change or flat segment) with shape-preserving one-sided three-point
+    end slopes, computed in the order scipy's PCHIP uses, so the
+    interpolant is scipy's to the last bit.
+    """
     xs = np.concatenate(([-g.L], g.nodes, [g.L]))
-    return PchipInterpolator(xs, np.concatenate(([left], y, [right])))
+    ys = np.concatenate(([left], y, [right]))
+    hx = (xs[1:] - xs[:-1]).reshape((-1,) + (1,) * (ys.ndim - 1))
+    m = (ys[1:] - ys[:-1]) / hx
+    h0, h1 = hx[:-1], hx[1:]
+    w1, w2 = 2 * h1 + h0, h1 + 2 * h0
+    sm, zero = np.sign(m), m == 0
+    flat = (sm[1:] != sm[:-1]) | zero[1:] | zero[:-1]
+    d = np.empty_like(ys)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0,
+                           1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    d[0] = _end_slope(hx[0], hx[1], m[0], m[1])
+    d[-1] = _end_slope(hx[-1], hx[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / hx
+    return xs, (t / hx, (m - d[:-1]) / hx - t, d[:-1], ys[:-1])
+
+
+def _end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope, zeroed against m0's sign and capped at
+    3 m0 where the data turn."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    turn = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(np.sign(d) != np.sign(m0), 0.0,
+                    np.where(turn, 3.0 * m0, d))
+
+
+def _cubic(c, s):
+    """Local cubic at offset s, summed in scipy's ``PPoly`` order: from 0.0
+    (so a -0.0 sample reads 0.0), constant term first, s^3 as (s*s)*s."""
+    c0, c1, c2, c3 = c
+    ss = s * s
+    return 0.0 + c3 + c2 * s + c1 * ss + c0 * (ss * s)
 
 
 def level_crossing(g: Grid, y, left, right, level: float) -> float:
     """Where the interpolant of (n,) samples y first crosses level, upward;
-    level must lie strictly inside the range of the data."""
+    level must lie strictly inside the range of the data.  The bracketing
+    cubic segment is bisected until the midpoint is an endpoint; a level that
+    equals a sample returns that node exactly."""
     ys = np.concatenate(([left], y, [right]))
     if not (ys.min() < level < ys.max()):
         raise LevelNotCrossedError(f"profile does not cross {level} on the domain")
     i = int(np.nonzero(ys >= level)[0][0])
     if i == 0:
         raise LevelNotCrossedError(f"profile does not cross {level} upward")
-    interp = monotone_interpolant(g, y, left, right)
-    return brentq(lambda x: float(interp(x)) - level, interp.x[i - 1],
-                  interp.x[i], xtol=1e-14)
+    xs, c = monotone_interpolant(g, y, left, right)
+    if ys[i] == level:
+        return float(xs[i])
+    x_lo = lo = float(xs[i - 1])
+    hi = float(xs[i])
+    seg = [float(a[i - 1]) for a in c]
+
+    def f(x):
+        return _cubic(seg, x - x_lo) - level
+
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo if -f(lo) < f(hi) else hi
 
 
 def translate(g: Grid, y, left, right, x0: float) -> np.ndarray:
     """The interpolant at [-L, nodes, L] + x0, queries clamped to [-L, L]:
     new boundary data in the first and last row, samples between."""
-    interp = monotone_interpolant(g, y, left, right)
-    return interp(np.clip(interp.x + x0, -g.L, g.L))
+    xs, c = monotone_interpolant(g, y, left, right)
+    q = np.clip(xs + x0, -g.L, g.L)
+    # interval i holds xs[i] <= q < xs[i+1]; the last knot closes the last one
+    i = np.minimum(np.searchsorted(xs, q, side="right") - 1, len(xs) - 2)
+    s = (q - xs[i]).reshape((-1,) + (1,) * (c[0].ndim - 1))
+    return _cubic([np.take(a, i, axis=0) for a in c], s)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def write_csv(path, header: str, *columns) -> None:
+    """Write equal-length numeric columns as CSV rows under ``header``; values
+    are written with 17 significant digits so a round trip is bit-faithful."""
+    row = ",".join(["%.17g"] * len(columns))
+    cols = [np.asarray(col, dtype=float).tolist() for col in columns]
+    lines = [header, *(row % vals for vals in zip(*cols))]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def save_profile(prof: Profile, csv_path, json_path=None, *, alpha: float,
                  k: float, sigma1: float = 0.0, sigma2: float = 0.0) -> None:
     """Write a profile as CSV ``xi,u,v`` plus a JSON metadata sidecar.
 
-    The CSV includes the two boundary rows at xi = -L and xi = +L; values are
-    written with 17 significant digits so a round trip is bit-faithful.
+    The CSV includes the two boundary rows at xi = -L and xi = +L.
     """
     csv_path = Path(csv_path)
-    g = prof.grid
-    lines = ["xi,u,v"]
-    lines.append(",".join(map(_fmt, (-g.L, prof.boundary_left[0], prof.boundary_left[1]))))
-    for x, uu, vv in zip(g.nodes, prof.u, prof.v):
-        lines.append(",".join(map(_fmt, (x, uu, vv))))
-    lines.append(",".join(map(_fmt, (g.L, prof.boundary_right[0], prof.boundary_right[1]))))
-    csv_path.write_text("\n".join(lines) + "\n")
+    g, bl, br = prof.grid, prof.boundary_left, prof.boundary_right
+    write_csv(csv_path, "xi,u,v", np.concatenate(([-g.L], g.nodes, [g.L])),
+              np.concatenate(([bl[0]], prof.u, [br[0]])),
+              np.concatenate(([bl[1]], prof.v, [br[1]])))
 
     meta = {
         "alpha": alpha, "k": k,

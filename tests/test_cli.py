@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pggwave
 from pggwave import spectrum
 from pggwave.cli import main
 from pggwave.config import load_config_file, resolve_config
@@ -208,3 +213,40 @@ def test_config_file_cli_exit(capsys, tmp_path):
     bad.write_text("alpha = 2.0\n")
     code, _, err = run_cli(capsys, "params", "--config", str(bad))
     assert code == 2
+
+
+_IMPORT_GRAPH_SCRIPT = """
+import json, sys
+import pggwave, pggwave.cli
+codes = [pggwave.cli.main(argv) for argv in json.loads(sys.argv[1])]
+prefixes = ("scipy.interpolate", "scipy.optimize", "scipy.special")
+loaded = sorted(m for m in sys.modules
+                if any(m == p or m.startswith(p + ".") for p in prefixes))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_cli_never_loads_scipy_interpolate_optimize_special(tmp_path):
+    # scipy serves only the LAPACK banded solves and ARPACK; checking after
+    # real runs catches an import deferred into a function as well
+    small = ["--L", "20", "--n", "399", "--output-dir", "out"]
+    runs = [["params"], ["wave", *small], ["bounds-check", *small],
+            ["spectrum", "--output-dir", "out"],
+            ["eigs", "--L", "40", "--n", "200", "--count", "4",
+             "--output-dir", "out"],
+            ["stability", *small, "--t-end", "8"],
+            ["instability", *small, "--t-end", "6"],
+            ["spread", "--L", "40", "--n", "799", "--dt", "0.05",
+             "--t-end", "18", "--t0", "12", "--t1", "18",
+             "--output-dir", "out"],
+            ["sweep", "--run", "wave", "--vary", "c=1.25,1.5", *small]]
+    src = str(Path(pggwave.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH_SCRIPT, json.dumps(runs)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * len(runs)
+    assert result["loaded"] == []

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from pggwave import (Profile, StateVec, WeightPair, apply_advection_diffusion,
                      assemble_weighted_operator, derive_params, load_profile,
                      make_grid, reaction, residual, save_profile)
-from pggwave.grid import boundary_vector, linearization_bands, stencil_bands
-from pggwave.errors import GridError
+from pggwave.grid import (boundary_vector, level_crossing, linearization_bands,
+                          stencil_bands, translate, write_csv)
+from pggwave.errors import GridError, LevelNotCrossedError
 
 
 def test_make_grid_examples():
@@ -112,6 +115,89 @@ def test_serialization_round_trip(tmp_path):
     assert loaded.boundary_right == prof.boundary_right
     assert meta == {"alpha": 0.25, "k": 0.5, "c": 1.25, "L": 7.0, "n": 23,
                     "sigma1": 0.05, "sigma2": 0.5}
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    special = [0.0, -0.0, 5e-324, 1e-300, 1.0 / 3.0, np.inf, -np.inf, np.nan,
+               -2.5, 1e17]
+    cols = [np.array(special), np.array(special[::-1]), np.arange(10)]
+    path = tmp_path / "t.csv"
+    write_csv(path, "a,b,c", *cols)
+    rows = [",".join(f"{x:.17g}" for x in row) for row in zip(*cols)]
+    assert path.read_text() == "\n".join(["a,b,c", *rows]) + "\n"
+    write_csv(path, "a,b", [], [])
+    assert path.read_text() == "a,b\n"
+
+
+# --- phase translation: scipy's PCHIP and brentq are the oracles ---
+
+PCHIP_GRID = (20.0, 799)
+
+
+def _pchip_data():
+    """(samples, left, right) triples: a smooth front, a front pair, and a
+    rounded random walk whose flat runs and sign changes zero interior slopes
+    and whose ends are set so both end-slope clamps act (left: capped at
+    3 m0; right: zeroed against m0's sign)."""
+    g = make_grid(*PCHIP_GRID)
+    u = 0.6 * (1.0 + np.tanh(g.nodes / 5.0))
+    v = 0.5 * (1.0 + np.tanh(g.nodes / 3.0))
+    walk = np.round(np.random.default_rng(5).standard_normal(g.n).cumsum(), 1)
+    walk[:2] = (1.0, -4.0)
+    walk[-2:] = (0.0, 4.0)
+    return g, [(v, 0.0, 1.0),
+               (np.stack([u, v], axis=1), StateVec(0.0, 0.0),
+                StateVec(1.2, 1.0)),
+               (walk, 0.0, 5.0),
+               (np.stack([walk, -walk], axis=1), StateVec(0.0, -0.0),
+                StateVec(5.0, -5.0))]
+
+
+@pytest.mark.parametrize("x0", [0.0, 1e-9, 0.37, -2.5, 3.7, 25.0, -25.0])
+def test_translate_is_scipy_pchip_bit_for_bit(x0):
+    g, cases = _pchip_data()
+    xs = np.concatenate(([-g.L], g.nodes, [g.L]))
+    for y, left, right in cases:
+        ys = np.concatenate(([left], y, [right]))
+        want = PchipInterpolator(xs, ys)(np.clip(xs + x0, -g.L, g.L))
+        got = translate(g, y, left, right, x0)
+        assert got.shape == ys.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("level", [0.5, 0.1, 0.9, 0.01234, 0.99])
+def test_level_crossing_matches_brentq(level):
+    g, cases = _pchip_data()
+    y, left, right = cases[0]
+    xs = np.concatenate(([-g.L], g.nodes, [g.L]))
+    ys = np.concatenate(([left], y, [right]))
+    interp = PchipInterpolator(xs, ys)
+    i = int(np.nonzero(ys >= level)[0][0])
+    want = brentq(lambda x: float(interp(x)) - level, xs[i - 1], xs[i],
+                  xtol=1e-14)
+    got = level_crossing(g, y, left, right, level)
+    # brentq's own accuracy, xtol + rtol |x| with its default rtol = 4 eps;
+    # bisection to adjacent floats lands at least as close to the level
+    assert abs(got - want) <= 1e-14 + 4.0 * np.finfo(float).eps * abs(want)
+    assert abs(interp(got) - level) <= abs(interp(want) - level)
+    assert xs[i - 1] < got <= xs[i]
+
+
+def test_level_crossing_returns_node_at_sample_level():
+    g, cases = _pchip_data()
+    y = cases[0][0]
+    for j in (0, 123, g.n // 2, g.n - 1):
+        assert level_crossing(g, y, 0.0, 1.0, y[j]) == g.nodes[j]
+
+
+def test_level_crossing_rejects_levels_not_crossed_upward():
+    g, cases = _pchip_data()
+    y = cases[0][0]
+    for level in (0.0, 1.0, 1.5, -0.1):
+        with pytest.raises(LevelNotCrossedError, match="on the domain"):
+            level_crossing(g, y, 0.0, 1.0, level)
+    with pytest.raises(LevelNotCrossedError, match="upward"):
+        level_crossing(g, y[::-1], 1.0, 0.0, 0.5)
 
 
 def test_linearization_bands_are_residual_jacobian():

@@ -76,8 +76,10 @@ def test_non_monotone_stencil_rejected(base_params, base_bounds, n):
 
 def test_upward_iteration_agrees(base_params, base_grid, base_bounds, base_wave):
     prof_down, _ = base_wave
-    prof_up, rep = solve_wave(base_params, C, base_grid, base_bounds,
-                              tol=1e-10, direction="up")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof_up, rep = solve_wave(base_params, C, base_grid, base_bounds,
+                                  tol=1e-10, direction="up")
     assert rep.converged
     gap = np.max(np.abs(prof_up.samples() - prof_down.samples()))
     assert gap < 1e-6
@@ -115,8 +117,10 @@ def test_critical_speed_certificate(base_params):
 def test_newton_finish_agrees_up_and_down(base_params, base_grid, base_bounds,
                                           base_wave):
     prof_down, rep_down = base_wave
-    prof_up, rep_up = solve_wave(base_params, C, base_grid, base_bounds,
-                                 tol=1e-10, direction="up")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof_up, rep_up = solve_wave(base_params, C, base_grid, base_bounds,
+                                     tol=1e-10, direction="up")
     assert rep_down.newton_steps[-1] < 1e-10
     assert rep_up.newton_steps[-1] < 1e-10
     gap = np.max(np.abs(prof_up.samples() - prof_down.samples()))
@@ -222,7 +226,9 @@ def test_envelope_violation_detected(base_params):
     g = make_grid(20.0, 199)
     bp = make_bounds(base_params, C, g)
     swapped = BoundPair(upper=bp.lower, lower=bp.upper, shift=0.0, l=bp.l)
-    with pytest.raises(EnvelopeViolationError):
+    # the swapped "upper" start rises at once, which the solve reports
+    with pytest.raises(EnvelopeViolationError), \
+            pytest.warns(RuntimeWarning, match="increased somewhere"):
         solve_wave(base_params, C, g, swapped, tol=1e-10)
 
 
