@@ -63,11 +63,6 @@ class KppNonlinearity:
     def plateau(self) -> float:
         return plateau_of(self)
 
-    @property
-    def rate_at_zero(self) -> float:
-        """f'(0); equals alpha exactly for both variants."""
-        return self.params.alpha
-
     def _terms(self):
         """(pref, k K*, l, q) of f = pref w (1 - q w) / (1 + k K* (1 - l w)).
 
@@ -92,10 +87,6 @@ class KppNonlinearity:
         den = 1.0 + kk * (1.0 - l * w)
         return pref * ((1.0 - 2.0 * q * w) * den
                        + kk * l * w * (1.0 - q * w)) / den**2
-
-    def decay_rate_at_plateau(self) -> float:
-        """-f'(plateau) > 0, from the closed-form derivative."""
-        return -float(self.fprime(self.plateau))
 
     def plateau_slope_report(self) -> dict:
         """f'(plateau) ("numeric") next to the closed constants quoted for each variant.
@@ -220,7 +211,7 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid, tol: float = 1e-12,
     """
     if tol <= 0:
         raise ParameterError("tolerance must be positive")
-    a1 = nl.rate_at_zero
+    a1 = nl.params.alpha
     if c < 2.0 * math.sqrt(a1) - 1e-12:
         raise SubcriticalSpeedError(
             f"speed {c} below critical {2.0 * math.sqrt(a1)} for the scalar front"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from pggwave import (Profile, SimConfig, StateVec, Trace, WeightPair,
                      perturb, run_simulation, spreading_experiment,
                      spreading_speed, stability_experiment, weighted_norm)
 from pggwave.dynamics import front_position, trace_to_csv
-from pggwave.errors import (BlowUpError, FrontNotFoundError, NormError,
-                            ParameterError)
+from pggwave.errors import (BlowUpError, FrontNotFoundError, GridError,
+                            NormError, ParameterError)
 from pggwave.grid import (apply_advection_diffusion, boundary_vector,
                           stencil_bands)
 from pggwave.model import reaction
@@ -215,14 +216,18 @@ def _reference_steps(p, c, init, dt, nsteps):
     return U
 
 
+def _tanh_front(c):
+    g = make_grid(10.0, 199)
+    th, tl, tr_ = np.tanh(g.nodes / 2.0), math.tanh(-5.0), math.tanh(5.0)
+    return Profile(grid=g, u=0.4 + 0.2 * th, v=0.55 - 0.5 * th, c=c,
+                   boundary_left=StateVec(0.4 + 0.2 * tl, 0.55 - 0.5 * tl),
+                   boundary_right=StateVec(0.4 + 0.2 * tr_, 0.55 - 0.5 * tr_))
+
+
 @pytest.mark.parametrize("c", [0.0, C])
 @pytest.mark.parametrize("nsteps", [1, 2])
 def test_step_matches_explicit_form(base_params, c, nsteps):
-    g = make_grid(10.0, 199)
-    th, tl, tr_ = np.tanh(g.nodes / 2.0), math.tanh(-5.0), math.tanh(5.0)
-    init = Profile(grid=g, u=0.4 + 0.2 * th, v=0.55 - 0.5 * th, c=c,
-                   boundary_left=StateVec(0.4 + 0.2 * tl, 0.55 - 0.5 * tl),
-                   boundary_right=StateVec(0.4 + 0.2 * tr_, 0.55 - 0.5 * tr_))
+    init = _tanh_front(c)
     dt = 0.01
     tr = run_simulation(base_params, c, init,
                         SimConfig(dt=dt, t_end=nsteps * dt, record_every=1))
@@ -252,6 +257,84 @@ def test_one_solve_and_one_reaction_per_step(base_params, monkeypatch):
                                   record_every=3))
     assert not tr.blew_up
     assert counts == {"solve_banded": nsteps, "reaction": nsteps}
+
+
+def _refactorised_steps(p, c, init, dt, nsteps):
+    """The reflected step U' = A^-1 (2U + g) - U with scipy's solve_banded,
+    which refactorises A on every call."""
+    g = init.grid
+    ab = stencil_bands(g, c, -dt / 2.0, 1.0)
+    ghosts = dt * boundary_vector(g, c, init.boundary_left,
+                                  init.boundary_right)
+    U = np.asfortranarray(init.samples())
+    F_prev = None
+    for _ in range(nsteps):
+        F = reaction(p, StateVec(U[:, 0], U[:, 1])).T
+        rhs = (dt * F if F_prev is None
+               else (1.5 * dt) * F - (0.5 * dt) * F_prev)
+        F_prev = F
+        rhs += 2.0 * U
+        rhs[0] += ghosts[0]
+        rhs[-1] += ghosts[-1]
+        U = solve_banded((1, 1), ab, rhs) - U
+    return U
+
+
+@pytest.mark.parametrize("c, rel", [(C, 0.0), (0.0, 1e-13)])
+def test_factored_step_matches_refactorised(base_params, c, rel):
+    """Moving frame: dgttrf/dgttrs is gtsv's arithmetic, so bit-identical;
+    lab frame: L D L^T differs from gtsv's LU only in roundoff."""
+    init = _tanh_front(c)
+    dt, nsteps = 0.01, 40
+    tr = run_simulation(base_params, c, init,
+                        SimConfig(dt=dt, t_end=nsteps * dt, record_every=10))
+    ref = _refactorised_steps(base_params, c, init, dt, nsteps)
+    got = tr.final_state.samples()
+    assert np.max(np.abs(got - init.samples())) > 1e-3
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("c, route", [(0.0, "dpttrf"), (C, "dgttrf")])
+def test_step_matrix_factored_once_per_run(base_params, monkeypatch, c,
+                                           route):
+    counts = {"dpttrf": 0, "dgttrf": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(pggwave.dynamics, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(pggwave.dynamics, name, counted)
+    cfg = SimConfig(dt=0.01, t_end=0.2, record_every=5)
+    run_simulation(base_params, c, _tanh_front(c), cfg)
+    assert counts == {"dpttrf": 0, "dgttrf": 0, route: 1}
+    run_simulation(base_params, c, _tanh_front(c), cfg)
+    assert counts[route] == 2
+
+
+@pytest.mark.parametrize("c, route", [(0.0, "dpttrf"), (C, "dgttrf")])
+def test_failed_factorisation_is_a_grid_error(base_params, monkeypatch, c,
+                                              route):
+    lapack = getattr(pggwave.dynamics, route)
+    monkeypatch.setattr(pggwave.dynamics, route,
+                        lambda *args: (*lapack(*args)[:-1], 3))
+    reactions = []
+    monkeypatch.setattr(pggwave.dynamics, "reaction",
+                        lambda *args: reactions.append(args))
+    with pytest.raises(GridError, match="pivot 3"):
+        run_simulation(base_params, c, _tanh_front(c),
+                       SimConfig(dt=0.01, t_end=0.1))
+    assert reactions == []
+
+
+def test_run_simulation_requires_monotone_stencil(base_params):
+    g = make_grid(10.0, 19)                    # h = 1: c*h/2 >= 1 at c >= 2
+    init = Profile(grid=g, u=np.zeros(g.n), v=np.zeros(g.n), c=2.0,
+                   boundary_left=StateVec(0.0, 0.0),
+                   boundary_right=StateVec(0.0, 0.0))
+    with pytest.raises(GridError, match="not monotone"):
+        run_simulation(base_params, 2.0, init, SimConfig(dt=0.01, t_end=0.1))
+    tr = run_simulation(base_params, 1.9, replace(init, c=1.9),
+                        SimConfig(dt=0.01, t_end=0.1))
+    assert not tr.blew_up
 
 
 # --- fitting helpers ---

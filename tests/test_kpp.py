@@ -37,7 +37,7 @@ def test_nonlinearity_invariants(base_params):
         assert abs(nl.f(b)) < 1e-14
         interior = np.linspace(0.0, b, 1002)[1:-1]
         assert np.all(nl.f(interior) > 0.0)
-        assert nl.rate_at_zero == base_params.alpha
+        assert nl.fprime(0.0) == base_params.alpha
 
 
 def test_lower_parameter_range(base_params):
@@ -137,7 +137,7 @@ def test_tail_rates_supercritical(base_params, grid40, upper):
     assert rate_minus == pytest.approx(predicted, rel=0.02)
 
     nl = upper_nonlinearity(base_params)
-    b1 = nl.decay_rate_at_plateau()
+    b1 = -float(nl.fprime(nl.plateau))
     rate_plus = _tail_rate(g, upper.plateau - upper.w, 20.0, 35.0)
     predicted_plus = (C - math.sqrt(C * C + 4 * b1)) / 2.0
     assert rate_plus == pytest.approx(predicted_plus, rel=0.05)
@@ -151,7 +151,7 @@ def test_critical_speed_tails(base_params):
     s = solve_kpp(nl, c, g)
     assert np.min(np.diff(s.w)) >= 0.0
 
-    b1 = nl.decay_rate_at_plateau()
+    b1 = -float(nl.fprime(nl.plateau))
     a1 = base_params.alpha
     rate_plus = _tail_rate(g, s.plateau - s.w, 40.0, 75.0)
     predicted = math.sqrt(a1) - math.sqrt(a1 + b1)
