@@ -4,10 +4,11 @@ Library surface, one module per concern:
 
 - ``model``     rescaled constants, reaction terms, Jacobian, coordinate maps
 - ``grid``      uniform grid, the one stencil (explicit and banded), the
-                linearization's bands, phase translation, profile I/O
+                linearization's bands, the sweep-Newton loop of both front
+                solves, phase translation, profile I/O
 - ``kpp``       scalar front solves seeding the bounds
 - ``bounds``    vector upper/lower solutions, inequality margins, ordering
-- ``wave``      monotone iteration with a Newton finish, phase normalization,
+- ``wave``      monotone iteration with Newton steps, phase normalization,
                 decay fits, verdicts
 - ``spectrum``  essential-spectrum geometry, weighted operator, eigensolves
 - ``dynamics``  IMEX time stepping and the stability/instability/spreading runs

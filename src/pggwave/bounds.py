@@ -32,6 +32,8 @@ __all__ = [
     "margins_to_csv",
 ]
 
+L_FRACTION = 0.48  # default_l's share of the admissible range of l
+
 
 @dataclass(frozen=True)
 class BoundPair:
@@ -48,8 +50,8 @@ class MarginReport:
     kind: str                 # "upper" | "lower"
     margins: np.ndarray       # (n, 2)
     worst: float              # max margin for upper, min for lower
-    worst_xi: float
-    worst_component: int
+    worst_xi: float | None    # None when |worst| is at the roundoff floor
+    worst_component: int | None
     tol: float
 
     @property
@@ -57,9 +59,9 @@ class MarginReport:
         return self.worst <= self.tol if self.kind == "upper" else self.worst >= -self.tol
 
 
-def default_l(p: ModelParams, fraction: float = 0.48) -> float:
-    """Lower-solution parameter at a fixed fraction of its admissible range."""
-    return fraction * (1.0 - p.k + p.k * p.alpha)
+def default_l(p: ModelParams) -> float:
+    """Lower-solution parameter at ``L_FRACTION`` of its admissible range."""
+    return L_FRACTION * (1.0 - p.k + p.k * p.alpha)
 
 
 def build_upper(p: ModelParams, s: ScalarProfile) -> Profile:
@@ -98,7 +100,9 @@ def verify_bound(p: ModelParams, prof: Profile, c: float, kind: str,
     """Evaluate both differential-inequality left-hand sides nodewise.
 
     Upper solutions need both components <= tol; lower solutions >= -tol.
-    Raises VerificationError (carrying the worst node) on failure.
+    Raises VerificationError (carrying the worst node) on failure.  A worst
+    margin at or below the residual's roundoff floor 4 eps max|U| / h^2 has
+    no meaningful location: its ``worst_xi`` and ``worst_component`` are None.
     """
     if kind not in ("upper", "lower"):
         raise ParameterError(f"kind must be 'upper' or 'lower', got {kind!r}")
@@ -112,16 +116,18 @@ def verify_bound(p: ModelParams, prof: Profile, c: float, kind: str,
         worst = float(margins.flat[flat])
         bad = worst < -tol
     node, comp = divmod(int(flat), 2)
-    report = MarginReport(kind=kind, margins=margins, worst=worst,
-                          worst_xi=float(prof.grid.nodes[node]),
-                          worst_component=comp, tol=tol)
+    xi = float(prof.grid.nodes[node])
     if bad:
         raise VerificationError(
             f"{kind} solution inequality fails: margin {worst:.3e} at "
-            f"xi={report.worst_xi:.4f}, component {comp}",
-            xi=report.worst_xi, component=comp, margin=worst,
+            f"xi={xi:.4f}, component {comp}",
+            xi=xi, component=comp, margin=worst,
         )
-    return report
+    scale = float(np.max(np.abs(prof.samples())))
+    if abs(worst) <= 4.0 * np.finfo(float).eps * scale / prof.grid.h**2:
+        xi = comp = None
+    return MarginReport(kind=kind, margins=margins, worst=worst, worst_xi=xi,
+                        worst_component=comp, tol=tol)
 
 
 def shifted_upper_samples(upper: Profile, m: int) -> np.ndarray:

@@ -117,7 +117,9 @@ def cmd_bounds_check(cfg: RunConfig) -> int:
         reports[kind] = {"worst": rep.worst, "worst_xi": rep.worst_xi,
                          "worst_component": rep.worst_component,
                          "passed": rep.passed}
-        print(f"{kind}: worst margin {rep.worst:.3e} at xi = {rep.worst_xi:.4f}")
+        where = ("at roundoff" if rep.worst_xi is None
+                 else f"at xi = {rep.worst_xi:.4f}")
+        print(f"{kind}: worst margin {rep.worst:.3e} {where}")
     nl = kpp.lower_nonlinearity(p, l)
     _write_json(out / "bounds_report.json",
                 {"reports": reports, "shift": bp.shift, "l": l,

@@ -66,6 +66,13 @@ __all__ = [
     "trace_to_csv",
 ]
 
+FRONT_LEVEL = 0.5       # v level whose rightmost crossing is the front
+AMPLITUDE = 1e-3        # size of the stability/instability perturbations
+LEFT_TAIL_WIDTH = 2.0   # smoothing width of the left-tail perturbation
+DECAY_FIT_START = 5.0   # start of the stability run's decay fit
+SEED_HEIGHT = 0.1       # the spreading run's defector seed
+SEED_HALFWIDTH = 5.0
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -106,14 +113,14 @@ def weighted_norm(u, v, g: Grid, w: WeightPair) -> float:
     return math.exp(lognorm) if lognorm < 709.0 else math.inf
 
 
-def front_position(g: Grid, v: np.ndarray, level: float = 0.5) -> float:
-    """Rightmost crossing of ``level`` by v, linearly interpolated.
+def front_position(g: Grid, v: np.ndarray) -> float:
+    """Rightmost crossing of ``FRONT_LEVEL`` by v, linearly interpolated.
 
     Returns NaN when the level set is absent (all samples on one side).
     Callers that need the front (the spreading fit) treat NaN as
     "front not found".
     """
-    s = v - level
+    s = v - FRONT_LEVEL
     change = s[:-1] * s[1:] <= 0.0
     change &= ~((s[:-1] == 0.0) & (s[1:] == 0.0))
     idx = np.nonzero(change)[0]
@@ -123,7 +130,7 @@ def front_position(g: Grid, v: np.ndarray, level: float = 0.5) -> float:
     x0, x1 = g.nodes[i], g.nodes[i + 1]
     if v[i + 1] == v[i]:
         return float(x0)
-    return float(x0 + (level - v[i]) * (x1 - x0) / (v[i + 1] - v[i]))
+    return float(x0 + (FRONT_LEVEL - v[i]) * (x1 - x0) / (v[i + 1] - v[i]))
 
 
 def factor_banded(ab: np.ndarray) -> tuple:
@@ -231,14 +238,13 @@ def run_simulation(p: ModelParams, frame_speed: float, initial: Profile,
                  blew_up=blew_up, final_state=final)
 
 
-def perturb(base: Profile, kind: str, amplitude: float,
-            width: float = 2.0) -> Profile:
+def perturb(base: Profile, kind: str, amplitude: float) -> Profile:
     """Add a perturbation to the v component.
 
     "gaussian": amplitude * exp(-xi^2/4), inside every admissible weighted
     space.  "left_tail": amplitude * indicator(xi < -L/2) smoothed over
-    ``width`` units - bounded, but weighted-norm large.  Boundary data are
-    perturbed consistently.
+    ``LEFT_TAIL_WIDTH`` units - bounded, but weighted-norm large.  Boundary
+    data are perturbed consistently.
     """
     if amplitude == 0:
         raise ParameterError("perturbation amplitude must be nonzero")
@@ -248,7 +254,7 @@ def perturb(base: Profile, kind: str, amplitude: float,
         bl = math.exp(-(g.L**2) / 4.0)
         br = bl
     elif kind == "left_tail":
-        scale = width / 4.0
+        scale = LEFT_TAIL_WIDTH / 4.0
         bump = 0.5 * (1.0 + np.tanh((-g.L / 2.0 - g.nodes) / scale))
         bl = 0.5 * (1.0 + math.tanh((g.L / 2.0) / scale))
         br = 0.5 * (1.0 + math.tanh((-3.0 * g.L / 2.0) / scale))
@@ -293,18 +299,17 @@ def spreading_speed(tr: Trace, t_window: tuple[float, float]) -> float:
 
 
 def stability_experiment(p: ModelParams, c: float, wave: Profile,
-                         w: WeightPair, cfg: SimConfig | None = None,
-                         amplitude: float = 1e-3,
-                         t_fit_start: float = 5.0) -> dict:
-    """Small weighted perturbation decays: returns norms, fitted (M, b)."""
+                         w: WeightPair, cfg: SimConfig | None = None) -> dict:
+    """Small weighted perturbation (``AMPLITUDE``) decays: returns norms and
+    (M, b) fitted from ``DECAY_FIT_START`` on."""
     if cfg is None:
         cfg = SimConfig(t_end=50.0)
-    initial = perturb(wave, "gaussian", amplitude)
+    initial = perturb(wave, "gaussian", AMPLITUDE)
     tr = run_simulation(p, c, initial, cfg, w=w, reference=wave)
-    M, b = fit_decay_constant(tr, t_fit_start)
+    M, b = fit_decay_constant(tr, DECAY_FIT_START)
     return {
         "kind": "stability",
-        "amplitude": amplitude,
+        "amplitude": AMPLITUDE,
         "initial_weighted_norm": float(tr.weighted_norms[0]),
         "final_weighted_norm": float(tr.weighted_norms[-1]),
         "norm_ratio": float(tr.weighted_norms[-1] / tr.weighted_norms[0]),
@@ -320,20 +325,20 @@ def stability_experiment(p: ModelParams, c: float, wave: Profile,
 
 def instability_experiment(p: ModelParams, c: float, wave: Profile,
                            cfg: SimConfig | None = None,
-                           w: WeightPair | None = None,
-                           amplitude: float = 1e-3) -> dict:
-    """Left-tail perturbation grows in sup norm; blow-up is reported, not raised."""
+                           w: WeightPair | None = None) -> dict:
+    """Left-tail perturbation (``AMPLITUDE``) grows in sup norm; blow-up is
+    reported, not raised."""
     if cfg is None:
         cfg = SimConfig(t_end=20.0)
     if w is None:
         w = WeightPair(0.05, 0.5)
-    initial = perturb(wave, "left_tail", amplitude)
+    initial = perturb(wave, "left_tail", AMPLITUDE)
     dev0 = initial.samples() - wave.samples()
     tr = run_simulation(p, c, initial, cfg, w=w, reference=wave,
                         on_blowup="stop")
     return {
         "kind": "instability",
-        "amplitude": amplitude,
+        "amplitude": AMPLITUDE,
         "initial_sup_norm": float(tr.sup_norms[0]),
         "final_sup_norm": float(tr.sup_norms[-1]),
         "growth_factor": float(tr.sup_norms[-1] / tr.sup_norms[0]),
@@ -347,22 +352,20 @@ def instability_experiment(p: ModelParams, c: float, wave: Profile,
 
 
 def spreading_experiment(p: ModelParams, g: Grid, cfg: SimConfig | None = None,
-                         t_window: tuple[float, float] = (40.0, 80.0),
-                         seed_height: float = 0.1,
-                         seed_halfwidth: float = 5.0) -> dict:
+                         t_window: tuple[float, float] = (40.0, 80.0)) -> dict:
     """Lab-frame invasion from a compact defector bump; measures front speed.
 
     The seed is stated in original variables - cooperators at their
-    equilibrium level everywhere, a smoothed indicator bump of defectors on
-    [-w, w] - and mapped through the coordinate transform before evolving.
+    equilibrium level everywhere, a smoothed indicator bump of defectors of
+    height ``SEED_HEIGHT`` on [-SEED_HALFWIDTH, SEED_HALFWIDTH] - and mapped through the coordinate transform before evolving.
     The selected front speed is 2 sqrt(alpha).
     """
     if cfg is None:
         cfg = SimConfig(t_end=t_window[1], record_every=50)
     sharp = 0.5
-    bump = seed_height * 0.25 * (
-        (1.0 + np.tanh((g.nodes + seed_halfwidth) / sharp))
-        * (1.0 + np.tanh((seed_halfwidth - g.nodes) / sharp)))
+    bump = SEED_HEIGHT * 0.25 * (
+        (1.0 + np.tanh((g.nodes + SEED_HALFWIDTH) / sharp))
+        * (1.0 + np.tanh((SEED_HALFWIDTH - g.nodes) / sharp)))
     u0, v0 = to_transformed(p, StateVec(np.full(g.n, p.kstar), bump))
     bl = to_transformed(p, StateVec(p.kstar, 0.0))
     initial = Profile(grid=g, u=u0, v=v0, c=0.0,

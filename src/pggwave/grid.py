@@ -5,7 +5,9 @@ Dirichlet data stored alongside the samples and folded into every difference
 stencil as ghost values at distance h.  All operators are plain centered
 second-order stencils; the one copy of T = d^2/dxi^2 - c d/dxi is here, as
 is the phase translation of profiles.  ``linearization_bands`` is the banded
-Jacobian of ``residual``; the wave's Newton finish and the spectrum use it.
+Jacobian of ``residual``; the wave's Newton steps and the spectrum use it.
+``_sweep_newton`` is the one monotone-sweep loop with Newton acceleration
+that the scalar and the vector front solves share.
 
 Phase translation is a PCHIP (Fritsch & Butland) interpolant written in
 numpy, bit-identical to scipy's; a level crossing is found by bisecting its
@@ -18,12 +20,13 @@ fifth of its memory.  Every CSV artifact goes through ``write_csv``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import GridError, LevelNotCrossedError
+from .errors import EnvelopeViolationError, GridError, LevelNotCrossedError
 from .model import ModelParams, StateVec, jacobian, reaction
 
 __all__ = [
@@ -44,6 +47,11 @@ __all__ = [
     "save_profile",
     "load_profile",
 ]
+
+# Newton steps allowed per attempt before the sweeps take over again
+NEWTON_MAX_STEPS = 20
+# slack of the envelope check on every accepted iterate
+ENVELOPE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -189,6 +197,54 @@ def linearization_bands(p: ModelParams, prof: Profile, g1=0.0,
     bands[4, 0:-2:2] = left[1:]
     bands[4, 1:-2:2] = left[1:]
     return bands
+
+
+def _sweep_newton(sweep, newton, U, gap, tol, max_iter, callback=None):
+    """Monotone sweeps ``U -> sweep(U)`` accelerated by Newton corrections
+    ``U -> U + newton(U)``; returns (U, sup_diffs, newton_steps, converged).
+
+    A Newton attempt follows sweeps 1, 2, 4, 8, ...  It stops after a
+    correction below ``tol``, or drops the first step whose correction does
+    not shrink or whose iterate leaves the envelope (``gap(U)`` below
+    -ENVELOPE_SLACK), and the sweeps resume.  A sweep that leaves the
+    envelope raises EnvelopeViolationError.  Only a sweep whose sup-diff is
+    below ``tol`` converges: a fixed point of the monotone map inside the
+    envelope is the solution, however the iterate got there.  Every accepted
+    iterate goes to ``callback(k, U)``, k counting sweeps and Newton steps
+    together; ``max_iter`` bounds the sweeps.
+    """
+    sup_diffs: list[float] = []
+    newton_steps: list[float] = []
+    newton_at = 1
+    for it in range(1, max_iter + 1):
+        Un = sweep(U)
+        d = float(np.max(np.abs(Un - U)))
+        sup_diffs.append(d)
+        env = gap(Un)
+        if env < -ENVELOPE_SLACK:
+            raise EnvelopeViolationError(
+                f"iterate {it} left the envelope by {-env:.3e}")
+        U = Un
+        if callback is not None:
+            callback(len(sup_diffs) + len(newton_steps), U)
+        if d < tol:
+            return U, sup_diffs, newton_steps, True
+        if it == newton_at:
+            newton_at *= 2
+            prev = math.inf
+            for _ in range(NEWTON_MAX_STEPS):
+                dU = newton(U)
+                size = float(np.max(np.abs(dU)))
+                if not size < prev or gap(U + dU) < -ENVELOPE_SLACK:
+                    break
+                U = U + dU
+                prev = size
+                newton_steps.append(size)
+                if callback is not None:
+                    callback(len(sup_diffs) + len(newton_steps), U)
+                if size < tol:
+                    break
+    return U, sup_diffs, newton_steps, False
 
 
 def monotone_interpolant(g: Grid, y, left, right) -> tuple[np.ndarray, tuple]:

@@ -12,7 +12,8 @@ front whose position depends log-linearly on the datum.  ``solve_kpp``
 exploits this: it translates the profile (monotone interpolation, boundary
 data included) and re-solves until the half-plateau crossing sits at the
 origin.  The stored left datum therefore is a tiny positive number (of the
-order of the natural tail value e^{-mu*L}) rather than exactly zero.
+order of the natural tail value e^{-mu*L}) rather than exactly zero.  Each
+pass runs the sweep-Newton loop of the wave solve, ``grid._sweep_newton``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, ParameterError, SubcriticalSpeedError
-from .grid import (Grid, apply_advection_diffusion, boundary_vector,
-                   level_crossing, require_m_matrix, stencil_bands, translate)
+from .grid import (Grid, _sweep_newton, apply_advection_diffusion,
+                   boundary_vector, level_crossing, require_m_matrix,
+                   stencil_bands, translate)
 from .model import ModelParams
 
 __all__ = [
@@ -37,6 +39,12 @@ __all__ = [
     "solve_kpp",
     "scalar_residual",
 ]
+
+# phase passes allowed, and the crossing's distance from 0 that ends them
+PHASE_PASSES = 16
+PHASE_TOL = 1e-9
+# sweeps allowed per phase pass
+SWEEP_MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
@@ -140,68 +148,15 @@ def scalar_residual(nl: KppNonlinearity, prof: ScalarProfile) -> np.ndarray:
                                      prof.boundary_right) + nl.f(prof.w)
 
 
-def _newton(nl, g: Grid, c, w, bl, br, tol, max_iter):
-    """Damped Newton on the discretized BVP; returns (w, converged).
-
-    Deuflhard's natural monotonicity test: a trial w + lam*dw is accepted
-    when the simplified correction J(w)^{-1} r(w + lam*dw), with the same
-    matrix, has sup-norm at most (1 - lam/4) |dw|, or when the trial
-    residual is already below tol.  lam halves down to 1/1024; below that
-    the step has stalled.
-    """
-    def res(w_):
-        return apply_advection_diffusion(g, c, w_, bl, br) + nl.f(w_)
-
-    r = res(w)
-    for _ in range(max_iter):
-        if np.max(np.abs(r)) < tol:
-            return w, True
-        ab = stencil_bands(g, c, 1.0, nl.fprime(w))
-        dw = solve_banded((1, 1), ab, -r)
-        dw_norm = np.max(np.abs(dw))
-        lam = 1.0
-        while lam >= 1.0 / 1024.0:
-            wn = w + lam * dw
-            rn = res(wn)
-            if (np.max(np.abs(rn)) < tol
-                    or np.max(np.abs(solve_banded((1, 1), ab, -rn)))
-                    <= (1.0 - lam / 4.0) * dw_norm):
-                w, r = wn, rn
-                break
-            lam /= 2.0
-        else:
-            return w, False  # stalled
-    return w, np.max(np.abs(r)) < tol
-
-
-def _monotone_fallback(nl, g: Grid, c, bl, br, tol, max_iter):
-    """Monotone iteration from the constant plateau; guaranteed but slow."""
-    beta = max(0.0, float(-np.min(nl.fprime(np.linspace(0.0, nl.plateau, 201))))) + 1.0
-    ab = stencil_bands(g, c, -1.0, beta)
-    bvec = boundary_vector(g, c, bl, br)
-    w = np.full(g.n, nl.plateau)
-    for _ in range(max_iter):
-        wn = solve_banded((1, 1), ab, nl.f(w) + beta * w + bvec)
-        d = np.max(np.abs(wn - w))
-        w = wn
-        if d < tol:
-            return w
-    raise ConvergenceError("scalar monotone fallback did not converge")
-
-
-def solve_kpp(nl: KppNonlinearity, c: float, g: Grid, tol: float = 1e-12,
-              max_iter: int = 100, phase_tol: float = 1e-9,
-              fallback_max_iter: int = 200_000) -> ScalarProfile:
+def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
+              tol: float = 1e-12) -> ScalarProfile:
     """Solve the scalar front BVP, phase-pinned so w(0) = plateau/2.
 
-    Damped Newton from a tanh initial guess, each pass warm-started from the
-    translated previous profile.  A damped step is accepted by Deuflhard's
-    natural monotonicity test (the simplified correction, computed with the
-    same Jacobian, must shrink by the factor 1 - lam/4) rather than by a
-    residual decrease: after the left datum moves, the residual can rise on
-    the way to a much better iterate.  A scalar monotone iteration from the
-    constant plateau remains as the fallback should Newton stall (damping
-    below 1/1024) or exhaust ``max_iter``.
+    Each phase pass, from a tanh guess and then from the translated previous
+    profile, is a monotone iteration in the envelope [0, plateau] (shift beta
+    one above the largest -f' there) accelerated by Newton steps on the
+    tridiagonal Jacobian, through ``grid._sweep_newton``; it converges at a
+    sweep whose sup-diff is below ``tol``, or raises after SWEEP_MAX_ITER.
 
     The phase loop translates the converged profile (monotone interpolation,
     clamped to [0, plateau] beyond the ends, Dirichlet data included) and
@@ -223,15 +178,33 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid, tol: float = 1e-12,
 
     bl, br = b * math.exp(-mu * g.L), b
     w = np.clip(half * (1.0 + np.tanh(g.nodes / 4.0)) + bl, 0.0, b)
+    beta = max(0.0, float(-np.min(nl.fprime(np.linspace(0.0, b, 201))))) + 1.0
+    ab = stencil_bands(g, c, -1.0, beta)
+
+    def gap(w):
+        return min(float(np.min(w)), b - float(np.max(w)))
 
     x0 = math.inf
     prev = None  # (log bl, crossing) of the previous pass, for the secant step
-    for _ in range(16):
-        w, ok = _newton(nl, g, c, w, bl, br, tol, max_iter)
+    for _ in range(PHASE_PASSES):
+        bvec = boundary_vector(g, c, bl, br)
+
+        def sweep(w):
+            return solve_banded((1, 1), ab, nl.f(w) + beta * w + bvec)
+
+        def newton(w):
+            r = apply_advection_diffusion(g, c, w, bl, br) + nl.f(w)
+            jac = stencil_bands(g, c, 1.0, nl.fprime(w))
+            return solve_banded((1, 1), jac, -r)
+
+        w, sup_diffs, _, ok = _sweep_newton(sweep, newton, w, gap, tol,
+                                            SWEEP_MAX_ITER)
         if not ok:
-            w = _monotone_fallback(nl, g, c, bl, br, tol, fallback_max_iter)
+            raise ConvergenceError(
+                f"scalar sweeps did not reach tol={tol} in {SWEEP_MAX_ITER} "
+                f"sweeps (last sup-diff {sup_diffs[-1]:.3e})")
         x0 = level_crossing(g, w, bl, br, half)
-        if abs(x0) < phase_tol:
+        if abs(x0) < PHASE_TOL:
             break
         w = np.clip(translate(g, w, bl, br, x0)[1:-1], 0.0, b)
         # move the left datum: pure exponential heuristic first, then secant

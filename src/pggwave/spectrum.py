@@ -44,6 +44,10 @@ __all__ = [
     "make_spectrum_report",
 ]
 
+OUTER_FRACTION = 0.10   # outer share of the domain in the boundary mass
+CURVE_Y_MAX = 2.0       # reported curves span |Im| <= CURVE_Y_MAX ...
+CURVE_SAMPLES = 101     # ... in this many samples per branch
+
 
 @dataclass(frozen=True)
 class WeightPair:
@@ -187,7 +191,7 @@ def assemble_weighted_operator(p: ModelParams, prof: Profile,
 
     M(xi) = (2 g1^2 - g2 + c g1) I + dF/dU evaluated along the profile.  At
     zero weights this is exactly the discretized unweighted linearization,
-    the Jacobian the wave solver's Newton finish uses.
+    the Jacobian of the wave solver's Newton steps.
     """
     if prof.c is None:
         raise ParameterError("profile has no wave speed set")
@@ -208,8 +212,8 @@ def _gershgorin_right_edge(m: OperatorMatrix) -> float:
     return float(np.max(edge))
 
 
-def eigen_report(m: OperatorMatrix, count: int = 6,
-                 outer_fraction: float = 0.10) -> tuple[np.ndarray, np.ndarray]:
+def eigen_report(m: OperatorMatrix,
+                 count: int = 6) -> tuple[np.ndarray, np.ndarray]:
     """Rightmost eigenvalues, sorted by descending real part, plus each
     eigenfunction's boundary mass fraction.
 
@@ -220,8 +224,8 @@ def eigen_report(m: OperatorMatrix, count: int = 6,
     must lie in [1, size - 2], ARPACK's limit.
 
     The fraction is the share of |V|^2 carried by nodes in the outer
-    ``outer_fraction`` of the domain (|xi| > (1 - fraction) L); values near 1
-    tag Dirichlet-truncation artifacts.
+    ``OUTER_FRACTION`` of the domain (|xi| > (1 - OUTER_FRACTION) L); values
+    near 1 tag Dirichlet-truncation artifacts.
     """
     N = m.size
     if not 1 <= count <= N - 2:
@@ -241,7 +245,7 @@ def eigen_report(m: OperatorMatrix, count: int = 6,
     vecs = vecs[:, order]
 
     nodes = m.grid.nodes
-    outer = np.abs(nodes) > (1.0 - outer_fraction) * m.grid.L
+    outer = np.abs(nodes) > (1.0 - OUTER_FRACTION) * m.grid.L
     mass = np.abs(vecs) ** 2
     node_mass = mass[0::2, :] + mass[1::2, :]
     total = node_mass.sum(axis=0)
@@ -321,13 +325,13 @@ class SpectrumReport:
 
 
 def make_spectrum_report(p: ModelParams, c: float, w: WeightPair,
-                         y_max: float = 2.0, samples: int = 101,
                          operator: OperatorMatrix | None = None,
                          count: int = 6) -> SpectrumReport:
-    """Bundle curve geometry and (optionally) eigensolve results."""
+    """Bundle curve geometry (``CURVE_SAMPLES`` points per branch over
+    |Im| <= ``CURVE_Y_MAX``) and (optionally) eigensolve results."""
     mx, verts = essential_spectrum_max(p, c, w)
     try:
-        curves = spectrum_curves(p, c, w, y_max, samples)
+        curves = spectrum_curves(p, c, w, CURVE_Y_MAX, CURVE_SAMPLES)
     except DegenerateWeightError:
         curves = []
     eigenvalues: list = []

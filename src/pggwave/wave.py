@@ -12,11 +12,12 @@ decrease nodewise and stay inside the [lower, upper] envelope; the fixed
 point is the discretized front.
 
 The sweeps contract at a rate rho that tends to 1 at the critical speed
-(rho ~ 0.9987 at c = 1, L = 80), so after the first sweep Newton's method on
-the interleaved pentadiagonal Jacobian of the discretized system
-(``grid.linearization_bands``, the zero-weight operator of the spectrum
-module) takes over, with the envelope check on every iterate.  Only a sweep
-whose sup-diff is below the tolerance ends the solve: a fixed point of the
+(rho ~ 0.9987 at c = 1, L = 80), so Newton's method on the interleaved
+pentadiagonal Jacobian of the discretized system (``grid.linearization_bands``,
+the zero-weight operator of the spectrum module) accelerates them.  The loop
+is ``grid._sweep_newton``, shared with the scalar solves of ``kpp``: Newton
+from the first sweep, the envelope check on every iterate, and convergence
+only at a sweep whose sup-diff is below the tolerance.  A fixed point of the
 monotone map inside the envelope is, by the uniqueness of the front, the
 front, however the iterate got there.
 
@@ -36,11 +37,11 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .bounds import BoundPair, shifted_upper_samples
-from .errors import (ConvergenceError, EnvelopeViolationError, FitWindowError,
-                     ParameterError)
-from .grid import (Grid, Profile, apply_advection_diffusion, boundary_vector,
-                   level_crossing, linearization_bands, require_m_matrix,
-                   residual, stencil_bands, stencil_coefficients, translate)
+from .errors import ConvergenceError, FitWindowError, ParameterError
+from .grid import (Grid, Profile, _sweep_newton, apply_advection_diffusion,
+                   boundary_vector, level_crossing, linearization_bands,
+                   require_m_matrix, residual, stencil_bands,
+                   stencil_coefficients, translate)
 from .model import ModelParams, StateVec, jacobian, reaction
 
 __all__ = [
@@ -57,10 +58,6 @@ __all__ = [
 ]
 
 
-# Newton steps allowed before the sweeps take over again
-NEWTON_MAX_STEPS = 20
-# slack of the envelope check on every accepted iterate
-ENVELOPE_SLACK = 1e-12
 # sweeps over which the contraction rate is estimated
 CONTRACTION_TAIL = 50
 
@@ -139,29 +136,6 @@ def _beta_for(p: ModelParams, samples: int = 50) -> float:
     return max(0.0, float(-A[0, 0].min()), float(-A[1, 1].min())) + 1.0
 
 
-def _newton_finish(p: ModelParams, U: np.ndarray, as_profile, envelope_gap,
-                   tol: float):
-    """Newton steps on the discretized system from the sweep iterate U.
-
-    Yields (iterate, correction sup-norm) per accepted step.  Stops after a
-    correction below tol, or at the first step whose correction does not
-    shrink or whose iterate leaves the envelope; that step is dropped.
-    """
-    prev = math.inf
-    for _ in range(NEWTON_MAX_STEPS):
-        prof = as_profile(U)
-        dU = solve_banded((2, 2), linearization_bands(p, prof),
-                          -residual(p, prof).ravel()).reshape(U.shape)
-        size = float(np.max(np.abs(dU)))
-        if not size < prev or envelope_gap(U + dU) < -ENVELOPE_SLACK:
-            return
-        U = U + dU
-        prev = size
-        yield U, size
-        if size < tol:
-            return
-
-
 def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
                tol: float = 1e-10, max_iter: int = 20000,
                direction: str = "down", initial: Profile | None = None,
@@ -172,16 +146,12 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
     "up" from the lower, exposed for the uniqueness regression.  ``initial``
     overrides the starting iterate (a converged wave is a fixed point).
 
-    The solve converges only at a sweep whose sup-diff is below ``tol``.
-    Newton attempts on the discretized system follow sweeps 1, 2, 4, 8, ...
-    (unless that sweep converged); an attempt stops when the correction's
-    sup-norm is below ``tol``, and the next sweep then certifies the result.
-    A Newton step is accepted only if its correction is smaller than the
-    previous one and the new iterate lies in the envelope; otherwise it is
-    dropped and the sweeps resume from the last accepted iterate.  Every
-    accepted iterate is checked against the envelope with slack 1e-12 (a
-    sweep outside it raises) and passed to ``callback(k, U)``, k counting
-    accepted iterates.  ``max_iter`` bounds the sweeps.
+    Sweeps and Newton steps on the discretized system run through
+    ``grid._sweep_newton``, which converges only at a sweep whose sup-diff
+    is below ``tol``, raises on a sweep outside the envelope, passes every
+    accepted iterate to ``callback(k, U)`` and makes at most ``max_iter``
+    sweeps.  A first sweep down from the upper bound that rises anywhere
+    warns.
     """
     if direction not in ("down", "up"):
         raise ParameterError(f"direction must be 'down' or 'up', got {direction!r}")
@@ -219,48 +189,25 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
     beta = _beta_for(p)
     ab = stencil_bands(g, c, -1.0, beta)
     bvec = boundary_vector(g, c, dl, dr)
+    check_rise = direction == "down" and initial is None
 
-    sup_diffs: list[float] = []
-    newton_steps: list[float] = []
-    converged = False
-    newton_at = 1
-    warned_direction = warned_supdiff = False
-    for it in range(1, max_iter + 1):
+    def sweep(U):
+        nonlocal check_rise
         F = reaction(p, StateVec(U[:, 0], U[:, 1]))
         Un = solve_banded((1, 1), ab, F.T + beta * U + bvec)
+        if check_rise and float(np.max(Un - U)) > 1e-12:
+            warnings.warn("iterate 1 increased somewhere during the downward "
+                          "iteration", RuntimeWarning, stacklevel=4)
+        check_rise = False
+        return Un
 
-        d = float(np.max(np.abs(Un - U)))
-        sup_diffs.append(d)
-        # both warnings watch the downward chain from the upper bound, which
-        # a Newton step leaves; the upward chain's sup-diffs legitimately
-        # rise while the front moves in from below
-        if direction == "down" and initial is None and not newton_steps:
-            if not warned_direction and float(np.max(Un - U)) > 1e-12:
-                warned_direction = True
-                warnings.warn(f"iterate {it} increased somewhere during the "
-                              "downward iteration", RuntimeWarning,
-                              stacklevel=2)
-            if it > 5 and not warned_supdiff and sup_diffs[-1] > sup_diffs[-2]:
-                warned_supdiff = True
-                warnings.warn(f"sup-diff increased at iteration {it}",
-                              RuntimeWarning, stacklevel=2)
-        env = envelope_gap(Un)
-        if env < -ENVELOPE_SLACK:
-            raise EnvelopeViolationError(
-                f"iterate {it} left the envelope by {-env:.3e}"
-            )
-        U = Un
-        if callback is not None:
-            callback(len(sup_diffs) + len(newton_steps), U)
-        if tol > 0 and d < tol:
-            converged = True
-            break
-        if it == newton_at:
-            newton_at *= 2
-            for U, size in _newton_finish(p, U, as_profile, envelope_gap, tol):
-                newton_steps.append(size)
-                if callback is not None:
-                    callback(len(sup_diffs) + len(newton_steps), U)
+    def newton(U):
+        prof = as_profile(U)
+        return solve_banded((2, 2), linearization_bands(p, prof),
+                            -residual(p, prof).ravel()).reshape(U.shape)
+
+    U, sup_diffs, newton_steps, converged = _sweep_newton(
+        sweep, newton, U, envelope_gap, tol, max_iter, callback)
 
     prof = as_profile(U)
     final_res = float(np.max(np.abs(residual(p, prof))))
@@ -280,14 +227,14 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
     return prof, report
 
 
-def normalize_phase(prof: Profile, level: float = 0.5) -> Profile:
-    """Translate (monotone interpolation, re-sampled) so that v(0) = level.
+def normalize_phase(prof: Profile) -> Profile:
+    """Translate (monotone interpolation, re-sampled) so that v(0) = 1/2.
 
     Queries beyond the truncated domain are clamped to the boundary data.
     Idempotent to below 1e-12.
     """
     g, bl, br = prof.grid, prof.boundary_left, prof.boundary_right
-    x0 = level_crossing(g, prof.v, bl[1], br[1], level)
+    x0 = level_crossing(g, prof.v, bl[1], br[1], 0.5)
     ext = translate(g, prof.samples(), bl, br, x0)
     return Profile(grid=g, u=ext[1:-1, 0].copy(), v=ext[1:-1, 1].copy(),
                    c=prof.c,

@@ -52,6 +52,22 @@ def test_upper_margins(base_params, upper_profile):
     assert np.max(np.abs(rep.margins[:, 1])) < 1e-8
 
 
+def test_worst_location_only_above_roundoff(base_params, grid40,
+                                            upper_profile, lower_profile):
+    # the residual of O(1) samples carries roundoff ~ eps max|U| / h^2; a
+    # worst margin inside that floor has no meaningful location
+    h2 = grid40.h**2
+    up = verify_bound(base_params, upper_profile, C, "upper")
+    floor = 4.0 * np.finfo(float).eps * np.max(upper_profile.samples()) / h2
+    assert abs(up.worst) <= floor
+    assert up.worst_xi is None and up.worst_component is None
+    low = verify_bound(base_params, lower_profile, C, "lower")
+    floor = 4.0 * np.finfo(float).eps * np.max(lower_profile.samples()) / h2
+    assert abs(low.worst) > 10.0 * floor
+    assert low.worst_xi == pytest.approx(-39.98, abs=1e-9)
+    assert low.worst_component == 1
+
+
 def test_lower_construction(base_params, lower_profile):
     p = base_params
     prof = lower_profile

@@ -100,6 +100,10 @@ def test_bounds_check(capsys, tmp_path):
     rep = json.loads((tmp_path / "bounds-check" / "bounds_report.json").read_text())
     assert rep["reports"]["upper"]["passed"] is True
     assert rep["reports"]["lower"]["passed"] is True
+    # the upper margins sit at roundoff, the lower's worst has a location
+    assert "upper: worst margin" in out and "at roundoff" in out
+    assert rep["reports"]["upper"]["worst_xi"] is None
+    assert rep["reports"]["lower"]["worst_xi"] == -19.95
     assert "numeric" in rep["lower_plateau_slope"]
     assert (tmp_path / "bounds-check" / "margins_upper.csv").exists()
 

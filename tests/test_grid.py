@@ -4,8 +4,9 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from pggwave import (Profile, StateVec, WeightPair, apply_advection_diffusion,
-                     assemble_weighted_operator, derive_params, load_profile,
-                     make_grid, reaction, residual, save_profile)
+                     assemble_weighted_operator, derive_params, dynamics, grid,
+                     kpp, load_profile, make_bounds, make_grid, reaction,
+                     residual, save_profile, wave)
 from pggwave.grid import (boundary_vector, level_crossing, linearization_bands,
                           stencil_bands, translate, write_csv)
 from pggwave.errors import GridError, LevelNotCrossedError
@@ -254,3 +255,29 @@ def test_stencil_two_columns_match_per_column():
             g, 1.25, F[:, j], left[j], right[j]))
         assert np.array_equal(ghosts[:, j],
                               boundary_vector(g, 1.25, left[j], right[j]))
+
+
+def test_banded_solves_stay_in_their_callers_module(monkeypatch):
+    # the benchmark tracer counts banded solves through each layer's own
+    # ``solve_banded`` name and books time by public function, so the shared
+    # sweep-Newton driver must stay private and leave the solves to the
+    # modules whose closures it calls
+    assert "_sweep_newton" not in grid.__all__
+    counts = {}
+    for mod in (kpp, wave, dynamics):
+        def counted(*args, _name=mod.__name__, _fn=mod.solve_banded,
+                    **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, "solve_banded", counted)
+
+    p = derive_params(0.25, 0.5)
+    c, g = 1.25, make_grid(20.0, 199)
+    bp = make_bounds(p, c, g)
+    assert counts["pggwave.kpp"] > 0 and set(counts) == {"pggwave.kpp"}
+    counts.clear()
+    prof, _ = wave.solve_wave(p, c, g, bp, tol=1e-10)
+    assert counts["pggwave.wave"] > 0 and set(counts) == {"pggwave.wave"}
+    counts.clear()
+    dynamics.run_simulation(p, c, prof, dynamics.SimConfig(t_end=0.05))
+    assert counts == {"pggwave.dynamics": 5}

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pggwave import (kpp, lower_nonlinearity, make_grid, plateau_of, solve_kpp,
-                     upper_nonlinearity)
+from pggwave import (grid, kpp, lower_nonlinearity, make_grid, plateau_of,
+                     solve_kpp, upper_nonlinearity)
 from pggwave.errors import ConvergenceError, ParameterError, SubcriticalSpeedError
 from pggwave.kpp import scalar_residual
 
@@ -102,27 +102,50 @@ def test_subcritical_rejected(base_params, grid40):
         solve_kpp(upper_nonlinearity(base_params), 0.9, grid40)
 
 
-def test_unreachable_tolerance(base_params):
+def test_unreachable_tolerance(base_params, monkeypatch):
+    monkeypatch.setattr(kpp, "SWEEP_MAX_ITER", 40)
     g = make_grid(20.0, 99)
     with pytest.raises(ConvergenceError):
-        solve_kpp(upper_nonlinearity(base_params), C, g, tol=1e-300,
-                  fallback_max_iter=40)
+        solve_kpp(upper_nonlinearity(base_params), C, g, tol=1e-300)
 
 
 @pytest.mark.parametrize("c,L,n", [(1.0, 80.0, 7999), (C, 40.0, 3999)])
-def test_newton_needs_no_fallback(base_params, monkeypatch, c, L, n):
-    # at the critical speed the left datum moves by ~66x on phase pass 2;
-    # the natural monotonicity test still accepts Newton's full step there
-    def fallback_ran(*args, **kwargs):
-        raise AssertionError("scalar monotone fallback ran")
+def test_every_phase_pass_closes_by_sweep_two(base_params, monkeypatch, c, L,
+                                              n):
+    # Newton from the first sweep leaves the second sweep to certify each
+    # phase pass, also at the critical speed where the left datum moves by
+    # ~66x on phase pass 2
+    passes = []
 
-    monkeypatch.setattr(kpp, "_monotone_fallback", fallback_ran)
+    def recorded(*args, **kwargs):
+        out = grid._sweep_newton(*args, **kwargs)
+        passes.append(out)
+        return out
+
+    monkeypatch.setattr(kpp, "_sweep_newton", recorded)
     g = make_grid(L, n)
     for nl in (upper_nonlinearity(base_params),
                lower_nonlinearity(base_params, 0.3)):
+        passes.clear()
         s = solve_kpp(nl, c, g)
+        assert passes
+        for _, sup_diffs, _, converged in passes:
+            assert converged and len(sup_diffs) <= 2
         assert np.max(np.abs(scalar_residual(nl, s))) < 1e-12
         assert np.min(np.diff(s.w)) >= 0.0
+
+
+def test_sweeps_alone_reach_the_front(base_params, grid40, monkeypatch):
+    # with every Newton attempt cut to zero steps the monotone sweeps still
+    # converge, from the current iterate, to the default front
+    fronts = [solve_kpp(nl, C, grid40)
+              for nl in (upper_nonlinearity(base_params),
+                         lower_nonlinearity(base_params, 0.3))]
+    monkeypatch.setattr(grid, "NEWTON_MAX_STEPS", 0)
+    for front, nl in zip(fronts, (upper_nonlinearity(base_params),
+                                  lower_nonlinearity(base_params, 0.3))):
+        swept = solve_kpp(nl, C, grid40)
+        assert np.max(np.abs(swept.w - front.w)) < 1e-10
 
 
 def _tail_rate(g, y, lo, hi, floor=1e-14):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pggwave import (BoundPair, Profile, StateVec, check_monotone, derive_params,
-                     fit_decay, make_bounds, make_grid, normalize_phase, residual,
-                     solve_wave, subcritical_verdict, wave)
+                     fit_decay, grid, make_bounds, make_grid, normalize_phase,
+                     residual, solve_wave, subcritical_verdict, wave)
 from pggwave.errors import (ConvergenceError, EnvelopeViolationError,
                             FitWindowError, GridError, LevelNotCrossedError,
                             ParameterError)
@@ -205,7 +205,7 @@ def test_report_records_solver_state(base_params, base_grid, base_bounds,
     assert d["newton_steps"] == rep.newton_steps
     assert d["contraction"] is None
     # with no Newton steps allowed, the plain monotone iteration
-    monkeypatch.setattr(wave, "NEWTON_MAX_STEPS", 0)
+    monkeypatch.setattr(grid, "NEWTON_MAX_STEPS", 0)
     _, swept = solve_wave(base_params, C, base_grid, base_bounds, tol=1e-10)
     assert not swept.newton_steps and swept.iterations >= 50
     tail = swept.sup_diffs[-50:]
