@@ -138,13 +138,12 @@ def test_every_phase_pass_closes_by_sweep_two(base_params, monkeypatch, c, L,
 def test_sweeps_alone_reach_the_front(base_params, grid40, monkeypatch):
     # with every Newton attempt cut to zero steps the monotone sweeps still
     # converge, from the current iterate, to the default front
-    fronts = [solve_kpp(nl, C, grid40)
-              for nl in (upper_nonlinearity(base_params),
-                         lower_nonlinearity(base_params, 0.3))]
-    monkeypatch.setattr(grid, "NEWTON_MAX_STEPS", 0)
-    for front, nl in zip(fronts, (upper_nonlinearity(base_params),
-                                  lower_nonlinearity(base_params, 0.3))):
-        swept = solve_kpp(nl, C, grid40)
+    for nl in (upper_nonlinearity(base_params),
+               lower_nonlinearity(base_params, 0.3)):
+        front = solve_kpp(nl, C, grid40)
+        with monkeypatch.context() as m:
+            m.setattr(grid, "NEWTON_MAX_STEPS", 0)
+            swept = solve_kpp(nl, C, grid40)
         assert np.max(np.abs(swept.w - front.w)) < 1e-10
 
 
