@@ -13,23 +13,35 @@ half is I + dt/2 T = 2I - A, so the update A U' = (2I - A) U + g is
     U' = A^-1 (2U + g) - U,   g = dt * ghosts + dt * (3/2 F - 1/2 F_prev),
 
 one tridiagonal solve for both components and no explicit stencil product;
-the Dirichlet ghosts of T are two row updates of the right-hand side.  The
-state is kept as an (n, 2) column-contiguous (Fortran-order) array, the
-layout of the transposed reaction and of LAPACK's solution, so a step makes
-no layout copies.
+the Dirichlet ghosts of T are two row updates of the right-hand side.
 
 A is the same matrix at every step, so ``factor_banded`` factors it once per
-run and each step is one LAPACK substitution with the stored factors.  In
-the lab frame (c = 0) the stencil weights lo and hi are equal, A is
-symmetric positive definite, and the factors are L D L^T (dpttrf/dpttrs).
-For c != 0 they are the partially pivoted LU of dgttrf/dgttrs, the same
-arithmetic scipy's ``solve_banded`` performs through gtsv, so moving-frame
-runs are bit-identical to refactorising every step.  A nonzero pivot report
-raises GridError before any step is taken.  The substitution is the
-module-level ``solve_banded(factors, rhs)``, the name under which
-perfbench's tracer counts banded solves; it makes no finiteness check, a
-non-finite value anywhere in the right-hand side spreads through the whole
-solve, and the blow-up guard after every step reports it.
+run and each step is one LAPACK substitution with the stored factors.  The
+bands choose the route, and the route chooses the memory order of the
+(n, 2) state:
+
+- c != 0: zgttrf factors the complex-cast bands (partial pivoting, and
+  cabs1 of a real number is its magnitude, so the pivots are dgttrf's), and
+  zgttrs substitutes the packed column u + i v, which is the C-order state
+  viewed as complex without a copy.  On a zero imaginary part every complex
+  operation reduces to the real one, so the result is bit for bit that of
+  dgttrs on [u v] and of scipy's ``solve_banded`` through gtsv, while one
+  loop runs both substitutions and hides the latency of their divisions.
+  This is no change of variables and does no scaling.  Packing couples the
+  columns only through 0 * NaN: a NaN in one spreads to both.
+- c = 0: lo == hi, A is symmetric positive definite, and dpttrf/dpttrs
+  (L D L^T) substitute the two columns of an F-order state.  zpttrs is
+  slower there.
+
+A nonzero pivot report raises GridError before any step is taken.  The
+substitution is the module-level ``solve_banded(factors, rhs)``, the name
+under which perfbench's tracer counts banded solves; it makes no finiteness
+check, a non-finite value anywhere in the right-hand side spreads through
+the whole solve, and the blow-up guard after every step reports it.  The
+state, the two alternating reaction buffers, the right-hand side and one
+temporary are allocated once per run in the route's order, and a step
+writes into them with in-place ufuncs in the arithmetic order of the
+formula above; ``reaction`` writes into the transpose of its buffer.
 
 Three experiments reproduce the front's dynamic signature: decay of small
 weighted perturbations, sup-norm growth of bounded-but-weighted-large left
@@ -42,7 +54,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs, zgttrf, zgttrs
 
 from .errors import (BlowUpError, FrontNotFoundError, GridError, NormError,
                      ParameterError)
@@ -99,6 +111,8 @@ class Trace:
     front_positions: np.ndarray
     blew_up: bool = False
     final_state: Profile | None = field(default=None, repr=False)
+    steps: int = 0                # time steps taken
+    guard_margin: float = math.nan  # blow-up guard minus the largest sup|U|
 
 
 def weighted_norm(u, v, g: Grid, w: WeightPair) -> float:
@@ -136,27 +150,39 @@ def front_position(g: Grid, v: np.ndarray) -> float:
 def factor_banded(ab: np.ndarray) -> tuple:
     """Factor the tridiagonal matrix with LAPACK (1, 1) bands ``ab`` once.
 
-    Returns the (substitution routine, factors) pair ``solve_banded`` takes:
-    L D L^T from dpttrf when the bands are symmetric (the matrix must then
-    be positive definite), the pivoted LU of dgttrf otherwise.  A nonzero
-    LAPACK ``info`` raises GridError naming the failed pivot.
+    Returns the (substitution routine, factors, state order) triple
+    ``solve_banded`` takes.  Symmetric bands give L D L^T from dpttrf (the
+    matrix must then be positive definite) and an "F"-order state.  Other
+    bands give zgttrf's pivoted LU of the complex-cast bands and a "C"-order
+    state, whose two columns ``solve_banded`` substitutes as one packed
+    complex column.  A nonzero LAPACK ``info`` raises GridError naming the
+    failed pivot.
     """
     upper, diag, lower = ab[0, 1:], ab[1], ab[2, :-1]
     if np.array_equal(upper, lower):
         *factors, info = dpttrf(diag, upper)
-        solve = dpttrs
+        solve, order = dpttrs, "F"
     else:
-        *factors, info = dgttrf(lower, diag, upper)
-        solve = dgttrs
+        *factors, info = zgttrf(lower.astype(complex), diag.astype(complex),
+                                upper.astype(complex))
+        solve, order = zgttrs, "C"
     if info != 0:
         raise GridError(f"factorising the step matrix failed at pivot {info}")
-    return solve, tuple(factors)
+    return solve, tuple(factors), order
 
 
 def solve_banded(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    """A^-1 rhs from the factors of ``factor_banded``: one substitution,
-    in place when rhs is a Fortran-order float array, no checks."""
-    solve, arrays = factors
+    """A^-1 rhs from the factors of ``factor_banded``: one substitution, no
+    checks.
+
+    ``rhs`` is an (n, 2) float array, overwritten when it is in the factors'
+    state order; in "C" order it is viewed, without a copy, as the complex
+    column u + i v.
+    """
+    solve, arrays, order = factors
+    if order == "C":
+        packed = solve(*arrays, rhs.view(complex), overwrite_b=True)[0]
+        return packed.view(float)
     return solve(*arrays, rhs, overwrite_b=True)[0]
 
 
@@ -191,10 +217,16 @@ def run_simulation(p: ModelParams, frame_speed: float, initial: Profile,
 
     guard = 10.0 * max(p.kstar, 1.0)
     nsteps = int(round(cfg.t_end / dt))
-    U = np.asfortranarray(initial.samples())
-    F_prev = None
+    # every per-step array, allocated once in the order the substitution
+    # reads: the state, two alternating reaction buffers, the right-hand
+    # side and one temporary
+    U, F, F_prev, rhs, tmp = (np.empty((g.n, 2), order=factors[2])
+                              for _ in range(5))
+    U[...] = initial.samples()
+    peak = float(np.max(np.abs(U)))     # largest sup|U| the guard has seen
     times, wnorms, snorms, fronts = [], [], [], []
     blew_up = False
+    steps = 0
 
     def record(mstep, Ucur):
         dev = Ucur - ref if ref is not None else Ucur
@@ -206,19 +238,23 @@ def run_simulation(p: ModelParams, frame_speed: float, initial: Profile,
     record(0, U)
     for mstep in range(nsteps):
         t = mstep * dt
-        F = reaction(p, StateVec(U[:, 0], U[:, 1])).T
+        reaction(p, StateVec(U[:, 0], U[:, 1]), out=F.T)
         if forcing is not None:
-            F = F + forcing(g.nodes, t)
-        rhs = (dt * F if F_prev is None
-               else (1.5 * dt) * F - (0.5 * dt) * F_prev)
-        F_prev = F
-        rhs += 2.0 * U
+            F += forcing(g.nodes, t)
+        if mstep == 0:
+            np.multiply(F, dt, out=rhs)
+        else:
+            np.multiply(F, 1.5 * dt, out=rhs)
+            rhs -= np.multiply(F_prev, 0.5 * dt, out=tmp)
+        F, F_prev = F_prev, F
+        rhs += np.multiply(U, 2.0, out=tmp)
         rhs[0] += ghosts[0]
         rhs[-1] += ghosts[-1]
-        Unew = solve_banded(factors, rhs)
-        Unew -= U
-        U = Unew
-        supU = float(np.max(np.abs(U)))
+        np.subtract(solve_banded(factors, rhs), U, out=U)
+        steps += 1
+        supU = float(np.abs(U, out=tmp).max())     # NaN propagates
+        if not supU <= peak:                       # so does the peak
+            peak = supU
         if not math.isfinite(supU) or supU > guard:
             blew_up = True
             if on_blowup == "raise":
@@ -235,7 +271,8 @@ def run_simulation(p: ModelParams, frame_speed: float, initial: Profile,
                     boundary_right=StateVec(dr[0], dr[1]))
     return Trace(times=np.array(times), weighted_norms=np.array(wnorms),
                  sup_norms=np.array(snorms), front_positions=np.array(fronts),
-                 blew_up=blew_up, final_state=final)
+                 blew_up=blew_up, final_state=final, steps=steps,
+                 guard_margin=guard - peak)
 
 
 def perturb(base: Profile, kind: str, amplitude: float) -> Profile:
@@ -319,6 +356,8 @@ def stability_experiment(p: ModelParams, c: float, wave: Profile,
         "dt": cfg.dt,
         "sigma1": w.sigma1,
         "sigma2": w.sigma2,
+        "steps": tr.steps,
+        "guard_margin": tr.guard_margin,
         "trace": tr,
     }
 
@@ -347,6 +386,8 @@ def instability_experiment(p: ModelParams, c: float, wave: Profile,
         "blew_up": tr.blew_up,
         "t_end": cfg.t_end,
         "dt": cfg.dt,
+        "steps": tr.steps,
+        "guard_margin": tr.guard_margin,
         "trace": tr,
     }
 
@@ -379,6 +420,8 @@ def spreading_experiment(p: ModelParams, g: Grid, cfg: SimConfig | None = None,
         "predicted_speed": p.cmin,
         "t_window": list(t_window),
         "dt": cfg.dt,
+        "steps": tr.steps,
+        "guard_margin": tr.guard_margin,
         "trace": tr,
     }
 

@@ -69,19 +69,26 @@ def derive_params(alpha: float, k: float) -> ModelParams:
     return p
 
 
-def reaction(p: ModelParams, s: StateVec) -> np.ndarray:
+def reaction(p: ModelParams, s: StateVec, out: np.ndarray | None = None
+             ) -> np.ndarray:
     """Reaction field F(u, v) of the transformed system.
 
-    Returns ``np.array([F1, F2])`` (shape (2,) for scalar inputs, (2, n) for
-    arrays).  The denominator 1 + k(K* - u) stays positive for
-    u < K* + 1/k, so out-of-box states are evaluated as-is.
+    Returns ``[F1, F2]`` as an array of shape (2,) for scalar inputs and
+    (2, n) for arrays, written into ``out`` when one is given (any float
+    array of that shape, strided views included).  The denominator
+    1 + k(K* - u) stays positive for u < K* + 1/k, so out-of-box states are
+    evaluated as-is.
     """
     u, v = np.asarray(s[0], dtype=float), np.asarray(s[1], dtype=float)
+    if out is None:
+        out = np.empty((2, *np.broadcast_shapes(u.shape, v.shape)))
     w = p.kstar - u
     ratio = (w + v) / (1.0 + p.k * w)
-    f1 = -w * (1.0 - p.alpha - ratio)
-    f2 = v * (1.0 - ratio)
-    return np.array([f1, f2])
+    # each row of out is written once (it may be a strided view); [i, ...]
+    # keeps a 0-d view for scalar inputs
+    np.multiply(-w, 1.0 - p.alpha - ratio, out=out[0, ...])
+    np.multiply(v, 1.0 - ratio, out=out[1, ...])
+    return out
 
 
 def jacobian(p: ModelParams, s: StateVec) -> np.ndarray:

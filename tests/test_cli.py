@@ -148,6 +148,8 @@ def test_stability_smoke(capsys, tmp_path):
     assert code == 0
     rep = json.loads((tmp_path / "stability" / "report.json").read_text())
     assert rep["b"] > 0.0
+    assert rep["steps"] == round(rep["t_end"] / rep["dt"])
+    assert 0.0 < rep["guard_margin"] < 12.0    # guard 10 max(K*, 1) = 12
     assert (tmp_path / "stability" / "trace.csv").exists()
 
 
@@ -164,6 +166,8 @@ def test_instability_smoke(capsys, tmp_path):
     assert code == 0
     rep = json.loads((tmp_path / "instability" / "report.json").read_text())
     assert rep["growth_factor"] > 1.0
+    assert rep["steps"] == round(rep["t_end"] / rep["dt"])
+    assert 0.0 < rep["guard_margin"] < 12.0
 
 
 def test_spread_smoke(capsys, tmp_path):
@@ -173,6 +177,8 @@ def test_spread_smoke(capsys, tmp_path):
     assert code == 0
     rep = json.loads((tmp_path / "spread" / "report.json").read_text())
     assert 0.5 < rep["speed"] < 1.5
+    assert rep["steps"] == 360
+    assert 0.0 < rep["guard_margin"] < 12.0
 
 
 def test_sweep(capsys, tmp_path):

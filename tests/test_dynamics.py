@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
 
 import pggwave.dynamics
 from pggwave import (Profile, SimConfig, StateVec, Trace, WeightPair,
@@ -172,10 +173,29 @@ def test_blowup_paths(base_params, base_wave):
     tr = run_simulation(base_params, C, bad, SimConfig(dt=0.01, t_end=5.0),
                         on_blowup="stop")
     assert tr.blew_up
+    assert 0 < tr.steps < 500
+    assert tr.guard_margin < 0.0
 
 
-def _nan_forcing(xi, t):
-    return np.full((len(xi), 2), math.nan if t > 0.05 else 0.0)
+def test_trace_reports_steps_and_guard_margin(base_params):
+    init = _plateau(base_params)
+    tr = run_simulation(base_params, C, init,
+                        SimConfig(dt=0.01, t_end=0.2, record_every=7))
+    assert tr.steps == 20
+    # the plateau holds sup|U| = K* = 1.2 to roundoff; the guard is 10 K*
+    assert tr.guard_margin == pytest.approx(9.0 * base_params.kstar,
+                                            rel=1e-14)
+
+
+def _nan_forcing(column):
+    """Forcing that puts NaN into one column once t > 0.05.  The packed
+    complex substitution lets it reach the other column through 0 * NaN;
+    the guard must report it either way."""
+    def forcing(xi, t):
+        out = np.zeros((len(xi), 2))
+        out[:, column] = math.nan if t > 0.05 else 0.0
+        return out
+    return forcing
 
 
 def _plateau(p):
@@ -185,15 +205,22 @@ def _plateau(p):
                    boundary_right=StateVec(p.kstar, 1.0))
 
 
-def test_nonfinite_state_is_a_blowup(base_params):
+@pytest.mark.parametrize("column", [0, 1], ids=["u", "v"])
+@pytest.mark.parametrize("c", [0.0, C])
+def test_nonfinite_state_is_a_blowup(base_params, c, column):
+    """Both routes: the packed solve at c != 0 and dpttrs on separate
+    columns at c = 0, where the guard alone must see a NaN in one column."""
     init = _plateau(base_params)
     cfg = SimConfig(dt=0.01, t_end=1.0)
+    forcing = _nan_forcing(column)
     with pytest.raises(BlowUpError, match="sup\\|U\\| is not finite"):
-        run_simulation(base_params, C, init, cfg, forcing=_nan_forcing)
-    tr = run_simulation(base_params, C, init, cfg, forcing=_nan_forcing,
+        run_simulation(base_params, c, init, cfg, forcing=forcing)
+    tr = run_simulation(base_params, c, init, cfg, forcing=forcing,
                         on_blowup="stop")
     assert tr.blew_up
     assert list(tr.times) == [0.0]
+    assert tr.steps == 7                  # the forcing turns NaN at t = 0.06
+    assert math.isnan(tr.guard_margin)
 
 
 def _reference_steps(p, c, init, dt, nsteps):
@@ -239,12 +266,17 @@ def test_step_matches_explicit_form(base_params, c, nsteps):
 
 
 def test_one_solve_and_one_reaction_per_step(base_params, monkeypatch):
+    """One in-place substitution and one reaction call per step, on both
+    routes."""
     counts = {"solve_banded": 0, "reaction": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            if name == "solve_banded":
+                assert np.shares_memory(out, args[1])
+            return out
         return wrapper
 
     monkeypatch.setattr(pggwave.dynamics, "solve_banded",
@@ -252,11 +284,13 @@ def test_one_solve_and_one_reaction_per_step(base_params, monkeypatch):
     monkeypatch.setattr(pggwave.dynamics, "reaction",
                         counted("reaction", pggwave.dynamics.reaction))
     nsteps = 7
-    tr = run_simulation(base_params, C, _plateau(base_params),
-                        SimConfig(dt=0.01, t_end=nsteps * 0.01,
-                                  record_every=3))
-    assert not tr.blew_up
-    assert counts == {"solve_banded": nsteps, "reaction": nsteps}
+    for runs, c in enumerate((0.0, C), start=1):
+        tr = run_simulation(base_params, c, _plateau(base_params),
+                            SimConfig(dt=0.01, t_end=nsteps * 0.01,
+                                      record_every=3))
+        assert not tr.blew_up
+        assert counts == {"solve_banded": runs * nsteps,
+                          "reaction": runs * nsteps}
 
 
 def _refactorised_steps(p, c, init, dt, nsteps):
@@ -282,7 +316,7 @@ def _refactorised_steps(p, c, init, dt, nsteps):
 
 @pytest.mark.parametrize("c, rel", [(C, 0.0), (0.0, 1e-13)])
 def test_factored_step_matches_refactorised(base_params, c, rel):
-    """Moving frame: dgttrf/dgttrs is gtsv's arithmetic, so bit-identical;
+    """Moving frame: zgttrs on u + i v is gtsv's arithmetic, so bit-identical;
     lab frame: L D L^T differs from gtsv's LU only in roundoff."""
     init = _tanh_front(c)
     dt, nsteps = 0.01, 40
@@ -294,10 +328,45 @@ def test_factored_step_matches_refactorised(base_params, c, rel):
     assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("c, route", [(0.0, "dpttrf"), (C, "dgttrf")])
+def _assert_packed_matches_real(dl, d, du, rhs):
+    *real, info = dgttrf(dl, d, du)
+    *packed, infoc = zgttrf(dl.astype(complex), d.astype(complex),
+                            du.astype(complex))
+    assert info == infoc == 0
+    assert np.array_equal(packed[-1], real[-1])          # pivots
+    for r, z in zip(real[:-1], packed[:-1]):
+        assert np.array_equal(z.real, r) and not np.any(z.imag)
+    x = dgttrs(*real, np.asfortranarray(rhs))[0]
+    b = np.ascontiguousarray(rhs)
+    z = zgttrs(*packed, b.view(complex), overwrite_b=True)[0]
+    assert np.shares_memory(z, b)                         # packed in place
+    assert x.tobytes() == b.tobytes()
+    return real[-1]
+
+
+def test_packed_complex_substitution_is_bit_identical():
+    """zgttrf/zgttrs on u + i v reproduce dgttrf/dgttrs on [u v] bit for
+    bit, pivots included, on pivoting random tridiagonals and on the step
+    matrix."""
+    rng = np.random.default_rng(20261018)
+    pivoted = 0
+    for _ in range(50):
+        n = int(rng.integers(3, 80))
+        ipiv = _assert_packed_matches_real(
+            rng.standard_normal(n - 1), 0.3 * rng.standard_normal(n),
+            rng.standard_normal(n - 1), rng.standard_normal((n, 2)))
+        pivoted += not np.array_equal(ipiv, np.arange(1, n + 1))
+    assert pivoted >= 40
+    g = make_grid(40.0, 3999)
+    ab = stencil_bands(g, C, -0.005, 1.0)
+    _assert_packed_matches_real(ab[2, :-1], ab[1], ab[0, 1:],
+                                rng.uniform(0.0, 1.2, (g.n, 2)))
+
+
+@pytest.mark.parametrize("c, route", [(0.0, "dpttrf"), (C, "zgttrf")])
 def test_step_matrix_factored_once_per_run(base_params, monkeypatch, c,
                                            route):
-    counts = {"dpttrf": 0, "dgttrf": 0}
+    counts = {"dpttrf": 0, "zgttrf": 0}
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(pggwave.dynamics, name)):
             counts[_name] += 1
@@ -305,12 +374,12 @@ def test_step_matrix_factored_once_per_run(base_params, monkeypatch, c,
         monkeypatch.setattr(pggwave.dynamics, name, counted)
     cfg = SimConfig(dt=0.01, t_end=0.2, record_every=5)
     run_simulation(base_params, c, _tanh_front(c), cfg)
-    assert counts == {"dpttrf": 0, "dgttrf": 0, route: 1}
+    assert counts == {"dpttrf": 0, "zgttrf": 0, route: 1}
     run_simulation(base_params, c, _tanh_front(c), cfg)
     assert counts[route] == 2
 
 
-@pytest.mark.parametrize("c, route", [(0.0, "dpttrf"), (C, "dgttrf")])
+@pytest.mark.parametrize("c, route", [(0.0, "dpttrf"), (C, "zgttrf")])
 def test_failed_factorisation_is_a_grid_error(base_params, monkeypatch, c,
                                               route):
     lapack = getattr(pggwave.dynamics, route)

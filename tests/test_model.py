@@ -96,5 +96,15 @@ def test_vectorized_shapes(base_params):
     p = base_params
     u = np.linspace(0, p.kstar, 11)
     v = np.linspace(0, 1, 11)
-    assert reaction(p, StateVec(u, v)).shape == (2, 11)
+    f = reaction(p, StateVec(u, v))
+    assert f.shape == (2, 11)
     assert jacobian(p, StateVec(u, v)).shape == (2, 2, 11)
+    # out=: a (2, n) buffer, and the strided transpose of a C-order (n, 2)
+    # buffer whose columns are the inputs, as in the time step
+    out = np.full((2, 11), np.nan)
+    assert reaction(p, StateVec(u, v), out=out) is out
+    state = np.ascontiguousarray(np.stack([u, v], axis=1))
+    buf = np.full((11, 2), np.nan)
+    reaction(p, StateVec(state[:, 0], state[:, 1]), out=buf.T)
+    for got in (out, buf.T):
+        assert got.tobytes() == f.tobytes()
