@@ -16,32 +16,38 @@ one tridiagonal solve for both components and no explicit stencil product;
 the Dirichlet ghosts of T are two row updates of the right-hand side.
 
 A is the same matrix at every step, so ``factor_banded`` factors it once per
-run and each step is one LAPACK substitution with the stored factors.  The
-bands choose the route, and the route chooses the memory order of the
-(n, 2) state:
+run and each step is one LAPACK substitution with the stored factors, on
+the two columns of an F-order (n, 2) state, at every speed:
 
-- c != 0: zgttrf factors the complex-cast bands (partial pivoting, and
-  cabs1 of a real number is its magnitude, so the pivots are dgttrf's), and
-  zgttrs substitutes the packed column u + i v, which is the C-order state
-  viewed as complex without a copy.  On a zero imaginary part every complex
-  operation reduces to the real one, so the result is bit for bit that of
-  dgttrs on [u v] and of scipy's ``solve_banded`` through gtsv, while one
-  loop runs both substitutions and hides the latency of their divisions.
-  This is no change of variables and does no scaling.  Packing couples the
-  columns only through 0 * NaN: a NaN in one spreads to both.
 - c = 0: lo == hi, A is symmetric positive definite, and dpttrf/dpttrs
-  (L D L^T) substitute the two columns of an F-order state.  zpttrs is
-  slower there.
+  (L D L^T) factor and substitute A itself.  Nothing is scaled.
+- c != 0: for every c h/2 < 1, A is a strictly diagonally dominant
+  tridiagonal M-matrix, and the diagonal similarity A = S B S^-1 with
+  s_{i+1}/s_i = rho = sqrt(lower/upper) makes B symmetric: its
+  off-diagonal sqrt(lower*upper) is at most the mean of |lower| and
+  |upper|, so B is strictly diagonally dominant too, and positive
+  definite.  dpttrf factors B.
+  The step evolves Y = S^-1 U, so the update reads Y' = B^-1 (2Y + S^-1 g)
+  - Y with scalar Adams-Bashforth weights; a step costs two extra passes,
+  F <- S^-1 F after the reaction and U <- S Y after the solve, with full
+  (n, 2) scale arrays.  S is built by repeated multiplication outward
+  from the middle node (s = 1 there), so each neighbour ratio is rho to
+  one rounding; a scale from exp or powers carries an error that grows
+  with |log s|.  The componentwise backward error of the scaled solve is
+  that of a direct solve, below 1.3 eps on the step matrices tested.  The
+  float64 range bounds max|log s_i| (about c L/2) by
+  ``SCALE_LOG_BOUND``; a grid past it raises GridError before any step is
+  taken, as does a nonzero pivot report.
 
-A nonzero pivot report raises GridError before any step is taken.  The
-substitution is the module-level ``solve_banded(factors, rhs)``, the name
-under which perfbench's tracer counts banded solves; it makes no finiteness
-check, a non-finite value anywhere in the right-hand side spreads through
-the whole solve, and the blow-up guard after every step reports it.  The
-state, the two alternating reaction buffers, the right-hand side and one
-temporary are allocated once per run in the route's order, and a step
-writes into them with in-place ufuncs in the arithmetic order of the
-formula above; ``reaction`` writes into the transpose of its buffer.
+The substitution is the module-level ``solve_banded(factors, rhs)``, the
+name under which perfbench's tracer counts banded solves; it makes no
+finiteness check, a non-finite value in a column spreads through that
+column's solve, and the blow-up guard after every step reports it.  The
+state (and at c != 0 the scaled state), the two alternating reaction
+buffers, the right-hand side and one temporary are allocated once per run,
+and a step writes into them with in-place ufuncs in the arithmetic order
+of the formula above; ``reaction`` writes the contiguous rows of its
+buffer's transpose.
 
 Three experiments reproduce the front's dynamic signature: decay of small
 weighted perturbations, sup-norm growth of bounded-but-weighted-large left
@@ -54,7 +60,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs, zgttrf, zgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (BlowUpError, FrontNotFoundError, GridError, NormError,
                      ParameterError)
@@ -84,6 +90,11 @@ LEFT_TAIL_WIDTH = 2.0   # smoothing width of the left-tail perturbation
 DECAY_FIT_START = 5.0   # start of the stability run's decay fit
 SEED_HEIGHT = 0.1       # the spreading run's defector seed
 SEED_HALFWIDTH = 5.0
+# largest max|log s_i| of the step matrix's symmetrising scale: a state
+# below the blow-up guard (10 max(K*, 1), O(10)) then stays below ~5e261
+# when scaled, far from float64's overflow at e^709.8, and values down to
+# e^-108 (~1e-47) stay normal (above e^-708) when scaled by e^-600
+SCALE_LOG_BOUND = 600.0
 
 
 @dataclass(frozen=True)
@@ -99,6 +110,12 @@ class SimConfig:
             raise ParameterError("dt above 0.1 loses reaction accuracy")
         if self.t_end <= 0:
             raise ParameterError("t_end must be positive")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ParameterError(
+                f"t_end = {self.t_end:g} is not a multiple of dt = "
+                f"{self.dt:g}: the run would stop at "
+                f"t = {round(steps) * self.dt:g}")
         if self.record_every < 1:
             raise ParameterError("record_every must be at least 1")
 
@@ -147,43 +164,53 @@ def front_position(g: Grid, v: np.ndarray) -> float:
     return float(x0 + (FRONT_LEVEL - v[i]) * (x1 - x0) / (v[i + 1] - v[i]))
 
 
-def factor_banded(ab: np.ndarray) -> tuple:
-    """Factor the tridiagonal matrix with LAPACK (1, 1) bands ``ab`` once.
+def factor_banded(ab: np.ndarray) -> tuple[tuple, np.ndarray | None]:
+    """Factor the tridiagonal matrix A with LAPACK (1, 1) bands ``ab`` once.
 
-    Returns the (substitution routine, factors, state order) triple
-    ``solve_banded`` takes.  Symmetric bands give L D L^T from dpttrf (the
-    matrix must then be positive definite) and an "F"-order state.  Other
-    bands give zgttrf's pivoted LU of the complex-cast bands and a "C"-order
-    state, whose two columns ``solve_banded`` substitutes as one packed
-    complex column.  A nonzero LAPACK ``info`` raises GridError naming the
-    failed pivot.
+    Returns ``(factors, scale)``: dpttrf's L D L^T factors of a symmetric
+    positive definite B, and the scale s of A = S B S^-1, so that
+    A^-1 r = S B^-1 S^-1 r.  Symmetric bands are factored as they are and
+    ``scale`` is None.  Otherwise the off-diagonals must share one sign, s
+    is 1 at the middle node and s_{i+1} = s_i rho_i, rho_i =
+    sqrt(lower_i / upper_i), by cumulative products outward, and B keeps
+    A's diagonal and takes the off-diagonal sqrt(lower_i upper_i), rounded
+    once.  (upper_i rho_i instead carries rho's rounding into a systematic
+    perturbation of the stencil, which at the base configuration raised
+    the stability run's weighted-norm floor 2.3-fold.)  GridError is
+    raised when max|log s_i| exceeds ``SCALE_LOG_BOUND`` or when dpttrf
+    reports a nonzero ``info``, naming the failed pivot.
     """
     upper, diag, lower = ab[0, 1:], ab[1], ab[2, :-1]
-    if np.array_equal(upper, lower):
-        *factors, info = dpttrf(diag, upper)
-        solve, order = dpttrs, "F"
-    else:
-        *factors, info = zgttrf(lower.astype(complex), diag.astype(complex),
-                                upper.astype(complex))
-        solve, order = zgttrs, "C"
+    scale = None
+    if not np.array_equal(upper, lower):
+        rho = np.sqrt(lower / upper)
+        m = len(diag) // 2
+        # an upper bound on max|log s_i|, exact when log rho keeps one sign
+        span = np.abs(np.log(rho))
+        reach = max(float(np.sum(span[:m])), float(np.sum(span[m:])))
+        if not reach <= SCALE_LOG_BOUND:
+            raise GridError(
+                f"the step matrix's symmetrising scale spans e^{reach:.4g}, "
+                f"beyond e^{SCALE_LOG_BOUND:g}: shorten the domain or "
+                "lower the speed")
+        scale = np.ones(len(diag))
+        scale[m + 1:] = np.cumprod(rho[m:])
+        scale[:m] = np.cumprod(1.0 / rho[:m][::-1])[::-1]
+        upper = np.copysign(np.sqrt(lower * upper), upper)
+    *factors, info = dpttrf(diag, upper)
     if info != 0:
         raise GridError(f"factorising the step matrix failed at pivot {info}")
-    return solve, tuple(factors), order
+    return tuple(factors), scale
 
 
 def solve_banded(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    """A^-1 rhs from the factors of ``factor_banded``: one substitution, no
-    checks.
+    """B^-1 rhs from the factors of ``factor_banded``: one dpttrs
+    substitution, no checks.
 
-    ``rhs`` is an (n, 2) float array, overwritten when it is in the factors'
-    state order; in "C" order it is viewed, without a copy, as the complex
-    column u + i v.
+    ``rhs`` is an (n, 2) float array, overwritten when it is in F order;
+    applying the scale is the caller's part.
     """
-    solve, arrays, order = factors
-    if order == "C":
-        packed = solve(*arrays, rhs.view(complex), overwrite_b=True)[0]
-        return packed.view(float)
-    return solve(*arrays, rhs, overwrite_b=True)[0]
+    return dpttrs(*factors, rhs, overwrite_b=True)[0]
 
 
 def run_simulation(p: ModelParams, frame_speed: float, initial: Profile,
@@ -210,19 +237,31 @@ def run_simulation(p: ModelParams, frame_speed: float, initial: Profile,
     dr = np.array(initial.boundary_right, dtype=float)
     ref = reference.samples() if reference is not None else None
 
-    # Crank-Nicolson on T: implicit matrix A = I - dt/2 T, factored once;
-    # Dirichlet data held
-    factors = factor_banded(stencil_bands(g, frame_speed, -dt / 2.0, 1.0))
+    # Crank-Nicolson on T: implicit matrix A = I - dt/2 T = S B S^-1,
+    # factored once; Dirichlet data held
+    factors, scale = factor_banded(
+        stencil_bands(g, frame_speed, -dt / 2.0, 1.0))
     ghosts = dt * boundary_vector(g, frame_speed, dl, dr)
 
     guard = 10.0 * max(p.kstar, 1.0)
     nsteps = int(round(cfg.t_end / dt))
-    # every per-step array, allocated once in the order the substitution
-    # reads: the state, two alternating reaction buffers, the right-hand
-    # side and one temporary
-    U, F, F_prev, rhs, tmp = (np.empty((g.n, 2), order=factors[2])
+    # every per-step array, allocated once in the F order dpttrs reads: the
+    # state, two alternating reaction buffers, the right-hand side and one
+    # temporary
+    U, F, F_prev, rhs, tmp = (np.empty((g.n, 2), order="F")
                               for _ in range(5))
     U[...] = initial.samples()
+    # the step evolves Y = S^-1 U, the state B's solve works in, so the
+    # Adams-Bashforth weights stay scalars; at c = 0 Y is U itself and
+    # nothing is scaled
+    if scale is None:
+        Y = U
+    else:
+        S = np.asfortranarray(np.column_stack((scale, scale)))
+        S_inv = 1.0 / S
+        Y = U * S_inv
+        ghosts[0] *= S_inv[0]
+        ghosts[-1] *= S_inv[-1]
     peak = float(np.max(np.abs(U)))     # largest sup|U| the guard has seen
     times, wnorms, snorms, fronts = [], [], [], []
     blew_up = False
@@ -241,16 +280,20 @@ def run_simulation(p: ModelParams, frame_speed: float, initial: Profile,
         reaction(p, StateVec(U[:, 0], U[:, 1]), out=F.T)
         if forcing is not None:
             F += forcing(g.nodes, t)
+        if scale is not None:
+            F *= S_inv
         if mstep == 0:
             np.multiply(F, dt, out=rhs)
         else:
             np.multiply(F, 1.5 * dt, out=rhs)
             rhs -= np.multiply(F_prev, 0.5 * dt, out=tmp)
         F, F_prev = F_prev, F
-        rhs += np.multiply(U, 2.0, out=tmp)
+        rhs += np.multiply(Y, 2.0, out=tmp)
         rhs[0] += ghosts[0]
         rhs[-1] += ghosts[-1]
-        np.subtract(solve_banded(factors, rhs), U, out=U)
+        np.subtract(solve_banded(factors, rhs), Y, out=Y)
+        if scale is not None:
+            np.multiply(Y, S, out=U)
         steps += 1
         supU = float(np.abs(U, out=tmp).max())     # NaN propagates
         if not supU <= peak:                       # so does the peak
@@ -307,7 +350,8 @@ def perturb(base: Profile, kind: str, amplitude: float) -> Profile:
     )
 
 
-def fit_decay_constant(tr: Trace, t_start: float = 5.0) -> tuple[float, float]:
+def fit_decay_constant(tr: Trace, t_start: float = DECAY_FIT_START
+                       ) -> tuple[float, float]:
     """Fit weighted_norm ~ M e^{-b t} on [t_start, t_end]; returns (M, b)."""
     mask = tr.times >= t_start
     y = tr.weighted_norms[mask]

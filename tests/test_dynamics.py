@@ -3,15 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgttrf, dgttrs, zgttrf, zgttrs
+from scipy.linalg import solve_banded, solveh_banded
 
 import pggwave.dynamics
 from pggwave import (Profile, SimConfig, StateVec, Trace, WeightPair,
                      fit_decay_constant, instability_experiment, make_grid,
                      perturb, run_simulation, spreading_experiment,
                      spreading_speed, stability_experiment, weighted_norm)
-from pggwave.dynamics import front_position, trace_to_csv
+from pggwave.dynamics import (SCALE_LOG_BOUND, factor_banded, front_position,
+                              trace_to_csv)
 from pggwave.errors import (BlowUpError, FrontNotFoundError, GridError,
                             NormError, ParameterError)
 from pggwave.grid import (apply_advection_diffusion, boundary_vector,
@@ -30,6 +30,10 @@ def test_sim_config_validation():
         SimConfig(dt=0.01, t_end=-1.0)
     with pytest.raises(ParameterError):
         SimConfig(record_every=0)
+    # 0.1 / 0.03 steps would round to 3 and stop at t = 0.09
+    with pytest.raises(ParameterError, match="not a multiple of dt"):
+        SimConfig(dt=0.03, t_end=0.1)
+    assert SimConfig(dt=0.1, t_end=0.3).t_end == 0.3   # 2.9999999999999996
 
 
 # --- weighted norm ---
@@ -188,9 +192,9 @@ def test_trace_reports_steps_and_guard_margin(base_params):
 
 
 def _nan_forcing(column):
-    """Forcing that puts NaN into one column once t > 0.05.  The packed
-    complex substitution lets it reach the other column through 0 * NaN;
-    the guard must report it either way."""
+    """Forcing that puts NaN into one column once t > 0.05.  Each column is
+    substituted on its own at every speed, so the NaN stays in its column
+    and the guard alone must report it."""
     def forcing(xi, t):
         out = np.zeros((len(xi), 2))
         out[:, column] = math.nan if t > 0.05 else 0.0
@@ -208,8 +212,8 @@ def _plateau(p):
 @pytest.mark.parametrize("column", [0, 1], ids=["u", "v"])
 @pytest.mark.parametrize("c", [0.0, C])
 def test_nonfinite_state_is_a_blowup(base_params, c, column):
-    """Both routes: the packed solve at c != 0 and dpttrs on separate
-    columns at c = 0, where the guard alone must see a NaN in one column."""
+    """With and without the symmetrising scale, a NaN in one column is a
+    blow-up."""
     init = _plateau(base_params)
     cfg = SimConfig(dt=0.01, t_end=1.0)
     forcing = _nan_forcing(column)
@@ -266,8 +270,8 @@ def test_step_matches_explicit_form(base_params, c, nsteps):
 
 
 def test_one_solve_and_one_reaction_per_step(base_params, monkeypatch):
-    """One in-place substitution and one reaction call per step, on both
-    routes."""
+    """One in-place substitution and one reaction call per step, with and
+    without the symmetrising scale."""
     counts = {"solve_banded": 0, "reaction": 0}
 
     def counted(name, fn):
@@ -293,9 +297,53 @@ def test_one_solve_and_one_reaction_per_step(base_params, monkeypatch):
                           "reaction": runs * nsteps}
 
 
+def _symmetrised(ab):
+    """B = S^-1 A S in solveh_banded's 2-row upper form and the scale s,
+    built as ``factor_banded`` documents: s = 1 at the middle node and
+    cumulative products of rho outward; s = 1 everywhere for symmetric
+    bands, where scaling by it is exact."""
+    upper, diag, lower = ab[0, 1:], ab[1], ab[2, :-1]
+    s = np.ones(len(diag))
+    if np.array_equal(upper, lower):
+        return np.array([ab[0], diag]), s
+    rho = np.sqrt(lower / upper)
+    m = len(diag) // 2
+    s[m + 1:] = np.cumprod(rho[m:])
+    s[:m] = np.cumprod(1.0 / rho[:m][::-1])[::-1]
+    sym = np.zeros((2, len(diag)))
+    sym[0, 1:] = -np.sqrt(lower * upper)
+    sym[1] = diag
+    return sym, s
+
+
 def _refactorised_steps(p, c, init, dt, nsteps):
+    """The reflected step Y' = B^-1 (2Y + S^-1 g) - Y, U = S Y, with scipy's
+    solveh_banded, which refactorises B on every call (LAPACK ptsv)."""
+    g = init.grid
+    sym, s = _symmetrised(stencil_bands(g, c, -dt / 2.0, 1.0))
+    S = np.column_stack((s, s))
+    S_inv = 1.0 / S
+    ghosts = dt * boundary_vector(g, c, init.boundary_left,
+                                  init.boundary_right) * S_inv
+    U = init.samples()
+    Y = U * S_inv
+    F_prev = None
+    for _ in range(nsteps):
+        F = reaction(p, StateVec(U[:, 0], U[:, 1])).T * S_inv
+        rhs = (dt * F if F_prev is None
+               else (1.5 * dt) * F - (0.5 * dt) * F_prev)
+        F_prev = F
+        rhs += 2.0 * Y
+        rhs[0] += ghosts[0]
+        rhs[-1] += ghosts[-1]
+        Y = solveh_banded(sym, rhs) - Y
+        U = Y * S
+    return U
+
+
+def _gtsv_steps(p, c, init, dt, nsteps):
     """The reflected step U' = A^-1 (2U + g) - U with scipy's solve_banded,
-    which refactorises A on every call."""
+    a pivoted LU of the unscaled A on every call (LAPACK gtsv)."""
     g = init.grid
     ab = stencil_bands(g, c, -dt / 2.0, 1.0)
     ghosts = dt * boundary_vector(g, c, init.boundary_left,
@@ -314,72 +362,74 @@ def _refactorised_steps(p, c, init, dt, nsteps):
     return U
 
 
-@pytest.mark.parametrize("c, rel", [(C, 0.0), (0.0, 1e-13)])
+@pytest.mark.parametrize("c, rel", [(C, 0.0), (0.0, 0.0), (C, 1e-13),
+                                    (0.0, 1e-13)])
 def test_factored_step_matches_refactorised(base_params, c, rel):
-    """Moving frame: zgttrs on u + i v is gtsv's arithmetic, so bit-identical;
-    lab frame: L D L^T differs from gtsv's LU only in roundoff."""
+    """rel = 0: refactorising the same (symmetrised) system every step is
+    dpttrf + dpttrs arithmetic, so bit-identical.  rel = 1e-13: against
+    an independent LU of the unscaled A, equal up to roundoff."""
     init = _tanh_front(c)
     dt, nsteps = 0.01, 40
     tr = run_simulation(base_params, c, init,
                         SimConfig(dt=dt, t_end=nsteps * dt, record_every=10))
-    ref = _refactorised_steps(base_params, c, init, dt, nsteps)
+    steps = _refactorised_steps if rel == 0.0 else _gtsv_steps
+    ref = steps(base_params, c, init, dt, nsteps)
     got = tr.final_state.samples()
     assert np.max(np.abs(got - init.samples())) > 1e-3
     assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
 
 
-def _assert_packed_matches_real(dl, d, du, rhs):
-    *real, info = dgttrf(dl, d, du)
-    *packed, infoc = zgttrf(dl.astype(complex), d.astype(complex),
-                            du.astype(complex))
-    assert info == infoc == 0
-    assert np.array_equal(packed[-1], real[-1])          # pivots
-    for r, z in zip(real[:-1], packed[:-1]):
-        assert np.array_equal(z.real, r) and not np.any(z.imag)
-    x = dgttrs(*real, np.asfortranarray(rhs))[0]
-    b = np.ascontiguousarray(rhs)
-    z = zgttrs(*packed, b.view(complex), overwrite_b=True)[0]
-    assert np.shares_memory(z, b)                         # packed in place
-    assert x.tobytes() == b.tobytes()
-    return real[-1]
-
-
-def test_packed_complex_substitution_is_bit_identical():
-    """zgttrf/zgttrs on u + i v reproduce dgttrf/dgttrs on [u v] bit for
-    bit, pivots included, on pivoting random tridiagonals and on the step
-    matrix."""
+@pytest.mark.parametrize("L, n, c", [(40.0, 3999, C), (80.0, 7999, 1.0),
+                                     (150.0, 5999, 2.0), (10.0, 19, 1.9)])
+def test_scaled_solve_backward_error(L, n, c):
+    """x = S B^-1 S^-1 b, scaled as the step scales, solves A x = b with a
+    componentwise (Oettli-Prager) backward error
+    max_i |b - A x|_i / (|A| |x| + |b|)_i below 4 eps, the residual formed
+    in long double, over right-hand sides spanning e^-20..1."""
+    g = make_grid(L, n)
+    ab = stencil_bands(g, c, -0.005, 1.0)
+    factors, s = factor_banded(ab)
+    S = np.column_stack((s, s))
+    S_inv = 1.0 / S
+    upper, diag, lower = (np.asarray(ab[i], dtype=np.longdouble)[:, None]
+                          for i in range(3))
     rng = np.random.default_rng(20261018)
-    pivoted = 0
-    for _ in range(50):
-        n = int(rng.integers(3, 80))
-        ipiv = _assert_packed_matches_real(
-            rng.standard_normal(n - 1), 0.3 * rng.standard_normal(n),
-            rng.standard_normal(n - 1), rng.standard_normal((n, 2)))
-        pivoted += not np.array_equal(ipiv, np.arange(1, n + 1))
-    assert pivoted >= 40
-    g = make_grid(40.0, 3999)
-    ab = stencil_bands(g, C, -0.005, 1.0)
-    _assert_packed_matches_real(ab[2, :-1], ab[1], ab[0, 1:],
-                                rng.uniform(0.0, 1.2, (g.n, 2)))
+    worst = 0.0
+    for _ in range(20):
+        b = np.exp(rng.uniform(-20.0, 0.0, (n, 2)))
+        x = pggwave.dynamics.solve_banded(
+            factors, np.multiply(b, S_inv, order="F")) * S
+        xl = x.astype(np.longdouble)
+        Ax = diag * xl
+        Ax[:-1] += upper[1:] * xl[1:]
+        Ax[1:] += lower[:-1] * xl[:-1]
+        absAx = abs(diag) * abs(xl)
+        absAx[:-1] += abs(upper[1:]) * abs(xl[1:])
+        absAx[1:] += abs(lower[:-1]) * abs(xl[:-1])
+        omega = np.max(abs(b - Ax) / (absAx + b))
+        worst = max(worst, float(omega))
+    assert worst <= 4.0 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("c, route", [(0.0, "dpttrf"), (C, "zgttrf")])
+@pytest.mark.parametrize("c, route", [(0.0, "dpttrf"), (C, "dpttrf")])
 def test_step_matrix_factored_once_per_run(base_params, monkeypatch, c,
                                            route):
-    counts = {"dpttrf": 0, "zgttrf": 0}
-    for name in counts:
-        def counted(*args, _name=name, _fn=getattr(pggwave.dynamics, name)):
-            counts[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(pggwave.dynamics, name, counted)
+    counts = {route: 0}
+    lapack = getattr(pggwave.dynamics, route)
+
+    def counted(*args):
+        counts[route] += 1
+        return lapack(*args)
+
+    monkeypatch.setattr(pggwave.dynamics, route, counted)
     cfg = SimConfig(dt=0.01, t_end=0.2, record_every=5)
     run_simulation(base_params, c, _tanh_front(c), cfg)
-    assert counts == {"dpttrf": 0, "zgttrf": 0, route: 1}
+    assert counts[route] == 1
     run_simulation(base_params, c, _tanh_front(c), cfg)
     assert counts[route] == 2
 
 
-@pytest.mark.parametrize("c, route", [(0.0, "dpttrf"), (C, "zgttrf")])
+@pytest.mark.parametrize("c, route", [(0.0, "dpttrf"), (C, "dpttrf")])
 def test_failed_factorisation_is_a_grid_error(base_params, monkeypatch, c,
                                               route):
     lapack = getattr(pggwave.dynamics, route)
@@ -391,6 +441,33 @@ def test_failed_factorisation_is_a_grid_error(base_params, monkeypatch, c,
     with pytest.raises(GridError, match="pivot 3"):
         run_simulation(base_params, c, _tanh_front(c),
                        SimConfig(dt=0.01, t_end=0.1))
+    assert reactions == []
+
+
+def _coarse_plateau(p, L, c):
+    """The (K*, 1) plateau on a grid of spacing h = 1."""
+    g = make_grid(L, int(2 * L) - 1)
+    return Profile(grid=g, u=np.full(g.n, p.kstar), v=np.ones(g.n), c=c,
+                   boundary_left=StateVec(p.kstar, 1.0),
+                   boundary_right=StateVec(p.kstar, 1.0))
+
+
+def test_scale_range_guard(base_params, monkeypatch):
+    """At c = 1.9, h = 1 the scale spans e^{1.83 (n-1)/2}: n = 657 is past
+    SCALE_LOG_BOUND and raises before any reaction call; n = 655, just
+    inside, keeps the plateau to roundoff."""
+    assert SCALE_LOG_BOUND == 600.0
+    cfg = SimConfig(dt=0.01, t_end=0.5)
+    inside = _coarse_plateau(base_params, 328.0, 1.9)
+    tr = run_simulation(base_params, 1.9, inside, cfg, reference=inside)
+    assert tr.steps == 50
+    assert np.max(tr.sup_norms) < 1e-12
+    reactions = []
+    monkeypatch.setattr(pggwave.dynamics, "reaction",
+                        lambda *args, **kwargs: reactions.append(args))
+    with pytest.raises(GridError, match="symmetrising scale"):
+        run_simulation(base_params, 1.9,
+                       _coarse_plateau(base_params, 329.0, 1.9), cfg)
     assert reactions == []
 
 
