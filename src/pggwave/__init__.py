@@ -3,7 +3,8 @@
 Library surface, one module per concern:
 
 - ``model``     rescaled constants, reaction terms, Jacobian, coordinate maps
-- ``grid``      uniform grid, the one stencil (explicit and banded), the
+- ``grid``      uniform grid, profiles as knot arrays (Dirichlet data in
+                the end rows), the one stencil (explicit and banded), the
                 linearization's bands, the sweep-Newton loop of both front
                 solves, phase translation, profile I/O
 - ``kpp``       scalar front solves seeding the bounds

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ParameterError, ShiftNotFoundError, VerificationError
 from .grid import Grid, Profile, residual, write_csv
 from .kpp import ScalarProfile, lower_nonlinearity, solve_kpp, upper_nonlinearity
-from .model import ModelParams, StateVec
+from .model import ModelParams
 
 __all__ = [
     "BoundPair",
@@ -65,34 +65,18 @@ def default_l(p: ModelParams) -> float:
 
 
 def build_upper(p: ModelParams, s: ScalarProfile) -> Profile:
-    """Componentwise (K* w, w) on the scalar front's grid.
-
-    Boundary data scale the scalar front's own data, so the right end is
-    exactly (K*, 1) and the left end is the scalar's tiny pinned datum.
-    """
-    return Profile(
-        grid=s.grid,
-        u=p.kstar * s.w,
-        v=s.w.copy(),
-        c=s.c,
-        boundary_left=StateVec(p.kstar * s.boundary_left, s.boundary_left),
-        boundary_right=StateVec(p.kstar * s.boundary_right, s.boundary_right),
-    )
+    """Componentwise (K* w, w) at the scalar front's knots: the right end is
+    exactly (K*, 1) and the left end is the scalar's tiny pinned datum."""
+    return Profile(s.grid, np.column_stack((p.kstar * s.knots, s.knots)), s.c)
 
 
 def build_lower(p: ModelParams, l: float, s: ScalarProfile) -> Profile:
-    """Componentwise (K* l w, w); right boundary strictly below (K*, 1)."""
+    """Componentwise (K* l w, w); right end strictly below (K*, 1)."""
     lmax = 1.0 - p.k + p.k * p.alpha
     if not (0.0 < l < lmax):
         raise ParameterError(f"lower-solution parameter l={l} outside (0, {lmax})")
-    return Profile(
-        grid=s.grid,
-        u=p.kstar * l * s.w,
-        v=s.w.copy(),
-        c=s.c,
-        boundary_left=StateVec(p.kstar * l * s.boundary_left, s.boundary_left),
-        boundary_right=StateVec(p.kstar * l * s.boundary_right, s.boundary_right),
-    )
+    return Profile(s.grid, np.column_stack((p.kstar * l * s.knots, s.knots)),
+                   s.c)
 
 
 def verify_bound(p: ModelParams, prof: Profile, c: float, kind: str,
@@ -135,18 +119,10 @@ def shifted_upper_samples(upper: Profile, m: int) -> np.ndarray:
 
     Grid-multiple shifts are exact index shifts (any interpolant through the
     nodes agrees with the samples there); past +L the profile is extended by
-    its right boundary value.
+    its right end knot.
     """
     n = upper.grid.n
-    ext = np.array(upper.boundary_right, dtype=float)
-    out = np.empty((n, 2))
-    S = upper.samples()
-    if m < n:
-        out[: n - m] = S[m:]
-        out[n - m:] = ext
-    else:
-        out[:] = ext
-    return out
+    return upper.knots[np.minimum(np.arange(1, n + 1) + m, n + 1)]
 
 
 def order_shift(upper: Profile, lower: Profile) -> float:

@@ -18,9 +18,9 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import dynamics, kpp, spectrum, wave
 from .config import RunConfig, _coerce, resolve_config, validate_config
-from .errors import (BlowUpError, ConvergenceError, EnvelopeViolationError,
-                     FitWindowError, FrontNotFoundError, ParameterError,
-                     ShiftNotFoundError)
+from .errors import (BlowUpError, ConvergenceError, EmptyWindowError,
+                     EnvelopeViolationError, FitWindowError,
+                     FrontNotFoundError, ParameterError, ShiftNotFoundError)
 from .grid import make_grid, save_profile, write_csv
 from .model import derive_params
 
@@ -142,7 +142,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         win = spectrum.weight_window(p, cfg.c)
         print(f"weight window: sigma1 in [0, {win.sigma1_max:.7f}), "
               f"sigma2 in ({win.sigma2_min:.7f}, {win.sigma2_max:.7f})")
-    except Exception as exc:  # empty at critical speed; still report curves
+    except EmptyWindowError as exc:  # at critical speed; still report curves
         print(f"weight window: {exc}")
     print(f"max Re essential spectrum = {rep.max_re_essential:.17g}")
     return EXIT_OK
@@ -168,14 +168,15 @@ def cmd_eigs(cfg: RunConfig, count: int) -> int:
 
 
 def cmd_stability(cfg: RunConfig) -> int:
-    p, g, bp, prof, _ = _solve_pipeline(cfg)
+    # validate the run before the wave solve, which is most of its cost
+    simcfg = dynamics.SimConfig(dt=cfg.dt, t_end=cfg.t_end)
     w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
-    win = spectrum.weight_window(p, cfg.c)
+    win = spectrum.weight_window(derive_params(cfg.alpha, cfg.k), cfg.c)
     if not win.contains(w):
         print(f"weights ({w.sigma1}, {w.sigma2}) outside the admissible window",
               file=sys.stderr)
         return EXIT_VALIDATION
-    simcfg = dynamics.SimConfig(dt=cfg.dt, t_end=cfg.t_end)
+    p, g, bp, prof, _ = _solve_pipeline(cfg)
     rep = dynamics.stability_experiment(p, cfg.c, prof, w, simcfg)
     out = _outdir(cfg, "stability")
     dynamics.trace_to_csv(rep.pop("trace"), out / "trace.csv")
@@ -187,8 +188,8 @@ def cmd_stability(cfg: RunConfig) -> int:
 
 
 def cmd_instability(cfg: RunConfig) -> int:
-    p, g, bp, prof, _ = _solve_pipeline(cfg)
     simcfg = dynamics.SimConfig(dt=cfg.dt, t_end=min(cfg.t_end, 20.0))
+    p, g, bp, prof, _ = _solve_pipeline(cfg)
     rep = dynamics.instability_experiment(
         p, cfg.c, prof, simcfg, w=spectrum.WeightPair(cfg.sigma1, cfg.sigma2))
     out = _outdir(cfg, "instability")

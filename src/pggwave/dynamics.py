@@ -4,8 +4,8 @@ The integrator is CNAB2, the Crank-Nicolson / Adams-Bashforth IMEX scheme of
 Ascher, Ruuth & Wetton (SIAM J. Numer. Anal. 1995): Crank-Nicolson on the
 linear advection-diffusion part T and second-order Adams-Bashforth
 extrapolation of the reaction, with a single explicit-Euler reaction
-bootstrap step.  Dirichlet ends stay pinned to the initial profile's
-boundary data.
+bootstrap step.  Dirichlet ends stay pinned to the initial profile's end
+knots.
 
 Each step is taken in reflected form.  With A = I - dt/2 T, the explicit
 half is I + dt/2 T = 2I - A, so the update A U' = (2I - A) U + g is
@@ -233,15 +233,14 @@ def run_simulation(p: ModelParams, frame_speed: float, initial: Profile,
     require_m_matrix(g, frame_speed)
     dt = cfg.dt
     wpair = w if w is not None else WeightPair(0.0, 0.0)
-    dl = np.array(initial.boundary_left, dtype=float)
-    dr = np.array(initial.boundary_right, dtype=float)
     ref = reference.samples() if reference is not None else None
 
     # Crank-Nicolson on T: implicit matrix A = I - dt/2 T = S B S^-1,
     # factored once; Dirichlet data held
     factors, scale = factor_banded(
         stencil_bands(g, frame_speed, -dt / 2.0, 1.0))
-    ghosts = dt * boundary_vector(g, frame_speed, dl, dr)
+    ghosts = dt * boundary_vector(g, frame_speed, initial.knots[0],
+                                  initial.knots[-1])
 
     guard = 10.0 * max(p.kstar, 1.0)
     nsteps = int(round(cfg.t_end / dt))
@@ -250,7 +249,7 @@ def run_simulation(p: ModelParams, frame_speed: float, initial: Profile,
     # temporary
     U, F, F_prev, rhs, tmp = (np.empty((g.n, 2), order="F")
                               for _ in range(5))
-    U[...] = initial.samples()
+    U[...] = initial.knots[1:-1]
     # the step evolves Y = S^-1 U, the state B's solve works in, so the
     # Adams-Bashforth weights stay scalars; at c = 0 Y is U itself and
     # nothing is scaled
@@ -308,10 +307,8 @@ def run_simulation(p: ModelParams, frame_speed: float, initial: Profile,
         if (mstep + 1) % cfg.record_every == 0 or mstep + 1 == nsteps:
             record(mstep + 1, U)
 
-    final = Profile(grid=g, u=U[:, 0].copy(), v=U[:, 1].copy(),
-                    c=frame_speed,
-                    boundary_left=StateVec(dl[0], dl[1]),
-                    boundary_right=StateVec(dr[0], dr[1]))
+    final = Profile(g, np.vstack((initial.knots[0], U, initial.knots[-1])),
+                    frame_speed)
     return Trace(times=np.array(times), weighted_norms=np.array(wnorms),
                  sup_norms=np.array(snorms), front_positions=np.array(fronts),
                  blew_up=blew_up, final_state=final, steps=steps,
@@ -323,8 +320,8 @@ def perturb(base: Profile, kind: str, amplitude: float) -> Profile:
 
     "gaussian": amplitude * exp(-xi^2/4), inside every admissible weighted
     space.  "left_tail": amplitude * indicator(xi < -L/2) smoothed over
-    ``LEFT_TAIL_WIDTH`` units - bounded, but weighted-norm large.  Boundary
-    data are perturbed consistently.
+    ``LEFT_TAIL_WIDTH`` units - bounded, but weighted-norm large.  The end
+    knots, the Dirichlet data, are perturbed consistently.
     """
     if amplitude == 0:
         raise ParameterError("perturbation amplitude must be nonzero")
@@ -340,14 +337,9 @@ def perturb(base: Profile, kind: str, amplitude: float) -> Profile:
         br = 0.5 * (1.0 + math.tanh((-3.0 * g.L / 2.0) / scale))
     else:
         raise ParameterError(f"unknown perturbation kind {kind!r}")
-    return replace(
-        base,
-        v=base.v + amplitude * bump,
-        boundary_left=StateVec(base.boundary_left[0],
-                               base.boundary_left[1] + amplitude * bl),
-        boundary_right=StateVec(base.boundary_right[0],
-                                base.boundary_right[1] + amplitude * br),
-    )
+    knots = base.knots.copy()
+    knots[:, 1] += amplitude * np.concatenate(([bl], bump, [br]))
+    return replace(base, knots=knots)
 
 
 def fit_decay_constant(tr: Trace, t_start: float = DECAY_FIT_START
@@ -440,22 +432,21 @@ def spreading_experiment(p: ModelParams, g: Grid, cfg: SimConfig | None = None,
                          t_window: tuple[float, float] = (40.0, 80.0)) -> dict:
     """Lab-frame invasion from a compact defector bump; measures front speed.
 
-    The seed is stated in original variables - cooperators at their
-    equilibrium level everywhere, a smoothed indicator bump of defectors of
-    height ``SEED_HEIGHT`` on [-SEED_HALFWIDTH, SEED_HALFWIDTH] - and mapped through the coordinate transform before evolving.
-    The selected front speed is 2 sqrt(alpha).
+    The seed is stated in original variables at every knot, the Dirichlet
+    ends included - cooperators at their equilibrium level everywhere, a
+    smoothed indicator bump of defectors of height ``SEED_HEIGHT`` on
+    [-SEED_HALFWIDTH, SEED_HALFWIDTH] - and mapped through the coordinate
+    transform before evolving.  The selected front speed is 2 sqrt(alpha).
     """
     if cfg is None:
         cfg = SimConfig(t_end=t_window[1], record_every=50)
     sharp = 0.5
+    xs = g.knots
     bump = SEED_HEIGHT * 0.25 * (
-        (1.0 + np.tanh((g.nodes + SEED_HALFWIDTH) / sharp))
-        * (1.0 + np.tanh((SEED_HALFWIDTH - g.nodes) / sharp)))
-    u0, v0 = to_transformed(p, StateVec(np.full(g.n, p.kstar), bump))
-    bl = to_transformed(p, StateVec(p.kstar, 0.0))
-    initial = Profile(grid=g, u=u0, v=v0, c=0.0,
-                      boundary_left=StateVec(bl[0], bl[1]),
-                      boundary_right=StateVec(bl[0], bl[1]))
+        (1.0 + np.tanh((xs + SEED_HALFWIDTH) / sharp))
+        * (1.0 + np.tanh((SEED_HALFWIDTH - xs) / sharp)))
+    seed = to_transformed(p, StateVec(np.full(g.n + 2, p.kstar), bump))
+    initial = Profile(g, np.column_stack(seed), 0.0)
     tr = run_simulation(p, 0.0, initial, cfg)
     speed = spreading_speed(tr, t_window)
     return {

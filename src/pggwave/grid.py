@@ -1,8 +1,9 @@
 """Uniform truncated grid, second-order difference operators, profile I/O.
 
-Profiles live on the n interior nodes of [-L, L]; the two endpoint values are
-Dirichlet data stored alongside the samples and folded into every difference
-stencil as ghost values at distance h.  All operators are plain centered
+A profile is one array of values at the knots [-L, nodes..., L]: its n
+interior rows are the samples, its two end rows the Dirichlet data, which
+every difference stencil reads as ghost values at distance h and every
+interpolant as its end knots.  All operators are plain centered
 second-order stencils; the one copy of T = d^2/dxi^2 - c d/dxi is here, as
 is the phase translation of profiles.  ``linearization_bands`` is the banded
 Jacobian of ``residual``; the wave's Newton steps and the spectrum use it.
@@ -61,6 +62,11 @@ class Grid:
     h: float
     nodes: np.ndarray
 
+    @property
+    def knots(self) -> np.ndarray:
+        """The nodes with the two Dirichlet ends: [-L, nodes..., L]."""
+        return np.concatenate(([-self.L], self.nodes, [self.L]))
+
 
 def make_grid(L: float, n: int) -> Grid:
     """Uniform grid with n interior nodes on [-L, L], spacing h = 2L/(n+1)."""
@@ -75,25 +81,32 @@ def make_grid(L: float, n: int) -> Grid:
 
 @dataclass(frozen=True)
 class Profile:
-    """Two-component field sampled on a grid, with Dirichlet endpoint data."""
+    """Two-component field at the grid's knots: ``knots`` has shape (n+2, 2),
+    column 0 = u; rows 0 and -1 are the Dirichlet data at -L and +L."""
 
     grid: Grid
-    u: np.ndarray
-    v: np.ndarray
+    knots: np.ndarray
     c: float | None
-    boundary_left: StateVec
-    boundary_right: StateVec
 
     def __post_init__(self):
-        if len(self.u) != self.grid.n or len(self.v) != self.grid.n:
-            raise GridError("sample arrays must match the grid's node count")
+        if np.shape(self.knots) != (self.grid.n + 2, 2):
+            raise GridError("knot array must have shape (n+2, 2) for the "
+                            "grid's n interior nodes")
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.knots[1:-1, 0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.knots[1:-1, 1]
 
     def with_speed(self, c: float) -> "Profile":
         return replace(self, c=c)
 
     def samples(self) -> np.ndarray:
-        """Samples as an (n, 2) array, column 0 = u."""
-        return np.stack([self.u, self.v], axis=1)
+        """A copy of the interior rows, shape (n, 2), column 0 = u."""
+        return self.knots[1:-1].copy()
 
 
 def require_m_matrix(g: Grid, c: float) -> None:
@@ -110,16 +123,14 @@ def stencil_coefficients(g: Grid, c: float) -> tuple[float, float]:
     return 1.0 / h**2 + c / (2.0 * h), 1.0 / h**2 - c / (2.0 * h)
 
 
-def apply_advection_diffusion(g: Grid, c: float, f: np.ndarray,
-                              bl, br) -> np.ndarray:
-    """Centered f'' - c f' with Dirichlet ghosts bl, br at -L and +L; f has
-    shape (n,), or (n, 2) with a ghost value per column."""
-    f = np.asarray(f, dtype=float)
-    if len(f) != g.n:
-        raise GridError("sample array must match the grid's node count")
-    fl = np.concatenate((np.broadcast_to(bl, f[:1].shape), f[:-1]))
-    fr = np.concatenate((f[1:], np.broadcast_to(br, f[:1].shape)))
-    return (fl - 2.0 * f + fr) / g.h**2 - c * (fr - fl) / (2.0 * g.h)
+def apply_advection_diffusion(g: Grid, c: float, knots) -> np.ndarray:
+    """Centered f'' - c f' at the interior nodes of knot values f, shape
+    (n+2,) or (n+2, 2); the end rows are the Dirichlet ghosts."""
+    f = np.asarray(knots, dtype=float)
+    if len(f) != g.n + 2:
+        raise GridError("knot array must have the grid's n+2 rows")
+    fl, fr = f[:-2], f[2:]
+    return (fl - 2.0 * f[1:-1] + fr) / g.h**2 - c * (fr - fl) / (2.0 * g.h)
 
 
 def stencil_bands(g: Grid, c: float, scale: float, diag) -> np.ndarray:
@@ -153,8 +164,7 @@ def residual(p: ModelParams, prof: Profile) -> np.ndarray:
     """
     if prof.c is None:
         raise GridError("profile has no wave speed set")
-    lin = apply_advection_diffusion(prof.grid, prof.c, prof.samples(),
-                                    prof.boundary_left, prof.boundary_right)
+    lin = apply_advection_diffusion(prof.grid, prof.c, prof.knots)
     return lin + reaction(p, StateVec(prof.u, prof.v)).T
 
 
@@ -247,19 +257,18 @@ def _sweep_newton(sweep, newton, U, gap, tol, max_iter, callback=None):
     return U, sup_diffs, newton_steps, False
 
 
-def monotone_interpolant(g: Grid, y, left, right) -> tuple[np.ndarray, tuple]:
-    """PCHIP interpolant over [-L, L] of samples y, (n,) or (n, 2), and their
-    boundary data: the knots xs = [-L, nodes, L] and coefficients
-    (c0, c1, c2, c3) of the cubic c0 s^3 + c1 s^2 + c2 s + c3, s = x - xs[i],
-    on [xs[i], xs[i+1]].
+def monotone_interpolant(g: Grid, ys) -> tuple[np.ndarray, tuple]:
+    """PCHIP interpolant over [-L, L] of knot values ys, (n+2,) or (n+2, 2):
+    the knots xs = [-L, nodes, L] and coefficients (c0, c1, c2, c3) of the
+    cubic c0 s^3 + c1 s^2 + c2 s + c3, s = x - xs[i], on [xs[i], xs[i+1]].
 
     The slopes are Fritsch & Butland's weighted harmonic means (zero at a
     sign change or flat segment) with shape-preserving one-sided three-point
     end slopes, computed in the order scipy's PCHIP uses, so the
     interpolant is scipy's to the last bit.
     """
-    xs = np.concatenate(([-g.L], g.nodes, [g.L]))
-    ys = np.concatenate(([left], y, [right]))
+    xs = g.knots
+    ys = np.asarray(ys, dtype=float)
     hx = (xs[1:] - xs[:-1]).reshape((-1,) + (1,) * (ys.ndim - 1))
     m = (ys[1:] - ys[:-1]) / hx
     h0, h1 = hx[:-1], hx[1:]
@@ -293,18 +302,18 @@ def _cubic(c, s):
     return 0.0 + c3 + c2 * s + c1 * ss + c0 * (ss * s)
 
 
-def level_crossing(g: Grid, y, left, right, level: float) -> float:
-    """Where the interpolant of (n,) samples y first crosses level, upward;
-    level must lie strictly inside the range of the data.  The bracketing
-    cubic segment is bisected until the midpoint is an endpoint; a level that
-    equals a sample returns that node exactly."""
-    ys = np.concatenate(([left], y, [right]))
+def level_crossing(g: Grid, ys, level: float) -> float:
+    """Where the interpolant of (n+2,) knot values ys first crosses level,
+    upward; level must lie strictly inside the range of the data.  The
+    bracketing cubic segment is bisected until the midpoint is an endpoint; a
+    level that equals a knot value returns that knot exactly."""
+    ys = np.asarray(ys, dtype=float)
     if not (ys.min() < level < ys.max()):
         raise LevelNotCrossedError(f"profile does not cross {level} on the domain")
     i = int(np.nonzero(ys >= level)[0][0])
     if i == 0:
         raise LevelNotCrossedError(f"profile does not cross {level} upward")
-    xs, c = monotone_interpolant(g, y, left, right)
+    xs, c = monotone_interpolant(g, ys)
     if ys[i] == level:
         return float(xs[i])
     x_lo = lo = float(xs[i - 1])
@@ -325,10 +334,10 @@ def level_crossing(g: Grid, y, left, right, level: float) -> float:
     return lo if -f(lo) < f(hi) else hi
 
 
-def translate(g: Grid, y, left, right, x0: float) -> np.ndarray:
-    """The interpolant at [-L, nodes, L] + x0, queries clamped to [-L, L]:
-    new boundary data in the first and last row, samples between."""
-    xs, c = monotone_interpolant(g, y, left, right)
+def translate(g: Grid, ys, x0: float) -> np.ndarray:
+    """The interpolant of knot values ys at the knots + x0, queries clamped
+    to [-L, L]: the translated knot values, new Dirichlet data included."""
+    xs, c = monotone_interpolant(g, ys)
     q = np.clip(xs + x0, -g.L, g.L)
     # interval i holds xs[i] <= q < xs[i+1]; the last knot closes the last one
     i = np.minimum(np.searchsorted(xs, q, side="right") - 1, len(xs) - 2)
@@ -347,15 +356,11 @@ def write_csv(path, header: str, *columns) -> None:
 
 def save_profile(prof: Profile, csv_path, json_path=None, *, alpha: float,
                  k: float, sigma1: float = 0.0, sigma2: float = 0.0) -> None:
-    """Write a profile as CSV ``xi,u,v`` plus a JSON metadata sidecar.
-
-    The CSV includes the two boundary rows at xi = -L and xi = +L.
-    """
+    """Write a profile's knots as CSV ``xi,u,v`` plus a JSON metadata
+    sidecar; the first and last rows are the Dirichlet data at -L and +L."""
     csv_path = Path(csv_path)
-    g, bl, br = prof.grid, prof.boundary_left, prof.boundary_right
-    write_csv(csv_path, "xi,u,v", np.concatenate(([-g.L], g.nodes, [g.L])),
-              np.concatenate(([bl[0]], prof.u, [br[0]])),
-              np.concatenate(([bl[1]], prof.v, [br[1]])))
+    g = prof.grid
+    write_csv(csv_path, "xi,u,v", g.knots, prof.knots[:, 0], prof.knots[:, 1])
 
     meta = {
         "alpha": alpha, "k": k,
@@ -381,8 +386,4 @@ def load_profile(csv_path, json_path=None) -> tuple[Profile, dict]:
     data = np.array([[float(t) for t in r.split(",")] for r in rows[1:]])
     if len(data) != g.n + 2:
         raise ValueError("CSV row count does not match the sidecar's n")
-    bl = StateVec(data[0, 1], data[0, 2])
-    br = StateVec(data[-1, 1], data[-1, 2])
-    prof = Profile(grid=g, u=data[1:-1, 1].copy(), v=data[1:-1, 2].copy(),
-                   c=meta["c"], boundary_left=bl, boundary_right=br)
-    return prof, meta
+    return Profile(grid=g, knots=data[:, 1:], c=meta["c"]), meta

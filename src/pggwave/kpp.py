@@ -9,9 +9,9 @@ On the truncated domain the phase of the front is controlled by the left
 Dirichlet datum: with the datum exactly zero the discrete problem's unique
 solution collapses into a layer at +L, while a small positive datum pins a
 front whose position depends log-linearly on the datum.  ``solve_kpp``
-exploits this: it translates the profile (monotone interpolation, boundary
-data included) and re-solves until the half-plateau crossing sits at the
-origin.  The stored left datum therefore is a tiny positive number (of the
+exploits this: it translates the profile's knots (monotone interpolation,
+Dirichlet data included) and re-solves until the half-plateau crossing sits
+at the origin.  The left knot therefore holds a tiny positive number (of the
 order of the natural tail value e^{-mu*L}) rather than exactly zero.  Each
 pass runs the sweep-Newton loop of the wave solve, ``grid._sweep_newton``.
 """
@@ -133,19 +133,23 @@ def plateau_of(nl: KppNonlinearity) -> float:
 
 @dataclass(frozen=True)
 class ScalarProfile:
+    """Scalar front at the grid's knots, shape (n+2,): ``knots[0]`` is the
+    pinned tiny positive left datum, ``knots[-1]`` the plateau."""
+
     grid: Grid
-    w: np.ndarray
+    knots: np.ndarray
     c: float
     plateau: float
-    boundary_left: float  # pinned tiny positive left datum
-    boundary_right: float
+
+    @property
+    def w(self) -> np.ndarray:
+        return self.knots[1:-1]
 
 
 def scalar_residual(nl: KppNonlinearity, prof: ScalarProfile) -> np.ndarray:
     """Nodewise residual w'' - c w' + f(w) with the profile's Dirichlet data."""
-    return apply_advection_diffusion(prof.grid, prof.c, prof.w,
-                                     prof.boundary_left,
-                                     prof.boundary_right) + nl.f(prof.w)
+    return (apply_advection_diffusion(prof.grid, prof.c, prof.knots)
+            + nl.f(prof.w))
 
 
 def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
@@ -158,7 +162,7 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
     tridiagonal Jacobian, through ``grid._sweep_newton``; it converges at a
     sweep whose sup-diff is below ``tol``, or raises after SWEEP_MAX_ITER.
 
-    The phase loop translates the converged profile (monotone interpolation,
+    The phase loop translates the converged knots (monotone interpolation,
     clamped to [0, plateau] beyond the ends, Dirichlet data included) and
     re-solves until the half-plateau crossing sits at the origin; each pass
     the left datum moves by the factor e^{mu * crossing}, so the loop
@@ -187,13 +191,16 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
     x0 = math.inf
     prev = None  # (log bl, crossing) of the previous pass, for the secant step
     for _ in range(PHASE_PASSES):
+        # this pass's Dirichlet data in the end knots; the interior follows w
+        knots = np.concatenate(([bl], w, [br]))
         bvec = boundary_vector(g, c, bl, br)
 
         def sweep(w):
             return solve_banded((1, 1), ab, nl.f(w) + beta * w + bvec)
 
         def newton(w):
-            r = apply_advection_diffusion(g, c, w, bl, br) + nl.f(w)
+            knots[1:-1] = w
+            r = apply_advection_diffusion(g, c, knots) + nl.f(w)
             jac = stencil_bands(g, c, 1.0, nl.fprime(w))
             return solve_banded((1, 1), jac, -r)
 
@@ -203,10 +210,11 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
             raise ConvergenceError(
                 f"scalar sweeps did not reach tol={tol} in {SWEEP_MAX_ITER} "
                 f"sweeps (last sup-diff {sup_diffs[-1]:.3e})")
-        x0 = level_crossing(g, w, bl, br, half)
+        knots[1:-1] = w
+        x0 = level_crossing(g, knots, half)
         if abs(x0) < PHASE_TOL:
             break
-        w = np.clip(translate(g, w, bl, br, x0)[1:-1], 0.0, b)
+        w = np.clip(translate(g, knots, x0)[1:-1], 0.0, b)
         # move the left datum: pure exponential heuristic first, then secant
         # on (log datum, crossing), which also handles the critical-speed
         # polynomial prefactor
@@ -221,5 +229,4 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
         raise ConvergenceError(
             f"phase pinning did not settle (last crossing {x0:.3e})"
         )
-    return ScalarProfile(grid=g, w=w, c=float(c), plateau=b,
-                         boundary_left=bl, boundary_right=br)
+    return ScalarProfile(grid=g, knots=knots, c=float(c), plateau=b)

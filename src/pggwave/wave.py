@@ -21,10 +21,11 @@ only at a sweep whose sup-diff is below the tolerance.  A fixed point of the
 monotone map inside the envelope is, by the uniqueness of the front, the
 front, however the iterate got there.
 
-Dirichlet data: the right end is pinned at the exact limit (K*, 1); the left
-end uses the upper bound's tiny positive datum, which is what fixes the
-front's position on the truncated domain (with exactly zero data the
-discrete solution degenerates into a layer at +L).
+Dirichlet data, the end knots of every iterate: the right end is pinned at
+the exact limit (K*, 1); the left end is the upper bound's left knot, a tiny
+positive datum, which is what fixes the front's position on the truncated
+domain (with exactly zero data the discrete solution degenerates into a
+layer at +L).
 """
 
 from __future__ import annotations
@@ -58,30 +59,12 @@ __all__ = [
 ]
 
 
-# sweeps over which the contraction rate is estimated
-CONTRACTION_TAIL = 50
-
-
-def _contraction_rate(sup_diffs) -> float:
-    """Geometric-mean ratio of successive sup-diffs over the last <= 50 sweeps.
-
-    NaN when fewer than three sweeps were made or a sup-diff is zero.
-    """
-    d = [float(x) for x in sup_diffs]
-    m = min(len(d), CONTRACTION_TAIL)
-    if m < 3 or d[-1] <= 0.0 or d[-m] <= 0.0:
-        return math.nan
-    return math.exp((math.log(d[-1]) - math.log(d[-m])) / (m - 1))
-
-
 @dataclass
 class IterationReport:
     """What ``solve_wave`` did.
 
     ``iterations`` and ``sup_diffs`` count monotone sweeps only;
-    ``newton_steps`` holds the sup-norm of each accepted Newton correction
-    and ``contraction`` the sweeps' estimated contraction rate, NaN when
-    fewer than three sweeps were made (the default path makes two).
+    ``newton_steps`` holds the sup-norm of each accepted Newton correction.
     """
 
     iterations: int
@@ -90,7 +73,6 @@ class IterationReport:
     beta: float
     converged: bool
     newton_steps: list = field(default_factory=list)
-    contraction: float = math.nan
 
     def to_dict(self) -> dict:
         return {
@@ -100,8 +82,6 @@ class IterationReport:
             "beta": self.beta,
             "converged": self.converged,
             "newton_steps": list(map(float, self.newton_steps)),
-            "contraction": (self.contraction if math.isfinite(self.contraction)
-                            else None),
         }
 
 
@@ -168,19 +148,17 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
     upper_env = shifted_upper_samples(bounds.upper, m)
     lower_env = bounds.lower.samples()
     # iteration Dirichlet data: upper's tiny left datum, exact limit on the right
-    dl = np.array(bounds.upper.boundary_left, dtype=float)
+    dl = bounds.upper.knots[0]
     dr = np.array([p.kstar, 1.0])
 
     def as_profile(U):
-        return Profile(grid=g, u=U[:, 0].copy(), v=U[:, 1].copy(), c=float(c),
-                       boundary_left=StateVec(dl[0], dl[1]),
-                       boundary_right=StateVec(dr[0], dr[1]))
+        return Profile(grid=g, knots=np.vstack((dl, U, dr)), c=float(c))
 
     def envelope_gap(U):
         return min(float(np.min(upper_env - U)), float(np.min(U - lower_env)))
 
     if initial is not None:
-        U = initial.samples().copy()
+        U = initial.samples()
     elif direction == "down":
         U = upper_env.copy()
     else:
@@ -213,8 +191,7 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
     final_res = float(np.max(np.abs(residual(p, prof))))
     report = IterationReport(iterations=len(sup_diffs), sup_diffs=sup_diffs,
                              final_residual=final_res, beta=beta,
-                             converged=converged, newton_steps=newton_steps,
-                             contraction=_contraction_rate(sup_diffs))
+                             converged=converged, newton_steps=newton_steps)
     if not converged:
         raise ConvergenceError(
             f"monotone iteration did not reach tol={tol} in {max_iter} "
@@ -233,13 +210,9 @@ def normalize_phase(prof: Profile) -> Profile:
     Queries beyond the truncated domain are clamped to the boundary data.
     Idempotent to below 1e-12.
     """
-    g, bl, br = prof.grid, prof.boundary_left, prof.boundary_right
-    x0 = level_crossing(g, prof.v, bl[1], br[1], 0.5)
-    ext = translate(g, prof.samples(), bl, br, x0)
-    return Profile(grid=g, u=ext[1:-1, 0].copy(), v=ext[1:-1, 1].copy(),
-                   c=prof.c,
-                   boundary_left=StateVec(float(ext[0, 0]), float(ext[0, 1])),
-                   boundary_right=StateVec(float(ext[-1, 0]), float(ext[-1, 1])))
+    g = prof.grid
+    x0 = level_crossing(g, prof.knots[:, 1], 0.5)
+    return Profile(g, translate(g, prof.knots, x0), prof.c)
 
 
 def check_monotone(prof: Profile) -> tuple[float, float]:
@@ -347,12 +320,9 @@ def _ghost_states(p: ModelParams, prof: Profile) -> tuple[np.ndarray, np.ndarray
     """
     h = prof.grid.h
     lo, hi = stencil_coefficients(prof.grid, prof.c)
-    dl = np.array(prof.boundary_left, dtype=float)
-    dr = np.array(prof.boundary_right, dtype=float)
+    dl, first, last, dr = prof.knots[[0, 1, -2, -1]]
     Fdl = reaction(p, StateVec(dl[0], dl[1]))
     Fdr = reaction(p, StateVec(dr[0], dr[1]))
-    first = prof.samples()[0]
-    last = prof.samples()[-1]
     beyond_left = (2.0 / h**2 * dl - hi * first - Fdl) / lo
     beyond_right = (2.0 / h**2 * dr - lo * last - Fdr) / hi
     return beyond_left, beyond_right
@@ -369,13 +339,8 @@ def derivative_profile(p: ModelParams, prof: Profile) -> Profile:
         raise ParameterError("profile has no wave speed set")
     g = prof.grid
     bml, bpr = _ghost_states(p, prof)
-    ext = np.vstack([bml, np.array(prof.boundary_left, dtype=float),
-                     prof.samples(),
-                     np.array(prof.boundary_right, dtype=float), bpr])
-    W = (ext[2:] - ext[:-2]) / (2.0 * g.h)   # derivative at -L, nodes..., +L
-    return Profile(grid=g, u=W[1:-1, 0].copy(), v=W[1:-1, 1].copy(), c=prof.c,
-                   boundary_left=StateVec(float(W[0, 0]), float(W[0, 1])),
-                   boundary_right=StateVec(float(W[-1, 0]), float(W[-1, 1])))
+    ext = np.vstack([bml, prof.knots, bpr])   # one ghost past each end knot
+    return Profile(g, (ext[2:] - ext[:-2]) / (2.0 * g.h), prof.c)
 
 
 def derivative_system_residual(p: ModelParams, prof: Profile,
@@ -386,8 +351,7 @@ def derivative_system_residual(p: ModelParams, prof: Profile,
     profile's own Dirichlet data; small sup-norm certifies that the front's
     derivative is the translation null mode of the linearization.
     """
-    lin = apply_advection_diffusion(prof.grid, prof.c, deriv.samples(),
-                                    deriv.boundary_left, deriv.boundary_right)
+    lin = apply_advection_diffusion(prof.grid, prof.c, deriv.knots)
     A = jacobian(p, StateVec(prof.u, prof.v))
     return np.stack([lin[:, 0] + A[0, 0] * deriv.u + A[0, 1] * deriv.v,
                      lin[:, 1] + A[1, 0] * deriv.u + A[1, 1] * deriv.v], axis=1)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pggwave import (Profile, StateVec, build_lower, build_upper, default_l,
+from pggwave import (Profile, build_lower, build_upper, default_l,
                      lower_nonlinearity, make_grid, order_shift, solve_kpp,
                      upper_nonlinearity, verify_bound)
-from pggwave.bounds import margins_to_csv
+from pggwave.bounds import margins_to_csv, shifted_upper_samples
 from pggwave.errors import ParameterError, VerificationError
 
 C = 1.25
@@ -39,9 +39,9 @@ def test_upper_construction(base_params, upper_profile):
     pos = prof.v > 0
     assert np.allclose(prof.u[pos] / prof.v[pos], p.kstar, atol=1e-12)
     # boundary data: limits (0,0) and (K*,1) up to the pinned tail datum
-    assert abs(prof.boundary_left[0]) < 1.2e-4 * p.kstar
-    assert abs(prof.boundary_left[1]) < 1.2e-4
-    assert prof.boundary_right == (p.kstar, 1.0)
+    assert abs(prof.knots[0, 0]) < 1.2e-4 * p.kstar
+    assert abs(prof.knots[0, 1]) < 1.2e-4
+    assert tuple(prof.knots[-1]) == (p.kstar, 1.0)
 
 
 def test_upper_margins(base_params, upper_profile):
@@ -72,12 +72,12 @@ def test_lower_construction(base_params, lower_profile):
     p = base_params
     prof = lower_profile
     b = 0.4 / 1.24
-    assert prof.boundary_right[0] == pytest.approx(0.116129, abs=1e-6)
-    assert prof.boundary_right[1] == pytest.approx(0.3225806, abs=1e-6)
-    assert prof.boundary_right[0] < p.kstar and prof.boundary_right[1] < 1.0
+    assert prof.knots[-1, 0] == pytest.approx(0.116129, abs=1e-6)
+    assert prof.knots[-1, 1] == pytest.approx(0.3225806, abs=1e-6)
+    assert prof.knots[-1, 0] < p.kstar and prof.knots[-1, 1] < 1.0
     pos = prof.v > 0
     assert np.allclose(prof.u[pos] / prof.v[pos], p.kstar * 0.3, atol=1e-12)
-    assert prof.boundary_right[1] == pytest.approx(b, abs=1e-14)
+    assert prof.knots[-1, 1] == pytest.approx(b, abs=1e-14)
 
 
 def test_lower_margins_match_identity(base_params, lower_profile):
@@ -99,9 +99,7 @@ def test_lower_rejects_out_of_range(base_params, grid40):
 
 
 def _zero_profile(g, c=C):
-    return Profile(grid=g, u=np.zeros(g.n), v=np.zeros(g.n), c=c,
-                   boundary_left=StateVec(0.0, 0.0),
-                   boundary_right=StateVec(0.0, 0.0))
+    return Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=c)
 
 
 def test_zero_profile_degenerate_lower(base_params):
@@ -126,7 +124,6 @@ def test_order_shift_cases(base_params, grid40, upper_profile, lower_profile):
     assert r == 0.0  # regression baseline for the base configuration
     assert order_shift(upper_profile, _zero_profile(grid40)) == 0.0
     m = int(round(r / grid40.h))
-    from pggwave.bounds import shifted_upper_samples
     gap = shifted_upper_samples(upper_profile, m) - lower_profile.samples()
     assert np.min(gap) >= -1e-12
 
@@ -165,3 +162,15 @@ def test_margins_csv(tmp_path, base_params, upper_profile):
     lines = out.read_text().splitlines()
     assert lines[0] == "xi,margin_u,margin_v"
     assert len(lines) == upper_profile.grid.n + 1
+
+
+def test_shifted_upper_samples_is_slice_and_pad():
+    # a shift by m cells reads the samples from m on and pads with the right
+    # end knot, past the last sample too
+    g = make_grid(10.0, 9)
+    knots = np.random.default_rng(7).standard_normal((g.n + 2, 2))
+    upper, n = Profile(grid=g, knots=knots, c=C), g.n
+    for m in (0, 1, n - 1, n, n + 1):
+        want = np.concatenate([knots[1:-1][m:],
+                               np.repeat(knots[-1:], min(m, n), axis=0)])
+        assert np.array_equal(shifted_upper_samples(upper, m), want)

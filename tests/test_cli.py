@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import pggwave
-from pggwave import spectrum
+from pggwave import spectrum, wave
 from pggwave.cli import main
 from pggwave.config import load_config_file, resolve_config
 from pggwave.errors import ParameterError
@@ -53,6 +53,14 @@ def test_spectrum_unweighted(capsys, tmp_path):
     assert curves[0] == "branch,y,x"
 
 
+def test_spectrum_at_critical_speed_reports_empty_window(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "spectrum", "--c", "1.0",
+                           "--output-dir", str(tmp_path))
+    assert code == 0
+    assert "weight window: " in out and "sigma2 interval is empty" in out
+    assert (tmp_path / "spectrum" / "spectrum_report.json").exists()
+
+
 def test_wave_pipeline_and_determinism(capsys, tmp_path):
     args = ("wave", "--L", "20", "--n", "799", "--tol", "1e-10",
             "--output-dir", str(tmp_path))
@@ -78,9 +86,8 @@ def test_wave_report_records_solver_state(capsys, tmp_path):
     assert code == 0
     rep = json.loads((tmp_path / "wave" / "iteration_report.json").read_text())
     assert rep["newton_steps"] and rep["newton_steps"][-1] < 1e-10
-    # the default path makes two sweeps, too few for a contraction rate
+    # the default path makes two sweeps
     assert rep["iterations"] == len(rep["sup_diffs"]) < 3
-    assert rep["contraction"] is None
     assert f"{len(rep['newton_steps'])} Newton steps" in out
 
 
@@ -158,6 +165,21 @@ def test_stability_rejects_window_violation(capsys, tmp_path):
                            "--sigma2", "0.1", "--output-dir", str(tmp_path))
     assert code == 2
     assert "window" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("stability", "--dt", "0.03", "--t-end", "0.1"),
+    ("stability", "--sigma2", "0.1"),
+    ("instability", "--dt", "0.03"),
+], ids=["stability-dt", "stability-window", "instability-dt"])
+def test_dynamics_commands_validate_before_solving(capsys, tmp_path,
+                                                   monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the wave was solved before validation")
+
+    monkeypatch.setattr(wave, "solve_wave", refuse)
+    code, _, _ = run_cli(capsys, *argv, "--output-dir", str(tmp_path))
+    assert code == 2
 
 
 def test_instability_smoke(capsys, tmp_path):

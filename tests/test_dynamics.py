@@ -83,7 +83,7 @@ def test_left_tail_perturbation_norm(base_wave, base_weights):
     assert np.max(np.abs(dev)) == pytest.approx(1e-3, rel=1e-6)
     wn = weighted_norm(dev[:, 0], dev[:, 1], prof.grid, base_weights)
     assert wn >= 1e-3 * math.exp(0.5 * 20.0)
-    assert pert.boundary_left[1] == pytest.approx(prof.boundary_left[1] + 1e-3, abs=1e-9)
+    assert pert.knots[0, 1] == pytest.approx(prof.knots[0, 1] + 1e-3, abs=1e-9)
 
 
 def test_perturb_rejects_zero_amplitude(base_wave):
@@ -99,9 +99,7 @@ def test_perturb_rejects_zero_amplitude(base_wave):
 def test_equilibrium_fixed_point(base_params):
     p = base_params
     g = make_grid(20.0, 399)
-    const = Profile(grid=g, u=np.full(g.n, p.kstar), v=np.ones(g.n), c=C,
-                    boundary_left=StateVec(p.kstar, 1.0),
-                    boundary_right=StateVec(p.kstar, 1.0))
+    const = Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=C)
     tr = run_simulation(p, C, const, SimConfig(dt=0.01, t_end=10.0),
                         reference=const)
     assert np.max(tr.sup_norms) < 1e-10
@@ -158,9 +156,8 @@ def test_scheme_second_order(base_params):
     for n, dt in ((199, 0.02), (399, 0.01)):
         g = make_grid(10.0, n)
         U0 = exact(g.nodes, 0.0)
-        init = Profile(grid=g, u=U0[:, 0], v=U0[:, 1], c=c,
-                       boundary_left=StateVec(0.0, 0.0),
-                       boundary_right=StateVec(0.0, 0.0))
+        init = Profile(grid=g, knots=np.vstack(([0.0, 0.0], U0, [0.0, 0.0])),
+                       c=c)
         tr = run_simulation(p, c, init, SimConfig(dt=dt, t_end=1.0,
                                                   record_every=10**6),
                             forcing=make_forcing())
@@ -204,9 +201,7 @@ def _nan_forcing(column):
 
 def _plateau(p):
     g = make_grid(10.0, 199)
-    return Profile(grid=g, u=np.full(g.n, p.kstar), v=np.ones(g.n), c=C,
-                   boundary_left=StateVec(p.kstar, 1.0),
-                   boundary_right=StateVec(p.kstar, 1.0))
+    return Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=C)
 
 
 @pytest.mark.parametrize("column", [0, 1], ids=["u", "v"])
@@ -231,8 +226,7 @@ def _reference_steps(p, c, init, dt, nsteps):
     """CNAB2 in the explicit form: A U' = U + dt/2 T U + dt ghosts + dt G,
     G = F on the first step and 3/2 F - 1/2 F_prev after it."""
     g = init.grid
-    dl = np.array(init.boundary_left, dtype=float)
-    dr = np.array(init.boundary_right, dtype=float)
+    dl, dr = init.knots[0], init.knots[-1]
     ab = stencil_bands(g, c, -dt / 2.0, 1.0)
     bvec = boundary_vector(g, c, dl, dr)
     U = init.samples()
@@ -241,7 +235,8 @@ def _reference_steps(p, c, init, dt, nsteps):
         F = reaction(p, StateVec(U[:, 0], U[:, 1])).T
         G = F if F_prev is None else 1.5 * F - 0.5 * F_prev
         F_prev = F
-        rhs = (U + dt / 2.0 * apply_advection_diffusion(g, c, U, dl, dr)
+        rhs = (U + dt / 2.0 * apply_advection_diffusion(g, c,
+                                                        np.vstack((dl, U, dr)))
                + dt / 2.0 * bvec + dt * G)
         U = solve_banded((1, 1), ab, rhs)
     return U
@@ -249,10 +244,9 @@ def _reference_steps(p, c, init, dt, nsteps):
 
 def _tanh_front(c):
     g = make_grid(10.0, 199)
-    th, tl, tr_ = np.tanh(g.nodes / 2.0), math.tanh(-5.0), math.tanh(5.0)
-    return Profile(grid=g, u=0.4 + 0.2 * th, v=0.55 - 0.5 * th, c=c,
-                   boundary_left=StateVec(0.4 + 0.2 * tl, 0.55 - 0.5 * tl),
-                   boundary_right=StateVec(0.4 + 0.2 * tr_, 0.55 - 0.5 * tr_))
+    th = np.tanh(g.knots / 2.0)
+    return Profile(grid=g, knots=np.column_stack((0.4 + 0.2 * th,
+                                                  0.55 - 0.5 * th)), c=c)
 
 
 @pytest.mark.parametrize("c", [0.0, C])
@@ -323,8 +317,7 @@ def _refactorised_steps(p, c, init, dt, nsteps):
     sym, s = _symmetrised(stencil_bands(g, c, -dt / 2.0, 1.0))
     S = np.column_stack((s, s))
     S_inv = 1.0 / S
-    ghosts = dt * boundary_vector(g, c, init.boundary_left,
-                                  init.boundary_right) * S_inv
+    ghosts = dt * boundary_vector(g, c, init.knots[0], init.knots[-1]) * S_inv
     U = init.samples()
     Y = U * S_inv
     F_prev = None
@@ -346,8 +339,7 @@ def _gtsv_steps(p, c, init, dt, nsteps):
     a pivoted LU of the unscaled A on every call (LAPACK gtsv)."""
     g = init.grid
     ab = stencil_bands(g, c, -dt / 2.0, 1.0)
-    ghosts = dt * boundary_vector(g, c, init.boundary_left,
-                                  init.boundary_right)
+    ghosts = dt * boundary_vector(g, c, init.knots[0], init.knots[-1])
     U = np.asfortranarray(init.samples())
     F_prev = None
     for _ in range(nsteps):
@@ -447,9 +439,7 @@ def test_failed_factorisation_is_a_grid_error(base_params, monkeypatch, c,
 def _coarse_plateau(p, L, c):
     """The (K*, 1) plateau on a grid of spacing h = 1."""
     g = make_grid(L, int(2 * L) - 1)
-    return Profile(grid=g, u=np.full(g.n, p.kstar), v=np.ones(g.n), c=c,
-                   boundary_left=StateVec(p.kstar, 1.0),
-                   boundary_right=StateVec(p.kstar, 1.0))
+    return Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=c)
 
 
 def test_scale_range_guard(base_params, monkeypatch):
@@ -473,9 +463,7 @@ def test_scale_range_guard(base_params, monkeypatch):
 
 def test_run_simulation_requires_monotone_stencil(base_params):
     g = make_grid(10.0, 19)                    # h = 1: c*h/2 >= 1 at c >= 2
-    init = Profile(grid=g, u=np.zeros(g.n), v=np.zeros(g.n), c=2.0,
-                   boundary_left=StateVec(0.0, 0.0),
-                   boundary_right=StateVec(0.0, 0.0))
+    init = Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=2.0)
     with pytest.raises(GridError, match="not monotone"):
         run_simulation(base_params, 2.0, init, SimConfig(dt=0.01, t_end=0.1))
     tr = run_simulation(base_params, 1.9, replace(init, c=1.9),

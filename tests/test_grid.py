@@ -30,15 +30,13 @@ def test_make_grid_rejects(L, n):
 
 def test_operator_exact_on_linears():
     g = make_grid(10.0, 99)
-    f = 0.7 * g.nodes - 0.2
-    out = apply_advection_diffusion(g, 0.0, f, 0.7 * -10.0 - 0.2, 0.7 * 10.0 - 0.2)
+    out = apply_advection_diffusion(g, 0.0, 0.7 * g.knots - 0.2)
     assert np.max(np.abs(out)) < 1e-12
 
 
 def test_operator_exact_on_quadratics():
     g = make_grid(10.0, 19)
-    f = g.nodes**2
-    out = apply_advection_diffusion(g, 0.0, f, 100.0, 100.0)
+    out = apply_advection_diffusion(g, 0.0, g.knots**2)
     assert np.max(np.abs(out - 2.0)) < 1e-12
 
 
@@ -46,8 +44,7 @@ def test_operator_second_order_on_sine():
     errs = []
     for n in (199, 399):
         g = make_grid(10.0, n)
-        f = np.sin(g.nodes)
-        out = apply_advection_diffusion(g, 1.0, f, np.sin(-10.0), np.sin(10.0))
+        out = apply_advection_diffusion(g, 1.0, np.sin(g.knots))
         exact = -np.sin(g.nodes) - np.cos(g.nodes)
         errs.append(np.max(np.abs(out - exact)))
     ratio = errs[0] / errs[1]
@@ -55,8 +52,7 @@ def test_operator_second_order_on_sine():
 
 
 def _const_profile(g, state, c=1.25):
-    return Profile(grid=g, u=np.full(g.n, state[0]), v=np.full(g.n, state[1]),
-                   c=c, boundary_left=StateVec(*state), boundary_right=StateVec(*state))
+    return Profile(grid=g, knots=np.full((g.n + 2, 2), state), c=c)
 
 
 def test_residual_zero_at_equilibria(base_params):
@@ -75,19 +71,15 @@ def test_residual_observed_order(base_params):
     for n in (199, 399):
         g = make_grid(10.0, n)
         xi = g.nodes
-        u = 0.3 * (1.0 + np.tanh(xi / 3.0))
-        v = 0.5 * (1.0 + np.tanh(xi / 4.0))
+        u = 0.3 * (1.0 + np.tanh(g.knots / 3.0))
+        v = 0.5 * (1.0 + np.tanh(g.knots / 4.0))
         du = 0.3 / 3.0 / np.cosh(xi / 3.0) ** 2
         dv = 0.5 / 4.0 / np.cosh(xi / 4.0) ** 2
         ddu = -2.0 * 0.3 / 9.0 * np.tanh(xi / 3.0) / np.cosh(xi / 3.0) ** 2
         ddv = -2.0 * 0.5 / 16.0 * np.tanh(xi / 4.0) / np.cosh(xi / 4.0) ** 2
-        f = reaction(p, StateVec(u, v))
+        f = reaction(p, StateVec(u[1:-1], v[1:-1]))
         exact = np.stack([ddu - c * du + f[0], ddv - c * dv + f[1]], axis=1)
-        ub = (0.3 * (1.0 + np.tanh(-10.0 / 3.0)), 0.3 * (1.0 + np.tanh(10.0 / 3.0)))
-        vb = (0.5 * (1.0 + np.tanh(-10.0 / 4.0)), 0.5 * (1.0 + np.tanh(10.0 / 4.0)))
-        prof = Profile(grid=g, u=u, v=v, c=c,
-                       boundary_left=StateVec(ub[0], vb[0]),
-                       boundary_right=StateVec(ub[1], vb[1]))
+        prof = Profile(grid=g, knots=np.column_stack((u, v)), c=c)
         errs.append(np.max(np.abs(residual(p, prof) - exact)))
     order = np.log2(errs[0] / errs[1])
     assert 1.9 < order < 2.1
@@ -95,27 +87,49 @@ def test_residual_observed_order(base_params):
 
 def test_profile_length_validation():
     g = make_grid(10.0, 9)
-    with pytest.raises(GridError):
-        Profile(grid=g, u=np.zeros(5), v=np.zeros(9), c=None,
-                boundary_left=StateVec(0.0, 0.0), boundary_right=StateVec(0.0, 0.0))
+    for shape in ((9, 2), (11,), (11, 3), (13, 2), (2, 11)):
+        with pytest.raises(GridError):
+            Profile(grid=g, knots=np.zeros(shape), c=None)
+
+
+def test_profile_components_view_knots_and_samples_copy():
+    g = make_grid(10.0, 9)
+    knots = np.arange(2.0 * (g.n + 2)).reshape(g.n + 2, 2)
+    prof = Profile(grid=g, knots=knots.copy(), c=1.0)
+    assert np.array_equal(prof.u, knots[1:-1, 0])
+    assert np.array_equal(prof.v, knots[1:-1, 1])
+    S = prof.samples()
+    assert np.array_equal(S, knots[1:-1])
+    S[...] = -1.0
+    assert np.array_equal(prof.knots, knots)
 
 
 def test_serialization_round_trip(tmp_path):
     g = make_grid(7.0, 23)
     rng = np.random.default_rng(3)
-    prof = Profile(grid=g, u=rng.standard_normal(g.n), v=rng.standard_normal(g.n),
-                   c=1.25, boundary_left=StateVec(0.0, 0.0),
-                   boundary_right=StateVec(1.2, 1.0))
+    knots = np.vstack(([0.0, 0.0], rng.standard_normal((g.n, 2)), [1.2, 1.0]))
+    prof = Profile(grid=g, knots=knots, c=1.25)
     csv = tmp_path / "profile.csv"
     save_profile(prof, csv, alpha=0.25, k=0.5, sigma1=0.05, sigma2=0.5)
     loaded, meta = load_profile(csv)
-    assert np.array_equal(loaded.u, prof.u)
-    assert np.array_equal(loaded.v, prof.v)
+    assert np.array_equal(loaded.knots, prof.knots)
     assert loaded.c == prof.c
-    assert loaded.boundary_left == prof.boundary_left
-    assert loaded.boundary_right == prof.boundary_right
     assert meta == {"alpha": 0.25, "k": 0.5, "c": 1.25, "L": 7.0, "n": 23,
                     "sigma1": 0.05, "sigma2": 0.5}
+
+
+def test_load_profile_rejects_bad_header_and_row_count(tmp_path):
+    g = make_grid(7.0, 23)
+    csv = tmp_path / "profile.csv"
+    save_profile(Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=1.25), csv,
+                 alpha=0.25, k=0.5)
+    rows = csv.read_text().splitlines()
+    csv.write_text("\n".join(["xi,v,u", *rows[1:]]) + "\n")
+    with pytest.raises(ValueError, match="header"):
+        load_profile(csv)
+    csv.write_text("\n".join(rows[:-1]) + "\n")
+    with pytest.raises(ValueError, match="row count"):
+        load_profile(csv)
 
 
 def test_write_csv_matches_per_value_format(tmp_path):
@@ -136,32 +150,30 @@ PCHIP_GRID = (20.0, 799)
 
 
 def _pchip_data():
-    """(samples, left, right) triples: a smooth front, a front pair, and a
-    rounded random walk whose flat runs and sign changes zero interior slopes
-    and whose ends are set so both end-slope clamps act (left: capped at
-    3 m0; right: zeroed against m0's sign)."""
+    """Knot arrays: a smooth front, a front pair, and a rounded random walk
+    whose flat runs and sign changes zero interior slopes and whose ends are
+    set so both end-slope clamps act (left: capped at 3 m0; right: zeroed
+    against m0's sign)."""
     g = make_grid(*PCHIP_GRID)
     u = 0.6 * (1.0 + np.tanh(g.nodes / 5.0))
     v = 0.5 * (1.0 + np.tanh(g.nodes / 3.0))
     walk = np.round(np.random.default_rng(5).standard_normal(g.n).cumsum(), 1)
     walk[:2] = (1.0, -4.0)
     walk[-2:] = (0.0, 4.0)
-    return g, [(v, 0.0, 1.0),
-               (np.stack([u, v], axis=1), StateVec(0.0, 0.0),
-                StateVec(1.2, 1.0)),
-               (walk, 0.0, 5.0),
-               (np.stack([walk, -walk], axis=1), StateVec(0.0, -0.0),
-                StateVec(5.0, -5.0))]
+    return g, [np.concatenate(([0.0], v, [1.0])),
+               np.vstack(([0.0, 0.0], np.stack([u, v], axis=1), [1.2, 1.0])),
+               np.concatenate(([0.0], walk, [5.0])),
+               np.vstack(([0.0, -0.0], np.stack([walk, -walk], axis=1),
+                          [5.0, -5.0]))]
 
 
 @pytest.mark.parametrize("x0", [0.0, 1e-9, 0.37, -2.5, 3.7, 25.0, -25.0])
 def test_translate_is_scipy_pchip_bit_for_bit(x0):
     g, cases = _pchip_data()
     xs = np.concatenate(([-g.L], g.nodes, [g.L]))
-    for y, left, right in cases:
-        ys = np.concatenate(([left], y, [right]))
+    for ys in cases:
         want = PchipInterpolator(xs, ys)(np.clip(xs + x0, -g.L, g.L))
-        got = translate(g, y, left, right, x0)
+        got = translate(g, ys, x0)
         assert got.shape == ys.shape
         assert np.array_equal(got, want)
 
@@ -169,14 +181,13 @@ def test_translate_is_scipy_pchip_bit_for_bit(x0):
 @pytest.mark.parametrize("level", [0.5, 0.1, 0.9, 0.01234, 0.99])
 def test_level_crossing_matches_brentq(level):
     g, cases = _pchip_data()
-    y, left, right = cases[0]
+    ys = cases[0]
     xs = np.concatenate(([-g.L], g.nodes, [g.L]))
-    ys = np.concatenate(([left], y, [right]))
     interp = PchipInterpolator(xs, ys)
     i = int(np.nonzero(ys >= level)[0][0])
     want = brentq(lambda x: float(interp(x)) - level, xs[i - 1], xs[i],
                   xtol=1e-14)
-    got = level_crossing(g, y, left, right, level)
+    got = level_crossing(g, ys, level)
     # brentq's own accuracy, xtol + rtol |x| with its default rtol = 4 eps;
     # bisection to adjacent floats lands at least as close to the level
     assert abs(got - want) <= 1e-14 + 4.0 * np.finfo(float).eps * abs(want)
@@ -186,19 +197,19 @@ def test_level_crossing_matches_brentq(level):
 
 def test_level_crossing_returns_node_at_sample_level():
     g, cases = _pchip_data()
-    y = cases[0][0]
+    ys = cases[0]
     for j in (0, 123, g.n // 2, g.n - 1):
-        assert level_crossing(g, y, 0.0, 1.0, y[j]) == g.nodes[j]
+        assert level_crossing(g, ys, ys[j + 1]) == g.nodes[j]
 
 
 def test_level_crossing_rejects_levels_not_crossed_upward():
     g, cases = _pchip_data()
-    y = cases[0][0]
+    ys = cases[0]
     for level in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(LevelNotCrossedError, match="on the domain"):
-            level_crossing(g, y, 0.0, 1.0, level)
+            level_crossing(g, ys, level)
     with pytest.raises(LevelNotCrossedError, match="upward"):
-        level_crossing(g, y[::-1], 1.0, 0.0, 0.5)
+        level_crossing(g, ys[::-1], 0.5)
 
 
 def test_linearization_bands_are_residual_jacobian():
@@ -206,9 +217,9 @@ def test_linearization_bands_are_residual_jacobian():
     g = make_grid(10.0, 199)
     x = g.nodes
     sig = 1.0 / (1.0 + np.exp(-x))
-    prof = Profile(grid=g, u=p.kstar * sig, v=sig, c=1.25,
-                   boundary_left=StateVec(1e-5, 1e-5),
-                   boundary_right=StateVec(p.kstar, 1.0))
+    knots = np.vstack(([1e-5, 1e-5], np.stack([p.kstar * sig, sig], axis=1),
+                       [p.kstar, 1.0]))
+    prof = Profile(grid=g, knots=knots, c=1.25)
     bands = linearization_bands(p, prof)
     # the spectrum's zero-weight operator is the same matrix, bit for bit
     op = assemble_weighted_operator(p, prof, WeightPair(0.0, 0.0))
@@ -216,9 +227,9 @@ def test_linearization_bands_are_residual_jacobian():
     # directional derivative of the residual against the banded product
     e = np.sin(0.37 * np.arange(2 * g.n)).reshape(g.n, 2)
     eps = 1e-6
-    plus = Profile(grid=g, u=prof.u + eps * e[:, 0], v=prof.v + eps * e[:, 1],
-                   c=prof.c, boundary_left=prof.boundary_left,
-                   boundary_right=prof.boundary_right)
+    knots = knots.copy()
+    knots[1:-1] += eps * e
+    plus = Profile(grid=g, knots=knots, c=prof.c)
     fd = ((residual(p, plus) - residual(p, prof)) / eps).ravel()
     Je = op.to_dense() @ e.ravel()
     assert np.max(np.abs(fd - Je)) < 1e-4 * np.max(np.abs(Je))
@@ -240,21 +251,23 @@ def test_stencil_bands_match_explicit_stencil(scale, diag):
     f = np.cos(0.4 * g.nodes) + 0.1 * g.nodes
     implicit = (_tridiagonal(stencil_bands(g, c, scale, diag)) @ f
                 + scale * boundary_vector(g, c, bl, br))
-    explicit = scale * apply_advection_diffusion(g, c, f, bl, br) + diag * f
+    explicit = (scale * apply_advection_diffusion(g, c, np.r_[bl, f, br])
+                + diag * f)
     assert np.max(np.abs(implicit - explicit)) < 1e-12 / g.h**2
 
 
 def test_stencil_two_columns_match_per_column():
     g = make_grid(10.0, 57)
-    F = np.stack([np.sin(g.nodes), np.tanh(g.nodes)], axis=1)
-    left, right = StateVec(0.1, -1.0), StateVec(0.2, 1.0)
-    both = apply_advection_diffusion(g, 1.25, F, left, right)
-    ghosts = boundary_vector(g, 1.25, left, right)
+    F = np.vstack(([0.1, -1.0],
+                   np.stack([np.sin(g.nodes), np.tanh(g.nodes)], axis=1),
+                   [0.2, 1.0]))
+    both = apply_advection_diffusion(g, 1.25, F)
+    ghosts = boundary_vector(g, 1.25, F[0], F[-1])
     for j in range(2):
-        assert np.array_equal(both[:, j], apply_advection_diffusion(
-            g, 1.25, F[:, j], left[j], right[j]))
+        assert np.array_equal(both[:, j],
+                              apply_advection_diffusion(g, 1.25, F[:, j]))
         assert np.array_equal(ghosts[:, j],
-                              boundary_vector(g, 1.25, left[j], right[j]))
+                              boundary_vector(g, 1.25, F[0, j], F[-1, j]))
 
 
 def test_banded_solves_stay_in_their_callers_module(monkeypatch):

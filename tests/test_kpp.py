@@ -94,7 +94,7 @@ def test_solve_lower_base(base_params, grid40):
     s = solve_kpp(nl, C, grid40)
     assert np.min(np.diff(s.w)) >= 0.0
     assert np.max(np.abs(scalar_residual(nl, s))) < 1e-12
-    assert s.boundary_right == s.plateau
+    assert s.knots[-1] == s.plateau
 
 
 def test_subcritical_rejected(base_params, grid40):

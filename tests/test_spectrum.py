@@ -177,9 +177,9 @@ def test_far_field_rows_reach_shifted_limit(base_params):
     p = base_params
     g = make_grid(40.0, 400)
     s = 0.5 * (1.0 + np.tanh(g.nodes))   # reaches 0/1 to ~1e-35 at the ends
-    prof = Profile(grid=g, u=p.kstar * s, v=s.copy(), c=C,
-                   boundary_left=StateVec(0.0, 0.0),
-                   boundary_right=StateVec(p.kstar, 1.0))
+    knots = np.vstack(([0.0, 0.0], np.stack([p.kstar * s, s], axis=1),
+                       [p.kstar, 1.0]))
+    prof = Profile(grid=g, knots=knots, c=C)
     w = WeightPair(0.05, 0.5)
     op = assemble_weighted_operator(p, prof, w)
     dense = op.to_dense()
@@ -320,8 +320,6 @@ def test_translation_mode_unweighted_bounded(base_params, base_wave):
 def test_translation_mode_constant_profile(base_params):
     g = make_grid(20.0, 199)
     p = base_params
-    const = Profile(grid=g, u=np.full(g.n, p.kstar), v=np.ones(g.n), c=C,
-                    boundary_left=StateVec(p.kstar, 1.0),
-                    boundary_right=StateVec(p.kstar, 1.0))
+    const = Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=C)
     rep = translation_mode_check(p, const, WeightPair(0.05, 0.5))
     assert rep.residual_sup < 1e-12

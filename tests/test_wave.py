@@ -1,10 +1,9 @@
-import math
 import warnings
 
 import numpy as np
 import pytest
 
-from pggwave import (BoundPair, Profile, StateVec, check_monotone, derive_params,
+from pggwave import (BoundPair, Profile, check_monotone, derive_params,
                      fit_decay, grid, make_bounds, make_grid, normalize_phase,
                      residual, solve_wave, subcritical_verdict, wave)
 from pggwave.errors import (ConvergenceError, EnvelopeViolationError,
@@ -138,7 +137,7 @@ def _box_points():
                 marks = ()
                 if k == 0.9 and ratio == 1.0 and alpha != 0.05:
                     # the Dirichlet data are not ordered with the bounds
-                    # (ROADMAP item 2); these points fail the same way when
+                    # (ROADMAP item 1); these points fail the same way when
                     # the solve is all sweeps
                     marks = pytest.mark.xfail(raises=EnvelopeViolationError,
                                               strict=True)
@@ -199,26 +198,17 @@ def test_report_records_solver_state(base_params, base_grid, base_bounds,
                                      base_wave, monkeypatch):
     _, rep = base_wave
     assert rep.iterations == len(rep.sup_diffs)
-    # two sweeps are too few to estimate a contraction rate
-    assert math.isnan(rep.contraction)
     d = rep.to_dict()
     assert d["newton_steps"] == rep.newton_steps
-    assert d["contraction"] is None
     # with no Newton steps allowed, the plain monotone iteration
     monkeypatch.setattr(grid, "NEWTON_MAX_STEPS", 0)
     _, swept = solve_wave(base_params, C, base_grid, base_bounds, tol=1e-10)
     assert not swept.newton_steps and swept.iterations >= 50
-    tail = swept.sup_diffs[-50:]
-    rho = (tail[-1] / tail[0]) ** (1.0 / (len(tail) - 1))
-    assert swept.contraction == pytest.approx(rho, rel=1e-12)
-    assert 0.9 < swept.contraction < 1.0
-    assert swept.to_dict()["contraction"] == swept.contraction
     # sup-diffs decrease monotonically after the first few sweeps
     tail = swept.sup_diffs[5:]
     assert all(b <= a for a, b in zip(tail, tail[1:]))
     short = IterationReport(iterations=1, sup_diffs=[1e-3], final_residual=0.0,
                             beta=1.0, converged=True)
-    assert short.to_dict()["contraction"] is None
     assert short.to_dict()["newton_steps"] == []
 
 
@@ -251,11 +241,7 @@ def test_normalize_round_trip(base_wave_normalized):
     prof = base_wave_normalized
     g = prof.grid
     # translate by +3.7 via the same monotone machinery, then re-normalize
-    ext = translate(g, prof.samples(), prof.boundary_left,
-                    prof.boundary_right, 3.7)
-    shifted = Profile(grid=g, u=ext[1:-1, 0], v=ext[1:-1, 1], c=prof.c,
-                      boundary_left=StateVec(*ext[0]),
-                      boundary_right=StateVec(*ext[-1]))
+    shifted = Profile(grid=g, knots=translate(g, prof.knots, 3.7), c=prof.c)
     back = normalize_phase(shifted)
     interior = slice(200, g.n - 200)   # translation clamps the outermost band
     err = np.max(np.abs(back.samples()[interior] - prof.samples()[interior]))
@@ -264,9 +250,7 @@ def test_normalize_round_trip(base_wave_normalized):
 
 def test_normalize_requires_crossing(base_params):
     g = make_grid(10.0, 99)
-    const = Profile(grid=g, u=np.zeros(g.n), v=np.zeros(g.n), c=C,
-                    boundary_left=StateVec(0.0, 0.0),
-                    boundary_right=StateVec(0.0, 0.0))
+    const = Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=C)
     with pytest.raises(LevelNotCrossedError):
         normalize_phase(const)
 
@@ -278,13 +262,9 @@ def test_monotonicity(base_params, base_wave):
     du, dv = check_monotone(prof)
     assert du > 0 and dv > 0
     g = prof.grid
-    const = Profile(grid=g, u=np.ones(g.n), v=np.ones(g.n), c=C,
-                    boundary_left=StateVec(1.0, 1.0),
-                    boundary_right=StateVec(1.0, 1.0))
+    const = Profile(grid=g, knots=np.ones((g.n + 2, 2)), c=C)
     assert check_monotone(const) == (0.0, 0.0)
-    rev = Profile(grid=g, u=prof.u[::-1].copy(), v=prof.v[::-1].copy(), c=C,
-                  boundary_left=prof.boundary_right,
-                  boundary_right=prof.boundary_left)
+    rev = Profile(grid=g, knots=prof.knots[::-1].copy(), c=C)
     du_r, dv_r = check_monotone(rev)
     assert du_r < 0 and dv_r < 0
 
@@ -310,9 +290,7 @@ def test_decay_fits_base(base_params, base_wave_normalized):
 
 def test_fit_window_too_noisy(base_params):
     g = make_grid(40.0, 3999)
-    const = Profile(grid=g, u=np.zeros(g.n), v=np.zeros(g.n), c=C,
-                    boundary_left=StateVec(0.0, 0.0),
-                    boundary_right=StateVec(0.0, 0.0))
+    const = Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=C)
     with pytest.raises(FitWindowError):
         fit_decay(const, base_params, "-inf")
 
@@ -382,9 +360,7 @@ def test_derivative_profile(base_params, base_wave):
 def test_derivative_of_constant_is_zero(base_params):
     g = make_grid(20.0, 199)
     p = base_params
-    const = Profile(grid=g, u=np.full(g.n, p.kstar), v=np.ones(g.n), c=C,
-                    boundary_left=StateVec(p.kstar, 1.0),
-                    boundary_right=StateVec(p.kstar, 1.0))
+    const = Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=C)
     d = derivative_profile(p, const)
     assert np.max(np.abs(d.samples())) < 1e-12
     res = derivative_system_residual(p, const, d)
