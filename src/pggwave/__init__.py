@@ -27,7 +27,7 @@ from .grid import (Grid, Profile, apply_advection_diffusion, load_profile,
 from .kpp import (KppNonlinearity, ScalarProfile, lower_nonlinearity,
                   plateau_of, solve_kpp, upper_nonlinearity)
 from .model import (ModelParams, StateVec, derive_params, jacobian, reaction,
-                    to_original, to_transformed)
+                    to_original)
 from .spectrum import (OperatorMatrix, SpectrumReport, WeightPair,
                        WeightWindow, assemble_weighted_operator,
                        essential_spectrum_max, spectrum_curves,

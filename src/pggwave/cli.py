@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -21,7 +20,7 @@ from .config import RunConfig, _coerce, resolve_config, validate_config
 from .errors import (BlowUpError, ConvergenceError, EmptyWindowError,
                      EnvelopeViolationError, FitWindowError,
                      FrontNotFoundError, ParameterError, ShiftNotFoundError)
-from .grid import make_grid, save_profile, write_csv
+from .grid import make_grid, save_profile, write_csv, write_json
 from .model import derive_params
 
 EXIT_OK = 0
@@ -33,12 +32,10 @@ _CONVERGENCE_ERRORS = (ConvergenceError, EnvelopeViolationError,
                        FrontNotFoundError)
 
 
-def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
-    payload = dict(payload)
-    payload["config"] = cfg.echo()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
-                               allow_nan=True) + "\n")
+def _write_json(path: Path, report, cfg: RunConfig) -> None:
+    """Write a report (a dataclass or a dict) with the run's configuration."""
+    payload = asdict(report) if is_dataclass(report) else report
+    write_json(path, {**payload, "config": cfg.echo()})
 
 
 def _outdir(cfg: RunConfig, sub: str) -> Path:
@@ -83,16 +80,13 @@ def cmd_wave(cfg: RunConfig) -> int:
         return EXIT_VALIDATION
     _, g, bp, prof, report = _solve_pipeline(cfg)
     normalized = wave.normalize_phase(prof)
-    critical = verdict.verdict == "CriticalAdmissible"
-    fits = [wave.fit_decay(normalized, p, side, critical=critical)
-            for side in ("-inf", "+inf")]
+    fits = [wave.fit_decay(normalized, p, side) for side in ("-inf", "+inf")]
     out = _outdir(cfg, "wave")
     save_profile(normalized, out / "profile.csv", alpha=cfg.alpha, k=cfg.k,
                  sigma1=cfg.sigma1, sigma2=cfg.sigma2)
-    _write_json(out / "iteration_report.json", report.to_dict(), cfg)
-    _write_json(out / "decay_fits.json",
-                {"fits": [f.to_dict() for f in fits],
-                 "verdict": verdict.to_dict()}, cfg)
+    _write_json(out / "iteration_report.json", report, cfg)
+    _write_json(out / "decay_fits.json", {"fits": fits, "verdict": verdict},
+                cfg)
     mins = wave.check_monotone(prof)
     print(f"converged in {report.iterations} iterations and "
           f"{len(report.newton_steps)} Newton steps; "
@@ -137,7 +131,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
               [cv["branch"] for cv in rep.curves for _ in cv["y"]],
               [y for cv in rep.curves for y in cv["y"]],
               [x for cv in rep.curves for x in cv["x"]])
-    _write_json(out / "spectrum_report.json", rep.to_dict(), cfg)
+    _write_json(out / "spectrum_report.json", rep, cfg)
     try:
         win = spectrum.weight_window(p, cfg.c)
         print(f"weight window: sigma1 in [0, {win.sigma1_max:.7f}), "
@@ -154,12 +148,12 @@ def cmd_eigs(cfg: RunConfig, count: int) -> int:
     op = spectrum.assemble_weighted_operator(p, prof, w)
     rep = spectrum.make_spectrum_report(p, cfg.c, w, operator=op, count=count)
     out = _outdir(cfg, "eigs")
-    ev = rep.eigenvalues
-    write_csv(out / "eigenvalues.csv", "re,im,boundary_mass_fraction",
-              [e[0] for e in ev], [e[1] for e in ev], [e[2] for e in ev])
+    cols = ("re", "im", "boundary_mass_fraction")
+    write_csv(out / "eigenvalues.csv", ",".join(cols),
+              *([ev[key] for ev in rep.eigenvalues] for key in cols))
     tm = spectrum.translation_mode_check(p, prof, w)
     _write_json(out / "spectrum_report.json",
-                {**rep.to_dict(), "translation_mode": tm.to_dict()}, cfg)
+                {**asdict(rep), "translation_mode": tm}, cfg)
     print(f"rightmost eigenvalue: {rep.rightmost.real:.8f} "
           f"{rep.rightmost.imag:+.8f}i")
     print(f"translation mode residual {tm.residual_sup:.3e}, "
@@ -271,17 +265,19 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             raise ParameterError(f"cannot sweep {key!r}: not a sweepable key")
         axes.append((key, [_coerce(key, v) for v in vals.split(",")]))
     base_out = Path(cfg.output_dir)
-    points = []
+    points = {}
     for combo in itertools.product(*(vals for _, vals in axes)):
         point = dict(zip((k for k, _ in axes), combo))
         sub = base_out / args.run
         for key, val in point.items():
             sub = sub / (f"{key}={val:g}" if isinstance(val, float)
                          else f"{key}={val}")
+        if str(sub) in points:
+            raise ParameterError(f"two sweep points would write to {sub}")
         point_cfg = replace(cfg, output_dir=str(sub), **point)
         validate_config(point_cfg)
-        points.append(point_cfg)
-    for point_cfg in points:
+        points[point_cfg.output_dir] = point_cfg
+    for point_cfg in points.values():
         code = COMMANDS[args.run](point_cfg, args)
         if code != EXIT_OK:
             return code

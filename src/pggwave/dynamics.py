@@ -66,8 +66,8 @@ from .errors import (BlowUpError, FrontNotFoundError, GridError, NormError,
                      ParameterError)
 from .grid import (Grid, Profile, boundary_vector, require_m_matrix,
                    stencil_bands, write_csv)
-from .model import ModelParams, StateVec, reaction, to_transformed
-from .spectrum import WeightPair
+from .model import ModelParams, StateVec, reaction, to_original
+from .spectrum import WeightPair, log_weight
 
 __all__ = [
     "SimConfig",
@@ -139,8 +139,7 @@ def weighted_norm(u, v, g: Grid, w: WeightPair) -> float:
     pos = mag > 0
     if not np.any(pos):
         return 0.0
-    logw = np.logaddexp(w.sigma1 * g.nodes[pos], -w.sigma2 * g.nodes[pos])
-    lognorm = float(np.max(np.log(mag[pos]) + logw))
+    lognorm = float(np.max(np.log(mag[pos]) + log_weight(w, g.nodes[pos])))
     return math.exp(lognorm) if lognorm < 709.0 else math.inf
 
 
@@ -445,7 +444,7 @@ def spreading_experiment(p: ModelParams, g: Grid, cfg: SimConfig | None = None,
     bump = SEED_HEIGHT * 0.25 * (
         (1.0 + np.tanh((xs + SEED_HALFWIDTH) / sharp))
         * (1.0 + np.tanh((SEED_HALFWIDTH - xs) / sharp)))
-    seed = to_transformed(p, StateVec(np.full(g.n + 2, p.kstar), bump))
+    seed = to_original(p, StateVec(np.full(g.n + 2, p.kstar), bump))
     initial = Profile(g, np.column_stack(seed), 0.0)
     tr = run_simulation(p, 0.0, initial, cfg)
     speed = spreading_speed(tr, t_window)

@@ -15,14 +15,16 @@ numpy, bit-identical to scipy's; a level crossing is found by bisecting its
 bracketing cubic.  The package takes only LAPACK banded solves and ARPACK
 from scipy: its interpolation and root-finding subpackages, and the special
 functions they load, would cost every run a third of its import time and a
-fifth of its memory.  Every CSV artifact goes through ``write_csv``.
+fifth of its memory.  Every CSV artifact goes through ``write_csv`` and
+every JSON artifact through ``write_json``, which serialises a report from
+its fields.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,7 @@ __all__ = [
     "level_crossing",
     "translate",
     "write_csv",
+    "write_json",
     "save_profile",
     "load_profile",
 ]
@@ -354,6 +357,28 @@ def write_csv(path, header: str, *columns) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _jsonable(obj):
+    """JSON form of what ``json`` does not know: a dataclass by its fields,
+    an array by its values, a complex number as [re, im]."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return asdict(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"cannot write a {type(obj).__name__} as JSON")
+
+
+def write_json(path, payload) -> None:
+    """Write payload as JSON with sorted keys, creating the parent directory;
+    floats keep their shortest round-trip repr, so identical values give
+    identical bytes."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
+                               allow_nan=True, default=_jsonable) + "\n")
+
+
 def save_profile(prof: Profile, csv_path, json_path=None, *, alpha: float,
                  k: float, sigma1: float = 0.0, sigma2: float = 0.0) -> None:
     """Write a profile's knots as CSV ``xi,u,v`` plus a JSON metadata
@@ -367,9 +392,8 @@ def save_profile(prof: Profile, csv_path, json_path=None, *, alpha: float,
         "c": prof.c, "L": g.L, "n": g.n,
         "sigma1": sigma1, "sigma2": sigma2,
     }
-    if json_path is None:
-        json_path = csv_path.with_suffix(".json")
-    Path(json_path).write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    write_json(csv_path.with_suffix(".json") if json_path is None
+               else json_path, meta)
 
 
 def load_profile(csv_path, json_path=None) -> tuple[Profile, dict]:

@@ -25,7 +25,6 @@ __all__ = [
     "reaction",
     "jacobian",
     "to_original",
-    "to_transformed",
 ]
 
 
@@ -111,9 +110,6 @@ def to_original(p: ModelParams, s: StateVec) -> StateVec:
     """Map monotone variables (u, v) to original densities (u_hat, v_hat).
 
     The map (u, v) -> (K* - u, v) is an involution, so the same function
-    maps original densities back; ``to_transformed`` is bound to it.
+    maps original densities back.
     """
     return StateVec(p.kstar - np.asarray(s[0], dtype=float), np.asarray(s[1], dtype=float))
-
-
-to_transformed = to_original

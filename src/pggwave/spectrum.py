@@ -36,7 +36,7 @@ __all__ = [
     "branch_vertices",
     "essential_spectrum_max",
     "spectrum_curves",
-    "weight_values",
+    "log_weight",
     "weight_functions",
     "assemble_weighted_operator",
     "eigen_report",
@@ -127,9 +127,9 @@ def spectrum_curves(p: ModelParams, c: float, w: WeightPair, y_max: float,
     ]
 
 
-def weight_values(w: WeightPair, xi: np.ndarray) -> np.ndarray:
-    """The weight e^{s1*xi} + e^{-s2*xi}; may overflow to inf for huge s*L."""
-    return np.exp(w.sigma1 * xi) + np.exp(-w.sigma2 * xi)
+def log_weight(w: WeightPair, xi: np.ndarray) -> np.ndarray:
+    """log of the weight e^{s1*xi} + e^{-s2*xi}, finite for every xi."""
+    return np.logaddexp(w.sigma1 * xi, -w.sigma2 * xi)
 
 
 def weight_functions(w: WeightPair, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,30 +159,19 @@ class OperatorMatrix:
 
     bands: np.ndarray         # (5, 2n)
     grid: Grid
-    weights: WeightPair
-    c: float
 
     @property
     def size(self) -> int:
         return self.bands.shape[1]
 
-    def to_dense(self) -> np.ndarray:
-        N = self.size
-        A = np.zeros((N, N))
-        for d in range(-2, 3):
-            row = 2 - d
-            if d >= 0:
-                idx = np.arange(N - d)
-                A[idx, idx + d] = self.bands[row, d:]
-            else:
-                idx = np.arange(N + d)
-                A[idx - d, idx] = self.bands[row, : N + d]
-        return A
-
     def to_sparse(self):
+        """CSC matrix; LAPACK's row d, like DIA's, is indexed by column."""
         N = self.size
-        diags = [self.bands[2 - d, max(d, 0): N + min(d, 0)] for d in range(-2, 3)]
-        return scipy.sparse.diags(diags, offsets=range(-2, 3), format="csc")
+        return scipy.sparse.dia_array((self.bands, [2, 1, 0, -1, -2]),
+                                      shape=(N, N)).tocsc()
+
+    def to_dense(self) -> np.ndarray:
+        return self.to_sparse().toarray()
 
 
 def assemble_weighted_operator(p: ModelParams, prof: Profile,
@@ -197,7 +186,7 @@ def assemble_weighted_operator(p: ModelParams, prof: Profile,
         raise ParameterError("profile has no wave speed set")
     g1, g2 = weight_functions(w, prof.grid.nodes)
     return OperatorMatrix(bands=linearization_bands(p, prof, g1, g2),
-                          grid=prof.grid, weights=w, c=prof.c)
+                          grid=prof.grid)
 
 
 def _gershgorin_right_edge(m: OperatorMatrix) -> float:
@@ -260,14 +249,6 @@ class TranslationModeReport:
     weighted_mid: float       # same at the domain center
     tail_factor: float
 
-    def to_dict(self) -> dict:
-        return {
-            "residual_sup": self.residual_sup,
-            "weighted_left": self.weighted_left,
-            "weighted_mid": self.weighted_mid,
-            "tail_factor": self.tail_factor,
-        }
-
 
 def translation_mode_check(p: ModelParams, prof: Profile,
                            w: WeightPair) -> TranslationModeReport:
@@ -276,52 +257,39 @@ def translation_mode_check(p: ModelParams, prof: Profile,
     (a) the unweighted linearization applied to the wave's derivative has a
     small residual; (b) the weighted magnitude of the derivative near -L
     dwarfs its mid-domain value, witnessing that the mode fails the weighted
-    decay requirement (so zero is not a weighted eigenvalue).
+    decay requirement (so zero is not a weighted eigenvalue).  The weighted
+    magnitudes are formed in logs: the weight alone overflows where their
+    product does not.
     """
     deriv = derivative_profile(p, prof)
     res = derivative_system_residual(p, prof, deriv)
-    wgt = weight_values(w, prof.grid.nodes)
-    mag = np.maximum(np.abs(deriv.u), np.abs(deriv.v)) * wgt
-    mid = int(np.argmin(np.abs(prof.grid.nodes)))
-    weighted_left = float(mag[0])
-    weighted_mid = float(mag[mid])
-    if weighted_mid > 0:
-        factor = weighted_left / weighted_mid
+    nodes = prof.grid.nodes
+    at = [0, int(np.argmin(np.abs(nodes)))]
+    mag = np.maximum(np.abs(deriv.u[at]), np.abs(deriv.v[at]))
+    with np.errstate(divide="ignore"):        # log 0 = -inf weighs 0
+        log_left, log_mid = np.log(mag) + log_weight(w, nodes[at])
+    if mag[1] > 0:
+        factor = float(np.exp(log_left - log_mid))
     else:
-        factor = math.inf if weighted_left > 0 else 0.0
+        factor = math.inf if mag[0] > 0 else 0.0
     return TranslationModeReport(
         residual_sup=float(np.max(np.abs(res))),
-        weighted_left=weighted_left,
-        weighted_mid=weighted_mid,
+        weighted_left=float(np.exp(log_left)),
+        weighted_mid=float(np.exp(log_mid)),
         tail_factor=factor,
     )
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
+    """Essential-spectrum geometry and the rightmost eigenvalues, one dict
+    per eigenvalue with keys re, im, boundary_mass_fraction, multiplicity."""
+
     branch_vertices: list
     max_re_essential: float
     curves: list = field(default_factory=list)
     eigenvalues: list = field(default_factory=list)
     rightmost: complex | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "branch_vertices": [float(b) for b in self.branch_vertices],
-            "max_re_essential": self.max_re_essential,
-            "curves": [
-                {"branch": c["branch"], "y": list(map(float, c["y"])),
-                 "x": list(map(float, c["x"]))}
-                for c in self.curves
-            ],
-            "eigenvalues": [
-                {"re": ev[0], "im": ev[1], "boundary_mass_fraction": ev[2],
-                 "multiplicity": ev[3]}
-                for ev in self.eigenvalues
-            ],
-            "rightmost": (None if self.rightmost is None
-                          else [self.rightmost.real, self.rightmost.imag]),
-        }
 
 
 def make_spectrum_report(p: ModelParams, c: float, w: WeightPair,
@@ -339,7 +307,8 @@ def make_spectrum_report(p: ModelParams, c: float, w: WeightPair,
     if operator is not None:
         vals, frac = eigen_report(operator, count)
         mult = [int(np.sum(np.abs(vals - v) < 1e-8)) for v in vals]
-        eigenvalues = [(float(v.real), float(v.imag), float(f), m)
+        eigenvalues = [{"re": float(v.real), "im": float(v.imag),
+                        "boundary_mass_fraction": float(f), "multiplicity": m}
                        for v, f, m in zip(vals, frac, mult)]
         rightmost = complex(vals[0])
     return SpectrumReport(branch_vertices=list(verts), max_re_essential=mx,

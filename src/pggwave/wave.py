@@ -74,16 +74,6 @@ class IterationReport:
     converged: bool
     newton_steps: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "sup_diffs": list(map(float, self.sup_diffs)),
-            "final_residual": self.final_residual,
-            "beta": self.beta,
-            "converged": self.converged,
-            "newton_steps": list(map(float, self.newton_steps)),
-        }
-
 
 @dataclass(frozen=True)
 class DecayFit:
@@ -95,16 +85,6 @@ class DecayFit:
     predicted_rate: float
     window: tuple
     rsquared: float
-
-    def to_dict(self) -> dict:
-        return {
-            "side": self.side,
-            "rate_u": self.rate_u, "rate_v": self.rate_v,
-            "amplitude_u": self.amplitude_u, "amplitude_v": self.amplitude_v,
-            "predicted_rate": self.predicted_rate,
-            "window": list(self.window),
-            "rsquared": self.rsquared,
-        }
 
 
 def _beta_for(p: ModelParams, samples: int = 50) -> float:
@@ -230,20 +210,21 @@ def _loglinear_fit(x, y):
     return float(coef[0]), float(coef[1]), r2
 
 
-def fit_decay(prof: Profile, p: ModelParams, side: str,
-              critical: bool = False) -> DecayFit:
+def fit_decay(prof: Profile, p: ModelParams, side: str) -> DecayFit:
     """Log-linear tail fit against the analytic front asymptotics.
 
     side "-inf" fits log u and log v on [-L+5, -L/2]; side "+inf" fits
-    log(K*-u) and log(1-v) on [L/2, L-5].  At the critical speed the -inf
-    tail carries a linear prefactor, so log y - log|xi| is fitted instead.
-    Samples below 1e-14 are excluded; fewer than 20 usable nodes is an error.
+    log(K*-u) and log(1-v) on [L/2, L-5].  At the critical speed (by
+    ``subcritical_verdict``) the -inf tail carries a linear prefactor, so
+    log y - log|xi| is fitted instead.  Samples below 1e-14 are excluded;
+    fewer than 20 usable nodes is an error.
     """
     if side not in ("-inf", "+inf"):
         raise ParameterError(f"side must be '-inf' or '+inf', got {side!r}")
     if prof.c is None:
         raise ParameterError("profile has no wave speed set")
     g, c = prof.grid, prof.c
+    critical = subcritical_verdict(p, c).verdict == "CriticalAdmissible"
     if side == "-inf":
         win = (-g.L + 5.0, -g.L / 2.0)
         data = (prof.u, prof.v)
@@ -280,13 +261,6 @@ class SpeedVerdict:
     verdict: str              # NoMonotoneWave | CriticalAdmissible | SupercriticalAdmissible
     roots: tuple              # characteristic roots at the -inf state
     discriminant: float
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "roots": [[z.real, z.imag] for z in self.roots],
-            "discriminant": self.discriminant,
-        }
 
 
 def subcritical_verdict(p: ModelParams, c: float) -> SpeedVerdict:

@@ -97,7 +97,7 @@ def test_criterion_03_shared_exponent(base_params, base_wave_normalized):
 
 
 def test_criterion_04_critical_wave(base_params, wave_critical):
-    f = fit_decay(wave_critical, base_params, "+inf", critical=True)
+    f = fit_decay(wave_critical, base_params, "+inf")
     target = -0.2071068
     err_u = abs(f.rate_u - target) / abs(target)
     err_v = abs(f.rate_v - target) / abs(target)

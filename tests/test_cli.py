@@ -214,7 +214,10 @@ def test_sweep(capsys, tmp_path):
             "spectrum_report.json").exists()
 
 
-@pytest.mark.parametrize("vary", ["tol=-1", "dt=5", "foo=1"])
+@pytest.mark.parametrize("vary", ["tol=-1", "dt=5", "foo=1",
+                                  # two points that share one directory
+                                  "sigma2=0.4000001,0.40000012",
+                                  "c=1.25,1.25"])
 def test_sweep_rejects_invalid_point(capsys, tmp_path, vary):
     code, _, err = run_cli(capsys, "sweep", "--run", "spectrum",
                            "--vary", vary, "--output-dir", str(tmp_path))

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
@@ -8,7 +10,7 @@ from pggwave import (Profile, StateVec, WeightPair, apply_advection_diffusion,
                      kpp, load_profile, make_bounds, make_grid, reaction,
                      residual, save_profile, wave)
 from pggwave.grid import (boundary_vector, level_crossing, linearization_bands,
-                          stencil_bands, translate, write_csv)
+                          stencil_bands, translate, write_csv, write_json)
 from pggwave.errors import GridError, LevelNotCrossedError
 
 
@@ -142,6 +144,50 @@ def test_write_csv_matches_per_value_format(tmp_path):
     assert path.read_text() == "\n".join(["a,b,c", *rows]) + "\n"
     write_csv(path, "a,b", [], [])
     assert path.read_text() == "a,b\n"
+
+
+@dataclass(frozen=True)
+class _Inner:
+    root: complex
+
+
+@dataclass(frozen=True)
+class _Report:
+    window: tuple
+    values: np.ndarray
+    inner: _Inner
+    beta: float
+
+
+def test_write_json_serialises_dataclass_fields(tmp_path):
+    path = tmp_path / "sub" / "report.json"
+    write_json(path, _Report(window=(-35.0, -20), values=np.array([0.1, -3.0]),
+                             inner=_Inner(root=0.5 - 2j), beta=1.0 / 3.0))
+    assert path.read_text() == """{
+  "beta": 0.3333333333333333,
+  "inner": {
+    "root": [
+      0.5,
+      -2.0
+    ]
+  },
+  "values": [
+    0.1,
+    -3.0
+  ],
+  "window": [
+    -35.0,
+    -20
+  ]
+}
+"""
+
+
+def test_write_json_refuses_unknown_objects(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError, match="set"):
+        write_json(path, {"points": {1, 2}})
+    assert not path.exists()
 
 
 # --- phase translation: scipy's PCHIP and brentq are the oracles ---

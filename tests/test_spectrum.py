@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ from pggwave import (Profile, StateVec, WeightPair, assemble_weighted_operator,
 from pggwave.errors import (DegenerateWeightError, EmptyWindowError,
                             ParameterError)
 from pggwave.spectrum import (OperatorMatrix, branch_vertices, eigen_report,
-                              weight_functions, weight_values)
+                              log_weight, weight_functions)
 
 C = 1.25
 
@@ -138,9 +141,9 @@ def test_weight_functions_overflow_safe():
     assert g1[0] == pytest.approx(-0.8) and g1[1] == pytest.approx(0.3)
 
 
-def test_weight_values_origin():
+def test_log_weight_origin():
     w = WeightPair(0.05, 0.5)
-    assert weight_values(w, np.array([0.0]))[0] == 2.0
+    assert log_weight(w, 0.0) == math.log(2.0)
 
 
 # --- operator assembly ---
@@ -219,13 +222,12 @@ def _scalar_test_operator(L, n, c):
     left = 1.0 / h**2 + c / (2.0 * h)
     bands[0, 2:] = right
     bands[4, :-2] = left
-    return OperatorMatrix(bands=bands, grid=g, weights=WeightPair(0, 0), c=c)
+    return OperatorMatrix(bands=bands, grid=g)
 
 
 def test_zero_matrix_eigenvalues():
     g = make_grid(5.0, 10)
-    op = OperatorMatrix(bands=np.zeros((5, 20)), grid=g,
-                        weights=WeightPair(0, 0), c=0.0)
+    op = OperatorMatrix(bands=np.zeros((5, 20)), grid=g)
     vals, _ = eigen_report(op, count=5)
     assert np.max(np.abs(vals)) == 0.0
 
@@ -315,6 +317,20 @@ def test_translation_mode_unweighted_bounded(base_params, base_wave):
     # with weight identically 2 the weighted derivative stays bounded
     assert rep.weighted_left <= 2.0 * rep.weighted_mid
     assert rep.tail_factor < 1.0
+
+
+def test_translation_mode_weighted_tail_does_not_overflow(base_params):
+    # at c = 2, L = 400 the weight e^{sigma2 L} alone overflows, while the
+    # weighted derivative near -L is still a finite number
+    p, c, w = base_params, 2.0, WeightPair(0.0, 1.78)
+    assert weight_window(p, c).contains(w)
+    g = make_grid(400.0, 1999)
+    prof, _ = solve_wave(p, c, g, make_bounds(p, c, g), tol=1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = translation_mode_check(p, prof, w)
+    assert math.isfinite(rep.weighted_left)
+    assert math.isfinite(rep.tail_factor) and rep.tail_factor > 1e3
 
 
 def test_translation_mode_constant_profile(base_params):

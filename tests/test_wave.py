@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -198,7 +199,7 @@ def test_report_records_solver_state(base_params, base_grid, base_bounds,
                                      base_wave, monkeypatch):
     _, rep = base_wave
     assert rep.iterations == len(rep.sup_diffs)
-    d = rep.to_dict()
+    d = asdict(rep)
     assert d["newton_steps"] == rep.newton_steps
     # with no Newton steps allowed, the plain monotone iteration
     monkeypatch.setattr(grid, "NEWTON_MAX_STEPS", 0)
@@ -209,7 +210,7 @@ def test_report_records_solver_state(base_params, base_grid, base_bounds,
     assert all(b <= a for a, b in zip(tail, tail[1:]))
     short = IterationReport(iterations=1, sup_diffs=[1e-3], final_residual=0.0,
                             beta=1.0, converged=True)
-    assert short.to_dict()["newton_steps"] == []
+    assert asdict(short)["newton_steps"] == []
 
 
 def test_envelope_violation_detected(base_params):
