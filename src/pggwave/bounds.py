@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 L_FRACTION = 0.48  # default_l's share of the admissible range of l
+MARGIN_TOL = 1e-7  # largest wrong-sign inequality margin a bound may show
 
 
 @dataclass(frozen=True)
@@ -52,11 +53,11 @@ class MarginReport:
     worst: float              # max margin for upper, min for lower
     worst_xi: float | None    # None when |worst| is at the roundoff floor
     worst_component: int | None
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.worst <= self.tol if self.kind == "upper" else self.worst >= -self.tol
+        return (self.worst <= MARGIN_TOL if self.kind == "upper"
+                else self.worst >= -MARGIN_TOL)
 
 
 def default_l(p: ModelParams) -> float:
@@ -72,18 +73,16 @@ def build_upper(p: ModelParams, s: ScalarProfile) -> Profile:
 
 def build_lower(p: ModelParams, l: float, s: ScalarProfile) -> Profile:
     """Componentwise (K* l w, w); right end strictly below (K*, 1)."""
-    lmax = 1.0 - p.k + p.k * p.alpha
-    if not (0.0 < l < lmax):
-        raise ParameterError(f"lower-solution parameter l={l} outside (0, {lmax})")
+    lower_nonlinearity(p, l)    # raises on an l outside its range
     return Profile(s.grid, np.column_stack((p.kstar * l * s.knots, s.knots)),
                    s.c)
 
 
-def verify_bound(p: ModelParams, prof: Profile, c: float, kind: str,
-                 tol: float = 1e-7) -> MarginReport:
+def verify_bound(p: ModelParams, prof: Profile, c: float,
+                 kind: str) -> MarginReport:
     """Evaluate both differential-inequality left-hand sides nodewise.
 
-    Upper solutions need both components <= tol; lower solutions >= -tol.
+    Upper solutions need both components <= MARGIN_TOL; lower >= -MARGIN_TOL.
     Raises VerificationError (carrying the worst node) on failure.  A worst
     margin at or below the residual's roundoff floor 4 eps max|U| / h^2 has
     no meaningful location: its ``worst_xi`` and ``worst_component`` are None.
@@ -94,11 +93,11 @@ def verify_bound(p: ModelParams, prof: Profile, c: float, kind: str,
     if kind == "upper":
         flat = np.argmax(margins)
         worst = float(margins.flat[flat])
-        bad = worst > tol
+        bad = worst > MARGIN_TOL
     else:
         flat = np.argmin(margins)
         worst = float(margins.flat[flat])
-        bad = worst < -tol
+        bad = worst < -MARGIN_TOL
     node, comp = divmod(int(flat), 2)
     xi = float(prof.grid.nodes[node])
     if bad:
@@ -111,7 +110,7 @@ def verify_bound(p: ModelParams, prof: Profile, c: float, kind: str,
     if abs(worst) <= 4.0 * np.finfo(float).eps * scale / prof.grid.h**2:
         xi = comp = None
     return MarginReport(kind=kind, margins=margins, worst=worst, worst_xi=xi,
-                        worst_component=comp, tol=tol)
+                        worst_component=comp)
 
 
 def shifted_upper_samples(upper: Profile, m: int) -> np.ndarray:

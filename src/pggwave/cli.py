@@ -1,5 +1,9 @@
 """Command-line surface: reproducible experiments with CSV/JSON artifacts.
 
+The flags are ``RunConfig``'s fields (``--max-iter`` sets ``max_iter``).  A
+subcommand is its checks before solving and its run; ``sweep`` checks every
+point first.
+
 Exit codes: 0 success, 2 validation error, 3 convergence failure.  Every
 JSON report embeds the fully-resolved configuration, and all numeric output
 is formatted deterministically, so identical configurations produce
@@ -19,8 +23,10 @@ from . import dynamics, kpp, spectrum, wave
 from .config import RunConfig, _coerce, resolve_config, validate_config
 from .errors import (BlowUpError, ConvergenceError, EmptyWindowError,
                      EnvelopeViolationError, FitWindowError,
-                     FrontNotFoundError, ParameterError, ShiftNotFoundError)
-from .grid import make_grid, save_profile, write_csv, write_json
+                     FrontNotFoundError, ParameterError, ShiftNotFoundError,
+                     SubcriticalSpeedError)
+from .grid import (make_grid, require_m_matrix, save_profile, write_csv,
+                   write_json)
 from .model import derive_params
 
 EXIT_OK = 0
@@ -44,11 +50,59 @@ def _outdir(cfg: RunConfig, sub: str) -> Path:
     return d
 
 
-def _resolved_l(cfg: RunConfig, p) -> float:
-    return cfg.l if cfg.l is not None else bounds_mod.default_l(p)
+def _bounds(cfg: RunConfig):
+    p = derive_params(cfg.alpha, cfg.k)
+    g = make_grid(cfg.L, cfg.n)
+    bp = bounds_mod.make_bounds(p, cfg.c, g, l=cfg.l, tol=min(cfg.tol, 1e-12))
+    return p, g, bp
 
 
-def cmd_params(cfg: RunConfig) -> int:
+def _solve_pipeline(cfg: RunConfig):
+    p, g, bp = _bounds(cfg)
+    prof, report = wave.solve_wave(p, cfg.c, g, bp, tol=cfg.tol,
+                                   max_iter=cfg.max_iter)
+    return p, prof, report
+
+
+def _check_none(cfg: RunConfig, args) -> None:
+    """No check beyond the configuration's own."""
+
+
+def _check_front(cfg: RunConfig, args) -> wave.SpeedVerdict:
+    """A front solve's preconditions: a monotone wave exists at speed c, and
+    the stencil at c is an M-matrix on the grid."""
+    p = derive_params(cfg.alpha, cfg.k)
+    verdict = wave.subcritical_verdict(p, cfg.c)
+    if verdict.verdict == "NoMonotoneWave":
+        roots = ", ".join(f"{z.real:g}{z.imag:+g}i" for z in verdict.roots)
+        raise SubcriticalSpeedError(
+            f"no monotone wave for c = {cfg.c} < {p.cmin}: oscillatory tail, "
+            f"characteristic roots {roots}")
+    require_m_matrix(make_grid(cfg.L, cfg.n), cfg.c)
+    return verdict
+
+
+def _check_stability(cfg: RunConfig, args) -> dynamics.SimConfig:
+    _check_front(cfg, args)
+    w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
+    if not spectrum.weight_window(derive_params(cfg.alpha, cfg.k),
+                                  cfg.c).contains(w):
+        raise ParameterError(
+            f"weights ({w.sigma1}, {w.sigma2}) outside the admissible window")
+    return dynamics.SimConfig(dt=cfg.dt, t_end=cfg.t_end)
+
+
+def _check_instability(cfg: RunConfig, args) -> dynamics.SimConfig:
+    _check_front(cfg, args)
+    return dynamics.SimConfig(dt=cfg.dt, t_end=min(cfg.t_end, 20.0))
+
+
+def _check_spread(cfg: RunConfig, args) -> dynamics.SimConfig:
+    return dynamics.SimConfig(dt=cfg.dt, t_end=max(cfg.t_end, args.t1),
+                              record_every=50)
+
+
+def cmd_params(cfg: RunConfig, args, _) -> None:
     p = derive_params(cfg.alpha, cfg.k)
     identity_gap = abs((1.0 + p.k * p.kstar - p.kstar)
                        - p.alpha / (1.0 - p.k + p.alpha * p.k))
@@ -57,28 +111,10 @@ def cmd_params(cfg: RunConfig) -> int:
     print(f"K* = {p.kstar:.17g}")
     print(f"cmin = {p.cmin:.17g}")
     print(f"identity |1 + k K* - K* - alpha/(1-k+alpha k)| = {identity_gap:.3e}")
-    return EXIT_OK
 
 
-def _solve_pipeline(cfg: RunConfig):
-    p = derive_params(cfg.alpha, cfg.k)
-    g = make_grid(cfg.L, cfg.n)
-    bp = bounds_mod.make_bounds(p, cfg.c, g, l=_resolved_l(cfg, p),
-                                tol=min(cfg.tol, 1e-12))
-    prof, report = wave.solve_wave(p, cfg.c, g, bp, tol=cfg.tol,
-                                   max_iter=cfg.max_iter)
-    return p, g, bp, prof, report
-
-
-def cmd_wave(cfg: RunConfig) -> int:
-    p = derive_params(cfg.alpha, cfg.k)
-    verdict = wave.subcritical_verdict(p, cfg.c)
-    if verdict.verdict == "NoMonotoneWave":
-        roots = ", ".join(f"{z.real:g}{z.imag:+g}i" for z in verdict.roots)
-        print(f"no monotone wave for c = {cfg.c} < {p.cmin}: "
-              f"oscillatory tail, characteristic roots {roots}", file=sys.stderr)
-        return EXIT_VALIDATION
-    _, g, bp, prof, report = _solve_pipeline(cfg)
+def cmd_wave(cfg: RunConfig, args, verdict: wave.SpeedVerdict) -> None:
+    p, prof, report = _solve_pipeline(cfg)
     normalized = wave.normalize_phase(prof)
     fits = [wave.fit_decay(normalized, p, side) for side in ("-inf", "+inf")]
     out = _outdir(cfg, "wave")
@@ -95,14 +131,10 @@ def cmd_wave(cfg: RunConfig) -> int:
     for f in fits:
         print(f"decay {f.side}: rate_u {f.rate_u:.6f} rate_v {f.rate_v:.6f} "
               f"predicted {f.predicted_rate:.6f}")
-    return EXIT_OK
 
 
-def cmd_bounds_check(cfg: RunConfig) -> int:
-    p = derive_params(cfg.alpha, cfg.k)
-    g = make_grid(cfg.L, cfg.n)
-    l = _resolved_l(cfg, p)
-    bp = bounds_mod.make_bounds(p, cfg.c, g, l=l, tol=min(cfg.tol, 1e-12))
+def cmd_bounds_check(cfg: RunConfig, args, verdict) -> None:
+    p, g, bp = _bounds(cfg)
     out = _outdir(cfg, "bounds-check")
     reports = {}
     for kind, prof in (("upper", bp.upper), ("lower", bp.lower)):
@@ -114,15 +146,14 @@ def cmd_bounds_check(cfg: RunConfig) -> int:
         where = ("at roundoff" if rep.worst_xi is None
                  else f"at xi = {rep.worst_xi:.4f}")
         print(f"{kind}: worst margin {rep.worst:.3e} {where}")
-    nl = kpp.lower_nonlinearity(p, l)
+    nl = kpp.lower_nonlinearity(p, bp.l)
     _write_json(out / "bounds_report.json",
-                {"reports": reports, "shift": bp.shift, "l": l,
+                {"reports": reports, "shift": bp.shift, "l": bp.l,
                  "lower_plateau_slope": nl.plateau_slope_report()}, cfg)
     print(f"ordering shift r = {bp.shift:g}")
-    return EXIT_OK
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: RunConfig, args, _) -> None:
     p = derive_params(cfg.alpha, cfg.k)
     w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
     rep = spectrum.make_spectrum_report(p, cfg.c, w)
@@ -139,14 +170,14 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     except EmptyWindowError as exc:  # at critical speed; still report curves
         print(f"weight window: {exc}")
     print(f"max Re essential spectrum = {rep.max_re_essential:.17g}")
-    return EXIT_OK
 
 
-def cmd_eigs(cfg: RunConfig, count: int) -> int:
-    p, g, bp, prof, _ = _solve_pipeline(cfg)
+def cmd_eigs(cfg: RunConfig, args, verdict) -> None:
+    p, prof, _ = _solve_pipeline(cfg)
     w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
     op = spectrum.assemble_weighted_operator(p, prof, w)
-    rep = spectrum.make_spectrum_report(p, cfg.c, w, operator=op, count=count)
+    rep = spectrum.make_spectrum_report(
+        p, cfg.c, w, spectrum.eigen_report(op, args.count))
     out = _outdir(cfg, "eigs")
     cols = ("re", "im", "boundary_mass_fraction")
     write_csv(out / "eigenvalues.csv", ",".join(cols),
@@ -158,104 +189,47 @@ def cmd_eigs(cfg: RunConfig, count: int) -> int:
           f"{rep.rightmost.imag:+.8f}i")
     print(f"translation mode residual {tm.residual_sup:.3e}, "
           f"weighted tail factor {tm.tail_factor:.3e}")
-    return EXIT_OK
 
 
-def cmd_stability(cfg: RunConfig) -> int:
-    # validate the run before the wave solve, which is most of its cost
-    simcfg = dynamics.SimConfig(dt=cfg.dt, t_end=cfg.t_end)
-    w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
-    win = spectrum.weight_window(derive_params(cfg.alpha, cfg.k), cfg.c)
-    if not win.contains(w):
-        print(f"weights ({w.sigma1}, {w.sigma2}) outside the admissible window",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    p, g, bp, prof, _ = _solve_pipeline(cfg)
-    rep = dynamics.stability_experiment(p, cfg.c, prof, w, simcfg)
+def cmd_stability(cfg: RunConfig, args, simcfg: dynamics.SimConfig) -> None:
+    p, prof, _ = _solve_pipeline(cfg)
+    rep = dynamics.stability_experiment(
+        p, cfg.c, prof, spectrum.WeightPair(cfg.sigma1, cfg.sigma2), simcfg)
     out = _outdir(cfg, "stability")
     dynamics.trace_to_csv(rep.pop("trace"), out / "trace.csv")
     _write_json(out / "report.json", rep, cfg)
     print(f"weighted norm {rep['initial_weighted_norm']:.4e} -> "
           f"{rep['final_weighted_norm']:.4e} (ratio {rep['norm_ratio']:.3e}); "
           f"fitted decay b = {rep['b']:.4f}")
-    return EXIT_OK
 
 
-def cmd_instability(cfg: RunConfig) -> int:
-    simcfg = dynamics.SimConfig(dt=cfg.dt, t_end=min(cfg.t_end, 20.0))
-    p, g, bp, prof, _ = _solve_pipeline(cfg)
+def cmd_instability(cfg: RunConfig, args, simcfg: dynamics.SimConfig) -> None:
+    p, prof, _ = _solve_pipeline(cfg)
     rep = dynamics.instability_experiment(
-        p, cfg.c, prof, simcfg, w=spectrum.WeightPair(cfg.sigma1, cfg.sigma2))
+        p, cfg.c, prof, spectrum.WeightPair(cfg.sigma1, cfg.sigma2), simcfg)
     out = _outdir(cfg, "instability")
     dynamics.trace_to_csv(rep.pop("trace"), out / "trace.csv")
     _write_json(out / "report.json", rep, cfg)
     print(f"sup-norm deviation grew {rep['growth_factor']:.1f}x by "
           f"t = {rep['t_end']:g} (weighted size at start "
           f"{rep['initial_weighted_norm']:.3e})")
-    return EXIT_OK
 
 
-def cmd_spread(cfg: RunConfig, t0: float, t1: float) -> int:
-    p = derive_params(cfg.alpha, cfg.k)
-    g = make_grid(cfg.L, cfg.n)
-    simcfg = dynamics.SimConfig(dt=cfg.dt, t_end=max(cfg.t_end, t1),
-                                record_every=50)
-    rep = dynamics.spreading_experiment(p, g, simcfg, t_window=(t0, t1))
+def cmd_spread(cfg: RunConfig, args, simcfg: dynamics.SimConfig) -> None:
+    rep = dynamics.spreading_experiment(
+        derive_params(cfg.alpha, cfg.k), make_grid(cfg.L, cfg.n), simcfg,
+        (args.t0, args.t1))
     out = _outdir(cfg, "spread")
     dynamics.trace_to_csv(rep.pop("trace"), out / "trace.csv")
     _write_json(out / "report.json", rep, cfg)
     print(f"measured spreading speed {rep['speed']:.4f} "
           f"(selected speed {rep['predicted_speed']:g})")
-    return EXIT_OK
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", type=str, default=None,
-                    help="flat key=value configuration file")
-    for name, typ in (("alpha", float), ("k", float), ("c", float),
-                      ("l", float), ("L", float), ("n", int),
-                      ("sigma1", float), ("sigma2", float), ("tol", float),
-                      ("max-iter", int), ("dt", float), ("t-end", float)):
-        sp.add_argument(f"--{name}", type=typ, default=None,
-                        dest=name.replace("-", "_"))
-    sp.add_argument("--output-dir", type=str, default=None, dest="output_dir")
-
-
-def _cfg_from_args(args) -> RunConfig:
-    overrides = {k: getattr(args, k) for k in
-                 ("alpha", "k", "c", "l", "L", "n", "sigma1", "sigma2",
-                  "tol", "max_iter", "dt", "t_end", "output_dir")}
-    return resolve_config(args.config, overrides)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="pggwave",
-        description="Traveling fronts of the public-goods reaction-diffusion "
-                    "system: existence, spectra, and dynamic stability.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("params", "wave", "bounds-check", "spectrum", "stability",
-                 "instability"):
-        _add_common(sub.add_parser(name))
-    sp = sub.add_parser("eigs")
-    _add_common(sp)
-    sp.add_argument("--count", type=int, default=6)
-    sp = sub.add_parser("spread")
-    _add_common(sp)
-    sp.add_argument("--t0", type=float, default=40.0)
-    sp.add_argument("--t1", type=float, default=80.0)
-    sp = sub.add_parser("sweep")
-    _add_common(sp)
-    sp.add_argument("--run", type=str, required=True,
-                    choices=[c for c in COMMANDS if c not in ("params", "sweep")])
-    sp.add_argument("--vary", action="append", default=[],
-                    metavar="KEY=V1,V2,...",
-                    help="repeatable; cartesian product over listed values")
-    return ap
-
-
-def cmd_sweep(cfg: RunConfig, args) -> int:
-    """Run ``args.run`` over the grid of points, each validated up front."""
+def cmd_sweep(cfg: RunConfig, args, _) -> None:
+    """Run ``args.run`` over every point, all checked before any runs."""
+    check, run = COMMANDS[args.run]
+    point_args = argparse.Namespace(**OPTIONS.get(args.run, {}))
     sweepable = {f.name for f in fields(RunConfig)} - {"output_dir"}
     axes = []
     for item in args.vary:
@@ -276,40 +250,70 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             raise ParameterError(f"two sweep points would write to {sub}")
         point_cfg = replace(cfg, output_dir=str(sub), **point)
         validate_config(point_cfg)
-        points[point_cfg.output_dir] = point_cfg
-    for point_cfg in points.values():
-        code = COMMANDS[args.run](point_cfg, args)
-        if code != EXIT_OK:
-            return code
-    return EXIT_OK
+        points[str(sub)] = (point_cfg, check(point_cfg, point_args))
+    for point_cfg, checked in points.values():
+        run(point_cfg, point_args, checked)
 
 
-# subcommand -> runner(cfg, args).  Sweep points run with the sweep's
-# arguments, whose parser has no --count, --t0 or --t1: hence the defaults.
+# subcommand -> (its checks before solving, its run)
 COMMANDS = {
-    "params": lambda cfg, args: cmd_params(cfg),
-    "wave": lambda cfg, args: cmd_wave(cfg),
-    "bounds-check": lambda cfg, args: cmd_bounds_check(cfg),
-    "spectrum": lambda cfg, args: cmd_spectrum(cfg),
-    "eigs": lambda cfg, args: cmd_eigs(cfg, getattr(args, "count", 6)),
-    "stability": lambda cfg, args: cmd_stability(cfg),
-    "instability": lambda cfg, args: cmd_instability(cfg),
-    "spread": lambda cfg, args: cmd_spread(cfg, getattr(args, "t0", 40.0),
-                                           getattr(args, "t1", 80.0)),
-    "sweep": cmd_sweep,
+    "params": (_check_none, cmd_params),
+    "wave": (_check_front, cmd_wave),
+    "bounds-check": (_check_front, cmd_bounds_check),
+    "spectrum": (_check_none, cmd_spectrum),
+    "eigs": (_check_front, cmd_eigs),
+    "stability": (_check_stability, cmd_stability),
+    "instability": (_check_instability, cmd_instability),
+    "spread": (_check_spread, cmd_spread),
+    "sweep": (_check_none, cmd_sweep),
 }
+# a subcommand's own options and their defaults; sweep points take these
+OPTIONS = {"eigs": {"count": 6}, "spread": {"t0": 40.0, "t1": 80.0}}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per subcommand; a configuration flag not given is
+    absent from the parsed arguments."""
+    ap = argparse.ArgumentParser(
+        prog="pggwave",
+        description="Traveling fronts of the public-goods reaction-diffusion "
+                    "system: existence, spectra, and dynamic stability.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        sp = sub.add_parser(name)
+        sp.add_argument("--config", type=str, default=None,
+                        help="flat key=value configuration file")
+        for f in fields(RunConfig):
+            sp.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            default=argparse.SUPPRESS)
+        for opt, default in OPTIONS.get(name, {}).items():
+            sp.add_argument(f"--{opt}", type=type(default), default=default)
+        if name == "sweep":
+            sp.add_argument("--run", type=str, required=True,
+                            choices=[c for c in COMMANDS
+                                     if c not in ("params", "sweep")])
+            sp.add_argument("--vary", action="append", default=[],
+                            metavar="KEY=V1,V2,...",
+                            help="repeatable; cartesian product of the values")
+    return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    check, run = COMMANDS[args.command]
+    given = vars(args)
     try:
-        return COMMANDS[args.command](_cfg_from_args(args), args)
+        cfg = resolve_config(args.config, {
+            f.name: _coerce(f.name, given[f.name])
+            for f in fields(RunConfig) if f.name in given})
+        run(cfg, args, check(cfg, args))
     except _CONVERGENCE_ERRORS as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
-"""Run configuration: defaults, flat key=value files, validation, echo."""
+"""Run configuration: the settings are ``RunConfig``'s fields, typed by their
+annotations; flat key=value files; validation by each setting's owner; echo."""
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
+from . import dynamics, grid, kpp, spectrum
 from .bounds import default_l
 from .errors import ParameterError
 from .model import derive_params
@@ -14,7 +16,8 @@ __all__ = ["RunConfig", "load_config_file", "resolve_config"]
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully-resolved run parameters; the base configuration is the default."""
+    """Run parameters, the base configuration by default; l = None is
+    ``bounds.default_l``."""
 
     alpha: float = 0.25
     k: float = 0.5
@@ -38,21 +41,25 @@ class RunConfig:
         return d
 
 
+_TYPES = {f.name: f.type for f in fields(RunConfig)}   # e.g. "float | None"
+
+
 def _coerce(name: str, text: str):
+    """The value of setting ``name`` written as ``text``, typed by its field;
+    "none" is None for an optional field."""
     text = text.strip()
-    if name == "output_dir":
-        return text
-    if name in ("n", "max_iter"):
-        return int(text)
-    if name == "l" and text.lower() == "none":
+    typ, _, optional = _TYPES[name].partition(" | ")
+    if optional == "None" and text.lower() == "none":
         return None
-    return float(text)
+    try:
+        return {"float": float, "int": int, "str": str}[typ](text)
+    except ValueError:
+        raise ParameterError(f"{name} = {text!r} is not {typ}") from None
 
 
 def load_config_file(path) -> dict:
     """Parse a flat ``key = value`` file; '#' starts a comment."""
     values = {}
-    known = {f.name for f in fields(RunConfig)}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -61,7 +68,7 @@ def load_config_file(path) -> dict:
             raise ParameterError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in known:
+        if key not in _TYPES:
             raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _coerce(key, val)
     return values
@@ -72,27 +79,22 @@ def resolve_config(file_path=None, overrides: dict | None = None) -> RunConfig:
     cfg = RunConfig()
     if file_path is not None:
         cfg = replace(cfg, **load_config_file(file_path))
-    if overrides:
-        cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    cfg = replace(cfg, **(overrides or {}))
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: RunConfig) -> None:
-    derive_params(cfg.alpha, cfg.k)   # raises on an inadmissible (alpha, k)
+    """Build what every run builds from ``cfg``; each constructor raises a
+    ParameterError or GridError on a value outside its range."""
+    p = derive_params(cfg.alpha, cfg.k)
     if cfg.l is not None:
-        lmax = 1.0 - cfg.k + cfg.k * cfg.alpha
-        if not (0.0 < cfg.l < lmax):
-            raise ParameterError(f"l={cfg.l} outside (0, {lmax})")
-    if cfg.L <= 0 or cfg.n < 3:
-        raise ParameterError("grid requires L > 0 and n >= 3")
+        kpp.lower_nonlinearity(p, cfg.l)
+    grid.make_grid(cfg.L, cfg.n)
+    spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
+    dynamics.SimConfig(dt=cfg.dt, t_end=cfg.t_end)
+    # no constructor takes these before a solve
     if cfg.tol <= 0:
         raise ParameterError("tol must be positive")
     if cfg.max_iter < 1:
         raise ParameterError("max_iter must be at least 1")
-    if not (0.0 < cfg.dt <= 0.1):
-        raise ParameterError("dt must lie in (0, 0.1]")
-    if cfg.t_end <= 0:
-        raise ParameterError("t_end must be positive")
-    if cfg.sigma1 < 0 or cfg.sigma2 < 0:
-        raise ParameterError("weight exponents must be nonnegative")

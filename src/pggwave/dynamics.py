@@ -67,7 +67,7 @@ from .errors import (BlowUpError, FrontNotFoundError, GridError, NormError,
 from .grid import (Grid, Profile, boundary_vector, require_m_matrix,
                    stencil_bands, write_csv)
 from .model import ModelParams, StateVec, reaction, to_original
-from .spectrum import WeightPair, log_weight
+from .spectrum import WeightPair, exp_or_inf, log_weight
 
 __all__ = [
     "SimConfig",
@@ -139,8 +139,8 @@ def weighted_norm(u, v, g: Grid, w: WeightPair) -> float:
     pos = mag > 0
     if not np.any(pos):
         return 0.0
-    lognorm = float(np.max(np.log(mag[pos]) + log_weight(w, g.nodes[pos])))
-    return math.exp(lognorm) if lognorm < 709.0 else math.inf
+    return exp_or_inf(float(np.max(np.log(mag[pos])
+                                   + log_weight(w, g.nodes[pos]))))
 
 
 def front_position(g: Grid, v: np.ndarray) -> float:
@@ -341,8 +341,7 @@ def perturb(base: Profile, kind: str, amplitude: float) -> Profile:
     return replace(base, knots=knots)
 
 
-def fit_decay_constant(tr: Trace, t_start: float = DECAY_FIT_START
-                       ) -> tuple[float, float]:
+def fit_decay_constant(tr: Trace, t_start: float) -> tuple[float, float]:
     """Fit weighted_norm ~ M e^{-b t} on [t_start, t_end]; returns (M, b)."""
     mask = tr.times >= t_start
     y = tr.weighted_norms[mask]
@@ -371,11 +370,9 @@ def spreading_speed(tr: Trace, t_window: tuple[float, float]) -> float:
 
 
 def stability_experiment(p: ModelParams, c: float, wave: Profile,
-                         w: WeightPair, cfg: SimConfig | None = None) -> dict:
+                         w: WeightPair, cfg: SimConfig) -> dict:
     """Small weighted perturbation (``AMPLITUDE``) decays: returns norms and
     (M, b) fitted from ``DECAY_FIT_START`` on."""
-    if cfg is None:
-        cfg = SimConfig(t_end=50.0)
     initial = perturb(wave, "gaussian", AMPLITUDE)
     tr = run_simulation(p, c, initial, cfg, w=w, reference=wave)
     M, b = fit_decay_constant(tr, DECAY_FIT_START)
@@ -398,14 +395,9 @@ def stability_experiment(p: ModelParams, c: float, wave: Profile,
 
 
 def instability_experiment(p: ModelParams, c: float, wave: Profile,
-                           cfg: SimConfig | None = None,
-                           w: WeightPair | None = None) -> dict:
+                           w: WeightPair, cfg: SimConfig) -> dict:
     """Left-tail perturbation (``AMPLITUDE``) grows in sup norm; blow-up is
-    reported, not raised."""
-    if cfg is None:
-        cfg = SimConfig(t_end=20.0)
-    if w is None:
-        w = WeightPair(0.05, 0.5)
+    reported, not raised.  ``w`` measures the perturbation's weighted size."""
     initial = perturb(wave, "left_tail", AMPLITUDE)
     dev0 = initial.samples() - wave.samples()
     tr = run_simulation(p, c, initial, cfg, w=w, reference=wave,
@@ -427,8 +419,8 @@ def instability_experiment(p: ModelParams, c: float, wave: Profile,
     }
 
 
-def spreading_experiment(p: ModelParams, g: Grid, cfg: SimConfig | None = None,
-                         t_window: tuple[float, float] = (40.0, 80.0)) -> dict:
+def spreading_experiment(p: ModelParams, g: Grid, cfg: SimConfig,
+                         t_window: tuple[float, float]) -> dict:
     """Lab-frame invasion from a compact defector bump; measures front speed.
 
     The seed is stated in original variables at every knot, the Dirichlet
@@ -437,8 +429,6 @@ def spreading_experiment(p: ModelParams, g: Grid, cfg: SimConfig | None = None,
     [-SEED_HALFWIDTH, SEED_HALFWIDTH] - and mapped through the coordinate
     transform before evolving.  The selected front speed is 2 sqrt(alpha).
     """
-    if cfg is None:
-        cfg = SimConfig(t_end=t_window[1], record_every=50)
     sharp = 0.5
     xs = g.knots
     bump = SEED_HEIGHT * 0.25 * (

@@ -41,7 +41,7 @@ class EnvelopeViolationError(RuntimeError):
 class VerificationError(RuntimeError):
     """A differential-inequality check failed; carries the worst node."""
 
-    def __init__(self, message, xi=None, component=None, margin=None):
+    def __init__(self, message, *, xi, component, margin):
         super().__init__(message)
         self.xi = xi
         self.component = component

@@ -379,10 +379,10 @@ def write_json(path, payload) -> None:
                                allow_nan=True, default=_jsonable) + "\n")
 
 
-def save_profile(prof: Profile, csv_path, json_path=None, *, alpha: float,
-                 k: float, sigma1: float = 0.0, sigma2: float = 0.0) -> None:
+def save_profile(prof: Profile, csv_path, *, alpha: float, k: float,
+                 sigma1: float = 0.0, sigma2: float = 0.0) -> None:
     """Write a profile's knots as CSV ``xi,u,v`` plus a JSON metadata
-    sidecar; the first and last rows are the Dirichlet data at -L and +L."""
+    sidecar (suffix .json); the first and last rows are the Dirichlet data."""
     csv_path = Path(csv_path)
     g = prof.grid
     write_csv(csv_path, "xi,u,v", g.knots, prof.knots[:, 0], prof.knots[:, 1])
@@ -392,16 +392,13 @@ def save_profile(prof: Profile, csv_path, json_path=None, *, alpha: float,
         "c": prof.c, "L": g.L, "n": g.n,
         "sigma1": sigma1, "sigma2": sigma2,
     }
-    write_json(csv_path.with_suffix(".json") if json_path is None
-               else json_path, meta)
+    write_json(csv_path.with_suffix(".json"), meta)
 
 
-def load_profile(csv_path, json_path=None) -> tuple[Profile, dict]:
+def load_profile(csv_path) -> tuple[Profile, dict]:
     """Inverse of save_profile; returns the profile and its metadata dict."""
     csv_path = Path(csv_path)
-    if json_path is None:
-        json_path = csv_path.with_suffix(".json")
-    meta = json.loads(Path(json_path).read_text())
+    meta = json.loads(csv_path.with_suffix(".json").read_text())
     g = make_grid(meta["L"], meta["n"])
 
     rows = csv_path.read_text().strip().splitlines()

@@ -132,6 +132,12 @@ def log_weight(w: WeightPair, xi: np.ndarray) -> np.ndarray:
     return np.logaddexp(w.sigma1 * xi, -w.sigma2 * xi)
 
 
+def exp_or_inf(x: float) -> float:
+    """e^x for a magnitude formed in logs: inf from x = 709 on, just short
+    of float64's largest value e^709.78, so it never overflows."""
+    return math.exp(x) if x < 709.0 else math.inf
+
+
 def weight_functions(w: WeightPair, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Logarithmic-derivative pair (g1, g2) of the weight, overflow-safe.
 
@@ -182,8 +188,6 @@ def assemble_weighted_operator(p: ModelParams, prof: Profile,
     zero weights this is exactly the discretized unweighted linearization,
     the Jacobian of the wave solver's Newton steps.
     """
-    if prof.c is None:
-        raise ParameterError("profile has no wave speed set")
     g1, g2 = weight_functions(w, prof.grid.nodes)
     return OperatorMatrix(bands=linearization_bands(p, prof, g1, g2),
                           grid=prof.grid)
@@ -201,8 +205,7 @@ def _gershgorin_right_edge(m: OperatorMatrix) -> float:
     return float(np.max(edge))
 
 
-def eigen_report(m: OperatorMatrix,
-                 count: int = 6) -> tuple[np.ndarray, np.ndarray]:
+def eigen_report(m: OperatorMatrix, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Rightmost eigenvalues, sorted by descending real part, plus each
     eigenfunction's boundary mass fraction.
 
@@ -247,7 +250,7 @@ class TranslationModeReport:
     residual_sup: float       # unweighted linearization applied to U*'
     weighted_left: float      # weight * |U*'| one node inside -L
     weighted_mid: float       # same at the domain center
-    tail_factor: float
+    tail_factor: float        # their ratio; inf past float64 (exp_or_inf)
 
 
 def translation_mode_check(p: ModelParams, prof: Profile,
@@ -269,13 +272,13 @@ def translation_mode_check(p: ModelParams, prof: Profile,
     with np.errstate(divide="ignore"):        # log 0 = -inf weighs 0
         log_left, log_mid = np.log(mag) + log_weight(w, nodes[at])
     if mag[1] > 0:
-        factor = float(np.exp(log_left - log_mid))
+        factor = exp_or_inf(log_left - log_mid)
     else:
         factor = math.inf if mag[0] > 0 else 0.0
     return TranslationModeReport(
         residual_sup=float(np.max(np.abs(res))),
-        weighted_left=float(np.exp(log_left)),
-        weighted_mid=float(np.exp(log_mid)),
+        weighted_left=exp_or_inf(log_left),
+        weighted_mid=exp_or_inf(log_mid),
         tail_factor=factor,
     )
 
@@ -293,10 +296,9 @@ class SpectrumReport:
 
 
 def make_spectrum_report(p: ModelParams, c: float, w: WeightPair,
-                         operator: OperatorMatrix | None = None,
-                         count: int = 6) -> SpectrumReport:
+                         eigs: tuple | None = None) -> SpectrumReport:
     """Bundle curve geometry (``CURVE_SAMPLES`` points per branch over
-    |Im| <= ``CURVE_Y_MAX``) and (optionally) eigensolve results."""
+    |Im| <= ``CURVE_Y_MAX``) and, when given, ``eigen_report``'s results."""
     mx, verts = essential_spectrum_max(p, c, w)
     try:
         curves = spectrum_curves(p, c, w, CURVE_Y_MAX, CURVE_SAMPLES)
@@ -304,8 +306,8 @@ def make_spectrum_report(p: ModelParams, c: float, w: WeightPair,
         curves = []
     eigenvalues: list = []
     rightmost = None
-    if operator is not None:
-        vals, frac = eigen_report(operator, count)
+    if eigs is not None:
+        vals, frac = eigs
         mult = [int(np.sum(np.abs(vals - v) < 1e-8)) for v in vals]
         eigenvalues = [{"re": float(v.real), "im": float(v.imag),
                         "boundary_mass_fraction": float(f), "multiplicity": m}

@@ -58,6 +58,8 @@ __all__ = [
     "derivative_system_residual",
 ]
 
+BETA_SAMPLES = 50   # box points per axis for the monotonicity shift
+
 
 @dataclass
 class IterationReport:
@@ -87,10 +89,10 @@ class DecayFit:
     rsquared: float
 
 
-def _beta_for(p: ModelParams, samples: int = 50) -> float:
+def _beta_for(p: ModelParams) -> float:
     """Monotonicity shift: box maximum of (-A11, -A22, 0) plus margin 1."""
-    us = np.linspace(0.0, p.kstar, samples)
-    vs = np.linspace(0.0, 1.0, samples)
+    us = np.linspace(0.0, p.kstar, BETA_SAMPLES)
+    vs = np.linspace(0.0, 1.0, BETA_SAMPLES)
     U, V = np.meshgrid(us, vs)
     A = jacobian(p, StateVec(U.ravel(), V.ravel()))
     return max(0.0, float(-A[0, 0].min()), float(-A[1, 1].min())) + 1.0

@@ -143,8 +143,8 @@ def test_criterion_07_bound_lattice():
             for c in (p.cmin, 1.25 * p.cmin):
                 for lfrac in (0.2, 0.4):
                     bp = make_bounds(p, c, g, l=lfrac * lmax)
-                    rep_u = verify_bound(p, bp.upper, c, "upper", tol=1e-7)
-                    rep_l = verify_bound(p, bp.lower, c, "lower", tol=1e-7)
+                    rep_u = verify_bound(p, bp.upper, c, "upper")
+                    rep_l = verify_bound(p, bp.lower, c, "lower")
                     v_res = float(np.max(np.abs(rep_u.margins[:, 1])))
                     assert v_res < 1e-8, (alpha, k, c, lfrac)
                     worst_overall = max(worst_overall, abs(rep_u.worst),
@@ -235,9 +235,10 @@ def test_criterion_11_dynamic_stability(base_params, base_wave, base_weights):
             f"> 0.05; b(dt/2) = {rep2['b']:.4f} within 20%")
 
 
-def test_criterion_12_dynamic_instability(base_params, base_wave):
+def test_criterion_12_dynamic_instability(base_params, base_wave,
+                                          base_weights):
     prof, _ = base_wave
-    rep = instability_experiment(base_params, C, prof,
+    rep = instability_experiment(base_params, C, prof, base_weights,
                                  SimConfig(dt=0.01, t_end=20.0))
     ok = rep["growth_factor"] >= 5.0
     _report(12, ok, f"sup-norm deviation growth {rep['growth_factor']:.1f}x "

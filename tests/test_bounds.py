@@ -45,7 +45,7 @@ def test_upper_construction(base_params, upper_profile):
 
 
 def test_upper_margins(base_params, upper_profile):
-    rep = verify_bound(base_params, upper_profile, C, "upper", tol=1e-7)
+    rep = verify_bound(base_params, upper_profile, C, "upper")
     assert rep.passed
     assert rep.worst <= 1e-8
     # the v-equation is an exact identity on the construction curve
@@ -82,7 +82,7 @@ def test_lower_construction(base_params, lower_profile):
 
 def test_lower_margins_match_identity(base_params, lower_profile):
     p = base_params
-    rep = verify_bound(base_params, lower_profile, C, "lower", tol=1e-7)
+    rep = verify_bound(base_params, lower_profile, C, "lower")
     assert rep.passed
     assert rep.worst >= -1e-8
     # v-equation margin equals v^2 k K* (1-l) / (1 + k K* (1 - l v)) >= 0
@@ -111,7 +111,7 @@ def test_zero_profile_degenerate_lower(base_params):
 def test_verification_failure_carries_node(base_params, grid40, lower_profile):
     # a strict lower solution fails the upper-solution inequality somewhere
     with pytest.raises(VerificationError) as exc:
-        verify_bound(base_params, lower_profile, C, "upper", tol=1e-7)
+        verify_bound(base_params, lower_profile, C, "upper")
     assert exc.value.xi is not None
     assert exc.value.component in (0, 1)
     assert exc.value.margin > 1e-7

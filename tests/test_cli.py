@@ -2,14 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import pggwave
-from pggwave import spectrum, wave
-from pggwave.cli import main
-from pggwave.config import load_config_file, resolve_config
+from pggwave import default_l, derive_params, spectrum, wave
+from pggwave.cli import COMMANDS, main
+from pggwave.config import RunConfig, load_config_file, resolve_config
 from pggwave.errors import ParameterError
 
 
@@ -214,7 +215,8 @@ def test_sweep(capsys, tmp_path):
             "spectrum_report.json").exists()
 
 
-@pytest.mark.parametrize("vary", ["tol=-1", "dt=5", "foo=1",
+@pytest.mark.parametrize("vary", ["tol=-1", "dt=5", "foo=1", "l=0.9",
+                                  "sigma1=-1", "n=2",
                                   # two points that share one directory
                                   "sigma2=0.4000001,0.40000012",
                                   "c=1.25,1.25"])
@@ -224,6 +226,59 @@ def test_sweep_rejects_invalid_point(capsys, tmp_path, vary):
     assert code == 2
     assert "invalid configuration" in err
     assert not (tmp_path / "spectrum").exists()
+
+
+@pytest.mark.parametrize("run,argv", [
+    # the second point's stencil is no M-matrix: c*h/2 = 2.38
+    ("wave", ("--vary", "n=399,20", "--L", "40")),
+    # the second point cannot reach spread's t1 = 80 in steps of 0.03
+    ("spread", ("--vary", "dt=0.02,0.03", "--L", "150", "--n", "599",
+                "--t-end", "30")),
+], ids=["wave-grid", "spread-dt"])
+def test_sweep_checks_every_point_before_running_any(capsys, tmp_path, run,
+                                                     argv):
+    code, _, err = run_cli(capsys, "sweep", "--run", run, *argv,
+                           "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "invalid configuration" in err
+    assert not (tmp_path / run).exists()
+
+
+# a valid value other than the default for every setting
+FLAG_VALUES = {"alpha": 0.3, "k": 0.4, "c": 1.5, "l": None, "L": 30.0,
+               "n": 299, "sigma1": 0.1, "sigma2": 0.6, "tol": 1e-9,
+               "max_iter": 10, "dt": 0.02, "t_end": 40.0,
+               "output_dir": "elsewhere"}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_config_key_is_a_flag(monkeypatch, command):
+    assert set(FLAG_VALUES) == {f.name for f in fields(RunConfig)}
+    seen = []
+    monkeypatch.setitem(COMMANDS, command,
+                        (lambda cfg, args: None,
+                         lambda cfg, args, _: seen.append(cfg)))
+    extra = ("--run", "spectrum") if command == "sweep" else ()
+    for name, value in FLAG_VALUES.items():
+        argv = [command, *extra, "--" + name.replace("_", "-"), str(value)]
+        assert main(argv) == 0
+        assert seen.pop() == replace(RunConfig(), **{name: value})
+
+
+def test_flag_l_none_selects_default_l(capsys, tmp_path):
+    # at alpha = 0.5 default_l is 0.36, not the configured default 0.3
+    code, _, _ = run_cli(capsys, "spectrum", "--alpha", "0.5", "--l", "none",
+                         "--output-dir", str(tmp_path))
+    assert code == 0
+    report = json.loads(
+        (tmp_path / "spectrum" / "spectrum_report.json").read_text())
+    assert report["config"]["l"] == default_l(derive_params(0.5, 0.5)) != 0.3
+
+
+def test_malformed_flag_names_its_key(capsys):
+    code, _, err = run_cli(capsys, "params", "--n", "abc")
+    assert code == 2
+    assert "n = 'abc' is not int" in err
 
 
 def test_config_file(tmp_path):

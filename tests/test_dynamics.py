@@ -538,9 +538,9 @@ def test_stability_zero_perturbation_floor(base_params, base_wave, base_weights)
     assert np.max(tr.weighted_norms) < 1e-7
 
 
-def test_instability_experiment_short(base_params, base_wave):
+def test_instability_experiment_short(base_params, base_wave, base_weights):
     prof, _ = base_wave
-    rep = instability_experiment(base_params, C, prof,
+    rep = instability_experiment(base_params, C, prof, base_weights,
                                  SimConfig(dt=0.01, t_end=10.0, record_every=100))
     assert rep["growth_factor"] > 2.0
     assert rep["initial_weighted_norm"] >= 1.0

@@ -11,7 +11,7 @@ from pggwave import (Profile, StateVec, WeightPair, assemble_weighted_operator,
 from pggwave.errors import (DegenerateWeightError, EmptyWindowError,
                             ParameterError)
 from pggwave.spectrum import (OperatorMatrix, branch_vertices, eigen_report,
-                              log_weight, weight_functions)
+                              exp_or_inf, log_weight, weight_functions)
 
 C = 1.25
 
@@ -331,6 +331,27 @@ def test_translation_mode_weighted_tail_does_not_overflow(base_params):
         rep = translation_mode_check(p, prof, w)
     assert math.isfinite(rep.weighted_left)
     assert math.isfinite(rep.tail_factor) and rep.tail_factor > 1e3
+
+
+def test_translation_mode_beyond_float64_is_inf_without_warning(base_params):
+    # at c = 2, L = 500 the weighted derivative near -L itself is ~e^887,
+    # past float64's range: the report says inf and warns of nothing
+    p, c, w = base_params, 2.0, WeightPair(0.0, 1.85)
+    assert weight_window(p, c).contains(w)
+    g = make_grid(500.0, 2499)
+    prof, _ = solve_wave(p, c, g, make_bounds(p, c, g), tol=1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = translation_mode_check(p, prof, w)
+    assert rep.weighted_left == math.inf and rep.tail_factor == math.inf
+    assert math.isfinite(rep.weighted_mid) and rep.residual_sup < 1e-5
+
+
+def test_exp_or_inf_at_the_float64_edge():
+    assert exp_or_inf(708.0) == math.exp(708.0)
+    assert exp_or_inf(709.0) == math.inf
+    assert exp_or_inf(1e300) == math.inf
+    assert exp_or_inf(-math.inf) == 0.0
 
 
 def test_translation_mode_constant_profile(base_params):
