@@ -2,7 +2,7 @@
 
 Library surface, one module per concern:
 
-- ``model``     rescaled constants, reaction terms, Jacobian, coordinate maps
+- ``model``     constants, reaction, Jacobian, coordinate maps, speed verdict
 - ``grid``      uniform grid, profiles as knot arrays (Dirichlet data in
                 the end rows), the one stencil (explicit and banded), the
                 linearization's bands, the sweep-Newton loop of both front
@@ -10,7 +10,7 @@ Library surface, one module per concern:
 - ``kpp``       scalar front solves seeding the bounds
 - ``bounds``    vector upper/lower solutions, inequality margins, ordering
 - ``wave``      monotone iteration with Newton steps, phase normalization,
-                decay fits, verdicts
+                decay fits
 - ``spectrum``  essential-spectrum geometry, weighted operator, eigensolves
 - ``dynamics``  IMEX time stepping and the stability/instability/spreading runs
 - ``cli``       reproducible command-line experiments
@@ -26,14 +26,13 @@ from .grid import (Grid, Profile, apply_advection_diffusion, load_profile,
                    make_grid, residual, save_profile)
 from .kpp import (KppNonlinearity, ScalarProfile, lower_nonlinearity,
                   plateau_of, solve_kpp, upper_nonlinearity)
-from .model import (ModelParams, StateVec, derive_params, jacobian, reaction,
-                    to_original)
+from .model import (ModelParams, SpeedVerdict, StateVec, derive_params,
+                    jacobian, reaction, subcritical_verdict, to_original)
 from .spectrum import (OperatorMatrix, SpectrumReport, WeightPair,
                        WeightWindow, assemble_weighted_operator,
                        essential_spectrum_max, spectrum_curves,
                        translation_mode_check, weight_window)
-from .wave import (DecayFit, IterationReport, SpeedVerdict, check_monotone,
-                   derivative_profile, fit_decay, normalize_phase, solve_wave,
-                   subcritical_verdict)
+from .wave import (DecayFit, IterationReport, check_monotone,
+                   derivative_profile, fit_decay, normalize_phase, solve_wave)
 
 __version__ = "0.1.0"

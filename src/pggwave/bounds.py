@@ -78,8 +78,7 @@ def build_lower(p: ModelParams, l: float, s: ScalarProfile) -> Profile:
                    s.c)
 
 
-def verify_bound(p: ModelParams, prof: Profile, c: float,
-                 kind: str) -> MarginReport:
+def verify_bound(p: ModelParams, prof: Profile, kind: str) -> MarginReport:
     """Evaluate both differential-inequality left-hand sides nodewise.
 
     Upper solutions need both components <= MARGIN_TOL; lower >= -MARGIN_TOL.
@@ -89,7 +88,7 @@ def verify_bound(p: ModelParams, prof: Profile, c: float,
     """
     if kind not in ("upper", "lower"):
         raise ParameterError(f"kind must be 'upper' or 'lower', got {kind!r}")
-    margins = residual(p, prof.with_speed(c))
+    margins = residual(p, prof)
     if kind == "upper":
         flat = np.argmax(margins)
         worst = float(margins.flat[flat])

@@ -23,11 +23,10 @@ from . import dynamics, kpp, spectrum, wave
 from .config import RunConfig, _coerce, resolve_config, validate_config
 from .errors import (BlowUpError, ConvergenceError, EmptyWindowError,
                      EnvelopeViolationError, FitWindowError,
-                     FrontNotFoundError, ParameterError, ShiftNotFoundError,
-                     SubcriticalSpeedError)
+                     FrontNotFoundError, ParameterError, ShiftNotFoundError)
 from .grid import (make_grid, require_m_matrix, save_profile, write_csv,
                    write_json)
-from .model import derive_params
+from .model import SpeedVerdict, derive_params, require_monotone_wave
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -68,18 +67,17 @@ def _check_none(cfg: RunConfig, args) -> None:
     """No check beyond the configuration's own."""
 
 
-def _check_front(cfg: RunConfig, args) -> wave.SpeedVerdict:
+def _check_front(cfg: RunConfig, args) -> SpeedVerdict:
     """A front solve's preconditions: a monotone wave exists at speed c, and
     the stencil at c is an M-matrix on the grid."""
-    p = derive_params(cfg.alpha, cfg.k)
-    verdict = wave.subcritical_verdict(p, cfg.c)
-    if verdict.verdict == "NoMonotoneWave":
-        roots = ", ".join(f"{z.real:g}{z.imag:+g}i" for z in verdict.roots)
-        raise SubcriticalSpeedError(
-            f"no monotone wave for c = {cfg.c} < {p.cmin}: oscillatory tail, "
-            f"characteristic roots {roots}")
+    verdict = require_monotone_wave(derive_params(cfg.alpha, cfg.k), cfg.c)
     require_m_matrix(make_grid(cfg.L, cfg.n), cfg.c)
     return verdict
+
+
+def _check_eigs(cfg: RunConfig, args) -> None:
+    _check_front(cfg, args)
+    spectrum.check_count(args.count, 2 * cfg.n)
 
 
 def _check_stability(cfg: RunConfig, args) -> dynamics.SimConfig:
@@ -98,6 +96,8 @@ def _check_instability(cfg: RunConfig, args) -> dynamics.SimConfig:
 
 
 def _check_spread(cfg: RunConfig, args) -> dynamics.SimConfig:
+    if not args.t0 < args.t1:
+        raise ParameterError(f"speed window [{args.t0}, {args.t1}] is empty")
     return dynamics.SimConfig(dt=cfg.dt, t_end=max(cfg.t_end, args.t1),
                               record_every=50)
 
@@ -113,7 +113,7 @@ def cmd_params(cfg: RunConfig, args, _) -> None:
     print(f"identity |1 + k K* - K* - alpha/(1-k+alpha k)| = {identity_gap:.3e}")
 
 
-def cmd_wave(cfg: RunConfig, args, verdict: wave.SpeedVerdict) -> None:
+def cmd_wave(cfg: RunConfig, args, verdict: SpeedVerdict) -> None:
     p, prof, report = _solve_pipeline(cfg)
     normalized = wave.normalize_phase(prof)
     fits = [wave.fit_decay(normalized, p, side) for side in ("-inf", "+inf")]
@@ -138,7 +138,7 @@ def cmd_bounds_check(cfg: RunConfig, args, verdict) -> None:
     out = _outdir(cfg, "bounds-check")
     reports = {}
     for kind, prof in (("upper", bp.upper), ("lower", bp.lower)):
-        rep = bounds_mod.verify_bound(p, prof, cfg.c, kind)
+        rep = bounds_mod.verify_bound(p, prof, kind)
         bounds_mod.margins_to_csv(rep, g, out / f"margins_{kind}.csv")
         reports[kind] = {"worst": rep.worst, "worst_xi": rep.worst_xi,
                          "worst_component": rep.worst_component,
@@ -172,7 +172,7 @@ def cmd_spectrum(cfg: RunConfig, args, _) -> None:
     print(f"max Re essential spectrum = {rep.max_re_essential:.17g}")
 
 
-def cmd_eigs(cfg: RunConfig, args, verdict) -> None:
+def cmd_eigs(cfg: RunConfig, args, _) -> None:
     p, prof, _ = _solve_pipeline(cfg)
     w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
     op = spectrum.assemble_weighted_operator(p, prof, w)
@@ -261,7 +261,7 @@ COMMANDS = {
     "wave": (_check_front, cmd_wave),
     "bounds-check": (_check_front, cmd_bounds_check),
     "spectrum": (_check_none, cmd_spectrum),
-    "eigs": (_check_front, cmd_eigs),
+    "eigs": (_check_eigs, cmd_eigs),
     "stability": (_check_stability, cmd_stability),
     "instability": (_check_instability, cmd_instability),
     "spread": (_check_spread, cmd_spread),

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, is_dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EnvelopeViolationError, GridError, LevelNotCrossedError
+from .errors import (EnvelopeViolationError, GridError, LevelNotCrossedError,
+                     ParameterError)
 from .model import ModelParams, StateVec, jacobian, reaction
 
 __all__ = [
@@ -89,7 +90,7 @@ class Profile:
 
     grid: Grid
     knots: np.ndarray
-    c: float | None
+    c: float
 
     def __post_init__(self):
         if np.shape(self.knots) != (self.grid.n + 2, 2):
@@ -103,9 +104,6 @@ class Profile:
     @property
     def v(self) -> np.ndarray:
         return self.knots[1:-1, 1]
-
-    def with_speed(self, c: float) -> "Profile":
-        return replace(self, c=c)
 
     def samples(self) -> np.ndarray:
         """A copy of the interior rows, shape (n, 2), column 0 = u."""
@@ -165,8 +163,6 @@ def residual(p: ModelParams, prof: Profile) -> np.ndarray:
     Dirichlet data; identically zero exactly when the profile solves the
     discretized system.
     """
-    if prof.c is None:
-        raise GridError("profile has no wave speed set")
     lin = apply_advection_diffusion(prof.grid, prof.c, prof.knots)
     return lin + reaction(p, StateVec(prof.u, prof.v)).T
 
@@ -182,15 +178,13 @@ def linearization_bands(p: ModelParams, prof: Profile, g1=0.0,
     keeping the five diagonals at offsets -2..2, stored in LAPACK banded
     order: row d holds offset 2 - d.
     """
-    if prof.c is None:
-        raise GridError("profile has no wave speed set")
     g, c = prof.grid, prof.c
     h, n = g.h, g.n
     g1 = np.broadcast_to(np.asarray(g1, dtype=float), (n,))
     g2 = np.broadcast_to(np.asarray(g2, dtype=float), (n,))
     shift = 2.0 * g1**2 - g2 + c * g1
     A = jacobian(p, StateVec(prof.u, prof.v))
-    adv = 2.0 * g1 + c
+    left, right = stencil_coefficients(g, 2.0 * g1 + c)
 
     bands = np.zeros((5, 2 * n))
     # offset 0: diagonal = -2/h^2 + shift + A_jj
@@ -202,11 +196,9 @@ def linearization_bands(p: ModelParams, prof: Profile, g1=0.0,
     # offset -1: A21 on odd rows
     bands[3, 0:-1:2] = A[1, 0]
     # offset +2: right neighbor, same component
-    right = 1.0 / h**2 - adv / (2.0 * h)
     bands[0, 2::2] = right[:-1]
     bands[0, 3::2] = right[:-1]
     # offset -2: left neighbor
-    left = 1.0 / h**2 + adv / (2.0 * h)
     bands[4, 0:-2:2] = left[1:]
     bands[4, 1:-2:2] = left[1:]
     return bands
@@ -399,6 +391,8 @@ def load_profile(csv_path) -> tuple[Profile, dict]:
     """Inverse of save_profile; returns the profile and its metadata dict."""
     csv_path = Path(csv_path)
     meta = json.loads(csv_path.with_suffix(".json").read_text())
+    if type(meta["c"]) not in (int, float):     # a bool is no speed
+        raise ParameterError(f"sidecar c = {meta['c']!r} is not a number")
     g = make_grid(meta["L"], meta["n"])
 
     rows = csv_path.read_text().strip().splitlines()
@@ -407,4 +401,4 @@ def load_profile(csv_path) -> tuple[Profile, dict]:
     data = np.array([[float(t) for t in r.split(",")] for r in rows[1:]])
     if len(data) != g.n + 2:
         raise ValueError("CSV row count does not match the sidecar's n")
-    return Profile(grid=g, knots=data[:, 1:], c=meta["c"]), meta
+    return Profile(grid=g, knots=data[:, 1:], c=float(meta["c"])), meta

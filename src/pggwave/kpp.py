@@ -3,7 +3,7 @@
 Two nonlinearities are supported: the "upper" one, whose front rises to 1,
 and the "lower" family with parameter l in (0, 1-k+k*alpha), whose front
 rises to a plateau strictly below 1.  Both share f'(0) = alpha, so both
-fronts decay at the same rate toward -inf for a given speed.
+fronts decay toward -inf at one rate, the slow root of the speed verdict.
 
 On the truncated domain the phase of the front is controlled by the left
 Dirichlet datum: with the datum exactly zero the discrete problem's unique
@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import ConvergenceError, ParameterError, SubcriticalSpeedError
+from .errors import ConvergenceError, ParameterError
 from .grid import (Grid, _sweep_newton, apply_advection_diffusion,
                    boundary_vector, level_crossing, require_m_matrix,
                    stencil_bands, translate)
-from .model import ModelParams
+from .model import ModelParams, require_monotone_wave
 
 __all__ = [
     "KppNonlinearity",
@@ -166,19 +166,14 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
     clamped to [0, plateau] beyond the ends, Dirichlet data included) and
     re-solves until the half-plateau crossing sits at the origin; each pass
     the left datum moves by the factor e^{mu * crossing}, so the loop
-    converges in a handful of passes.
+    converges in a handful of passes.  A subcritical speed raises.
     """
     if tol <= 0:
         raise ParameterError("tolerance must be positive")
-    a1 = nl.params.alpha
-    if c < 2.0 * math.sqrt(a1) - 1e-12:
-        raise SubcriticalSpeedError(
-            f"speed {c} below critical {2.0 * math.sqrt(a1)} for the scalar front"
-        )
+    mu = require_monotone_wave(nl.params, c).roots[0].real
     require_m_matrix(g, c)
     b = nl.plateau
     half = b / 2.0
-    mu = (c - math.sqrt(max(c * c - 4.0 * a1, 0.0))) / 2.0
 
     bl, br = b * math.exp(-mu * g.L), b
     w = np.clip(half * (1.0 + np.tanh(g.nodes / 4.0)) + bl, 0.0, b)

@@ -6,6 +6,10 @@ cooperator density and v_hat the defector density.  In these variables the
 reaction field is cooperative on the box [0, K*] x [0, 1] (nonnegative
 Jacobian off-diagonals), which is what every comparison-based solver in this
 package relies on.
+
+``subcritical_verdict`` owns the speed rule (a monotone front exists for
+c >= cmin, critical within ``SPEED_TOL`` of it) and the tail rates e^{mu xi}:
+mu^2 - c mu + alpha = 0 at -inf, mu^2 - c mu - alpha = 0 at +inf.
 """
 
 from __future__ import annotations
@@ -16,16 +20,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, SubcriticalSpeedError
 
 __all__ = [
     "ModelParams",
     "StateVec",
+    "SpeedVerdict",
     "derive_params",
+    "subcritical_verdict",
+    "require_monotone_wave",
     "reaction",
     "jacobian",
     "to_original",
 ]
+
+SPEED_TOL = 1e-12   # |c - cmin| up to this is the critical speed
 
 
 class StateVec(NamedTuple):
@@ -66,6 +75,45 @@ def derive_params(alpha: float, k: float) -> ModelParams:
             f"derived constants inconsistent for alpha={alpha}, k={k}"
         )
     return p
+
+
+@dataclass(frozen=True)
+class SpeedVerdict:
+    """The far field of a front at one speed."""
+
+    verdict: str              # NoMonotoneWave | CriticalAdmissible | SupercriticalAdmissible
+    roots: tuple              # -inf roots, slow one first
+    discriminant: float       # c^2 - 4 alpha; 0 at the critical speed
+    plus_inf_root: float      # +inf decay rate, the negative root
+
+
+def subcritical_verdict(p: ModelParams, c: float) -> SpeedVerdict:
+    """Classify c against cmin, with the characteristic roots at both ends.
+
+    Within SPEED_TOL of cmin the -inf pair is the double root sqrt(alpha),
+    discriminant 0, however c^2 - 4 alpha rounds; below, it is complex."""
+    if c <= 0:
+        raise ParameterError(f"speed must be positive, got {c}")
+    disc = c * c - 4.0 * p.alpha
+    half = c / 2.0
+    if c < p.cmin - SPEED_TOL:
+        verdict, s = "NoMonotoneWave", complex(0.0, math.sqrt(-disc) / 2.0)
+    elif c <= p.cmin + SPEED_TOL:
+        verdict, half, s, disc = "CriticalAdmissible", p.cmin / 2.0, 0.0, 0.0
+    else:
+        verdict, s = "SupercriticalAdmissible", math.sqrt(disc) / 2.0
+    return SpeedVerdict(verdict, (complex(half - s), complex(half + s)), disc,
+                        (c - math.sqrt(c * c + 4.0 * p.alpha)) / 2.0)
+
+
+def require_monotone_wave(p: ModelParams, c: float) -> SpeedVerdict:
+    """The verdict at c; SubcriticalSpeedError when no monotone wave exists."""
+    v = subcritical_verdict(p, c)
+    if v.verdict == "NoMonotoneWave":
+        raise SubcriticalSpeedError(
+            f"no monotone wave for c = {c} < cmin = {p.cmin}: oscillatory "
+            f"tail, characteristic roots {v.roots[0]:g}, {v.roots[1]:g}")
+    return v
 
 
 def reaction(p: ModelParams, s: StateVec, out: np.ndarray | None = None

@@ -23,7 +23,7 @@ import scipy.sparse.linalg
 from .errors import (ConvergenceError, DegenerateWeightError, EmptyWindowError,
                      ParameterError)
 from .grid import Grid, Profile, linearization_bands
-from .model import ModelParams
+from .model import ModelParams, subcritical_verdict
 from .wave import derivative_profile, derivative_system_residual
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "log_weight",
     "weight_functions",
     "assemble_weighted_operator",
+    "check_count",
     "eigen_report",
     "translation_mode_check",
     "make_spectrum_report",
@@ -74,15 +75,12 @@ class WeightWindow:
 
 def weight_window(p: ModelParams, c: float) -> WeightWindow:
     """Exponent window in which the weighted essential spectrum is negative."""
-    disc = c * c - 4.0 * p.alpha
-    if disc <= 0:
-        raise EmptyWindowError(
-            f"speed {c} at or below critical {p.cmin}: sigma2 interval is empty"
-        )
-    s1max = (-c + math.sqrt(c * c + 4.0 * p.alpha)) / 2.0
-    s2min = (c - math.sqrt(disc)) / 2.0
-    s2max = (c + math.sqrt(disc)) / 2.0
-    return WeightWindow(sigma1_max=s1max, sigma2_min=s2min, sigma2_max=s2max)
+    v = subcritical_verdict(p, c)
+    if v.verdict != "SupercriticalAdmissible":
+        raise EmptyWindowError(f"speed {c} at or below critical {p.cmin}: "
+                               "sigma2 interval is empty")
+    return WeightWindow(sigma1_max=-v.plus_inf_root,
+                        sigma2_min=v.roots[0].real, sigma2_max=v.roots[1].real)
 
 
 def branch_vertices(p: ModelParams, c: float, w: WeightPair) -> np.ndarray:
@@ -205,6 +203,13 @@ def _gershgorin_right_edge(m: OperatorMatrix) -> float:
     return float(np.max(edge))
 
 
+def check_count(count: int, size: int) -> None:
+    """Refuse a count outside ARPACK's limit [1, size - 2]."""
+    if not 1 <= count <= size - 2:
+        raise ParameterError(f"eigenvalue count {count} outside "
+                             f"[1, {size - 2}] for an operator of size {size}")
+
+
 def eigen_report(m: OperatorMatrix, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Rightmost eigenvalues, sorted by descending real part, plus each
     eigenfunction's boundary mass fraction.
@@ -213,17 +218,14 @@ def eigen_report(m: OperatorMatrix, count: int) -> tuple[np.ndarray, np.ndarray]
     placed right of the Gershgorin edge, so the rightmost eigenvalues are
     the dominant ones.  The start vector is fixed: the same operator gives
     bit-identical results however many solves ran before it.  ``count``
-    must lie in [1, size - 2], ARPACK's limit.
+    must pass ``check_count``.
 
     The fraction is the share of |V|^2 carried by nodes in the outer
     ``OUTER_FRACTION`` of the domain (|xi| > (1 - OUTER_FRACTION) L); values
     near 1 tag Dirichlet-truncation artifacts.
     """
     N = m.size
-    if not 1 <= count <= N - 2:
-        raise ParameterError(
-            f"eigenvalue count {count} outside [1, {N - 2}] for an operator "
-            f"of size {N}")
+    check_count(count, N)
     k = min(max(count, 8), N - 2)
     sigma = _gershgorin_right_edge(m) + 1.0  # strictly right of the spectrum
     try:

@@ -25,7 +25,7 @@ Dirichlet data, the end knots of every iterate: the right end is pinned at
 the exact limit (K*, 1); the left end is the upper bound's left knot, a tiny
 positive datum, which is what fixes the front's position on the truncated
 domain (with exactly zero data the discrete solution degenerates into a
-layer at +L).
+layer at +L).  The speed rule and the tail rates are ``model``'s verdict.
 """
 
 from __future__ import annotations
@@ -43,17 +43,16 @@ from .grid import (Grid, Profile, _sweep_newton, apply_advection_diffusion,
                    boundary_vector, level_crossing, linearization_bands,
                    require_m_matrix, residual, stencil_bands,
                    stencil_coefficients, translate)
-from .model import ModelParams, StateVec, jacobian, reaction
+from .model import (ModelParams, StateVec, jacobian, reaction,
+                    require_monotone_wave)
 
 __all__ = [
     "IterationReport",
     "DecayFit",
-    "SpeedVerdict",
     "solve_wave",
     "normalize_phase",
     "check_monotone",
     "fit_decay",
-    "subcritical_verdict",
     "derivative_profile",
     "derivative_system_residual",
 ]
@@ -117,10 +116,7 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
     """
     if direction not in ("down", "up"):
         raise ParameterError(f"direction must be 'down' or 'up', got {direction!r}")
-    if c < p.cmin - 1e-12:
-        raise ParameterError(
-            f"speed {c} below critical {p.cmin}; no monotone front exists"
-        )
+    require_monotone_wave(p, c)
     require_m_matrix(g, c)
     bg = bounds.upper.grid
     if bg.n != g.n or bg.L != g.L:
@@ -216,26 +212,23 @@ def fit_decay(prof: Profile, p: ModelParams, side: str) -> DecayFit:
     """Log-linear tail fit against the analytic front asymptotics.
 
     side "-inf" fits log u and log v on [-L+5, -L/2]; side "+inf" fits
-    log(K*-u) and log(1-v) on [L/2, L-5].  At the critical speed (by
-    ``subcritical_verdict``) the -inf tail carries a linear prefactor, so
+    log(K*-u) and log(1-v) on [L/2, L-5], against the verdict's roots.  At
+    the critical speed the -inf tail carries a linear prefactor, so
     log y - log|xi| is fitted instead.  Samples below 1e-14 are excluded;
     fewer than 20 usable nodes is an error.
     """
     if side not in ("-inf", "+inf"):
         raise ParameterError(f"side must be '-inf' or '+inf', got {side!r}")
-    if prof.c is None:
-        raise ParameterError("profile has no wave speed set")
-    g, c = prof.grid, prof.c
-    critical = subcritical_verdict(p, c).verdict == "CriticalAdmissible"
+    g = prof.grid
+    verdict = require_monotone_wave(p, prof.c)
     if side == "-inf":
         win = (-g.L + 5.0, -g.L / 2.0)
         data = (prof.u, prof.v)
-        disc = c * c - 4.0 * p.alpha
-        predicted = math.sqrt(p.alpha) if critical else (c - math.sqrt(disc)) / 2.0
+        predicted = verdict.roots[0].real
     else:
         win = (g.L / 2.0, g.L - 5.0)
         data = (p.kstar - prof.u, 1.0 - prof.v)
-        predicted = (c - math.sqrt(c * c + 4.0 * p.alpha)) / 2.0
+        predicted = verdict.plus_inf_root
 
     inwin = (g.nodes >= win[0]) & (g.nodes <= win[1])
     rates, amps, r2s = [], [], []
@@ -246,7 +239,7 @@ def fit_decay(prof: Profile, p: ModelParams, side: str) -> DecayFit:
                 f"only {int(mask.sum())} usable nodes in the {side} fit window"
             )
         logy = np.log(y[mask])
-        if critical and side == "-inf":
+        if side == "-inf" and verdict.verdict == "CriticalAdmissible":
             logy = logy - np.log(np.abs(g.nodes[mask]))
         slope, intercept, r2 = _loglinear_fit(g.nodes[mask], logy)
         rates.append(slope)
@@ -256,36 +249,6 @@ def fit_decay(prof: Profile, p: ModelParams, side: str) -> DecayFit:
                     amplitude_u=amps[0], amplitude_v=amps[1],
                     predicted_rate=predicted, window=win,
                     rsquared=min(r2s))
-
-
-@dataclass(frozen=True)
-class SpeedVerdict:
-    verdict: str              # NoMonotoneWave | CriticalAdmissible | SupercriticalAdmissible
-    roots: tuple              # characteristic roots at the -inf state
-    discriminant: float
-
-
-def subcritical_verdict(p: ModelParams, c: float) -> SpeedVerdict:
-    """Classify c by the characteristic roots (c +- sqrt(c^2-4*alpha))/2.
-
-    A negative discriminant gives a complex pair: the tail toward -inf
-    oscillates and no monotone front exists.
-    """
-    if c <= 0:
-        raise ParameterError(f"speed must be positive, got {c}")
-    disc = c * c - 4.0 * p.alpha
-    if disc < 0:
-        s = math.sqrt(-disc) / 2.0
-        roots = (complex(c / 2.0, -s), complex(c / 2.0, s))
-        verdict = "NoMonotoneWave"
-    elif disc == 0:
-        roots = (complex(c / 2.0, 0.0), complex(c / 2.0, 0.0))
-        verdict = "CriticalAdmissible"
-    else:
-        s = math.sqrt(disc) / 2.0
-        roots = (complex(c / 2.0 - s, 0.0), complex(c / 2.0 + s, 0.0))
-        verdict = "SupercriticalAdmissible"
-    return SpeedVerdict(verdict=verdict, roots=roots, discriminant=disc)
 
 
 def _ghost_states(p: ModelParams, prof: Profile) -> tuple[np.ndarray, np.ndarray]:
@@ -311,8 +274,6 @@ def derivative_profile(p: ModelParams, prof: Profile) -> Profile:
     equation before differencing, so the derivative's Dirichlet data and the
     closure rows stay consistent with the linearized system to O(h^2).
     """
-    if prof.c is None:
-        raise ParameterError("profile has no wave speed set")
     g = prof.grid
     bml, bpr = _ghost_states(p, prof)
     ext = np.vstack([bml, prof.knots, bpr])   # one ghost past each end knot

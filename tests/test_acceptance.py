@@ -143,8 +143,8 @@ def test_criterion_07_bound_lattice():
             for c in (p.cmin, 1.25 * p.cmin):
                 for lfrac in (0.2, 0.4):
                     bp = make_bounds(p, c, g, l=lfrac * lmax)
-                    rep_u = verify_bound(p, bp.upper, c, "upper")
-                    rep_l = verify_bound(p, bp.lower, c, "lower")
+                    rep_u = verify_bound(p, bp.upper, "upper")
+                    rep_l = verify_bound(p, bp.lower, "lower")
                     v_res = float(np.max(np.abs(rep_u.margins[:, 1])))
                     assert v_res < 1e-8, (alpha, k, c, lfrac)
                     worst_overall = max(worst_overall, abs(rep_u.worst),

@@ -45,7 +45,7 @@ def test_upper_construction(base_params, upper_profile):
 
 
 def test_upper_margins(base_params, upper_profile):
-    rep = verify_bound(base_params, upper_profile, C, "upper")
+    rep = verify_bound(base_params, upper_profile, "upper")
     assert rep.passed
     assert rep.worst <= 1e-8
     # the v-equation is an exact identity on the construction curve
@@ -57,11 +57,11 @@ def test_worst_location_only_above_roundoff(base_params, grid40,
     # the residual of O(1) samples carries roundoff ~ eps max|U| / h^2; a
     # worst margin inside that floor has no meaningful location
     h2 = grid40.h**2
-    up = verify_bound(base_params, upper_profile, C, "upper")
+    up = verify_bound(base_params, upper_profile, "upper")
     floor = 4.0 * np.finfo(float).eps * np.max(upper_profile.samples()) / h2
     assert abs(up.worst) <= floor
     assert up.worst_xi is None and up.worst_component is None
-    low = verify_bound(base_params, lower_profile, C, "lower")
+    low = verify_bound(base_params, lower_profile, "lower")
     floor = 4.0 * np.finfo(float).eps * np.max(lower_profile.samples()) / h2
     assert abs(low.worst) > 10.0 * floor
     assert low.worst_xi == pytest.approx(-39.98, abs=1e-9)
@@ -82,7 +82,7 @@ def test_lower_construction(base_params, lower_profile):
 
 def test_lower_margins_match_identity(base_params, lower_profile):
     p = base_params
-    rep = verify_bound(base_params, lower_profile, C, "lower")
+    rep = verify_bound(base_params, lower_profile, "lower")
     assert rep.passed
     assert rep.worst >= -1e-8
     # v-equation margin equals v^2 k K* (1-l) / (1 + k K* (1 - l v)) >= 0
@@ -104,14 +104,14 @@ def _zero_profile(g, c=C):
 
 def test_zero_profile_degenerate_lower(base_params):
     g = make_grid(20.0, 199)
-    rep = verify_bound(base_params, _zero_profile(g), C, "lower")
+    rep = verify_bound(base_params, _zero_profile(g), "lower")
     assert np.max(np.abs(rep.margins)) < 1e-14
 
 
 def test_verification_failure_carries_node(base_params, grid40, lower_profile):
     # a strict lower solution fails the upper-solution inequality somewhere
     with pytest.raises(VerificationError) as exc:
-        verify_bound(base_params, lower_profile, C, "upper")
+        verify_bound(base_params, lower_profile, "upper")
     assert exc.value.xi is not None
     assert exc.value.component in (0, 1)
     assert exc.value.margin > 1e-7
@@ -156,7 +156,7 @@ def test_upper_plus_inf_exponent_variants(base_params, upper_profile):
 
 
 def test_margins_csv(tmp_path, base_params, upper_profile):
-    rep = verify_bound(base_params, upper_profile, C, "upper")
+    rep = verify_bound(base_params, upper_profile, "upper")
     out = tmp_path / "margins.csv"
     margins_to_csv(rep, upper_profile.grid, out)
     lines = out.read_text().splitlines()

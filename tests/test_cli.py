@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import pggwave
-from pggwave import default_l, derive_params, spectrum, wave
+from pggwave import default_l, derive_params, dynamics, spectrum, wave
 from pggwave.cli import COMMANDS, main
 from pggwave.config import RunConfig, load_config_file, resolve_config
 from pggwave.errors import ParameterError
@@ -39,6 +39,17 @@ def test_wave_subcritical_exit_code(capsys, tmp_path):
     assert code == 2
     assert "0.4" in err and "0.3" in err   # complex pair 0.4 +- 0.3i
     assert "no monotone wave" in err
+
+
+def test_wave_at_rounded_cmin(capsys, tmp_path):
+    # at alpha = 0.3 this c is cmin, and c^2 - 4 alpha rounds to -2.2e-16
+    assert derive_params(0.3, 0.5).cmin == 1.0954451150103321
+    code, _, err = run_cli(capsys, "wave", "--alpha", "0.3", "--k", "0.5",
+                           "--c", "1.0954451150103321",
+                           "--output-dir", str(tmp_path))
+    assert code == 0, err
+    fits = json.loads((tmp_path / "wave" / "decay_fits.json").read_text())
+    assert fits["verdict"]["verdict"] == "CriticalAdmissible"
 
 
 def test_spectrum_unweighted(capsys, tmp_path):
@@ -143,7 +154,11 @@ def test_eigs_solves_once(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("count", ["0", "-1", "199"])
-def test_eigs_rejects_count(capsys, tmp_path, count):
+def test_eigs_rejects_count(capsys, tmp_path, monkeypatch, count):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the wave was solved before the count check")
+
+    monkeypatch.setattr(wave, "solve_wave", refuse)
     code, _, err = run_cli(capsys, "eigs", "--L", "40", "--n", "100",
                            "--count", count, "--output-dir", str(tmp_path))
     assert code == 2
@@ -202,6 +217,17 @@ def test_spread_smoke(capsys, tmp_path):
     assert 0.5 < rep["speed"] < 1.5
     assert rep["steps"] == 360
     assert 0.0 < rep["guard_margin"] < 12.0
+
+
+def test_spread_checks_window_before_running(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spread ran before the window check")
+
+    monkeypatch.setattr(dynamics, "spreading_experiment", refuse)
+    code, _, err = run_cli(capsys, "spread", "--t0", "30", "--t1", "10",
+                           "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "speed window" in err
 
 
 def test_sweep(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,7 +12,7 @@ from pggwave import (Profile, StateVec, WeightPair, apply_advection_diffusion,
                      residual, save_profile, wave)
 from pggwave.grid import (boundary_vector, level_crossing, linearization_bands,
                           stencil_bands, translate, write_csv, write_json)
-from pggwave.errors import GridError, LevelNotCrossedError
+from pggwave.errors import GridError, LevelNotCrossedError, ParameterError
 
 
 def test_make_grid_examples():
@@ -91,7 +92,7 @@ def test_profile_length_validation():
     g = make_grid(10.0, 9)
     for shape in ((9, 2), (11,), (11, 3), (13, 2), (2, 11)):
         with pytest.raises(GridError):
-            Profile(grid=g, knots=np.zeros(shape), c=None)
+            Profile(grid=g, knots=np.zeros(shape), c=1.0)
 
 
 def test_profile_components_view_knots_and_samples_copy():
@@ -131,6 +132,18 @@ def test_load_profile_rejects_bad_header_and_row_count(tmp_path):
         load_profile(csv)
     csv.write_text("\n".join(rows[:-1]) + "\n")
     with pytest.raises(ValueError, match="row count"):
+        load_profile(csv)
+
+
+@pytest.mark.parametrize("c", [None, "1.25", True])
+def test_load_profile_rejects_non_numeric_speed(tmp_path, c):
+    g = make_grid(7.0, 23)
+    csv = tmp_path / "profile.csv"
+    save_profile(Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=1.25), csv,
+                 alpha=0.25, k=0.5)
+    meta = json.loads(csv.with_suffix(".json").read_text())
+    csv.with_suffix(".json").write_text(json.dumps({**meta, "c": c}))
+    with pytest.raises(ParameterError, match="not a number"):
         load_profile(csv)
 
 

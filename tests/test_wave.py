@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import asdict
 
@@ -6,10 +7,12 @@ import pytest
 
 from pggwave import (BoundPair, Profile, check_monotone, derive_params,
                      fit_decay, grid, make_bounds, make_grid, normalize_phase,
-                     residual, solve_wave, subcritical_verdict, wave)
-from pggwave.errors import (ConvergenceError, EnvelopeViolationError,
-                            FitWindowError, GridError, LevelNotCrossedError,
-                            ParameterError)
+                     residual, solve_kpp, solve_wave, subcritical_verdict,
+                     upper_nonlinearity, wave, weight_window)
+from pggwave.errors import (ConvergenceError, EmptyWindowError,
+                            EnvelopeViolationError, FitWindowError, GridError,
+                            LevelNotCrossedError, ParameterError,
+                            SubcriticalSpeedError)
 from pggwave.bounds import shifted_upper_samples
 from pggwave.grid import linearization_bands, translate
 from pggwave.wave import (IterationReport, derivative_profile,
@@ -338,14 +341,63 @@ def test_verdicts(base_params):
     assert v.verdict == "CriticalAdmissible"
     assert v.roots[0] == pytest.approx(0.5, abs=1e-12)
     assert v.roots[1] == v.roots[0]
+    assert v.plus_inf_root == pytest.approx((1.0 - math.sqrt(2.0)) / 2.0,
+                                            abs=1e-15)
 
     v = subcritical_verdict(base_params, 1.25)
     assert v.verdict == "SupercriticalAdmissible"
     assert v.roots[0] == pytest.approx(0.25, abs=1e-12)
     assert v.roots[1] == pytest.approx(1.0, abs=1e-12)
+    assert v.plus_inf_root == pytest.approx(-0.1753906, abs=1e-7)
 
     with pytest.raises(ParameterError):
         subcritical_verdict(base_params, -1.0)
+
+
+# alpha at k = 0.5 where c^2 - 4 alpha at c = cmin rounds below, above and
+# to zero
+CMIN_ALPHAS = (0.01, 0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75,
+               0.8, 0.9, 0.95, 0.99)
+
+
+@pytest.mark.parametrize("alpha", CMIN_ALPHAS)
+def test_cmin_is_critical(alpha):
+    p = derive_params(alpha, 0.5)
+    v = subcritical_verdict(p, p.cmin)
+    assert v.verdict == "CriticalAdmissible"
+    assert v.roots == (complex(math.sqrt(alpha)),) * 2
+    assert v.discriminant == 0.0
+    with pytest.raises(EmptyWindowError):
+        weight_window(p, p.cmin)
+
+
+def test_speed_rule_is_one_rule(base_params):
+    # within 1e-12 below cmin = 1 is critical: the verdict and both solvers
+    # accept it; further below all refuse it
+    g = make_grid(20.0, 399)
+    c = 1.0 - 5e-13
+    assert subcritical_verdict(base_params, c).verdict == "CriticalAdmissible"
+    bp = make_bounds(base_params, c, g)
+    assert solve_wave(base_params, c, g, bp, tol=1e-10)[1].converged
+    c = 1.0 - 2e-12
+    assert subcritical_verdict(base_params, c).verdict == "NoMonotoneWave"
+    with pytest.raises(SubcriticalSpeedError):
+        solve_kpp(upper_nonlinearity(base_params), c, g)
+    with pytest.raises(SubcriticalSpeedError, match="cmin"):
+        solve_wave(base_params, c, g, bp)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+def test_critical_tail_fit_at_rounded_cmin(alpha):
+    # c^2 - 4 alpha at c = cmin rounds to -2.2e-16 (0.3) and 4.4e-16 (0.5);
+    # the -inf tail still takes the critical form (A|xi| + B) e^{sqrt(alpha) xi}
+    p = derive_params(alpha, 0.5)
+    g = make_grid(60.0, 2999)
+    prof, _ = solve_wave(p, p.cmin, g, make_bounds(p, p.cmin, g), tol=1e-10)
+    f = fit_decay(normalize_phase(prof), p, "-inf")
+    assert f.predicted_rate == math.sqrt(alpha)
+    assert f.rate_u == pytest.approx(math.sqrt(alpha), rel=0.01)
+    assert f.rate_v == pytest.approx(math.sqrt(alpha), rel=0.01)
 
 
 # --- derivative profile ---
