@@ -194,7 +194,7 @@ def cmd_eigs(cfg: RunConfig, args, _) -> None:
 def cmd_stability(cfg: RunConfig, args, simcfg: dynamics.SimConfig) -> None:
     p, prof, _ = _solve_pipeline(cfg)
     rep = dynamics.stability_experiment(
-        p, cfg.c, prof, spectrum.WeightPair(cfg.sigma1, cfg.sigma2), simcfg)
+        p, prof, spectrum.WeightPair(cfg.sigma1, cfg.sigma2), simcfg)
     out = _outdir(cfg, "stability")
     dynamics.trace_to_csv(rep.pop("trace"), out / "trace.csv")
     _write_json(out / "report.json", rep, cfg)
@@ -206,7 +206,7 @@ def cmd_stability(cfg: RunConfig, args, simcfg: dynamics.SimConfig) -> None:
 def cmd_instability(cfg: RunConfig, args, simcfg: dynamics.SimConfig) -> None:
     p, prof, _ = _solve_pipeline(cfg)
     rep = dynamics.instability_experiment(
-        p, cfg.c, prof, spectrum.WeightPair(cfg.sigma1, cfg.sigma2), simcfg)
+        p, prof, spectrum.WeightPair(cfg.sigma1, cfg.sigma2), simcfg)
     out = _outdir(cfg, "instability")
     dynamics.trace_to_csv(rep.pop("trace"), out / "trace.csv")
     _write_json(out / "report.json", rep, cfg)

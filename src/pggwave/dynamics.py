@@ -51,7 +51,14 @@ buffer's transpose.
 
 Three experiments reproduce the front's dynamic signature: decay of small
 weighted perturbations, sup-norm growth of bounded-but-weighted-large left
-tail perturbations, and the selected invasion speed in the lab frame.
+tail perturbations, and the selected invasion speed in the lab frame.  The
+moving-frame runs take their frame speed from the wave they perturb.  The
+invasion starts from a tanh-edged defector bump evaluated in logistic form,
+(1 + tanh z)/2 = exp(-log(1 + e^{-2z})), whose tails decay like
+e^{-4|x|} instead of cancelling to exact zero beyond |x| ~ 14.5.  A run of
+exact zeros in the state makes every solve smear subnormal numbers into
+it, which the CPU handles slowly; on domains with L up to ~181 the bump is
+normal at every knot and the solves meet no such run.
 """
 
 from __future__ import annotations
@@ -90,6 +97,7 @@ LEFT_TAIL_WIDTH = 2.0   # smoothing width of the left-tail perturbation
 DECAY_FIT_START = 5.0   # start of the stability run's decay fit
 SEED_HEIGHT = 0.1       # the spreading run's defector seed
 SEED_HALFWIDTH = 5.0
+SEED_EDGE = 0.5         # width of the seed's tanh edges
 # largest max|log s_i| of the step matrix's symmetrising scale: a state
 # below the blow-up guard (10 max(K*, 1), O(10)) then stays below ~5e261
 # when scaled, far from float64's overflow at e^709.8, and values down to
@@ -212,34 +220,39 @@ def solve_banded(factors: tuple, rhs: np.ndarray) -> np.ndarray:
     return dpttrs(*factors, rhs, overwrite_b=True)[0]
 
 
-def run_simulation(p: ModelParams, frame_speed: float, initial: Profile,
-                   cfg: SimConfig, w: WeightPair | None = None,
+def run_simulation(p: ModelParams, initial: Profile, cfg: SimConfig,
+                   w: WeightPair | None = None,
                    reference: Profile | None = None, forcing=None,
                    on_blowup: str = "raise") -> Trace:
-    """Advance U_t = U_xx - frame_speed U_x + F(U) [+ forcing] and record norms.
+    """Advance U_t = U_xx - c U_x + F(U) [+ forcing] and record norms.
 
-    Norms are of U - reference when a reference is supplied, otherwise of U
-    itself; the weighted norm uses ``w`` (zero weights when omitted, i.e. a
-    doubled sup norm).  ``forcing(xi, t) -> (n, 2)`` supports manufactured
-    solutions.  Blow-up (sup|U| > 10 max(K*, 1)) raises by default; with
+    The frame speed c is ``initial.c``; a reference in another frame
+    (``reference.c != initial.c``) raises ParameterError.  Norms are of
+    U - reference when a reference is supplied, otherwise of U itself; the
+    weighted norm uses ``w`` (zero weights when omitted, i.e. a doubled sup
+    norm).  ``forcing(xi, t) -> (n, 2)`` supports manufactured solutions.
+    Blow-up (sup|U| > 10 max(K*, 1)) raises by default; with
     on_blowup="stop" the trace is truncated and flagged instead.
     """
-    if frame_speed < 0:
-        raise ParameterError("frame_speed must be nonnegative")
+    c = initial.c
+    if c < 0:
+        raise ParameterError(f"the frame speed initial.c = {c:g} is negative")
+    if reference is not None and reference.c != c:
+        raise ParameterError(
+            f"the reference moves at c = {reference.c:g}, the run's frame at "
+            f"initial.c = {c:g}")
     if on_blowup not in ("raise", "stop"):
         raise ParameterError("on_blowup must be 'raise' or 'stop'")
     g = initial.grid
-    require_m_matrix(g, frame_speed)
+    require_m_matrix(g, c)
     dt = cfg.dt
     wpair = w if w is not None else WeightPair(0.0, 0.0)
     ref = reference.samples() if reference is not None else None
 
     # Crank-Nicolson on T: implicit matrix A = I - dt/2 T = S B S^-1,
     # factored once; Dirichlet data held
-    factors, scale = factor_banded(
-        stencil_bands(g, frame_speed, -dt / 2.0, 1.0))
-    ghosts = dt * boundary_vector(g, frame_speed, initial.knots[0],
-                                  initial.knots[-1])
+    factors, scale = factor_banded(stencil_bands(g, c, -dt / 2.0, 1.0))
+    ghosts = dt * boundary_vector(g, c, initial.knots[0], initial.knots[-1])
 
     guard = 10.0 * max(p.kstar, 1.0)
     nsteps = int(round(cfg.t_end / dt))
@@ -306,8 +319,7 @@ def run_simulation(p: ModelParams, frame_speed: float, initial: Profile,
         if (mstep + 1) % cfg.record_every == 0 or mstep + 1 == nsteps:
             record(mstep + 1, U)
 
-    final = Profile(g, np.vstack((initial.knots[0], U, initial.knots[-1])),
-                    frame_speed)
+    final = Profile(g, np.vstack((initial.knots[0], U, initial.knots[-1])), c)
     return Trace(times=np.array(times), weighted_norms=np.array(wnorms),
                  sup_norms=np.array(snorms), front_positions=np.array(fronts),
                  blew_up=blew_up, final_state=final, steps=steps,
@@ -369,12 +381,12 @@ def spreading_speed(tr: Trace, t_window: tuple[float, float]) -> float:
     return float(slope)
 
 
-def stability_experiment(p: ModelParams, c: float, wave: Profile,
-                         w: WeightPair, cfg: SimConfig) -> dict:
-    """Small weighted perturbation (``AMPLITUDE``) decays: returns norms and
-    (M, b) fitted from ``DECAY_FIT_START`` on."""
+def stability_experiment(p: ModelParams, wave: Profile, w: WeightPair,
+                         cfg: SimConfig) -> dict:
+    """Small weighted perturbation (``AMPLITUDE``) decays in the frame of
+    ``wave.c``: returns norms and (M, b) fitted from ``DECAY_FIT_START`` on."""
     initial = perturb(wave, "gaussian", AMPLITUDE)
-    tr = run_simulation(p, c, initial, cfg, w=w, reference=wave)
+    tr = run_simulation(p, initial, cfg, w=w, reference=wave)
     M, b = fit_decay_constant(tr, DECAY_FIT_START)
     return {
         "kind": "stability",
@@ -394,13 +406,14 @@ def stability_experiment(p: ModelParams, c: float, wave: Profile,
     }
 
 
-def instability_experiment(p: ModelParams, c: float, wave: Profile,
-                           w: WeightPair, cfg: SimConfig) -> dict:
-    """Left-tail perturbation (``AMPLITUDE``) grows in sup norm; blow-up is
-    reported, not raised.  ``w`` measures the perturbation's weighted size."""
+def instability_experiment(p: ModelParams, wave: Profile, w: WeightPair,
+                           cfg: SimConfig) -> dict:
+    """Left-tail perturbation (``AMPLITUDE``) grows in sup norm in the frame
+    of ``wave.c``; blow-up is reported, not raised.  ``w`` measures the
+    perturbation's weighted size."""
     initial = perturb(wave, "left_tail", AMPLITUDE)
     dev0 = initial.samples() - wave.samples()
-    tr = run_simulation(p, c, initial, cfg, w=w, reference=wave,
+    tr = run_simulation(p, initial, cfg, w=w, reference=wave,
                         on_blowup="stop")
     return {
         "kind": "instability",
@@ -419,24 +432,43 @@ def instability_experiment(p: ModelParams, c: float, wave: Profile,
     }
 
 
+def spreading_seed(p: ModelParams, g: Grid) -> Profile:
+    """The spreading run's initial state at every knot of ``g``, the
+    Dirichlet ends included, at frame speed 0.
+
+    Stated in original variables - cooperators at their equilibrium level
+    K* everywhere, defectors in a smoothed indicator of height
+    ``SEED_HEIGHT`` on [-SEED_HALFWIDTH, SEED_HALFWIDTH],
+
+        SEED_HEIGHT (1 + tanh a)(1 + tanh b) / 4,
+        a = (x + SEED_HALFWIDTH) / SEED_EDGE,
+        b = (SEED_HALFWIDTH - x) / SEED_EDGE,
+
+    - and mapped through the coordinate transform.  The bump is evaluated
+    in logistic form, (1 + tanh z)/2 = exp(-log(1 + e^{-2z})).  Written
+    with tanh, the product cancels to exact zero beyond |x| ~ 14.5; here
+    the tails keep their size, SEED_HEIGHT e^{-4(|x| - SEED_HALFWIDTH)} to
+    ~1e-13 relative: a normal float for |x| up to ~181 (1.3e-253 at
+    |x| = 150), and exact zero only past ~190.
+    """
+    x = g.knots
+    bump = SEED_HEIGHT * np.exp(
+        -np.logaddexp(0.0, -2.0 / SEED_EDGE * (x + SEED_HALFWIDTH))
+        - np.logaddexp(0.0, -2.0 / SEED_EDGE * (SEED_HALFWIDTH - x)))
+    seed = to_original(p, StateVec(np.full(g.n + 2, p.kstar), bump))
+    return Profile(g, np.column_stack(seed), 0.0)
+
+
 def spreading_experiment(p: ModelParams, g: Grid, cfg: SimConfig,
                          t_window: tuple[float, float]) -> dict:
-    """Lab-frame invasion from a compact defector bump; measures front speed.
+    """Lab-frame invasion from ``spreading_seed``; measures front speed.
 
-    The seed is stated in original variables at every knot, the Dirichlet
-    ends included - cooperators at their equilibrium level everywhere, a
-    smoothed indicator bump of defectors of height ``SEED_HEIGHT`` on
-    [-SEED_HALFWIDTH, SEED_HALFWIDTH] - and mapped through the coordinate
-    transform before evolving.  The selected front speed is 2 sqrt(alpha).
+    For ``g.L`` up to ~181 the seed is a normal float at every knot, so the
+    solves meet no run of zeros to smear subnormals into.  The selected
+    front speed is 2 sqrt(alpha).
     """
-    sharp = 0.5
-    xs = g.knots
-    bump = SEED_HEIGHT * 0.25 * (
-        (1.0 + np.tanh((xs + SEED_HALFWIDTH) / sharp))
-        * (1.0 + np.tanh((SEED_HALFWIDTH - xs) / sharp)))
-    seed = to_original(p, StateVec(np.full(g.n + 2, p.kstar), bump))
-    initial = Profile(g, np.column_stack(seed), 0.0)
-    tr = run_simulation(p, 0.0, initial, cfg)
+    initial = spreading_seed(p, g)
+    tr = run_simulation(p, initial, cfg)
     speed = spreading_speed(tr, t_window)
     return {
         "kind": "spreading",

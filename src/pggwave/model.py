@@ -122,19 +122,30 @@ def reaction(p: ModelParams, s: StateVec, out: np.ndarray | None = None
 
     Returns ``[F1, F2]`` as an array of shape (2,) for scalar inputs and
     (2, n) for arrays, written into ``out`` when one is given (any float
-    array of that shape, strided views included).  The denominator
-    1 + k(K* - u) stays positive for u < K* + 1/k, so out-of-box states are
-    evaluated as-is.
+    array of that shape that shares no memory with u or v, strided views
+    included).  The denominator 1 + k(K* - u) stays positive for
+    u < K* + 1/k, so out-of-box states are evaluated as-is.
+
+    With w = K* - u and ratio = (w + v)/(1 + k w), F1 = (-w)(1 - alpha -
+    ratio) and F2 = v (1 - ratio).  They are formed in place - w is the one
+    array allocated, the F2 row holds ratio until F2 replaces it - with the
+    rounding of those formulas, signed zeros included: F1 is
+    -(w (1 - alpha - ratio)), which negation makes exact.
     """
     u, v = np.asarray(s[0], dtype=float), np.asarray(s[1], dtype=float)
     if out is None:
         out = np.empty((2, *np.broadcast_shapes(u.shape, v.shape)))
+    # [i, ...] keeps a 0-d view of a row for scalar inputs
+    f1, ratio = out[0, ...], out[1, ...]
     w = p.kstar - u
-    ratio = (w + v) / (1.0 + p.k * w)
-    # each row of out is written once (it may be a strided view); [i, ...]
-    # keeps a 0-d view for scalar inputs
-    np.multiply(-w, 1.0 - p.alpha - ratio, out=out[0, ...])
-    np.multiply(v, 1.0 - ratio, out=out[1, ...])
+    np.multiply(w, p.k, out=ratio)
+    ratio += 1.0
+    np.divide(np.add(w, v, out=f1), ratio, out=ratio)
+    np.subtract(1.0 - p.alpha, ratio, out=f1)
+    f1 *= w
+    np.negative(f1, out=f1)
+    np.subtract(1.0, ratio, out=ratio)
+    ratio *= v
     return out
 
 

@@ -223,9 +223,9 @@ def test_criterion_10_point_spectrum(base_params, base_wave, coarse_wave_400,
 
 def test_criterion_11_dynamic_stability(base_params, base_wave, base_weights):
     prof, _ = base_wave
-    rep1 = stability_experiment(base_params, C, prof, base_weights,
+    rep1 = stability_experiment(base_params, prof, base_weights,
                                 SimConfig(dt=0.01, t_end=50.0))
-    rep2 = stability_experiment(base_params, C, prof, base_weights,
+    rep2 = stability_experiment(base_params, prof, base_weights,
                                 SimConfig(dt=0.005, t_end=50.0))
     ok_ratio = rep1["norm_ratio"] < 0.1
     ok_b = rep1["b"] > 0.05
@@ -238,7 +238,7 @@ def test_criterion_11_dynamic_stability(base_params, base_wave, base_weights):
 def test_criterion_12_dynamic_instability(base_params, base_wave,
                                           base_weights):
     prof, _ = base_wave
-    rep = instability_experiment(base_params, C, prof, base_weights,
+    rep = instability_experiment(base_params, prof, base_weights,
                                  SimConfig(dt=0.01, t_end=20.0))
     ok = rep["growth_factor"] >= 5.0
     _report(12, ok, f"sup-norm deviation growth {rep['growth_factor']:.1f}x "
@@ -288,7 +288,7 @@ def test_criterion_14_numerics_hygiene(base_params):
     from pggwave import run_simulation
     g = make_grid(20.0, 399)
     const = Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=C)
-    tr = run_simulation(p, C, const, SimConfig(dt=0.01, t_end=10.0),
+    tr = run_simulation(p, const, SimConfig(dt=0.01, t_end=10.0),
                         reference=const)
     drift = float(np.max(tr.sup_norms))
     ok_drift = drift < 1e-10

@@ -10,8 +10,9 @@ from pggwave import (Profile, SimConfig, StateVec, Trace, WeightPair,
                      fit_decay_constant, instability_experiment, make_grid,
                      perturb, run_simulation, spreading_experiment,
                      spreading_speed, stability_experiment, weighted_norm)
-from pggwave.dynamics import (SCALE_LOG_BOUND, factor_banded, front_position,
-                              trace_to_csv)
+from pggwave.dynamics import (SCALE_LOG_BOUND, SEED_EDGE, SEED_HALFWIDTH,
+                              SEED_HEIGHT, factor_banded, front_position,
+                              spreading_seed, trace_to_csv)
 from pggwave.errors import (BlowUpError, FrontNotFoundError, GridError,
                             NormError, ParameterError)
 from pggwave.grid import (apply_advection_diffusion, boundary_vector,
@@ -100,14 +101,14 @@ def test_equilibrium_fixed_point(base_params):
     p = base_params
     g = make_grid(20.0, 399)
     const = Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=C)
-    tr = run_simulation(p, C, const, SimConfig(dt=0.01, t_end=10.0),
+    tr = run_simulation(p, const, SimConfig(dt=0.01, t_end=10.0),
                         reference=const)
     assert np.max(tr.sup_norms) < 1e-10
 
 
 def test_wave_is_steady_in_own_frame(base_params, base_wave, base_weights):
     prof, _ = base_wave
-    tr = run_simulation(base_params, C, prof,
+    tr = run_simulation(base_params, prof,
                         SimConfig(dt=0.01, t_end=10.0, record_every=100),
                         w=base_weights, reference=prof)
     # drift is bounded by iteration-tolerance-level creep
@@ -117,7 +118,7 @@ def test_wave_is_steady_in_own_frame(base_params, base_wave, base_weights):
 
 def test_wave_stays_put_long_run(base_params, base_wave):
     prof, _ = base_wave
-    tr = run_simulation(base_params, C, prof,
+    tr = run_simulation(base_params, prof,
                         SimConfig(dt=0.01, t_end=50.0, record_every=500),
                         reference=prof)
     assert np.max(tr.sup_norms) < 1e-4
@@ -158,7 +159,7 @@ def test_scheme_second_order(base_params):
         U0 = exact(g.nodes, 0.0)
         init = Profile(grid=g, knots=np.vstack(([0.0, 0.0], U0, [0.0, 0.0])),
                        c=c)
-        tr = run_simulation(p, c, init, SimConfig(dt=dt, t_end=1.0,
+        tr = run_simulation(p, init, SimConfig(dt=dt, t_end=1.0,
                                                   record_every=10**6),
                             forcing=make_forcing())
         errs.append(np.max(np.abs(tr.final_state.samples() - exact(g.nodes, 1.0))))
@@ -170,8 +171,8 @@ def test_blowup_paths(base_params, base_wave):
     prof, _ = base_wave
     bad = perturb(prof, "gaussian", 50.0)
     with pytest.raises(BlowUpError):
-        run_simulation(base_params, C, bad, SimConfig(dt=0.01, t_end=5.0))
-    tr = run_simulation(base_params, C, bad, SimConfig(dt=0.01, t_end=5.0),
+        run_simulation(base_params, bad, SimConfig(dt=0.01, t_end=5.0))
+    tr = run_simulation(base_params, bad, SimConfig(dt=0.01, t_end=5.0),
                         on_blowup="stop")
     assert tr.blew_up
     assert 0 < tr.steps < 500
@@ -180,7 +181,7 @@ def test_blowup_paths(base_params, base_wave):
 
 def test_trace_reports_steps_and_guard_margin(base_params):
     init = _plateau(base_params)
-    tr = run_simulation(base_params, C, init,
+    tr = run_simulation(base_params, init,
                         SimConfig(dt=0.01, t_end=0.2, record_every=7))
     assert tr.steps == 20
     # the plateau holds sup|U| = K* = 1.2 to roundoff; the guard is 10 K*
@@ -199,9 +200,9 @@ def _nan_forcing(column):
     return forcing
 
 
-def _plateau(p):
+def _plateau(p, c=C):
     g = make_grid(10.0, 199)
-    return Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=C)
+    return Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=c)
 
 
 @pytest.mark.parametrize("column", [0, 1], ids=["u", "v"])
@@ -209,12 +210,12 @@ def _plateau(p):
 def test_nonfinite_state_is_a_blowup(base_params, c, column):
     """With and without the symmetrising scale, a NaN in one column is a
     blow-up."""
-    init = _plateau(base_params)
+    init = _plateau(base_params, c)
     cfg = SimConfig(dt=0.01, t_end=1.0)
     forcing = _nan_forcing(column)
     with pytest.raises(BlowUpError, match="sup\\|U\\| is not finite"):
-        run_simulation(base_params, c, init, cfg, forcing=forcing)
-    tr = run_simulation(base_params, c, init, cfg, forcing=forcing,
+        run_simulation(base_params, init, cfg, forcing=forcing)
+    tr = run_simulation(base_params, init, cfg, forcing=forcing,
                         on_blowup="stop")
     assert tr.blew_up
     assert list(tr.times) == [0.0]
@@ -254,7 +255,7 @@ def _tanh_front(c):
 def test_step_matches_explicit_form(base_params, c, nsteps):
     init = _tanh_front(c)
     dt = 0.01
-    tr = run_simulation(base_params, c, init,
+    tr = run_simulation(base_params, init,
                         SimConfig(dt=dt, t_end=nsteps * dt, record_every=1))
     assert len(tr.times) == nsteps + 1
     ref = _reference_steps(base_params, c, init, dt, nsteps)
@@ -283,12 +284,78 @@ def test_one_solve_and_one_reaction_per_step(base_params, monkeypatch):
                         counted("reaction", pggwave.dynamics.reaction))
     nsteps = 7
     for runs, c in enumerate((0.0, C), start=1):
-        tr = run_simulation(base_params, c, _plateau(base_params),
+        tr = run_simulation(base_params, _plateau(base_params, c),
                             SimConfig(dt=0.01, t_end=nsteps * 0.01,
                                       record_every=3))
         assert not tr.blew_up
         assert counts == {"solve_banded": runs * nsteps,
                           "reaction": runs * nsteps}
+
+
+def _subnormals(a):
+    a = np.abs(a)
+    return int(np.count_nonzero((a > 0.0) & (a < np.finfo(float).tiny)))
+
+
+def test_spread_seed_solves_stay_normal(base_params, monkeypatch):
+    """The spreading run's first 20 steps at L = 150 (n = 5999, dt = 0.01):
+    no solve reads or returns a subnormal number.  A seed whose tails are
+    exact zeros fails at step 0, when the solve smears subnormals into the
+    zero runs of its right-hand side."""
+    seen = []
+
+    def checked(factors, rhs):
+        before = _subnormals(rhs)
+        out = solve(factors, rhs)
+        seen.append((before, _subnormals(out)))
+        return out
+
+    solve = pggwave.dynamics.solve_banded
+    monkeypatch.setattr(pggwave.dynamics, "solve_banded", checked)
+    init = spreading_seed(base_params, make_grid(150.0, 5999))
+    tr = run_simulation(base_params, init,
+                        SimConfig(dt=0.01, t_end=0.2, record_every=10))
+    assert tr.steps == 20
+    assert seen == [(0, 0)] * 20
+
+
+def test_spreading_seed_logistic_form(base_params):
+    """The seed's bump equals the tanh product wherever that is nonzero,
+    and beyond |x| = 15 keeps its exponential tail, a positive normal float
+    at every knot of the L = 150 grid."""
+    g = make_grid(150.0, 5999)
+    seed = spreading_seed(base_params, g)
+    assert seed.c == 0.0
+    u, v = seed.knots.T
+    x = g.knots
+    assert np.all(u == 0.0)
+    tanh_form = SEED_HEIGHT * 0.25 * (
+        (1.0 + np.tanh((x + SEED_HALFWIDTH) / SEED_EDGE))
+        * (1.0 + np.tanh((SEED_HALFWIDTH - x) / SEED_EDGE)))
+    nonzero = tanh_form != 0.0
+    assert np.count_nonzero(~nonzero) > 5000
+    assert np.max(np.abs(v - tanh_form)[nonzero]) <= 1e-15
+    assert np.all(v >= np.finfo(float).tiny)
+    far = np.abs(x) >= 15.0
+    tail = SEED_HEIGHT * np.exp(-4.0 * (np.abs(x[far]) - SEED_HALFWIDTH))
+    assert np.max(np.abs(v[far] / tail - 1.0)) <= 1e-12
+    assert v[0] == v[-1] == pytest.approx(1.3e-253, rel=0.02)
+
+
+def test_reference_must_share_the_frame(base_params, monkeypatch):
+    """The frame speed is the initial profile's; a reference in another
+    frame, or a negative speed, is refused before any reaction call."""
+    reactions = []
+    monkeypatch.setattr(pggwave.dynamics, "reaction",
+                        lambda *args, **kwargs: reactions.append(args))
+    init = _plateau(base_params)
+    cfg = SimConfig(dt=0.01, t_end=0.1)
+    with pytest.raises(ParameterError, match="reference moves at c = 1"):
+        run_simulation(base_params, init, cfg,
+                       reference=replace(init, c=1.0))
+    with pytest.raises(ParameterError, match="negative"):
+        run_simulation(base_params, _plateau(base_params, -0.5), cfg)
+    assert reactions == []
 
 
 def _symmetrised(ab):
@@ -362,7 +429,7 @@ def test_factored_step_matches_refactorised(base_params, c, rel):
     an independent LU of the unscaled A, equal up to roundoff."""
     init = _tanh_front(c)
     dt, nsteps = 0.01, 40
-    tr = run_simulation(base_params, c, init,
+    tr = run_simulation(base_params, init,
                         SimConfig(dt=dt, t_end=nsteps * dt, record_every=10))
     steps = _refactorised_steps if rel == 0.0 else _gtsv_steps
     ref = steps(base_params, c, init, dt, nsteps)
@@ -415,9 +482,9 @@ def test_step_matrix_factored_once_per_run(base_params, monkeypatch, c,
 
     monkeypatch.setattr(pggwave.dynamics, route, counted)
     cfg = SimConfig(dt=0.01, t_end=0.2, record_every=5)
-    run_simulation(base_params, c, _tanh_front(c), cfg)
+    run_simulation(base_params, _tanh_front(c), cfg)
     assert counts[route] == 1
-    run_simulation(base_params, c, _tanh_front(c), cfg)
+    run_simulation(base_params, _tanh_front(c), cfg)
     assert counts[route] == 2
 
 
@@ -431,7 +498,7 @@ def test_failed_factorisation_is_a_grid_error(base_params, monkeypatch, c,
     monkeypatch.setattr(pggwave.dynamics, "reaction",
                         lambda *args: reactions.append(args))
     with pytest.raises(GridError, match="pivot 3"):
-        run_simulation(base_params, c, _tanh_front(c),
+        run_simulation(base_params, _tanh_front(c),
                        SimConfig(dt=0.01, t_end=0.1))
     assert reactions == []
 
@@ -449,15 +516,15 @@ def test_scale_range_guard(base_params, monkeypatch):
     assert SCALE_LOG_BOUND == 600.0
     cfg = SimConfig(dt=0.01, t_end=0.5)
     inside = _coarse_plateau(base_params, 328.0, 1.9)
-    tr = run_simulation(base_params, 1.9, inside, cfg, reference=inside)
+    tr = run_simulation(base_params, inside, cfg, reference=inside)
     assert tr.steps == 50
     assert np.max(tr.sup_norms) < 1e-12
     reactions = []
     monkeypatch.setattr(pggwave.dynamics, "reaction",
                         lambda *args, **kwargs: reactions.append(args))
     with pytest.raises(GridError, match="symmetrising scale"):
-        run_simulation(base_params, 1.9,
-                       _coarse_plateau(base_params, 329.0, 1.9), cfg)
+        run_simulation(base_params, _coarse_plateau(base_params, 329.0, 1.9),
+                       cfg)
     assert reactions == []
 
 
@@ -465,8 +532,8 @@ def test_run_simulation_requires_monotone_stencil(base_params):
     g = make_grid(10.0, 19)                    # h = 1: c*h/2 >= 1 at c >= 2
     init = Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=2.0)
     with pytest.raises(GridError, match="not monotone"):
-        run_simulation(base_params, 2.0, init, SimConfig(dt=0.01, t_end=0.1))
-    tr = run_simulation(base_params, 1.9, replace(init, c=1.9),
+        run_simulation(base_params, init, SimConfig(dt=0.01, t_end=0.1))
+    tr = run_simulation(base_params, replace(init, c=1.9),
                         SimConfig(dt=0.01, t_end=0.1))
     assert not tr.blew_up
 
@@ -520,7 +587,7 @@ def test_front_position_interpolation():
 
 def test_stability_experiment_short(base_params, base_wave, base_weights):
     prof, _ = base_wave
-    rep = stability_experiment(base_params, C, prof, base_weights,
+    rep = stability_experiment(base_params, prof, base_weights,
                                SimConfig(dt=0.01, t_end=12.0, record_every=50))
     assert rep["final_weighted_norm"] < rep["initial_weighted_norm"]
     assert rep["b"] > 0.05
@@ -532,7 +599,7 @@ def test_stability_experiment_short(base_params, base_wave, base_weights):
 def test_stability_zero_perturbation_floor(base_params, base_wave, base_weights):
     """Unperturbed wave: deviation norms stay at the numerical floor."""
     prof, _ = base_wave
-    tr = run_simulation(base_params, C, prof,
+    tr = run_simulation(base_params, prof,
                         SimConfig(dt=0.01, t_end=2.0, record_every=50),
                         w=base_weights, reference=prof)
     assert np.max(tr.weighted_norms) < 1e-7
@@ -540,7 +607,7 @@ def test_stability_zero_perturbation_floor(base_params, base_wave, base_weights)
 
 def test_instability_experiment_short(base_params, base_wave, base_weights):
     prof, _ = base_wave
-    rep = instability_experiment(base_params, C, prof, base_weights,
+    rep = instability_experiment(base_params, prof, base_weights,
                                  SimConfig(dt=0.01, t_end=10.0, record_every=100))
     assert rep["growth_factor"] > 2.0
     assert rep["initial_weighted_norm"] >= 1.0
@@ -556,7 +623,7 @@ def test_spreading_experiment_short(base_params):
 
 def test_trace_csv(tmp_path, base_params, base_wave, base_weights):
     prof, _ = base_wave
-    tr = run_simulation(base_params, C, prof,
+    tr = run_simulation(base_params, prof,
                         SimConfig(dt=0.05, t_end=0.5, record_every=5),
                         w=base_weights, reference=prof)
     out = tmp_path / "trace.csv"

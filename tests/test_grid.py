@@ -351,5 +351,5 @@ def test_banded_solves_stay_in_their_callers_module(monkeypatch):
     prof, _ = wave.solve_wave(p, c, g, bp, tol=1e-10)
     assert counts["pggwave.wave"] > 0 and set(counts) == {"pggwave.wave"}
     counts.clear()
-    dynamics.run_simulation(p, c, prof, dynamics.SimConfig(t_end=0.05))
+    dynamics.run_simulation(p, prof, dynamics.SimConfig(t_end=0.05))
     assert counts == {"pggwave.dynamics": 5}

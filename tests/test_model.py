@@ -108,3 +108,46 @@ def test_vectorized_shapes(base_params):
     reaction(p, StateVec(state[:, 0], state[:, 1]), out=buf.T)
     for got in (out, buf.T):
         assert got.tobytes() == f.tobytes()
+
+
+def _reaction_formula(p, u, v):
+    """F as written in the model, one temporary per operation."""
+    w = p.kstar - u
+    ratio = (w + v) / (1.0 + p.k * w)
+    return np.array([(-w) * (1.0 - p.alpha - ratio), v * (1.0 - ratio)])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def test_reaction_bit_identical_to_formula(base_params):
+    """The in-place evaluation rounds as the formula does, signed zeros
+    included, for scalars, arrays and every output layout the step uses."""
+    p = base_params
+    rng = np.random.default_rng(16)
+    inside = rng.uniform([0.0, 0.0], [p.kstar, 1.0], size=(500, 2))
+    outside = rng.uniform([-2.0, -1.0], [3.0, 2.0], size=(500, 2))
+    # exact zeros: w = +0 at u = K*, v = 0, both, and a state where
+    # ratio = (0.5 + 0.4375)/1.25 = 1 - alpha exactly, so F1 = (-w)(+0) = -0
+    exact = [(p.kstar, 0.3), (0.4, 0.0), (p.kstar, 0.0), (p.kstar, -0.2),
+             (p.kstar - 0.5, 0.4375), (0.0, 0.0), (p.kstar, 1.0)]
+    w = p.kstar - (p.kstar - 0.5)
+    assert (w + 0.4375) / (1.0 + p.k * w) == 1.0 - p.alpha
+    states = np.vstack((inside, outside, exact))
+    u, v = states[:, 0], states[:, 1]
+    want = _reaction_formula(p, u, v)
+    f1 = want[0, len(inside) + len(outside) + exact.index((p.kstar - 0.5,
+                                                           0.4375))]
+    assert f1 == 0.0 and np.signbit(f1)
+    assert np.array_equal(_bits(reaction(p, StateVec(u, v))), _bits(want))
+    for u0, v0 in states:
+        assert np.array_equal(_bits(reaction(p, StateVec(u0, v0))),
+                              _bits(_reaction_formula(p, u0, v0)))
+    # the step's layout: F-order (n, 2) state and reaction buffer, written
+    # through the buffer's transpose; and a C-order buffer, strided rows
+    U = np.asfortranarray(states)
+    for order in ("F", "C"):
+        F = np.full(U.shape, np.nan, order=order)
+        reaction(p, StateVec(U[:, 0], U[:, 1]), out=F.T)
+        assert np.array_equal(_bits(F.T), _bits(want))
