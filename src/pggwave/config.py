@@ -17,12 +17,13 @@ __all__ = ["RunConfig", "load_config_file", "resolve_config"]
 @dataclass(frozen=True)
 class RunConfig:
     """Run parameters, the base configuration by default; l = None is
-    ``bounds.default_l``."""
+    ``bounds.default_l``, the one rule for the default l (0.3 at the base
+    configuration)."""
 
     alpha: float = 0.25
     k: float = 0.5
     c: float = 1.25
-    l: float | None = 0.3
+    l: float | None = None
     L: float = 40.0
     n: int = 3999
     sigma1: float = 0.05

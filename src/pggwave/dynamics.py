@@ -55,10 +55,11 @@ tail perturbations, and the selected invasion speed in the lab frame.  The
 moving-frame runs take their frame speed from the wave they perturb.  The
 invasion starts from a tanh-edged defector bump evaluated in logistic form,
 (1 + tanh z)/2 = exp(-log(1 + e^{-2z})), whose tails decay like
-e^{-4|x|} instead of cancelling to exact zero beyond |x| ~ 14.5.  A run of
-exact zeros in the state makes every solve smear subnormal numbers into
-it, which the CPU handles slowly; on domains with L up to ~181 the bump is
-normal at every knot and the solves meet no such run.
+e^{-4|x|} instead of cancelling to exact zero beyond |x| ~ 14.5, down to
+the floor ``SEED_FLOOR``.  A run of exact zeros or subnormal numbers in the
+state makes every solve smear subnormals into it, which the CPU handles
+slowly; on a domain of any length the bump is normal at every knot and the
+solves meet no such run.
 """
 
 from __future__ import annotations
@@ -98,6 +99,10 @@ DECAY_FIT_START = 5.0   # start of the stability run's decay fit
 SEED_HEIGHT = 0.1       # the spreading run's defector seed
 SEED_HALFWIDTH = 5.0
 SEED_EDGE = 0.5         # width of the seed's tanh edges
+# floor of the seed's tails, reached past |x| ~ 171: far above float64's
+# smallest normal 2.2e-308, so the AB2 term 1.5 dt F of a floored knot
+# stays normal for dt down to ~1e-17
+SEED_FLOOR = 1e-290
 # largest max|log s_i| of the step matrix's symmetrising scale: a state
 # below the blow-up guard (10 max(K*, 1), O(10)) then stays below ~5e261
 # when scaled, far from float64's overflow at e^709.8, and values down to
@@ -448,13 +453,15 @@ def spreading_seed(p: ModelParams, g: Grid) -> Profile:
     in logistic form, (1 + tanh z)/2 = exp(-log(1 + e^{-2z})).  Written
     with tanh, the product cancels to exact zero beyond |x| ~ 14.5; here
     the tails keep their size, SEED_HEIGHT e^{-4(|x| - SEED_HALFWIDTH)} to
-    ~1e-13 relative: a normal float for |x| up to ~181 (1.3e-253 at
-    |x| = 150), and exact zero only past ~190.
+    ~1e-13 relative (1.3e-253 at |x| = 150), until they reach
+    ``SEED_FLOOR`` past |x| ~ 171.  Without the floor they would turn
+    subnormal past ~181 and exact zero past ~190.
     """
     x = g.knots
-    bump = SEED_HEIGHT * np.exp(
+    bump = np.maximum(SEED_HEIGHT * np.exp(
         -np.logaddexp(0.0, -2.0 / SEED_EDGE * (x + SEED_HALFWIDTH))
-        - np.logaddexp(0.0, -2.0 / SEED_EDGE * (SEED_HALFWIDTH - x)))
+        - np.logaddexp(0.0, -2.0 / SEED_EDGE * (SEED_HALFWIDTH - x))),
+        SEED_FLOOR)
     seed = to_original(p, StateVec(np.full(g.n + 2, p.kstar), bump))
     return Profile(g, np.column_stack(seed), 0.0)
 
@@ -463,9 +470,9 @@ def spreading_experiment(p: ModelParams, g: Grid, cfg: SimConfig,
                          t_window: tuple[float, float]) -> dict:
     """Lab-frame invasion from ``spreading_seed``; measures front speed.
 
-    For ``g.L`` up to ~181 the seed is a normal float at every knot, so the
-    solves meet no run of zeros to smear subnormals into.  The selected
-    front speed is 2 sqrt(alpha).
+    The seed is a normal float at every knot, so the solves meet no run of
+    zeros to smear subnormals into.  The selected front speed is
+    2 sqrt(alpha).
     """
     initial = spreading_seed(p, g)
     tr = run_simulation(p, initial, cfg)

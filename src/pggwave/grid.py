@@ -15,9 +15,10 @@ numpy, bit-identical to scipy's; a level crossing is found by bisecting its
 bracketing cubic.  The package takes only LAPACK banded solves and ARPACK
 from scipy: its interpolation and root-finding subpackages, and the special
 functions they load, would cost every run a third of its import time and a
-fifth of its memory.  Every CSV artifact goes through ``write_csv`` and
-every JSON artifact through ``write_json``, which serialises a report from
-its fields.
+fifth of its memory.  ARPACK and ``scipy.sparse`` load only when an
+eigensolve runs (``spectrum.eigen_report``).  Every CSV artifact goes
+through ``write_csv`` and every JSON artifact through ``write_json``, which
+serialises a report from its fields.
 """
 
 from __future__ import annotations

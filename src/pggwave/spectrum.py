@@ -9,6 +9,11 @@ front into an operator whose far-field symbols are the shifted matrices
 
 whose diagonal entries are the four parabola vertices bounding the essential
 spectrum.  For weights inside the admissible window all four are negative.
+
+ARPACK (``scipy.sparse.linalg``) and ``scipy.sparse`` are imported inside
+``eigen_report`` and ``OperatorMatrix.to_sparse``, so they load only when
+an eigensolve runs; every other run is spared their import time and
+memory.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (ConvergenceError, DegenerateWeightError, EmptyWindowError,
                      ParameterError)
@@ -170,6 +173,10 @@ class OperatorMatrix:
 
     def to_sparse(self):
         """CSC matrix; LAPACK's row d, like DIA's, is indexed by column."""
+        # Deferred: only the eigensolve needs scipy.sparse, and importing it
+        # at module level would load it into every run.
+        import scipy.sparse
+
         N = self.size
         return scipy.sparse.dia_array((self.bands, [2, 1, 0, -1, -2]),
                                       shape=(N, N)).tocsc()
@@ -224,6 +231,10 @@ def eigen_report(m: OperatorMatrix, count: int) -> tuple[np.ndarray, np.ndarray]
     ``OUTER_FRACTION`` of the domain (|xi| > (1 - OUTER_FRACTION) L); values
     near 1 tag Dirichlet-truncation artifacts.
     """
+    # Deferred: ARPACK is needed only here, and importing it at module
+    # level would load scipy.sparse into every run.
+    import scipy.sparse.linalg
+
     N = m.size
     check_count(count, N)
     k = min(max(count, 8), N - 2)

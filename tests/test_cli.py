@@ -271,7 +271,7 @@ def test_sweep_checks_every_point_before_running_any(capsys, tmp_path, run,
 
 
 # a valid value other than the default for every setting
-FLAG_VALUES = {"alpha": 0.3, "k": 0.4, "c": 1.5, "l": None, "L": 30.0,
+FLAG_VALUES = {"alpha": 0.3, "k": 0.4, "c": 1.5, "l": 0.2, "L": 30.0,
                "n": 299, "sigma1": 0.1, "sigma2": 0.6, "tol": 1e-9,
                "max_iter": 10, "dt": 0.02, "t_end": 40.0,
                "output_dir": "elsewhere"}
@@ -292,13 +292,25 @@ def test_every_config_key_is_a_flag(monkeypatch, command):
 
 
 def test_flag_l_none_selects_default_l(capsys, tmp_path):
-    # at alpha = 0.5 default_l is 0.36, not the configured default 0.3
+    # at alpha = 0.5 default_l is 0.36, not the base point's 0.3
     code, _, _ = run_cli(capsys, "spectrum", "--alpha", "0.5", "--l", "none",
                          "--output-dir", str(tmp_path))
     assert code == 0
     report = json.loads(
         (tmp_path / "spectrum" / "spectrum_report.json").read_text())
     assert report["config"]["l"] == default_l(derive_params(0.5, 0.5)) != 0.3
+
+
+def test_default_l_is_admissible_where_0_3_is_not(capsys, tmp_path):
+    # 1 - k + k alpha = 0.145 here, so l = 0.3 lies outside (0, 0.145)
+    assert RunConfig().l is None
+    code, _, err = run_cli(capsys, "wave", "--alpha", "0.05", "--k", "0.9",
+                           "--c", "0.5", "--L", "20", "--n", "399",
+                           "--output-dir", str(tmp_path))
+    assert code == 0, err
+    report = json.loads(
+        (tmp_path / "wave" / "iteration_report.json").read_text())
+    assert report["config"]["l"] == default_l(derive_params(0.05, 0.9))
 
 
 def test_malformed_flag_names_its_key(capsys):
@@ -333,29 +345,37 @@ def test_config_file_cli_exit(capsys, tmp_path):
 
 _IMPORT_GRAPH_SCRIPT = """
 import json, sys
+
+def loaded(*prefixes):
+    return sorted(m for m in sys.modules
+                  if any(m == p or m.startswith(p + ".") for p in prefixes))
+
 import pggwave, pggwave.cli
-codes = [pggwave.cli.main(argv) for argv in json.loads(sys.argv[1])]
-prefixes = ("scipy.interpolate", "scipy.optimize", "scipy.special")
-loaded = sorted(m for m in sys.modules
-                if any(m == p or m.startswith(p + ".") for p in prefixes))
-print(json.dumps({"codes": codes, "loaded": loaded}))
+sparse = [loaded("scipy.sparse")]
+codes = []
+for argv in json.loads(sys.argv[1]):
+    codes.append(pggwave.cli.main(argv))
+    sparse.append(loaded("scipy.sparse"))
+print(json.dumps({"codes": codes, "sparse": sparse, "loaded": loaded(
+    "scipy.interpolate", "scipy.optimize", "scipy.special")}))
 """
 
 
 def test_cli_never_loads_scipy_interpolate_optimize_special(tmp_path):
     # scipy serves only the LAPACK banded solves and ARPACK; checking after
-    # real runs catches an import deferred into a function as well
+    # real runs catches an import deferred into a function as well.
+    # ARPACK (scipy.sparse) loads only when eigs runs, so eigs runs last
     small = ["--L", "20", "--n", "399", "--output-dir", "out"]
     runs = [["params"], ["wave", *small], ["bounds-check", *small],
             ["spectrum", "--output-dir", "out"],
-            ["eigs", "--L", "40", "--n", "200", "--count", "4",
-             "--output-dir", "out"],
             ["stability", *small, "--t-end", "8"],
             ["instability", *small, "--t-end", "6"],
             ["spread", "--L", "40", "--n", "799", "--dt", "0.05",
              "--t-end", "18", "--t0", "12", "--t1", "18",
              "--output-dir", "out"],
-            ["sweep", "--run", "wave", "--vary", "c=1.25,1.5", *small]]
+            ["sweep", "--run", "wave", "--vary", "c=1.25,1.5", *small],
+            ["eigs", "--L", "40", "--n", "200", "--count", "4",
+             "--output-dir", "out"]]
     src = str(Path(pggwave.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -366,3 +386,6 @@ def test_cli_never_loads_scipy_interpolate_optimize_special(tmp_path):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["codes"] == [0] * len(runs)
     assert result["loaded"] == []
+    *before_eigs, after_eigs = result["sparse"]
+    assert before_eigs == [[]] * len(runs)   # the import, then every run
+    assert "scipy.sparse.linalg" in after_eigs

@@ -10,9 +10,9 @@ from pggwave import (Profile, SimConfig, StateVec, Trace, WeightPair,
                      fit_decay_constant, instability_experiment, make_grid,
                      perturb, run_simulation, spreading_experiment,
                      spreading_speed, stability_experiment, weighted_norm)
-from pggwave.dynamics import (SCALE_LOG_BOUND, SEED_EDGE, SEED_HALFWIDTH,
-                              SEED_HEIGHT, factor_banded, front_position,
-                              spreading_seed, trace_to_csv)
+from pggwave.dynamics import (SCALE_LOG_BOUND, SEED_EDGE, SEED_FLOOR,
+                              SEED_HALFWIDTH, SEED_HEIGHT, factor_banded,
+                              front_position, spreading_seed, trace_to_csv)
 from pggwave.errors import (BlowUpError, FrontNotFoundError, GridError,
                             NormError, ParameterError)
 from pggwave.grid import (apply_advection_diffusion, boundary_vector,
@@ -297,11 +297,14 @@ def _subnormals(a):
     return int(np.count_nonzero((a > 0.0) & (a < np.finfo(float).tiny)))
 
 
-def test_spread_seed_solves_stay_normal(base_params, monkeypatch):
-    """The spreading run's first 20 steps at L = 150 (n = 5999, dt = 0.01):
-    no solve reads or returns a subnormal number.  A seed whose tails are
-    exact zeros fails at step 0, when the solve smears subnormals into the
-    zero runs of its right-hand side."""
+@pytest.mark.parametrize("L, n", [(150.0, 5999), (200.0, 7999),
+                                  (300.0, 11999)],
+                         ids=["L150", "L200", "L300"])
+def test_spread_seed_solves_stay_normal(base_params, monkeypatch, L, n):
+    """The spreading run's first 20 steps (dt = 0.01, h = 0.05): no solve
+    reads or returns a subnormal number.  A seed whose tails are exact zeros
+    fails at step 0, when the solve smears subnormals into the zero runs of
+    its right-hand side; past L ~ 181 so does one without ``SEED_FLOOR``."""
     seen = []
 
     def checked(factors, rhs):
@@ -312,7 +315,7 @@ def test_spread_seed_solves_stay_normal(base_params, monkeypatch):
 
     solve = pggwave.dynamics.solve_banded
     monkeypatch.setattr(pggwave.dynamics, "solve_banded", checked)
-    init = spreading_seed(base_params, make_grid(150.0, 5999))
+    init = spreading_seed(base_params, make_grid(L, n))
     tr = run_simulation(base_params, init,
                         SimConfig(dt=0.01, t_end=0.2, record_every=10))
     assert tr.steps == 20
@@ -322,7 +325,8 @@ def test_spread_seed_solves_stay_normal(base_params, monkeypatch):
 def test_spreading_seed_logistic_form(base_params):
     """The seed's bump equals the tanh product wherever that is nonzero,
     and beyond |x| = 15 keeps its exponential tail, a positive normal float
-    at every knot of the L = 150 grid."""
+    at every knot of the L = 150 grid; on a longer grid the tail stops at
+    ``SEED_FLOOR``."""
     g = make_grid(150.0, 5999)
     seed = spreading_seed(base_params, g)
     assert seed.c == 0.0
@@ -340,6 +344,9 @@ def test_spreading_seed_logistic_form(base_params):
     tail = SEED_HEIGHT * np.exp(-4.0 * (np.abs(x[far]) - SEED_HALFWIDTH))
     assert np.max(np.abs(v[far] / tail - 1.0)) <= 1e-12
     assert v[0] == v[-1] == pytest.approx(1.3e-253, rel=0.02)
+    # the floor binds only on longer domains
+    long_v = spreading_seed(base_params, make_grid(300.0, 11999)).knots[:, 1]
+    assert long_v.min() == SEED_FLOOR
 
 
 def test_reference_must_share_the_frame(base_params, monkeypatch):
