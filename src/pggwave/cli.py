@@ -96,8 +96,7 @@ def _check_instability(cfg: RunConfig, args) -> dynamics.SimConfig:
 
 
 def _check_spread(cfg: RunConfig, args) -> dynamics.SimConfig:
-    if not args.t0 < args.t1:
-        raise ParameterError(f"speed window [{args.t0}, {args.t1}] is empty")
+    dynamics.check_speed_window((args.t0, args.t1))
     return dynamics.SimConfig(dt=cfg.dt, t_end=max(cfg.t_end, args.t1),
                               record_every=50)
 

@@ -13,7 +13,11 @@ half is I + dt/2 T = 2I - A, so the update A U' = (2I - A) U + g is
     U' = A^-1 (2U + g) - U,   g = dt * ghosts + dt * (3/2 F - 1/2 F_prev),
 
 one tridiagonal solve for both components and no explicit stencil product;
-the Dirichlet ghosts of T are two row updates of the right-hand side.
+the Dirichlet ghosts of T are two row updates of the right-hand side.  On
+a ``grid.half_line`` grid the left end is the mirror row instead: its ghost
+lies in A's bands, and at odd n, where a node sits at x = 0 and owns half a
+cell, row 0 of A is halved (``grid.stencil_bands``), so the step scales row
+0 of the right-hand side by ``Grid.first_cell``; A stays symmetric.
 
 A is the same matrix at every step, so ``factor_banded`` factors it once per
 run and each step is one LAPACK substitution with the stored factors, on
@@ -53,13 +57,16 @@ Three experiments reproduce the front's dynamic signature: decay of small
 weighted perturbations, sup-norm growth of bounded-but-weighted-large left
 tail perturbations, and the selected invasion speed in the lab frame.  The
 moving-frame runs take their frame speed from the wave they perturb.  The
-invasion starts from a tanh-edged defector bump evaluated in logistic form,
-(1 + tanh z)/2 = exp(-log(1 + e^{-2z})), whose tails decay like
-e^{-4|x|} instead of cancelling to exact zero beyond |x| ~ 14.5, down to
-the floor ``SEED_FLOOR``.  A run of exact zeros or subnormal numbers in the
-state makes every solve smear subnormals into it, which the CPU handles
-slowly; on a domain of any length the bump is normal at every knot and the
-solves meet no such run.
+invasion is even in x: its seed, its frame speed 0 and its Dirichlet data
+are, so its solution stays even for all time, and the run solves on the
+half line x >= 0 alone, which halves the substitution, the reaction and
+every pass of a step.  It starts from a tanh-edged defector bump evaluated
+in logistic form, (1 + tanh z)/2 = exp(-log(1 + e^{-2z})), whose tails
+decay like e^{-4|x|} instead of cancelling to exact zero beyond
+|x| ~ 14.5, down to the floor ``SEED_FLOOR``.  A run of exact zeros or
+subnormal numbers in the state makes every solve smear subnormals into it,
+which the CPU handles slowly; on a domain of any length the bump is normal
+at every knot and the solves meet no such run.
 """
 
 from __future__ import annotations
@@ -72,8 +79,8 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (BlowUpError, FrontNotFoundError, GridError, NormError,
                      ParameterError)
-from .grid import (Grid, Profile, boundary_vector, require_m_matrix,
-                   stencil_bands, write_csv)
+from .grid import (Grid, Profile, boundary_vector, half_line,
+                   require_m_matrix, stencil_bands, write_csv)
 from .model import ModelParams, StateVec, reaction, to_original
 from .spectrum import WeightPair, exp_or_inf, log_weight
 
@@ -86,6 +93,7 @@ __all__ = [
     "fit_decay_constant",
     "spreading_speed",
     "front_position",
+    "check_speed_window",
     "stability_experiment",
     "instability_experiment",
     "spreading_experiment",
@@ -237,7 +245,8 @@ def run_simulation(p: ModelParams, initial: Profile, cfg: SimConfig,
     weighted norm uses ``w`` (zero weights when omitted, i.e. a doubled sup
     norm).  ``forcing(xi, t) -> (n, 2)`` supports manufactured solutions.
     Blow-up (sup|U| > 10 max(K*, 1)) raises by default; with
-    on_blowup="stop" the trace is truncated and flagged instead.
+    on_blowup="stop" the trace is truncated and flagged instead.  On a
+    ``half_line`` grid (frame speed 0) the left end is the mirror row.
     """
     c = initial.c
     if c < 0:
@@ -258,6 +267,7 @@ def run_simulation(p: ModelParams, initial: Profile, cfg: SimConfig,
     # factored once; Dirichlet data held
     factors, scale = factor_banded(stencil_bands(g, c, -dt / 2.0, 1.0))
     ghosts = dt * boundary_vector(g, c, initial.knots[0], initial.knots[-1])
+    first_cell = g.first_cell
 
     guard = 10.0 * max(p.kstar, 1.0)
     nsteps = int(round(cfg.t_end / dt))
@@ -305,7 +315,10 @@ def run_simulation(p: ModelParams, initial: Profile, cfg: SimConfig,
             rhs -= np.multiply(F_prev, 0.5 * dt, out=tmp)
         F, F_prev = F_prev, F
         rhs += np.multiply(Y, 2.0, out=tmp)
-        rhs[0] += ghosts[0]
+        if g.mirror:
+            rhs[0] *= first_cell
+        else:
+            rhs[0] += ghosts[0]
         rhs[-1] += ghosts[-1]
         np.subtract(solve_banded(factors, rhs), Y, out=Y)
         if scale is not None:
@@ -324,7 +337,8 @@ def run_simulation(p: ModelParams, initial: Profile, cfg: SimConfig,
         if (mstep + 1) % cfg.record_every == 0 or mstep + 1 == nsteps:
             record(mstep + 1, U)
 
-    final = Profile(g, np.vstack((initial.knots[0], U, initial.knots[-1])), c)
+    left = initial.knots[0] if g.mirror_row is None else U[g.mirror_row]
+    final = Profile(g, np.vstack((left, U, initial.knots[-1])), c)
     return Trace(times=np.array(times), weighted_norms=np.array(wnorms),
                  sup_norms=np.array(snorms), front_positions=np.array(fronts),
                  blew_up=blew_up, final_state=final, steps=steps,
@@ -439,7 +453,8 @@ def instability_experiment(p: ModelParams, wave: Profile, w: WeightPair,
 
 def spreading_seed(p: ModelParams, g: Grid) -> Profile:
     """The spreading run's initial state at every knot of ``g``, the
-    Dirichlet ends included, at frame speed 0.
+    Dirichlet ends (and on a half line the mirror ghost) included, at frame
+    speed 0.
 
     Stated in original variables - cooperators at their equilibrium level
     K* everywhere, defectors in a smoothed indicator of height
@@ -466,15 +481,41 @@ def spreading_seed(p: ModelParams, g: Grid) -> Profile:
     return Profile(g, np.column_stack(seed), 0.0)
 
 
+def check_speed_window(t_window: tuple[float, float]) -> None:
+    """Raise ParameterError unless the speed window is 0 < t0 < t1.
+
+    The seed's height ``SEED_HEIGHT`` lies below ``FRONT_LEVEL``, so at
+    t = 0 the front has no position, and a fit over a window that reaches
+    t = 0 could only fail, after the whole run.
+    """
+    t0, t1 = t_window
+    if not t0 < t1:
+        raise ParameterError(f"speed window [{t0}, {t1}] is empty")
+    if not t0 > 0:
+        raise ParameterError(
+            f"speed window [{t0}, {t1}] reaches t = 0, where the seed "
+            f"(height {SEED_HEIGHT:g}) has no front at level {FRONT_LEVEL:g}")
+
+
 def spreading_experiment(p: ModelParams, g: Grid, cfg: SimConfig,
                          t_window: tuple[float, float]) -> dict:
     """Lab-frame invasion from ``spreading_seed``; measures front speed.
+
+    The window is checked first (``check_speed_window``).  The seed, the
+    frame speed 0 and the Dirichlet data are even in x, so the solution is
+    even for all time, and the run solves on ``half_line(g)``: the nodes
+    of ``g`` at x >= 0, closed at x = 0 by the mirror row.  At odd n the
+    node at x = 0 owns half a cell and its row is halved, so the step
+    matrix stays symmetric.  The trace is the full line's: the front is
+    the rightmost crossing, and the norms are maxima over an even state.
+    Its final state is on the half line.
 
     The seed is a normal float at every knot, so the solves meet no run of
     zeros to smear subnormals into.  The selected front speed is
     2 sqrt(alpha).
     """
-    initial = spreading_seed(p, g)
+    check_speed_window(t_window)
+    initial = spreading_seed(p, half_line(g))
     tr = run_simulation(p, initial, cfg)
     speed = spreading_speed(tr, t_window)
     return {

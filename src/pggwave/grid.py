@@ -3,10 +3,13 @@
 A profile is one array of values at the knots [-L, nodes..., L]: its n
 interior rows are the samples, its two end rows the Dirichlet data, which
 every difference stencil reads as ghost values at distance h and every
-interpolant as its end knots.  All operators are plain centered
-second-order stencils; the one copy of T = d^2/dxi^2 - c d/dxi is here, as
-is the phase translation of profiles.  ``linearization_bands`` is the banded
-Jacobian of ``residual``; the wave's Newton steps and the spectrum use it.
+interpolant as its end knots.  A ``half_line`` grid carries a solution even
+in x on x >= 0: its left end is the mirror row, whose ghost repeats a
+sample, and ``stencil_bands`` and ``boundary_vector`` close it.  All
+operators are plain centered second-order stencils; the one copy of
+T = d^2/dxi^2 - c d/dxi is here, as is the phase translation of profiles.
+``linearization_bands`` is the banded Jacobian of ``residual``; the wave's
+Newton steps and the spectrum use it.
 ``_sweep_newton`` is the one monotone-sweep loop with Newton acceleration
 that the scalar and the vector front solves share.
 
@@ -38,6 +41,7 @@ __all__ = [
     "Grid",
     "Profile",
     "make_grid",
+    "half_line",
     "require_m_matrix",
     "stencil_coefficients",
     "apply_advection_diffusion",
@@ -62,15 +66,38 @@ ENVELOPE_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class Grid:
+    """n nodes of spacing h between two end knots.  On the full line the
+    ends are the Dirichlet knots -L and L; a ``half_line`` grid holds the
+    nodes at x >= 0, and its left end is the mirror row."""
+
     L: float
     n: int
     h: float
     nodes: np.ndarray
+    mirror: bool = False
+
+    @property
+    def mirror_row(self) -> int | None:
+        """On a half line, the row whose value the left ghost repeats: 1
+        when node 0 sits at x = 0 (the ghost at -h is u(h)), 0 when it sits
+        at h/2 (the ghost at -h/2 is u(h/2) itself); None on the full line."""
+        if not self.mirror:
+            return None
+        return 1 if self.nodes[0] == 0.0 else 0
+
+    @property
+    def first_cell(self) -> float:
+        """The share of a cell node 0 owns: 1/2 on a half line with a node
+        at x = 0, whose row ``stencil_bands`` halves; 1 otherwise."""
+        return 0.5 if self.mirror_row == 1 else 1.0
 
     @property
     def knots(self) -> np.ndarray:
-        """The nodes with the two Dirichlet ends: [-L, nodes..., L]."""
-        return np.concatenate(([-self.L], self.nodes, [self.L]))
+        """The nodes with the two end knots: [-L, nodes..., L]; on a half
+        line the left one is the mirror ghost's position."""
+        left = (-self.L if self.mirror_row is None
+                else -self.nodes[self.mirror_row])
+        return np.concatenate(([left], self.nodes, [self.L]))
 
 
 def make_grid(L: float, n: int) -> Grid:
@@ -82,6 +109,20 @@ def make_grid(L: float, n: int) -> Grid:
     h = 2.0 * L / (n + 1)
     nodes = -L + h * np.arange(1, n + 1)
     return Grid(L=float(L), n=int(n), h=h, nodes=nodes)
+
+
+def half_line(g: Grid) -> Grid:
+    """The nodes of the full grid ``g`` at x >= 0 with a mirror row at
+    x = 0, for a solution even in x.
+
+    With odd n a node sits at x = 0 and the nodes are j h; with even n they
+    are (j + 1/2) h.  Either way the last one is L - h.  They are built
+    exactly: ``make_grid``'s nodes are symmetric only to ~3e-14.
+    """
+    m = (g.n + 1) // 2
+    offset = 0.0 if g.n % 2 else 0.5
+    return Grid(L=g.L, n=m, h=g.h, nodes=g.h * (np.arange(m) + offset),
+                mirror=True)
 
 
 @dataclass(frozen=True)
@@ -137,22 +178,41 @@ def apply_advection_diffusion(g: Grid, c: float, knots) -> np.ndarray:
 
 def stencil_bands(g: Grid, c: float, scale: float, diag) -> np.ndarray:
     """LAPACK (1, 1) bands of scale*T + diag(d) on the interior samples;
-    the Dirichlet data enter through ``boundary_vector``."""
+    the Dirichlet data enter through ``boundary_vector``.
+
+    On a half line the mirror row closes the left end.  A node at x = 0
+    reads its ghost u(-h) = u(h), so row 0's upper entry gains lo, and
+    the row is halved, since that node owns half a cell: the bands stay
+    symmetric, and a caller scales row 0 of its right-hand side by
+    ``g.first_cell``.  A first node at h/2 is its own mirror image, so its
+    diagonal gains lo.  Only T at c = 0 keeps a solution even.
+    """
     lo, hi = stencil_coefficients(g, c)
     ab = np.zeros((3, g.n))
     ab[0, 1:] = scale * hi
     ab[1, :] = diag - 2.0 * scale / g.h**2
     ab[2, :-1] = scale * lo
+    if g.mirror:
+        if c != 0:
+            raise GridError(f"a half line holds only even solutions, which "
+                            f"the frame speed c = {c:g} does not keep")
+        if g.mirror_row == 1:
+            ab[0, 1] = g.first_cell * (ab[0, 1] + scale * lo)
+            ab[1, 0] *= g.first_cell
+        else:
+            ab[1, 0] += scale * lo
     return ab
 
 
 def boundary_vector(g: Grid, c: float, left, right) -> np.ndarray:
     """Ghost terms of T: lo*left in row 0, hi*right in row n-1, zero between;
-    shape (n,), or (n, 2) for a pair of data per end."""
+    shape (n,), or (n, 2) for a pair of data per end.  On a half line the
+    left ghost lies in ``stencil_bands`` and row 0 stays zero."""
     lo, hi = stencil_coefficients(g, c)
     left = np.asarray(left, dtype=float)
     out = np.zeros((g.n,) + left.shape)
-    out[0] = lo * left
+    if not g.mirror:
+        out[0] = lo * left
     out[-1] = hi * np.asarray(right, dtype=float)
     return out
 

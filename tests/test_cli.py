@@ -230,6 +230,22 @@ def test_spread_checks_window_before_running(capsys, tmp_path, monkeypatch):
     assert "speed window" in err
 
 
+@pytest.mark.parametrize("t0", ["0", "-5"])
+def test_spread_window_must_start_after_the_seed(capsys, tmp_path, monkeypatch,
+                                                 t0):
+    # the seed lies below the front level, so no front exists at t = 0
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spread stepped before the window check")
+
+    monkeypatch.setattr(dynamics, "run_simulation", refuse)
+    code, _, err = run_cli(capsys, "spread", "--L", "40", "--n", "399",
+                           "--dt", "0.05", "--t0", t0, "--t1", "20",
+                           "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "speed window" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "sweep", "--run", "spectrum",
                          "--vary", "sigma2=0.4,0.5",

@@ -16,7 +16,7 @@ from pggwave.dynamics import (SCALE_LOG_BOUND, SEED_EDGE, SEED_FLOOR,
 from pggwave.errors import (BlowUpError, FrontNotFoundError, GridError,
                             NormError, ParameterError)
 from pggwave.grid import (apply_advection_diffusion, boundary_vector,
-                          stencil_bands)
+                          half_line, stencil_bands)
 from pggwave.model import reaction
 
 C = 1.25
@@ -297,11 +297,13 @@ def _subnormals(a):
     return int(np.count_nonzero((a > 0.0) & (a < np.finfo(float).tiny)))
 
 
-@pytest.mark.parametrize("L, n", [(150.0, 5999), (200.0, 7999),
-                                  (300.0, 11999)],
-                         ids=["L150", "L200", "L300"])
-def test_spread_seed_solves_stay_normal(base_params, monkeypatch, L, n):
-    """The spreading run's first 20 steps (dt = 0.01, h = 0.05): no solve
+@pytest.mark.parametrize(
+    "L, n, line", [(L, n, line) for line in ("full", "half") for L, n in
+                   ((150.0, 5999), (200.0, 7999), (300.0, 11999))],
+    ids=["L150", "L200", "L300", "L150-half", "L200-half", "L300-half"])
+def test_spread_seed_solves_stay_normal(base_params, monkeypatch, L, n, line):
+    """The spreading run's first 20 steps (dt = 0.01, h = 0.05), on the full
+    line and on the half line ``spreading_experiment`` solves on: no solve
     reads or returns a subnormal number.  A seed whose tails are exact zeros
     fails at step 0, when the solve smears subnormals into the zero runs of
     its right-hand side; past L ~ 181 so does one without ``SEED_FLOOR``."""
@@ -315,7 +317,8 @@ def test_spread_seed_solves_stay_normal(base_params, monkeypatch, L, n):
 
     solve = pggwave.dynamics.solve_banded
     monkeypatch.setattr(pggwave.dynamics, "solve_banded", checked)
-    init = spreading_seed(base_params, make_grid(L, n))
+    g = make_grid(L, n)
+    init = spreading_seed(base_params, g if line == "full" else half_line(g))
     tr = run_simulation(base_params, init,
                         SimConfig(dt=0.01, t_end=0.2, record_every=10))
     assert tr.steps == 20
@@ -626,6 +629,37 @@ def test_spreading_experiment_short(base_params):
                                SimConfig(dt=0.02, t_end=30.0, record_every=50),
                                t_window=(15.0, 30.0))
     assert rep["speed"] == pytest.approx(1.0, rel=0.15)
+    # a window that reaches t = 0, where the seed has no front, is refused
+    with pytest.raises(ParameterError, match="reaches t = 0"):
+        spreading_experiment(base_params, g, SimConfig(dt=0.02, t_end=30.0),
+                             t_window=(0.0, 30.0))
+
+
+@pytest.mark.parametrize("n", [799, 800], ids=["odd", "even"])
+def test_half_line_spread_matches_full_line(base_params, n):
+    """``spreading_experiment`` solves on the half line and reports the
+    trace of a full-line run from the same seed: the same missing fronts,
+    fronts within 1e-9, norms and speed within 1e-12 relative."""
+    g = make_grid(40.0, n)
+    cfg = SimConfig(dt=0.05, t_end=18.0, record_every=10)
+    window = (12.0, 18.0)
+    full = run_simulation(base_params, spreading_seed(base_params, g), cfg)
+    rep = spreading_experiment(base_params, g, cfg, window)
+    half = rep["trace"]
+    assert half.final_state.grid.mirror
+    assert half.final_state.grid.n == (n + 1) // 2
+    assert half.steps == full.steps == 360
+    np.testing.assert_array_equal(half.times, full.times)
+    missing = np.isnan(full.front_positions)
+    assert 0 < np.count_nonzero(missing) < len(missing)
+    np.testing.assert_array_equal(np.isnan(half.front_positions), missing)
+    assert np.max(np.abs(half.front_positions - full.front_positions)[
+        ~missing]) <= 1e-9
+    for got, want in ((half.sup_norms, full.sup_norms),
+                      (half.weighted_norms, full.weighted_norms)):
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+    assert rep["speed"] == pytest.approx(spreading_speed(full, window),
+                                         rel=1e-12)
 
 
 def test_trace_csv(tmp_path, base_params, base_wave, base_weights):

@@ -315,6 +315,38 @@ def test_stencil_bands_match_explicit_stencil(scale, diag):
     assert np.max(np.abs(implicit - explicit)) < 1e-12 / g.h**2
 
 
+@pytest.mark.parametrize("scale,diag", [(1.0, 0.0), (-0.005, 1.0)],
+                         ids=["T", "I - dt/2 T"])
+@pytest.mark.parametrize("n", [57, 58], ids=["odd", "even"])
+def test_half_line_mirror_row(n, scale, diag):
+    # for an even function the half-line bands, row 0 divided by its cell
+    # share, give the full-line product at x >= 0; the bands stay symmetric
+    g = make_grid(10.0, n)
+    half = grid.half_line(g)
+    assert half.nodes[0] == (0.0 if n % 2 else half.h / 2)
+    assert half.knots[0] == -half.knots[1 + half.mirror_row]
+    assert half.nodes[-1] + half.h == pytest.approx(g.L, rel=1e-15)
+    f = np.cos(0.4 * g.knots) + 0.01 * g.knots**2
+    fh = np.cos(0.4 * half.knots) + 0.01 * half.knots**2
+    full = (_tridiagonal(stencil_bands(g, 0.0, scale, diag)) @ f[1:-1]
+            + scale * boundary_vector(g, 0.0, f[0], f[-1]))
+    ab = stencil_bands(half, 0.0, scale, diag)
+    got = (_tridiagonal(ab) @ fh[1:-1]
+           + scale * boundary_vector(half, 0.0, fh[0], fh[-1]))
+    got[0] /= half.first_cell
+    want = full[-half.n:]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the mirror row holds the ghost the full-line stencil reads
+    assert np.max(np.abs(apply_advection_diffusion(half, 0.0, fh)
+                         - apply_advection_diffusion(g, 0.0, f)[-half.n:])
+                  ) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(ab[0, 1:], ab[2, :-1])
+    if diag == 1.0:     # the step matrix factors without a scale
+        assert dynamics.factor_banded(ab)[1] is None
+    with pytest.raises(GridError, match="even"):
+        stencil_bands(half, 0.1, scale, diag)
+
+
 def test_stencil_two_columns_match_per_column():
     g = make_grid(10.0, 57)
     F = np.vstack(([0.1, -1.0],
