@@ -10,13 +10,14 @@ O(h^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError, ShiftNotFoundError, VerificationError
 from .grid import Grid, Profile, residual, write_csv
-from .kpp import ScalarProfile, lower_nonlinearity, solve_kpp, upper_nonlinearity
+from .kpp import (KppReport, ScalarProfile, lower_nonlinearity, solve_kpp,
+                  upper_nonlinearity)
 from .model import ModelParams
 
 __all__ = [
@@ -42,6 +43,8 @@ class BoundPair:
     lower: Profile
     shift: float  # r >= 0 applied to the upper, a grid multiple
     l: float
+    # each scalar solve's report, by bound; empty for a hand-built pair
+    fronts: dict[str, KppReport] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,8 @@ def make_bounds(p: ModelParams, c: float, g: Grid, l: float | None = None,
     upper = build_upper(p, s_up)
     lower = build_lower(p, l, s_lo)
     r = order_shift(upper, lower)
-    return BoundPair(upper=upper, lower=lower, shift=r, l=l)
+    return BoundPair(upper=upper, lower=lower, shift=r, l=l,
+                     fronts={"upper": s_up.report, "lower": s_lo.report})
 
 
 def margins_to_csv(report: MarginReport, grid: Grid, path) -> None:

@@ -147,8 +147,9 @@ def cmd_bounds_check(cfg: RunConfig, args, verdict) -> None:
         print(f"{kind}: worst margin {rep.worst:.3e} {where}")
     nl = kpp.lower_nonlinearity(p, bp.l)
     _write_json(out / "bounds_report.json",
-                {"reports": reports, "shift": bp.shift, "l": bp.l,
-                 "lower_plateau_slope": nl.plateau_slope_report()}, cfg)
+                {"reports": reports, "fronts": bp.fronts, "shift": bp.shift,
+                 "l": bp.l, "lower_plateau_slope": nl.plateau_slope_report()},
+                cfg)
     print(f"ordering shift r = {bp.shift:g}")
 
 

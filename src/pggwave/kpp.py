@@ -9,11 +9,13 @@ On the truncated domain the phase of the front is controlled by the left
 Dirichlet datum: with the datum exactly zero the discrete problem's unique
 solution collapses into a layer at +L, while a small positive datum pins a
 front whose position depends log-linearly on the datum.  ``solve_kpp``
-exploits this: it translates the profile's knots (monotone interpolation,
-Dirichlet data included) and re-solves until the half-plateau crossing sits
-at the origin.  The left knot therefore holds a tiny positive number (of the
-order of the natural tail value e^{-mu*L}) rather than exactly zero.  Each
-pass runs the sweep-Newton loop of the wave solve, ``grid._sweep_newton``.
+therefore takes s = log(left datum) as one more unknown and closes the
+system with a phase row, w(0) = plateau/2: one bordered Newton iteration
+(Beyn 1990) finds the samples and the datum together.  The left knot thus
+holds a tiny positive number (of the order of the natural tail value
+e^{-mu*L}) rather than exactly zero.  The sweep-Newton loop of the wave
+solve, ``grid._sweep_newton``, then certifies the front at that datum, and
+a ``KppReport`` on the returned profile records what the solve did.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, ParameterError
-from .grid import (Grid, _sweep_newton, apply_advection_diffusion,
-                   boundary_vector, level_crossing, require_m_matrix,
-                   stencil_bands, translate)
+from .grid import (ENVELOPE_SLACK, Grid, _sweep_newton,
+                   apply_advection_diffusion, boundary_vector, level_crossing,
+                   require_m_matrix, stencil_bands, stencil_coefficients)
 from .model import ModelParams, require_monotone_wave
 
 __all__ = [
     "KppNonlinearity",
+    "KppReport",
     "ScalarProfile",
     "upper_nonlinearity",
     "lower_nonlinearity",
@@ -40,10 +43,14 @@ __all__ = [
     "scalar_residual",
 ]
 
-# phase passes allowed, and the crossing's distance from 0 that ends them
-PHASE_PASSES = 16
+# the settled crossing's largest distance from 0
 PHASE_TOL = 1e-9
-# sweeps allowed per phase pass
+# bordered Newton steps allowed, the largest |ds| one may take, and the
+# smallest step fraction its damping may reach
+BORDERED_MAX_STEPS = 40
+DATUM_STEP_MAX = 2.0
+DAMPING_FLOOR = 2.0**-30
+# sweeps allowed to certify the front
 SWEEP_MAX_ITER = 200_000
 
 
@@ -132,6 +139,20 @@ def plateau_of(nl: KppNonlinearity) -> float:
 
 
 @dataclass(frozen=True)
+class KppReport:
+    """What one ``solve_kpp`` call did; no wall-clock time."""
+
+    newton_steps: list[float]       # sup |dw| of each bordered Newton step
+    datum_steps: list[float]        # its step in s = log(left datum)
+    damped_steps: int               # steps the damping shortened
+    phase_corrections: list[float]  # moves of the phase row's target point
+    sweeps: list[float]             # sup-diffs of the certifying sweeps
+    sweep_newton_steps: list[float]  # Newton steps between those sweeps
+    left_datum: float
+    crossing: float                 # final half-plateau crossing
+
+
+@dataclass(frozen=True)
 class ScalarProfile:
     """Scalar front at the grid's knots, shape (n+2,): ``knots[0]`` is the
     pinned tiny positive left datum, ``knots[-1]`` the plateau."""
@@ -140,6 +161,7 @@ class ScalarProfile:
     knots: np.ndarray
     c: float
     plateau: float
+    report: KppReport
 
     @property
     def w(self) -> np.ndarray:
@@ -156,17 +178,25 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
               tol: float = 1e-12) -> ScalarProfile:
     """Solve the scalar front BVP, phase-pinned so w(0) = plateau/2.
 
-    Each phase pass, from a tanh guess and then from the translated previous
-    profile, is a monotone iteration in the envelope [0, plateau] (shift beta
-    one above the largest -f' there) accelerated by Newton steps on the
-    tridiagonal Jacobian, through ``grid._sweep_newton``; it converges at a
-    sweep whose sup-diff is below ``tol``, or raises after SWEEP_MAX_ITER.
+    One bordered Newton iteration (Beyn 1990) solves for the samples w and
+    s = log(left datum) together; its added row asks that w, linearly
+    interpolated at a target point, equal plateau/2.  A step is one
+    two-column tridiagonal solve, J a = -r and J z = lo e^s e_0 (dr/ds lives
+    in row 0 only), then ds = (phi + phi_w a)/(phi_w z) and dw = a - ds z.
+    Steps are halved until the iterate stays in [0, plateau] (to within
+    ``grid.ENVELOPE_SLACK``) and |ds| stays below DATUM_STEP_MAX.  The
+    iteration starts from the logistic front of tail rate mu and settles at
+    a full step below ``tol``; past BORDERED_MAX_STEPS steps, or damped
+    below DAMPING_FLOOR, it raises ConvergenceError.
 
-    The phase loop translates the converged knots (monotone interpolation,
-    clamped to [0, plateau] beyond the ends, Dirichlet data included) and
-    re-solves until the half-plateau crossing sits at the origin; each pass
-    the left datum moves by the factor e^{mu * crossing}, so the loop
-    converges in a handful of passes.  A subcritical speed raises.
+    With odd n a node sits at 0 and the linear row is the PCHIP crossing's
+    own condition; with even n it is not, so the target point moves by
+    minus the settled front's crossing and the iteration resumes.  The
+    monotone sweeps of ``grid._sweep_newton`` (envelope [0, plateau], shift
+    beta one above the largest -f' there) then certify the front at the
+    final datum: it converges only at a sweep whose sup-diff is below
+    ``tol``, and its crossing must lie within PHASE_TOL of 0.  A
+    subcritical speed raises.
     """
     if tol <= 0:
         raise ParameterError("tolerance must be positive")
@@ -174,54 +204,106 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
     require_m_matrix(g, c)
     b = nl.plateau
     half = b / 2.0
+    lo = stencil_coefficients(g, c)[0]
 
-    bl, br = b * math.exp(-mu * g.L), b
-    w = np.clip(half * (1.0 + np.tanh(g.nodes / 4.0)) + bl, 0.0, b)
+    logb = math.log(b)
+    s = logb - mu * g.L
+    knots = np.empty(g.n + 2)
+    knots[0], knots[-1] = math.exp(s), b
+    knots[1:-1] = b * np.exp(-np.logaddexp(0.0, -mu * g.nodes))
+    rhs = np.zeros((g.n, 2))
+
+    def linearized():
+        """Residual of the current knots and its tridiagonal Jacobian."""
+        w = knots[1:-1]
+        return (apply_advection_diffusion(g, c, knots) + nl.f(w),
+                stencil_bands(g, c, 1.0, nl.fprime(w)))
+
+    steps: list[float] = []
+    datum_steps: list[float] = []
+    corrections: list[float] = []
+    damped = 0
+    target = 0.0
+    while True:
+        # the phase row reads w linearly between nodes i and i + 1
+        i = min(max(int(np.searchsorted(g.nodes, target)) - 1, 0), g.n - 2)
+        t = (target - g.nodes[i]) / (g.nodes[i + 1] - g.nodes[i])
+        settled = False
+        while not settled:
+            w = knots[1:-1]
+            phi = float((1.0 - t) * w[i] + t * w[i + 1] - half)
+            if len(steps) == BORDERED_MAX_STEPS:
+                raise ConvergenceError(
+                    f"bordered Newton did not settle in {BORDERED_MAX_STEPS} "
+                    f"steps (last correction {steps[-1]:.3e}, phase offset "
+                    f"{phi:.3e})")
+            r, jac = linearized()
+            rhs[:, 0] = -r
+            rhs[0, 1] = lo * knots[0]
+            a, z = solve_banded((1, 1), jac, rhs).T
+            dz = float((1.0 - t) * z[i] + t * z[i + 1])
+            if not 0.0 < abs(dz) < math.inf:
+                raise ConvergenceError(
+                    f"bordered Newton: the phase row is singular (phase "
+                    f"offset {phi:.3e})")
+            ds = (phi + float((1.0 - t) * a[i] + t * a[i + 1])) / dz
+            dw = a - ds * z
+            size = float(np.max(np.abs(dw)))
+            lam = 1.0
+            while True:     # every test below is False on a NaN
+                wn = w + lam * dw
+                if (abs(lam * ds) <= DATUM_STEP_MAX and s + lam * ds <= logb
+                        and np.min(wn) >= -ENVELOPE_SLACK
+                        and np.max(wn) <= b + ENVELOPE_SLACK):
+                    break
+                lam /= 2.0
+                if lam < DAMPING_FLOOR:
+                    raise ConvergenceError(
+                        f"bordered Newton damped below {DAMPING_FLOOR:g} "
+                        f"(correction {size:.3e}, phase offset {phi:.3e})")
+            s += lam * ds
+            knots[0] = math.exp(s)
+            knots[1:-1] = wn
+            steps.append(lam * size)
+            datum_steps.append(lam * ds)
+            damped += lam < 1.0
+            settled = lam == 1.0 and size < tol
+        x0 = level_crossing(g, knots, half)
+        if abs(x0) < PHASE_TOL:
+            break
+        target -= x0
+        corrections.append(-x0)
+
     beta = max(0.0, float(-np.min(nl.fprime(np.linspace(0.0, b, 201))))) + 1.0
     ab = stencil_bands(g, c, -1.0, beta)
+    bvec = boundary_vector(g, c, knots[0], b)
+
+    def sweep(w):
+        return solve_banded((1, 1), ab, nl.f(w) + beta * w + bvec)
+
+    def newton(w):
+        knots[1:-1] = w
+        r, jac = linearized()
+        return solve_banded((1, 1), jac, -r)
 
     def gap(w):
         return min(float(np.min(w)), b - float(np.max(w)))
 
-    x0 = math.inf
-    prev = None  # (log bl, crossing) of the previous pass, for the secant step
-    for _ in range(PHASE_PASSES):
-        # this pass's Dirichlet data in the end knots; the interior follows w
-        knots = np.concatenate(([bl], w, [br]))
-        bvec = boundary_vector(g, c, bl, br)
-
-        def sweep(w):
-            return solve_banded((1, 1), ab, nl.f(w) + beta * w + bvec)
-
-        def newton(w):
-            knots[1:-1] = w
-            r = apply_advection_diffusion(g, c, knots) + nl.f(w)
-            jac = stencil_bands(g, c, 1.0, nl.fprime(w))
-            return solve_banded((1, 1), jac, -r)
-
-        w, sup_diffs, _, ok = _sweep_newton(sweep, newton, w, gap, tol,
-                                            SWEEP_MAX_ITER)
-        if not ok:
-            raise ConvergenceError(
-                f"scalar sweeps did not reach tol={tol} in {SWEEP_MAX_ITER} "
-                f"sweeps (last sup-diff {sup_diffs[-1]:.3e})")
-        knots[1:-1] = w
-        x0 = level_crossing(g, knots, half)
-        if abs(x0) < PHASE_TOL:
-            break
-        w = np.clip(translate(g, knots, x0)[1:-1], 0.0, b)
-        # move the left datum: pure exponential heuristic first, then secant
-        # on (log datum, crossing), which also handles the critical-speed
-        # polynomial prefactor
-        logbl = math.log(bl)
-        if prev is not None and abs(x0 - prev[1]) > 1e-15:
-            step = -x0 * (logbl - prev[0]) / (x0 - prev[1])
-        else:
-            step = mu * x0
-        prev = (logbl, x0)
-        bl = math.exp(logbl + step)
-    else:
+    w, sup_diffs, newton_steps, ok = _sweep_newton(
+        sweep, newton, knots[1:-1].copy(), gap, tol, SWEEP_MAX_ITER)
+    if not ok:
         raise ConvergenceError(
-            f"phase pinning did not settle (last crossing {x0:.3e})"
-        )
-    return ScalarProfile(grid=g, knots=knots, c=float(c), plateau=b)
+            f"scalar sweeps did not reach tol={tol} in {SWEEP_MAX_ITER} "
+            f"sweeps (last sup-diff {sup_diffs[-1]:.3e})")
+    knots[1:-1] = w
+    x0 = level_crossing(g, knots, half)
+    if not abs(x0) < PHASE_TOL:
+        raise ConvergenceError(
+            f"certified front crosses plateau/2 at {x0:.3e}, not within "
+            f"{PHASE_TOL:g} of 0")
+    report = KppReport(newton_steps=steps, datum_steps=datum_steps,
+                       damped_steps=damped, phase_corrections=corrections,
+                       sweeps=sup_diffs, sweep_newton_steps=newton_steps,
+                       left_datum=float(knots[0]), crossing=x0)
+    return ScalarProfile(grid=g, knots=knots, c=float(c), plateau=b,
+                         report=report)

@@ -124,6 +124,13 @@ def test_bounds_check(capsys, tmp_path):
     assert rep["reports"]["upper"]["worst_xi"] is None
     assert rep["reports"]["lower"]["worst_xi"] == -19.95
     assert "numeric" in rep["lower_plateau_slope"]
+    # each scalar solve's report, with no wall-clock time in it
+    for front in rep["fronts"].values():
+        assert set(front) == {"newton_steps", "datum_steps", "damped_steps",
+                              "phase_corrections", "sweeps",
+                              "sweep_newton_steps", "left_datum", "crossing"}
+        assert front["newton_steps"][-1] < 1e-12 and front["sweeps"][-1] < 1e-12
+        assert front["left_datum"] > 0.0 and abs(front["crossing"]) < 1e-9
     assert (tmp_path / "bounds-check" / "margins_upper.csv").exists()
 
 
