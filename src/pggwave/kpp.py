@@ -244,8 +244,8 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
             dz = float((1.0 - t) * z[i] + t * z[i + 1])
             if not 0.0 < abs(dz) < math.inf:
                 raise ConvergenceError(
-                    f"bordered Newton: the phase row is singular (phase "
-                    f"offset {phi:.3e})")
+                    f"bordered Newton: the phase row is singular (left "
+                    f"datum {knots[0]:.3e}, phase offset {phi:.3e})")
             ds = (phi + float((1.0 - t) * a[i] + t * a[i + 1])) / dz
             dw = a - ds * z
             size = float(np.max(np.abs(dw)))

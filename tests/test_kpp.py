@@ -126,6 +126,13 @@ def test_unsettled_bordered_newton_raises(base_params, grid40, monkeypatch):
         solve_kpp(nl, C, grid40)
 
 
+def test_underflowing_datum_raises():
+    # at L = 1000 the natural left datum e^{-mu L} ~ e^{-949} is no double
+    p = derive_params(0.9, 0.5)
+    with pytest.raises(ConvergenceError, match="singular.*left datum 0.000"):
+        solve_kpp(upper_nonlinearity(p), p.cmin, make_grid(1000.0, 3999))
+
+
 @pytest.mark.parametrize("c,L,n", [(1.0, 80.0, 7999), (C, 40.0, 3999)])
 def test_certifying_sweeps_close_by_sweep_two(base_params, monkeypatch, c, L,
                                               n):
