@@ -85,34 +85,31 @@ def verify_bound(p: ModelParams, prof: Profile, kind: str) -> MarginReport:
     """Evaluate both differential-inequality left-hand sides nodewise.
 
     Upper solutions need both components <= MARGIN_TOL; lower >= -MARGIN_TOL.
-    Raises VerificationError (carrying the worst node) on failure.  A worst
-    margin at or below the residual's roundoff floor 4 eps max|U| / h^2 has
-    no meaningful location: its ``worst_xi`` and ``worst_component`` are None.
+    Raises VerificationError (carrying the worst node) on failure; a NaN
+    margin fails.  A worst margin at or below the residual's roundoff floor
+    4 eps max|U| / h^2 has no meaningful location: its ``worst_xi`` and
+    ``worst_component`` are None.
     """
     if kind not in ("upper", "lower"):
         raise ParameterError(f"kind must be 'upper' or 'lower', got {kind!r}")
     margins = residual(p, prof)
-    if kind == "upper":
-        flat = np.argmax(margins)
-        worst = float(margins.flat[flat])
-        bad = worst > MARGIN_TOL
-    else:
-        flat = np.argmin(margins)
-        worst = float(margins.flat[flat])
-        bad = worst < -MARGIN_TOL
-    node, comp = divmod(int(flat), 2)
+    # a NaN margin is the worst: argmax and argmin both return the first NaN
+    flat = int(np.argmax(margins) if kind == "upper" else np.argmin(margins))
+    worst = float(margins.flat[flat])
+    node, comp = divmod(flat, 2)
     xi = float(prof.grid.nodes[node])
-    if bad:
+    floor = 4.0 * np.finfo(float).eps * np.max(np.abs(prof.samples()))
+    located = not abs(worst) <= floor / prof.grid.h**2
+    report = MarginReport(kind=kind, margins=margins, worst=worst,
+                          worst_xi=xi if located else None,
+                          worst_component=comp if located else None)
+    if not report.passed:
         raise VerificationError(
             f"{kind} solution inequality fails: margin {worst:.3e} at "
             f"xi={xi:.4f}, component {comp}",
             xi=xi, component=comp, margin=worst,
         )
-    scale = float(np.max(np.abs(prof.samples())))
-    if abs(worst) <= 4.0 * np.finfo(float).eps * scale / prof.grid.h**2:
-        xi = comp = None
-    return MarginReport(kind=kind, margins=margins, worst=worst, worst_xi=xi,
-                        worst_component=comp)
+    return report
 
 
 def shifted_upper_samples(upper: Profile, m: int) -> np.ndarray:

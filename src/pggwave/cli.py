@@ -1,6 +1,6 @@
 """Command-line surface: reproducible experiments with CSV/JSON artifacts.
 
-The flags are ``RunConfig``'s fields (``--max-iter`` sets ``max_iter``).  A
+The flags are ``RunConfig``'s fields (``--t-end`` sets ``t_end``).  A
 subcommand is its checks before solving and its run; ``sweep`` checks every
 point first.
 
@@ -58,8 +58,7 @@ def _bounds(cfg: RunConfig):
 
 def _solve_pipeline(cfg: RunConfig):
     p, g, bp = _bounds(cfg)
-    prof, report = wave.solve_wave(p, cfg.c, g, bp, tol=cfg.tol,
-                                   max_iter=cfg.max_iter)
+    prof, report = wave.solve_wave(p, cfg.c, g, bp, tol=cfg.tol)
     return p, prof, report
 
 

@@ -29,7 +29,6 @@ class RunConfig:
     sigma1: float = 0.05
     sigma2: float = 0.5
     tol: float = 1e-10
-    max_iter: int = 20000
     dt: float = 0.01
     t_end: float = 50.0
     output_dir: str = "out"
@@ -94,8 +93,6 @@ def validate_config(cfg: RunConfig) -> None:
     grid.make_grid(cfg.L, cfg.n)
     spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
     dynamics.SimConfig(dt=cfg.dt, t_end=cfg.t_end)
-    # no constructor takes these before a solve
+    # no constructor takes tol before a solve
     if cfg.tol <= 0:
         raise ParameterError("tol must be positive")
-    if cfg.max_iter < 1:
-        raise ParameterError("max_iter must be at least 1")

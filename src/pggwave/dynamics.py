@@ -350,25 +350,22 @@ def perturb(base: Profile, kind: str, amplitude: float) -> Profile:
 
     "gaussian": amplitude * exp(-xi^2/4), inside every admissible weighted
     space.  "left_tail": amplitude * indicator(xi < -L/2) smoothed over
-    ``LEFT_TAIL_WIDTH`` units - bounded, but weighted-norm large.  The end
-    knots, the Dirichlet data, are perturbed consistently.
+    ``LEFT_TAIL_WIDTH`` units - bounded, but weighted-norm large.  Each bump
+    is evaluated once on the grid's knots, so the end knots, the Dirichlet
+    data, are perturbed consistently.
     """
     if amplitude == 0:
         raise ParameterError("perturbation amplitude must be nonzero")
-    g = base.grid
+    x = base.grid.knots
     if kind == "gaussian":
-        bump = np.exp(-(g.nodes**2) / 4.0)
-        bl = math.exp(-(g.L**2) / 4.0)
-        br = bl
+        bump = np.exp(-(x**2) / 4.0)
     elif kind == "left_tail":
         scale = LEFT_TAIL_WIDTH / 4.0
-        bump = 0.5 * (1.0 + np.tanh((-g.L / 2.0 - g.nodes) / scale))
-        bl = 0.5 * (1.0 + math.tanh((g.L / 2.0) / scale))
-        br = 0.5 * (1.0 + math.tanh((-3.0 * g.L / 2.0) / scale))
+        bump = 0.5 * (1.0 + np.tanh((-base.grid.L / 2.0 - x) / scale))
     else:
         raise ParameterError(f"unknown perturbation kind {kind!r}")
     knots = base.knots.copy()
-    knots[:, 1] += amplitude * np.concatenate(([bl], bump, [br]))
+    knots[:, 1] += amplitude * bump
     return replace(base, knots=knots)
 
 

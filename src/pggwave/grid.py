@@ -11,7 +11,8 @@ T = d^2/dxi^2 - c d/dxi is here, as is the phase translation of profiles.
 ``linearization_bands`` is the banded Jacobian of ``residual``; the wave's
 Newton steps and the spectrum use it.
 ``_sweep_newton`` is the one monotone-sweep loop with Newton acceleration
-that the scalar and the vector front solves share.
+that the scalar and the vector front solves share; it owns their envelope
+test and their failure when the sweep budget is spent.
 
 Phase translation is a PCHIP (Fritsch & Butland) interpolant written in
 numpy, bit-identical to scipy's; a level crossing is found by bisecting its
@@ -33,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (EnvelopeViolationError, GridError, LevelNotCrossedError,
-                     ParameterError)
+from .errors import (ConvergenceError, EnvelopeViolationError, GridError,
+                     LevelNotCrossedError, ParameterError)
 from .model import ModelParams, StateVec, jacobian, reaction
 
 __all__ = [
@@ -265,20 +266,27 @@ def linearization_bands(p: ModelParams, prof: Profile, g1=0.0,
     return bands
 
 
-def _sweep_newton(sweep, newton, U, gap, tol, max_iter, callback=None):
+def _sweep_newton(sweep, newton, U, envelope, tol, max_iter, callback=None):
     """Monotone sweeps ``U -> sweep(U)`` accelerated by Newton corrections
-    ``U -> U + newton(U)``; returns (U, sup_diffs, newton_steps, converged).
+    ``U -> U + newton(U)``, inside ``envelope = (lower, upper)`` (scalars or
+    arrays shaped like U); returns (U, sup_diffs, newton_steps).
 
-    A Newton attempt follows sweeps 1, 2, 4, 8, ...  It stops after a
-    correction below ``tol``, or drops the first step whose correction does
-    not shrink or whose iterate leaves the envelope (``gap(U)`` below
-    -ENVELOPE_SLACK), and the sweeps resume.  A sweep that leaves the
-    envelope raises EnvelopeViolationError.  Only a sweep whose sup-diff is
-    below ``tol`` converges: a fixed point of the monotone map inside the
-    envelope is the solution, however the iterate got there.  Every accepted
-    iterate goes to ``callback(k, U)``, k counting sweeps and Newton steps
-    together; ``max_iter`` bounds the sweeps.
+    An iterate leaves the envelope when min(upper - U) or min(U - lower) is
+    below -ENVELOPE_SLACK.  A Newton attempt follows sweeps 1, 2, 4, 8, ...
+    It stops after a correction below ``tol``, or drops the first step whose
+    correction does not shrink or whose iterate leaves the envelope, and the
+    sweeps resume.  A sweep that leaves the envelope raises
+    EnvelopeViolationError.  Only a sweep whose sup-diff is below ``tol``
+    converges: a fixed point of the monotone map inside the envelope is the
+    solution, however the iterate got there.  Every accepted iterate goes to
+    ``callback(k, U)``, k counting sweeps and Newton steps together.  After
+    ``max_iter`` sweeps without convergence it raises ConvergenceError.
     """
+    lower, upper = envelope
+
+    def gap(V):
+        return min(float(np.min(upper - V)), float(np.min(V - lower)))
+
     sup_diffs: list[float] = []
     newton_steps: list[float] = []
     newton_at = 1
@@ -294,7 +302,7 @@ def _sweep_newton(sweep, newton, U, gap, tol, max_iter, callback=None):
         if callback is not None:
             callback(len(sup_diffs) + len(newton_steps), U)
         if d < tol:
-            return U, sup_diffs, newton_steps, True
+            return U, sup_diffs, newton_steps
         if it == newton_at:
             newton_at *= 2
             prev = math.inf
@@ -310,7 +318,9 @@ def _sweep_newton(sweep, newton, U, gap, tol, max_iter, callback=None):
                     callback(len(sup_diffs) + len(newton_steps), U)
                 if size < tol:
                     break
-    return U, sup_diffs, newton_steps, False
+    raise ConvergenceError(
+        f"sweeps did not reach tol={tol} in {max_iter} sweeps (last "
+        f"sup-diff {sup_diffs[-1]:.3e})")
 
 
 def monotone_interpolant(g: Grid, ys) -> tuple[np.ndarray, tuple]:

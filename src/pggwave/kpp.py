@@ -286,15 +286,8 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
         r, jac = linearized()
         return solve_banded((1, 1), jac, -r)
 
-    def gap(w):
-        return min(float(np.min(w)), b - float(np.max(w)))
-
-    w, sup_diffs, newton_steps, ok = _sweep_newton(
-        sweep, newton, knots[1:-1].copy(), gap, tol, SWEEP_MAX_ITER)
-    if not ok:
-        raise ConvergenceError(
-            f"scalar sweeps did not reach tol={tol} in {SWEEP_MAX_ITER} "
-            f"sweeps (last sup-diff {sup_diffs[-1]:.3e})")
+    w, sup_diffs, newton_steps = _sweep_newton(
+        sweep, newton, knots[1:-1].copy(), (0.0, b), tol, SWEEP_MAX_ITER)
     knots[1:-1] = w
     x0 = level_crossing(g, knots, half)
     if not abs(x0) < PHASE_TOL:

@@ -9,15 +9,18 @@ state box, so the right-hand side is monotone in U and the tridiagonal
 left-hand matrix is an M-matrix for c*h/2 < 1 (required; a coarser grid
 raises GridError).  Started from the shifted upper solution the iterates
 decrease nodewise and stay inside the [lower, upper] envelope; the fixed
-point is the discretized front.
+point is the discretized front.  Started from the lower solution they rise
+to the same front (Sattinger 1972), so a start from below is only another
+``initial`` iterate.
 
 The sweeps contract at a rate rho that tends to 1 at the critical speed
 (rho ~ 0.9987 at c = 1, L = 80), so Newton's method on the interleaved
 pentadiagonal Jacobian of the discretized system (``grid.linearization_bands``,
 the zero-weight operator of the spectrum module) accelerates them.  The loop
 is ``grid._sweep_newton``, shared with the scalar solves of ``kpp``: Newton
-from the first sweep, the envelope check on every iterate, and convergence
-only at a sweep whose sup-diff is below the tolerance.  A fixed point of the
+from the first sweep, the envelope check on every iterate, convergence only
+at a sweep whose sup-diff is below the tolerance, and the one
+ConvergenceError once the sweep budget is spent.  A fixed point of the
 monotone map inside the envelope is, by the uniqueness of the front, the
 front, however the iterate got there.
 
@@ -31,7 +34,6 @@ layer at +L).  The speed rule and the tail rates are ``model``'s verdict.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +60,7 @@ __all__ = [
 ]
 
 BETA_SAMPLES = 50   # box points per axis for the monotonicity shift
+SWEEP_MAX_ITER = 20000   # sweeps allowed per solve
 
 
 @dataclass
@@ -66,6 +69,8 @@ class IterationReport:
 
     ``iterations`` and ``sup_diffs`` count monotone sweeps only;
     ``newton_steps`` holds the sup-norm of each accepted Newton correction.
+    ``converged`` is True on every returned report: a solve that does not
+    converge raises.
     """
 
     iterations: int
@@ -98,29 +103,26 @@ def _beta_for(p: ModelParams) -> float:
 
 
 def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
-               tol: float = 1e-10, max_iter: int = 20000,
-               direction: str = "down", initial: Profile | None = None,
+               tol: float = 1e-10, initial: Profile | None = None,
                callback=None) -> tuple[Profile, IterationReport]:
     """Monotone iteration between the ordered bounds, accelerated by Newton.
 
-    direction="down" iterates from the shifted upper solution (default);
-    "up" from the lower, exposed for the uniqueness regression.  ``initial``
-    overrides the starting iterate (a converged wave is a fixed point).
-
-    Sweeps and Newton steps on the discretized system run through
-    ``grid._sweep_newton``, which converges only at a sweep whose sup-diff
-    is below ``tol``, raises on a sweep outside the envelope, passes every
-    accepted iterate to ``callback(k, U)`` and makes at most ``max_iter``
-    sweeps.  A first sweep down from the upper bound that rises anywhere
-    warns.
+    The iteration starts from the shifted upper solution, or from
+    ``initial``, a profile on ``g``: ``bounds.lower`` starts it from below,
+    and a converged wave is a fixed point.  Sweeps and Newton steps on the
+    discretized system run through ``grid._sweep_newton`` inside the
+    envelope [lower, shifted upper].  It converges only at a sweep whose
+    sup-diff is below ``tol``, raises EnvelopeViolationError on a sweep
+    outside the envelope and ConvergenceError after SWEEP_MAX_ITER sweeps,
+    and passes every accepted iterate to ``callback(k, U)``.
     """
-    if direction not in ("down", "up"):
-        raise ParameterError(f"direction must be 'down' or 'up', got {direction!r}")
+    if tol <= 0:
+        raise ParameterError("tolerance must be positive")
     require_monotone_wave(p, c)
     require_m_matrix(g, c)
-    bg = bounds.upper.grid
-    if bg.n != g.n or bg.L != g.L:
-        raise ParameterError("bounds were built on a different grid")
+    for what, given in (("bounds", bounds.upper), ("initial", initial)):
+        if given is not None and (given.grid.n != g.n or given.grid.L != g.L):
+            raise ParameterError(f"{what} built on a different grid")
 
     m = int(round(bounds.shift / g.h))
     upper_env = shifted_upper_samples(bounds.upper, m)
@@ -132,54 +134,34 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
     def as_profile(U):
         return Profile(grid=g, knots=np.vstack((dl, U, dr)), c=float(c))
 
-    def envelope_gap(U):
-        return min(float(np.min(upper_env - U)), float(np.min(U - lower_env)))
-
-    if initial is not None:
-        U = initial.samples()
-    elif direction == "down":
-        U = upper_env.copy()
-    else:
-        U = lower_env.copy()
-
     beta = _beta_for(p)
     ab = stencil_bands(g, c, -1.0, beta)
     bvec = boundary_vector(g, c, dl, dr)
-    check_rise = direction == "down" and initial is None
 
     def sweep(U):
-        nonlocal check_rise
         F = reaction(p, StateVec(U[:, 0], U[:, 1]))
-        Un = solve_banded((1, 1), ab, F.T + beta * U + bvec)
-        if check_rise and float(np.max(Un - U)) > 1e-12:
-            warnings.warn("iterate 1 increased somewhere during the downward "
-                          "iteration", RuntimeWarning, stacklevel=4)
-        check_rise = False
-        return Un
+        return solve_banded((1, 1), ab, F.T + beta * U + bvec)
 
     def newton(U):
         prof = as_profile(U)
         return solve_banded((2, 2), linearization_bands(p, prof),
                             -residual(p, prof).ravel()).reshape(U.shape)
 
-    U, sup_diffs, newton_steps, converged = _sweep_newton(
-        sweep, newton, U, envelope_gap, tol, max_iter, callback)
+    U = upper_env if initial is None else initial.samples()
+    U, sup_diffs, newton_steps = _sweep_newton(
+        sweep, newton, U, (lower_env, upper_env), tol, SWEEP_MAX_ITER,
+        callback)
 
     prof = as_profile(U)
     final_res = float(np.max(np.abs(residual(p, prof))))
-    report = IterationReport(iterations=len(sup_diffs), sup_diffs=sup_diffs,
-                             final_residual=final_res, beta=beta,
-                             converged=converged, newton_steps=newton_steps)
-    if not converged:
-        raise ConvergenceError(
-            f"monotone iteration did not reach tol={tol} in {max_iter} "
-            f"iterations (last sup-diff {sup_diffs[-1]:.3e})"
-        )
     if final_res > 10.0 * tol:
         raise ConvergenceError(
             f"converged iterate has residual {final_res:.3e} > 10*tol"
         )
-    return prof, report
+    return prof, IterationReport(iterations=len(sup_diffs),
+                                 sup_diffs=sup_diffs, final_residual=final_res,
+                                 beta=beta, converged=True,
+                                 newton_steps=newton_steps)
 
 
 def normalize_phase(prof: Profile) -> Profile:

@@ -117,6 +117,23 @@ def test_verification_failure_carries_node(base_params, grid40, lower_profile):
     assert exc.value.margin > 1e-7
 
 
+@pytest.mark.parametrize("kind", ["upper", "lower"])
+def test_nan_margin_fails(base_params, kind):
+    # NaN compares False with everything, so the verdict must not be the
+    # comparison "worst beyond MARGIN_TOL"
+    g = make_grid(20.0, 199)
+    nl = (upper_nonlinearity(base_params) if kind == "upper"
+          else lower_nonlinearity(base_params, 0.3))
+    s = solve_kpp(nl, C, g)
+    bound = (build_upper(base_params, s) if kind == "upper"
+             else build_lower(base_params, 0.3, s))
+    knots = bound.knots.copy()
+    knots[100, 1] = np.nan
+    with pytest.raises(VerificationError) as exc:
+        verify_bound(base_params, Profile(g, knots, C), kind)
+    assert math.isnan(exc.value.margin)
+
+
 def test_order_shift_cases(base_params, grid40, upper_profile, lower_profile):
     assert order_shift(upper_profile, upper_profile) == 0.0
     r = order_shift(upper_profile, lower_profile)

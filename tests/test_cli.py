@@ -296,8 +296,7 @@ def test_sweep_checks_every_point_before_running_any(capsys, tmp_path, run,
 # a valid value other than the default for every setting
 FLAG_VALUES = {"alpha": 0.3, "k": 0.4, "c": 1.5, "l": 0.2, "L": 30.0,
                "n": 299, "sigma1": 0.1, "sigma2": 0.6, "tol": 1e-9,
-               "max_iter": 10, "dt": 0.02, "t_end": 40.0,
-               "output_dir": "elsewhere"}
+               "dt": 0.02, "t_end": 40.0, "output_dir": "elsewhere"}
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
@@ -351,12 +350,20 @@ def test_config_file(tmp_path):
     assert cfg.alpha == 0.3 and cfg.k == 0.4 and cfg.n == 499 and cfg.c == 1.5
     echo = cfg.echo()
     assert set(echo) == {"alpha", "k", "c", "l", "L", "n", "sigma1", "sigma2",
-                         "tol", "max_iter", "dt", "t_end", "output_dir"}
+                         "tol", "dt", "t_end", "output_dir"}
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 3\n")
     with pytest.raises(ParameterError):
         load_config_file(bad)
+
+
+def test_config_file_refuses_max_iter(tmp_path):
+    # the sweep budget is the wave module's constant, not a setting
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("max_iter = 10\n")
+    with pytest.raises(ParameterError, match="unknown key 'max_iter'"):
+        resolve_config(cfgfile)
 
 
 def test_config_file_cli_exit(capsys, tmp_path):

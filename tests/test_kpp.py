@@ -152,8 +152,8 @@ def test_certifying_sweeps_close_by_sweep_two(base_params, monkeypatch, c, L,
         runs.clear()
         s = solve_kpp(nl, c, g)
         assert len(runs) == 1
-        _, sup_diffs, _, converged = runs[0]
-        assert converged and len(sup_diffs) <= 2
+        _, sup_diffs, _ = runs[0]
+        assert len(sup_diffs) <= 2
         assert s.report.sweeps == sup_diffs
         assert np.max(np.abs(scalar_residual(nl, s))) < 1e-12
         assert np.min(np.diff(s.w)) >= 0.0

@@ -1,5 +1,4 @@
 import math
-import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -60,11 +59,30 @@ def test_fixed_point_single_iteration(base_params, base_grid, base_bounds, base_
     assert rep.sup_diffs[0] < 1e-10
 
 
-def test_zero_tolerance_never_converges(base_params):
+def test_zero_tolerance_refused(base_params):
+    # a sup-diff is never below 0, so tol = 0 could only spend the budget
     g = make_grid(20.0, 199)
     bp = make_bounds(base_params, C, g)
-    with pytest.raises(ConvergenceError):
-        solve_wave(base_params, C, g, bp, tol=0.0, max_iter=10)
+    with pytest.raises(ParameterError, match="positive"):
+        solve_wave(base_params, C, g, bp, tol=0.0)
+
+
+def test_sweep_budget_spent(base_params, monkeypatch):
+    monkeypatch.setattr(wave, "SWEEP_MAX_ITER", 10)
+    g = make_grid(20.0, 199)
+    bp = make_bounds(base_params, C, g)
+    with pytest.raises(ConvergenceError,
+                       match=r"tol=1e-300 in 10 sweeps \(last sup-diff"):
+        solve_wave(base_params, C, g, bp, tol=1e-300)
+
+
+def test_initial_from_another_grid_refused(base_params):
+    g = make_grid(20.0, 199)
+    bp = make_bounds(base_params, C, g)
+    for L, n in ((20.0, 99), (30.0, 199)):
+        other = make_bounds(base_params, C, make_grid(L, n)).upper
+        with pytest.raises(ParameterError, match="initial"):
+            solve_wave(base_params, C, g, bp, initial=other)
 
 
 @pytest.mark.parametrize("n", [30, 20])
@@ -79,10 +97,8 @@ def test_non_monotone_stencil_rejected(base_params, base_bounds, n):
 
 def test_upward_iteration_agrees(base_params, base_grid, base_bounds, base_wave):
     prof_down, _ = base_wave
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        prof_up, rep = solve_wave(base_params, C, base_grid, base_bounds,
-                                  tol=1e-10, direction="up")
+    prof_up, rep = solve_wave(base_params, C, base_grid, base_bounds,
+                              tol=1e-10, initial=base_bounds.lower)
     assert rep.converged
     gap = np.max(np.abs(prof_up.samples() - prof_down.samples()))
     assert gap < 1e-6
@@ -120,10 +136,8 @@ def test_critical_speed_certificate(base_params):
 def test_newton_finish_agrees_up_and_down(base_params, base_grid, base_bounds,
                                           base_wave):
     prof_down, rep_down = base_wave
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        prof_up, rep_up = solve_wave(base_params, C, base_grid, base_bounds,
-                                     tol=1e-10, direction="up")
+    prof_up, rep_up = solve_wave(base_params, C, base_grid, base_bounds,
+                                 tol=1e-10, initial=base_bounds.lower)
     assert rep_down.newton_steps[-1] < 1e-10
     assert rep_up.newton_steps[-1] < 1e-10
     gap = np.max(np.abs(prof_up.samples() - prof_down.samples()))
@@ -156,9 +170,7 @@ def test_parameter_box_one_sweep_then_newton(alpha, k, ratio):
     g = make_grid(*BOX_GRID)
     bp = make_bounds(p, c, g)
     cb, gaps = _envelope_recorder(g, bp)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        prof, rep = solve_wave(p, c, g, bp, tol=1e-10, callback=cb)
+    prof, rep = solve_wave(p, c, g, bp, tol=1e-10, callback=cb)
     assert rep.converged
     assert rep.iterations <= 2
     assert len(rep.newton_steps) <= 8
@@ -166,6 +178,9 @@ def test_parameter_box_one_sweep_then_newton(alpha, k, ratio):
     assert min(gaps) >= -1e-12
     du, dv = check_monotone(prof)
     assert du > 0 and dv > 0
+    # from below the iterates rise to the same front
+    up, _ = solve_wave(p, c, g, bp, tol=1e-10, initial=bp.lower)
+    assert np.max(np.abs(up.samples() - prof.samples())) < 1e-12
 
 
 def test_up_and_down_agree_at_critical_speed(base_params):
@@ -173,7 +188,7 @@ def test_up_and_down_agree_at_critical_speed(base_params):
     bp = make_bounds(base_params, 1.0, g)
     down, _ = solve_wave(base_params, 1.0, g, bp, tol=1e-10)
     up, rep_up = solve_wave(base_params, 1.0, g, bp, tol=1e-10,
-                            direction="up")
+                            initial=bp.lower)
     assert rep_up.converged
     assert np.max(np.abs(up.samples() - down.samples())) < 1e-12
 
@@ -186,10 +201,8 @@ def test_rejected_newton_resumes_sweeps(base_params, base_grid, base_bounds,
     monkeypatch.setattr(wave, "linearization_bands",
                         lambda p, prof: scale * linearization_bands(p, prof))
     cb, gaps = _envelope_recorder(base_grid, base_bounds)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        prof, rep = solve_wave(base_params, C, base_grid, base_bounds,
-                               tol=1e-10, callback=cb)
+    prof, rep = solve_wave(base_params, C, base_grid, base_bounds,
+                           tol=1e-10, callback=cb)
     assert rep.converged
     assert rep.sup_diffs[-1] < 1e-10
     assert not rep.newton_steps or rep.newton_steps[-1] >= 1e-10
@@ -220,9 +233,8 @@ def test_envelope_violation_detected(base_params):
     g = make_grid(20.0, 199)
     bp = make_bounds(base_params, C, g)
     swapped = BoundPair(upper=bp.lower, lower=bp.upper, shift=0.0, l=bp.l)
-    # the swapped "upper" start rises at once, which the solve reports
-    with pytest.raises(EnvelopeViolationError), \
-            pytest.warns(RuntimeWarning, match="increased somewhere"):
+    # the swapped "upper" start rises at once, above its own envelope
+    with pytest.raises(EnvelopeViolationError, match="iterate 1 left"):
         solve_wave(base_params, C, g, swapped, tol=1e-10)
 
 
