@@ -10,9 +10,11 @@ operators are plain centered second-order stencils; the one copy of
 T = d^2/dxi^2 - c d/dxi is here, as is the phase translation of profiles.
 ``linearization_bands`` is the banded Jacobian of ``residual``; the wave's
 Newton steps and the spectrum use it.
-``_sweep_newton`` is the one monotone-sweep loop with Newton acceleration
-that the scalar and the vector front solves share; it owns their envelope
-test and their failure when the sweep budget is spent.
+The scalar and the vector front solves share three pieces here:
+``_shifted_sweep``, their beta-shifted monotone sweep; ``_damped``, the one
+rule that halves a Newton step back into the envelope; and
+``_sweep_newton``, the monotone-sweep loop with Newton acceleration, which
+owns their envelope test and their failure when the sweep budget is spent.
 
 Phase translation is a PCHIP (Fritsch & Butland) interpolant written in
 numpy, bit-identical to scipy's; a level crossing is found by bisecting its
@@ -63,6 +65,8 @@ __all__ = [
 NEWTON_MAX_STEPS = 20
 # slack of the envelope check on every accepted iterate
 ENVELOPE_SLACK = 1e-12
+# the smallest step fraction a damped Newton step may reach
+DAMPING_FLOOR = 2.0**-30
 
 
 @dataclass(frozen=True)
@@ -266,27 +270,66 @@ def linearization_bands(p: ModelParams, prof: Profile, g1=0.0,
     return bands
 
 
+def _shifted_sweep(g: Grid, c: float, F, diag, left, right, solve):
+    """The monotone sweep U -> (beta - T)^-1 (F(U) + beta U), Dirichlet data
+    ``left`` and ``right`` entering through the ghost vector; returns
+    (beta, sweep).
+
+    The shift beta = 1 + max(0, -min(diag)) is one above the largest
+    negative Jacobian diagonal over the caller's box samples ``diag``, so
+    F(U) + beta U is monotone in U there.  ``solve`` is the caller's banded
+    solver, called as solve((1, 1), bands, rhs).
+    """
+    beta = 1.0 + max(0.0, float(-np.min(diag)))
+    ab = stencil_bands(g, c, -1.0, beta)
+    bvec = boundary_vector(g, c, left, right)
+
+    def sweep(U):
+        return solve((1, 1), ab, F(U) + beta * U + bvec)
+    return beta, sweep
+
+
+def _gap(V, envelope) -> float:
+    """min(min(upper - V), min(V - lower)): negative when V leaves the
+    envelope (lower, upper); NaN when V holds one."""
+    lower, upper = envelope
+    return min(float(np.min(upper - V)), float(np.min(V - lower)))
+
+
+def _damped(U, dU, envelope, fits=None):
+    """The first step fraction lam = 1, 1/2, 1/4, ... not below
+    DAMPING_FLOOR whose iterate U + lam dU stays inside ``envelope`` to
+    within ENVELOPE_SLACK and passes ``fits(lam)``: (lam, U + lam dU), or
+    None when there is none.  Every test fails on a NaN."""
+    lam = 1.0
+    while lam >= DAMPING_FLOOR:
+        Un = U + lam * dU
+        if (_gap(Un, envelope) >= -ENVELOPE_SLACK
+                and (fits is None or fits(lam))):
+            return lam, Un
+        lam /= 2.0
+    return None
+
+
 def _sweep_newton(sweep, newton, U, envelope, tol, max_iter, callback=None):
     """Monotone sweeps ``U -> sweep(U)`` accelerated by Newton corrections
     ``U -> U + newton(U)``, inside ``envelope = (lower, upper)`` (scalars or
     arrays shaped like U); returns (U, sup_diffs, newton_steps).
 
     An iterate leaves the envelope when min(upper - U) or min(U - lower) is
-    below -ENVELOPE_SLACK.  A Newton attempt follows sweeps 1, 2, 4, 8, ...
-    It stops after a correction below ``tol``, or drops the first step whose
-    correction does not shrink or whose iterate leaves the envelope, and the
-    sweeps resume.  A sweep that leaves the envelope raises
-    EnvelopeViolationError.  Only a sweep whose sup-diff is below ``tol``
-    converges: a fixed point of the monotone map inside the envelope is the
-    solution, however the iterate got there.  Every accepted iterate goes to
-    ``callback(k, U)``, k counting sweeps and Newton steps together.  After
-    ``max_iter`` sweeps without convergence it raises ConvergenceError.
+    below -ENVELOPE_SLACK.  A Newton attempt follows sweeps 1, 2, 4, 8, ...;
+    ``newton=None`` makes none.  Each correction is halved by ``_damped``
+    until its iterate stays in the envelope.  An attempt stops after a full
+    step below ``tol``, or drops the first correction that does not shrink
+    or cannot be damped inside the envelope, and the sweeps resume.  A sweep
+    that leaves the envelope raises EnvelopeViolationError.  Only a sweep
+    whose sup-diff is below ``tol`` converges: a fixed point of the
+    monotone map inside the envelope is the solution, however the iterate
+    got there.  Every accepted iterate goes to ``callback(k, U)``, k
+    counting sweeps and Newton steps together; ``newton_steps`` holds the
+    sup-norm of each accepted (damped) step.  After ``max_iter`` sweeps
+    without convergence it raises ConvergenceError.
     """
-    lower, upper = envelope
-
-    def gap(V):
-        return min(float(np.min(upper - V)), float(np.min(V - lower)))
-
     sup_diffs: list[float] = []
     newton_steps: list[float] = []
     newton_at = 1
@@ -294,7 +337,7 @@ def _sweep_newton(sweep, newton, U, envelope, tol, max_iter, callback=None):
         Un = sweep(U)
         d = float(np.max(np.abs(Un - U)))
         sup_diffs.append(d)
-        env = gap(Un)
+        env = _gap(Un, envelope)
         if env < -ENVELOPE_SLACK:
             raise EnvelopeViolationError(
                 f"iterate {it} left the envelope by {-env:.3e}")
@@ -303,20 +346,21 @@ def _sweep_newton(sweep, newton, U, envelope, tol, max_iter, callback=None):
             callback(len(sup_diffs) + len(newton_steps), U)
         if d < tol:
             return U, sup_diffs, newton_steps
-        if it == newton_at:
+        if newton is not None and it == newton_at:
             newton_at *= 2
             prev = math.inf
             for _ in range(NEWTON_MAX_STEPS):
                 dU = newton(U)
                 size = float(np.max(np.abs(dU)))
-                if not size < prev or gap(U + dU) < -ENVELOPE_SLACK:
+                step = _damped(U, dU, envelope) if size < prev else None
+                if step is None:
                     break
-                U = U + dU
+                lam, U = step
                 prev = size
-                newton_steps.append(size)
+                newton_steps.append(lam * size)
                 if callback is not None:
                     callback(len(sup_diffs) + len(newton_steps), U)
-                if size < tol:
+                if lam == 1.0 and size < tol:
                     break
     raise ConvergenceError(
         f"sweeps did not reach tol={tol} in {max_iter} sweeps (last "

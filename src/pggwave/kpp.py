@@ -13,9 +13,12 @@ therefore takes s = log(left datum) as one more unknown and closes the
 system with a phase row, w(0) = plateau/2: one bordered Newton iteration
 (Beyn 1990) finds the samples and the datum together.  The left knot thus
 holds a tiny positive number (of the order of the natural tail value
-e^{-mu*L}) rather than exactly zero.  The sweep-Newton loop of the wave
-solve, ``grid._sweep_newton``, then certifies the front at that datum, and
-a ``KppReport`` on the returned profile records what the solve did.
+e^{-mu*L}) rather than exactly zero.  The iteration's steps are damped
+by ``grid._damped``, the rule the wave's Newton steps follow.  The monotone
+sweeps of the wave solve (``grid._shifted_sweep`` in the loop
+``grid._sweep_newton``, with no Newton step) then certify the front at
+that datum, and a ``KppReport`` on the returned profile records what the
+solve did.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, ParameterError
-from .grid import (ENVELOPE_SLACK, Grid, _sweep_newton,
-                   apply_advection_diffusion, boundary_vector, level_crossing,
+from .grid import (DAMPING_FLOOR, Grid, _damped, _shifted_sweep,
+                   _sweep_newton, apply_advection_diffusion, level_crossing,
                    require_m_matrix, stencil_bands, stencil_coefficients)
 from .model import ModelParams, require_monotone_wave
 
@@ -45,11 +48,9 @@ __all__ = [
 
 # the settled crossing's largest distance from 0
 PHASE_TOL = 1e-9
-# bordered Newton steps allowed, the largest |ds| one may take, and the
-# smallest step fraction its damping may reach
+# bordered Newton steps allowed, and the largest |ds| one may take
 BORDERED_MAX_STEPS = 40
 DATUM_STEP_MAX = 2.0
-DAMPING_FLOOR = 2.0**-30
 # sweeps allowed to certify the front
 SWEEP_MAX_ITER = 200_000
 
@@ -147,7 +148,6 @@ class KppReport:
     damped_steps: int               # steps the damping shortened
     phase_corrections: list[float]  # moves of the phase row's target point
     sweeps: list[float]             # sup-diffs of the certifying sweeps
-    sweep_newton_steps: list[float]  # Newton steps between those sweeps
     left_datum: float
     crossing: float                 # final half-plateau crossing
 
@@ -183,20 +183,20 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
     interpolated at a target point, equal plateau/2.  A step is one
     two-column tridiagonal solve, J a = -r and J z = lo e^s e_0 (dr/ds lives
     in row 0 only), then ds = (phi + phi_w a)/(phi_w z) and dw = a - ds z.
-    Steps are halved until the iterate stays in [0, plateau] (to within
-    ``grid.ENVELOPE_SLACK``) and |ds| stays below DATUM_STEP_MAX.  The
-    iteration starts from the logistic front of tail rate mu and settles at
-    a full step below ``tol``; past BORDERED_MAX_STEPS steps, or damped
-    below DAMPING_FLOOR, it raises ConvergenceError.
+    ``grid._damped`` halves a step until the iterate stays in [0, plateau]
+    and |ds| stays below DATUM_STEP_MAX.  The iteration starts from the
+    logistic front of tail rate mu and settles at a full step below
+    ``tol``; past BORDERED_MAX_STEPS steps, or damped below
+    ``grid.DAMPING_FLOOR``, it raises ConvergenceError.
 
     With odd n a node sits at 0 and the linear row is the PCHIP crossing's
     own condition; with even n it is not, so the target point moves by
-    minus the settled front's crossing and the iteration resumes.  The
-    monotone sweeps of ``grid._sweep_newton`` (envelope [0, plateau], shift
-    beta one above the largest -f' there) then certify the front at the
-    final datum: it converges only at a sweep whose sup-diff is below
-    ``tol``, and its crossing must lie within PHASE_TOL of 0.  A
-    subcritical speed raises.
+    minus the settled front's crossing and the iteration resumes.  Monotone
+    sweeps alone (``grid._sweep_newton`` with no Newton step, envelope
+    [0, plateau], shift beta one above the largest -f' there) then certify
+    the front at the final datum: it converges only at a sweep whose
+    sup-diff is below ``tol``, and its crossing must lie within PHASE_TOL
+    of 0.  A subcritical speed raises.
     """
     if tol <= 0:
         raise ParameterError("tolerance must be positive")
@@ -212,12 +212,6 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
     knots[0], knots[-1] = math.exp(s), b
     knots[1:-1] = b * np.exp(-np.logaddexp(0.0, -mu * g.nodes))
     rhs = np.zeros((g.n, 2))
-
-    def linearized():
-        """Residual of the current knots and its tridiagonal Jacobian."""
-        w = knots[1:-1]
-        return (apply_advection_diffusion(g, c, knots) + nl.f(w),
-                stencil_bands(g, c, 1.0, nl.fprime(w)))
 
     steps: list[float] = []
     datum_steps: list[float] = []
@@ -237,10 +231,10 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
                     f"bordered Newton did not settle in {BORDERED_MAX_STEPS} "
                     f"steps (last correction {steps[-1]:.3e}, phase offset "
                     f"{phi:.3e})")
-            r, jac = linearized()
-            rhs[:, 0] = -r
+            rhs[:, 0] = -(apply_advection_diffusion(g, c, knots) + nl.f(w))
             rhs[0, 1] = lo * knots[0]
-            a, z = solve_banded((1, 1), jac, rhs).T
+            a, z = solve_banded((1, 1), stencil_bands(g, c, 1.0, nl.fprime(w)),
+                                rhs).T
             dz = float((1.0 - t) * z[i] + t * z[i + 1])
             if not 0.0 < abs(dz) < math.inf:
                 raise ConvergenceError(
@@ -249,18 +243,13 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
             ds = (phi + float((1.0 - t) * a[i] + t * a[i + 1])) / dz
             dw = a - ds * z
             size = float(np.max(np.abs(dw)))
-            lam = 1.0
-            while True:     # every test below is False on a NaN
-                wn = w + lam * dw
-                if (abs(lam * ds) <= DATUM_STEP_MAX and s + lam * ds <= logb
-                        and np.min(wn) >= -ENVELOPE_SLACK
-                        and np.max(wn) <= b + ENVELOPE_SLACK):
-                    break
-                lam /= 2.0
-                if lam < DAMPING_FLOOR:
-                    raise ConvergenceError(
-                        f"bordered Newton damped below {DAMPING_FLOOR:g} "
-                        f"(correction {size:.3e}, phase offset {phi:.3e})")
+            step = _damped(w, dw, (0.0, b), lambda lam: (
+                abs(lam * ds) <= DATUM_STEP_MAX and s + lam * ds <= logb))
+            if step is None:
+                raise ConvergenceError(
+                    f"bordered Newton damped below {DAMPING_FLOOR:g} "
+                    f"(correction {size:.3e}, phase offset {phi:.3e})")
+            lam, wn = step
             s += lam * ds
             knots[0] = math.exp(s)
             knots[1:-1] = wn
@@ -274,20 +263,10 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
         target -= x0
         corrections.append(-x0)
 
-    beta = max(0.0, float(-np.min(nl.fprime(np.linspace(0.0, b, 201))))) + 1.0
-    ab = stencil_bands(g, c, -1.0, beta)
-    bvec = boundary_vector(g, c, knots[0], b)
-
-    def sweep(w):
-        return solve_banded((1, 1), ab, nl.f(w) + beta * w + bvec)
-
-    def newton(w):
-        knots[1:-1] = w
-        r, jac = linearized()
-        return solve_banded((1, 1), jac, -r)
-
-    w, sup_diffs, newton_steps = _sweep_newton(
-        sweep, newton, knots[1:-1].copy(), (0.0, b), tol, SWEEP_MAX_ITER)
+    _, sweep = _shifted_sweep(g, c, nl.f, nl.fprime(np.linspace(0.0, b, 201)),
+                              knots[0], b, solve_banded)
+    w, sup_diffs, _ = _sweep_newton(
+        sweep, None, knots[1:-1].copy(), (0.0, b), tol, SWEEP_MAX_ITER)
     knots[1:-1] = w
     x0 = level_crossing(g, knots, half)
     if not abs(x0) < PHASE_TOL:
@@ -296,7 +275,7 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
             f"{PHASE_TOL:g} of 0")
     report = KppReport(newton_steps=steps, datum_steps=datum_steps,
                        damped_steps=damped, phase_corrections=corrections,
-                       sweeps=sup_diffs, sweep_newton_steps=newton_steps,
-                       left_datum=float(knots[0]), crossing=x0)
+                       sweeps=sup_diffs, left_datum=float(knots[0]),
+                       crossing=x0)
     return ScalarProfile(grid=g, knots=knots, c=float(c), plateau=b,
                          report=report)

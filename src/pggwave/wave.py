@@ -16,13 +16,15 @@ to the same front (Sattinger 1972), so a start from below is only another
 The sweeps contract at a rate rho that tends to 1 at the critical speed
 (rho ~ 0.9987 at c = 1, L = 80), so Newton's method on the interleaved
 pentadiagonal Jacobian of the discretized system (``grid.linearization_bands``,
-the zero-weight operator of the spectrum module) accelerates them.  The loop
-is ``grid._sweep_newton``, shared with the scalar solves of ``kpp``: Newton
-from the first sweep, the envelope check on every iterate, convergence only
-at a sweep whose sup-diff is below the tolerance, and the one
-ConvergenceError once the sweep budget is spent.  A fixed point of the
-monotone map inside the envelope is, by the uniqueness of the front, the
-front, however the iterate got there.
+the zero-weight operator of the spectrum module) accelerates them.  The
+sweep is ``grid._shifted_sweep`` and the loop ``grid._sweep_newton``, both
+shared with the scalar solves of ``kpp``: Newton from the first sweep, each
+step halved back into the envelope (``grid._damped``), the envelope check
+on every iterate, convergence only at a sweep whose sup-diff is below the
+tolerance, and the one ConvergenceError once the sweep budget is spent.  A
+fixed point of the monotone map inside the envelope is, by the uniqueness
+of the front, the front, however the iterate got there.  From either bound
+the default path takes two sweeps.
 
 Dirichlet data, the end knots of every iterate: the right end is pinned at
 the exact limit (K*, 1); the left end is the upper bound's left knot, a tiny
@@ -41,9 +43,9 @@ from scipy.linalg import solve_banded
 
 from .bounds import BoundPair, shifted_upper_samples
 from .errors import ConvergenceError, FitWindowError, ParameterError
-from .grid import (Grid, Profile, _sweep_newton, apply_advection_diffusion,
-                   boundary_vector, level_crossing, linearization_bands,
-                   require_m_matrix, residual, stencil_bands,
+from .grid import (Grid, Profile, _shifted_sweep, _sweep_newton,
+                   apply_advection_diffusion, level_crossing,
+                   linearization_bands, require_m_matrix, residual,
                    stencil_coefficients, translate)
 from .model import (ModelParams, StateVec, jacobian, reaction,
                     require_monotone_wave)
@@ -68,7 +70,8 @@ class IterationReport:
     """What ``solve_wave`` did.
 
     ``iterations`` and ``sup_diffs`` count monotone sweeps only;
-    ``newton_steps`` holds the sup-norm of each accepted Newton correction.
+    ``newton_steps`` holds the sup-norm of each accepted Newton step, after
+    any damping into the envelope.
     ``converged`` is True on every returned report: a solve that does not
     converge raises.
     """
@@ -93,13 +96,13 @@ class DecayFit:
     rsquared: float
 
 
-def _beta_for(p: ModelParams) -> float:
-    """Monotonicity shift: box maximum of (-A11, -A22, 0) plus margin 1."""
+def _box_diagonal(p: ModelParams) -> np.ndarray:
+    """The Jacobian diagonals (A11, A22) on a grid over the state box
+    [0, K*] x [0, 1], the samples that set the monotonicity shift."""
     us = np.linspace(0.0, p.kstar, BETA_SAMPLES)
     vs = np.linspace(0.0, 1.0, BETA_SAMPLES)
     U, V = np.meshgrid(us, vs)
-    A = jacobian(p, StateVec(U.ravel(), V.ravel()))
-    return max(0.0, float(-A[0, 0].min()), float(-A[1, 1].min())) + 1.0
+    return np.diagonal(jacobian(p, StateVec(U.ravel(), V.ravel())))
 
 
 def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
@@ -111,10 +114,11 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
     ``initial``, a profile on ``g``: ``bounds.lower`` starts it from below,
     and a converged wave is a fixed point.  Sweeps and Newton steps on the
     discretized system run through ``grid._sweep_newton`` inside the
-    envelope [lower, shifted upper].  It converges only at a sweep whose
-    sup-diff is below ``tol``, raises EnvelopeViolationError on a sweep
-    outside the envelope and ConvergenceError after SWEEP_MAX_ITER sweeps,
-    and passes every accepted iterate to ``callback(k, U)``.
+    envelope [lower, shifted upper], each Newton step damped into it.  It
+    converges only at a sweep whose sup-diff is below ``tol``, raises
+    EnvelopeViolationError on a sweep outside the envelope and
+    ConvergenceError after SWEEP_MAX_ITER sweeps, and passes every accepted
+    iterate to ``callback(k, U)``.
     """
     if tol <= 0:
         raise ParameterError("tolerance must be positive")
@@ -134,13 +138,9 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
     def as_profile(U):
         return Profile(grid=g, knots=np.vstack((dl, U, dr)), c=float(c))
 
-    beta = _beta_for(p)
-    ab = stencil_bands(g, c, -1.0, beta)
-    bvec = boundary_vector(g, c, dl, dr)
-
-    def sweep(U):
-        F = reaction(p, StateVec(U[:, 0], U[:, 1]))
-        return solve_banded((1, 1), ab, F.T + beta * U + bvec)
+    beta, sweep = _shifted_sweep(
+        g, c, lambda U: reaction(p, StateVec(U[:, 0], U[:, 1])).T,
+        _box_diagonal(p), dl, dr, solve_banded)
 
     def newton(U):
         prof = as_profile(U)

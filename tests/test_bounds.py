@@ -7,7 +7,8 @@ from pggwave import (Profile, build_lower, build_upper, default_l,
                      lower_nonlinearity, make_grid, order_shift, solve_kpp,
                      upper_nonlinearity, verify_bound)
 from pggwave.bounds import margins_to_csv, shifted_upper_samples
-from pggwave.errors import ParameterError, VerificationError
+from pggwave.errors import (ParameterError, ShiftNotFoundError,
+                            VerificationError)
 
 C = 1.25
 
@@ -115,6 +116,8 @@ def test_verification_failure_carries_node(base_params, grid40, lower_profile):
     assert exc.value.xi is not None
     assert exc.value.component in (0, 1)
     assert exc.value.margin > 1e-7
+    with pytest.raises(ParameterError, match="'middle'"):
+        verify_bound(base_params, lower_profile, "middle")
 
 
 @pytest.mark.parametrize("kind", ["upper", "lower"])
@@ -143,6 +146,11 @@ def test_order_shift_cases(base_params, grid40, upper_profile, lower_profile):
     m = int(round(r / grid40.h))
     gap = shifted_upper_samples(upper_profile, m) - lower_profile.samples()
     assert np.min(gap) >= -1e-12
+    with pytest.raises(ParameterError, match="one grid"):
+        order_shift(upper_profile, _zero_profile(make_grid(40.0, 1999)))
+    # no shift of the lower front lifts it over the upper one
+    with pytest.raises(ShiftNotFoundError):
+        order_shift(lower_profile, upper_profile)
 
 
 def test_shared_minus_inf_rate(base_params, upper_profile, lower_profile):

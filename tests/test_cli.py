@@ -103,6 +103,16 @@ def test_wave_report_records_solver_state(capsys, tmp_path):
     assert f"{len(rep['newton_steps'])} Newton steps" in out
 
 
+def test_wave_fit_window_exit_code(capsys, tmp_path):
+    # a domain too short for the -inf tail fit is a convergence failure,
+    # exit 3, and writes nothing
+    code, _, err = run_cli(capsys, "wave", "--L", "12", "--n", "59",
+                           "--output-dir", str(tmp_path))
+    assert code == 3
+    assert "only 3 usable nodes in the -inf fit window" in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("n", ["30", "20"])
 def test_wave_rejects_non_monotone_stencil(capsys, tmp_path, n):
     code, _, err = run_cli(capsys, "wave", "--L", "40", "--n", n,
@@ -127,8 +137,8 @@ def test_bounds_check(capsys, tmp_path):
     # each scalar solve's report, with no wall-clock time in it
     for front in rep["fronts"].values():
         assert set(front) == {"newton_steps", "datum_steps", "damped_steps",
-                              "phase_corrections", "sweeps",
-                              "sweep_newton_steps", "left_datum", "crossing"}
+                              "phase_corrections", "sweeps", "left_datum",
+                              "crossing"}
         assert front["newton_steps"][-1] < 1e-12 and front["sweeps"][-1] < 1e-12
         assert front["left_datum"] > 0.0 and abs(front["crossing"]) < 1e-9
     assert (tmp_path / "bounds-check" / "margins_upper.csv").exists()
@@ -355,6 +365,9 @@ def test_config_file(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 3\n")
     with pytest.raises(ParameterError):
+        load_config_file(bad)
+    bad.write_text("alpha 0.3\n")
+    with pytest.raises(ParameterError, match="bad.cfg:1: expected key = value"):
         load_config_file(bad)
 
 

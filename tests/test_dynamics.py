@@ -177,6 +177,9 @@ def test_blowup_paths(base_params, base_wave):
     assert tr.blew_up
     assert 0 < tr.steps < 500
     assert tr.guard_margin < 0.0
+    with pytest.raises(ParameterError, match="on_blowup"):
+        run_simulation(base_params, bad, SimConfig(dt=0.01, t_end=5.0),
+                       on_blowup="x")
 
 
 def test_trace_reports_steps_and_guard_margin(base_params):
@@ -568,6 +571,8 @@ def test_fit_decay_constant_flat_and_invalid():
     tr.weighted_norms[3] = 0.0
     with pytest.raises(NormError):
         fit_decay_constant(tr, 0.0)
+    with pytest.raises(NormError, match="too few"):
+        fit_decay_constant(tr, 10.0)     # one sample, t = 10
 
 
 def test_spreading_speed_synthetic():
@@ -582,6 +587,8 @@ def test_spreading_speed_synthetic():
     tr2.front_positions[5] = math.nan
     with pytest.raises(FrontNotFoundError):
         spreading_speed(tr2, (0.0, 20.0))
+    with pytest.raises(FrontNotFoundError, match="too few"):
+        spreading_speed(tr2, (3.1, 3.4))     # no sample between the records
 
 
 def test_front_position_interpolation():

@@ -93,6 +93,9 @@ def test_profile_length_validation():
     for shape in ((9, 2), (11,), (11, 3), (13, 2), (2, 11)):
         with pytest.raises(GridError):
             Profile(grid=g, knots=np.zeros(shape), c=1.0)
+    # a stencil reads its ghosts from the two end rows, so it needs them
+    with pytest.raises(GridError, match="n\\+2 rows"):
+        apply_advection_diffusion(g, 1.0, np.zeros(g.n))
 
 
 def test_profile_components_view_knots_and_samples_copy():

@@ -178,8 +178,14 @@ def test_parameter_box_one_sweep_then_newton(alpha, k, ratio):
     assert min(gaps) >= -1e-12
     du, dv = check_monotone(prof)
     assert du > 0 and dv > 0
-    # from below the iterates rise to the same front
-    up, _ = solve_wave(p, c, g, bp, tol=1e-10, initial=bp.lower)
+    # from below the iterates rise to the same front, damped Newton steps
+    # keeping every one inside the envelope
+    cb_up, gaps_up = _envelope_recorder(g, bp)
+    up, rep_up = solve_wave(p, c, g, bp, tol=1e-10, initial=bp.lower,
+                            callback=cb_up)
+    assert rep_up.iterations <= 4
+    assert len(gaps_up) == rep_up.iterations + len(rep_up.newton_steps)
+    assert min(gaps_up) >= -1e-12
     assert np.max(np.abs(up.samples() - prof.samples())) < 1e-12
 
 
@@ -190,6 +196,7 @@ def test_up_and_down_agree_at_critical_speed(base_params):
     up, rep_up = solve_wave(base_params, 1.0, g, bp, tol=1e-10,
                             initial=bp.lower)
     assert rep_up.converged
+    assert rep_up.iterations <= 4
     assert np.max(np.abs(up.samples() - down.samples())) < 1e-12
 
 
@@ -309,6 +316,8 @@ def test_fit_window_too_noisy(base_params):
     const = Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=C)
     with pytest.raises(FitWindowError):
         fit_decay(const, base_params, "-inf")
+    with pytest.raises(ParameterError, match="'middle'"):
+        fit_decay(const, base_params, "middle")
 
 
 def _rate_errors(p, c, L, n):
@@ -362,8 +371,9 @@ def test_verdicts(base_params):
     assert v.roots[1] == pytest.approx(1.0, abs=1e-12)
     assert v.plus_inf_root == pytest.approx(-0.1753906, abs=1e-7)
 
-    with pytest.raises(ParameterError):
-        subcritical_verdict(base_params, -1.0)
+    for c in (-1.0, 0.0):
+        with pytest.raises(ParameterError, match="positive"):
+            subcritical_verdict(base_params, c)
 
 
 # alpha at k = 0.5 where c^2 - 4 alpha at c = cmin rounds below, above and
