@@ -6,6 +6,12 @@ componentwise differential inequalities of the wave system, which
 ``verify_bound`` checks nodewise with the same discrete operators the
 solvers use, so the margins are at solver-tolerance level rather than at
 O(h^2).
+
+The monotone iteration runs between an ordered pair (Sattinger 1972): the
+lower bound and the upper bound translated left by the ordering shift r.
+``BoundPair.shifted_upper`` is that one translated profile, Dirichlet data
+included, and ``order_shift`` finds r by comparing all n+2 knot rows, so
+the end rows are ordered with the samples.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ __all__ = [
     "verify_bound",
     "order_shift",
     "make_bounds",
-    "shifted_upper_samples",
     "margins_to_csv",
 ]
 
@@ -45,6 +50,15 @@ class BoundPair:
     l: float
     # each scalar solve's report, by bound; empty for a hand-built pair
     fronts: dict[str, KppReport] = field(default_factory=dict)
+
+    @property
+    def shifted_upper(self) -> Profile:
+        """The upper bound translated left by ``shift``: its knot rows from
+        round(shift/h) on, padded with its right end row, so the Dirichlet
+        data move with the samples."""
+        m = int(round(self.shift / self.upper.grid.h))
+        return Profile(self.upper.grid, _shifted_knots(self.upper, m),
+                       self.upper.c)
 
 
 @dataclass(frozen=True)
@@ -112,29 +126,32 @@ def verify_bound(p: ModelParams, prof: Profile, kind: str) -> MarginReport:
     return report
 
 
-def shifted_upper_samples(upper: Profile, m: int) -> np.ndarray:
-    """Upper samples translated left by m grid cells, shape (n, 2).
+def _shifted_knots(upper: Profile, m: int) -> np.ndarray:
+    """Upper knots translated left by m grid cells, shape (n+2, 2).
 
     Grid-multiple shifts are exact index shifts (any interpolant through the
-    nodes agrees with the samples there); past +L the profile is extended by
-    its right end knot.
+    knots agrees with them there); past +L the profile is extended by its
+    right end row, so at m = n+1 every row is that row.
     """
     n = upper.grid.n
-    return upper.knots[np.minimum(np.arange(1, n + 1) + m, n + 1)]
+    return upper.knots[np.minimum(np.arange(n + 2) + m, n + 1)]
 
 
 def order_shift(upper: Profile, lower: Profile) -> float:
-    """Smallest r = m*h >= 0 with upper(. + r) >= lower(.) at every node."""
+    """Smallest r = m*h >= 0 with upper(. + r) >= lower(.) at every knot,
+    the Dirichlet rows included."""
     if upper.grid.n != lower.grid.n or upper.grid.L != lower.grid.L:
         raise ParameterError("bounds must share one grid")
-    n = upper.grid.n
-    LO = lower.samples()
-    for m in range(n + 2):
-        if np.all(shifted_upper_samples(upper, m) >= LO):
+    for m in range(upper.grid.n + 2):
+        if np.all(_shifted_knots(upper, m) >= lower.knots):
             return m * upper.grid.h
+    # the last shift made every row the upper's right end row
+    end = upper.knots[-1]
+    i = int(np.argmin(np.all(end >= lower.knots, axis=1)))
     raise ShiftNotFoundError(
-        "no ordering shift r <= 2L exists; the grid is too short"
-    )
+        f"no ordering shift exists: the lower bound exceeds the upper "
+        f"bound's right end row ({end[0]:.6g}, {end[1]:.6g}) at knot "
+        f"xi={upper.grid.knots[i]:.4f}")
 
 
 def make_bounds(p: ModelParams, c: float, g: Grid, l: float | None = None,

@@ -67,6 +67,8 @@ NEWTON_MAX_STEPS = 20
 ENVELOPE_SLACK = 1e-12
 # the smallest step fraction a damped Newton step may reach
 DAMPING_FLOOR = 2.0**-30
+# sweeps allowed per front solve, scalar or vector
+SWEEP_MAX_ITER = 20000
 
 
 @dataclass(frozen=True)
@@ -311,7 +313,7 @@ def _damped(U, dU, envelope, fits=None):
     return None
 
 
-def _sweep_newton(sweep, newton, U, envelope, tol, max_iter, callback=None):
+def _sweep_newton(sweep, newton, U, envelope, tol, callback=None):
     """Monotone sweeps ``U -> sweep(U)`` accelerated by Newton corrections
     ``U -> U + newton(U)``, inside ``envelope = (lower, upper)`` (scalars or
     arrays shaped like U); returns (U, sup_diffs, newton_steps).
@@ -327,13 +329,13 @@ def _sweep_newton(sweep, newton, U, envelope, tol, max_iter, callback=None):
     monotone map inside the envelope is the solution, however the iterate
     got there.  Every accepted iterate goes to ``callback(k, U)``, k
     counting sweeps and Newton steps together; ``newton_steps`` holds the
-    sup-norm of each accepted (damped) step.  After ``max_iter`` sweeps
+    sup-norm of each accepted (damped) step.  After SWEEP_MAX_ITER sweeps
     without convergence it raises ConvergenceError.
     """
     sup_diffs: list[float] = []
     newton_steps: list[float] = []
     newton_at = 1
-    for it in range(1, max_iter + 1):
+    for it in range(1, SWEEP_MAX_ITER + 1):
         Un = sweep(U)
         d = float(np.max(np.abs(Un - U)))
         sup_diffs.append(d)
@@ -363,7 +365,7 @@ def _sweep_newton(sweep, newton, U, envelope, tol, max_iter, callback=None):
                 if lam == 1.0 and size < tol:
                     break
     raise ConvergenceError(
-        f"sweeps did not reach tol={tol} in {max_iter} sweeps (last "
+        f"sweeps did not reach tol={tol} in {SWEEP_MAX_ITER} sweeps (last "
         f"sup-diff {sup_diffs[-1]:.3e})")
 
 

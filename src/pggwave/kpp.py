@@ -51,8 +51,6 @@ PHASE_TOL = 1e-9
 # bordered Newton steps allowed, and the largest |ds| one may take
 BORDERED_MAX_STEPS = 40
 DATUM_STEP_MAX = 2.0
-# sweeps allowed to certify the front
-SWEEP_MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
@@ -266,7 +264,7 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
     _, sweep = _shifted_sweep(g, c, nl.f, nl.fprime(np.linspace(0.0, b, 201)),
                               knots[0], b, solve_banded)
     w, sup_diffs, _ = _sweep_newton(
-        sweep, None, knots[1:-1].copy(), (0.0, b), tol, SWEEP_MAX_ITER)
+        sweep, None, knots[1:-1].copy(), (0.0, b), tol)
     knots[1:-1] = w
     x0 = level_crossing(g, knots, half)
     if not abs(x0) < PHASE_TOL:

@@ -26,11 +26,15 @@ fixed point of the monotone map inside the envelope is, by the uniqueness
 of the front, the front, however the iterate got there.  From either bound
 the default path takes two sweeps.
 
-Dirichlet data, the end knots of every iterate: the right end is pinned at
-the exact limit (K*, 1); the left end is the upper bound's left knot, a tiny
-positive datum, which is what fixes the front's position on the truncated
-domain (with exactly zero data the discrete solution degenerates into a
-layer at +L).  The speed rule and the tail rates are ``model``'s verdict.
+Dirichlet data, the end knots of every iterate, are the end rows of the
+one translated upper bound ``bounds.shifted_upper``, which also gives the
+start and the top of the envelope.  Its right end is the exact limit
+(K*, 1); its left end is a knot of the upper bound, a tiny positive datum,
+which is what fixes the front's position on the truncated domain (with
+exactly zero data the discrete solution degenerates into a layer at +L).
+``bounds.order_shift`` orders these rows with the lower bound's, so the
+data move with the samples.  The speed rule and the tail rates are
+``model``'s verdict.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .bounds import BoundPair, shifted_upper_samples
+from .bounds import BoundPair
 from .errors import ConvergenceError, FitWindowError, ParameterError
 from .grid import (Grid, Profile, _shifted_sweep, _sweep_newton,
                    apply_advection_diffusion, level_crossing,
@@ -62,7 +66,6 @@ __all__ = [
 ]
 
 BETA_SAMPLES = 50   # box points per axis for the monotonicity shift
-SWEEP_MAX_ITER = 20000   # sweeps allowed per solve
 
 
 @dataclass
@@ -110,15 +113,16 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
                callback=None) -> tuple[Profile, IterationReport]:
     """Monotone iteration between the ordered bounds, accelerated by Newton.
 
-    The iteration starts from the shifted upper solution, or from
-    ``initial``, a profile on ``g``: ``bounds.lower`` starts it from below,
-    and a converged wave is a fixed point.  Sweeps and Newton steps on the
-    discretized system run through ``grid._sweep_newton`` inside the
-    envelope [lower, shifted upper], each Newton step damped into it.  It
-    converges only at a sweep whose sup-diff is below ``tol``, raises
-    EnvelopeViolationError on a sweep outside the envelope and
-    ConvergenceError after SWEEP_MAX_ITER sweeps, and passes every accepted
-    iterate to ``callback(k, U)``.
+    ``bounds.shifted_upper`` is the start, the top of the envelope
+    [lower, shifted upper] and, by its end rows, the Dirichlet data of
+    every iterate; ``initial``, a profile on ``g``, replaces only the start:
+    ``bounds.lower`` starts it from below, and a converged wave is a fixed
+    point.  Sweeps and Newton steps on the discretized system run through
+    ``grid._sweep_newton`` inside the envelope, each Newton step damped
+    into it.  It converges only at a sweep whose sup-diff is below ``tol``,
+    raises EnvelopeViolationError on a sweep outside the envelope and
+    ConvergenceError after ``grid.SWEEP_MAX_ITER`` sweeps, and passes every
+    accepted iterate to ``callback(k, U)``.
     """
     if tol <= 0:
         raise ParameterError("tolerance must be positive")
@@ -128,29 +132,24 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
         if given is not None and (given.grid.n != g.n or given.grid.L != g.L):
             raise ParameterError(f"{what} built on a different grid")
 
-    m = int(round(bounds.shift / g.h))
-    upper_env = shifted_upper_samples(bounds.upper, m)
-    lower_env = bounds.lower.samples()
-    # iteration Dirichlet data: upper's tiny left datum, exact limit on the right
-    dl = bounds.upper.knots[0]
-    dr = np.array([p.kstar, 1.0])
+    top = bounds.shifted_upper
 
     def as_profile(U):
-        return Profile(grid=g, knots=np.vstack((dl, U, dr)), c=float(c))
+        return Profile(g, np.vstack((top.knots[0], U, top.knots[-1])), float(c))
 
     beta, sweep = _shifted_sweep(
         g, c, lambda U: reaction(p, StateVec(U[:, 0], U[:, 1])).T,
-        _box_diagonal(p), dl, dr, solve_banded)
+        _box_diagonal(p), top.knots[0], top.knots[-1], solve_banded)
 
     def newton(U):
         prof = as_profile(U)
         return solve_banded((2, 2), linearization_bands(p, prof),
                             -residual(p, prof).ravel()).reshape(U.shape)
 
-    U = upper_env if initial is None else initial.samples()
+    upper = top.knots[1:-1]
+    U = upper if initial is None else initial.samples()
     U, sup_diffs, newton_steps = _sweep_newton(
-        sweep, newton, U, (lower_env, upper_env), tol, SWEEP_MAX_ITER,
-        callback)
+        sweep, newton, U, (bounds.lower.samples(), upper), tol, callback)
 
     prof = as_profile(U)
     final_res = float(np.max(np.abs(residual(p, prof))))

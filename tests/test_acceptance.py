@@ -15,7 +15,7 @@ from pggwave import (SimConfig, StateVec, WeightPair, assemble_weighted_operator
                      normalize_phase, reaction, residual, solve_wave,
                      spreading_experiment, stability_experiment,
                      subcritical_verdict, translation_mode_check, weight_window)
-from pggwave.bounds import shifted_upper_samples, verify_bound
+from pggwave.bounds import verify_bound
 from pggwave.errors import EmptyWindowError
 from pggwave.spectrum import branch_vertices
 from pggwave.wave import check_monotone
@@ -53,12 +53,11 @@ def coarse_wave_400(base_params):
     return prof
 
 
-def test_criterion_01_wave_existence(base_params, base_grid, base_bounds, base_wave):
+def test_criterion_01_wave_existence(base_params, base_bounds, base_wave):
     prof, rep = base_wave
     res = float(np.max(np.abs(residual(base_params, prof))))
     du, dv = check_monotone(prof)
-    m = int(round(base_bounds.shift / base_grid.h))
-    upper_env = shifted_upper_samples(base_bounds.upper, m)
+    upper_env = base_bounds.shifted_upper.samples()
     lower_env = base_bounds.lower.samples()
     slack = min(float(np.min(upper_env - prof.samples())),
                 float(np.min(prof.samples() - lower_env)))

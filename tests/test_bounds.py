@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from pggwave import (Profile, build_lower, build_upper, default_l,
+from pggwave import (BoundPair, Profile, build_lower, build_upper, default_l,
                      lower_nonlinearity, make_grid, order_shift, solve_kpp,
                      upper_nonlinearity, verify_bound)
-from pggwave.bounds import margins_to_csv, shifted_upper_samples
+from pggwave.bounds import margins_to_csv
 from pggwave.errors import (ParameterError, ShiftNotFoundError,
                             VerificationError)
 
@@ -143,13 +143,25 @@ def test_order_shift_cases(base_params, grid40, upper_profile, lower_profile):
     assert 0.0 <= r <= 20.0
     assert r == 0.0  # regression baseline for the base configuration
     assert order_shift(upper_profile, _zero_profile(grid40)) == 0.0
-    m = int(round(r / grid40.h))
-    gap = shifted_upper_samples(upper_profile, m) - lower_profile.samples()
+    bp = BoundPair(upper=upper_profile, lower=lower_profile, shift=r, l=0.3)
+    gap = bp.shifted_upper.knots - lower_profile.knots
     assert np.min(gap) >= -1e-12
+    # the Dirichlet rows are ordered too: a lower left datum twice the
+    # upper's needs the upper moved left until a sample exceeds it
+    knots = upper_profile.knots.copy()
+    knots[0] *= 2.0
+    r = order_shift(upper_profile, Profile(grid40, knots, C))
+    assert r > 0.0
+    m = int(round(r / grid40.h))
+    assert np.all(upper_profile.knots[m] >= knots[0])
+    assert not np.all(upper_profile.knots[m - 1] >= knots[0])
     with pytest.raises(ParameterError, match="one grid"):
         order_shift(upper_profile, _zero_profile(make_grid(40.0, 1999)))
-    # no shift of the lower front lifts it over the upper one
-    with pytest.raises(ShiftNotFoundError):
+    # no shift of the lower front lifts it over the upper one: the lower's
+    # right end row, its plateau, lies below the upper front from xi ~ -9 on
+    with pytest.raises(ShiftNotFoundError,
+                       match=r"exceeds the upper bound's right end row "
+                             r"\(0\.\d+, 0\.\d+\) at knot xi="):
         order_shift(lower_profile, upper_profile)
 
 
@@ -190,12 +202,12 @@ def test_margins_csv(tmp_path, base_params, upper_profile):
 
 
 def test_shifted_upper_samples_is_slice_and_pad():
-    # a shift by m cells reads the samples from m on and pads with the right
-    # end knot, past the last sample too
+    # a shift by m cells reads all n+2 knot rows from m on and pads with the
+    # right end row, past the last sample too
     g = make_grid(10.0, 9)
     knots = np.random.default_rng(7).standard_normal((g.n + 2, 2))
     upper, n = Profile(grid=g, knots=knots, c=C), g.n
     for m in (0, 1, n - 1, n, n + 1):
-        want = np.concatenate([knots[1:-1][m:],
-                               np.repeat(knots[-1:], min(m, n), axis=0)])
-        assert np.array_equal(shifted_upper_samples(upper, m), want)
+        bp = BoundPair(upper=upper, lower=upper, shift=m * g.h, l=0.3)
+        want = np.concatenate([knots[m:], np.repeat(knots[-1:], m, axis=0)])
+        assert np.array_equal(bp.shifted_upper.knots, want)

@@ -106,7 +106,7 @@ def test_subcritical_rejected(base_params, grid40):
 
 
 def test_unreachable_tolerance(base_params, monkeypatch):
-    monkeypatch.setattr(kpp, "SWEEP_MAX_ITER", 40)
+    monkeypatch.setattr(grid, "SWEEP_MAX_ITER", 40)
     g = make_grid(20.0, 99)
     with pytest.raises(ConvergenceError):
         solve_kpp(upper_nonlinearity(base_params), C, g, tol=1e-300)

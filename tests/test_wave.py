@@ -12,7 +12,6 @@ from pggwave.errors import (ConvergenceError, EmptyWindowError,
                             EnvelopeViolationError, FitWindowError, GridError,
                             LevelNotCrossedError, ParameterError,
                             SubcriticalSpeedError)
-from pggwave.bounds import shifted_upper_samples
 from pggwave.grid import linearization_bands, translate
 from pggwave.wave import (IterationReport, derivative_profile,
                           derivative_system_residual)
@@ -34,9 +33,7 @@ def test_solve_converges(base_params, base_grid, base_bounds, base_wave):
 
 
 def test_envelope_and_monotone_direction(base_params, base_grid, base_bounds):
-    from pggwave.bounds import shifted_upper_samples
-    m = int(round(base_bounds.shift / base_grid.h))
-    upper_env = shifted_upper_samples(base_bounds.upper, m)
+    upper_env = base_bounds.shifted_upper.samples()
     lower_env = base_bounds.lower.samples()
     seen = []
 
@@ -68,7 +65,7 @@ def test_zero_tolerance_refused(base_params):
 
 
 def test_sweep_budget_spent(base_params, monkeypatch):
-    monkeypatch.setattr(wave, "SWEEP_MAX_ITER", 10)
+    monkeypatch.setattr(grid, "SWEEP_MAX_ITER", 10)
     g = make_grid(20.0, 199)
     bp = make_bounds(base_params, C, g)
     with pytest.raises(ConvergenceError,
@@ -104,10 +101,9 @@ def test_upward_iteration_agrees(base_params, base_grid, base_bounds, base_wave)
     assert gap < 1e-6
 
 
-def _envelope_recorder(g, bp):
+def _envelope_recorder(bp):
     """Callback collecting each iterate's envelope gap, and the gap list."""
-    m = int(round(bp.shift / g.h))
-    upper_env = shifted_upper_samples(bp.upper, m)
+    upper_env = bp.shifted_upper.samples()
     lower_env = bp.lower.samples()
     gaps = []
 
@@ -120,7 +116,7 @@ def _envelope_recorder(g, bp):
 def test_critical_speed_certificate(base_params):
     g = make_grid(80.0, 7999)
     bp = make_bounds(base_params, 1.0, g)
-    cb, gaps = _envelope_recorder(g, bp)
+    cb, gaps = _envelope_recorder(bp)
     tol = 1e-10
     prof, rep = solve_wave(base_params, 1.0, g, bp, tol=tol, callback=cb)
     assert rep.converged
@@ -152,24 +148,21 @@ def _box_points():
     for alpha in (0.05, 0.25, 0.6, 0.9):
         for k in (0.1, 0.5, 0.9):
             for ratio in (1.0, 1.3, 2.5):
-                marks = ()
-                if k == 0.9 and ratio == 1.0 and alpha != 0.05:
-                    # the Dirichlet data are not ordered with the bounds
-                    # (ROADMAP item 1); these points fail the same way when
-                    # the solve is all sweeps
-                    marks = pytest.mark.xfail(raises=EnvelopeViolationError,
-                                              strict=True)
-                yield pytest.param(alpha, k, ratio, marks=marks,
+                yield pytest.param(alpha, k, ratio, BOX_GRID,
                                    id=f"a{alpha}-k{k}-c{ratio}cmin")
+    # the upper bound needs a shift of 16 cells here, and the Dirichlet
+    # data must move with it
+    yield pytest.param(0.6, 0.9, 1.0, (80.0, 7999),
+                       id="a0.6-k0.9-c1.0cmin-L80")
 
 
-@pytest.mark.parametrize("alpha,k,ratio", _box_points())
-def test_parameter_box_one_sweep_then_newton(alpha, k, ratio):
+@pytest.mark.parametrize("alpha,k,ratio,grid_size", _box_points())
+def test_parameter_box_one_sweep_then_newton(alpha, k, ratio, grid_size):
     p = derive_params(alpha, k)
     c = ratio * p.cmin
-    g = make_grid(*BOX_GRID)
+    g = make_grid(*grid_size)
     bp = make_bounds(p, c, g)
-    cb, gaps = _envelope_recorder(g, bp)
+    cb, gaps = _envelope_recorder(bp)
     prof, rep = solve_wave(p, c, g, bp, tol=1e-10, callback=cb)
     assert rep.converged
     assert rep.iterations <= 2
@@ -178,9 +171,10 @@ def test_parameter_box_one_sweep_then_newton(alpha, k, ratio):
     assert min(gaps) >= -1e-12
     du, dv = check_monotone(prof)
     assert du > 0 and dv > 0
+    assert np.array_equal(prof.knots[[0, -1]], bp.shifted_upper.knots[[0, -1]])
     # from below the iterates rise to the same front, damped Newton steps
     # keeping every one inside the envelope
-    cb_up, gaps_up = _envelope_recorder(g, bp)
+    cb_up, gaps_up = _envelope_recorder(bp)
     up, rep_up = solve_wave(p, c, g, bp, tol=1e-10, initial=bp.lower,
                             callback=cb_up)
     assert rep_up.iterations <= 4
@@ -207,7 +201,7 @@ def test_rejected_newton_resumes_sweeps(base_params, base_grid, base_bounds,
     # first step overshoots by ~1000x; either way the sweeps must finish
     monkeypatch.setattr(wave, "linearization_bands",
                         lambda p, prof: scale * linearization_bands(p, prof))
-    cb, gaps = _envelope_recorder(base_grid, base_bounds)
+    cb, gaps = _envelope_recorder(base_bounds)
     prof, rep = solve_wave(base_params, C, base_grid, base_bounds,
                            tol=1e-10, callback=cb)
     assert rep.converged
