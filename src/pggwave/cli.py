@@ -74,6 +74,14 @@ def _check_front(cfg: RunConfig, args) -> SpeedVerdict:
     return verdict
 
 
+def _check_wave(cfg: RunConfig, args) -> SpeedVerdict:
+    """A front solve's preconditions, and tail fit windows that hold enough
+    nodes."""
+    verdict = _check_front(cfg, args)
+    wave.check_fit_windows(make_grid(cfg.L, cfg.n))
+    return verdict
+
+
 def _check_eigs(cfg: RunConfig, args) -> None:
     _check_front(cfg, args)
     spectrum.check_count(args.count, 2 * cfg.n)
@@ -257,7 +265,7 @@ def cmd_sweep(cfg: RunConfig, args, _) -> None:
 # subcommand -> (its checks before solving, its run)
 COMMANDS = {
     "params": (_check_none, cmd_params),
-    "wave": (_check_front, cmd_wave),
+    "wave": (_check_wave, cmd_wave),
     "bounds-check": (_check_front, cmd_bounds_check),
     "spectrum": (_check_none, cmd_spectrum),
     "eigs": (_check_eigs, cmd_eigs),

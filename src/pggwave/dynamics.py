@@ -179,8 +179,8 @@ def front_position(g: Grid, v: np.ndarray) -> float:
         return math.nan
     i = int(idx[-1])
     x0, x1 = g.nodes[i], g.nodes[i + 1]
-    if v[i + 1] == v[i]:
-        return float(x0)
+    # v[i + 1] != v[i]: equal values change sign only when both sit on the
+    # level, which is excluded
     return float(x0 + (FRONT_LEVEL - v[i]) * (x1 - x0) / (v[i + 1] - v[i]))
 
 

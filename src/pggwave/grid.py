@@ -332,6 +332,7 @@ def _sweep_newton(sweep, newton, U, envelope, tol, callback=None):
     sup-norm of each accepted (damped) step.  After SWEEP_MAX_ITER sweeps
     without convergence it raises ConvergenceError.
     """
+    callback = callback or (lambda k, U: None)
     sup_diffs: list[float] = []
     newton_steps: list[float] = []
     newton_at = 1
@@ -344,8 +345,7 @@ def _sweep_newton(sweep, newton, U, envelope, tol, callback=None):
             raise EnvelopeViolationError(
                 f"iterate {it} left the envelope by {-env:.3e}")
         U = Un
-        if callback is not None:
-            callback(len(sup_diffs) + len(newton_steps), U)
+        callback(len(sup_diffs) + len(newton_steps), U)
         if d < tol:
             return U, sup_diffs, newton_steps
         if newton is not None and it == newton_at:
@@ -360,8 +360,7 @@ def _sweep_newton(sweep, newton, U, envelope, tol, callback=None):
                 lam, U = step
                 prev = size
                 newton_steps.append(lam * size)
-                if callback is not None:
-                    callback(len(sup_diffs) + len(newton_steps), U)
+                callback(len(sup_diffs) + len(newton_steps), U)
                 if lam == 1.0 and size < tol:
                     break
     raise ConvergenceError(
@@ -369,17 +368,18 @@ def _sweep_newton(sweep, newton, U, envelope, tol, callback=None):
         f"sup-diff {sup_diffs[-1]:.3e})")
 
 
-def monotone_interpolant(g: Grid, ys) -> tuple[np.ndarray, tuple]:
-    """PCHIP interpolant over [-L, L] of knot values ys, (n+2,) or (n+2, 2):
-    the knots xs = [-L, nodes, L] and coefficients (c0, c1, c2, c3) of the
-    cubic c0 s^3 + c1 s^2 + c2 s + c3, s = x - xs[i], on [xs[i], xs[i+1]].
+def monotone_interpolant(xs, ys) -> tuple:
+    """PCHIP interpolant of values ys, (m,) or (m, 2), at increasing knots
+    xs, (m,), m >= 3: the coefficients (c0, c1, c2, c3) of the cubic
+    c0 s^3 + c1 s^2 + c2 s + c3, s = x - xs[i], on [xs[i], xs[i+1]].
+    An interior segment reads only the knots i - 1 .. i + 2, so the four
+    knots around it give it to the last bit.
 
     The slopes are Fritsch & Butland's weighted harmonic means (zero at a
     sign change or flat segment) with shape-preserving one-sided three-point
     end slopes, computed in the order scipy's PCHIP uses, so the
     interpolant is scipy's to the last bit.
     """
-    xs = g.knots
     ys = np.asarray(ys, dtype=float)
     hx = (xs[1:] - xs[:-1]).reshape((-1,) + (1,) * (ys.ndim - 1))
     m = (ys[1:] - ys[:-1]) / hx
@@ -394,7 +394,7 @@ def monotone_interpolant(g: Grid, ys) -> tuple[np.ndarray, tuple]:
     d[0] = _end_slope(hx[0], hx[1], m[0], m[1])
     d[-1] = _end_slope(hx[-1], hx[-2], m[-1], m[-2])
     t = (d[:-1] + d[1:] - 2 * m) / hx
-    return xs, (t / hx, (m - d[:-1]) / hx - t, d[:-1], ys[:-1])
+    return t / hx, (m - d[:-1]) / hx - t, d[:-1], ys[:-1]
 
 
 def _end_slope(h0, h1, m0, m1):
@@ -425,12 +425,12 @@ def level_crossing(g: Grid, ys, level: float) -> float:
     i = int(np.nonzero(ys >= level)[0][0])
     if i == 0:
         raise LevelNotCrossedError(f"profile does not cross {level} upward")
-    xs, c = monotone_interpolant(g, ys)
+    xs = g.knots
     if ys[i] == level:
         return float(xs[i])
     x_lo = lo = float(xs[i - 1])
     hi = float(xs[i])
-    seg = [float(a[i - 1]) for a in c]
+    seg = [float(a[i - 1]) for a in monotone_interpolant(xs, ys)]
 
     def f(x):
         return _cubic(seg, x - x_lo) - level
@@ -449,7 +449,8 @@ def level_crossing(g: Grid, ys, level: float) -> float:
 def translate(g: Grid, ys, x0: float) -> np.ndarray:
     """The interpolant of knot values ys at the knots + x0, queries clamped
     to [-L, L]: the translated knot values, new Dirichlet data included."""
-    xs, c = monotone_interpolant(g, ys)
+    xs = g.knots
+    c = monotone_interpolant(xs, ys)
     q = np.clip(xs + x0, -g.L, g.L)
     # interval i holds xs[i] <= q < xs[i+1]; the last knot closes the last one
     i = np.minimum(np.searchsorted(xs, q, side="right") - 1, len(xs) - 2)

@@ -10,15 +10,16 @@ Dirichlet datum: with the datum exactly zero the discrete problem's unique
 solution collapses into a layer at +L, while a small positive datum pins a
 front whose position depends log-linearly on the datum.  ``solve_kpp``
 therefore takes s = log(left datum) as one more unknown and closes the
-system with a phase row, w(0) = plateau/2: one bordered Newton iteration
-(Beyn 1990) finds the samples and the datum together.  The left knot thus
-holds a tiny positive number (of the order of the natural tail value
-e^{-mu*L}) rather than exactly zero.  The iteration's steps are damped
-by ``grid._damped``, the rule the wave's Newton steps follow.  The monotone
-sweeps of the wave solve (``grid._shifted_sweep`` in the loop
-``grid._sweep_newton``, with no Newton step) then certify the front at
-that datum, and a ``KppReport`` on the returned profile records what the
-solve did.
+system with a phase row: the PCHIP interpolant at 0, the crossing the
+certificate reads, equals plateau/2.  One bordered Newton iteration (Beyn
+1990) finds the samples and the datum together, in one pass at every n.
+The left knot thus holds a tiny positive number (of the order of the
+natural tail value e^{-mu*L}) rather than exactly zero.  The iteration's
+steps are damped by ``grid._damped``, the rule the wave's Newton steps
+follow.  The monotone sweeps of the wave solve (``grid._shifted_sweep`` in
+the loop ``grid._sweep_newton``, with no Newton step) then certify the
+front at that datum, and a ``KppReport`` on the returned profile records
+what the solve did.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, ParameterError
-from .grid import (DAMPING_FLOOR, Grid, _damped, _shifted_sweep,
+from .grid import (DAMPING_FLOOR, Grid, _cubic, _damped, _shifted_sweep,
                    _sweep_newton, apply_advection_diffusion, level_crossing,
-                   require_m_matrix, stencil_bands, stencil_coefficients)
+                   monotone_interpolant, require_m_matrix, stencil_bands,
+                   stencil_coefficients)
 from .model import ModelParams, require_monotone_wave
 
 __all__ = [
@@ -144,7 +146,6 @@ class KppReport:
     newton_steps: list[float]       # sup |dw| of each bordered Newton step
     datum_steps: list[float]        # its step in s = log(left datum)
     damped_steps: int               # steps the damping shortened
-    phase_corrections: list[float]  # moves of the phase row's target point
     sweeps: list[float]             # sup-diffs of the certifying sweeps
     left_datum: float
     crossing: float                 # final half-plateau crossing
@@ -177,24 +178,23 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
     """Solve the scalar front BVP, phase-pinned so w(0) = plateau/2.
 
     One bordered Newton iteration (Beyn 1990) solves for the samples w and
-    s = log(left datum) together; its added row asks that w, linearly
-    interpolated at a target point, equal plateau/2.  A step is one
-    two-column tridiagonal solve, J a = -r and J z = lo e^s e_0 (dr/ds lives
-    in row 0 only), then ds = (phi + phi_w a)/(phi_w z) and dw = a - ds z.
-    ``grid._damped`` halves a step until the iterate stays in [0, plateau]
-    and |ds| stays below DATUM_STEP_MAX.  The iteration starts from the
-    logistic front of tail rate mu and settles at a full step below
-    ``tol``; past BORDERED_MAX_STEPS steps, or damped below
-    ``grid.DAMPING_FLOOR``, it raises ConvergenceError.
+    s = log(left datum) together.  The added row's value phi is the PCHIP
+    interpolant at 0 less plateau/2, read off the four knots around 0; its
+    gradient phi_w reads w linearly at 0, the exact gradient at odd n,
+    where a node sits at 0.  A step is one two-column tridiagonal solve,
+    J a = -r and J z = lo e^s e_0 (dr/ds lives in row 0 only), then
+    ds = (phi + phi_w a)/(phi_w z) and dw = a - ds z.  ``grid._damped``
+    halves a step until the iterate stays in [0, plateau] and |ds| stays
+    below DATUM_STEP_MAX.  The iteration starts from the logistic front of
+    tail rate mu and settles once a full step moves no unknown knot, the
+    left datum e^s included, by ``tol``; past BORDERED_MAX_STEPS steps, or
+    damped below ``grid.DAMPING_FLOOR``, it raises ConvergenceError.
 
-    With odd n a node sits at 0 and the linear row is the PCHIP crossing's
-    own condition; with even n it is not, so the target point moves by
-    minus the settled front's crossing and the iteration resumes.  Monotone
-    sweeps alone (``grid._sweep_newton`` with no Newton step, envelope
-    [0, plateau], shift beta one above the largest -f' there) then certify
-    the front at the final datum: it converges only at a sweep whose
-    sup-diff is below ``tol``, and its crossing must lie within PHASE_TOL
-    of 0.  A subcritical speed raises.
+    Monotone sweeps alone (``grid._sweep_newton`` with no Newton step,
+    envelope [0, plateau], shift beta one above -f'(plateau), the largest
+    -f' there since f'' < 0) then certify the front at the final datum: it
+    converges only at a sweep whose sup-diff is below ``tol``, and its
+    crossing must lie within PHASE_TOL of 0.  A subcritical speed raises.
     """
     if tol <= 0:
         raise ParameterError("tolerance must be positive")
@@ -211,57 +211,56 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
     knots[1:-1] = b * np.exp(-np.logaddexp(0.0, -mu * g.nodes))
     rhs = np.zeros((g.n, 2))
 
+    # the phase row at 0, which lies in the knot segment [xs[1], xs[2]],
+    # between nodes i and i + 1: its value is the PCHIP interpolant, which
+    # reads only the four knots xs there; its gradient reads w linearly
+    i = int(np.searchsorted(g.nodes, 0.0, side="right")) - 1
+    xs = g.knots[i:i + 4]
+    t = -xs[1] / (xs[2] - xs[1])
+
     steps: list[float] = []
     datum_steps: list[float] = []
-    corrections: list[float] = []
     damped = 0
-    target = 0.0
-    while True:
-        # the phase row reads w linearly between nodes i and i + 1
-        i = min(max(int(np.searchsorted(g.nodes, target)) - 1, 0), g.n - 2)
-        t = (target - g.nodes[i]) / (g.nodes[i + 1] - g.nodes[i])
-        settled = False
-        while not settled:
-            w = knots[1:-1]
-            phi = float((1.0 - t) * w[i] + t * w[i + 1] - half)
-            if len(steps) == BORDERED_MAX_STEPS:
-                raise ConvergenceError(
-                    f"bordered Newton did not settle in {BORDERED_MAX_STEPS} "
-                    f"steps (last correction {steps[-1]:.3e}, phase offset "
-                    f"{phi:.3e})")
-            rhs[:, 0] = -(apply_advection_diffusion(g, c, knots) + nl.f(w))
-            rhs[0, 1] = lo * knots[0]
-            a, z = solve_banded((1, 1), stencil_bands(g, c, 1.0, nl.fprime(w)),
-                                rhs).T
-            dz = float((1.0 - t) * z[i] + t * z[i + 1])
-            if not 0.0 < abs(dz) < math.inf:
-                raise ConvergenceError(
-                    f"bordered Newton: the phase row is singular (left "
-                    f"datum {knots[0]:.3e}, phase offset {phi:.3e})")
-            ds = (phi + float((1.0 - t) * a[i] + t * a[i + 1])) / dz
-            dw = a - ds * z
-            size = float(np.max(np.abs(dw)))
-            step = _damped(w, dw, (0.0, b), lambda lam: (
-                abs(lam * ds) <= DATUM_STEP_MAX and s + lam * ds <= logb))
-            if step is None:
-                raise ConvergenceError(
-                    f"bordered Newton damped below {DAMPING_FLOOR:g} "
-                    f"(correction {size:.3e}, phase offset {phi:.3e})")
-            lam, wn = step
-            s += lam * ds
-            knots[0] = math.exp(s)
-            knots[1:-1] = wn
-            steps.append(lam * size)
-            datum_steps.append(lam * ds)
-            damped += lam < 1.0
-            settled = lam == 1.0 and size < tol
-        x0 = level_crossing(g, knots, half)
-        if abs(x0) < PHASE_TOL:
-            break
-        target -= x0
-        corrections.append(-x0)
+    settled = False
+    while not settled:
+        w = knots[1:-1]
+        seg = [a[1] for a in monotone_interpolant(xs, knots[i:i + 4])]
+        phi = float(_cubic(seg, -xs[1]) - half)
+        if len(steps) == BORDERED_MAX_STEPS:
+            raise ConvergenceError(
+                f"bordered Newton did not settle in {BORDERED_MAX_STEPS} "
+                f"steps (last correction {steps[-1]:.3e}, phase offset "
+                f"{phi:.3e})")
+        rhs[:, 0] = -(apply_advection_diffusion(g, c, knots) + nl.f(w))
+        rhs[0, 1] = lo * knots[0]
+        a, z = solve_banded((1, 1), stencil_bands(g, c, 1.0, nl.fprime(w)),
+                            rhs).T
+        dz = float((1.0 - t) * z[i] + t * z[i + 1])
+        if not 0.0 < abs(dz) < math.inf:
+            raise ConvergenceError(
+                f"bordered Newton: the phase row is singular (left "
+                f"datum {knots[0]:.3e}, phase offset {phi:.3e})")
+        ds = (phi + float((1.0 - t) * a[i] + t * a[i + 1])) / dz
+        dw = a - ds * z
+        size = float(np.max(np.abs(dw)))
+        step = _damped(w, dw, (0.0, b), lambda lam: (
+            abs(lam * ds) <= DATUM_STEP_MAX and s + lam * ds <= logb))
+        if step is None:
+            raise ConvergenceError(
+                f"bordered Newton damped below {DAMPING_FLOOR:g} "
+                f"(correction {size:.3e}, phase offset {phi:.3e})")
+        lam, wn = step
+        s += lam * ds
+        # settled once a full step moves no unknown knot, the datum
+        # included, by tol
+        settled = lam == 1.0 and max(size, abs(math.exp(s) - knots[0])) < tol
+        knots[0] = math.exp(s)
+        knots[1:-1] = wn
+        steps.append(lam * size)
+        datum_steps.append(lam * ds)
+        damped += lam < 1.0
 
-    _, sweep = _shifted_sweep(g, c, nl.f, nl.fprime(np.linspace(0.0, b, 201)),
+    _, sweep = _shifted_sweep(g, c, nl.f, nl.fprime(np.array([0.0, b])),
                               knots[0], b, solve_banded)
     w, sup_diffs, _ = _sweep_newton(
         sweep, None, knots[1:-1].copy(), (0.0, b), tol)
@@ -272,8 +271,7 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
             f"certified front crosses plateau/2 at {x0:.3e}, not within "
             f"{PHASE_TOL:g} of 0")
     report = KppReport(newton_steps=steps, datum_steps=datum_steps,
-                       damped_steps=damped, phase_corrections=corrections,
-                       sweeps=sup_diffs, left_datum=float(knots[0]),
-                       crossing=x0)
+                       damped_steps=damped, sweeps=sup_diffs,
+                       left_datum=float(knots[0]), crossing=x0)
     return ScalarProfile(grid=g, knots=knots, c=float(c), plateau=b,
                          report=report)

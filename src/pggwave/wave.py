@@ -60,12 +60,13 @@ __all__ = [
     "solve_wave",
     "normalize_phase",
     "check_monotone",
+    "check_fit_windows",
     "fit_decay",
     "derivative_profile",
     "derivative_system_residual",
 ]
 
-BETA_SAMPLES = 50   # box points per axis for the monotonicity shift
+FIT_MIN_NODES = 20  # nodes a tail fit needs
 
 
 @dataclass
@@ -100,12 +101,15 @@ class DecayFit:
 
 
 def _box_diagonal(p: ModelParams) -> np.ndarray:
-    """The Jacobian diagonals (A11, A22) on a grid over the state box
-    [0, K*] x [0, 1], the samples that set the monotonicity shift."""
-    us = np.linspace(0.0, p.kstar, BETA_SAMPLES)
-    vs = np.linspace(0.0, 1.0, BETA_SAMPLES)
-    U, V = np.meshgrid(us, vs)
-    return np.diagonal(jacobian(p, StateVec(U.ravel(), V.ravel())))
+    """The Jacobian diagonals (A11, A22) at the four corners of the state
+    box [0, K*] x [0, 1], where their minimum over the box lies.
+
+    With w = K* - u and D = 1 + k w, both fall in v (dA11/dv = -1/D^2,
+    dA22/dv = -2/D), and at v = 1 each is of one sign in w
+    (dA11/dw = -2(1-k)/D^3, dA22/dw = -(1-2k)/D^2).
+    """
+    corners = StateVec(np.array([0.0, p.kstar] * 2), np.repeat([0.0, 1.0], 2))
+    return np.diagonal(jacobian(p, corners))
 
 
 def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
@@ -189,36 +193,50 @@ def _loglinear_fit(x, y):
     return float(coef[0]), float(coef[1]), r2
 
 
+def _fit_window(g: Grid, side: str) -> tuple[tuple, np.ndarray]:
+    """The tail fit window on ``side``, [-L+5, -L/2] at "-inf" and
+    [L/2, L-5] at "+inf", and the mask of the nodes inside it."""
+    wins = {"-inf": (-g.L + 5.0, -g.L / 2.0), "+inf": (g.L / 2.0, g.L - 5.0)}
+    if side not in wins:
+        raise ParameterError(f"side must be '-inf' or '+inf', got {side!r}")
+    lo, hi = wins[side]
+    return (lo, hi), (g.nodes >= lo) & (g.nodes <= hi)
+
+
+def check_fit_windows(g: Grid) -> None:
+    """Raise ParameterError unless both tail fit windows hold FIT_MIN_NODES
+    nodes; they depend on the grid alone, so this runs before any solve."""
+    for side in ("-inf", "+inf"):
+        (lo, hi), inwin = _fit_window(g, side)
+        if inwin.sum() < FIT_MIN_NODES:
+            raise ParameterError(f"the {side} fit window [{lo:g}, {hi:g}] "
+                                 f"holds {inwin.sum()} < {FIT_MIN_NODES} nodes")
+
+
 def fit_decay(prof: Profile, p: ModelParams, side: str) -> DecayFit:
     """Log-linear tail fit against the analytic front asymptotics.
 
-    side "-inf" fits log u and log v on [-L+5, -L/2]; side "+inf" fits
-    log(K*-u) and log(1-v) on [L/2, L-5], against the verdict's roots.  At
-    the critical speed the -inf tail carries a linear prefactor, so
+    side "-inf" fits log u and log v on its ``_fit_window``; side "+inf"
+    fits log(K*-u) and log(1-v), against the verdict's roots.  At the
+    critical speed the -inf tail carries a linear prefactor, so
     log y - log|xi| is fitted instead.  Samples below 1e-14 are excluded;
-    fewer than 20 usable nodes is an error.
+    fewer than FIT_MIN_NODES usable nodes is an error.
     """
-    if side not in ("-inf", "+inf"):
-        raise ParameterError(f"side must be '-inf' or '+inf', got {side!r}")
     g = prof.grid
+    win, inwin = _fit_window(g, side)
     verdict = require_monotone_wave(p, prof.c)
     if side == "-inf":
-        win = (-g.L + 5.0, -g.L / 2.0)
-        data = (prof.u, prof.v)
-        predicted = verdict.roots[0].real
+        data, predicted = (prof.u, prof.v), verdict.roots[0].real
     else:
-        win = (g.L / 2.0, g.L - 5.0)
         data = (p.kstar - prof.u, 1.0 - prof.v)
         predicted = verdict.plus_inf_root
 
-    inwin = (g.nodes >= win[0]) & (g.nodes <= win[1])
     rates, amps, r2s = [], [], []
     for y in data:
         mask = inwin & (y > 1e-14)
-        if int(mask.sum()) < 20:
+        if mask.sum() < FIT_MIN_NODES:
             raise FitWindowError(
-                f"only {int(mask.sum())} usable nodes in the {side} fit window"
-            )
+                f"only {mask.sum()} usable nodes in the {side} fit window")
         logy = np.log(y[mask])
         if side == "-inf" and verdict.verdict == "CriticalAdmissible":
             logy = logy - np.log(np.abs(g.nodes[mask]))

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from pggwave import (BoundPair, Profile, build_lower, build_upper, default_l,
-                     lower_nonlinearity, make_grid, order_shift, solve_kpp,
-                     upper_nonlinearity, verify_bound)
+from pggwave import (BoundPair, Profile, bounds, build_lower, build_upper,
+                     default_l, derive_params, lower_nonlinearity, make_bounds,
+                     make_grid, order_shift, solve_kpp, upper_nonlinearity,
+                     verify_bound)
 from pggwave.bounds import margins_to_csv
+from pggwave.grid import level_crossing, residual
 from pggwave.errors import (ParameterError, ShiftNotFoundError,
                             VerificationError)
 
@@ -135,6 +137,41 @@ def test_nan_margin_fails(base_params, kind):
     with pytest.raises(VerificationError) as exc:
         verify_bound(base_params, Profile(g, knots, C), kind)
     assert math.isnan(exc.value.margin)
+
+
+@pytest.mark.parametrize("kind,push", [("upper", 1e-5), ("lower", -1e-5)])
+def test_pushed_margin_fails(base_params, upper_profile, lower_profile,
+                             monkeypatch, kind, push):
+    # one margin pushed 1e-5 to the wrong side fails the bound: a bound
+    # 100x worse than MARGIN_TOL must not pass
+    def pushed(p, prof):
+        margins = residual(p, prof)
+        margins[2000, 1] = push
+        return margins
+
+    monkeypatch.setattr(bounds, "residual", pushed)
+    prof = upper_profile if kind == "upper" else lower_profile
+    with pytest.raises(VerificationError) as exc:
+        verify_bound(base_params, prof, kind)
+    assert exc.value.margin == push
+    assert exc.value.xi == prof.grid.nodes[2000]
+
+
+# near-critical points where a bordered step below tol in w leaves the left
+# datum still moving: unless the row settles on the datum too, the
+# certifying sweeps carry the crossing off 0
+@pytest.mark.parametrize("n", [199, 200])
+@pytest.mark.parametrize("alpha,k,ratio", [(0.05, 0.1, 1.02), (0.09, 0.9, 1.0),
+                                           (0.25, 0.5, 1.02)])
+def test_bounds_settle_on_the_datum(alpha, k, ratio, n):
+    p = derive_params(alpha, k)
+    g = make_grid(20.0, n)
+    bp = make_bounds(p, ratio * p.cmin, g)
+    for prof, rep in ((bp.upper, bp.fronts["upper"]),
+                      (bp.lower, bp.fronts["lower"])):
+        w = prof.knots[:, 1]
+        assert rep.crossing == level_crossing(g, w, w[-1] / 2.0)
+        assert abs(rep.crossing) < 1e-10
 
 
 def test_order_shift_cases(base_params, grid40, upper_profile, lower_profile):

@@ -104,12 +104,13 @@ def test_wave_report_records_solver_state(capsys, tmp_path):
 
 
 def test_wave_fit_window_exit_code(capsys, tmp_path):
-    # a domain too short for the -inf tail fit is a convergence failure,
-    # exit 3, and writes nothing
+    # a domain too short for the -inf tail fit is refused before any solve,
+    # exit 2, and writes nothing
     code, _, err = run_cli(capsys, "wave", "--L", "12", "--n", "59",
                            "--output-dir", str(tmp_path))
-    assert code == 3
-    assert "only 3 usable nodes in the -inf fit window" in err
+    assert code == 2
+    assert "invalid configuration" in err
+    assert "the -inf fit window [-7, -6] holds 3 < 20 nodes" in err
     assert not any(tmp_path.iterdir())
 
 
@@ -137,8 +138,7 @@ def test_bounds_check(capsys, tmp_path):
     # each scalar solve's report, with no wall-clock time in it
     for front in rep["fronts"].values():
         assert set(front) == {"newton_steps", "datum_steps", "damped_steps",
-                              "phase_corrections", "sweeps", "left_datum",
-                              "crossing"}
+                              "sweeps", "left_datum", "crossing"}
         assert front["newton_steps"][-1] < 1e-12 and front["sweeps"][-1] < 1e-12
         assert front["left_datum"] > 0.0 and abs(front["crossing"]) < 1e-9
     assert (tmp_path / "bounds-check" / "margins_upper.csv").exists()
@@ -290,10 +290,12 @@ def test_sweep_rejects_invalid_point(capsys, tmp_path, vary):
 @pytest.mark.parametrize("run,argv", [
     # the second point's stencil is no M-matrix: c*h/2 = 2.38
     ("wave", ("--vary", "n=399,20", "--L", "40")),
+    # the second point's -inf fit window [-7, -6] holds 9 nodes
+    ("wave", ("--vary", "L=20,12", "--n", "199")),
     # the second point cannot reach spread's t1 = 80 in steps of 0.03
     ("spread", ("--vary", "dt=0.02,0.03", "--L", "150", "--n", "599",
                 "--t-end", "30")),
-], ids=["wave-grid", "spread-dt"])
+], ids=["wave-grid", "wave-fit-window", "spread-dt"])
 def test_sweep_checks_every_point_before_running_any(capsys, tmp_path, run,
                                                      argv):
     code, _, err = run_cli(capsys, "sweep", "--run", run, *argv,

@@ -600,6 +600,16 @@ def test_front_position_interpolation():
     assert math.isnan(front_position(g, np.ones(g.n)))
 
 
+def test_front_position_between_nodes():
+    # a ramp through 0.5 at xi = 2.3, between the nodes 2 and 3 of an h = 1
+    # grid: the linear interpolant recovers the crossing exactly, where the
+    # node left of it is off by 0.3
+    g = make_grid(10.0, 19)
+    assert g.h == 1.0
+    v = np.clip(0.5 + 0.1 * (g.nodes - 2.3), 0.0, 1.0)
+    assert abs(front_position(g, v) - 2.3) < 1e-12
+
+
 # --- experiments (shortened versions; full lengths run in acceptance) ---
 
 def test_stability_experiment_short(base_params, base_wave, base_weights):

@@ -78,6 +78,37 @@ def test_fprime_is_derivative_of_f(base_params, l):
     assert np.max(np.abs(nl.fprime(w) - centered)) < 1e-7
 
 
+def test_fprime_minimum_at_the_plateau():
+    # the sweeps' shift reads f' at 0 and at the plateau b only: f is
+    # P w (1 - q w)/(A - B w) with A = 1 + k K*, B = k K* l, so
+    # f'' = 2 A P (A q - B)/(B w - A)^3 < 0 on [0, b] once A q > B
+    sp = pytest.importorskip("sympy")
+    w, P, A, B, q = sp.symbols("w P A B q")
+    f = P * w * (1 - q * w) / (A - B * w)
+    assert sp.simplify(sp.diff(f, w, 2)
+                       - 2 * A * P * (A * q - B) / (B * w - A)**3) == 0
+    # A q > B: the upper variant has q = l = 1, so A q - B = 1; the lower
+    # has q = 1/b, and (A q - B)(A - K*) is linear in l, A^2 at l = 0 and
+    # A - K* = alpha/(1 - k + alpha k) > 0 at l = 1 > l's range
+    a, k, l = sp.symbols("alpha k l", positive=True)
+    kstar = (1 - a) / (1 - k + a * k)
+    Av, Bv = 1 + k * kstar, k * kstar * l
+    assert sp.simplify(Av - Bv.subs(l, 1)) == 1
+    plateau = (1 + k * kstar - kstar) / (1 + k * kstar - l * kstar)
+    N = sp.simplify((Av / plateau - Bv) * (Av - kstar))
+    assert sp.diff(N, l, 2) == 0
+    assert sp.simplify(N.subs(l, 0) - Av**2) == 0
+    assert sp.simplify(N.subs(l, 1) - (Av - kstar)) == 0
+    assert sp.simplify(Av - kstar - a / (1 - k + a * k)) == 0
+    for alpha, kk in ((0.05, 0.1), (0.25, 0.5), (0.9, 0.9)):
+        p = derive_params(alpha, kk)
+        for nl in (upper_nonlinearity(p), lower_nonlinearity(p, default_l(p))):
+            b = nl.plateau
+            sampled = nl.fprime(np.linspace(0.0, b, 2001))
+            assert np.all(np.diff(sampled) < 0.0)
+            assert float(nl.fprime(b)) == sampled[-1]
+
+
 def test_solve_upper_base(base_params, grid40, upper):
     s = upper
     g = grid40
@@ -233,11 +264,11 @@ def _contract_cases(marks=None):
 def test_phase_contract(contract_fronts, key):
     nl, s = contract_fronts[key]
     x0 = level_crossing(s.grid, s.knots, s.plateau / 2.0)
-    assert abs(x0) < kpp.PHASE_TOL
+    # the phase row's value is the PCHIP crossing's own condition, at odd
+    # and at even n alike
+    assert abs(x0) < 1e-10
     assert s.report.crossing == x0
     assert s.report.left_datum == s.knots[0] > 0.0
-    # a node sits at 0 on an odd grid, so only even grids move the phase row
-    assert bool(s.report.phase_corrections) == (s.grid.n % 2 == 0)
     assert s.report.newton_steps[-1] < 1e-12
     assert s.report.sweeps[-1] < 1e-12
     assert np.min(np.diff(s.knots)) >= 0.0

@@ -4,10 +4,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from pggwave import (BoundPair, Profile, check_monotone, derive_params,
-                     fit_decay, grid, make_bounds, make_grid, normalize_phase,
-                     residual, solve_kpp, solve_wave, subcritical_verdict,
-                     upper_nonlinearity, wave, weight_window)
+from pggwave import (BoundPair, Profile, StateVec, check_monotone,
+                     derive_params, fit_decay, grid, jacobian, make_bounds,
+                     make_grid, normalize_phase, residual, solve_kpp,
+                     solve_wave, subcritical_verdict, upper_nonlinearity, wave,
+                     weight_window)
 from pggwave.errors import (ConvergenceError, EmptyWindowError,
                             EnvelopeViolationError, FitWindowError, GridError,
                             LevelNotCrossedError, ParameterError,
@@ -230,6 +231,54 @@ def test_report_records_solver_state(base_params, base_grid, base_bounds,
     assert asdict(short)["newton_steps"] == []
 
 
+def test_residual_guard(base_params, monkeypatch):
+    # a converged iterate one node off the front, residual ~5e-7: far above
+    # 10*tol = 1e-9, and below the 1e-6 that a guard of 1e4*tol would pass
+    g = make_grid(20.0, 199)
+    bp = make_bounds(base_params, C, g)
+
+    def nudged(*args, **kwargs):
+        U, sup_diffs, newton_steps = grid._sweep_newton(*args, **kwargs)
+        U = U.copy()
+        U[100, 1] += 1e-8
+        return U, sup_diffs, newton_steps
+
+    monkeypatch.setattr(wave, "_sweep_newton", nudged)
+    with pytest.raises(ConvergenceError,
+                       match=r"residual [45]\.\d+e-07 > 10\*tol"):
+        solve_wave(base_params, C, g, bp, tol=1e-10)
+
+
+def test_box_diagonal_minimum_at_a_corner():
+    # the shift beta reads the Jacobian diagonals at the box corners only;
+    # with w = K* - u and D = 1 + k w, both diagonals fall in v, and at
+    # v = 1 each is of one sign in w, so their minimum is at a corner
+    sp = pytest.importorskip("sympy")
+    w, v, a, k = sp.symbols("w v alpha k", positive=True)
+    D = 1 + k * w
+    a11 = 1 - (w + v) / D - a + w * (k * v - 1) / D**2
+    a22 = 1 - (w + v) / D - v / D
+    assert sp.simplify(sp.diff(a11, v) + 1 / D**2) == 0
+    assert sp.simplify(sp.diff(a22, v) + 2 / D) == 0
+    assert sp.simplify(sp.diff(a11, w).subs(v, 1) + 2 * (1 - k) / D**3) == 0
+    assert sp.simplify(sp.diff(a22, w).subs(v, 1) + (1 - 2 * k) / D**2) == 0
+    diagonals = sp.lambdify((w, v, a, k), (a11, a22))
+    for alpha, kk in ((0.05, 0.1), (0.25, 0.5), (0.9, 0.9), (0.6, 0.3)):
+        p = derive_params(alpha, kk)
+        us, vs = np.meshgrid(np.linspace(0.0, p.kstar, 101),
+                             np.linspace(0.0, 1.0, 101))
+        box = jacobian(p, StateVec(us.ravel(), vs.ravel()))
+        # the symbolic diagonals are the package's
+        a11_box, a22_box = diagonals(p.kstar - us.ravel(), vs.ravel(),
+                                     alpha, kk)
+        assert np.max(np.abs(a11_box - box[0, 0])) < 1e-14
+        assert np.max(np.abs(a22_box - box[1, 1])) < 1e-14
+        corners = wave._box_diagonal(p)
+        assert corners.shape == (4, 2)
+        assert abs(np.min(corners) - min(np.min(box[0, 0]),
+                                         np.min(box[1, 1]))) < 1e-15
+
+
 def test_envelope_violation_detected(base_params):
     g = make_grid(20.0, 199)
     bp = make_bounds(base_params, C, g)
@@ -303,6 +352,14 @@ def test_decay_fits_base(base_params, base_wave_normalized):
     assert abs(fp.rate_u - fp.rate_v) / abs(fp.rate_u) < 0.03
     assert fm.rsquared > 0.999 and fp.rsquared > 0.999
     assert fm.amplitude_u > 0 and fm.amplitude_v > 0
+
+
+def test_fit_windows_checked_from_the_grid():
+    wave.check_fit_windows(make_grid(20.0, 199))    # 26 nodes in each
+    with pytest.raises(ParameterError,
+                       match=r"the -inf fit window \[-7, -6\] holds 3 < 20"):
+        wave.check_fit_windows(make_grid(12.0, 59))
+    assert wave._fit_window(make_grid(40.0, 3999), "+inf")[0] == (20.0, 35.0)
 
 
 def test_fit_window_too_noisy(base_params):
