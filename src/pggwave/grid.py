@@ -9,7 +9,8 @@ sample, and ``stencil_bands`` and ``boundary_vector`` close it.  All
 operators are plain centered second-order stencils; the one copy of
 T = d^2/dxi^2 - c d/dxi is here, as is the phase translation of profiles.
 ``linearization_bands`` is the banded Jacobian of ``residual``; the wave's
-Newton steps and the spectrum use it.
+Newton steps and the spectrum use it.  ``_banded_solve`` hands the front
+solves' bands to LAPACK directly.
 The scalar and the vector front solves share three pieces here:
 ``_shifted_sweep``, their beta-shifted monotone sweep; ``_damped``, the one
 rule that halves a Newton step back into the envelope; and
@@ -35,6 +36,7 @@ from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg.lapack import dgbsv, dgtsv
 
 from .errors import (ConvergenceError, EnvelopeViolationError, GridError,
                      LevelNotCrossedError, ParameterError)
@@ -69,6 +71,8 @@ ENVELOPE_SLACK = 1e-12
 DAMPING_FLOOR = 2.0**-30
 # sweeps allowed per front solve, scalar or vector
 SWEEP_MAX_ITER = 20000
+# CSV rows formatted and written at a time
+_CSV_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -272,6 +276,32 @@ def linearization_bands(p: ModelParams, prof: Profile, g1=0.0,
     return bands
 
 
+def _banded_solve(l_and_u, ab, b):
+    """The solution of the banded system with bands ``ab`` and right-hand
+    side ``b``, (n,) or (n, k), by the LAPACK routine
+    ``scipy.linalg.solve_banded`` calls, without its copies and finiteness
+    scans: the same routine on the same values, so the same bits.
+
+    (1, 1): ``ab`` holds the three bands, shape (3, n), and dgtsv works on
+    copies, so neither ``ab`` nor ``b`` changes.  (l, u) otherwise: ``ab``
+    is a (2l + u + 1, n) workspace, Fortran-ordered so that LAPACK takes it
+    as it is, whose rows l.. hold the bands in ``solve_banded``'s order;
+    rows 0..l-1 are the LU factors' fill, which dgbsv does not read on
+    entry.  dgbsv factors ``ab`` in place and overwrites ``b`` (when it is
+    contiguous) with the solution.  A zero pivot raises ConvergenceError,
+    and a non-finite value is not checked for: it spreads into the result.
+    """
+    l, u = l_and_u
+    if l == u == 1:
+        *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    else:
+        *_, x, info = dgbsv(l, u, ab, b, overwrite_ab=1, overwrite_b=1)
+    if info:
+        raise ConvergenceError(
+            f"banded ({l}, {u}) solve: zero pivot in row {info}")
+    return x
+
+
 def _shifted_sweep(g: Grid, c: float, F, diag, left, right, solve):
     """The monotone sweep U -> (beta - T)^-1 (F(U) + beta U), Dirichlet data
     ``left`` and ``right`` entering through the ghost vector; returns
@@ -324,7 +354,8 @@ def _sweep_newton(sweep, newton, U, envelope, tol, callback=None):
     until its iterate stays in the envelope.  An attempt stops after a full
     step below ``tol``, or drops the first correction that does not shrink
     or cannot be damped inside the envelope, and the sweeps resume.  A sweep
-    that leaves the envelope raises EnvelopeViolationError.  Only a sweep
+    that leaves the envelope raises EnvelopeViolationError, and one whose
+    sup-diff is not finite raises ConvergenceError at once.  Only a sweep
     whose sup-diff is below ``tol`` converges: a fixed point of the
     monotone map inside the envelope is the solution, however the iterate
     got there.  Every accepted iterate goes to ``callback(k, U)``, k
@@ -340,6 +371,8 @@ def _sweep_newton(sweep, newton, U, envelope, tol, callback=None):
         Un = sweep(U)
         d = float(np.max(np.abs(Un - U)))
         sup_diffs.append(d)
+        if not math.isfinite(d):
+            raise ConvergenceError(f"sweep {it} is not finite (sup-diff {d})")
         env = _gap(Un, envelope)
         if env < -ENVELOPE_SLACK:
             raise EnvelopeViolationError(
@@ -417,8 +450,9 @@ def _cubic(c, s):
 def level_crossing(g: Grid, ys, level: float) -> float:
     """Where the interpolant of (n+2,) knot values ys first crosses level,
     upward; level must lie strictly inside the range of the data.  The
-    bracketing cubic segment is bisected until the midpoint is an endpoint; a
-    level that equals a knot value returns that knot exactly."""
+    bracketing cubic segment, built from the (at most) four knots around it
+    as ``monotone_interpolant`` allows, is bisected until the midpoint is an
+    endpoint; a level that equals a knot value returns that knot exactly."""
     ys = np.asarray(ys, dtype=float)
     if not (ys.min() < level < ys.max()):
         raise LevelNotCrossedError(f"profile does not cross {level} on the domain")
@@ -430,7 +464,11 @@ def level_crossing(g: Grid, ys, level: float) -> float:
         return float(xs[i])
     x_lo = lo = float(xs[i - 1])
     hi = float(xs[i])
-    seg = [float(a[i - 1]) for a in monotone_interpolant(xs, ys)]
+    # knots i-2 .. i+1, cut at either end, where the end slope rule is the
+    # full interpolant's own
+    j = max(i - 2, 0)
+    seg = [float(a[i - 1 - j])
+           for a in monotone_interpolant(xs[j:i + 2], ys[j:i + 2])]
 
     def f(x):
         return _cubic(seg, x - x_lo) - level
@@ -460,11 +498,17 @@ def translate(g: Grid, ys, x0: float) -> np.ndarray:
 
 def write_csv(path, header: str, *columns) -> None:
     """Write equal-length numeric columns as CSV rows under ``header``; values
-    are written with 17 significant digits so a round trip is bit-faithful."""
-    row = ",".join(["%.17g"] * len(columns))
-    cols = [np.asarray(col, dtype=float).tolist() for col in columns]
-    lines = [header, *(row % vals for vals in zip(*cols))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    are written with 17 significant digits so a round trip is bit-faithful.
+    The rows are formatted and written _CSV_BLOCK at a time, so the memory
+    the writer holds does not grow with the row count."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    nrows = min((len(col) for col in columns), default=0)
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for start in range(0, nrows, _CSV_BLOCK):
+            block = [np.asarray(col[start:start + _CSV_BLOCK],
+                                dtype=float).tolist() for col in columns]
+            f.write("".join(row % vals for vals in zip(*block)))
 
 
 def _jsonable(obj):

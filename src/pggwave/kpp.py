@@ -28,11 +28,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, ParameterError
-from .grid import (DAMPING_FLOOR, Grid, _cubic, _damped, _shifted_sweep,
-                   _sweep_newton, apply_advection_diffusion, level_crossing,
+from .grid import (DAMPING_FLOOR, Grid, _banded_solve as solve_banded,
+                   _cubic, _damped, _shifted_sweep, _sweep_newton,
+                   apply_advection_diffusion, level_crossing,
                    monotone_interpolant, require_m_matrix, stencil_bands,
                    stencil_coefficients)
 from .model import ModelParams, require_monotone_wave
@@ -183,7 +183,9 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
     gradient phi_w reads w linearly at 0, the exact gradient at odd n,
     where a node sits at 0.  A step is one two-column tridiagonal solve,
     J a = -r and J z = lo e^s e_0 (dr/ds lives in row 0 only), then
-    ds = (phi + phi_w a)/(phi_w z) and dw = a - ds z.  ``grid._damped``
+    ds = (phi + phi_w a)/(phi_w z) and dw = a - ds z.  LAPACK's dgtsv
+    (``grid._banded_solve``) solves it on copies: every step reuses the
+    right-hand side, whose column 1 must stay zero below row 0.  ``grid._damped``
     halves a step until the iterate stays in [0, plateau] and |ds| stays
     below DATUM_STEP_MAX.  The iteration starts from the logistic front of
     tail rate mu and settles once a full step moves no unknown knot, the

@@ -16,7 +16,11 @@ to the same front (Sattinger 1972), so a start from below is only another
 The sweeps contract at a rate rho that tends to 1 at the critical speed
 (rho ~ 0.9987 at c = 1, L = 80), so Newton's method on the interleaved
 pentadiagonal Jacobian of the discretized system (``grid.linearization_bands``,
-the zero-weight operator of the spectrum module) accelerates them.  The
+the zero-weight operator of the spectrum module) accelerates them.  A
+Newton step copies those five bands into one Fortran-ordered (7, 2n)
+workspace, allocated once per solve, which LAPACK's dgbsv factors in place
+(``grid._banded_solve``): the routine ``scipy.linalg.solve_banded`` calls,
+on the same values, with none of its copies or finiteness scans.  The
 sweep is ``grid._shifted_sweep`` and the loop ``grid._sweep_newton``, both
 shared with the scalar solves of ``kpp``: Newton from the first sweep, each
 step halved back into the envelope (``grid._damped``), the envelope check
@@ -43,11 +47,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .bounds import BoundPair
 from .errors import ConvergenceError, FitWindowError, ParameterError
-from .grid import (Grid, Profile, _shifted_sweep, _sweep_newton,
+from .grid import (Grid, Profile, _banded_solve as solve_banded,
+                   _shifted_sweep, _sweep_newton,
                    apply_advection_diffusion, level_crossing,
                    linearization_bands, require_m_matrix, residual,
                    stencil_coefficients, translate)
@@ -145,9 +149,14 @@ def solve_wave(p: ModelParams, c: float, g: Grid, bounds: BoundPair,
         g, c, lambda U: reaction(p, StateVec(U[:, 0], U[:, 1])).T,
         _box_diagonal(p), top.knots[0], top.knots[-1], solve_banded)
 
+    # dgbsv's band storage, allocated once; a Newton step writes the five
+    # bands below the two fill rows and factors it in place
+    work = np.empty((7, 2 * g.n), order="F")
+
     def newton(U):
         prof = as_profile(U)
-        return solve_banded((2, 2), linearization_bands(p, prof),
+        work[2:] = linearization_bands(p, prof)
+        return solve_banded((2, 2), work,
                             -residual(p, prof).ravel()).reshape(U.shape)
 
     upper = top.knots[1:-1]

@@ -1,18 +1,22 @@
 import json
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.interpolate import PchipInterpolator
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
 from pggwave import (Profile, StateVec, WeightPair, apply_advection_diffusion,
                      assemble_weighted_operator, derive_params, dynamics, grid,
                      kpp, load_profile, make_bounds, make_grid, reaction,
                      residual, save_profile, wave)
+from pggwave.cli import main
 from pggwave.grid import (boundary_vector, level_crossing, linearization_bands,
                           stencil_bands, translate, write_csv, write_json)
-from pggwave.errors import GridError, LevelNotCrossedError, ParameterError
+from pggwave.errors import (ConvergenceError, GridError,
+                            LevelNotCrossedError, ParameterError)
 
 
 def test_make_grid_examples():
@@ -162,6 +166,42 @@ def test_write_csv_matches_per_value_format(tmp_path):
     assert path.read_text() == "a,b\n"
 
 
+def _joined_csv(header, *columns):
+    """The CSV of ``write_csv`` built in memory at once: every row
+    formatted, then one join."""
+    row = ",".join(["%.17g"] * len(columns))
+    cols = [np.asarray(col, dtype=float).tolist() for col in columns]
+    return "\n".join([header, *(row % vals for vals in zip(*cols))]) + "\n"
+
+
+BLOCK = grid._CSV_BLOCK
+
+
+@pytest.mark.parametrize("rows", [0, 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_write_csv_streams_the_joined_bytes(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    cols = [rng.standard_normal(rows), np.arange(rows),
+            1e300 * rng.standard_normal(rows)]
+    path = tmp_path / "t.csv"
+    write_csv(path, "a,b,c", *cols)
+    assert path.read_bytes() == _joined_csv("a,b,c", *cols).encode()
+
+
+@pytest.mark.parametrize("rows", [8002, 80002])
+def test_write_csv_memory_does_not_grow_with_rows(tmp_path, rows):
+    # a profile's three columns at n = 7999 and ten times that; holding the
+    # whole text, as a joined writer does, takes ~3 MB at the first size
+    cols = [np.linspace(-80.0, 80.0, rows), np.linspace(0.0, 1.0, rows) / 3,
+            np.linspace(0.0, 1.0, rows) / 7]
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "t.csv", "xi,u,v", *cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 @dataclass(frozen=True)
 class _Inner:
     root: complex
@@ -255,6 +295,40 @@ def test_level_crossing_matches_brentq(level):
     assert abs(got - want) <= 1e-14 + 4.0 * np.finfo(float).eps * abs(want)
     assert abs(interp(got) - level) <= abs(interp(want) - level)
     assert xs[i - 1] < got <= xs[i]
+
+
+def _full_crossing(g, ys, level):
+    """The crossing bisected on the segment of the interpolant over all
+    knots: what ``level_crossing`` reads off four."""
+    xs = g.knots
+    i = int(np.nonzero(ys >= level)[0][0])
+    x_lo = lo = float(xs[i - 1])
+    hi = float(xs[i])
+    seg = [float(a[i - 1]) for a in grid.monotone_interpolant(xs, ys)]
+
+    def f(x):
+        return grid._cubic(seg, x - x_lo) - level
+
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo if -f(lo) < f(hi) else hi
+
+
+def test_level_crossing_reads_four_knots_bit_for_bit():
+    # random nondecreasing data, flat runs included, and a level inside
+    # every bracket, the two end segments among them
+    rng = np.random.default_rng(28)
+    g = make_grid(3.0, 9)
+    for _ in range(50):
+        steps = rng.exponential(size=g.n + 2) * (rng.uniform(size=g.n + 2)
+                                                 > 0.2)
+        ys = np.cumsum(steps)
+        for i in np.nonzero(ys[1:] > ys[:-1])[0] + 1:
+            level = ys[i - 1] + rng.uniform(0.01, 0.99) * (ys[i] - ys[i - 1])
+            assert level_crossing(g, ys, level) == _full_crossing(g, ys, level)
 
 
 def test_level_crossing_returns_node_at_sample_level():
@@ -368,8 +442,10 @@ def test_banded_solves_stay_in_their_callers_module(monkeypatch):
     # the benchmark tracer counts banded solves through each layer's own
     # ``solve_banded`` name and books time by public function, so the shared
     # sweep-Newton driver must stay private and leave the solves to the
-    # modules whose closures it calls
+    # modules whose closures it calls; both front solves bind that name to
+    # the one LAPACK helper
     assert "_sweep_newton" not in grid.__all__
+    assert kpp.solve_banded is wave.solve_banded is grid._banded_solve
     counts = {}
     for mod in (kpp, wave, dynamics):
         def counted(*args, _name=mod.__name__, _fn=mod.solve_banded,
@@ -388,3 +464,62 @@ def test_banded_solves_stay_in_their_callers_module(monkeypatch):
     counts.clear()
     dynamics.run_simulation(p, prof, dynamics.SimConfig(t_end=0.05))
     assert counts == {"pggwave.dynamics": 5}
+
+
+def test_banded_solve_is_solve_banded_bit_for_bit(base_params, base_wave):
+    rng = np.random.default_rng(28)
+    n = 300
+    ab = np.vstack([rng.uniform(-1.0, 1.0, n), rng.uniform(3.0, 4.0, n),
+                    rng.uniform(-1.0, 1.0, n)])
+    for b in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+        ab_in, b_in = ab.copy(), b.copy()
+        x = grid._banded_solve((1, 1), ab, b)
+        assert np.array_equal(x, solve_banded((1, 1), ab, b))
+        # a (1, 1) solve leaves its bands and right-hand side as they were
+        assert np.array_equal(ab, ab_in) and np.array_equal(b, b_in)
+
+    prof, _ = base_wave
+    bands = linearization_bands(base_params, prof)
+    b = rng.standard_normal(bands.shape[1])
+    want = solve_banded((2, 2), bands, b)
+    work = np.full((7, bands.shape[1]), np.nan, order="F")
+    # fill rows of NaN first, then of the last factorisation's fill
+    for _ in range(2):
+        work[2:] = bands
+        assert np.array_equal(grid._banded_solve((2, 2), work, b.copy()),
+                              want)
+
+
+@pytest.mark.parametrize("rows", [3, 7], ids=["(1, 1)", "(2, 2)"])
+def test_banded_solve_raises_on_a_zero_pivot(rows):
+    # a zero column stays zero through the elimination: pivot 4 is zero
+    bands = np.asfortranarray(
+        np.random.default_rng(rows).uniform(1.0, 2.0, (rows, 8)))
+    bands[:, 3] = 0.0
+    lu = (1, 1) if rows == 3 else (2, 2)
+    with pytest.raises(ConvergenceError, match="zero pivot in row 4"):
+        grid._banded_solve(lu, bands, np.ones(8))
+
+
+def test_non_finite_sweep_fails_at_once(tmp_path, monkeypatch):
+    # with no finiteness scan in the solves, a NaN iterate would otherwise
+    # spend the whole sweep budget; the CLI reports it as a convergence
+    # failure
+    sweeps = []
+
+    def nan_sweep(*args):
+        beta, _ = grid._shifted_sweep(*args)
+
+        def sweep(U):
+            sweeps.append(1)
+            return np.full_like(U, np.nan)
+        return beta, sweep
+
+    monkeypatch.setattr(wave, "_shifted_sweep", nan_sweep)
+    p, c, g = derive_params(0.25, 0.5), 1.25, make_grid(20.0, 199)
+    with pytest.raises(ConvergenceError, match="sweep 1 is not finite"):
+        wave.solve_wave(p, c, g, make_bounds(p, c, g))
+    assert len(sweeps) == 1
+    assert main(["wave", "--L", "20", "--n", "199",
+                 "--output-dir", str(tmp_path)]) == 3
+    assert len(sweeps) == 2
