@@ -16,8 +16,8 @@ Library surface, one module per concern:
 - ``cli``       reproducible command-line experiments
 """
 
-from .bounds import (BoundPair, build_lower, build_upper, default_l,
-                     make_bounds, order_shift, verify_bound)
+from .bounds import (BoundPair, build_bound, default_l, make_bounds,
+                     order_shift, verify_bound)
 from .dynamics import (SimConfig, Trace, fit_decay_constant,
                        instability_experiment, perturb, run_simulation,
                        spreading_experiment, spreading_speed,
@@ -25,7 +25,7 @@ from .dynamics import (SimConfig, Trace, fit_decay_constant,
 from .grid import (Grid, Profile, apply_advection_diffusion, load_profile,
                    make_grid, residual, save_profile)
 from .kpp import (KppNonlinearity, ScalarProfile, lower_nonlinearity,
-                  plateau_of, solve_kpp, upper_nonlinearity)
+                  solve_kpp, upper_nonlinearity)
 from .model import (ModelParams, SpeedVerdict, StateVec, derive_params,
                     jacobian, reaction, subcritical_verdict, to_original)
 from .spectrum import (OperatorMatrix, SpectrumReport, WeightPair,

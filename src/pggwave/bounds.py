@@ -1,8 +1,10 @@
 """Vector upper/lower solutions built from scalar fronts, and their ordering.
 
 The upper solution is (K* w, w) with w the upper scalar front; the lower is
-(K* l w, w) with w the lower scalar front of parameter l.  Both satisfy the
-componentwise differential inequalities of the wave system, which
+(K* l w, w) with w the lower scalar front of parameter l.  ``build_bound``
+makes either from the front alone, reading l from the front's nonlinearity
+(l = 1 for the upper front, as in ``KppNonlinearity._terms``).  Both
+satisfy the componentwise differential inequalities of the wave system, which
 ``verify_bound`` checks nodewise with the same discrete operators the
 solvers use, so the margins are at solver-tolerance level rather than at
 O(h^2).
@@ -11,7 +13,9 @@ The monotone iteration runs between an ordered pair (Sattinger 1972): the
 lower bound and the upper bound translated left by the ordering shift r.
 ``BoundPair.shifted_upper`` is that one translated profile, Dirichlet data
 included, and ``order_shift`` finds r by comparing all n+2 knot rows, so
-the end rows are ordered with the samples.
+the end rows are ordered with the samples.  A pair carries its model
+``params``, and its profiles carry the speed and the grid, so
+``wave.solve_wave`` reads its whole problem from the pair.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ __all__ = [
     "BoundPair",
     "MarginReport",
     "default_l",
-    "build_upper",
-    "build_lower",
+    "build_bound",
     "verify_bound",
     "order_shift",
     "make_bounds",
@@ -44,10 +47,14 @@ MARGIN_TOL = 1e-7  # largest wrong-sign inequality margin a bound may show
 
 @dataclass(frozen=True)
 class BoundPair:
+    """The ordered bounds of one front problem: the model ``params``, and
+    the speed and grid that ``upper`` and ``lower`` carry."""
+
     upper: Profile
     lower: Profile
     shift: float  # r >= 0 applied to the upper, a grid multiple
     l: float
+    params: ModelParams
     # each scalar solve's report, by bound; empty for a hand-built pair
     fronts: dict[str, KppReport] = field(default_factory=dict)
 
@@ -82,17 +89,16 @@ def default_l(p: ModelParams) -> float:
     return L_FRACTION * (1.0 - p.k + p.k * p.alpha)
 
 
-def build_upper(p: ModelParams, s: ScalarProfile) -> Profile:
-    """Componentwise (K* w, w) at the scalar front's knots: the right end is
-    exactly (K*, 1) and the left end is the scalar's tiny pinned datum."""
-    return Profile(s.grid, np.column_stack((p.kstar * s.knots, s.knots)), s.c)
+def build_bound(s: ScalarProfile) -> Profile:
+    """Componentwise (K* l w, w) at the scalar front's knots, with l the
+    front's lower-solution parameter, or 1 for the upper front.
 
-
-def build_lower(p: ModelParams, l: float, s: ScalarProfile) -> Profile:
-    """Componentwise (K* l w, w); right end strictly below (K*, 1)."""
-    lower_nonlinearity(p, l)    # raises on an l outside its range
-    return Profile(s.grid, np.column_stack((p.kstar * l * s.knots, s.knots)),
-                   s.c)
+    The upper bound's right end is exactly (K*, 1), the lower's strictly
+    below it; the left end is the scalar's tiny pinned datum.
+    """
+    l = 1.0 if s.nl.l is None else s.nl.l
+    return Profile(s.grid, np.column_stack(
+        (s.nl.params.kstar * l * s.knots, s.knots)), s.c)
 
 
 def verify_bound(p: ModelParams, prof: Profile, kind: str) -> MarginReport:
@@ -156,15 +162,19 @@ def order_shift(upper: Profile, lower: Profile) -> float:
 
 def make_bounds(p: ModelParams, c: float, g: Grid, l: float | None = None,
                 tol: float = 1e-12) -> BoundPair:
-    """Solve both scalar fronts, build the vector bounds, compute the shift."""
+    """Solve both scalar fronts, build the vector bounds, compute the shift.
+
+    The pair carries ``p``, and its profiles carry ``c`` and ``g``: the
+    whole problem that ``wave.solve_wave`` then solves.
+    """
     if l is None:
         l = default_l(p)
     s_up = solve_kpp(upper_nonlinearity(p), c, g, tol=tol)
     s_lo = solve_kpp(lower_nonlinearity(p, l), c, g, tol=tol)
-    upper = build_upper(p, s_up)
-    lower = build_lower(p, l, s_lo)
+    upper = build_bound(s_up)
+    lower = build_bound(s_lo)
     r = order_shift(upper, lower)
-    return BoundPair(upper=upper, lower=lower, shift=r, l=l,
+    return BoundPair(upper=upper, lower=lower, shift=r, l=l, params=p,
                      fronts={"upper": s_up.report, "lower": s_lo.report})
 
 

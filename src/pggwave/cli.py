@@ -49,17 +49,16 @@ def _outdir(cfg: RunConfig, sub: str) -> Path:
     return d
 
 
-def _bounds(cfg: RunConfig):
-    p = derive_params(cfg.alpha, cfg.k)
-    g = make_grid(cfg.L, cfg.n)
-    bp = bounds_mod.make_bounds(p, cfg.c, g, l=cfg.l, tol=min(cfg.tol, 1e-12))
-    return p, g, bp
+def _bounds(cfg: RunConfig) -> bounds_mod.BoundPair:
+    return bounds_mod.make_bounds(derive_params(cfg.alpha, cfg.k), cfg.c,
+                                  make_grid(cfg.L, cfg.n), l=cfg.l,
+                                  tol=min(cfg.tol, 1e-12))
 
 
 def _solve_pipeline(cfg: RunConfig):
-    p, g, bp = _bounds(cfg)
-    prof, report = wave.solve_wave(p, cfg.c, g, bp, tol=cfg.tol)
-    return p, prof, report
+    bp = _bounds(cfg)
+    prof, report = wave.solve_wave(bp, tol=cfg.tol)
+    return bp.params, prof, report
 
 
 def _check_none(cfg: RunConfig, args) -> None:
@@ -140,7 +139,8 @@ def cmd_wave(cfg: RunConfig, args, verdict: SpeedVerdict) -> None:
 
 
 def cmd_bounds_check(cfg: RunConfig, args, verdict) -> None:
-    p, g, bp = _bounds(cfg)
+    bp = _bounds(cfg)
+    p, g = bp.params, bp.upper.grid
     out = _outdir(cfg, "bounds-check")
     reports = {}
     for kind, prof in (("upper", bp.upper), ("lower", bp.lower)):

@@ -20,6 +20,11 @@ follow.  The monotone sweeps of the wave solve (``grid._shifted_sweep`` in
 the loop ``grid._sweep_newton``, with no Newton step) then certify the
 front at that datum, and a ``KppReport`` on the returned profile records
 what the solve did.
+
+The returned ``ScalarProfile`` carries the problem it solves: its grid, its
+speed and its ``KppNonlinearity``.  ``scalar_residual`` and
+``bounds.build_bound`` read the problem from the front, so no caller states
+it twice.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ __all__ = [
     "ScalarProfile",
     "upper_nonlinearity",
     "lower_nonlinearity",
-    "plateau_of",
     "solve_kpp",
     "scalar_residual",
 ]
@@ -77,7 +81,13 @@ class KppNonlinearity:
 
     @property
     def plateau(self) -> float:
-        return plateau_of(self)
+        """Right limit of the front: 1 for the upper variant, <1 for the
+        lower."""
+        if self.l is None:
+            return 1.0
+        p = self.params
+        kk = p.k * p.kstar
+        return (1.0 + kk - p.kstar) / (1.0 + kk - self.l * p.kstar)
 
     def _terms(self):
         """(pref, k K*, l, q) of f = pref w (1 - q w) / (1 + k K* (1 - l w)).
@@ -130,15 +140,6 @@ def lower_nonlinearity(p: ModelParams, l: float) -> KppNonlinearity:
     return KppNonlinearity(params=p, l=l)
 
 
-def plateau_of(nl: KppNonlinearity) -> float:
-    """Right limit of the front: 1 for the upper variant, <1 for the lower."""
-    if nl.l is None:
-        return 1.0
-    p = nl.params
-    kk = p.k * p.kstar
-    return (1.0 + kk - p.kstar) / (1.0 + kk - nl.l * p.kstar)
-
-
 @dataclass(frozen=True)
 class KppReport:
     """What one ``solve_kpp`` call did; no wall-clock time."""
@@ -154,23 +155,30 @@ class KppReport:
 @dataclass(frozen=True)
 class ScalarProfile:
     """Scalar front at the grid's knots, shape (n+2,): ``knots[0]`` is the
-    pinned tiny positive left datum, ``knots[-1]`` the plateau."""
+    pinned tiny positive left datum, ``knots[-1]`` the plateau.  It carries
+    the problem it solves: the speed ``c`` on ``grid``, with the reaction
+    term ``nl``."""
 
     grid: Grid
     knots: np.ndarray
     c: float
-    plateau: float
+    nl: KppNonlinearity
     report: KppReport
 
     @property
     def w(self) -> np.ndarray:
         return self.knots[1:-1]
 
+    @property
+    def plateau(self) -> float:
+        return self.nl.plateau
 
-def scalar_residual(nl: KppNonlinearity, prof: ScalarProfile) -> np.ndarray:
-    """Nodewise residual w'' - c w' + f(w) with the profile's Dirichlet data."""
+
+def scalar_residual(prof: ScalarProfile) -> np.ndarray:
+    """Nodewise residual w'' - c w' + f(w) with the profile's Dirichlet data
+    and its own reaction term."""
     return (apply_advection_diffusion(prof.grid, prof.c, prof.knots)
-            + nl.f(prof.w))
+            + prof.nl.f(prof.w))
 
 
 def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
@@ -197,6 +205,7 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
     -f' there since f'' < 0) then certify the front at the final datum: it
     converges only at a sweep whose sup-diff is below ``tol``, and its
     crossing must lie within PHASE_TOL of 0.  A subcritical speed raises.
+    The returned front carries ``nl``, ``c`` and ``g`` with its samples.
     """
     if tol <= 0:
         raise ParameterError("tolerance must be positive")
@@ -275,5 +284,4 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
     report = KppReport(newton_steps=steps, datum_steps=datum_steps,
                        damped_steps=damped, sweeps=sup_diffs,
                        left_datum=float(knots[0]), crossing=x0)
-    return ScalarProfile(grid=g, knots=knots, c=float(c), plateau=b,
-                         report=report)
+    return ScalarProfile(grid=g, knots=knots, c=float(c), nl=nl, report=report)

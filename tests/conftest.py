@@ -23,9 +23,9 @@ def base_bounds(base_params, base_grid):
 
 
 @pytest.fixture(scope="session")
-def base_wave(base_params, base_grid, base_bounds):
+def base_wave(base_bounds):
     """Converged base-configuration wave and its iteration report."""
-    return solve_wave(base_params, BASE_C, base_grid, base_bounds, tol=1e-10)
+    return solve_wave(base_bounds, tol=1e-10)
 
 
 @pytest.fixture(scope="session")

@@ -33,7 +33,7 @@ def _report(num, ok, detail):
 def wave60(base_params):
     g = make_grid(60.0, 5999)
     bp = make_bounds(base_params, C, g)
-    prof, _ = solve_wave(base_params, C, g, bp, tol=1e-10)
+    prof, _ = solve_wave(bp, tol=1e-10)
     return normalize_phase(prof)
 
 
@@ -41,7 +41,7 @@ def wave60(base_params):
 def wave_critical(base_params):
     g = make_grid(80.0, 7999)
     bp = make_bounds(base_params, 1.0, g)
-    prof, _ = solve_wave(base_params, 1.0, g, bp, tol=1e-10)
+    prof, _ = solve_wave(bp, tol=1e-10)
     return normalize_phase(prof)
 
 
@@ -49,7 +49,7 @@ def wave_critical(base_params):
 def coarse_wave_400(base_params):
     g = make_grid(40.0, 400)
     bp = make_bounds(base_params, C, g)
-    prof, _ = solve_wave(base_params, C, g, bp, tol=1e-11)
+    prof, _ = solve_wave(bp, tol=1e-11)
     return prof
 
 
@@ -109,7 +109,7 @@ def test_criterion_05_uniqueness_normalization(base_params, base_grid):
     waves = []
     for l in (0.2, 0.4):
         bp = make_bounds(base_params, C, base_grid, l=l)
-        prof, _ = solve_wave(base_params, C, base_grid, bp, tol=1e-10)
+        prof, _ = solve_wave(bp, tol=1e-10)
         waves.append(normalize_phase(prof))
     gap = float(np.max(np.abs(waves[0].samples() - waves[1].samples())))
     _report(5, gap < 1e-6, f"sup gap between l=0.2 and l=0.4 waves: {gap:.2e}")

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pggwave import (BoundPair, Profile, bounds, build_lower, build_upper,
-                     default_l, derive_params, lower_nonlinearity, make_bounds,
-                     make_grid, order_shift, solve_kpp, upper_nonlinearity,
-                     verify_bound)
+from pggwave import (BoundPair, Profile, bounds, build_bound, default_l,
+                     derive_params, lower_nonlinearity, make_bounds, make_grid,
+                     order_shift, solve_kpp, upper_nonlinearity, verify_bound)
 from pggwave.bounds import margins_to_csv
 from pggwave.grid import level_crossing, residual
 from pggwave.errors import (ParameterError, ShiftNotFoundError,
@@ -21,15 +20,36 @@ def grid40():
 
 
 @pytest.fixture(scope="module")
-def upper_profile(base_params, grid40):
-    s = solve_kpp(upper_nonlinearity(base_params), C, grid40)
-    return build_upper(base_params, s)
+def upper_front(base_params, grid40):
+    return solve_kpp(upper_nonlinearity(base_params), C, grid40)
 
 
 @pytest.fixture(scope="module")
-def lower_profile(base_params, grid40):
-    s = solve_kpp(lower_nonlinearity(base_params, 0.3), C, grid40)
-    return build_lower(base_params, 0.3, s)
+def lower_front(base_params, grid40):
+    return solve_kpp(lower_nonlinearity(base_params, 0.3), C, grid40)
+
+
+@pytest.fixture(scope="module")
+def upper_profile(upper_front):
+    return build_bound(upper_front)
+
+
+@pytest.fixture(scope="module")
+def lower_profile(lower_front):
+    return build_bound(lower_front)
+
+
+def test_build_bound_reads_l_from_the_front(base_params, upper_front,
+                                            lower_front, upper_profile,
+                                            lower_profile):
+    # (K* l w, w) with l = 1 for the upper front: bit for bit the products
+    # K* w and K* l w, and the front's speed and grid
+    p = base_params
+    for s, prof, factor in ((upper_front, upper_profile, p.kstar),
+                            (lower_front, lower_profile, p.kstar * 0.3)):
+        want = np.column_stack((factor * s.knots, s.knots))
+        assert np.array_equal(prof.knots, want)
+        assert prof.c == s.c and prof.grid is s.grid
 
 
 def test_default_l_matches_base(base_params):
@@ -95,10 +115,10 @@ def test_lower_margins_match_identity(base_params, lower_profile):
     assert np.min(identity) >= 0.0
 
 
-def test_lower_rejects_out_of_range(base_params, grid40):
-    s = solve_kpp(lower_nonlinearity(base_params, 0.3), C, grid40)
-    with pytest.raises(ParameterError):
-        build_lower(base_params, 0.7, s)
+def test_lower_rejects_out_of_range(base_params):
+    # l = 0.7 lies outside (0, 0.625): no front, and so no bound, carries it
+    with pytest.raises(ParameterError, match="l=0.7"):
+        make_bounds(base_params, C, make_grid(20.0, 199), l=0.7)
 
 
 def _zero_profile(g, c=C):
@@ -129,10 +149,7 @@ def test_nan_margin_fails(base_params, kind):
     g = make_grid(20.0, 199)
     nl = (upper_nonlinearity(base_params) if kind == "upper"
           else lower_nonlinearity(base_params, 0.3))
-    s = solve_kpp(nl, C, g)
-    bound = (build_upper(base_params, s) if kind == "upper"
-             else build_lower(base_params, 0.3, s))
-    knots = bound.knots.copy()
+    knots = build_bound(solve_kpp(nl, C, g)).knots.copy()
     knots[100, 1] = np.nan
     with pytest.raises(VerificationError) as exc:
         verify_bound(base_params, Profile(g, knots, C), kind)
@@ -180,7 +197,8 @@ def test_order_shift_cases(base_params, grid40, upper_profile, lower_profile):
     assert 0.0 <= r <= 20.0
     assert r == 0.0  # regression baseline for the base configuration
     assert order_shift(upper_profile, _zero_profile(grid40)) == 0.0
-    bp = BoundPair(upper=upper_profile, lower=lower_profile, shift=r, l=0.3)
+    bp = BoundPair(upper=upper_profile, lower=lower_profile, shift=r, l=0.3,
+                   params=base_params)
     gap = bp.shifted_upper.knots - lower_profile.knots
     assert np.min(gap) >= -1e-12
     # the Dirichlet rows are ordered too: a lower left datum twice the
@@ -238,13 +256,14 @@ def test_margins_csv(tmp_path, base_params, upper_profile):
     assert len(lines) == upper_profile.grid.n + 1
 
 
-def test_shifted_upper_samples_is_slice_and_pad():
+def test_shifted_upper_samples_is_slice_and_pad(base_params):
     # a shift by m cells reads all n+2 knot rows from m on and pads with the
     # right end row, past the last sample too
     g = make_grid(10.0, 9)
     knots = np.random.default_rng(7).standard_normal((g.n + 2, 2))
     upper, n = Profile(grid=g, knots=knots, c=C), g.n
     for m in (0, 1, n - 1, n, n + 1):
-        bp = BoundPair(upper=upper, lower=upper, shift=m * g.h, l=0.3)
+        bp = BoundPair(upper=upper, lower=upper, shift=m * g.h, l=0.3,
+                       params=base_params)
         want = np.concatenate([knots[m:], np.repeat(knots[-1:], m, axis=0)])
         assert np.array_equal(bp.shifted_upper.knots, want)

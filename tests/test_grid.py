@@ -459,7 +459,7 @@ def test_banded_solves_stay_in_their_callers_module(monkeypatch):
     bp = make_bounds(p, c, g)
     assert counts["pggwave.kpp"] > 0 and set(counts) == {"pggwave.kpp"}
     counts.clear()
-    prof, _ = wave.solve_wave(p, c, g, bp, tol=1e-10)
+    prof, _ = wave.solve_wave(bp, tol=1e-10)
     assert counts["pggwave.wave"] > 0 and set(counts) == {"pggwave.wave"}
     counts.clear()
     dynamics.run_simulation(p, prof, dynamics.SimConfig(t_end=0.05))
@@ -518,7 +518,7 @@ def test_non_finite_sweep_fails_at_once(tmp_path, monkeypatch):
     monkeypatch.setattr(wave, "_shifted_sweep", nan_sweep)
     p, c, g = derive_params(0.25, 0.5), 1.25, make_grid(20.0, 199)
     with pytest.raises(ConvergenceError, match="sweep 1 is not finite"):
-        wave.solve_wave(p, c, g, make_bounds(p, c, g))
+        wave.solve_wave(make_bounds(p, c, g))
     assert len(sweeps) == 1
     assert main(["wave", "--L", "20", "--n", "199",
                  "--output-dir", str(tmp_path)]) == 3

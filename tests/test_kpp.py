@@ -6,9 +6,9 @@ import pytest
 from scipy.linalg import solve_banded
 
 from pggwave import (default_l, derive_params, grid, kpp, lower_nonlinearity,
-                     make_grid, plateau_of, solve_kpp, upper_nonlinearity)
+                     make_grid, solve_kpp, upper_nonlinearity)
 from pggwave.errors import ConvergenceError, ParameterError, SubcriticalSpeedError
-from pggwave.grid import level_crossing
+from pggwave.grid import apply_advection_diffusion, level_crossing
 from pggwave.kpp import scalar_residual
 
 C = 1.25
@@ -25,11 +25,11 @@ def upper(base_params, grid40):
 
 
 def test_plateau_values(base_params):
-    assert plateau_of(upper_nonlinearity(base_params)) == 1.0
+    assert upper_nonlinearity(base_params).plateau == 1.0
     low = lower_nonlinearity(base_params, 0.3)
-    assert plateau_of(low) == pytest.approx(0.4 / 1.24, abs=1e-12)
+    assert low.plateau == pytest.approx(0.4 / 1.24, abs=1e-12)
     for l in np.linspace(0.05, 0.6, 8):
-        assert plateau_of(lower_nonlinearity(base_params, l)) < 1.0
+        assert lower_nonlinearity(base_params, l).plateau < 1.0
 
 
 def test_nonlinearity_invariants(base_params):
@@ -116,8 +116,14 @@ def test_solve_upper_base(base_params, grid40, upper):
     assert abs(s.plateau - s.w[-1]) < 1e-4
     assert np.min(np.diff(s.w)) >= 0.0
     assert np.all((s.w >= 0.0) & (s.w <= s.plateau))
-    res = scalar_residual(upper_nonlinearity(base_params), s)
+    res = scalar_residual(s)
     assert np.max(np.abs(res)) < 1e-12
+    # the front carries its reaction term: the residual with the upper f
+    # stated beside the profile, bit for bit
+    stated = (apply_advection_diffusion(g, C, s.knots)
+              + upper_nonlinearity(base_params).f(s.w))
+    assert np.array_equal(res, stated)
+    assert s.nl == upper_nonlinearity(base_params) and s.plateau == 1.0
     mid = (g.n - 1) // 2
     assert g.nodes[mid] == pytest.approx(0.0, abs=1e-12)
     assert s.w[mid] == pytest.approx(0.5, abs=1e-7)
@@ -127,8 +133,8 @@ def test_solve_lower_base(base_params, grid40):
     nl = lower_nonlinearity(base_params, 0.3)
     s = solve_kpp(nl, C, grid40)
     assert np.min(np.diff(s.w)) >= 0.0
-    assert np.max(np.abs(scalar_residual(nl, s))) < 1e-12
-    assert s.knots[-1] == s.plateau
+    assert np.max(np.abs(scalar_residual(s))) < 1e-12
+    assert s.nl is nl and s.knots[-1] == s.plateau == nl.plateau
 
 
 def test_subcritical_rejected(base_params, grid40):
@@ -189,7 +195,7 @@ def test_certifying_sweeps_close_by_sweep_two(base_params, monkeypatch, c, L,
         _, sup_diffs, _ = runs[0]
         assert len(sup_diffs) <= 2
         assert s.report.sweeps == sup_diffs
-        assert np.max(np.abs(scalar_residual(nl, s))) < 1e-12
+        assert np.max(np.abs(scalar_residual(s))) < 1e-12
         assert np.min(np.diff(s.w)) >= 0.0
 
 
@@ -285,7 +291,7 @@ FLOOR_CASE = {(0.09, 0.5, 0.6, 3999, True): pytest.mark.xfail(
 @pytest.mark.parametrize("key", _contract_cases(FLOOR_CASE))
 def test_contract_residual(contract_fronts, key):
     nl, s = contract_fronts[key]
-    assert np.max(np.abs(scalar_residual(nl, s))) < 1e-12
+    assert np.max(np.abs(scalar_residual(s))) < 1e-12
 
 
 def _tail_rate(g, y, lo, hi, floor=1e-14):

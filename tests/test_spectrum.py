@@ -21,7 +21,7 @@ def coarse_wave(base_params):
     """Base-configuration wave on the 2n = 800 eigenproblem grid."""
     g = make_grid(40.0, 400)
     bp = make_bounds(base_params, C, g)
-    prof, _ = solve_wave(base_params, C, g, bp, tol=1e-11)
+    prof, _ = solve_wave(bp, tol=1e-11)
     return prof
 
 
@@ -279,7 +279,7 @@ def test_rightmost_stable_under_refinement(base_params):
     for n in (200, 400):
         g = make_grid(40.0, n)
         bp = make_bounds(base_params, C, g)
-        prof, _ = solve_wave(base_params, C, g, bp, tol=1e-11)
+        prof, _ = solve_wave(bp, tol=1e-11)
         op = assemble_weighted_operator(base_params, prof, WeightPair(0.05, 0.5))
         vals.append(eigen_report(op, count=1)[0][0])
     assert abs(vals[0].real - vals[1].real) < 1e-3
@@ -325,7 +325,7 @@ def test_translation_mode_weighted_tail_does_not_overflow(base_params):
     p, c, w = base_params, 2.0, WeightPair(0.0, 1.78)
     assert weight_window(p, c).contains(w)
     g = make_grid(400.0, 1999)
-    prof, _ = solve_wave(p, c, g, make_bounds(p, c, g), tol=1e-10)
+    prof, _ = solve_wave(make_bounds(p, c, g), tol=1e-10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = translation_mode_check(p, prof, w)
@@ -339,7 +339,7 @@ def test_translation_mode_beyond_float64_is_inf_without_warning(base_params):
     p, c, w = base_params, 2.0, WeightPair(0.0, 1.85)
     assert weight_window(p, c).contains(w)
     g = make_grid(500.0, 2499)
-    prof, _ = solve_wave(p, c, g, make_bounds(p, c, g), tol=1e-10)
+    prof, _ = solve_wave(make_bounds(p, c, g), tol=1e-10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = translation_mode_check(p, prof, w)

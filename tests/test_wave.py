@@ -1,5 +1,5 @@
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -13,15 +13,25 @@ from pggwave.errors import (ConvergenceError, EmptyWindowError,
                             EnvelopeViolationError, FitWindowError, GridError,
                             LevelNotCrossedError, ParameterError,
                             SubcriticalSpeedError)
-from pggwave.grid import linearization_bands, translate
+from pggwave.grid import level_crossing, linearization_bands, translate
 from pggwave.wave import (IterationReport, derivative_profile,
                           derivative_system_residual)
 
 C = 1.25
 
 
-def test_solve_converges(base_params, base_grid, base_bounds, base_wave):
+def _carrying(bp, c):
+    """The pair ``bp`` with profiles that carry the speed ``c`` instead."""
+    return replace(bp, upper=replace(bp.upper, c=c),
+                   lower=replace(bp.lower, c=c))
+
+
+def test_solve_converges(base_params, base_bounds, base_wave):
     prof, rep = base_wave
+    # the pair states the model, the speed and the grid once
+    assert base_bounds.params is base_params
+    assert prof.c == base_bounds.upper.c == C
+    assert prof.grid is base_bounds.upper.grid
     assert rep.converged
     assert rep.final_residual < 1e-8
     # one sweep, the Newton finish, and the closing sweep that certifies it
@@ -33,7 +43,7 @@ def test_solve_converges(base_params, base_grid, base_bounds, base_wave):
     assert np.max(np.abs(res)) == rep.final_residual
 
 
-def test_envelope_and_monotone_direction(base_params, base_grid, base_bounds):
+def test_envelope_and_monotone_direction(base_bounds):
     upper_env = base_bounds.shifted_upper.samples()
     lower_env = base_bounds.lower.samples()
     seen = []
@@ -41,18 +51,16 @@ def test_envelope_and_monotone_direction(base_params, base_grid, base_bounds):
     def cb(it, U):
         seen.append((float(np.min(upper_env - U)), float(np.min(U - lower_env))))
 
-    prof, _ = solve_wave(base_params, C, base_grid, base_bounds, tol=1e-8,
-                         callback=cb)
+    prof, _ = solve_wave(base_bounds, tol=1e-8, callback=cb)
     worst_up = min(s[0] for s in seen)
     worst_lo = min(s[1] for s in seen)
     assert worst_up >= -1e-12
     assert worst_lo >= -1e-12
 
 
-def test_fixed_point_single_iteration(base_params, base_grid, base_bounds, base_wave):
+def test_fixed_point_single_iteration(base_bounds, base_wave):
     prof, _ = base_wave
-    _, rep = solve_wave(base_params, C, base_grid, base_bounds, tol=1e-10,
-                        initial=prof)
+    _, rep = solve_wave(base_bounds, tol=1e-10, initial=prof)
     assert rep.iterations == 1
     assert rep.sup_diffs[0] < 1e-10
 
@@ -62,7 +70,7 @@ def test_zero_tolerance_refused(base_params):
     g = make_grid(20.0, 199)
     bp = make_bounds(base_params, C, g)
     with pytest.raises(ParameterError, match="positive"):
-        solve_wave(base_params, C, g, bp, tol=0.0)
+        solve_wave(bp, tol=0.0)
 
 
 def test_sweep_budget_spent(base_params, monkeypatch):
@@ -71,7 +79,7 @@ def test_sweep_budget_spent(base_params, monkeypatch):
     bp = make_bounds(base_params, C, g)
     with pytest.raises(ConvergenceError,
                        match=r"tol=1e-300 in 10 sweeps \(last sup-diff"):
-        solve_wave(base_params, C, g, bp, tol=1e-300)
+        solve_wave(bp, tol=1e-300)
 
 
 def test_initial_from_another_grid_refused(base_params):
@@ -80,23 +88,28 @@ def test_initial_from_another_grid_refused(base_params):
     for L, n in ((20.0, 99), (30.0, 199)):
         other = make_bounds(base_params, C, make_grid(L, n)).upper
         with pytest.raises(ParameterError, match="initial"):
-            solve_wave(base_params, C, g, bp, initial=other)
+            solve_wave(bp, initial=other)
+        with pytest.raises(ParameterError, match="lower bound"):
+            solve_wave(replace(bp, lower=other))
 
 
 @pytest.mark.parametrize("n", [30, 20])
-def test_non_monotone_stencil_rejected(base_params, base_bounds, n):
+def test_non_monotone_stencil_rejected(base_params, n):
     # c*h/2 = 1.61 and 2.38: -T is no M-matrix, the sweeps are not monotone
     g = make_grid(40.0, n)
     with pytest.raises(GridError):
         make_bounds(base_params, C, g)
+    # make_bounds refuses the grid, so the pair on it is built by hand
+    flat = Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=C)
     with pytest.raises(GridError):
-        solve_wave(base_params, C, g, base_bounds)
+        solve_wave(BoundPair(upper=flat, lower=flat, shift=0.0, l=0.3,
+                             params=base_params))
 
 
-def test_upward_iteration_agrees(base_params, base_grid, base_bounds, base_wave):
+def test_upward_iteration_agrees(base_bounds, base_wave):
     prof_down, _ = base_wave
-    prof_up, rep = solve_wave(base_params, C, base_grid, base_bounds,
-                              tol=1e-10, initial=base_bounds.lower)
+    prof_up, rep = solve_wave(base_bounds, tol=1e-10,
+                              initial=base_bounds.lower)
     assert rep.converged
     gap = np.max(np.abs(prof_up.samples() - prof_down.samples()))
     assert gap < 1e-6
@@ -119,7 +132,7 @@ def test_critical_speed_certificate(base_params):
     bp = make_bounds(base_params, 1.0, g)
     cb, gaps = _envelope_recorder(bp)
     tol = 1e-10
-    prof, rep = solve_wave(base_params, 1.0, g, bp, tol=tol, callback=cb)
+    prof, rep = solve_wave(bp, tol=tol, callback=cb)
     assert rep.converged
     assert rep.final_residual < 1e-8
     # every sweep and Newton iterate reached the callback, in the envelope
@@ -130,11 +143,10 @@ def test_critical_speed_certificate(base_params):
     assert rep.newton_steps and rep.newton_steps[-1] < tol
 
 
-def test_newton_finish_agrees_up_and_down(base_params, base_grid, base_bounds,
-                                          base_wave):
+def test_newton_finish_agrees_up_and_down(base_bounds, base_wave):
     prof_down, rep_down = base_wave
-    prof_up, rep_up = solve_wave(base_params, C, base_grid, base_bounds,
-                                 tol=1e-10, initial=base_bounds.lower)
+    prof_up, rep_up = solve_wave(base_bounds, tol=1e-10,
+                                 initial=base_bounds.lower)
     assert rep_down.newton_steps[-1] < 1e-10
     assert rep_up.newton_steps[-1] < 1e-10
     gap = np.max(np.abs(prof_up.samples() - prof_down.samples()))
@@ -164,7 +176,7 @@ def test_parameter_box_one_sweep_then_newton(alpha, k, ratio, grid_size):
     g = make_grid(*grid_size)
     bp = make_bounds(p, c, g)
     cb, gaps = _envelope_recorder(bp)
-    prof, rep = solve_wave(p, c, g, bp, tol=1e-10, callback=cb)
+    prof, rep = solve_wave(bp, tol=1e-10, callback=cb)
     assert rep.converged
     assert rep.iterations <= 2
     assert len(rep.newton_steps) <= 8
@@ -176,7 +188,7 @@ def test_parameter_box_one_sweep_then_newton(alpha, k, ratio, grid_size):
     # from below the iterates rise to the same front, damped Newton steps
     # keeping every one inside the envelope
     cb_up, gaps_up = _envelope_recorder(bp)
-    up, rep_up = solve_wave(p, c, g, bp, tol=1e-10, initial=bp.lower,
+    up, rep_up = solve_wave(bp, tol=1e-10, initial=bp.lower,
                             callback=cb_up)
     assert rep_up.iterations <= 4
     assert len(gaps_up) == rep_up.iterations + len(rep_up.newton_steps)
@@ -187,24 +199,22 @@ def test_parameter_box_one_sweep_then_newton(alpha, k, ratio, grid_size):
 def test_up_and_down_agree_at_critical_speed(base_params):
     g = make_grid(*BOX_GRID)
     bp = make_bounds(base_params, 1.0, g)
-    down, _ = solve_wave(base_params, 1.0, g, bp, tol=1e-10)
-    up, rep_up = solve_wave(base_params, 1.0, g, bp, tol=1e-10,
-                            initial=bp.lower)
+    down, _ = solve_wave(bp, tol=1e-10)
+    up, rep_up = solve_wave(bp, tol=1e-10, initial=bp.lower)
     assert rep_up.converged
     assert rep_up.iterations <= 4
     assert np.max(np.abs(up.samples() - down.samples())) < 1e-12
 
 
 @pytest.mark.parametrize("scale", [0.5, 1e-3])
-def test_rejected_newton_resumes_sweeps(base_params, base_grid, base_bounds,
-                                        base_wave, monkeypatch, scale):
+def test_rejected_newton_resumes_sweeps(base_bounds, base_wave, monkeypatch,
+                                        scale):
     # a wrong Jacobian: at 0.5 the corrections barely shrink, at 1e-3 the
     # first step overshoots by ~1000x; either way the sweeps must finish
     monkeypatch.setattr(wave, "linearization_bands",
                         lambda p, prof: scale * linearization_bands(p, prof))
     cb, gaps = _envelope_recorder(base_bounds)
-    prof, rep = solve_wave(base_params, C, base_grid, base_bounds,
-                           tol=1e-10, callback=cb)
+    prof, rep = solve_wave(base_bounds, tol=1e-10, callback=cb)
     assert rep.converged
     assert rep.sup_diffs[-1] < 1e-10
     assert not rep.newton_steps or rep.newton_steps[-1] >= 1e-10
@@ -213,15 +223,14 @@ def test_rejected_newton_resumes_sweeps(base_params, base_grid, base_bounds,
     assert np.max(np.abs(prof.samples() - base_wave[0].samples())) < 1e-8
 
 
-def test_report_records_solver_state(base_params, base_grid, base_bounds,
-                                     base_wave, monkeypatch):
+def test_report_records_solver_state(base_bounds, base_wave, monkeypatch):
     _, rep = base_wave
     assert rep.iterations == len(rep.sup_diffs)
     d = asdict(rep)
     assert d["newton_steps"] == rep.newton_steps
     # with no Newton steps allowed, the plain monotone iteration
     monkeypatch.setattr(grid, "NEWTON_MAX_STEPS", 0)
-    _, swept = solve_wave(base_params, C, base_grid, base_bounds, tol=1e-10)
+    _, swept = solve_wave(base_bounds, tol=1e-10)
     assert not swept.newton_steps and swept.iterations >= 50
     # sup-diffs decrease monotonically after the first few sweeps
     tail = swept.sup_diffs[5:]
@@ -246,7 +255,7 @@ def test_residual_guard(base_params, monkeypatch):
     monkeypatch.setattr(wave, "_sweep_newton", nudged)
     with pytest.raises(ConvergenceError,
                        match=r"residual [45]\.\d+e-07 > 10\*tol"):
-        solve_wave(base_params, C, g, bp, tol=1e-10)
+        solve_wave(bp, tol=1e-10)
 
 
 def test_box_diagonal_minimum_at_a_corner():
@@ -282,15 +291,17 @@ def test_box_diagonal_minimum_at_a_corner():
 def test_envelope_violation_detected(base_params):
     g = make_grid(20.0, 199)
     bp = make_bounds(base_params, C, g)
-    swapped = BoundPair(upper=bp.lower, lower=bp.upper, shift=0.0, l=bp.l)
+    swapped = BoundPair(upper=bp.lower, lower=bp.upper, shift=0.0, l=bp.l,
+                        params=bp.params)
     # the swapped "upper" start rises at once, above its own envelope
     with pytest.raises(EnvelopeViolationError, match="iterate 1 left"):
-        solve_wave(base_params, C, g, swapped, tol=1e-10)
+        solve_wave(swapped, tol=1e-10)
 
 
-def test_subcritical_speed_rejected(base_params, base_grid, base_bounds):
-    with pytest.raises(ParameterError):
-        solve_wave(base_params, 0.8, base_grid, base_bounds)
+def test_subcritical_speed_rejected(base_bounds):
+    # the speed is the pair's: profiles that carry c = 0.8 < cmin = 1
+    with pytest.raises(ParameterError, match="cmin"):
+        solve_wave(_carrying(base_bounds, 0.8))
 
 
 # --- phase normalization ---
@@ -301,6 +312,31 @@ def test_normalize_idempotent(base_wave_normalized):
     assert prof.v[mid] == pytest.approx(0.5, abs=1e-12)
     again = normalize_phase(prof)
     assert np.max(np.abs(again.samples() - prof.samples())) < 1e-12
+
+
+def _normalized_offsets(p, c, L, n):
+    """The normalized front's crossing of v = 1/2, and how far a second
+    normalization moves it."""
+    g = make_grid(L, n)
+    once = normalize_phase(solve_wave(make_bounds(p, c, g), tol=1e-10)[0])
+    twice = normalize_phase(once)
+    return (level_crossing(g, once.knots[:, 1], 0.5),
+            float(np.max(np.abs(twice.samples() - once.samples()))))
+
+
+def test_normalize_contract_odd_and_even_n(base_params):
+    # odd n: a node sits at 0 and holds 1/2, exact to roundoff (measured
+    # 4.3e-16 and 5.6e-17 at n = 199)
+    x0, moved = _normalized_offsets(base_params, 1.0, 20.0, 199)
+    assert abs(x0) < 1e-14 and moved < 1e-14
+    # even n: 0 lies between nodes, and the re-sampled front's interpolant
+    # crosses 1/2 off 0 by its O(h^3) error; measured on h-ladders at
+    # L = 20, 40 and c = 1, 1.25: |x0| <= 9.8e-4 h^3, moved <= 7.4e-5 h^3
+    for n in (100, 200, 400, 800):
+        h = make_grid(20.0, n).h
+        x0, moved = _normalized_offsets(base_params, 1.0, 20.0, n)
+        assert abs(x0) < 2e-3 * h**3
+        assert moved < 1.5e-4 * h**3
 
 
 def test_normalize_round_trip(base_wave_normalized):
@@ -374,7 +410,7 @@ def test_fit_window_too_noisy(base_params):
 def _rate_errors(p, c, L, n):
     g = make_grid(L, n)
     bp = make_bounds(p, c, g)
-    prof, _ = solve_wave(p, c, g, bp, tol=1e-10)
+    prof, _ = solve_wave(bp, tol=1e-10)
     prof = normalize_phase(prof)
     fm = fit_decay(prof, p, "-inf")
     fp = fit_decay(prof, p, "+inf")
@@ -394,7 +430,7 @@ def test_uniqueness_across_lower_parameters(base_params):
     waves = []
     for l in (0.2, 0.4):
         bp = make_bounds(base_params, C, g, l=l)
-        prof, _ = solve_wave(base_params, C, g, bp, tol=1e-10)
+        prof, _ = solve_wave(bp, tol=1e-10)
         waves.append(normalize_phase(prof))
     gap = np.max(np.abs(waves[0].samples() - waves[1].samples()))
     assert gap < 1e-6
@@ -451,13 +487,13 @@ def test_speed_rule_is_one_rule(base_params):
     c = 1.0 - 5e-13
     assert subcritical_verdict(base_params, c).verdict == "CriticalAdmissible"
     bp = make_bounds(base_params, c, g)
-    assert solve_wave(base_params, c, g, bp, tol=1e-10)[1].converged
+    assert solve_wave(bp, tol=1e-10)[1].converged
     c = 1.0 - 2e-12
     assert subcritical_verdict(base_params, c).verdict == "NoMonotoneWave"
     with pytest.raises(SubcriticalSpeedError):
         solve_kpp(upper_nonlinearity(base_params), c, g)
     with pytest.raises(SubcriticalSpeedError, match="cmin"):
-        solve_wave(base_params, c, g, bp)
+        solve_wave(_carrying(bp, c))
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5])
@@ -466,7 +502,7 @@ def test_critical_tail_fit_at_rounded_cmin(alpha):
     # the -inf tail still takes the critical form (A|xi| + B) e^{sqrt(alpha) xi}
     p = derive_params(alpha, 0.5)
     g = make_grid(60.0, 2999)
-    prof, _ = solve_wave(p, p.cmin, g, make_bounds(p, p.cmin, g), tol=1e-10)
+    prof, _ = solve_wave(make_bounds(p, p.cmin, g), tol=1e-10)
     f = fit_decay(normalize_phase(prof), p, "-inf")
     assert f.predicted_rate == math.sqrt(alpha)
     assert f.rate_u == pytest.approx(math.sqrt(alpha), rel=0.01)
