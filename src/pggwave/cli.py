@@ -87,12 +87,21 @@ def _check_eigs(cfg: RunConfig, args) -> None:
 
 
 def _check_stability(cfg: RunConfig, args) -> dynamics.SimConfig:
+    """A front solve's preconditions, and weights inside the admissible
+    window whose computed weighted essential spectrum is negative: at the
+    window's edge the computed vertex can round to >= 0."""
     _check_front(cfg, args)
+    p = derive_params(cfg.alpha, cfg.k)
     w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
-    if not spectrum.weight_window(derive_params(cfg.alpha, cfg.k),
-                                  cfg.c).contains(w):
+    if not spectrum.weight_window(p, cfg.c).contains(w):
         raise ParameterError(
             f"weights ({w.sigma1}, {w.sigma2}) outside the admissible window")
+    top, vertices = spectrum.essential_spectrum_max(p, cfg.c, w)
+    if top >= 0:
+        raise ParameterError(
+            f"weights ({w.sigma1}, {w.sigma2}): the vertex of branch "
+            f"{int(vertices.argmax()) + 1} of the weighted essential spectrum "
+            f"is {top:.3e} >= 0")
     return dynamics.SimConfig(dt=cfg.dt, t_end=cfg.t_end)
 
 
@@ -280,19 +289,24 @@ OPTIONS = {"eigs": {"count": 6}, "spread": {"t0": 40.0, "t1": 80.0}}
 
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per subcommand; a configuration flag not given is
-    absent from the parsed arguments."""
+    absent from the parsed arguments.
+
+    ``--config`` and the ``RunConfig`` flags are built once, in a parent
+    parser that every subparser inherits; a subcommand's own options and
+    ``sweep``'s ``--run`` and ``--vary`` follow them."""
     ap = argparse.ArgumentParser(
         prog="pggwave",
         description="Traveling fronts of the public-goods reaction-diffusion "
                     "system: existence, spectra, and dynamic stability.")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=str, default=None,
+                        help="flat key=value configuration file")
+    for f in fields(RunConfig):
+        common.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            default=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", type=str, default=None,
-                        help="flat key=value configuration file")
-        for f in fields(RunConfig):
-            sp.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                            default=argparse.SUPPRESS)
+        sp = sub.add_parser(name, parents=[common])
         for opt, default in OPTIONS.get(name, {}).items():
             sp.add_argument(f"--{opt}", type=type(default), default=default)
         if name == "sweep":

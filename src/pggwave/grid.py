@@ -8,9 +8,11 @@ in x on x >= 0: its left end is the mirror row, whose ghost repeats a
 sample, and ``stencil_bands`` and ``boundary_vector`` close it.  All
 operators are plain centered second-order stencils; the one copy of
 T = d^2/dxi^2 - c d/dxi is here, as is the phase translation of profiles.
-``linearization_bands`` is the banded Jacobian of ``residual``; the wave's
-Newton steps and the spectrum use it.  ``_banded_solve`` hands the front
-solves' bands to LAPACK directly.
+``linearization_bands`` is the banded Jacobian of ``residual``; the spectrum
+takes it as a new array, and the wave's Newton steps have it written
+straight into their dgbsv workspace, every entry, so that no (5, 2n) copy
+is made per step.  ``_banded_solve`` hands the front solves' bands to
+LAPACK directly.
 The scalar and the vector front solves share three pieces here:
 ``_shifted_sweep``, their beta-shifted monotone sweep; ``_damped``, the one
 rule that halves a Newton step back into the envelope; and
@@ -24,8 +26,9 @@ from scipy: its interpolation and root-finding subpackages, and the special
 functions they load, would cost every run a third of its import time and a
 fifth of its memory.  ARPACK and ``scipy.sparse`` load only when an
 eigensolve runs (``spectrum.eigen_report``).  Every CSV artifact goes
-through ``write_csv`` and every JSON artifact through ``write_json``, which
-serialises a report from its fields.
+through ``write_csv``, which formats a block of rows with one ``%``, and
+every JSON artifact through ``write_json``, which serialises a report from
+its fields.
 """
 
 from __future__ import annotations
@@ -239,8 +242,8 @@ def residual(p: ModelParams, prof: Profile) -> np.ndarray:
     return lin + reaction(p, StateVec(prof.u, prof.v)).T
 
 
-def linearization_bands(p: ModelParams, prof: Profile, g1=0.0,
-                        g2=0.0) -> np.ndarray:
+def linearization_bands(p: ModelParams, prof: Profile, g1=0.0, g2=0.0,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Banded V'' - (2 g1 + c) V' + M(xi) V with Dirichlet ends, shape (5, 2n).
 
     M(xi) = (2 g1^2 - g2 + c g1) I + dF/dU evaluated along the profile; g1, g2
@@ -249,6 +252,12 @@ def linearization_bands(p: ModelParams, prof: Profile, g1=0.0,
     interior samples.  Components are interleaved (u_1, v_1, u_2, v_2, ...),
     keeping the five diagonals at offsets -2..2, stored in LAPACK banded
     order: row d holds offset 2 - d.
+
+    The bands are written into ``out`` when one is given (any (5, 2n) float
+    array, strided views included, such as rows 2.. of a dgbsv workspace)
+    and returned.  Every entry is written, the zeros outside the bands too,
+    so whatever ``out`` held before, a previous LU factorisation included,
+    does not show.
     """
     g, c = prof.grid, prof.c
     h, n = g.h, g.n
@@ -258,21 +267,26 @@ def linearization_bands(p: ModelParams, prof: Profile, g1=0.0,
     A = jacobian(p, StateVec(prof.u, prof.v))
     left, right = stencil_coefficients(g, 2.0 * g1 + c)
 
-    bands = np.zeros((5, 2 * n))
+    bands = np.empty((5, 2 * n)) if out is None else out
     # offset 0: diagonal = -2/h^2 + shift + A_jj
     bands[2, 0::2] = -2.0 / h**2 + shift + A[0, 0]
     bands[2, 1::2] = -2.0 / h**2 + shift + A[1, 1]
     # offset +1: (u_i -> v_i) coupling A12 on even rows; odd rows are
-    # (v_i -> u_{i+1}) and stay zero
+    # (v_i -> u_{i+1}) and zero
+    bands[1, 0::2] = 0.0
     bands[1, 1::2] = A[0, 1]
-    # offset -1: A21 on odd rows
-    bands[3, 0:-1:2] = A[1, 0]
-    # offset +2: right neighbor, same component
+    # offset -1: A21 on odd rows; even rows (u_{i+1} -> v_i) are zero
+    bands[3, 0::2] = A[1, 0]
+    bands[3, 1::2] = 0.0
+    # offset +2: right neighbor, same component; the first two entries lie
+    # outside the matrix
+    bands[0, :2] = 0.0
     bands[0, 2::2] = right[:-1]
     bands[0, 3::2] = right[:-1]
-    # offset -2: left neighbor
+    # offset -2: left neighbor; the last two entries lie outside the matrix
     bands[4, 0:-2:2] = left[1:]
     bands[4, 1:-2:2] = left[1:]
+    bands[4, -2:] = 0.0
     return bands
 
 
@@ -500,15 +514,18 @@ def write_csv(path, header: str, *columns) -> None:
     """Write equal-length numeric columns as CSV rows under ``header``; values
     are written with 17 significant digits so a round trip is bit-faithful.
     The rows are formatted and written _CSV_BLOCK at a time, so the memory
-    the writer holds does not grow with the row count."""
+    the writer holds does not grow with the row count.  A block of m rows
+    is one ``%`` of the row format repeated m times over the block's
+    values, read row by row."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     nrows = min((len(col) for col in columns), default=0)
     with open(path, "w") as f:
         f.write(header + "\n")
         for start in range(0, nrows, _CSV_BLOCK):
-            block = [np.asarray(col[start:start + _CSV_BLOCK],
-                                dtype=float).tolist() for col in columns]
-            f.write("".join(row % vals for vals in zip(*block)))
+            stop = min(start + _CSV_BLOCK, nrows)
+            block = np.column_stack([np.asarray(col[start:stop], dtype=float)
+                                     for col in columns])
+            f.write(row * (stop - start) % tuple(block.ravel().tolist()))
 
 
 def _jsonable(obj):

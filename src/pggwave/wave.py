@@ -17,10 +17,10 @@ The sweeps contract at a rate rho that tends to 1 at the critical speed
 (rho ~ 0.9987 at c = 1, L = 80), so Newton's method on the interleaved
 pentadiagonal Jacobian of the discretized system (``grid.linearization_bands``,
 the zero-weight operator of the spectrum module) accelerates them.  A
-Newton step copies those five bands into one Fortran-ordered (7, 2n)
-workspace, allocated once per solve, which LAPACK's dgbsv factors in place
-(``grid._banded_solve``): the routine ``scipy.linalg.solve_banded`` calls,
-on the same values, with none of its copies or finiteness scans.  The
+Newton step writes those five bands straight into one Fortran-ordered
+(7, 2n) workspace, allocated once per solve, which LAPACK's dgbsv factors
+in place (``grid._banded_solve``): the routine ``scipy.linalg.solve_banded``
+calls, on the same values, with none of its copies or finiteness scans.  The
 sweep is ``grid._shifted_sweep`` and the loop ``grid._sweep_newton``, both
 shared with the scalar solves of ``kpp``: Newton from the first sweep, each
 step halved back into the envelope (``grid._damped``), the envelope check
@@ -160,7 +160,7 @@ def solve_wave(bounds: BoundPair, tol: float = 1e-10,
 
     def newton(U):
         prof = as_profile(U)
-        work[2:] = linearization_bands(p, prof)
+        linearization_bands(p, prof, out=work[2:])
         return solve_banded((2, 2), work,
                             -residual(p, prof).ravel()).reshape(U.shape)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import pggwave
-from pggwave import default_l, derive_params, dynamics, spectrum, wave
-from pggwave.cli import COMMANDS, main
+from pggwave import (default_l, derive_params, dynamics, spectrum, wave,
+                     weight_window)
+from pggwave.cli import COMMANDS, OPTIONS, build_parser, main
 from pggwave.config import RunConfig, load_config_file, resolve_config
 from pggwave.errors import ParameterError
 
@@ -200,6 +202,41 @@ def test_stability_rejects_window_violation(capsys, tmp_path):
     assert "window" in err
 
 
+def _edge_weights(c):
+    """sigma1 = (1 - 2^-52) sigma1_max, just inside its window's open end
+    at speed c, so ``contains`` admits it; sigma2 mid-window."""
+    win = weight_window(derive_params(0.25, 0.5), c)
+    return ((1.0 - 2.0**-52) * win.sigma1_max,
+            0.5 * (win.sigma2_min + win.sigma2_max))
+
+
+@pytest.mark.parametrize("sweep", [False, True], ids=["stability", "sweep"])
+def test_stability_refuses_a_nonnegative_computed_vertex(capsys, tmp_path,
+                                                         monkeypatch, sweep):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the wave was solved before validation")
+
+    s1, s2 = _edge_weights(2.0)
+    p, w = derive_params(0.25, 0.5), spectrum.WeightPair(s1, s2)
+    assert weight_window(p, 2.0).contains(w)
+    assert spectrum.essential_spectrum_max(p, 2.0, w)[0] >= 0.0
+    monkeypatch.setattr(wave, "solve_wave", refuse)
+    weights = ["--sigma1", repr(s1), "--sigma2", repr(s2)]
+    argv = (["sweep", "--run", "stability", "--vary", "t_end=1,2", *weights]
+            if sweep else ["stability", *weights])
+    code, _, err = run_cli(capsys, *argv, "--c", "2",
+                           "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "vertex of branch 1" in err and ">= 0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_benchmark_weights_pass_the_stability_check():
+    check, _ = COMMANDS["stability"]
+    cfg = RunConfig(sigma1=0.05, sigma2=0.5)
+    assert check(cfg, None).t_end == cfg.t_end
+
+
 @pytest.mark.parametrize("argv", [
     ("stability", "--dt", "0.03", "--t-end", "0.1"),
     ("stability", "--sigma2", "0.1"),
@@ -323,6 +360,66 @@ def test_every_config_key_is_a_flag(monkeypatch, command):
         argv = [command, *extra, "--" + name.replace("_", "-"), str(value)]
         assert main(argv) == 0
         assert seen.pop() == replace(RunConfig(), **{name: value})
+
+
+def _subparsers():
+    """Each subcommand's parser, by name."""
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+CONFIG_FLAGS = ["--" + f.name.replace("_", "-") for f in fields(RunConfig)]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_subcommand_takes_the_shared_flags(command):
+    sp = _subparsers()[command]
+    extra = ["--run", "spectrum"] if command == "sweep" else []
+    # a flag not given is absent, --config excepted
+    given = vars(sp.parse_args(extra))
+    assert given["config"] is None
+    assert not {f.name for f in fields(RunConfig)} & set(given)
+    argv = [*extra, "--config", "x.cfg"]
+    for flag in CONFIG_FLAGS:
+        argv += [flag, "v" + flag]
+    given = vars(sp.parse_args(argv))
+    assert given["config"] == "x.cfg"
+    assert all(given[f.name] == "v--" + f.name.replace("_", "-")
+               for f in fields(RunConfig))
+
+
+def test_subcommand_options_keep_their_defaults():
+    subs = _subparsers()
+    assert vars(subs["eigs"].parse_args([]))["count"] == 6
+    given = vars(subs["spread"].parse_args([]))
+    assert (given["t0"], given["t1"]) == (40.0, 80.0)
+    assert "count" not in vars(subs["wave"].parse_args([]))
+
+
+@pytest.mark.parametrize("argv", [["sweep"], ["sweep", "--vary", "c=1,2"],
+                                  ["wave", "--bogus", "1"],
+                                  ["eigs", "--t0", "1"]],
+                         ids=["sweep-no-run", "sweep-vary-no-run",
+                              "unknown-flag", "other-subcommand-option"])
+def test_parser_refusals_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_subcommand_help_lists_every_flag_once(command):
+    text = _subparsers()[command].format_help()
+    listed = [line.split()[0].rstrip(",")
+              for line in text.split("options:\n", 1)[1].splitlines()
+              if line.startswith("  -")]
+    want = ["-h", "--config", *CONFIG_FLAGS,
+            *("--" + opt for opt in OPTIONS.get(command, {}))]
+    if command == "sweep":
+        want += ["--run", "--vary"]
+    assert listed == want
 
 
 def test_flag_l_none_selects_default_l(capsys, tmp_path):

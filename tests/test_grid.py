@@ -371,6 +371,26 @@ def test_linearization_bands_are_residual_jacobian():
     assert np.max(np.abs(fd - Je)) < 1e-4 * np.max(np.abs(Je))
 
 
+def test_linearization_bands_fill_a_dgbsv_workspace(base_params, base_wave,
+                                                   base_bounds):
+    # the band rows of a Newton step's (7, 2n) workspace: NaN before the
+    # front, the front's LU factors before the shifted upper bound
+    profiles = (base_wave[0], base_bounds.shifted_upper)
+    work = np.full((7, 2 * profiles[0].grid.n), np.nan, order="F")
+    b = np.random.default_rng(7).standard_normal(work.shape[1])
+    for prof in profiles:
+        out = linearization_bands(base_params, prof, out=work[2:])
+        assert np.shares_memory(out, work)
+        assert not np.isnan(work[2:]).any()
+        assert np.array_equal(work[2:], linearization_bands(base_params, prof))
+        grid._banded_solve((2, 2), work, b.copy())
+    # a weighted operator's bands, written over factors, as returned
+    g1, g2 = 0.3 * np.tanh(profiles[0].grid.nodes), 0.1
+    linearization_bands(base_params, profiles[0], g1, g2, out=work[2:])
+    assert np.array_equal(work[2:],
+                          linearization_bands(base_params, profiles[0], g1, g2))
+
+
 def _tridiagonal(ab):
     return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -211,8 +212,11 @@ def test_rejected_newton_resumes_sweeps(base_bounds, base_wave, monkeypatch,
                                         scale):
     # a wrong Jacobian: at 0.5 the corrections barely shrink, at 1e-3 the
     # first step overshoots by ~1000x; either way the sweeps must finish
-    monkeypatch.setattr(wave, "linearization_bands",
-                        lambda p, prof: scale * linearization_bands(p, prof))
+    def scaled(p, prof, *, out):
+        linearization_bands(p, prof, out=out)
+        out *= scale
+
+    monkeypatch.setattr(wave, "linearization_bands", scaled)
     cb, gaps = _envelope_recorder(base_bounds)
     prof, rep = solve_wave(base_bounds, tol=1e-10, callback=cb)
     assert rep.converged
@@ -221,6 +225,23 @@ def test_rejected_newton_resumes_sweeps(base_bounds, base_wave, monkeypatch,
     assert rep.iterations > base_wave[1].iterations
     assert min(gaps) >= -1e-12
     assert np.max(np.abs(prof.samples() - base_wave[0].samples())) < 1e-8
+
+
+def test_newton_steps_write_their_bands_in_place(base_params):
+    # one critical-speed solve at L = 80, n = 7999: the traced peak above
+    # the start was 3.20 MB while each Newton step built the (5, 2n) bands
+    # (0.64 MB) and copied them into the dgbsv workspace, and is 2.69 MB
+    # with the bands written into the workspace itself
+    bp = make_bounds(base_params, 1.0, make_grid(80.0, 7999), tol=1e-12)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, rep = solve_wave(bp, tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert rep.newton_steps
+    assert peak < 2.95e6
 
 
 def test_report_records_solver_state(base_bounds, base_wave, monkeypatch):
