@@ -13,14 +13,15 @@ The monotone iteration runs between an ordered pair (Sattinger 1972): the
 lower bound and the upper bound translated left by the ordering shift r.
 ``BoundPair.shifted_upper`` is that one translated profile, Dirichlet data
 included, and ``order_shift`` finds r by comparing all n+2 knot rows, so
-the end rows are ordered with the samples.  A pair carries its model
-``params``, and its profiles carry the speed and the grid, so
-``wave.solve_wave`` reads its whole problem from the pair.
+the end rows are ordered with the samples.  ``build_bound`` gives each
+bound the model of its scalar front, and the bounds carry the model, the
+speed and the grid, so ``wave.solve_wave`` reads its whole problem from the
+pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,16 +48,20 @@ MARGIN_TOL = 1e-7  # largest wrong-sign inequality margin a bound may show
 
 @dataclass(frozen=True)
 class BoundPair:
-    """The ordered bounds of one front problem: the model ``params``, and
-    the speed and grid that ``upper`` and ``lower`` carry."""
+    """The ordered bounds of one front problem, whose model, speed and grid
+    ``upper`` and ``lower`` carry."""
 
     upper: Profile
     lower: Profile
     shift: float  # r >= 0 applied to the upper, a grid multiple
     l: float
-    params: ModelParams
     # each scalar solve's report, by bound; empty for a hand-built pair
     fronts: dict[str, KppReport] = field(default_factory=dict)
+
+    @property
+    def params(self) -> ModelParams:
+        """The pair's model, the one its upper bound carries."""
+        return self.upper.params
 
     @property
     def shifted_upper(self) -> Profile:
@@ -64,8 +69,7 @@ class BoundPair:
         round(shift/h) on, padded with its right end row, so the Dirichlet
         data move with the samples."""
         m = int(round(self.shift / self.upper.grid.h))
-        return Profile(self.upper.grid, _shifted_knots(self.upper, m),
-                       self.upper.c)
+        return replace(self.upper, knots=_shifted_knots(self.upper, m))
 
 
 @dataclass(frozen=True)
@@ -98,10 +102,10 @@ def build_bound(s: ScalarProfile) -> Profile:
     """
     l = 1.0 if s.nl.l is None else s.nl.l
     return Profile(s.grid, np.column_stack(
-        (s.nl.params.kstar * l * s.knots, s.knots)), s.c)
+        (s.nl.params.kstar * l * s.knots, s.knots)), s.c, s.nl.params)
 
 
-def verify_bound(p: ModelParams, prof: Profile, kind: str) -> MarginReport:
+def verify_bound(prof: Profile, kind: str) -> MarginReport:
     """Evaluate both differential-inequality left-hand sides nodewise.
 
     Upper solutions need both components <= MARGIN_TOL; lower >= -MARGIN_TOL.
@@ -112,7 +116,7 @@ def verify_bound(p: ModelParams, prof: Profile, kind: str) -> MarginReport:
     """
     if kind not in ("upper", "lower"):
         raise ParameterError(f"kind must be 'upper' or 'lower', got {kind!r}")
-    margins = residual(p, prof)
+    margins = residual(prof)
     # a NaN margin is the worst: argmax and argmin both return the first NaN
     flat = int(np.argmax(margins) if kind == "upper" else np.argmin(margins))
     worst = float(margins.flat[flat])
@@ -164,8 +168,8 @@ def make_bounds(p: ModelParams, c: float, g: Grid, l: float | None = None,
                 tol: float = 1e-12) -> BoundPair:
     """Solve both scalar fronts, build the vector bounds, compute the shift.
 
-    The pair carries ``p``, and its profiles carry ``c`` and ``g``: the
-    whole problem that ``wave.solve_wave`` then solves.
+    The pair's profiles carry ``p``, ``c`` and ``g``: the whole problem
+    that ``wave.solve_wave`` then solves.
     """
     if l is None:
         l = default_l(p)
@@ -174,7 +178,7 @@ def make_bounds(p: ModelParams, c: float, g: Grid, l: float | None = None,
     upper = build_bound(s_up)
     lower = build_bound(s_lo)
     r = order_shift(upper, lower)
-    return BoundPair(upper=upper, lower=lower, shift=r, l=l, params=p,
+    return BoundPair(upper=upper, lower=lower, shift=r, l=l,
                      fronts={"upper": s_up.report, "lower": s_lo.report})
 
 

@@ -4,10 +4,10 @@ The flags are ``RunConfig``'s fields (``--t-end`` sets ``t_end``).  A
 subcommand is its checks before solving and its run; ``sweep`` checks every
 point first.
 
-Exit codes: 0 success, 2 validation error, 3 convergence failure.  Every
-JSON report embeds the fully-resolved configuration, and all numeric output
-is formatted deterministically, so identical configurations produce
-byte-identical artifacts.
+Exit codes: 0 success, 2 validation error, 3 numerical failure (an
+``errors.NumericalError``).  Every JSON report embeds the fully-resolved
+configuration, and all numeric output is formatted deterministically, so
+identical configurations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import dynamics, kpp, spectrum, wave
 from .config import RunConfig, _coerce, resolve_config, validate_config
-from .errors import (BlowUpError, ConvergenceError, EmptyWindowError,
-                     EnvelopeViolationError, FitWindowError,
-                     FrontNotFoundError, ParameterError, ShiftNotFoundError)
+from .errors import EmptyWindowError, NumericalError, ParameterError
 from .grid import (make_grid, require_m_matrix, save_profile, write_csv,
                    write_json)
 from .model import SpeedVerdict, derive_params, require_monotone_wave
@@ -31,10 +29,6 @@ from .model import SpeedVerdict, derive_params, require_monotone_wave
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
-
-_CONVERGENCE_ERRORS = (ConvergenceError, EnvelopeViolationError,
-                       ShiftNotFoundError, BlowUpError, FitWindowError,
-                       FrontNotFoundError)
 
 
 def _write_json(path: Path, report, cfg: RunConfig) -> None:
@@ -56,9 +50,7 @@ def _bounds(cfg: RunConfig) -> bounds_mod.BoundPair:
 
 
 def _solve_pipeline(cfg: RunConfig):
-    bp = _bounds(cfg)
-    prof, report = wave.solve_wave(bp, tol=cfg.tol)
-    return bp.params, prof, report
+    return wave.solve_wave(_bounds(cfg), tol=cfg.tol)
 
 
 def _check_none(cfg: RunConfig, args) -> None:
@@ -87,9 +79,10 @@ def _check_eigs(cfg: RunConfig, args) -> None:
 
 
 def _check_stability(cfg: RunConfig, args) -> dynamics.SimConfig:
-    """A front solve's preconditions, and weights inside the admissible
-    window whose computed weighted essential spectrum is negative: at the
-    window's edge the computed vertex can round to >= 0."""
+    """A front solve's preconditions, weights inside the admissible window
+    whose computed weighted essential spectrum is negative (at the window's
+    edge the computed vertex can round to >= 0), and a run that records
+    enough samples for its decay fit."""
     _check_front(cfg, args)
     p = derive_params(cfg.alpha, cfg.k)
     w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
@@ -102,7 +95,9 @@ def _check_stability(cfg: RunConfig, args) -> dynamics.SimConfig:
             f"weights ({w.sigma1}, {w.sigma2}): the vertex of branch "
             f"{int(vertices.argmax()) + 1} of the weighted essential spectrum "
             f"is {top:.3e} >= 0")
-    return dynamics.SimConfig(dt=cfg.dt, t_end=cfg.t_end)
+    simcfg = dynamics.SimConfig(dt=cfg.dt, t_end=cfg.t_end)
+    dynamics.check_decay_window(simcfg)
+    return simcfg
 
 
 def _check_instability(cfg: RunConfig, args) -> dynamics.SimConfig:
@@ -128,12 +123,12 @@ def cmd_params(cfg: RunConfig, args, _) -> None:
 
 
 def cmd_wave(cfg: RunConfig, args, verdict: SpeedVerdict) -> None:
-    p, prof, report = _solve_pipeline(cfg)
+    prof, report = _solve_pipeline(cfg)
     normalized = wave.normalize_phase(prof)
-    fits = [wave.fit_decay(normalized, p, side) for side in ("-inf", "+inf")]
+    fits = [wave.fit_decay(normalized, side) for side in ("-inf", "+inf")]
     out = _outdir(cfg, "wave")
-    save_profile(normalized, out / "profile.csv", alpha=cfg.alpha, k=cfg.k,
-                 sigma1=cfg.sigma1, sigma2=cfg.sigma2)
+    save_profile(normalized, out / "profile.csv", sigma1=cfg.sigma1,
+                 sigma2=cfg.sigma2)
     _write_json(out / "iteration_report.json", report, cfg)
     _write_json(out / "decay_fits.json", {"fits": fits, "verdict": verdict},
                 cfg)
@@ -149,19 +144,18 @@ def cmd_wave(cfg: RunConfig, args, verdict: SpeedVerdict) -> None:
 
 def cmd_bounds_check(cfg: RunConfig, args, verdict) -> None:
     bp = _bounds(cfg)
-    p, g = bp.params, bp.upper.grid
     out = _outdir(cfg, "bounds-check")
     reports = {}
     for kind, prof in (("upper", bp.upper), ("lower", bp.lower)):
-        rep = bounds_mod.verify_bound(p, prof, kind)
-        bounds_mod.margins_to_csv(rep, g, out / f"margins_{kind}.csv")
+        rep = bounds_mod.verify_bound(prof, kind)
+        bounds_mod.margins_to_csv(rep, prof.grid, out / f"margins_{kind}.csv")
         reports[kind] = {"worst": rep.worst, "worst_xi": rep.worst_xi,
                          "worst_component": rep.worst_component,
                          "passed": rep.passed}
         where = ("at roundoff" if rep.worst_xi is None
                  else f"at xi = {rep.worst_xi:.4f}")
         print(f"{kind}: worst margin {rep.worst:.3e} {where}")
-    nl = kpp.lower_nonlinearity(p, bp.l)
+    nl = kpp.lower_nonlinearity(bp.params, bp.l)
     _write_json(out / "bounds_report.json",
                 {"reports": reports, "fronts": bp.fronts, "shift": bp.shift,
                  "l": bp.l, "lower_plateau_slope": nl.plateau_slope_report()},
@@ -189,16 +183,16 @@ def cmd_spectrum(cfg: RunConfig, args, _) -> None:
 
 
 def cmd_eigs(cfg: RunConfig, args, _) -> None:
-    p, prof, _ = _solve_pipeline(cfg)
+    prof, _ = _solve_pipeline(cfg)
     w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
-    op = spectrum.assemble_weighted_operator(p, prof, w)
+    op = spectrum.assemble_weighted_operator(prof, w)
     rep = spectrum.make_spectrum_report(
-        p, cfg.c, w, spectrum.eigen_report(op, args.count))
+        prof.params, prof.c, w, spectrum.eigen_report(op, args.count))
     out = _outdir(cfg, "eigs")
     cols = ("re", "im", "boundary_mass_fraction")
     write_csv(out / "eigenvalues.csv", ",".join(cols),
               *([ev[key] for ev in rep.eigenvalues] for key in cols))
-    tm = spectrum.translation_mode_check(p, prof, w)
+    tm = spectrum.translation_mode_check(prof, w)
     _write_json(out / "spectrum_report.json",
                 {**asdict(rep), "translation_mode": tm}, cfg)
     print(f"rightmost eigenvalue: {rep.rightmost.real:.8f} "
@@ -208,9 +202,9 @@ def cmd_eigs(cfg: RunConfig, args, _) -> None:
 
 
 def cmd_stability(cfg: RunConfig, args, simcfg: dynamics.SimConfig) -> None:
-    p, prof, _ = _solve_pipeline(cfg)
+    prof, _ = _solve_pipeline(cfg)
     rep = dynamics.stability_experiment(
-        p, prof, spectrum.WeightPair(cfg.sigma1, cfg.sigma2), simcfg)
+        prof, spectrum.WeightPair(cfg.sigma1, cfg.sigma2), simcfg)
     out = _outdir(cfg, "stability")
     dynamics.trace_to_csv(rep.pop("trace"), out / "trace.csv")
     _write_json(out / "report.json", rep, cfg)
@@ -220,9 +214,9 @@ def cmd_stability(cfg: RunConfig, args, simcfg: dynamics.SimConfig) -> None:
 
 
 def cmd_instability(cfg: RunConfig, args, simcfg: dynamics.SimConfig) -> None:
-    p, prof, _ = _solve_pipeline(cfg)
+    prof, _ = _solve_pipeline(cfg)
     rep = dynamics.instability_experiment(
-        p, prof, spectrum.WeightPair(cfg.sigma1, cfg.sigma2), simcfg)
+        prof, spectrum.WeightPair(cfg.sigma1, cfg.sigma2), simcfg)
     out = _outdir(cfg, "instability")
     dynamics.trace_to_csv(rep.pop("trace"), out / "trace.csv")
     _write_json(out / "report.json", rep, cfg)
@@ -328,7 +322,7 @@ def main(argv=None) -> int:
             f.name: _coerce(f.name, given[f.name])
             for f in fields(RunConfig) if f.name in given})
         run(cfg, args, check(cfg, args))
-    except _CONVERGENCE_ERRORS as exc:
+    except NumericalError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except ValueError as exc:

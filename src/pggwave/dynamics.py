@@ -94,6 +94,7 @@ __all__ = [
     "spreading_speed",
     "front_position",
     "check_speed_window",
+    "check_decay_window",
     "stability_experiment",
     "instability_experiment",
     "spreading_experiment",
@@ -139,6 +140,12 @@ class SimConfig:
                 f"t = {round(steps) * self.dt:g}")
         if self.record_every < 1:
             raise ParameterError("record_every must be at least 1")
+
+    def recorded_steps(self) -> frozenset[int]:
+        """The step counts after which a run records its state: 0, every
+        ``record_every``-th, and the last, t_end / dt."""
+        nsteps = int(round(self.t_end / self.dt))
+        return frozenset((*range(0, nsteps + 1, self.record_every), nsteps))
 
 
 @dataclass
@@ -233,28 +240,33 @@ def solve_banded(factors: tuple, rhs: np.ndarray) -> np.ndarray:
     return dpttrs(*factors, rhs, overwrite_b=True)[0]
 
 
-def run_simulation(p: ModelParams, initial: Profile, cfg: SimConfig,
+def run_simulation(initial: Profile, cfg: SimConfig,
                    w: WeightPair | None = None,
                    reference: Profile | None = None, forcing=None,
                    on_blowup: str = "raise") -> Trace:
     """Advance U_t = U_xx - c U_x + F(U) [+ forcing] and record norms.
 
-    The frame speed c is ``initial.c``; a reference in another frame
-    (``reference.c != initial.c``) raises ParameterError.  Norms are of
-    U - reference when a reference is supplied, otherwise of U itself; the
-    weighted norm uses ``w`` (zero weights when omitted, i.e. a doubled sup
-    norm).  ``forcing(xi, t) -> (n, 2)`` supports manufactured solutions.
-    Blow-up (sup|U| > 10 max(K*, 1)) raises by default; with
-    on_blowup="stop" the trace is truncated and flagged instead.  On a
-    ``half_line`` grid (frame speed 0) the left end is the mirror row.
+    The model is ``initial.params`` and the frame speed c is ``initial.c``,
+    and the final state carries both; a reference in another frame
+    (``reference.c != initial.c``) or for another model raises
+    ParameterError.  Norms are of U - reference when a reference is
+    supplied, otherwise of U itself; the weighted norm uses ``w`` (zero
+    weights when omitted, i.e. a doubled sup norm).  A forcing
+    ``forcing(xi, t) -> (n, 2)`` supports manufactured solutions.  Blow-up
+    (sup|U| > 10 max(K*, 1)) raises by default; with on_blowup="stop" the
+    trace is truncated and flagged instead.  On a ``half_line`` grid (frame
+    speed 0) the left end is the mirror row.  The state is recorded after
+    the steps ``cfg.recorded_steps()`` names.
     """
-    c = initial.c
+    p, c = initial.params, initial.c
     if c < 0:
         raise ParameterError(f"the frame speed initial.c = {c:g} is negative")
     if reference is not None and reference.c != c:
         raise ParameterError(
             f"the reference moves at c = {reference.c:g}, the run's frame at "
             f"initial.c = {c:g}")
+    if reference is not None and reference.params != p:
+        raise ParameterError("the reference is for another model")
     if on_blowup not in ("raise", "stop"):
         raise ParameterError("on_blowup must be 'raise' or 'stop'")
     g = initial.grid
@@ -271,6 +283,7 @@ def run_simulation(p: ModelParams, initial: Profile, cfg: SimConfig,
 
     guard = 10.0 * max(p.kstar, 1.0)
     nsteps = int(round(cfg.t_end / dt))
+    recorded = cfg.recorded_steps()
     # every per-step array, allocated once in the F order dpttrs reads: the
     # state, two alternating reaction buffers, the right-hand side and one
     # temporary
@@ -334,11 +347,11 @@ def run_simulation(p: ModelParams, initial: Profile, cfg: SimConfig,
                         if math.isfinite(supU) else "sup|U| is not finite")
                 raise BlowUpError(f"{what} at t = {t + dt:.3f}")
             break
-        if (mstep + 1) % cfg.record_every == 0 or mstep + 1 == nsteps:
+        if mstep + 1 in recorded:
             record(mstep + 1, U)
 
     left = initial.knots[0] if g.mirror_row is None else U[g.mirror_row]
-    final = Profile(g, np.vstack((left, U, initial.knots[-1])), c)
+    final = replace(initial, knots=np.vstack((left, U, initial.knots[-1])))
     return Trace(times=np.array(times), weighted_norms=np.array(wnorms),
                  sup_norms=np.array(snorms), front_positions=np.array(fronts),
                  blew_up=blew_up, final_state=final, steps=steps,
@@ -397,12 +410,11 @@ def spreading_speed(tr: Trace, t_window: tuple[float, float]) -> float:
     return float(slope)
 
 
-def stability_experiment(p: ModelParams, wave: Profile, w: WeightPair,
-                         cfg: SimConfig) -> dict:
+def stability_experiment(wave: Profile, w: WeightPair, cfg: SimConfig) -> dict:
     """Small weighted perturbation (``AMPLITUDE``) decays in the frame of
     ``wave.c``: returns norms and (M, b) fitted from ``DECAY_FIT_START`` on."""
     initial = perturb(wave, "gaussian", AMPLITUDE)
-    tr = run_simulation(p, initial, cfg, w=w, reference=wave)
+    tr = run_simulation(initial, cfg, w=w, reference=wave)
     M, b = fit_decay_constant(tr, DECAY_FIT_START)
     return {
         "kind": "stability",
@@ -422,14 +434,13 @@ def stability_experiment(p: ModelParams, wave: Profile, w: WeightPair,
     }
 
 
-def instability_experiment(p: ModelParams, wave: Profile, w: WeightPair,
+def instability_experiment(wave: Profile, w: WeightPair,
                            cfg: SimConfig) -> dict:
     """Left-tail perturbation (``AMPLITUDE``) grows in sup norm in the frame
     of ``wave.c``; blow-up is reported, not raised.  ``w`` measures the
     perturbation's weighted size."""
     initial = perturb(wave, "left_tail", AMPLITUDE)
-    tr = run_simulation(p, initial, cfg, w=w, reference=wave,
-                        on_blowup="stop")
+    tr = run_simulation(initial, cfg, w=w, reference=wave, on_blowup="stop")
     return {
         "kind": "instability",
         "amplitude": AMPLITUDE,
@@ -473,7 +484,7 @@ def spreading_seed(p: ModelParams, g: Grid) -> Profile:
         - np.logaddexp(0.0, -2.0 / SEED_EDGE * (SEED_HALFWIDTH - x))),
         SEED_FLOOR)
     seed = to_original(p, StateVec(np.full(g.n + 2, p.kstar), bump))
-    return Profile(g, np.column_stack(seed), 0.0)
+    return Profile(g, np.column_stack(seed), 0.0, p)
 
 
 def check_speed_window(t_window: tuple[float, float]) -> None:
@@ -490,6 +501,17 @@ def check_speed_window(t_window: tuple[float, float]) -> None:
         raise ParameterError(
             f"speed window [{t0}, {t1}] reaches t = 0, where the seed "
             f"(height {SEED_HEIGHT:g}) has no front at level {FRONT_LEVEL:g}")
+
+
+def check_decay_window(cfg: SimConfig) -> None:
+    """Raise ParameterError unless a run under ``cfg`` records at least two
+    samples at or after ``DECAY_FIT_START``, which the stability run's decay
+    fit needs.  The record schedule is the configuration's alone, so this
+    runs before any solve."""
+    late = sum(m * cfg.dt >= DECAY_FIT_START for m in cfg.recorded_steps())
+    if late < 2:
+        raise ParameterError(f"t_end = {cfg.t_end:g} records {late} sample(s) "
+                             f"from t = {DECAY_FIT_START:g}; the fit needs 2")
 
 
 def spreading_experiment(p: ModelParams, g: Grid, cfg: SimConfig,
@@ -511,7 +533,7 @@ def spreading_experiment(p: ModelParams, g: Grid, cfg: SimConfig,
     """
     check_speed_window(t_window)
     initial = spreading_seed(p, half_line(g))
-    tr = run_simulation(p, initial, cfg)
+    tr = run_simulation(initial, cfg)
     speed = spreading_speed(tr, t_window)
     return {
         "kind": "spreading",

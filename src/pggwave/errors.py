@@ -2,7 +2,8 @@
 
 Validation problems (bad parameters, bad grids, empty windows) derive from
 ``ValueError``; runtime failures of the numerical machinery derive from
-``RuntimeError`` so callers can map them onto distinct exit codes.
+``NumericalError``, a ``RuntimeError``, so callers can map the two onto
+distinct exit codes without naming each failure.
 """
 
 
@@ -30,15 +31,19 @@ class NormError(ValueError):
     """A norm sequence is nonpositive where a log-fit requires positivity."""
 
 
-class ConvergenceError(RuntimeError):
+class NumericalError(RuntimeError):
+    """The numerical machinery failed on a valid configuration."""
+
+
+class ConvergenceError(NumericalError):
     """An iterative solver failed to reach its tolerance."""
 
 
-class EnvelopeViolationError(RuntimeError):
+class EnvelopeViolationError(NumericalError):
     """A monotone-iteration iterate left the [lower, upper] envelope."""
 
 
-class VerificationError(RuntimeError):
+class VerificationError(NumericalError):
     """A differential-inequality check failed; carries the worst node."""
 
     def __init__(self, message, *, xi, component, margin):
@@ -48,7 +53,7 @@ class VerificationError(RuntimeError):
         self.margin = margin
 
 
-class ShiftNotFoundError(RuntimeError):
+class ShiftNotFoundError(NumericalError):
     """No admissible ordering shift exists within the truncated domain."""
 
 
@@ -56,13 +61,13 @@ class LevelNotCrossedError(ConvergenceError):
     """Phase pinning or normalization found no upward level crossing."""
 
 
-class FitWindowError(RuntimeError):
+class FitWindowError(NumericalError):
     """Too few usable samples remain in a decay-fit window."""
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(NumericalError):
     """A simulated field exceeded the blow-up guard threshold."""
 
 
-class FrontNotFoundError(RuntimeError):
+class FrontNotFoundError(NumericalError):
     """Front tracking lost the level set (absent or exited the domain)."""

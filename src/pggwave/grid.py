@@ -43,7 +43,7 @@ from scipy.linalg.lapack import dgbsv, dgtsv
 
 from .errors import (ConvergenceError, EnvelopeViolationError, GridError,
                      LevelNotCrossedError, ParameterError)
-from .model import ModelParams, StateVec, jacobian, reaction
+from .model import ModelParams, StateVec, derive_params, jacobian, reaction
 
 __all__ = [
     "Grid",
@@ -142,11 +142,17 @@ def half_line(g: Grid) -> Grid:
 @dataclass(frozen=True)
 class Profile:
     """Two-component field at the grid's knots: ``knots`` has shape (n+2, 2),
-    column 0 = u; rows 0 and -1 are the Dirichlet data at -L and +L."""
+    column 0 = u; rows 0 and -1 are the Dirichlet data at -L and +L.
+
+    A profile carries its whole front problem: the grid, the speed ``c`` and
+    the model ``params``.  It is built once, where the problem is first
+    stated; a profile derived from it is ``dataclasses.replace(parent,
+    knots=...)``, so the three carry over unchanged."""
 
     grid: Grid
     knots: np.ndarray
     c: float
+    params: ModelParams
 
     def __post_init__(self):
         if np.shape(self.knots) != (self.grid.n + 2, 2):
@@ -231,7 +237,7 @@ def boundary_vector(g: Grid, c: float, left, right) -> np.ndarray:
     return out
 
 
-def residual(p: ModelParams, prof: Profile) -> np.ndarray:
+def residual(prof: Profile) -> np.ndarray:
     """Nodewise residual of the wave system, shape (n, 2).
 
     Column j is u_j'' - c u_j' + F_j(u, v) evaluated with the profile's own
@@ -239,10 +245,10 @@ def residual(p: ModelParams, prof: Profile) -> np.ndarray:
     discretized system.
     """
     lin = apply_advection_diffusion(prof.grid, prof.c, prof.knots)
-    return lin + reaction(p, StateVec(prof.u, prof.v)).T
+    return lin + reaction(prof.params, StateVec(prof.u, prof.v)).T
 
 
-def linearization_bands(p: ModelParams, prof: Profile, g1=0.0, g2=0.0,
+def linearization_bands(prof: Profile, g1=0.0, g2=0.0,
                         out: np.ndarray | None = None) -> np.ndarray:
     """Banded V'' - (2 g1 + c) V' + M(xi) V with Dirichlet ends, shape (5, 2n).
 
@@ -264,7 +270,7 @@ def linearization_bands(p: ModelParams, prof: Profile, g1=0.0, g2=0.0,
     g1 = np.broadcast_to(np.asarray(g1, dtype=float), (n,))
     g2 = np.broadcast_to(np.asarray(g2, dtype=float), (n,))
     shift = 2.0 * g1**2 - g2 + c * g1
-    A = jacobian(p, StateVec(prof.u, prof.v))
+    A = jacobian(prof.params, StateVec(prof.u, prof.v))
     left, right = stencil_coefficients(g, 2.0 * g1 + c)
 
     bands = np.empty((5, 2 * n)) if out is None else out
@@ -550,28 +556,28 @@ def write_json(path, payload) -> None:
                                allow_nan=True, default=_jsonable) + "\n")
 
 
-def save_profile(prof: Profile, csv_path, *, alpha: float, k: float,
-                 sigma1: float = 0.0, sigma2: float = 0.0) -> None:
+def save_profile(prof: Profile, csv_path, *, sigma1: float = 0.0,
+                 sigma2: float = 0.0) -> None:
     """Write a profile's knots as CSV ``xi,u,v`` plus a JSON metadata
-    sidecar (suffix .json); the first and last rows are the Dirichlet data."""
+    sidecar (suffix .json) holding its model, speed and grid; the first and
+    last rows are the Dirichlet data."""
     csv_path = Path(csv_path)
     g = prof.grid
     write_csv(csv_path, "xi,u,v", g.knots, prof.knots[:, 0], prof.knots[:, 1])
 
-    meta = {
-        "alpha": alpha, "k": k,
-        "c": prof.c, "L": g.L, "n": g.n,
-        "sigma1": sigma1, "sigma2": sigma2,
-    }
-    write_json(csv_path.with_suffix(".json"), meta)
+    write_json(csv_path.with_suffix(".json"), {
+        "alpha": prof.params.alpha, "k": prof.params.k, "c": prof.c,
+        "L": g.L, "n": g.n, "sigma1": sigma1, "sigma2": sigma2})
 
 
 def load_profile(csv_path) -> tuple[Profile, dict]:
-    """Inverse of save_profile; returns the profile and its metadata dict."""
+    """Inverse of save_profile; returns the profile and its metadata dict.
+    A sidecar's model outside the admissible box raises ParameterError."""
     csv_path = Path(csv_path)
     meta = json.loads(csv_path.with_suffix(".json").read_text())
     if type(meta["c"]) not in (int, float):     # a bool is no speed
         raise ParameterError(f"sidecar c = {meta['c']!r} is not a number")
+    params = derive_params(meta["alpha"], meta["k"])
     g = make_grid(meta["L"], meta["n"])
 
     rows = csv_path.read_text().strip().splitlines()
@@ -580,4 +586,4 @@ def load_profile(csv_path) -> tuple[Profile, dict]:
     data = np.array([[float(t) for t in r.split(",")] for r in rows[1:]])
     if len(data) != g.n + 2:
         raise ValueError("CSV row count does not match the sidecar's n")
-    return Profile(grid=g, knots=data[:, 1:], c=float(meta["c"])), meta
+    return Profile(g, data[:, 1:], float(meta["c"]), params), meta

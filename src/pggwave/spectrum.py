@@ -185,8 +185,7 @@ class OperatorMatrix:
         return self.to_sparse().toarray()
 
 
-def assemble_weighted_operator(p: ModelParams, prof: Profile,
-                               w: WeightPair) -> OperatorMatrix:
+def assemble_weighted_operator(prof: Profile, w: WeightPair) -> OperatorMatrix:
     """Discretize V'' - (2 g1 + c) V' + M(xi) V with Dirichlet ends.
 
     M(xi) = (2 g1^2 - g2 + c g1) I + dF/dU evaluated along the profile.  At
@@ -194,8 +193,7 @@ def assemble_weighted_operator(p: ModelParams, prof: Profile,
     the Jacobian of the wave solver's Newton steps.
     """
     g1, g2 = weight_functions(w, prof.grid.nodes)
-    return OperatorMatrix(bands=linearization_bands(p, prof, g1, g2),
-                          grid=prof.grid)
+    return OperatorMatrix(linearization_bands(prof, g1, g2), prof.grid)
 
 
 def _gershgorin_right_edge(m: OperatorMatrix) -> float:
@@ -266,7 +264,7 @@ class TranslationModeReport:
     tail_factor: float        # their ratio; inf past float64 (exp_or_inf)
 
 
-def translation_mode_check(p: ModelParams, prof: Profile,
+def translation_mode_check(prof: Profile,
                            w: WeightPair) -> TranslationModeReport:
     """Certify the translation mode: annihilated by L, yet outside the space.
 
@@ -277,8 +275,8 @@ def translation_mode_check(p: ModelParams, prof: Profile,
     magnitudes are formed in logs: the weight alone overflows where their
     product does not.
     """
-    deriv = derivative_profile(p, prof)
-    res = derivative_system_residual(p, prof, deriv)
+    deriv = derivative_profile(prof)
+    res = derivative_system_residual(prof, deriv)
     nodes = prof.grid.nodes
     at = [0, int(np.argmin(np.abs(nodes)))]
     mag = np.maximum(np.abs(deriv.u[at]), np.abs(deriv.v[at]))

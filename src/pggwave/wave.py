@@ -31,22 +31,23 @@ of the front, the front, however the iterate got there.  From either bound
 the default path takes two sweeps.
 
 ``solve_wave`` takes its whole problem from one ``bounds.BoundPair``: the
-model from the pair's ``params``, the speed and the grid from the one
-translated upper bound ``bounds.shifted_upper``.  Dirichlet data, the end
-knots of every iterate, are that profile's end rows, and it also gives the
-start and the top of the envelope.  Its right end is the exact limit
-(K*, 1); its left end is a knot of the upper bound, a tiny positive datum,
-which is what fixes the front's position on the truncated domain (with
-exactly zero data the discrete solution degenerates into a layer at +L).
-``bounds.order_shift`` orders these rows with the lower bound's, so the
-data move with the samples.  The speed rule and the tail rates are
-``model``'s verdict.
+model, the speed and the grid from the one translated upper bound
+``bounds.shifted_upper``.  The front it returns carries all three, so the
+functions here that read a front take no model, speed or grid beside it.
+Dirichlet data, the end knots of every iterate, are that profile's end
+rows, and it also gives the start and the top of the envelope.  Its right
+end is the exact limit (K*, 1); its left end is a knot of the upper bound,
+a tiny positive datum, which is what fixes the front's position on the
+truncated domain (with exactly zero data the discrete solution degenerates
+into a layer at +L).  ``bounds.order_shift`` orders these rows with the
+lower bound's, so the data move with the samples.  The speed rule and the
+tail rates are ``model``'s verdict.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -123,32 +124,34 @@ def solve_wave(bounds: BoundPair, tol: float = 1e-10,
                callback=None) -> tuple[Profile, IterationReport]:
     """Monotone iteration between the ordered bounds, accelerated by Newton.
 
-    The pair states the problem: the model is ``bounds.params``, and the
-    speed and the grid are those of ``bounds.shifted_upper``, which is also
-    the start, the top of the envelope [lower, shifted upper] and, by its
-    end rows, the Dirichlet data of every iterate.  A subcritical speed, a
-    stencil that is not an M-matrix on the grid, and a lower bound or an
-    ``initial`` on another grid raise.  ``initial`` replaces only the
-    start: ``bounds.lower`` starts it from below, and a converged wave is a
-    fixed point.  Sweeps and Newton steps on the discretized system run
-    through ``grid._sweep_newton`` inside the envelope, each Newton step
-    damped into it.  It converges only at a sweep whose sup-diff is below
-    ``tol``, raises EnvelopeViolationError on a sweep outside the envelope
-    and ConvergenceError after ``grid.SWEEP_MAX_ITER`` sweeps, and passes
-    every accepted iterate to ``callback(k, U)``.
+    The pair states the problem: the model, the speed and the grid are
+    those of ``bounds.shifted_upper``, which is also the start, the top of
+    the envelope [lower, shifted upper] and, by its end rows, the Dirichlet
+    data of every iterate; the returned front carries them.  A subcritical
+    speed, a stencil that is not an M-matrix on the grid, and a lower bound
+    or an ``initial`` on another grid or for another model raise.
+    ``initial`` replaces only the start: ``bounds.lower`` starts it from
+    below, and a converged wave is a fixed point.  Sweeps and Newton steps
+    on the discretized system run through ``grid._sweep_newton`` inside the
+    envelope, each Newton step damped into it.  It converges only at a
+    sweep whose sup-diff is below ``tol``, raises EnvelopeViolationError on
+    a sweep outside the envelope and ConvergenceError after
+    ``grid.SWEEP_MAX_ITER`` sweeps, and passes every accepted iterate to
+    ``callback(k, U)``.
     """
     if tol <= 0:
         raise ParameterError("tolerance must be positive")
     top = bounds.shifted_upper
-    p, c, g = bounds.params, top.c, top.grid
+    p, c, g = top.params, top.c, top.grid
     require_monotone_wave(p, c)
     require_m_matrix(g, c)
     for what, given in (("lower bound", bounds.lower), ("initial", initial)):
-        if given is not None and (given.grid.n != g.n or given.grid.L != g.L):
-            raise ParameterError(f"{what} on a different grid")
+        if given is not None and (given.grid.n, given.grid.L,
+                                  given.params) != (g.n, g.L, p):
+            raise ParameterError(f"{what} on another grid or model")
 
     def as_profile(U):
-        return Profile(g, np.vstack((top.knots[0], U, top.knots[-1])), c)
+        return replace(top, knots=np.vstack((top.knots[0], U, top.knots[-1])))
 
     beta, sweep = _shifted_sweep(
         g, c, lambda U: reaction(p, StateVec(U[:, 0], U[:, 1])).T,
@@ -160,9 +163,9 @@ def solve_wave(bounds: BoundPair, tol: float = 1e-10,
 
     def newton(U):
         prof = as_profile(U)
-        linearization_bands(p, prof, out=work[2:])
+        linearization_bands(prof, out=work[2:])
         return solve_banded((2, 2), work,
-                            -residual(p, prof).ravel()).reshape(U.shape)
+                            -residual(prof).ravel()).reshape(U.shape)
 
     upper = top.knots[1:-1]
     U = upper if initial is None else initial.samples()
@@ -170,7 +173,7 @@ def solve_wave(bounds: BoundPair, tol: float = 1e-10,
         sweep, newton, U, (bounds.lower.samples(), upper), tol, callback)
 
     prof = as_profile(U)
-    final_res = float(np.max(np.abs(residual(p, prof))))
+    final_res = float(np.max(np.abs(residual(prof))))
     if final_res > 10.0 * tol:
         raise ConvergenceError(
             f"converged iterate has residual {final_res:.3e} > 10*tol"
@@ -193,9 +196,8 @@ def normalize_phase(prof: Profile) -> Profile:
     is at most 9.8e-4 h^3 (7.2e-6 at L = 20, n = 200) and a second pass
     moves the front by at most 7.4e-5 h^3.
     """
-    g = prof.grid
-    x0 = level_crossing(g, prof.knots[:, 1], 0.5)
-    return Profile(g, translate(g, prof.knots, x0), prof.c)
+    x0 = level_crossing(prof.grid, prof.knots[:, 1], 0.5)
+    return replace(prof, knots=translate(prof.grid, prof.knots, x0))
 
 
 def check_monotone(prof: Profile) -> tuple[float, float]:
@@ -233,7 +235,7 @@ def check_fit_windows(g: Grid) -> None:
                                  f"holds {inwin.sum()} < {FIT_MIN_NODES} nodes")
 
 
-def fit_decay(prof: Profile, p: ModelParams, side: str) -> DecayFit:
+def fit_decay(prof: Profile, side: str) -> DecayFit:
     """Log-linear tail fit against the analytic front asymptotics.
 
     side "-inf" fits log u and log v on its ``_fit_window``; side "+inf"
@@ -242,7 +244,7 @@ def fit_decay(prof: Profile, p: ModelParams, side: str) -> DecayFit:
     log y - log|xi| is fitted instead.  Samples below 1e-14 are excluded;
     fewer than FIT_MIN_NODES usable nodes is an error.
     """
-    g = prof.grid
+    g, p = prof.grid, prof.params
     win, inwin = _fit_window(g, side)
     verdict = require_monotone_wave(p, prof.c)
     if side == "-inf":
@@ -270,7 +272,7 @@ def fit_decay(prof: Profile, p: ModelParams, side: str) -> DecayFit:
                     rsquared=min(r2s))
 
 
-def _ghost_states(p: ModelParams, prof: Profile) -> tuple[np.ndarray, np.ndarray]:
+def _ghost_states(prof: Profile) -> tuple[np.ndarray, np.ndarray]:
     """Continuation values one cell beyond each end, from the discrete ODE row.
 
     The discrete wave equation is imposed at the ghost node (where the
@@ -279,28 +281,25 @@ def _ghost_states(p: ModelParams, prof: Profile) -> tuple[np.ndarray, np.ndarray
     h = prof.grid.h
     lo, hi = stencil_coefficients(prof.grid, prof.c)
     dl, first, last, dr = prof.knots[[0, 1, -2, -1]]
-    Fdl = reaction(p, StateVec(dl[0], dl[1]))
-    Fdr = reaction(p, StateVec(dr[0], dr[1]))
-    beyond_left = (2.0 / h**2 * dl - hi * first - Fdl) / lo
-    beyond_right = (2.0 / h**2 * dr - lo * last - Fdr) / hi
-    return beyond_left, beyond_right
+    Fdl = reaction(prof.params, StateVec(dl[0], dl[1]))
+    Fdr = reaction(prof.params, StateVec(dr[0], dr[1]))
+    return ((2.0 / h**2 * dl - hi * first - Fdl) / lo,
+            (2.0 / h**2 * dr - lo * last - Fdr) / hi)
 
 
-def derivative_profile(p: ModelParams, prof: Profile) -> Profile:
+def derivative_profile(prof: Profile) -> Profile:
     """Centered-difference derivative of a converged wave, as a Profile.
 
     The wave is continued one cell past each end with its own discrete
     equation before differencing, so the derivative's Dirichlet data and the
     closure rows stay consistent with the linearized system to O(h^2).
     """
-    g = prof.grid
-    bml, bpr = _ghost_states(p, prof)
+    bml, bpr = _ghost_states(prof)
     ext = np.vstack([bml, prof.knots, bpr])   # one ghost past each end knot
-    return Profile(g, (ext[2:] - ext[:-2]) / (2.0 * g.h), prof.c)
+    return replace(prof, knots=(ext[2:] - ext[:-2]) / (2.0 * prof.grid.h))
 
 
-def derivative_system_residual(p: ModelParams, prof: Profile,
-                               deriv: Profile) -> np.ndarray:
+def derivative_system_residual(prof: Profile, deriv: Profile) -> np.ndarray:
     """Residual (n, 2) of the linearized system applied to the derivative.
 
     Evaluates w'' - c w' + A(U*) w per component with the derivative
@@ -308,6 +307,6 @@ def derivative_system_residual(p: ModelParams, prof: Profile,
     derivative is the translation null mode of the linearization.
     """
     lin = apply_advection_diffusion(prof.grid, prof.c, deriv.knots)
-    A = jacobian(p, StateVec(prof.u, prof.v))
+    A = jacobian(prof.params, StateVec(prof.u, prof.v))
     return np.stack([lin[:, 0] + A[0, 0] * deriv.u + A[0, 1] * deriv.v,
                      lin[:, 1] + A[1, 0] * deriv.u + A[1, 1] * deriv.v], axis=1)

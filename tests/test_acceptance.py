@@ -53,9 +53,9 @@ def coarse_wave_400(base_params):
     return prof
 
 
-def test_criterion_01_wave_existence(base_params, base_bounds, base_wave):
+def test_criterion_01_wave_existence(base_bounds, base_wave):
     prof, rep = base_wave
-    res = float(np.max(np.abs(residual(base_params, prof))))
+    res = float(np.max(np.abs(residual(prof))))
     du, dv = check_monotone(prof)
     upper_env = base_bounds.shifted_upper.samples()
     lower_env = base_bounds.lower.samples()
@@ -66,10 +66,10 @@ def test_criterion_01_wave_existence(base_params, base_bounds, base_wave):
                    f"({du:.2e}, {dv:.2e}) > 0, envelope slack {slack:.2e}")
 
 
-def test_criterion_02_decay_rates(base_params, base_wave_normalized, wave60):
-    fits40 = {s: fit_decay(base_wave_normalized, base_params, s)
+def test_criterion_02_decay_rates(base_wave_normalized, wave60):
+    fits40 = {s: fit_decay(base_wave_normalized, s)
               for s in ("-inf", "+inf")}
-    fits60 = {s: fit_decay(wave60, base_params, s) for s in ("-inf", "+inf")}
+    fits60 = {s: fit_decay(wave60, s) for s in ("-inf", "+inf")}
     rm, rp = fits40["-inf"], fits40["+inf"]
     ok40_m = (abs(rm.rate_u - 0.25) / 0.25 < 0.02
               and abs(rm.rate_v - 0.25) / 0.25 < 0.02)
@@ -87,16 +87,16 @@ def test_criterion_02_decay_rates(base_params, base_wave_normalized, wave60):
             f"errors shrink at L=60: {shrink}")
 
 
-def test_criterion_03_shared_exponent(base_params, base_wave_normalized):
+def test_criterion_03_shared_exponent(base_wave_normalized):
     agree = []
     for side in ("-inf", "+inf"):
-        f = fit_decay(base_wave_normalized, base_params, side)
+        f = fit_decay(base_wave_normalized, side)
         agree.append(abs(f.rate_u - f.rate_v) / abs(f.rate_u) < 0.03)
     _report(3, all(agree), f"u/v rate agreement within 3% per side: {agree}")
 
 
-def test_criterion_04_critical_wave(base_params, wave_critical):
-    f = fit_decay(wave_critical, base_params, "+inf")
+def test_criterion_04_critical_wave(wave_critical):
+    f = fit_decay(wave_critical, "+inf")
     target = -0.2071068
     err_u = abs(f.rate_u - target) / abs(target)
     err_v = abs(f.rate_v - target) / abs(target)
@@ -142,8 +142,8 @@ def test_criterion_07_bound_lattice():
             for c in (p.cmin, 1.25 * p.cmin):
                 for lfrac in (0.2, 0.4):
                     bp = make_bounds(p, c, g, l=lfrac * lmax)
-                    rep_u = verify_bound(p, bp.upper, "upper")
-                    rep_l = verify_bound(p, bp.lower, "lower")
+                    rep_u = verify_bound(bp.upper, "upper")
+                    rep_l = verify_bound(bp.lower, "lower")
                     v_res = float(np.max(np.abs(rep_u.margins[:, 1])))
                     assert v_res < 1e-8, (alpha, k, c, lfrac)
                     worst_overall = max(worst_overall, abs(rep_u.worst),
@@ -203,16 +203,16 @@ def test_criterion_09_weight_window(base_params):
             f"{win.sigma2_max:.7f}); empty at critical speed: {ok_err}")
 
 
-def test_criterion_10_point_spectrum(base_params, base_wave, coarse_wave_400,
+def test_criterion_10_point_spectrum(base_wave, coarse_wave_400,
                                      base_weights, dense_eigenvalues):
-    op = assemble_weighted_operator(base_params, coarse_wave_400, base_weights)
+    op = assemble_weighted_operator(coarse_wave_400, base_weights)
     vals = dense_eigenvalues(op, 8)
     rightmost = vals[0]
     ok_eig = rightmost.real < 0 and bool(np.all(vals.real < 0))
     # regression value pinned by the dense-oracle run
     ok_reg = abs(rightmost.real - (-0.15208)) < 5e-4
     prof, _ = base_wave
-    tm = translation_mode_check(base_params, prof, base_weights)
+    tm = translation_mode_check(prof, base_weights)
     ok_tm = tm.residual_sup < 1e-5 and tm.tail_factor > 1e3
     _report(10, ok_eig and ok_reg and ok_tm,
             f"rightmost {rightmost.real:.6f} < 0 (regression -0.15208); "
@@ -220,11 +220,11 @@ def test_criterion_10_point_spectrum(base_params, base_wave, coarse_wave_400,
             f"tail factor {tm.tail_factor:.2e} > 1e3")
 
 
-def test_criterion_11_dynamic_stability(base_params, base_wave, base_weights):
+def test_criterion_11_dynamic_stability(base_wave, base_weights):
     prof, _ = base_wave
-    rep1 = stability_experiment(base_params, prof, base_weights,
+    rep1 = stability_experiment(prof, base_weights,
                                 SimConfig(dt=0.01, t_end=50.0))
-    rep2 = stability_experiment(base_params, prof, base_weights,
+    rep2 = stability_experiment(prof, base_weights,
                                 SimConfig(dt=0.005, t_end=50.0))
     ok_ratio = rep1["norm_ratio"] < 0.1
     ok_b = rep1["b"] > 0.05
@@ -234,10 +234,9 @@ def test_criterion_11_dynamic_stability(base_params, base_wave, base_weights):
             f"> 0.05; b(dt/2) = {rep2['b']:.4f} within 20%")
 
 
-def test_criterion_12_dynamic_instability(base_params, base_wave,
-                                          base_weights):
+def test_criterion_12_dynamic_instability(base_wave, base_weights):
     prof, _ = base_wave
-    rep = instability_experiment(base_params, prof, base_weights,
+    rep = instability_experiment(prof, base_weights,
                                  SimConfig(dt=0.01, t_end=20.0))
     ok = rep["growth_factor"] >= 5.0
     _report(12, ok, f"sup-norm deviation growth {rep['growth_factor']:.1f}x "
@@ -286,8 +285,9 @@ def test_criterion_14_numerics_hygiene(base_params):
     # (c) equilibrium fixed-point drift
     from pggwave import run_simulation
     g = make_grid(20.0, 399)
-    const = Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=C)
-    tr = run_simulation(p, const, SimConfig(dt=0.01, t_end=10.0),
+    const = Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=C,
+                    params=p)
+    tr = run_simulation(const, SimConfig(dt=0.01, t_end=10.0),
                         reference=const)
     drift = float(np.max(tr.sup_norms))
     ok_drift = drift < 1e-10

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,24 +68,24 @@ def test_upper_construction(base_params, upper_profile):
     assert tuple(prof.knots[-1]) == (p.kstar, 1.0)
 
 
-def test_upper_margins(base_params, upper_profile):
-    rep = verify_bound(base_params, upper_profile, "upper")
+def test_upper_margins(upper_profile):
+    rep = verify_bound(upper_profile, "upper")
     assert rep.passed
     assert rep.worst <= 1e-8
     # the v-equation is an exact identity on the construction curve
     assert np.max(np.abs(rep.margins[:, 1])) < 1e-8
 
 
-def test_worst_location_only_above_roundoff(base_params, grid40,
-                                            upper_profile, lower_profile):
+def test_worst_location_only_above_roundoff(grid40, upper_profile,
+                                            lower_profile):
     # the residual of O(1) samples carries roundoff ~ eps max|U| / h^2; a
     # worst margin inside that floor has no meaningful location
     h2 = grid40.h**2
-    up = verify_bound(base_params, upper_profile, "upper")
+    up = verify_bound(upper_profile, "upper")
     floor = 4.0 * np.finfo(float).eps * np.max(upper_profile.samples()) / h2
     assert abs(up.worst) <= floor
     assert up.worst_xi is None and up.worst_component is None
-    low = verify_bound(base_params, lower_profile, "lower")
+    low = verify_bound(lower_profile, "lower")
     floor = 4.0 * np.finfo(float).eps * np.max(lower_profile.samples()) / h2
     assert abs(low.worst) > 10.0 * floor
     assert low.worst_xi == pytest.approx(-39.98, abs=1e-9)
@@ -105,7 +106,7 @@ def test_lower_construction(base_params, lower_profile):
 
 def test_lower_margins_match_identity(base_params, lower_profile):
     p = base_params
-    rep = verify_bound(base_params, lower_profile, "lower")
+    rep = verify_bound(lower_profile, "lower")
     assert rep.passed
     assert rep.worst >= -1e-8
     # v-equation margin equals v^2 k K* (1-l) / (1 + k K* (1 - l v)) >= 0
@@ -121,25 +122,25 @@ def test_lower_rejects_out_of_range(base_params):
         make_bounds(base_params, C, make_grid(20.0, 199), l=0.7)
 
 
-def _zero_profile(g, c=C):
-    return Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=c)
+def _zero_profile(g, p, c=C):
+    return Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=c, params=p)
 
 
 def test_zero_profile_degenerate_lower(base_params):
     g = make_grid(20.0, 199)
-    rep = verify_bound(base_params, _zero_profile(g), "lower")
+    rep = verify_bound(_zero_profile(g, base_params), "lower")
     assert np.max(np.abs(rep.margins)) < 1e-14
 
 
-def test_verification_failure_carries_node(base_params, grid40, lower_profile):
+def test_verification_failure_carries_node(grid40, lower_profile):
     # a strict lower solution fails the upper-solution inequality somewhere
     with pytest.raises(VerificationError) as exc:
-        verify_bound(base_params, lower_profile, "upper")
+        verify_bound(lower_profile, "upper")
     assert exc.value.xi is not None
     assert exc.value.component in (0, 1)
     assert exc.value.margin > 1e-7
     with pytest.raises(ParameterError, match="'middle'"):
-        verify_bound(base_params, lower_profile, "middle")
+        verify_bound(lower_profile, "middle")
 
 
 @pytest.mark.parametrize("kind", ["upper", "lower"])
@@ -152,24 +153,24 @@ def test_nan_margin_fails(base_params, kind):
     knots = build_bound(solve_kpp(nl, C, g)).knots.copy()
     knots[100, 1] = np.nan
     with pytest.raises(VerificationError) as exc:
-        verify_bound(base_params, Profile(g, knots, C), kind)
+        verify_bound(Profile(g, knots, C, base_params), kind)
     assert math.isnan(exc.value.margin)
 
 
 @pytest.mark.parametrize("kind,push", [("upper", 1e-5), ("lower", -1e-5)])
-def test_pushed_margin_fails(base_params, upper_profile, lower_profile,
-                             monkeypatch, kind, push):
+def test_pushed_margin_fails(upper_profile, lower_profile, monkeypatch, kind,
+                             push):
     # one margin pushed 1e-5 to the wrong side fails the bound: a bound
     # 100x worse than MARGIN_TOL must not pass
-    def pushed(p, prof):
-        margins = residual(p, prof)
+    def pushed(prof):
+        margins = residual(prof)
         margins[2000, 1] = push
         return margins
 
     monkeypatch.setattr(bounds, "residual", pushed)
     prof = upper_profile if kind == "upper" else lower_profile
     with pytest.raises(VerificationError) as exc:
-        verify_bound(base_params, prof, kind)
+        verify_bound(prof, kind)
     assert exc.value.margin == push
     assert exc.value.xi == prof.grid.nodes[2000]
 
@@ -196,22 +197,23 @@ def test_order_shift_cases(base_params, grid40, upper_profile, lower_profile):
     r = order_shift(upper_profile, lower_profile)
     assert 0.0 <= r <= 20.0
     assert r == 0.0  # regression baseline for the base configuration
-    assert order_shift(upper_profile, _zero_profile(grid40)) == 0.0
-    bp = BoundPair(upper=upper_profile, lower=lower_profile, shift=r, l=0.3,
-                   params=base_params)
+    assert order_shift(upper_profile,
+                       _zero_profile(grid40, base_params)) == 0.0
+    bp = BoundPair(upper=upper_profile, lower=lower_profile, shift=r, l=0.3)
     gap = bp.shifted_upper.knots - lower_profile.knots
     assert np.min(gap) >= -1e-12
     # the Dirichlet rows are ordered too: a lower left datum twice the
     # upper's needs the upper moved left until a sample exceeds it
     knots = upper_profile.knots.copy()
     knots[0] *= 2.0
-    r = order_shift(upper_profile, Profile(grid40, knots, C))
+    r = order_shift(upper_profile, replace(upper_profile, knots=knots))
     assert r > 0.0
     m = int(round(r / grid40.h))
     assert np.all(upper_profile.knots[m] >= knots[0])
     assert not np.all(upper_profile.knots[m - 1] >= knots[0])
     with pytest.raises(ParameterError, match="one grid"):
-        order_shift(upper_profile, _zero_profile(make_grid(40.0, 1999)))
+        order_shift(upper_profile,
+                    _zero_profile(make_grid(40.0, 1999), base_params))
     # no shift of the lower front lifts it over the upper one: the lower's
     # right end row, its plateau, lies below the upper front from xi ~ -9 on
     with pytest.raises(ShiftNotFoundError,
@@ -247,8 +249,8 @@ def test_upper_plus_inf_exponent_variants(base_params, upper_profile):
     assert err_corrected < err_plain
 
 
-def test_margins_csv(tmp_path, base_params, upper_profile):
-    rep = verify_bound(base_params, upper_profile, "upper")
+def test_margins_csv(tmp_path, upper_profile):
+    rep = verify_bound(upper_profile, "upper")
     out = tmp_path / "margins.csv"
     margins_to_csv(rep, upper_profile.grid, out)
     lines = out.read_text().splitlines()
@@ -261,9 +263,11 @@ def test_shifted_upper_samples_is_slice_and_pad(base_params):
     # right end row, past the last sample too
     g = make_grid(10.0, 9)
     knots = np.random.default_rng(7).standard_normal((g.n + 2, 2))
-    upper, n = Profile(grid=g, knots=knots, c=C), g.n
+    upper, n = Profile(grid=g, knots=knots, c=C, params=base_params), g.n
     for m in (0, 1, n - 1, n, n + 1):
-        bp = BoundPair(upper=upper, lower=upper, shift=m * g.h, l=0.3,
-                       params=base_params)
+        bp = BoundPair(upper=upper, lower=upper, shift=m * g.h, l=0.3)
         want = np.concatenate([knots[m:], np.repeat(knots[-1:], m, axis=0)])
         assert np.array_equal(bp.shifted_upper.knots, want)
+        shifted = bp.shifted_upper
+        assert (shifted.grid, shifted.c, shifted.params) == (g, C, base_params)
+        assert bp.params is base_params

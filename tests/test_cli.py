@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import pggwave
-from pggwave import (default_l, derive_params, dynamics, spectrum, wave,
-                     weight_window)
+from pggwave import (default_l, derive_params, dynamics, errors, spectrum,
+                     wave, weight_window)
 from pggwave.cli import COMMANDS, OPTIONS, build_parser, main
 from pggwave.config import RunConfig, load_config_file, resolve_config
 from pggwave.errors import ParameterError
@@ -146,6 +146,35 @@ def test_bounds_check(capsys, tmp_path):
     assert (tmp_path / "bounds-check" / "margins_upper.csv").exists()
 
 
+def test_failing_bound_exits_3(capsys, tmp_path, monkeypatch):
+    # a margin tolerance no bound can meet: the upper bound fails its check
+    monkeypatch.setattr(pggwave.bounds, "MARGIN_TOL", -1.0)
+    code, _, err = run_cli(capsys, "bounds-check", "--L", "20", "--n", "199",
+                           "--output-dir", str(tmp_path))
+    assert code == 3
+    assert err.startswith("convergence failure: upper solution inequality "
+                          "fails")
+
+
+def test_every_runtime_failure_is_a_numerical_error():
+    # main maps NumericalError to exit 3; a runtime error outside it would
+    # escape as a traceback
+    runtime = [obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, RuntimeError)]
+    assert errors.VerificationError in runtime
+    assert all(issubclass(cls, errors.NumericalError) for cls in runtime)
+
+
+def test_a_programming_error_still_surfaces(capsys, tmp_path, monkeypatch):
+    def unfinished(*args, **kwargs):
+        raise NotImplementedError("unfinished")
+
+    monkeypatch.setattr(pggwave.bounds, "verify_bound", unfinished)
+    with pytest.raises(NotImplementedError):
+        main(["bounds-check", "--L", "20", "--n", "199",
+              "--output-dir", str(tmp_path)])
+
+
 def test_eigs(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "eigs", "--L", "40", "--n", "200",
                            "--count", "4", "--output-dir", str(tmp_path))
@@ -228,6 +257,40 @@ def test_stability_refuses_a_nonnegative_computed_vertex(capsys, tmp_path,
                            "--output-dir", str(tmp_path))
     assert code == 2
     assert "vertex of branch 1" in err and ">= 0" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("dt,t_end,code", [
+    ("0.01", "5", 2), ("0.01", "5.01", 0),
+    ("0.1", "10", 2), ("0.1", "10.1", 0),
+])
+def test_stability_checks_its_decay_fit_before_solving(capsys, tmp_path,
+                                                       monkeypatch, dt, t_end,
+                                                       code):
+    # the fit takes the samples recorded from DECAY_FIT_START = 5 on: every
+    # 100 steps and the last, so at dt = 0.1 t_end = 10 records only t = 10
+    solve = wave.solve_wave
+
+    def refuse_or_solve(*args, **kwargs):
+        assert code == 0, "the wave was solved before the decay-fit check"
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(wave, "solve_wave", refuse_or_solve)
+    got, _, err = run_cli(capsys, "stability", "--L", "20", "--n", "199",
+                          "--dt", dt, "--t-end", t_end,
+                          "--output-dir", str(tmp_path))
+    assert got == code, err
+    if code:
+        assert "the fit needs 2" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_stability_sweep_checks_its_decay_fit_first(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "sweep", "--run", "stability",
+                           "--vary", "t_end=6,5", "--L", "20", "--n", "199",
+                           "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "the fit needs 2" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -7,8 +7,9 @@ from scipy.linalg import solve_banded, solveh_banded
 
 import pggwave.dynamics
 from pggwave import (Profile, SimConfig, StateVec, Trace, WeightPair,
-                     fit_decay_constant, instability_experiment, make_grid,
-                     perturb, run_simulation, spreading_experiment,
+                     derive_params, fit_decay_constant,
+                     instability_experiment, make_grid, perturb,
+                     run_simulation, spreading_experiment,
                      spreading_speed, stability_experiment, weighted_norm)
 from pggwave.dynamics import (SCALE_LOG_BOUND, SEED_EDGE, SEED_FLOOR,
                               SEED_HALFWIDTH, SEED_HEIGHT, factor_banded,
@@ -100,15 +101,16 @@ def test_perturb_rejects_zero_amplitude(base_wave):
 def test_equilibrium_fixed_point(base_params):
     p = base_params
     g = make_grid(20.0, 399)
-    const = Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=C)
-    tr = run_simulation(p, const, SimConfig(dt=0.01, t_end=10.0),
+    const = Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=C,
+                    params=p)
+    tr = run_simulation(const, SimConfig(dt=0.01, t_end=10.0),
                         reference=const)
     assert np.max(tr.sup_norms) < 1e-10
 
 
-def test_wave_is_steady_in_own_frame(base_params, base_wave, base_weights):
+def test_wave_is_steady_in_own_frame(base_wave, base_weights):
     prof, _ = base_wave
-    tr = run_simulation(base_params, prof,
+    tr = run_simulation(prof,
                         SimConfig(dt=0.01, t_end=10.0, record_every=100),
                         w=base_weights, reference=prof)
     # drift is bounded by iteration-tolerance-level creep
@@ -116,9 +118,9 @@ def test_wave_is_steady_in_own_frame(base_params, base_wave, base_weights):
     assert np.max(tr.sup_norms) < 1e-6
 
 
-def test_wave_stays_put_long_run(base_params, base_wave):
+def test_wave_stays_put_long_run(base_wave):
     prof, _ = base_wave
-    tr = run_simulation(base_params, prof,
+    tr = run_simulation(prof,
                         SimConfig(dt=0.01, t_end=50.0, record_every=500),
                         reference=prof)
     assert np.max(tr.sup_norms) < 1e-4
@@ -158,34 +160,31 @@ def test_scheme_second_order(base_params):
         g = make_grid(10.0, n)
         U0 = exact(g.nodes, 0.0)
         init = Profile(grid=g, knots=np.vstack(([0.0, 0.0], U0, [0.0, 0.0])),
-                       c=c)
-        tr = run_simulation(p, init, SimConfig(dt=dt, t_end=1.0,
-                                                  record_every=10**6),
+                       c=c, params=p)
+        tr = run_simulation(init, SimConfig(dt=dt, t_end=1.0,
+                                            record_every=10**6),
                             forcing=make_forcing())
         errs.append(np.max(np.abs(tr.final_state.samples() - exact(g.nodes, 1.0))))
     ratio = errs[0] / errs[1]
     assert 3.3 < ratio < 4.7
 
 
-def test_blowup_paths(base_params, base_wave):
+def test_blowup_paths(base_wave):
     prof, _ = base_wave
     bad = perturb(prof, "gaussian", 50.0)
     with pytest.raises(BlowUpError):
-        run_simulation(base_params, bad, SimConfig(dt=0.01, t_end=5.0))
-    tr = run_simulation(base_params, bad, SimConfig(dt=0.01, t_end=5.0),
-                        on_blowup="stop")
+        run_simulation(bad, SimConfig(dt=0.01, t_end=5.0))
+    tr = run_simulation(bad, SimConfig(dt=0.01, t_end=5.0), on_blowup="stop")
     assert tr.blew_up
     assert 0 < tr.steps < 500
     assert tr.guard_margin < 0.0
     with pytest.raises(ParameterError, match="on_blowup"):
-        run_simulation(base_params, bad, SimConfig(dt=0.01, t_end=5.0),
-                       on_blowup="x")
+        run_simulation(bad, SimConfig(dt=0.01, t_end=5.0), on_blowup="x")
 
 
 def test_trace_reports_steps_and_guard_margin(base_params):
     init = _plateau(base_params)
-    tr = run_simulation(base_params, init,
-                        SimConfig(dt=0.01, t_end=0.2, record_every=7))
+    tr = run_simulation(init, SimConfig(dt=0.01, t_end=0.2, record_every=7))
     assert tr.steps == 20
     # the plateau holds sup|U| = K* = 1.2 to roundoff; the guard is 10 K*
     assert tr.guard_margin == pytest.approx(9.0 * base_params.kstar,
@@ -205,7 +204,8 @@ def _nan_forcing(column):
 
 def _plateau(p, c=C):
     g = make_grid(10.0, 199)
-    return Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=c)
+    return Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=c,
+                   params=p)
 
 
 @pytest.mark.parametrize("column", [0, 1], ids=["u", "v"])
@@ -217,9 +217,8 @@ def test_nonfinite_state_is_a_blowup(base_params, c, column):
     cfg = SimConfig(dt=0.01, t_end=1.0)
     forcing = _nan_forcing(column)
     with pytest.raises(BlowUpError, match="sup\\|U\\| is not finite"):
-        run_simulation(base_params, init, cfg, forcing=forcing)
-    tr = run_simulation(base_params, init, cfg, forcing=forcing,
-                        on_blowup="stop")
+        run_simulation(init, cfg, forcing=forcing)
+    tr = run_simulation(init, cfg, forcing=forcing, on_blowup="stop")
     assert tr.blew_up
     assert list(tr.times) == [0.0]
     assert tr.steps == 7                  # the forcing turns NaN at t = 0.06
@@ -246,20 +245,21 @@ def _reference_steps(p, c, init, dt, nsteps):
     return U
 
 
-def _tanh_front(c):
+def _tanh_front(p, c):
     g = make_grid(10.0, 199)
     th = np.tanh(g.knots / 2.0)
     return Profile(grid=g, knots=np.column_stack((0.4 + 0.2 * th,
-                                                  0.55 - 0.5 * th)), c=c)
+                                                  0.55 - 0.5 * th)), c=c,
+                   params=p)
 
 
 @pytest.mark.parametrize("c", [0.0, C])
 @pytest.mark.parametrize("nsteps", [1, 2])
 def test_step_matches_explicit_form(base_params, c, nsteps):
-    init = _tanh_front(c)
+    init = _tanh_front(base_params, c)
     dt = 0.01
-    tr = run_simulation(base_params, init,
-                        SimConfig(dt=dt, t_end=nsteps * dt, record_every=1))
+    tr = run_simulation(init, SimConfig(dt=dt, t_end=nsteps * dt,
+                                        record_every=1))
     assert len(tr.times) == nsteps + 1
     ref = _reference_steps(base_params, c, init, dt, nsteps)
     got = tr.final_state.samples()
@@ -287,7 +287,7 @@ def test_one_solve_and_one_reaction_per_step(base_params, monkeypatch):
                         counted("reaction", pggwave.dynamics.reaction))
     nsteps = 7
     for runs, c in enumerate((0.0, C), start=1):
-        tr = run_simulation(base_params, _plateau(base_params, c),
+        tr = run_simulation(_plateau(base_params, c),
                             SimConfig(dt=0.01, t_end=nsteps * 0.01,
                                       record_every=3))
         assert not tr.blew_up
@@ -322,7 +322,7 @@ def test_spread_seed_solves_stay_normal(base_params, monkeypatch, L, n, line):
     monkeypatch.setattr(pggwave.dynamics, "solve_banded", checked)
     g = make_grid(L, n)
     init = spreading_seed(base_params, g if line == "full" else half_line(g))
-    tr = run_simulation(base_params, init,
+    tr = run_simulation(init,
                         SimConfig(dt=0.01, t_end=0.2, record_every=10))
     assert tr.steps == 20
     assert seen == [(0, 0)] * 20
@@ -356,18 +356,21 @@ def test_spreading_seed_logistic_form(base_params):
 
 
 def test_reference_must_share_the_frame(base_params, monkeypatch):
-    """The frame speed is the initial profile's; a reference in another
-    frame, or a negative speed, is refused before any reaction call."""
+    """The frame speed and the model are the initial profile's; a reference
+    in another frame or for another model, or a negative speed, is refused
+    before any reaction call."""
     reactions = []
     monkeypatch.setattr(pggwave.dynamics, "reaction",
                         lambda *args, **kwargs: reactions.append(args))
     init = _plateau(base_params)
     cfg = SimConfig(dt=0.01, t_end=0.1)
     with pytest.raises(ParameterError, match="reference moves at c = 1"):
-        run_simulation(base_params, init, cfg,
-                       reference=replace(init, c=1.0))
+        run_simulation(init, cfg, reference=replace(init, c=1.0))
+    with pytest.raises(ParameterError, match="another model"):
+        run_simulation(init, cfg,
+                       reference=replace(init, params=derive_params(0.3, 0.5)))
     with pytest.raises(ParameterError, match="negative"):
-        run_simulation(base_params, _plateau(base_params, -0.5), cfg)
+        run_simulation(_plateau(base_params, -0.5), cfg)
     assert reactions == []
 
 
@@ -440,9 +443,9 @@ def test_factored_step_matches_refactorised(base_params, c, rel):
     """rel = 0: refactorising the same (symmetrised) system every step is
     dpttrf + dpttrs arithmetic, so bit-identical.  rel = 1e-13: against
     an independent LU of the unscaled A, equal up to roundoff."""
-    init = _tanh_front(c)
+    init = _tanh_front(base_params, c)
     dt, nsteps = 0.01, 40
-    tr = run_simulation(base_params, init,
+    tr = run_simulation(init,
                         SimConfig(dt=dt, t_end=nsteps * dt, record_every=10))
     steps = _refactorised_steps if rel == 0.0 else _gtsv_steps
     ref = steps(base_params, c, init, dt, nsteps)
@@ -495,9 +498,9 @@ def test_step_matrix_factored_once_per_run(base_params, monkeypatch, c,
 
     monkeypatch.setattr(pggwave.dynamics, route, counted)
     cfg = SimConfig(dt=0.01, t_end=0.2, record_every=5)
-    run_simulation(base_params, _tanh_front(c), cfg)
+    run_simulation(_tanh_front(base_params, c), cfg)
     assert counts[route] == 1
-    run_simulation(base_params, _tanh_front(c), cfg)
+    run_simulation(_tanh_front(base_params, c), cfg)
     assert counts[route] == 2
 
 
@@ -511,7 +514,7 @@ def test_failed_factorisation_is_a_grid_error(base_params, monkeypatch, c,
     monkeypatch.setattr(pggwave.dynamics, "reaction",
                         lambda *args: reactions.append(args))
     with pytest.raises(GridError, match="pivot 3"):
-        run_simulation(base_params, _tanh_front(c),
+        run_simulation(_tanh_front(base_params, c),
                        SimConfig(dt=0.01, t_end=0.1))
     assert reactions == []
 
@@ -519,7 +522,8 @@ def test_failed_factorisation_is_a_grid_error(base_params, monkeypatch, c,
 def _coarse_plateau(p, L, c):
     """The (K*, 1) plateau on a grid of spacing h = 1."""
     g = make_grid(L, int(2 * L) - 1)
-    return Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=c)
+    return Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=c,
+                   params=p)
 
 
 def test_scale_range_guard(base_params, monkeypatch):
@@ -529,24 +533,24 @@ def test_scale_range_guard(base_params, monkeypatch):
     assert SCALE_LOG_BOUND == 600.0
     cfg = SimConfig(dt=0.01, t_end=0.5)
     inside = _coarse_plateau(base_params, 328.0, 1.9)
-    tr = run_simulation(base_params, inside, cfg, reference=inside)
+    tr = run_simulation(inside, cfg, reference=inside)
     assert tr.steps == 50
     assert np.max(tr.sup_norms) < 1e-12
     reactions = []
     monkeypatch.setattr(pggwave.dynamics, "reaction",
                         lambda *args, **kwargs: reactions.append(args))
     with pytest.raises(GridError, match="symmetrising scale"):
-        run_simulation(base_params, _coarse_plateau(base_params, 329.0, 1.9),
-                       cfg)
+        run_simulation(_coarse_plateau(base_params, 329.0, 1.9), cfg)
     assert reactions == []
 
 
 def test_run_simulation_requires_monotone_stencil(base_params):
     g = make_grid(10.0, 19)                    # h = 1: c*h/2 >= 1 at c >= 2
-    init = Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=2.0)
+    init = Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=2.0,
+                   params=base_params)
     with pytest.raises(GridError, match="not monotone"):
-        run_simulation(base_params, init, SimConfig(dt=0.01, t_end=0.1))
-    tr = run_simulation(base_params, replace(init, c=1.9),
+        run_simulation(init, SimConfig(dt=0.01, t_end=0.1))
+    tr = run_simulation(replace(init, c=1.9),
                         SimConfig(dt=0.01, t_end=0.1))
     assert not tr.blew_up
 
@@ -612,9 +616,9 @@ def test_front_position_between_nodes():
 
 # --- experiments (shortened versions; full lengths run in acceptance) ---
 
-def test_stability_experiment_short(base_params, base_wave, base_weights):
+def test_stability_experiment_short(base_wave, base_weights):
     prof, _ = base_wave
-    rep = stability_experiment(base_params, prof, base_weights,
+    rep = stability_experiment(prof, base_weights,
                                SimConfig(dt=0.01, t_end=12.0, record_every=50))
     assert rep["final_weighted_norm"] < rep["initial_weighted_norm"]
     assert rep["b"] > 0.05
@@ -623,18 +627,18 @@ def test_stability_experiment_short(base_params, base_wave, base_weights):
     assert np.all(np.diff(tail) <= 1e-15)
 
 
-def test_stability_zero_perturbation_floor(base_params, base_wave, base_weights):
+def test_stability_zero_perturbation_floor(base_wave, base_weights):
     """Unperturbed wave: deviation norms stay at the numerical floor."""
     prof, _ = base_wave
-    tr = run_simulation(base_params, prof,
+    tr = run_simulation(prof,
                         SimConfig(dt=0.01, t_end=2.0, record_every=50),
                         w=base_weights, reference=prof)
     assert np.max(tr.weighted_norms) < 1e-7
 
 
-def test_instability_experiment_short(base_params, base_wave, base_weights):
+def test_instability_experiment_short(base_wave, base_weights):
     prof, _ = base_wave
-    rep = instability_experiment(base_params, prof, base_weights,
+    rep = instability_experiment(prof, base_weights,
                                  SimConfig(dt=0.01, t_end=10.0, record_every=100))
     assert rep["growth_factor"] > 2.0
     assert rep["initial_weighted_norm"] >= 1.0
@@ -660,7 +664,7 @@ def test_half_line_spread_matches_full_line(base_params, n):
     g = make_grid(40.0, n)
     cfg = SimConfig(dt=0.05, t_end=18.0, record_every=10)
     window = (12.0, 18.0)
-    full = run_simulation(base_params, spreading_seed(base_params, g), cfg)
+    full = run_simulation(spreading_seed(base_params, g), cfg)
     rep = spreading_experiment(base_params, g, cfg, window)
     half = rep["trace"]
     assert half.final_state.grid.mirror
@@ -679,9 +683,9 @@ def test_half_line_spread_matches_full_line(base_params, n):
                                          rel=1e-12)
 
 
-def test_trace_csv(tmp_path, base_params, base_wave, base_weights):
+def test_trace_csv(tmp_path, base_wave, base_weights):
     prof, _ = base_wave
-    tr = run_simulation(base_params, prof,
+    tr = run_simulation(prof,
                         SimConfig(dt=0.05, t_end=0.5, record_every=5),
                         w=base_weights, reference=prof)
     out = tmp_path / "trace.csv"

@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -58,15 +58,15 @@ def test_operator_second_order_on_sine():
     assert 3.5 < ratio < 4.5
 
 
-def _const_profile(g, state, c=1.25):
-    return Profile(grid=g, knots=np.full((g.n + 2, 2), state), c=c)
+def _const_profile(g, p, state, c=1.25):
+    return Profile(grid=g, knots=np.full((g.n + 2, 2), state), c=c, params=p)
 
 
 def test_residual_zero_at_equilibria(base_params):
     g = make_grid(20.0, 199)
     p = base_params
     for state in [(0.0, 0.0), (p.kstar, 1.0)]:
-        res = residual(p, _const_profile(g, state))
+        res = residual(_const_profile(g, p, state))
         assert np.max(np.abs(res)) < 1e-14
 
 
@@ -86,26 +86,26 @@ def test_residual_observed_order(base_params):
         ddv = -2.0 * 0.5 / 16.0 * np.tanh(xi / 4.0) / np.cosh(xi / 4.0) ** 2
         f = reaction(p, StateVec(u[1:-1], v[1:-1]))
         exact = np.stack([ddu - c * du + f[0], ddv - c * dv + f[1]], axis=1)
-        prof = Profile(grid=g, knots=np.column_stack((u, v)), c=c)
-        errs.append(np.max(np.abs(residual(p, prof) - exact)))
+        prof = Profile(grid=g, knots=np.column_stack((u, v)), c=c, params=p)
+        errs.append(np.max(np.abs(residual(prof) - exact)))
     order = np.log2(errs[0] / errs[1])
     assert 1.9 < order < 2.1
 
 
-def test_profile_length_validation():
+def test_profile_length_validation(base_params):
     g = make_grid(10.0, 9)
     for shape in ((9, 2), (11,), (11, 3), (13, 2), (2, 11)):
         with pytest.raises(GridError):
-            Profile(grid=g, knots=np.zeros(shape), c=1.0)
+            Profile(grid=g, knots=np.zeros(shape), c=1.0, params=base_params)
     # a stencil reads its ghosts from the two end rows, so it needs them
     with pytest.raises(GridError, match="n\\+2 rows"):
         apply_advection_diffusion(g, 1.0, np.zeros(g.n))
 
 
-def test_profile_components_view_knots_and_samples_copy():
+def test_profile_components_view_knots_and_samples_copy(base_params):
     g = make_grid(10.0, 9)
     knots = np.arange(2.0 * (g.n + 2)).reshape(g.n + 2, 2)
-    prof = Profile(grid=g, knots=knots.copy(), c=1.0)
+    prof = Profile(grid=g, knots=knots.copy(), c=1.0, params=base_params)
     assert np.array_equal(prof.u, knots[1:-1, 0])
     assert np.array_equal(prof.v, knots[1:-1, 1])
     S = prof.samples()
@@ -114,25 +114,38 @@ def test_profile_components_view_knots_and_samples_copy():
     assert np.array_equal(prof.knots, knots)
 
 
+def _zero_profile(p):
+    g = make_grid(7.0, 23)
+    return Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=1.25, params=p)
+
+
 def test_serialization_round_trip(tmp_path):
     g = make_grid(7.0, 23)
     rng = np.random.default_rng(3)
     knots = np.vstack(([0.0, 0.0], rng.standard_normal((g.n, 2)), [1.2, 1.0]))
-    prof = Profile(grid=g, knots=knots, c=1.25)
+    prof = Profile(grid=g, knots=knots, c=1.25, params=derive_params(0.3, 0.6))
     csv = tmp_path / "profile.csv"
-    save_profile(prof, csv, alpha=0.25, k=0.5, sigma1=0.05, sigma2=0.5)
+    save_profile(prof, csv, sigma1=0.05, sigma2=0.5)
     loaded, meta = load_profile(csv)
     assert np.array_equal(loaded.knots, prof.knots)
     assert loaded.c == prof.c
-    assert meta == {"alpha": 0.25, "k": 0.5, "c": 1.25, "L": 7.0, "n": 23,
+    assert loaded.params == prof.params
+    assert meta == {"alpha": 0.3, "k": 0.6, "c": 1.25, "L": 7.0, "n": 23,
                     "sigma1": 0.05, "sigma2": 0.5}
 
 
-def test_load_profile_rejects_bad_header_and_row_count(tmp_path):
-    g = make_grid(7.0, 23)
+def test_load_profile_rejects_a_model_outside_the_box(tmp_path, base_params):
     csv = tmp_path / "profile.csv"
-    save_profile(Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=1.25), csv,
-                 alpha=0.25, k=0.5)
+    save_profile(_zero_profile(base_params), csv)
+    meta = json.loads(csv.with_suffix(".json").read_text())
+    csv.with_suffix(".json").write_text(json.dumps({**meta, "alpha": 1.5}))
+    with pytest.raises(ParameterError, match="alpha must lie in"):
+        load_profile(csv)
+
+
+def test_load_profile_rejects_bad_header_and_row_count(tmp_path, base_params):
+    csv = tmp_path / "profile.csv"
+    save_profile(_zero_profile(base_params), csv)
     rows = csv.read_text().splitlines()
     csv.write_text("\n".join(["xi,v,u", *rows[1:]]) + "\n")
     with pytest.raises(ValueError, match="header"):
@@ -143,11 +156,9 @@ def test_load_profile_rejects_bad_header_and_row_count(tmp_path):
 
 
 @pytest.mark.parametrize("c", [None, "1.25", True])
-def test_load_profile_rejects_non_numeric_speed(tmp_path, c):
-    g = make_grid(7.0, 23)
+def test_load_profile_rejects_non_numeric_speed(tmp_path, base_params, c):
     csv = tmp_path / "profile.csv"
-    save_profile(Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=1.25), csv,
-                 alpha=0.25, k=0.5)
+    save_profile(_zero_profile(base_params), csv)
     meta = json.loads(csv.with_suffix(".json").read_text())
     csv.with_suffix(".json").write_text(json.dumps({**meta, "c": c}))
     with pytest.raises(ParameterError, match="not a number"):
@@ -355,40 +366,39 @@ def test_linearization_bands_are_residual_jacobian():
     sig = 1.0 / (1.0 + np.exp(-x))
     knots = np.vstack(([1e-5, 1e-5], np.stack([p.kstar * sig, sig], axis=1),
                        [p.kstar, 1.0]))
-    prof = Profile(grid=g, knots=knots, c=1.25)
-    bands = linearization_bands(p, prof)
+    prof = Profile(grid=g, knots=knots, c=1.25, params=p)
+    bands = linearization_bands(prof)
     # the spectrum's zero-weight operator is the same matrix, bit for bit
-    op = assemble_weighted_operator(p, prof, WeightPair(0.0, 0.0))
+    op = assemble_weighted_operator(prof, WeightPair(0.0, 0.0))
     assert np.array_equal(op.bands, bands)
     # directional derivative of the residual against the banded product
     e = np.sin(0.37 * np.arange(2 * g.n)).reshape(g.n, 2)
     eps = 1e-6
     knots = knots.copy()
     knots[1:-1] += eps * e
-    plus = Profile(grid=g, knots=knots, c=prof.c)
-    fd = ((residual(p, plus) - residual(p, prof)) / eps).ravel()
+    plus = replace(prof, knots=knots)
+    fd = ((residual(plus) - residual(prof)) / eps).ravel()
     Je = op.to_dense() @ e.ravel()
     assert np.max(np.abs(fd - Je)) < 1e-4 * np.max(np.abs(Je))
 
 
-def test_linearization_bands_fill_a_dgbsv_workspace(base_params, base_wave,
-                                                   base_bounds):
+def test_linearization_bands_fill_a_dgbsv_workspace(base_wave, base_bounds):
     # the band rows of a Newton step's (7, 2n) workspace: NaN before the
     # front, the front's LU factors before the shifted upper bound
     profiles = (base_wave[0], base_bounds.shifted_upper)
     work = np.full((7, 2 * profiles[0].grid.n), np.nan, order="F")
     b = np.random.default_rng(7).standard_normal(work.shape[1])
     for prof in profiles:
-        out = linearization_bands(base_params, prof, out=work[2:])
+        out = linearization_bands(prof, out=work[2:])
         assert np.shares_memory(out, work)
         assert not np.isnan(work[2:]).any()
-        assert np.array_equal(work[2:], linearization_bands(base_params, prof))
+        assert np.array_equal(work[2:], linearization_bands(prof))
         grid._banded_solve((2, 2), work, b.copy())
     # a weighted operator's bands, written over factors, as returned
     g1, g2 = 0.3 * np.tanh(profiles[0].grid.nodes), 0.1
-    linearization_bands(base_params, profiles[0], g1, g2, out=work[2:])
+    linearization_bands(profiles[0], g1, g2, out=work[2:])
     assert np.array_equal(work[2:],
-                          linearization_bands(base_params, profiles[0], g1, g2))
+                          linearization_bands(profiles[0], g1, g2))
 
 
 def _tridiagonal(ab):
@@ -482,11 +492,11 @@ def test_banded_solves_stay_in_their_callers_module(monkeypatch):
     prof, _ = wave.solve_wave(bp, tol=1e-10)
     assert counts["pggwave.wave"] > 0 and set(counts) == {"pggwave.wave"}
     counts.clear()
-    dynamics.run_simulation(p, prof, dynamics.SimConfig(t_end=0.05))
+    dynamics.run_simulation(prof, dynamics.SimConfig(t_end=0.05))
     assert counts == {"pggwave.dynamics": 5}
 
 
-def test_banded_solve_is_solve_banded_bit_for_bit(base_params, base_wave):
+def test_banded_solve_is_solve_banded_bit_for_bit(base_wave):
     rng = np.random.default_rng(28)
     n = 300
     ab = np.vstack([rng.uniform(-1.0, 1.0, n), rng.uniform(3.0, 4.0, n),
@@ -499,7 +509,7 @@ def test_banded_solve_is_solve_banded_bit_for_bit(base_params, base_wave):
         assert np.array_equal(ab, ab_in) and np.array_equal(b, b_in)
 
     prof, _ = base_wave
-    bands = linearization_bands(base_params, prof)
+    bands = linearization_bands(prof)
     b = rng.standard_normal(bands.shape[1])
     want = solve_banded((2, 2), bands, b)
     work = np.full((7, bands.shape[1]), np.nan, order="F")

@@ -152,7 +152,7 @@ def test_zero_weight_equals_unweighted_linearization(base_params, coarse_wave):
     p = base_params
     prof = coarse_wave
     g = prof.grid
-    op = assemble_weighted_operator(p, prof, WeightPair(0.0, 0.0))
+    op = assemble_weighted_operator(prof, WeightPair(0.0, 0.0))
     dense = op.to_dense()
     # manual unweighted assembly
     A = jacobian(p, StateVec(prof.u, prof.v))
@@ -182,9 +182,9 @@ def test_far_field_rows_reach_shifted_limit(base_params):
     s = 0.5 * (1.0 + np.tanh(g.nodes))   # reaches 0/1 to ~1e-35 at the ends
     knots = np.vstack(([0.0, 0.0], np.stack([p.kstar * s, s], axis=1),
                        [p.kstar, 1.0]))
-    prof = Profile(grid=g, knots=knots, c=C)
+    prof = Profile(grid=g, knots=knots, c=C, params=p)
     w = WeightPair(0.05, 0.5)
-    op = assemble_weighted_operator(p, prof, w)
+    op = assemble_weighted_operator(prof, w)
     dense = op.to_dense()
     h = g.h
     q1 = w.sigma1**2 + C * w.sigma1
@@ -201,7 +201,7 @@ def test_far_field_rows_real_wave_tolerance(base_params, coarse_wave):
     prof = coarse_wave
     g = prof.grid
     w = WeightPair(0.05, 0.5)
-    dense = assemble_weighted_operator(p, prof, w).to_dense()
+    dense = assemble_weighted_operator(prof, w).to_dense()
     q1 = w.sigma1**2 + C * w.sigma1
     Mplus = np.array([[q1 - p.alpha, 0.0], [1.0 - p.k, q1 - 1.0]])
     r = 2 * (g.n - 1)
@@ -245,17 +245,16 @@ def test_scalar_constant_coefficient_eigenvalues(dense_eigenvalues):
     assert np.allclose(vals.real, dense_eigenvalues(op, 6).real, atol=1e-9)
 
 
-def test_arpack_agrees_with_dense(base_params, coarse_wave, dense_eigenvalues):
+def test_arpack_agrees_with_dense(coarse_wave, dense_eigenvalues):
     for w in (WeightPair(0.05, 0.5), WeightPair(0.1, 0.9)):
-        op = assemble_weighted_operator(base_params, coarse_wave, w)
+        op = assemble_weighted_operator(coarse_wave, w)
         vals, _ = eigen_report(op, count=6)
         assert np.max(np.abs(vals - dense_eigenvalues(op, 6))) < 1e-8
 
 
-def test_eigen_report_is_reproducible(base_params, coarse_wave):
-    op = assemble_weighted_operator(base_params, coarse_wave, WeightPair(0.05, 0.5))
-    other = assemble_weighted_operator(base_params, coarse_wave,
-                                       WeightPair(0.1, 0.9))
+def test_eigen_report_is_reproducible(coarse_wave):
+    op = assemble_weighted_operator(coarse_wave, WeightPair(0.05, 0.5))
+    other = assemble_weighted_operator(coarse_wave, WeightPair(0.1, 0.9))
     vals, frac = eigen_report(op, count=6)
     for between in (None, other):
         if between is not None:
@@ -265,8 +264,8 @@ def test_eigen_report_is_reproducible(base_params, coarse_wave):
         assert np.array_equal(frac_again, frac)
 
 
-def test_rightmost_negative_base(base_params, coarse_wave):
-    op = assemble_weighted_operator(base_params, coarse_wave, WeightPair(0.05, 0.5))
+def test_rightmost_negative_base(coarse_wave):
+    op = assemble_weighted_operator(coarse_wave, WeightPair(0.05, 0.5))
     vals, _ = eigen_report(op, count=8)
     assert vals[0].real < 0.0
     assert np.all(vals.real < 0.0)
@@ -280,20 +279,20 @@ def test_rightmost_stable_under_refinement(base_params):
         g = make_grid(40.0, n)
         bp = make_bounds(base_params, C, g)
         prof, _ = solve_wave(bp, tol=1e-11)
-        op = assemble_weighted_operator(base_params, prof, WeightPair(0.05, 0.5))
+        op = assemble_weighted_operator(prof, WeightPair(0.05, 0.5))
         vals.append(eigen_report(op, count=1)[0][0])
     assert abs(vals[0].real - vals[1].real) < 1e-3
 
 
-def test_boundary_mass_fractions(base_params, coarse_wave):
-    op = assemble_weighted_operator(base_params, coarse_wave, WeightPair(0.05, 0.5))
+def test_boundary_mass_fractions(coarse_wave):
+    op = assemble_weighted_operator(coarse_wave, WeightPair(0.05, 0.5))
     vals, frac = eigen_report(op, count=6)
     assert frac.shape == (6,)
     assert np.all((frac >= 0.0) & (frac <= 1.0))
 
 
-def test_count_validation(base_params, coarse_wave):
-    op = assemble_weighted_operator(base_params, coarse_wave, WeightPair(0.0, 0.0))
+def test_count_validation(coarse_wave):
+    op = assemble_weighted_operator(coarse_wave, WeightPair(0.0, 0.0))
     for count in (0, -1, op.size - 1):
         with pytest.raises(ParameterError):
             eigen_report(op, count=count)
@@ -304,16 +303,16 @@ def test_count_validation(base_params, coarse_wave):
 
 # --- translation mode ---
 
-def test_translation_mode_base(base_params, base_wave, base_weights):
+def test_translation_mode_base(base_wave, base_weights):
     prof, _ = base_wave
-    rep = translation_mode_check(base_params, prof, base_weights)
+    rep = translation_mode_check(prof, base_weights)
     assert rep.residual_sup < 1e-5
     assert rep.tail_factor > 1e3
 
 
-def test_translation_mode_unweighted_bounded(base_params, base_wave):
+def test_translation_mode_unweighted_bounded(base_wave):
     prof, _ = base_wave
-    rep = translation_mode_check(base_params, prof, WeightPair(0.0, 0.0))
+    rep = translation_mode_check(prof, WeightPair(0.0, 0.0))
     # with weight identically 2 the weighted derivative stays bounded
     assert rep.weighted_left <= 2.0 * rep.weighted_mid
     assert rep.tail_factor < 1.0
@@ -328,7 +327,7 @@ def test_translation_mode_weighted_tail_does_not_overflow(base_params):
     prof, _ = solve_wave(make_bounds(p, c, g), tol=1e-10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = translation_mode_check(p, prof, w)
+        rep = translation_mode_check(prof, w)
     assert math.isfinite(rep.weighted_left)
     assert math.isfinite(rep.tail_factor) and rep.tail_factor > 1e3
 
@@ -342,7 +341,7 @@ def test_translation_mode_beyond_float64_is_inf_without_warning(base_params):
     prof, _ = solve_wave(make_bounds(p, c, g), tol=1e-10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = translation_mode_check(p, prof, w)
+        rep = translation_mode_check(prof, w)
     assert rep.weighted_left == math.inf and rep.tail_factor == math.inf
     assert math.isfinite(rep.weighted_mid) and rep.residual_sup < 1e-5
 
@@ -357,6 +356,7 @@ def test_exp_or_inf_at_the_float64_edge():
 def test_translation_mode_constant_profile(base_params):
     g = make_grid(20.0, 199)
     p = base_params
-    const = Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=C)
-    rep = translation_mode_check(p, const, WeightPair(0.05, 0.5))
+    const = Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=C,
+                    params=p)
+    rep = translation_mode_check(const, WeightPair(0.05, 0.5))
     assert rep.residual_sup < 1e-12

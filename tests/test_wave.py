@@ -40,7 +40,7 @@ def test_solve_converges(base_params, base_bounds, base_wave):
     assert rep.sup_diffs[-1] < 1e-10
     assert rep.newton_steps[-1] < 1e-10
     assert all(d > 0 for d in rep.sup_diffs[:-1])
-    res = residual(base_params, prof)
+    res = residual(prof)
     assert np.max(np.abs(res)) == rep.final_residual
 
 
@@ -101,10 +101,10 @@ def test_non_monotone_stencil_rejected(base_params, n):
     with pytest.raises(GridError):
         make_bounds(base_params, C, g)
     # make_bounds refuses the grid, so the pair on it is built by hand
-    flat = Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=C)
+    flat = Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=C,
+                   params=base_params)
     with pytest.raises(GridError):
-        solve_wave(BoundPair(upper=flat, lower=flat, shift=0.0, l=0.3,
-                             params=base_params))
+        solve_wave(BoundPair(upper=flat, lower=flat, shift=0.0, l=0.3))
 
 
 def test_upward_iteration_agrees(base_bounds, base_wave):
@@ -212,8 +212,8 @@ def test_rejected_newton_resumes_sweeps(base_bounds, base_wave, monkeypatch,
                                         scale):
     # a wrong Jacobian: at 0.5 the corrections barely shrink, at 1e-3 the
     # first step overshoots by ~1000x; either way the sweeps must finish
-    def scaled(p, prof, *, out):
-        linearization_bands(p, prof, out=out)
+    def scaled(prof, *, out):
+        linearization_bands(prof, out=out)
         out *= scale
 
     monkeypatch.setattr(wave, "linearization_bands", scaled)
@@ -312,11 +312,26 @@ def test_box_diagonal_minimum_at_a_corner():
 def test_envelope_violation_detected(base_params):
     g = make_grid(20.0, 199)
     bp = make_bounds(base_params, C, g)
-    swapped = BoundPair(upper=bp.lower, lower=bp.upper, shift=0.0, l=bp.l,
-                        params=bp.params)
+    swapped = BoundPair(upper=bp.lower, lower=bp.upper, shift=0.0, l=bp.l)
     # the swapped "upper" start rises at once, above its own envelope
     with pytest.raises(EnvelopeViolationError, match="iterate 1 left"):
         solve_wave(swapped, tol=1e-10)
+
+
+def test_bounds_for_another_model_are_refused(base_bounds, monkeypatch):
+    # the model is the upper bound's; a lower bound or a start built for
+    # another model is refused before any sweep
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep ran before the model check")
+
+    monkeypatch.setattr(wave, "_sweep_newton", refuse)
+    other = replace(base_bounds.lower, params=derive_params(0.3, 0.5))
+    with pytest.raises(ParameterError,
+                       match="lower bound on another grid or model"):
+        solve_wave(replace(base_bounds, lower=other))
+    with pytest.raises(ParameterError,
+                       match="initial on another grid or model"):
+        solve_wave(base_bounds, initial=other)
 
 
 def test_subcritical_speed_rejected(base_bounds):
@@ -364,7 +379,7 @@ def test_normalize_round_trip(base_wave_normalized):
     prof = base_wave_normalized
     g = prof.grid
     # translate by +3.7 via the same monotone machinery, then re-normalize
-    shifted = Profile(grid=g, knots=translate(g, prof.knots, 3.7), c=prof.c)
+    shifted = replace(prof, knots=translate(g, prof.knots, 3.7))
     back = normalize_phase(shifted)
     interior = slice(200, g.n - 200)   # translation clamps the outermost band
     err = np.max(np.abs(back.samples()[interior] - prof.samples()[interior]))
@@ -373,31 +388,31 @@ def test_normalize_round_trip(base_wave_normalized):
 
 def test_normalize_requires_crossing(base_params):
     g = make_grid(10.0, 99)
-    const = Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=C)
+    const = Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=C,
+                    params=base_params)
     with pytest.raises(LevelNotCrossedError):
         normalize_phase(const)
 
 
 # --- monotonicity ---
 
-def test_monotonicity(base_params, base_wave):
+def test_monotonicity(base_wave):
     prof, _ = base_wave
     du, dv = check_monotone(prof)
     assert du > 0 and dv > 0
-    g = prof.grid
-    const = Profile(grid=g, knots=np.ones((g.n + 2, 2)), c=C)
+    const = replace(prof, knots=np.ones_like(prof.knots))
     assert check_monotone(const) == (0.0, 0.0)
-    rev = Profile(grid=g, knots=prof.knots[::-1].copy(), c=C)
+    rev = replace(prof, knots=prof.knots[::-1].copy())
     du_r, dv_r = check_monotone(rev)
     assert du_r < 0 and dv_r < 0
 
 
 # --- decay fits ---
 
-def test_decay_fits_base(base_params, base_wave_normalized):
+def test_decay_fits_base(base_wave_normalized):
     prof = base_wave_normalized
-    fm = fit_decay(prof, base_params, "-inf")
-    fp = fit_decay(prof, base_params, "+inf")
+    fm = fit_decay(prof, "-inf")
+    fp = fit_decay(prof, "+inf")
     assert fm.predicted_rate == pytest.approx(0.25, abs=1e-12)
     assert fp.predicted_rate == pytest.approx(-0.1753906, abs=1e-7)
     assert fm.rate_u == pytest.approx(0.25, rel=0.02)
@@ -421,11 +436,12 @@ def test_fit_windows_checked_from_the_grid():
 
 def test_fit_window_too_noisy(base_params):
     g = make_grid(40.0, 3999)
-    const = Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=C)
+    const = Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=C,
+                    params=base_params)
     with pytest.raises(FitWindowError):
-        fit_decay(const, base_params, "-inf")
+        fit_decay(const, "-inf")
     with pytest.raises(ParameterError, match="'middle'"):
-        fit_decay(const, base_params, "middle")
+        fit_decay(const, "middle")
 
 
 def _rate_errors(p, c, L, n):
@@ -433,8 +449,8 @@ def _rate_errors(p, c, L, n):
     bp = make_bounds(p, c, g)
     prof, _ = solve_wave(bp, tol=1e-10)
     prof = normalize_phase(prof)
-    fm = fit_decay(prof, p, "-inf")
-    fp = fit_decay(prof, p, "+inf")
+    fm = fit_decay(prof, "-inf")
+    fp = fit_decay(prof, "+inf")
     return (abs(fm.rate_v - fm.predicted_rate),
             abs(fp.rate_v - fp.predicted_rate))
 
@@ -524,7 +540,7 @@ def test_critical_tail_fit_at_rounded_cmin(alpha):
     p = derive_params(alpha, 0.5)
     g = make_grid(60.0, 2999)
     prof, _ = solve_wave(make_bounds(p, p.cmin, g), tol=1e-10)
-    f = fit_decay(normalize_phase(prof), p, "-inf")
+    f = fit_decay(normalize_phase(prof), "-inf")
     assert f.predicted_rate == math.sqrt(alpha)
     assert f.rate_u == pytest.approx(math.sqrt(alpha), rel=0.01)
     assert f.rate_v == pytest.approx(math.sqrt(alpha), rel=0.01)
@@ -532,19 +548,20 @@ def test_critical_tail_fit_at_rounded_cmin(alpha):
 
 # --- derivative profile ---
 
-def test_derivative_profile(base_params, base_wave):
+def test_derivative_profile(base_wave):
     prof, _ = base_wave
-    d = derivative_profile(base_params, prof)
+    d = derivative_profile(prof)
     assert np.min(d.u) > 0 and np.min(d.v) > 0
-    res = derivative_system_residual(base_params, prof, d)
+    res = derivative_system_residual(prof, d)
     assert np.max(np.abs(res)) < 1e-5
 
 
 def test_derivative_of_constant_is_zero(base_params):
     g = make_grid(20.0, 199)
     p = base_params
-    const = Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=C)
-    d = derivative_profile(p, const)
+    const = Profile(grid=g, knots=np.full((g.n + 2, 2), (p.kstar, 1.0)), c=C,
+                    params=p)
+    d = derivative_profile(const)
     assert np.max(np.abs(d.samples())) < 1e-12
-    res = derivative_system_residual(p, const, d)
+    res = derivative_system_residual(const, d)
     assert np.max(np.abs(res)) < 1e-12
