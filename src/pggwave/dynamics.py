@@ -75,11 +75,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (BlowUpError, FrontNotFoundError, GridError, NormError,
                      ParameterError)
-from .grid import (Grid, Profile, boundary_vector, half_line,
+from .grid import (Grid, Profile, boundary_vector, dpttrf, dpttrs, half_line,
                    require_m_matrix, stencil_bands, write_csv)
 from .model import ModelParams, StateVec, reaction, to_original
 from .spectrum import WeightPair, exp_or_inf, log_weight

@@ -24,7 +24,17 @@ numpy, bit-identical to scipy's; a level crossing is found by bisecting its
 bracketing cubic.  The package takes only LAPACK banded solves and ARPACK
 from scipy: its interpolation and root-finding subpackages, and the special
 functions they load, would cost every run a third of its import time and a
-fifth of its memory.  ARPACK and ``scipy.sparse`` load only when an
+fifth of its memory.  The four LAPACK routines, dgtsv and dgbsv of the
+front solves and dpttrf and dpttrs of the time steps, come from scipy's
+compiled module ``_flapack``, which ``_load_lapack`` loads at import from
+its file in the installed ``scipy/linalg`` directory.  Importing
+``scipy.linalg`` instead would run that package's init, whose array-API
+layer loads numpy's f2py, testing, ma and random subpackages among 300
+modules: 0.3 s of a 0.48 s import and 24 MB of memory on every run.  The
+routines are the objects ``scipy.linalg.lapack`` exports, so the solves'
+bits do not depend on the route; the loader does depend on scipy's
+installed file layout, and raises ImportError where it differs.  ARPACK,
+``scipy.sparse`` and with them ``scipy.linalg`` load only when an
 eigensolve runs (``spectrum.eigen_report``).  Every CSV artifact goes
 through ``write_csv``, which formats a block of rows with one ``%``, and
 every JSON artifact through ``write_json``, which serialises a report from
@@ -33,13 +43,16 @@ its fields.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dgtsv
+import scipy
 
 from .errors import (ConvergenceError, EnvelopeViolationError, GridError,
                      LevelNotCrossedError, ParameterError)
@@ -76,6 +89,46 @@ DAMPING_FLOOR = 2.0**-30
 SWEEP_MAX_ITER = 20000
 # CSV rows formatted and written at a time
 _CSV_BLOCK = 1024
+
+
+def _load_lapack():
+    """scipy's compiled LAPACK module ``_flapack``, loaded from the
+    installed ``scipy/linalg`` directory without running that package's
+    ``__init__``.
+
+    Top-level ``scipy`` is imported first: on wheel installs its
+    ``__init__`` sets up the paths of the bundled libraries the extension
+    links against.  CPython files a single-phase extension in sys.modules
+    under its name as it creates it; the entry there before the load, or
+    its absence, is put back, so a later ``import scipy.linalg`` loads as
+    it would have.  That load finds the extension's cached module
+    definition and holds the same routine objects as this one.
+    """
+    name = "scipy.linalg._flapack"
+    where = Path(scipy.__file__).parent / "linalg"
+    spec = importlib.machinery.FileFinder(
+        str(where), (importlib.machinery.ExtensionFileLoader,
+                     importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no LAPACK extension _flapack in {where} "
+                          f"(scipy {scipy.__version__})")
+    held = sys.modules.get(name)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        if held is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = held
+    return module
+
+
+_lapack = _load_lapack()
+# the banded routines: dgtsv and dgbsv of the front solves, dpttrf and
+# dpttrs of the time steps
+dgbsv, dgtsv = _lapack.dgbsv, _lapack.dgtsv
+dpttrf, dpttrs = _lapack.dpttrf, _lapack.dpttrs
 
 
 @dataclass(frozen=True)
@@ -270,19 +323,25 @@ def linearization_bands(prof: Profile, g1=0.0, g2=0.0,
     g1 = np.broadcast_to(np.asarray(g1, dtype=float), (n,))
     g2 = np.broadcast_to(np.asarray(g2, dtype=float), (n,))
     shift = 2.0 * g1**2 - g2 + c * g1
-    A = jacobian(prof.params, StateVec(prof.u, prof.v))
     left, right = stencil_coefficients(g, 2.0 * g1 + c)
 
     bands = np.empty((5, 2 * n)) if out is None else out
+    if bands.shape != (5, 2 * n):
+        raise GridError(f"band array must have shape (5, {2 * n})")
+    # dF/dU is written straight into its entries: A[i, j] at node m sits in
+    # row 2 - j + i, column 2m + j, so A is a strided view of the bands
+    row, col = bands.strides
+    A = np.lib.stride_tricks.as_strided(
+        bands[2:], shape=(2, 2, n), strides=(row, col - row, 2 * col))
+    jacobian(prof.params, StateVec(prof.u, prof.v), out=A)
     # offset 0: diagonal = -2/h^2 + shift + A_jj
-    bands[2, 0::2] = -2.0 / h**2 + shift + A[0, 0]
-    bands[2, 1::2] = -2.0 / h**2 + shift + A[1, 1]
+    diag = -2.0 / h**2 + shift
+    A[0, 0] += diag
+    A[1, 1] += diag
     # offset +1: (u_i -> v_i) coupling A12 on even rows; odd rows are
     # (v_i -> u_{i+1}) and zero
     bands[1, 0::2] = 0.0
-    bands[1, 1::2] = A[0, 1]
     # offset -1: A21 on odd rows; even rows (u_{i+1} -> v_i) are zero
-    bands[3, 0::2] = A[1, 0]
     bands[3, 1::2] = 0.0
     # offset +2: right neighbor, same component; the first two entries lie
     # outside the matrix
@@ -572,11 +631,17 @@ def save_profile(prof: Profile, csv_path, *, sigma1: float = 0.0,
 
 def load_profile(csv_path) -> tuple[Profile, dict]:
     """Inverse of save_profile; returns the profile and its metadata dict.
-    A sidecar's model outside the admissible box raises ParameterError."""
+    A sidecar whose alpha, k, c or L is not a number, whose n is not an
+    int, or whose model lies outside the admissible box raises
+    ParameterError."""
     csv_path = Path(csv_path)
     meta = json.loads(csv_path.with_suffix(".json").read_text())
-    if type(meta["c"]) not in (int, float):     # a bool is no speed
-        raise ParameterError(f"sidecar c = {meta['c']!r} is not a number")
+    for key in ("alpha", "k", "c", "L", "n"):
+        # a bool is no number, and a node count no float
+        kinds, what = (((int,), "an int") if key == "n"
+                       else ((int, float), "a number"))
+        if type(meta[key]) not in kinds:
+            raise ParameterError(f"sidecar {key} = {meta[key]!r} is not {what}")
     params = derive_params(meta["alpha"], meta["k"])
     g = make_grid(meta["L"], meta["n"])
 

@@ -149,20 +149,52 @@ def reaction(p: ModelParams, s: StateVec, out: np.ndarray | None = None
     return out
 
 
-def jacobian(p: ModelParams, s: StateVec) -> np.ndarray:
+def jacobian(p: ModelParams, s: StateVec, out: np.ndarray | None = None
+             ) -> np.ndarray:
     """Jacobian dF/d(u,v); shape (2, 2) for scalars, (2, 2, n) for arrays.
 
     Off-diagonal entries are nonnegative on [0, K*] x [0, 1] (cooperative
-    structure).
+    structure).  The result is written into ``out`` when one is given (any
+    float array of that shape that shares no memory with u or v, strided
+    views included).
+
+    With w = K* - u, den = 1 + k w and q = (w + v)/den, the entries are
+    A11 = 1 - q - alpha + w (k v - 1)/den^2, A12 = w/den,
+    A21 = -(k v - 1)/den^2 v and A22 = 1 - q - v/den.  They are formed in
+    place - w and den are the two arrays allocated, and the entries of
+    ``out`` hold the shared pieces until their own values replace them -
+    with the rounding of those formulas, signed zeros included.  den^2 is
+    den * den, as numpy squares an array, for scalar inputs too.
     """
     u, v = np.asarray(s[0], dtype=float), np.asarray(s[1], dtype=float)
-    w = p.kstar - u
-    den = 1.0 + p.k * w
-    a11 = 1.0 - (w + v) / den - p.alpha + w * (p.k * v - 1.0) / den**2
-    a12 = w / den
-    a21 = -(p.k * v - 1.0) / den**2 * v
-    a22 = 1.0 - (w + v) / den - v / den
-    return np.array([[a11, a12], [a21, a22]])
+    shape = np.broadcast_shapes(u.shape, v.shape)
+    if out is None:
+        out = np.empty((2, 2, *shape))
+    # [i, j, ...] keeps a 0-d view of an entry for scalar inputs
+    a11, a12 = out[0, 0, ...], out[0, 1, ...]
+    a21, a22 = out[1, 0, ...], out[1, 1, ...]
+    work = np.empty((2, *shape))
+    w, den = work[0, ...], work[1, ...]
+    np.subtract(p.kstar, u, out=w)
+    np.multiply(w, p.k, out=den)
+    den += 1.0
+    np.divide(w, den, out=a12)
+    # a21 holds k v - 1 and a22 den^2 until both are used
+    np.multiply(v, p.k, out=a21)
+    a21 -= 1.0
+    np.multiply(w, a21, out=a11)
+    np.multiply(den, den, out=a22)
+    a11 /= a22
+    np.negative(a21, out=a21)
+    a21 /= a22
+    a21 *= v
+    # a22 holds 1 - q, w becomes 1 - q - alpha, then v/den
+    np.divide(np.add(w, v, out=a22), den, out=a22)
+    np.subtract(1.0, a22, out=a22)
+    np.subtract(a22, p.alpha, out=w)
+    a11 += w
+    a22 -= np.divide(v, den, out=w)
+    return out
 
 
 def to_original(p: ModelParams, s: StateVec) -> StateVec:

@@ -4,6 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.interpolate import PchipInterpolator
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
@@ -163,6 +164,37 @@ def test_load_profile_rejects_non_numeric_speed(tmp_path, base_params, c):
     csv.with_suffix(".json").write_text(json.dumps({**meta, "c": c}))
     with pytest.raises(ParameterError, match="not a number"):
         load_profile(csv)
+
+
+@pytest.mark.parametrize("value", ["0.3", None, True])
+@pytest.mark.parametrize("key", ["alpha", "k", "L", "n"])
+def test_load_profile_rejects_non_numeric_model_and_grid(tmp_path, base_params,
+                                                         key, value):
+    # each would otherwise reach a range comparison and raise TypeError
+    csv = tmp_path / "profile.csv"
+    save_profile(_zero_profile(base_params), csv)
+    meta = json.loads(csv.with_suffix(".json").read_text())
+    csv.with_suffix(".json").write_text(json.dumps({**meta, key: value}))
+    with pytest.raises(ParameterError, match=f"sidecar {key} = "):
+        load_profile(csv)
+
+
+def test_load_profile_rejects_a_float_node_count(tmp_path, base_params):
+    csv = tmp_path / "profile.csv"
+    save_profile(_zero_profile(base_params), csv)
+    meta = json.loads(csv.with_suffix(".json").read_text())
+    csv.with_suffix(".json").write_text(json.dumps({**meta, "n": 23.0}))
+    with pytest.raises(ParameterError, match="is not an int"):
+        load_profile(csv)
+
+
+def test_lapack_routines_are_scipys_own():
+    # grid loads scipy's LAPACK extension from its file, beside the package
+    # scipy.linalg; both loads hold the same routine objects, so the solves
+    # run the routines scipy.linalg.lapack exports, bit for bit
+    for used, name in ((grid.dgbsv, "dgbsv"), (grid.dgtsv, "dgtsv"),
+                       (dynamics.dpttrf, "dpttrf"), (dynamics.dpttrs, "dpttrs")):
+        assert used is getattr(scipy.linalg.lapack, name), name
 
 
 def test_write_csv_matches_per_value_format(tmp_path):
@@ -399,6 +431,14 @@ def test_linearization_bands_fill_a_dgbsv_workspace(base_wave, base_bounds):
     linearization_bands(profiles[0], g1, g2, out=work[2:])
     assert np.array_equal(work[2:],
                           linearization_bands(profiles[0], g1, g2))
+
+
+def test_linearization_bands_refuse_a_band_array_of_another_shape(base_wave):
+    prof = base_wave[0]
+    work = np.zeros((7, 2 * prof.grid.n - 2), order="F")
+    with pytest.raises(GridError, match="band array"):
+        linearization_bands(prof, out=work[2:])
+    assert not work.any()
 
 
 def _tridiagonal(ab):

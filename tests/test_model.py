@@ -151,3 +151,41 @@ def test_reaction_bit_identical_to_formula(base_params):
         F = np.full(U.shape, np.nan, order=order)
         reaction(p, StateVec(U[:, 0], U[:, 1]), out=F.T)
         assert np.array_equal(_bits(F.T), _bits(want))
+
+
+def _jacobian_formula(p, u, v):
+    """dF/d(u,v) of arrays as written in the model, one temporary per
+    operation."""
+    w = p.kstar - u
+    den = 1.0 + p.k * w
+    a11 = 1.0 - (w + v) / den - p.alpha + w * (p.k * v - 1.0) / den**2
+    a12 = w / den
+    a21 = -(p.k * v - 1.0) / den**2 * v
+    a22 = 1.0 - (w + v) / den - v / den
+    return np.array([[a11, a12], [a21, a22]])
+
+
+def test_jacobian_bit_identical_to_formula(base_params):
+    """The in-place evaluation rounds as the formula does on arrays, signed
+    zeros included, into a fresh array and a strided ``out``; a scalar
+    state gets its array column."""
+    p = base_params
+    rng = np.random.default_rng(32)
+    inside = rng.uniform([0.0, 0.0], [p.kstar, 1.0], size=(500, 2))
+    outside = rng.uniform([-2.0, -1.0], [3.0, 2.0], size=(500, 2))
+    # w = +0 at u = K*, so A12 = +0; A21 = +0 at v = 0 and -0 at v = -0
+    exact = [(p.kstar, 0.3), (0.4, 0.0), (0.4, -0.0), (p.kstar, 0.0),
+             (0.0, 0.0), (p.kstar, 1.0)]
+    states = np.vstack((inside, outside, exact))
+    u, v = states[:, 0], states[:, 1]
+    want = _jacobian_formula(p, u, v)
+    assert np.signbit(want[1, 0, -4]) and not np.signbit(want[1, 0, -5])
+    assert np.array_equal(_bits(jacobian(p, StateVec(u, v))), _bits(want))
+    for i, (u0, v0) in enumerate(states):
+        assert np.array_equal(_bits(jacobian(p, StateVec(u0, v0))),
+                              _bits(want[:, :, i]))
+    buf = np.full((2, 2, 2 * len(u)), np.nan)
+    out = buf[:, :, ::2]
+    assert jacobian(p, StateVec(u, v), out=out) is out
+    assert np.array_equal(_bits(out), _bits(want))
+    assert np.isnan(buf[:, :, 1::2]).all()
