@@ -21,21 +21,21 @@ owns their envelope test and their failure when the sweep budget is spent.
 
 Phase translation is a PCHIP (Fritsch & Butland) interpolant written in
 numpy, bit-identical to scipy's; a level crossing is found by bisecting its
-bracketing cubic.  The package takes only LAPACK banded solves and ARPACK
-from scipy: its interpolation and root-finding subpackages, and the special
+bracketing cubic.  The package takes only LAPACK banded solves from
+scipy: its interpolation and root-finding subpackages, and the special
 functions they load, would cost every run a third of its import time and a
-fifth of its memory.  The four LAPACK routines, dgtsv and dgbsv of the
-front solves and dpttrf and dpttrs of the time steps, come from scipy's
-compiled module ``_flapack``, which ``_load_lapack`` loads at import from
-its file in the installed ``scipy/linalg`` directory.  Importing
-``scipy.linalg`` instead would run that package's init, whose array-API
-layer loads numpy's f2py, testing, ma and random subpackages among 300
-modules: 0.3 s of a 0.48 s import and 24 MB of memory on every run.  The
-routines are the objects ``scipy.linalg.lapack`` exports, so the solves'
-bits do not depend on the route; the loader does depend on scipy's
-installed file layout, and raises ImportError where it differs.  ARPACK,
-``scipy.sparse`` and with them ``scipy.linalg`` load only when an
-eigensolve runs (``spectrum.eigen_report``).  Every CSV artifact goes
+fifth of its memory.  The six LAPACK routines, dgtsv and dgbsv of the
+front solves, dgbtrf and dgbtrs of the eigensolve
+(``spectrum.eigen_report``) and dpttrf and dpttrs of the time steps, come
+from scipy's compiled module ``_flapack``, which ``_load_lapack`` loads at
+import from its file in the installed ``scipy/linalg`` directory.
+Importing ``scipy.linalg`` instead would run that package's init, whose
+array-API layer loads numpy's f2py, testing, ma and random subpackages
+among 300 modules: 0.3 s of a 0.48 s import and 24 MB of memory on every
+run.  The routines are the objects ``scipy.linalg.lapack`` exports, so the
+solves' bits do not depend on the route; the loader does depend on scipy's
+installed file layout, and raises ImportError where it differs.  No run
+imports ``scipy.linalg`` or ``scipy.sparse``.  Every CSV artifact goes
 through ``write_csv``, which formats a block of rows with one ``%``, and
 every JSON artifact through ``write_json``, which serialises a report from
 its fields.
@@ -125,9 +125,10 @@ def _load_lapack():
 
 
 _lapack = _load_lapack()
-# the banded routines: dgtsv and dgbsv of the front solves, dpttrf and
-# dpttrs of the time steps
+# the banded routines: dgtsv and dgbsv of the front solves, dgbtrf and
+# dgbtrs of the eigensolve, dpttrf and dpttrs of the time steps
 dgbsv, dgtsv = _lapack.dgbsv, _lapack.dgtsv
+dgbtrf, dgbtrs = _lapack.dgbtrf, _lapack.dgbtrs
 dpttrf, dpttrs = _lapack.dpttrf, _lapack.dpttrs
 
 
@@ -298,7 +299,8 @@ def residual(prof: Profile) -> np.ndarray:
     discretized system.
     """
     lin = apply_advection_diffusion(prof.grid, prof.c, prof.knots)
-    return lin + reaction(prof.params, StateVec(prof.u, prof.v)).T
+    lin += reaction(prof.params, StateVec(prof.u, prof.v)).T
+    return lin
 
 
 def linearization_bands(prof: Profile, g1=0.0, g2=0.0,

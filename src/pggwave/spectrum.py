@@ -10,10 +10,9 @@ front into an operator whose far-field symbols are the shifted matrices
 whose diagonal entries are the four parabola vertices bounding the essential
 spectrum.  For weights inside the admissible window all four are negative.
 
-ARPACK (``scipy.sparse.linalg``) and ``scipy.sparse`` are imported inside
-``eigen_report`` and ``OperatorMatrix.to_sparse``, so they load only when
-an eigensolve runs; every other run is spared their import time and
-memory.
+The eigensolve is a shift-invert Arnoldi written here on LAPACK's banded
+LU (dgbtrf and dgbtrs, from ``grid``) and numpy: no eigensolver package is
+imported, so ``eigs`` loads no more of scipy than any other run.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateWeightError, EmptyWindowError,
                      ParameterError)
-from .grid import Grid, Profile, linearization_bands
+from .grid import Grid, Profile, dgbtrf, dgbtrs, linearization_bands
 from .model import ModelParams, subcritical_verdict
 from .wave import derivative_profile, derivative_system_residual
 
@@ -51,6 +50,8 @@ __all__ = [
 OUTER_FRACTION = 0.10   # outer share of the domain in the boundary mass
 CURVE_Y_MAX = 2.0       # reported curves span |Im| <= CURVE_Y_MAX ...
 CURVE_SAMPLES = 101     # ... in this many samples per branch
+# Krylov basis vectors one eigensolve may build
+ARNOLDI_MAX_BASIS = 500
 
 
 @dataclass(frozen=True)
@@ -171,18 +172,16 @@ class OperatorMatrix:
     def size(self) -> int:
         return self.bands.shape[1]
 
-    def to_sparse(self):
-        """CSC matrix; LAPACK's row d, like DIA's, is indexed by column."""
-        # Deferred: only the eigensolve needs scipy.sparse, and importing it
-        # at module level would load it into every run.
-        import scipy.sparse
-
-        N = self.size
-        return scipy.sparse.dia_array((self.bands, [2, 1, 0, -1, -2]),
-                                      shape=(N, N)).tocsc()
-
     def to_dense(self) -> np.ndarray:
-        return self.to_sparse().toarray()
+        """The full matrix: band row d holds offset o = 2 - d, indexed by
+        column, A[j - o, j] = bands[d, j]."""
+        N = self.size
+        dense = np.zeros((N, N))
+        for d in range(5):
+            o = 2 - d
+            j = np.arange(max(o, 0), N + min(o, 0))
+            dense[j - o, j] = self.bands[d, j]
+        return dense
 
 
 def assemble_weighted_operator(prof: Profile, w: WeightPair) -> OperatorMatrix:
@@ -209,50 +208,166 @@ def _gershgorin_right_edge(m: OperatorMatrix) -> float:
 
 
 def check_count(count: int, size: int) -> None:
-    """Refuse a count outside ARPACK's limit [1, size - 2]."""
+    """Refuse a count outside [1, size - 2], the range the CLI has always
+    accepted."""
     if not 1 <= count <= size - 2:
         raise ParameterError(f"eigenvalue count {count} outside "
                              f"[1, {size - 2}] for an operator of size {size}")
+
+
+def _fresh_direction(basis: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """The unit vector farthest from the span of ``basis`` (orthogonal rows
+    of squared norms ``sq``), orthogonalised against it twice and
+    normalised: the fixed continuation of a Krylov basis that has become
+    invariant."""
+    reach = (basis * basis).T @ (1.0 / sq)
+    e = np.zeros(basis.shape[1])
+    e[np.argmin(reach)] = 1.0
+    for _ in range(2):
+        e -= ((basis @ e) / sq) @ basis
+    return e / np.linalg.norm(e)
+
+
+def _shift_invert_arnoldi(m: OperatorMatrix, sigma: float,
+                          k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k eigenvalues theta of largest magnitude of B = (A - sigma I)^-1
+    and their Ritz vectors, one per row: (theta, vecs).
+
+    dgbtrf factors A - sigma I once, in the (2, 2) band workspace of the
+    Newton steps.  The basis starts from the two component indicators,
+    ones on the u rows and ones on the v rows, and grows by a block of two
+    per step: one dgbtrs maps the last block (v_j, v_{j+1}) through B, and
+    classical Gram-Schmidt with one re-orthogonalisation turns the images
+    into v_{j+2} and v_{j+3}, so that H = V^T B V is block Hessenberg with
+    2 x 2 blocks.  A coefficient is <v_i, w> / <v_i, v_i>, the diagonal
+    one formed with the dot that gave <v_i, v_i>: an image B v_i =
+    theta v_i gives theta's own ratio.
+
+    When what is left of an image is within the rounding of its projection
+    (N eps of |B v_i|), the basis holds an invariant subspace: H keeps
+    only the coefficients above that level, zero below it, and the basis
+    goes on from ``_fresh_direction``.  The Ritz values, numpy's ``eig``
+    of H, are accepted when each of the k largest has residual
+    |B x - theta x| at most eps |theta|, eps the float64 machine epsilon
+    (the precision ARPACK was asked for), and at once when the basis fills
+    the space, where they are exact.  An ``eig`` costs the cube of the
+    basis size, so the test runs at sizes that grow geometrically from
+    max(2k + 2, 20): by half, or by less, down to an eighth, where the
+    residuals' decay between the last two tests predicts eps sooner.  A
+    basis of ARNOLDI_MAX_BASIS vectors that has not converged raises
+    ConvergenceError.
+    """
+    N = m.size
+    work = np.empty((7, N), order="F")
+    work[2:] = m.bands
+    work[4] -= sigma
+    lu, piv, info = dgbtrf(work, 2, 2, overwrite_ab=1)
+    if info:
+        raise ConvergenceError(f"A - sigma I is singular: zero pivot in row "
+                               f"{info}")
+
+    eps = np.finfo(float).eps
+    M = min(N, ARNOLDI_MAX_BASIS // 2 * 2)     # whole blocks
+    V = np.empty((M + 2, N))                   # a row is written, then read
+    H = np.zeros((M + 2, M))
+    sq = np.ones(M + 2)
+    V[:2] = 0.0
+    V[0, 0::2] = V[1, 1::2] = 1.0 / math.sqrt(N // 2)
+    sq[:2] = V[0] @ V[0], V[1] @ V[1]
+    test_at, last = min(M, max(2 * k + 2, 20)), None
+    tiny = (N * eps) ** 2
+    for j in range(0, M, 2):
+        size = j + 2
+        block, basis = V[j:size], V[:size]
+        W = dgbtrs(lu, 2, 2, block.T, piv)[0].T
+        noise = tiny * np.einsum("ij,ij->i", W, W)    # squared, per image
+        h = W @ basis.T
+        h[0, j], h[1, j + 1] = block[0] @ W[0], block[1] @ W[1]
+        h /= sq[:size]
+        W -= h @ basis
+        if np.any(np.einsum("ij,ij->i", W, W) > noise):
+            again = (W @ basis.T) / sq[:size]
+            W -= again @ basis
+            h += again
+        H[:size, j:size] = h.T
+        for c, w in enumerate(W):
+            new = size + c
+            if c and new <= N:
+                # the second image is orthogonalised against v_{j+2} too
+                v, q = V[new - 1], sq[new - 1]
+                for _ in range(2):
+                    r = (v @ w) / q
+                    w -= r * v
+                    H[new - 1, j + 1] += r
+            beta2 = w @ w
+            if beta2 <= noise[c]:
+                col = H[:new, j + c]
+                col[col * col <= noise[c]] = 0.0
+            if new < N:
+                if beta2 > noise[c]:
+                    H[new, j + c] = beta = math.sqrt(beta2)
+                    np.divide(w, beta, out=V[new])
+                else:
+                    V[new] = _fresh_direction(V[:new], sq[:new])
+                sq[new] = V[new] @ V[new]
+
+        if size < test_at:
+            continue
+        theta, Y = np.linalg.eig(H[:size, :size])
+        want = np.argsort(-np.abs(theta), kind="stable")[:k]
+        theta, Y = theta[want], Y[:, want]
+        # B V y - theta V y is H y on the two vectors past the basis
+        resid = np.linalg.norm(H[size:size + 2, :size] @ Y, axis=0)
+        if size > k and np.all(resid <= eps * np.abs(theta)):
+            return theta, Y.T @ V[:size]
+        # the residuals fall about geometrically in the basis size
+        worst = float(np.max(resid / np.abs(theta))) / eps
+        grow = size // 2
+        if last is not None and worst < last[1]:
+            rate = math.log(last[1] / worst) / (size - last[0])
+            grow = min(grow, max(size // 8, math.ceil(math.log(worst) / rate)))
+        last = (size, worst)
+        test_at = min(M, size + grow)
+    done = int(np.sum(resid <= eps * np.abs(theta)))
+    worst = float(np.max(resid / np.abs(theta)))
+    raise ConvergenceError(
+        f"shift-invert Arnoldi: {k - done} of {k} Ritz values short of "
+        f"relative residual {eps:.1e} with the basis at its cap of {M} "
+        f"vectors (largest {worst:.3e})")
 
 
 def eigen_report(m: OperatorMatrix, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Rightmost eigenvalues, sorted by descending real part, plus each
     eigenfunction's boundary mass fraction.
 
-    The eigensolve is a shift-inverted Arnoldi (ARPACK) with the shift
-    placed right of the Gershgorin edge, so the rightmost eigenvalues are
-    the dominant ones.  The start vector is fixed: the same operator gives
-    bit-identical results however many solves ran before it.  ``count``
-    must pass ``check_count``.
+    The eigensolve is ``_shift_invert_arnoldi`` with the shift sigma placed
+    right of the Gershgorin edge, so the rightmost eigenvalues lambda =
+    sigma + 1/theta are the dominant ones; max(count, 8) of them are
+    solved for, as many as N - 2.  The start is fixed and nothing is drawn
+    at random: the same operator gives bit-identical results however many
+    solves ran before it.  ``count`` must pass ``check_count``.
 
     The fraction is the share of |V|^2 carried by nodes in the outer
     ``OUTER_FRACTION`` of the domain (|xi| > (1 - OUTER_FRACTION) L); values
     near 1 tag Dirichlet-truncation artifacts.
     """
-    # Deferred: ARPACK is needed only here, and importing it at module
-    # level would load scipy.sparse into every run.
-    import scipy.sparse.linalg
-
     N = m.size
     check_count(count, N)
     k = min(max(count, 8), N - 2)
     sigma = _gershgorin_right_edge(m) + 1.0  # strictly right of the spectrum
-    try:
-        vals, vecs = scipy.sparse.linalg.eigs(
-            m.to_sparse(), k=k, sigma=sigma, which="LM", v0=np.ones(N))
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
+    theta, vecs = _shift_invert_arnoldi(m, sigma, k)
+    vals = sigma + 1.0 / theta.astype(complex)
 
     order = np.argsort(-vals.real, kind="stable")[:count]
     vals = vals[order]
-    vecs = vecs[:, order]
+    vecs = vecs[order]
 
     nodes = m.grid.nodes
     outer = np.abs(nodes) > (1.0 - OUTER_FRACTION) * m.grid.L
     mass = np.abs(vecs) ** 2
-    node_mass = mass[0::2, :] + mass[1::2, :]
-    total = node_mass.sum(axis=0)
-    frac = node_mass[outer, :].sum(axis=0) / np.where(total > 0, total, 1.0)
+    node_mass = mass[:, 0::2] + mass[:, 1::2]
+    total = node_mass.sum(axis=1)
+    frac = node_mass[:, outer].sum(axis=1) / np.where(total > 0, total, 1.0)
     return vals, frac
 
 

@@ -164,8 +164,9 @@ def solve_wave(bounds: BoundPair, tol: float = 1e-10,
     def newton(U):
         prof = as_profile(U)
         linearization_bands(prof, out=work[2:])
-        return solve_banded((2, 2), work,
-                            -residual(prof).ravel()).reshape(U.shape)
+        rhs = residual(prof).ravel()
+        np.negative(rhs, out=rhs)
+        return solve_banded((2, 2), work, rhs).reshape(U.shape)
 
     upper = top.knots[1:-1]
     U = upper if initial is None else initial.samples()

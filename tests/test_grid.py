@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 from pggwave import (Profile, StateVec, WeightPair, apply_advection_diffusion,
                      assemble_weighted_operator, derive_params, dynamics, grid,
                      kpp, load_profile, make_bounds, make_grid, reaction,
-                     residual, save_profile, wave)
+                     residual, save_profile, spectrum, wave)
 from pggwave.cli import main
 from pggwave.grid import (boundary_vector, level_crossing, linearization_bands,
                           stencil_bands, translate, write_csv, write_json)
@@ -193,6 +193,7 @@ def test_lapack_routines_are_scipys_own():
     # scipy.linalg; both loads hold the same routine objects, so the solves
     # run the routines scipy.linalg.lapack exports, bit for bit
     for used, name in ((grid.dgbsv, "dgbsv"), (grid.dgtsv, "dgtsv"),
+                       (spectrum.dgbtrf, "dgbtrf"), (spectrum.dgbtrs, "dgbtrs"),
                        (dynamics.dpttrf, "dpttrf"), (dynamics.dpttrs, "dpttrs")):
         assert used is getattr(scipy.linalg.lapack, name), name
 

@@ -8,8 +8,9 @@ from pggwave import (Profile, StateVec, WeightPair, assemble_weighted_operator,
                      essential_spectrum_max, jacobian, make_bounds, make_grid,
                      solve_wave, spectrum_curves, translation_mode_check,
                      weight_window)
-from pggwave.errors import (DegenerateWeightError, EmptyWindowError,
-                            ParameterError)
+from pggwave import spectrum
+from pggwave.errors import (ConvergenceError, DegenerateWeightError,
+                            EmptyWindowError, ParameterError)
 from pggwave.spectrum import (OperatorMatrix, branch_vertices, eigen_report,
                               exp_or_inf, log_weight, weight_functions)
 
@@ -232,6 +233,29 @@ def test_zero_matrix_eigenvalues():
     assert np.max(np.abs(vals)) == 0.0
 
 
+def test_zero_matrix_eigenvalues_are_exact_every_time():
+    # every Krylov image of the zero operator lies in the basis: each
+    # breakdown must leave H exact, and nothing drawn at random may enter
+    g = make_grid(5.0, 10)
+    op = OperatorMatrix(bands=np.zeros((5, 20)), grid=g)
+    for _ in range(300):
+        vals, frac = eigen_report(op, count=5)
+        assert vals.shape == (5,)
+        assert np.all(vals == 0.0)
+        assert np.all((frac >= 0.0) & (frac <= 1.0))
+
+
+def test_diagonal_operator_continues_past_invariant_start(dense_eigenvalues):
+    # u rows at -1, v rows at -2: the start block spans an invariant
+    # subspace at once, and the fixed continuation finds the rest
+    bands = np.zeros((5, 40))
+    bands[2, 0::2], bands[2, 1::2] = -1.0, -2.0
+    op = OperatorMatrix(bands=bands, grid=make_grid(5.0, 20))
+    vals, _ = eigen_report(op, count=12)
+    assert np.max(np.abs(vals - dense_eigenvalues(op, 12))) < 1e-13
+    assert np.max(np.abs(vals + 1.0)) < 1e-13
+
+
 def test_scalar_constant_coefficient_eigenvalues(dense_eigenvalues):
     L, c = 10.0, 0.8
     op = _scalar_test_operator(L, 199, c)
@@ -299,6 +323,23 @@ def test_count_validation(coarse_wave):
     small = _scalar_test_operator(10.0, 9, 0.8)   # size 18: count 16 is the limit
     vals, frac = eigen_report(small, count=small.size - 2)
     assert vals.shape == frac.shape == (small.size - 2,)
+
+
+def test_full_krylov_space_matches_dense(dense_eigenvalues):
+    # count = size - 2 fills the whole space, where the Ritz values are the
+    # eigenvalues of H itself
+    small = _scalar_test_operator(10.0, 9, 0.8)
+    vals, _ = eigen_report(small, count=small.size - 2)
+    dense = dense_eigenvalues(small, small.size - 2)
+    assert np.max(np.abs(vals - dense)) < 1e-10
+
+
+def test_basis_cap_raises(coarse_wave, monkeypatch):
+    # the base operator needs about 90 basis vectors for its 8 Ritz values
+    op = assemble_weighted_operator(coarse_wave, WeightPair(0.05, 0.5))
+    monkeypatch.setattr(spectrum, "ARNOLDI_MAX_BASIS", 40)
+    with pytest.raises(ConvergenceError, match="cap of 40 vectors"):
+        eigen_report(op, count=6)
 
 
 # --- translation mode ---
