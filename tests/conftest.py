@@ -42,8 +42,10 @@ def base_weights():
 @pytest.fixture(scope="session")
 def dense_eigenvalues():
     """The oracle for ``spectrum.eigen_report``: a full dense eigensolve of
-    the operator, the ``count`` eigenvalues of largest real part first."""
+    the operator, the ``count`` eigenvalues of largest real part first, a
+    conjugate pair in ascending imaginary part: the order of
+    ``eigen_report``."""
     def solve(op, count):
         vals = np.linalg.eigvals(op.to_dense())
-        return vals[np.argsort(-vals.real, kind="stable")][:count]
+        return vals[np.lexsort((vals.imag, -vals.real))][:count]
     return solve

@@ -213,6 +213,26 @@ def test_eigs_rejects_count(capsys, tmp_path, monkeypatch, count):
     assert "eigenvalue count" in err
 
 
+@pytest.mark.parametrize("sweep", [False, True], ids=["eigs", "sweep"])
+def test_eigs_refuses_a_count_at_the_basis_cap(capsys, tmp_path, monkeypatch,
+                                               sweep):
+    # 600 <= 2n - 2 at n = 400, but no basis of at most ARNOLDI_MAX_BASIS =
+    # 500 vectors can certify 600 Ritz values; a sweep point takes the
+    # default count, so the sweep runs with 600 as the default
+    def refuse(*args, **kwargs):
+        raise AssertionError("the wave was solved before the count check")
+
+    monkeypatch.setattr(wave, "solve_wave", refuse)
+    monkeypatch.setitem(OPTIONS["eigs"], "count", 600)
+    argv = (["sweep", "--run", "eigs", "--vary", "c=1.25,1.5"] if sweep
+            else ["eigs", "--count", "600"])
+    code, _, err = run_cli(capsys, *argv, "--L", "40", "--n", "400",
+                           "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "eigenvalue count 600 outside [1, 499]" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_stability_smoke(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "stability", "--L", "20", "--n", "399",
                            "--t-end", "8", "--output-dir", str(tmp_path))

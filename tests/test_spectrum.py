@@ -317,9 +317,11 @@ def test_boundary_mass_fractions(coarse_wave):
 
 def test_count_validation(coarse_wave):
     op = assemble_weighted_operator(coarse_wave, WeightPair(0.0, 0.0))
-    for count in (0, -1, op.size - 1):
+    # no basis of at most ARNOLDI_MAX_BASIS = 500 vectors certifies 500
+    for count in (0, -1, op.size - 1, 500, 600):
         with pytest.raises(ParameterError):
             eigen_report(op, count=count)
+    spectrum.check_count(499, op.size)
     small = _scalar_test_operator(10.0, 9, 0.8)   # size 18: count 16 is the limit
     vals, frac = eigen_report(small, count=small.size - 2)
     assert vals.shape == frac.shape == (small.size - 2,)
@@ -340,6 +342,49 @@ def test_basis_cap_raises(coarse_wave, monkeypatch):
     monkeypatch.setattr(spectrum, "ARNOLDI_MAX_BASIS", 40)
     with pytest.raises(ConvergenceError, match="cap of 40 vectors"):
         eigen_report(op, count=6)
+
+
+def test_conjugate_pairs_in_ascending_imaginary_part(dense_eigenvalues,
+                                                     monkeypatch):
+    # two complex pairs among the six rightmost eigenvalues: each comes
+    # back in one order, whatever order LAPACK gives a pair in
+    rng = np.random.default_rng(3)
+    op = OperatorMatrix(bands=rng.standard_normal((5, 40)),
+                        grid=make_grid(5.0, 20))
+    vals, frac = eigen_report(op, count=6)
+    dense = dense_eigenvalues(op, 6)
+    assert np.sum(dense.imag != 0.0) == 4
+    assert np.max(np.abs(vals - dense)) < 1e-8
+    pairs = np.flatnonzero(vals.imag < 0.0)
+    assert np.all(vals.imag[pairs + 1] > 0.0)
+    # the Ritz pairs in the opposite order give the same report
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig",
+                        lambda a: tuple(x[..., ::-1] for x in eig(a)))
+    again, frac_again = eigen_report(op, count=6)
+    assert np.array_equal(again, vals)
+    assert np.array_equal(frac_again, frac)
+
+
+def test_eigensolve_reads_no_unwritten_memory(coarse_wave, monkeypatch):
+    # every np.empty the eigensolve makes comes back full of NaN: a read of
+    # a row before it is written would spoil the result
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    full = _scalar_test_operator(10.0, 9, 0.8)    # count = size - 2 = 16
+    base = assemble_weighted_operator(coarse_wave, WeightPair(0.05, 0.5))
+    for op, count in ((full, full.size - 2), (base, 6)):
+        want = eigen_report(op, count=count)
+        with monkeypatch.context() as m:
+            m.setattr(np, "empty", nan_empty)
+            got = eigen_report(op, count=count)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
 
 # --- translation mode ---
