@@ -200,9 +200,12 @@ def assemble_weighted_operator(prof: Profile, w: WeightPair) -> OperatorMatrix:
 
 def _gershgorin_right_edge(m: OperatorMatrix) -> float:
     """Upper bound on real parts: max over rows of diag + off-diagonal radius."""
-    off = np.pad(np.abs(m.bands), ((0, 0), (2, 2)))  # |A[i, i+2-d]| at [d, i+4-d]
-    return float(np.max(sum((off[d, 4 - d:4 - d + m.size] for d in (4, 3, 1, 0)),
-                            m.bands[2])))
+    edge = m.bands[2].copy()
+    for d in (4, 3, 1, 0):
+        o = 2 - d                         # A[j - o, j] sits at bands[d, j]
+        j = np.arange(max(o, 0), m.size + min(o, 0))
+        edge[j - o] += np.abs(m.bands[d, j])
+    return float(np.max(edge))
 
 
 def check_count(count: int, size: int) -> None:

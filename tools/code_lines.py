@@ -2,11 +2,10 @@
 
 A code line is a line that is not blank, not a comment alone and not part
 of a module, class or function docstring; a ``def`` line counts.  Run from
-anywhere: ``python tools/code_lines.py [package directory]``.
+anywhere: ``python tools/code_lines.py``.
 """
 
 import ast
-import sys
 from pathlib import Path
 
 
@@ -29,9 +28,8 @@ def code_lines(source: str) -> int:
                and not line.lstrip().startswith("#"))
 
 
-def main(argv: list[str]) -> None:
-    package = (Path(argv[0]) if argv
-               else Path(__file__).resolve().parent.parent / "src" / "pggwave")
+def main() -> None:
+    package = Path(__file__).resolve().parent.parent / "src" / "pggwave"
     total = 0
     for path in sorted(package.glob("*.py")):
         count = code_lines(path.read_text())
@@ -41,4 +39,4 @@ def main(argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
