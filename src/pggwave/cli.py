@@ -127,8 +127,7 @@ def cmd_wave(cfg: RunConfig, args, verdict: SpeedVerdict) -> None:
     normalized = wave.normalize_phase(prof)
     fits = [wave.fit_decay(normalized, side) for side in ("-inf", "+inf")]
     out = _outdir(cfg, "wave")
-    save_profile(normalized, out / "profile.csv", sigma1=cfg.sigma1,
-                 sigma2=cfg.sigma2)
+    save_profile(normalized, out / "profile.csv")
     _write_json(out / "iteration_report.json", report, cfg)
     _write_json(out / "decay_fits.json", {"fits": fits, "verdict": verdict},
                 cfg)

@@ -160,14 +160,12 @@ class Trace:
 
 
 def weighted_norm(u, v, g: Grid, w: WeightPair) -> float:
-    """sup over nodes of (componentwise max magnitude) * weight, overflow-safe."""
+    """sup over nodes of (componentwise max magnitude) * weight, formed in
+    logs, so it never overflows; a NaN in the state gives NaN."""
     mag = np.maximum(np.abs(np.asarray(u, dtype=float)),
                      np.abs(np.asarray(v, dtype=float)))
-    pos = mag > 0
-    if not np.any(pos):
-        return 0.0
-    return exp_or_inf(float(np.max(np.log(mag[pos])
-                                   + log_weight(w, g.nodes[pos]))))
+    with np.errstate(divide="ignore"):        # log 0 = -inf weighs 0
+        return exp_or_inf(float(np.max(np.log(mag) + log_weight(w, g.nodes))))
 
 
 def front_position(g: Grid, v: np.ndarray) -> float:
@@ -247,17 +245,18 @@ def run_simulation(initial: Profile, cfg: SimConfig,
 
     The model is ``initial.params`` and the frame speed c is ``initial.c``,
     and the final state carries both; a reference in another frame
-    (``reference.c != initial.c``) or for another model raises
-    ParameterError.  Norms are of U - reference when a reference is
-    supplied, otherwise of U itself; the weighted norm uses ``w`` (zero
-    weights when omitted, i.e. a doubled sup norm).  A forcing
-    ``forcing(xi, t) -> (n, 2)`` supports manufactured solutions.  Blow-up
-    (sup|U| > 10 max(K*, 1)) raises by default; with on_blowup="stop" the
-    trace is truncated and flagged instead.  On a ``half_line`` grid (frame
+    (``reference.c != initial.c``), for another model or on another grid
+    (another n, L or mirror) raises ParameterError before any step.  Norms
+    are of U - reference when a reference is supplied, otherwise of U
+    itself; the weighted norm uses ``w`` (zero weights when omitted, i.e. a
+    doubled sup norm).  A forcing ``forcing(xi, t) -> (n, 2)`` supports
+    manufactured solutions.  Blow-up (sup|U| > 10 max(K*, 1)) raises by
+    default; with on_blowup="stop" the trace is truncated and flagged
+    instead.  On a ``half_line`` grid (frame
     speed 0) the left end is the mirror row.  The state is recorded after
     the steps ``cfg.recorded_steps()`` names.
     """
-    p, c = initial.params, initial.c
+    p, c, g = initial.params, initial.c, initial.grid
     if c < 0:
         raise ParameterError(f"the frame speed initial.c = {c:g} is negative")
     if reference is not None and reference.c != c:
@@ -266,9 +265,11 @@ def run_simulation(initial: Profile, cfg: SimConfig,
             f"initial.c = {c:g}")
     if reference is not None and reference.params != p:
         raise ParameterError("the reference is for another model")
+    rg = reference.grid if reference is not None else g
+    if (rg.n, rg.L, rg.mirror) != (g.n, g.L, g.mirror):
+        raise ParameterError("the reference is on another grid")
     if on_blowup not in ("raise", "stop"):
         raise ParameterError("on_blowup must be 'raise' or 'stop'")
-    g = initial.grid
     require_m_matrix(g, c)
     dt = cfg.dt
     wpair = w if w is not None else WeightPair(0.0, 0.0)

@@ -617,18 +617,19 @@ def write_json(path, payload) -> None:
                                allow_nan=True, default=_jsonable) + "\n")
 
 
-def save_profile(prof: Profile, csv_path, *, sigma1: float = 0.0,
-                 sigma2: float = 0.0) -> None:
+def save_profile(prof: Profile, csv_path) -> None:
     """Write a profile's knots as CSV ``xi,u,v`` plus a JSON metadata
-    sidecar (suffix .json) holding its model, speed and grid; the first and
-    last rows are the Dirichlet data."""
+    sidecar (suffix .json) holding its problem, the keys alpha, k, c, L and
+    n that ``load_profile`` reads back; the first and last rows are the
+    Dirichlet data.  A run's weights are no part of its front: they stay in
+    the ``config`` echo of the reports that use them."""
     csv_path = Path(csv_path)
     g = prof.grid
     write_csv(csv_path, "xi,u,v", g.knots, prof.knots[:, 0], prof.knots[:, 1])
 
     write_json(csv_path.with_suffix(".json"), {
         "alpha": prof.params.alpha, "k": prof.params.k, "c": prof.c,
-        "L": g.L, "n": g.n, "sigma1": sigma1, "sigma2": sigma2})
+        "L": g.L, "n": g.n})
 
 
 def load_profile(csv_path) -> tuple[Profile, dict]:

@@ -58,6 +58,10 @@ def test_weighted_norm_examples(base_grid):
     assert weighted_norm(spike, zero, g, w) == pytest.approx(expected, rel=1e-6)
     assert weighted_norm(spike, zero, g, w) == pytest.approx(0.149, rel=2e-3)
 
+    # a NaN is no magnitude to drop: the norm of a state holding one is NaN
+    spike[mid] = math.nan
+    assert math.isnan(weighted_norm(zero, spike, g, w))
+
 
 def test_weighted_norm_overflow_safe():
     g = make_grid(4000.0, 399)
@@ -356,9 +360,10 @@ def test_spreading_seed_logistic_form(base_params):
 
 
 def test_reference_must_share_the_frame(base_params, monkeypatch):
-    """The frame speed and the model are the initial profile's; a reference
-    in another frame or for another model, or a negative speed, is refused
-    before any reaction call."""
+    """The frame speed, the model and the grid are the initial profile's; a
+    reference in another frame, for another model or on another grid (by
+    n, L or the mirror row), or a negative speed, is refused before any
+    reaction call."""
     reactions = []
     monkeypatch.setattr(pggwave.dynamics, "reaction",
                         lambda *args, **kwargs: reactions.append(args))
@@ -371,6 +376,12 @@ def test_reference_must_share_the_frame(base_params, monkeypatch):
                        reference=replace(init, params=derive_params(0.3, 0.5)))
     with pytest.raises(ParameterError, match="negative"):
         run_simulation(_plateau(base_params, -0.5), cfg)
+    for other in (make_grid(10.0, 201), make_grid(12.0, 199),
+                  replace(init.grid, mirror=True)):
+        knots = np.full((other.n + 2, 2), (base_params.kstar, 1.0))
+        with pytest.raises(ParameterError, match="another grid"):
+            run_simulation(init, cfg,
+                           reference=replace(init, grid=other, knots=knots))
     assert reactions == []
 
 

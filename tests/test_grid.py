@@ -126,13 +126,18 @@ def test_serialization_round_trip(tmp_path):
     knots = np.vstack(([0.0, 0.0], rng.standard_normal((g.n, 2)), [1.2, 1.0]))
     prof = Profile(grid=g, knots=knots, c=1.25, params=derive_params(0.3, 0.6))
     csv = tmp_path / "profile.csv"
-    save_profile(prof, csv, sigma1=0.05, sigma2=0.5)
+    save_profile(prof, csv)
     loaded, meta = load_profile(csv)
     assert np.array_equal(loaded.knots, prof.knots)
     assert loaded.c == prof.c
     assert loaded.params == prof.params
-    assert meta == {"alpha": 0.3, "k": 0.6, "c": 1.25, "L": 7.0, "n": 23,
-                    "sigma1": 0.05, "sigma2": 0.5}
+    assert meta == {"alpha": 0.3, "k": 0.6, "c": 1.25, "L": 7.0, "n": 23}
+    # a sidecar written with the run's weights beside the problem still reads
+    old = {**meta, "sigma1": 0.05, "sigma2": 0.5}
+    csv.with_suffix(".json").write_text(json.dumps(old))
+    loaded, meta = load_profile(csv)
+    assert np.array_equal(loaded.knots, prof.knots)
+    assert loaded.params == prof.params and meta == old
 
 
 def test_load_profile_rejects_a_model_outside_the_box(tmp_path, base_params):
