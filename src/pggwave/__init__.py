@@ -32,7 +32,7 @@ from .spectrum import (OperatorMatrix, SpectrumReport, WeightPair,
                        WeightWindow, assemble_weighted_operator,
                        essential_spectrum_max, spectrum_curves,
                        translation_mode_check, weight_window)
-from .wave import (DecayFit, IterationReport, check_monotone,
-                   derivative_profile, fit_decay, normalize_phase, solve_wave)
+from .wave import (DecayFit, IterationReport, check_monotone, fit_decay,
+                   normalize_phase, solve_wave)
 
 __version__ = "0.1.0"

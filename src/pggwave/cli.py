@@ -5,9 +5,10 @@ subcommand is its checks before solving and its run; ``sweep`` checks every
 point first.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure (an
-``errors.NumericalError``).  Every JSON report embeds the fully-resolved
-configuration, and all numeric output is formatted deterministically, so
-identical configurations produce byte-identical artifacts.
+``errors.NumericalError``, printed after ``numerical failure:``).  Every
+JSON report embeds the fully-resolved configuration, and all numeric output
+is formatted deterministically, so identical configurations produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .model import SpeedVerdict, derive_params, require_monotone_wave
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_CONVERGENCE = 3
+EXIT_NUMERICAL = 3
 
 
 def _write_json(path: Path, report, cfg: RunConfig) -> None:
@@ -322,8 +323,8 @@ def main(argv=None) -> int:
             for f in fields(RunConfig) if f.name in given})
         run(cfg, args, check(cfg, args))
     except NumericalError as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

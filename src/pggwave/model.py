@@ -126,26 +126,31 @@ def reaction(p: ModelParams, s: StateVec, out: np.ndarray | None = None
     included).  The denominator 1 + k(K* - u) stays positive for
     u < K* + 1/k, so out-of-box states are evaluated as-is.
 
-    With w = K* - u and ratio = (w + v)/(1 + k w), F1 = (-w)(1 - alpha -
-    ratio) and F2 = v (1 - ratio).  They are formed in place - w is the one
-    array allocated, the F2 row holds ratio until F2 replaces it - with the
-    rounding of those formulas, signed zeros included: F1 is
-    -(w (1 - alpha - ratio)), which negation makes exact.
+    With w = K* - u, den = 1 + k w and ratio = (w + v)/den, F1 = -w (1 -
+    alpha - ratio) and F2 = v (1 - ratio).  Since K* (1 - k + alpha k) =
+    1 - alpha, F1 = w (v - d u)/den with d = 1 - k + alpha k, which is how
+    it is formed: without the cancellation of 1 - alpha against ratio, so
+    F1 is exact to rounding at the invaded state (0, 0) too.  Both are
+    formed in place - w is the one array allocated, the F2 row holds den
+    until w, holding w + v, becomes ratio - with the rounding of w (v - d
+    u)/den and v (1 - ratio), signed zeros included.
     """
     u, v = np.asarray(s[0], dtype=float), np.asarray(s[1], dtype=float)
     if out is None:
         out = np.empty((2, *np.broadcast_shapes(u.shape, v.shape)))
     # [i, ...] keeps a 0-d view of a row for scalar inputs
-    f1, ratio = out[0, ...], out[1, ...]
-    w = p.kstar - u
-    np.multiply(w, p.k, out=ratio)
-    ratio += 1.0
-    np.divide(np.add(w, v, out=f1), ratio, out=ratio)
-    np.subtract(1.0 - p.alpha, ratio, out=f1)
+    f1, f2 = out[0, ...], out[1, ...]
+    w = np.subtract(p.kstar, u, out=np.empty(out.shape[1:]))
+    np.multiply(w, p.k, out=f2)
+    f2 += 1.0
+    np.multiply(u, 1.0 - p.k + p.alpha * p.k, out=f1)
+    np.subtract(v, f1, out=f1)
     f1 *= w
-    np.negative(f1, out=f1)
-    np.subtract(1.0, ratio, out=ratio)
-    ratio *= v
+    f1 /= f2
+    w += v
+    w /= f2
+    np.subtract(1.0, w, out=f2)
+    f2 *= v
     return out
 
 

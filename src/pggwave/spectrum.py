@@ -32,9 +32,9 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateWeightError, EmptyWindowError,
                      ParameterError)
-from .grid import Grid, Profile, dgbtrf, dgbtrs, linearization_bands
-from .model import ModelParams, subcritical_verdict
-from .wave import derivative_profile, derivative_system_residual
+from .grid import Grid, Profile, dgbtrf, dgbtrs, linearization_bands, residual
+from .model import (ModelParams, StateVec, jacobian, reaction,
+                    subcritical_verdict)
 
 __all__ = [
     "WeightPair",
@@ -411,12 +411,25 @@ def translation_mode_check(prof: Profile,
     decay requirement (so zero is not a weighted eigenvalue).  The weighted
     magnitudes are formed in logs: the weight alone overflows where their
     product does not.
+
+    The derivative DU is the centred difference of the knots, at the nodes.
+    On the uniform grid D commutes with the constant-coefficient stencil T,
+    so T DU = D(T U) = D(r - F(U)), with r = ``grid.residual(prof)``, and
+    the residual of (a) is D(r - F(U)) + F'(U) DU: r at the nodes, F at
+    every knot and F' at the nodes.  r is taken as zero at the two end
+    knots, the closure of continuing the front one cell past each end with
+    its own discrete equation.
     """
-    deriv = derivative_profile(prof)
-    res = derivative_system_residual(prof, deriv)
+    K, h = prof.knots, prof.grid.h
+    deriv = (K[2:] - K[:-2]) / (2.0 * h)
+    # T U at every knot, with r = 0 at the end knots
+    tu = np.pad(residual(prof), ((1, 1), (0, 0)))
+    tu -= reaction(prof.params, StateVec(K[:, 0], K[:, 1])).T
+    A = jacobian(prof.params, StateVec(prof.u, prof.v))
+    res = (tu[2:] - tu[:-2]) / (2.0 * h) + np.einsum("ijn,nj->ni", A, deriv)
     nodes = prof.grid.nodes
     at = [0, int(np.argmin(np.abs(nodes)))]
-    mag = np.maximum(np.abs(deriv.u[at]), np.abs(deriv.v[at]))
+    mag = np.max(np.abs(deriv[at]), axis=1)
     with np.errstate(divide="ignore"):        # log 0 = -inf weighs 0
         log_left, log_mid = np.log(mag) + log_weight(w, nodes[at])
     if mag[1] > 0:

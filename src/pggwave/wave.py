@@ -54,10 +54,8 @@ import numpy as np
 from .bounds import BoundPair
 from .errors import ConvergenceError, FitWindowError, ParameterError
 from .grid import (Grid, Profile, _banded_solve as solve_banded,
-                   _shifted_sweep, _sweep_newton,
-                   apply_advection_diffusion, level_crossing,
-                   linearization_bands, require_m_matrix, residual,
-                   stencil_coefficients, translate)
+                   _shifted_sweep, _sweep_newton, level_crossing,
+                   linearization_bands, require_m_matrix, residual, translate)
 from .model import (ModelParams, StateVec, jacobian, reaction,
                     require_monotone_wave)
 
@@ -69,8 +67,6 @@ __all__ = [
     "check_monotone",
     "check_fit_windows",
     "fit_decay",
-    "derivative_profile",
-    "derivative_system_residual",
 ]
 
 FIT_MIN_NODES = 20  # nodes a tail fit needs
@@ -271,43 +267,3 @@ def fit_decay(prof: Profile, side: str) -> DecayFit:
                     amplitude_u=amps[0], amplitude_v=amps[1],
                     predicted_rate=predicted, window=win,
                     rsquared=min(r2s))
-
-
-def _ghost_states(prof: Profile) -> tuple[np.ndarray, np.ndarray]:
-    """Continuation values one cell beyond each end, from the discrete ODE row.
-
-    The discrete wave equation is imposed at the ghost node (where the
-    Dirichlet datum lives) and solved for the out-of-domain neighbor.
-    """
-    h = prof.grid.h
-    lo, hi = stencil_coefficients(prof.grid, prof.c)
-    dl, first, last, dr = prof.knots[[0, 1, -2, -1]]
-    Fdl = reaction(prof.params, StateVec(dl[0], dl[1]))
-    Fdr = reaction(prof.params, StateVec(dr[0], dr[1]))
-    return ((2.0 / h**2 * dl - hi * first - Fdl) / lo,
-            (2.0 / h**2 * dr - lo * last - Fdr) / hi)
-
-
-def derivative_profile(prof: Profile) -> Profile:
-    """Centered-difference derivative of a converged wave, as a Profile.
-
-    The wave is continued one cell past each end with its own discrete
-    equation before differencing, so the derivative's Dirichlet data and the
-    closure rows stay consistent with the linearized system to O(h^2).
-    """
-    bml, bpr = _ghost_states(prof)
-    ext = np.vstack([bml, prof.knots, bpr])   # one ghost past each end knot
-    return replace(prof, knots=(ext[2:] - ext[:-2]) / (2.0 * prof.grid.h))
-
-
-def derivative_system_residual(prof: Profile, deriv: Profile) -> np.ndarray:
-    """Residual (n, 2) of the linearized system applied to the derivative.
-
-    Evaluates w'' - c w' + A(U*) w per component with the derivative
-    profile's own Dirichlet data; small sup-norm certifies that the front's
-    derivative is the translation null mode of the linearization.
-    """
-    lin = apply_advection_diffusion(prof.grid, prof.c, deriv.knots)
-    A = jacobian(prof.params, StateVec(prof.u, prof.v))
-    return np.stack([lin[:, 0] + A[0, 0] * deriv.u + A[0, 1] * deriv.v,
-                     lin[:, 1] + A[1, 0] * deriv.u + A[1, 1] * deriv.v], axis=1)

@@ -15,9 +15,8 @@ import re
 import pytest
 
 import pggwave
-from pggwave import (SimConfig, derive_params, derivative_profile,
-                     make_bounds, make_grid, normalize_phase, perturb,
-                     run_simulation, solve_wave)
+from pggwave import (SimConfig, derive_params, make_bounds, make_grid,
+                     normalize_phase, perturb, run_simulation, solve_wave)
 
 CARRIERS = re.compile(r"\b(Profile|ScalarProfile|BoundPair)\b")
 CARRIED = re.compile(r"\b(ModelParams|Grid)\b")
@@ -72,7 +71,6 @@ def test_derived_profiles_carry_their_parents_problem(other_front):
     derived = {
         "shifted_upper": bp.shifted_upper,
         "normalize_phase": normalize_phase(prof),
-        "derivative_profile": derivative_profile(prof),
         "final_state": run.final_state,
         "perturb": perturb(prof, "gaussian", 1e-3),
     }

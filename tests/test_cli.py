@@ -152,7 +152,7 @@ def test_failing_bound_exits_3(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "bounds-check", "--L", "20", "--n", "199",
                            "--output-dir", str(tmp_path))
     assert code == 3
-    assert err.startswith("convergence failure: upper solution inequality "
+    assert err.startswith("numerical failure: upper solution inequality "
                           "fails")
 
 

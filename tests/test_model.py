@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from pggwave import StateVec, derive_params, jacobian, reaction, to_original
 from pggwave.errors import ParameterError
+
+EPS = Fraction(np.finfo(float).eps)
 
 
 def test_base_constants(base_params):
@@ -113,8 +117,9 @@ def test_vectorized_shapes(base_params):
 def _reaction_formula(p, u, v):
     """F as written in the model, one temporary per operation."""
     w = p.kstar - u
-    ratio = (w + v) / (1.0 + p.k * w)
-    return np.array([(-w) * (1.0 - p.alpha - ratio), v * (1.0 - ratio)])
+    den = 1.0 + p.k * w
+    d = 1.0 - p.k + p.alpha * p.k
+    return np.array([w * (v - d * u) / den, v * (1.0 - (w + v) / den)])
 
 
 def _bits(a):
@@ -128,18 +133,19 @@ def test_reaction_bit_identical_to_formula(base_params):
     rng = np.random.default_rng(16)
     inside = rng.uniform([0.0, 0.0], [p.kstar, 1.0], size=(500, 2))
     outside = rng.uniform([-2.0, -1.0], [3.0, 2.0], size=(500, 2))
-    # exact zeros: w = +0 at u = K*, v = 0, both, and a state where
-    # ratio = (0.5 + 0.4375)/1.25 = 1 - alpha exactly, so F1 = (-w)(+0) = -0
+    # exact zeros: w = +0 at u = K*, v = 0, both; v - d u = +0 at (0, 0)
+    # and at (K* - 0.5, 0.4375), where d u = 0.625 * 0.7 rounds to v; and
+    # an out-of-box state with v = d u exactly and w < 0, so F1 =
+    # (-0.8)(+0)/0.6 = -0
     exact = [(p.kstar, 0.3), (0.4, 0.0), (p.kstar, 0.0), (p.kstar, -0.2),
-             (p.kstar - 0.5, 0.4375), (0.0, 0.0), (p.kstar, 1.0)]
-    w = p.kstar - (p.kstar - 0.5)
-    assert (w + 0.4375) / (1.0 + p.k * w) == 1.0 - p.alpha
+             (p.kstar - 0.5, 0.4375), (0.0, 0.0), (p.kstar, 1.0), (2.0, 1.25)]
+    assert 1.0 - p.k + p.alpha * p.k == 0.625 and 0.625 * 2.0 == 1.25
     states = np.vstack((inside, outside, exact))
     u, v = states[:, 0], states[:, 1]
     want = _reaction_formula(p, u, v)
-    f1 = want[0, len(inside) + len(outside) + exact.index((p.kstar - 0.5,
-                                                           0.4375))]
-    assert f1 == 0.0 and np.signbit(f1)
+    f1 = dict(zip(exact, want[0, len(inside) + len(outside):]))
+    assert f1[(2.0, 1.25)] == 0.0 and np.signbit(f1[(2.0, 1.25)])
+    assert f1[(0.0, 0.0)] == 0.0 and not np.signbit(f1[(0.0, 0.0)])
     assert np.array_equal(_bits(reaction(p, StateVec(u, v))), _bits(want))
     for u0, v0 in states:
         assert np.array_equal(_bits(reaction(p, StateVec(u0, v0))),
@@ -151,6 +157,29 @@ def test_reaction_bit_identical_to_formula(base_params):
         F = np.full(U.shape, np.nan, order=order)
         reaction(p, StateVec(U[:, 0], U[:, 1]), out=F.T)
         assert np.array_equal(_bits(F.T), _bits(want))
+
+
+def _exact_reaction(p, u, v):
+    """F in rationals, with K* exact from the float alpha and k."""
+    a, k, u, v = (Fraction(x) for x in (p.alpha, p.k, u, v))
+    w = (1 - a) / (1 - k + a * k) - u
+    ratio = (w + v) / (1 + k * w)
+    return -w * (1 - a - ratio), v * (1 - ratio)
+
+
+def test_reaction_exact_at_the_invaded_state(base_params):
+    """F is within a few eps of its exact value relative to |u| + |v|, so
+    it vanishes with the state at (0, 0) instead of leaving a rounding
+    floor there."""
+    p = base_params
+    tiny = [(10.0**-j,) * 2 for j in range(1, 301)]
+    box = np.random.default_rng(15).uniform([0.0, 0.0], [p.kstar, 1.0],
+                                            size=(200, 2))
+    for u, v in [*tiny, *box, (0.0, 0.0), (1e-12, 0.0), (0.0, 1e-12)]:
+        got = reaction(p, StateVec(u, v))
+        bound = 4 * EPS * (abs(Fraction(u)) + abs(Fraction(v)))
+        for f, exact in zip(got, _exact_reaction(p, u, v)):
+            assert abs(Fraction(float(f)) - exact) <= bound, (u, v)
 
 
 def _jacobian_formula(p, u, v):

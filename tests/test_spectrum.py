@@ -1,16 +1,19 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pggwave import (Profile, StateVec, WeightPair, assemble_weighted_operator,
-                     essential_spectrum_max, jacobian, make_bounds, make_grid,
-                     solve_wave, spectrum_curves, translation_mode_check,
-                     weight_window)
+from pggwave import (Profile, StateVec, WeightPair, apply_advection_diffusion,
+                     assemble_weighted_operator, essential_spectrum_max,
+                     jacobian, make_bounds, make_grid, reaction, solve_wave,
+                     spectrum_curves, translation_mode_check, weight_window)
 from pggwave import spectrum
 from pggwave.errors import (ConvergenceError, DegenerateWeightError,
                             EmptyWindowError, ParameterError)
+from pggwave.grid import stencil_coefficients
 from pggwave.spectrum import (OperatorMatrix, branch_vertices, eigen_report,
                               exp_or_inf, log_weight, weight_functions)
 
@@ -411,6 +414,64 @@ def test_translation_mode_base(base_wave, base_weights):
     rep = translation_mode_check(prof, base_weights)
     assert rep.residual_sup < 1e-5
     assert rep.tail_factor > 1e3
+    # the derivative the check reads, the centred difference of the knots,
+    # is positive at every node, end nodes included
+    assert np.min(prof.knots[2:] - prof.knots[:-2]) > 0
+
+
+def _ghost_continued_residual(prof):
+    """The oracle: the front continued one cell past each end by solving its
+    own discrete equation at the end knot for the outer neighbour, the
+    centred derivative of that, and the linearization applied to it."""
+    g, K, h = prof.grid, prof.knots, prof.grid.h
+    lo, hi = stencil_coefficients(g, prof.c)
+    F = reaction(prof.params, StateVec(K[[0, -1], 0], K[[0, -1], 1])).T
+    left = (2.0 / h**2 * K[0] - hi * K[1] - F[0]) / lo
+    right = (2.0 / h**2 * K[-1] - lo * K[-2] - F[1]) / hi
+    ext = np.vstack((left, K, right))
+    d = (ext[2:] - ext[:-2]) / (2.0 * h)
+    A = jacobian(prof.params, StateVec(prof.u, prof.v))
+    inner = d[1:-1]
+    return apply_advection_diffusion(g, prof.c, d) + np.stack(
+        [A[0, 0] * inner[:, 0] + A[0, 1] * inner[:, 1],
+         A[1, 0] * inner[:, 0] + A[1, 1] * inner[:, 1]], axis=1)
+
+
+def _tanh_profile(p):
+    """Not a solution: its residual is O(0.1), so D r matters, and still
+    that large at the end nodes, where the sup then sits, so the closure at
+    the end knots matters too."""
+    g = make_grid(10.0, 199)
+    x = g.knots
+    knots = np.stack([p.kstar * (1 + np.tanh(x / 5)) / 2,
+                      (1 + np.tanh(x / 4)) / 2], axis=1)
+    return Profile(grid=g, knots=knots, c=C, params=p)
+
+
+@pytest.mark.parametrize("front", ["base", "tanh"])
+def test_translation_residual_matches_ghost_continuation(front, base_wave,
+                                                         base_params,
+                                                         base_weights):
+    prof = base_wave[0] if front == "base" else _tanh_profile(base_params)
+    want = float(np.max(np.abs(_ghost_continued_residual(prof))))
+    if front == "tanh":
+        assert want > 1e-2
+    got = translation_mode_check(prof, base_weights).residual_sup
+    assert abs(got - want) <= 1e-9 * want
+
+
+def test_spectrum_imports_only_errors_grid_and_model():
+    # the translation-mode check reads the front's own residual: spectrum
+    # needs no solver module, ``wave`` included
+    imported = set()
+    for node in ast.walk(ast.parse(Path(spectrum.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    package = {name for name in imported
+               if name.startswith((".", "pggwave"))}
+    assert package == {".errors", ".grid", ".model"}
 
 
 def test_translation_mode_unweighted_bounded(base_wave):
@@ -464,3 +525,5 @@ def test_translation_mode_constant_profile(base_params):
                     params=p)
     rep = translation_mode_check(const, WeightPair(0.05, 0.5))
     assert rep.residual_sup < 1e-12
+    # a constant has no derivative: both weighted magnitudes weigh 0
+    assert rep.weighted_left == rep.weighted_mid == rep.tail_factor == 0.0
