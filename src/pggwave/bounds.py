@@ -150,7 +150,7 @@ def _shifted_knots(upper: Profile, m: int) -> np.ndarray:
 def order_shift(upper: Profile, lower: Profile) -> float:
     """Smallest r = m*h >= 0 with upper(. + r) >= lower(.) at every knot,
     the Dirichlet rows included."""
-    if upper.grid.n != lower.grid.n or upper.grid.L != lower.grid.L:
+    if upper.grid != lower.grid:
         raise ParameterError("bounds must share one grid")
     for m in range(upper.grid.n + 2):
         if np.all(_shifted_knots(upper, m) >= lower.knots):

@@ -79,7 +79,8 @@ import numpy as np
 from .errors import (BlowUpError, FrontNotFoundError, GridError, NormError,
                      ParameterError)
 from .grid import (Grid, Profile, boundary_vector, dpttrf, dpttrs, half_line,
-                   require_m_matrix, stencil_bands, write_csv)
+                   least_squares_line, require_m_matrix, stencil_bands,
+                   write_csv)
 from .model import ModelParams, StateVec, reaction, to_original
 from .spectrum import WeightPair, exp_or_inf, log_weight
 
@@ -266,7 +267,7 @@ def run_simulation(initial: Profile, cfg: SimConfig,
     if reference is not None and reference.params != p:
         raise ParameterError("the reference is for another model")
     rg = reference.grid if reference is not None else g
-    if (rg.n, rg.L, rg.mirror) != (g.n, g.L, g.mirror):
+    if rg != g:
         raise ParameterError("the reference is on another grid")
     if on_blowup not in ("raise", "stop"):
         raise ParameterError("on_blowup must be 'raise' or 'stop'")
@@ -383,20 +384,23 @@ def perturb(base: Profile, kind: str, amplitude: float) -> Profile:
 
 
 def fit_decay_constant(tr: Trace, t_start: float) -> tuple[float, float]:
-    """Fit weighted_norm ~ M e^{-b t} on [t_start, t_end]; returns (M, b)."""
+    """Fit weighted_norm ~ M e^{-b t} on [t_start, t_end], a
+    ``grid.least_squares_line`` through (t, log weighted_norm); returns
+    (M, b)."""
     mask = tr.times >= t_start
     y = tr.weighted_norms[mask]
     if len(y) < 2:
         raise NormError("too few samples past t_start for a decay fit")
     if np.any(y <= 0):
         raise NormError("weighted norms must be positive for a log fit")
-    t = tr.times[mask]
-    slope, intercept = np.polyfit(t, np.log(y), 1)
-    return float(math.exp(intercept)), float(-slope)
+    slope, intercept, _ = least_squares_line(tr.times[mask], np.log(y),
+                                             NormError)
+    return math.exp(intercept), -slope
 
 
 def spreading_speed(tr: Trace, t_window: tuple[float, float]) -> float:
-    """Least-squares slope of the front position over the time window."""
+    """Least-squares slope of the front position over the time window
+    (``grid.least_squares_line``)."""
     t0, t1 = t_window
     mask = (tr.times >= t0) & (tr.times <= t1)
     x = tr.front_positions[mask]
@@ -406,8 +410,7 @@ def spreading_speed(tr: Trace, t_window: tuple[float, float]) -> float:
         raise FrontNotFoundError(
             "front level set absent or out of the domain inside the window"
         )
-    slope = np.polyfit(tr.times[mask], x, 1)[0]
-    return float(slope)
+    return least_squares_line(tr.times[mask], x, FrontNotFoundError)[0]
 
 
 def stability_experiment(wave: Profile, w: WeightPair, cfg: SimConfig) -> dict:

@@ -18,6 +18,10 @@ The scalar and the vector front solves share three pieces here:
 rule that halves a Newton step back into the envelope; and
 ``_sweep_newton``, the monotone-sweep loop with Newton acceleration, which
 owns their envelope test and their failure when the sweep budget is spent.
+The tail fits of ``wave`` and the decay and speed fits of ``dynamics``
+share ``least_squares_line``, a line in closed form from centred sums:
+numpy's ``lstsq`` or ``polyfit`` would start numpy's own LAPACK beside
+scipy's, about 1 MB of peak memory per run.
 
 Phase translation is a PCHIP (Fritsch & Butland) interpolant written in
 numpy, bit-identical to scipy's; a level crossing is found by bisecting its
@@ -48,7 +52,7 @@ import importlib.util
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +77,7 @@ __all__ = [
     "monotone_interpolant",
     "level_crossing",
     "translate",
+    "least_squares_line",
     "write_csv",
     "write_json",
     "save_profile",
@@ -136,12 +141,16 @@ dpttrf, dpttrs = _lapack.dpttrf, _lapack.dpttrs
 class Grid:
     """n nodes of spacing h between two end knots.  On the full line the
     ends are the Dirichlet knots -L and L; a ``half_line`` grid holds the
-    nodes at x >= 0, and its left end is the mirror row."""
+    nodes at x >= 0, and its left end is the mirror row.
+
+    Grids compare and hash by (L, n, h, mirror), which fix the nodes; h
+    tells apart the half lines of the full grids with n = 2m - 1 and
+    n = 2m, which share L, m and the mirror."""
 
     L: float
     n: int
     h: float
-    nodes: np.ndarray
+    nodes: np.ndarray = field(compare=False)
     mirror: bool = False
 
     @property
@@ -357,14 +366,16 @@ def linearization_bands(prof: Profile, g1=0.0, g2=0.0,
     return bands
 
 
-def _banded_solve(l_and_u, ab, b):
+def _banded_solve(l_and_u, ab, b, overwrite_b=False):
     """The solution of the banded system with bands ``ab`` and right-hand
     side ``b``, (n,) or (n, k), by the LAPACK routine
     ``scipy.linalg.solve_banded`` calls, without its copies and finiteness
     scans: the same routine on the same values, so the same bits.
 
     (1, 1): ``ab`` holds the three bands, shape (3, n), and dgtsv works on
-    copies, so neither ``ab`` nor ``b`` changes.  (l, u) otherwise: ``ab``
+    a copy of them, so ``ab`` does not change; ``b`` does not either,
+    unless ``overwrite_b`` is set and ``b`` is Fortran-contiguous, when
+    dgtsv overwrites it with the solution.  (l, u) otherwise: ``ab``
     is a (2l + u + 1, n) workspace, Fortran-ordered so that LAPACK takes it
     as it is, whose rows l.. hold the bands in ``solve_banded``'s order;
     rows 0..l-1 are the LU factors' fill, which dgbsv does not read on
@@ -374,7 +385,8 @@ def _banded_solve(l_and_u, ab, b):
     """
     l, u = l_and_u
     if l == u == 1:
-        *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+        *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b,
+                            overwrite_b=overwrite_b)
     else:
         *_, x, info = dgbsv(l, u, ab, b, overwrite_ab=1, overwrite_b=1)
     if info:
@@ -391,14 +403,18 @@ def _shifted_sweep(g: Grid, c: float, F, diag, left, right, solve):
     The shift beta = 1 + max(0, -min(diag)) is one above the largest
     negative Jacobian diagonal over the caller's box samples ``diag``, so
     F(U) + beta U is monotone in U there.  ``solve`` is the caller's banded
-    solver, called as solve((1, 1), bands, rhs).
+    solver, called as solve((1, 1), bands, rhs, overwrite_b=True): each
+    sweep builds its right-hand side in Fortran order, and the solution
+    takes its place.
     """
     beta = 1.0 + max(0.0, float(-np.min(diag)))
     ab = stencil_bands(g, c, -1.0, beta)
     bvec = boundary_vector(g, c, left, right)
 
     def sweep(U):
-        return solve((1, 1), ab, F(U) + beta * U + bvec)
+        rhs = np.add(F(U), beta * U, order="F")
+        rhs += bvec
+        return solve((1, 1), ab, rhs, overwrite_b=True)
     return beta, sweep
 
 
@@ -575,6 +591,31 @@ def translate(g: Grid, ys, x0: float) -> np.ndarray:
     i = np.minimum(np.searchsorted(xs, q, side="right") - 1, len(xs) - 2)
     s = (q - xs[i]).reshape((-1,) + (1,) * (c[0].ndim - 1))
     return _cubic([np.take(a, i, axis=0) for a in c], s)
+
+
+def least_squares_line(x, y, error) -> tuple[float, float, float]:
+    """The least-squares line y ~ slope x + intercept through the points
+    (x, y), and its r^2: (slope, intercept, r2).
+
+    Centred sums give it in closed form, slope = sum(dx dy) / sum(dx^2)
+    and intercept = mean(y) - slope mean(x), where dx = x - mean(x) and
+    dy = y - mean(y); r2 = 1 - sum((dy - slope dx)^2) / sum(dy^2), and 1
+    where every dy is zero.  Only ufunc reductions run, no BLAS or LAPACK
+    call.  Fewer than two distinct x raise ``error``, the caller's
+    exception type.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not (len(x) and x.max() > x.min()):
+        raise error(f"a line needs two distinct abscissae, got "
+                    f"{np.unique(x).size} among {len(x)} samples")
+    xm, ym = x.mean(), y.mean()
+    dx, dy = x - xm, y - ym
+    slope = float(np.sum(dx * dy) / np.sum(dx * dx))
+    ss_tot = float(np.sum(dy * dy))
+    ss_res = float(np.sum((dy - slope * dx) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return slope, float(ym - slope * xm), r2
 
 
 def write_csv(path, header: str, *columns) -> None:

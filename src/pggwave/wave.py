@@ -54,8 +54,9 @@ import numpy as np
 from .bounds import BoundPair
 from .errors import ConvergenceError, FitWindowError, ParameterError
 from .grid import (Grid, Profile, _banded_solve as solve_banded,
-                   _shifted_sweep, _sweep_newton, level_crossing,
-                   linearization_bands, require_m_matrix, residual, translate)
+                   _shifted_sweep, _sweep_newton, least_squares_line,
+                   level_crossing, linearization_bands, require_m_matrix,
+                   residual, translate)
 from .model import (ModelParams, StateVec, jacobian, reaction,
                     require_monotone_wave)
 
@@ -142,8 +143,7 @@ def solve_wave(bounds: BoundPair, tol: float = 1e-10,
     require_monotone_wave(p, c)
     require_m_matrix(g, c)
     for what, given in (("lower bound", bounds.lower), ("initial", initial)):
-        if given is not None and (given.grid.n, given.grid.L,
-                                  given.params) != (g.n, g.L, p):
+        if given is not None and (given.grid, given.params) != (g, p):
             raise ParameterError(f"{what} on another grid or model")
 
     def as_profile(U):
@@ -202,16 +202,6 @@ def check_monotone(prof: Profile) -> tuple[float, float]:
     return float(np.min(np.diff(prof.u))), float(np.min(np.diff(prof.v)))
 
 
-def _loglinear_fit(x, y):
-    A = np.stack([x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    fitted = A @ coef
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[0]), float(coef[1]), r2
-
-
 def _fit_window(g: Grid, side: str) -> tuple[tuple, np.ndarray]:
     """The tail fit window on ``side``, [-L+5, -L/2] at "-inf" and
     [L/2, L-5] at "+inf", and the mask of the nodes inside it."""
@@ -238,7 +228,8 @@ def fit_decay(prof: Profile, side: str) -> DecayFit:
     side "-inf" fits log u and log v on its ``_fit_window``; side "+inf"
     fits log(K*-u) and log(1-v), against the verdict's roots.  At the
     critical speed the -inf tail carries a linear prefactor, so
-    log y - log|xi| is fitted instead.  Samples below 1e-14 are excluded;
+    log y - log|xi| is fitted instead; each line is
+    ``grid.least_squares_line``.  Samples below 1e-14 are excluded;
     fewer than FIT_MIN_NODES usable nodes is an error.
     """
     g, p = prof.grid, prof.params
@@ -259,7 +250,8 @@ def fit_decay(prof: Profile, side: str) -> DecayFit:
         logy = np.log(y[mask])
         if side == "-inf" and verdict.verdict == "CriticalAdmissible":
             logy = logy - np.log(np.abs(g.nodes[mask]))
-        slope, intercept, r2 = _loglinear_fit(g.nodes[mask], logy)
+        slope, intercept, r2 = least_squares_line(g.nodes[mask], logy,
+                                                  FitWindowError)
         rates.append(slope)
         amps.append(math.exp(intercept))
         r2s.append(r2)

@@ -6,6 +6,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pggwave
@@ -566,6 +567,31 @@ def test_config_file_cli_exit(capsys, tmp_path):
     bad.write_text("alpha = 2.0\n")
     code, _, err = run_cli(capsys, "params", "--config", str(bad))
     assert code == 2
+
+
+def test_only_eigs_calls_numpy_linalg(capsys, tmp_path, monkeypatch):
+    # the tail rates, the decay constant and the spreading speed are
+    # closed-form lines (grid.least_squares_line): no run but eigs calls
+    # numpy's LAPACK, through numpy.linalg or numpy.polyfit
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy's LAPACK was called")
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):     # not LinAlgError
+            monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    small = ["--L", "20", "--n", "399", "--output-dir", str(tmp_path)]
+    for argv in (["wave", *small], ["bounds-check", *small],
+                 ["stability", *small, "--t-end", "8"],
+                 ["instability", *small, "--t-end", "6"],
+                 ["spread", "--L", "40", "--n", "799", "--dt", "0.05",
+                  "--t-end", "18", "--t0", "12", "--t1", "18",
+                  "--output-dir", str(tmp_path)]):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    with pytest.raises(AssertionError, match="numpy's LAPACK"):
+        main(["eigs", "--L", "40", "--n", "200", "--count", "4",
+              "--output-dir", str(tmp_path)])
 
 
 _IMPORT_GRAPH_SCRIPT = """

@@ -590,6 +590,31 @@ def test_fit_decay_constant_flat_and_invalid():
         fit_decay_constant(tr, 10.0)     # one sample, t = 10
 
 
+def test_fits_need_two_distinct_times():
+    # repeated times leave no line: each fit raises its own error type
+    t = np.full(5, 10.0)
+    tr = Trace(times=t, weighted_norms=np.linspace(1.0, 2.0, 5),
+               sup_norms=np.ones_like(t), front_positions=np.linspace(0, 1, 5))
+    with pytest.raises(NormError, match="two distinct"):
+        fit_decay_constant(tr, 0.0)
+    with pytest.raises(FrontNotFoundError, match="two distinct"):
+        spreading_speed(tr, (0.0, 20.0))
+
+
+def test_fits_agree_with_polyfit():
+    rng = np.random.default_rng(37)
+    t = np.sort(rng.uniform(40.0, 80.0, 41))
+    tr = Trace(times=t, weighted_norms=np.exp(-0.2 * t + 0.01 * np.sin(t)),
+               sup_norms=np.ones_like(t),
+               front_positions=0.95 * t + 0.05 * rng.standard_normal(t.size))
+    slope, intercept = np.polyfit(t, np.log(tr.weighted_norms), 1)
+    M, b = fit_decay_constant(tr, 40.0)
+    assert b == pytest.approx(-slope, rel=1e-12)
+    assert M == pytest.approx(math.exp(intercept), rel=1e-12)
+    assert spreading_speed(tr, (40.0, 80.0)) == pytest.approx(
+        np.polyfit(t, tr.front_positions, 1)[0], rel=1e-12)
+
+
 def test_spreading_speed_synthetic():
     t = np.linspace(0.0, 20.0, 41)
     tr = Trace(times=t, weighted_norms=np.ones_like(t),

@@ -11,12 +11,12 @@ from scipy.optimize import brentq
 
 from pggwave import (Profile, StateVec, WeightPair, apply_advection_diffusion,
                      assemble_weighted_operator, derive_params, dynamics, grid,
-                     kpp, load_profile, make_bounds, make_grid, reaction,
-                     residual, save_profile, spectrum, wave)
+                     kpp, load_profile, make_bounds, make_grid, order_shift,
+                     reaction, residual, save_profile, spectrum, wave)
 from pggwave.cli import main
 from pggwave.grid import (boundary_vector, level_crossing, linearization_bands,
                           stencil_bands, translate, write_csv, write_json)
-from pggwave.errors import (ConvergenceError, GridError,
+from pggwave.errors import (ConvergenceError, FitWindowError, GridError,
                             LevelNotCrossedError, ParameterError)
 
 
@@ -599,3 +599,93 @@ def test_non_finite_sweep_fails_at_once(tmp_path, monkeypatch):
     assert main(["wave", "--L", "20", "--n", "199",
                  "--output-dir", str(tmp_path)]) == 3
     assert len(sweeps) == 2
+
+
+def test_grids_compare_and_hash_by_value():
+    a, b = make_grid(40.0, 3999), make_grid(40.0, 3999)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, grid.half_line(a)}) == 2
+    assert a != make_grid(40.0, 4000) and a != make_grid(20.0, 3999)
+    assert grid.half_line(a) != a
+    # n = 2m - 1 and n = 2m give half lines of one L, m and mirror, whose
+    # spacing and nodes differ
+    odd, even = grid.half_line(make_grid(10.0, 99)), grid.half_line(
+        make_grid(10.0, 100))
+    assert (odd.L, odd.n, odd.mirror) == (even.L, even.n, even.mirror)
+    assert odd != even and hash(odd) != hash(even)
+    assert grid.half_line(a) == grid.half_line(b)
+
+
+def test_order_shift_refuses_bounds_on_two_grids(base_bounds):
+    other = make_grid(20.0, 199)
+    lower = replace(base_bounds.lower, grid=other,
+                    knots=np.zeros((other.n + 2, 2)))
+    with pytest.raises(ParameterError, match="bounds must share one grid"):
+        order_shift(base_bounds.upper, lower)
+
+
+def _parent_sweep(g, c, F, diag, left, right, solve):
+    """The sweep as it was before it solved in place: a fresh C-ordered
+    right-hand side, which dgtsv copies."""
+    beta = 1.0 + max(0.0, float(-np.min(diag)))
+    ab = stencil_bands(g, c, -1.0, beta)
+    bvec = boundary_vector(g, c, left, right)
+    return beta, lambda U: solve((1, 1), ab, F(U) + beta * U + bvec)
+
+
+def test_wave_sweep_solves_in_place_with_the_same_bits(monkeypatch):
+    bp = make_bounds(derive_params(0.25, 0.5), 1.0, make_grid(80.0, 8000))
+    solve = wave.solve_banded
+    in_place = []
+
+    def recorded(l_and_u, ab, b, **kwargs):
+        x = solve(l_and_u, ab, b, **kwargs)
+        if l_and_u == (1, 1):
+            in_place.append(b.flags.f_contiguous and np.shares_memory(x, b))
+        return x
+
+    monkeypatch.setattr(wave, "solve_banded", recorded)
+    front, report = wave.solve_wave(bp)
+    assert len(in_place) == report.iterations and all(in_place)
+
+    monkeypatch.setattr(wave, "_shifted_sweep", _parent_sweep)
+    parent, _ = wave.solve_wave(bp)
+    assert np.array_equal(front.knots, parent.knots)
+
+
+def test_least_squares_line_matches_polyfit():
+    # the workloads' fits: tail rates at x in [-75, -40], the decay
+    # constant and the spreading speed at t in [40, 80]
+    rng = np.random.default_rng(37)
+    for lo, hi in ((-75.0, -40.0), (40.0, 80.0)):
+        for _ in range(25):
+            x = np.sort(rng.uniform(lo, hi, 400))
+            slope = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
+            noise = 1e-3 * rng.standard_normal(x.size)
+            y = slope * x + rng.uniform(-5.0, 5.0) + noise
+            got = grid.least_squares_line(x, y, ValueError)
+            (a, b), ss_res, *_ = np.polyfit(x, y, 1, full=True)
+            assert got[0] == pytest.approx(a, rel=1e-12, abs=0.0)
+            # the intercept is extrapolated to x = 0
+            reach = abs(b) + abs(a) * max(-lo, hi)
+            assert got[1] == pytest.approx(b, rel=0.0, abs=1e-12 * reach)
+            r2 = 1.0 - ss_res[0] / np.sum((y - y.mean()) ** 2)
+            assert got[2] == pytest.approx(r2, rel=0.0, abs=1e-12)
+
+
+def test_least_squares_line_exact_and_degenerate():
+    x = np.linspace(-75.0, -40.0, 351)
+    slope, intercept, r2 = grid.least_squares_line(x, 0.25 * x - 1.5,
+                                                   ValueError)
+    assert slope == pytest.approx(0.25, rel=1e-14)
+    assert intercept == pytest.approx(-1.5, rel=1e-13)
+    assert r2 == 1.0
+    assert grid.least_squares_line(x, np.full_like(x, 0.5),
+                                   ValueError) == (0.0, 0.5, 1.0)
+    slope, intercept, _ = grid.least_squares_line(x, np.full_like(x, 0.7),
+                                                  ValueError)
+    assert abs(slope) < 1e-16 and intercept == pytest.approx(0.7, rel=1e-14)
+    # fewer than two distinct abscissae raise the caller's error type
+    for xs in ([], [3.0], [3.0, 3.0, 3.0]):
+        with pytest.raises(FitWindowError, match="two distinct abscissae"):
+            grid.least_squares_line(xs, np.ones(len(xs)), FitWindowError)
