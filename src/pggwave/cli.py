@@ -107,9 +107,10 @@ def _check_instability(cfg: RunConfig, args) -> dynamics.SimConfig:
 
 
 def _check_spread(cfg: RunConfig, args) -> dynamics.SimConfig:
-    dynamics.check_speed_window((args.t0, args.t1))
-    return dynamics.SimConfig(dt=cfg.dt, t_end=max(cfg.t_end, args.t1),
-                              record_every=50)
+    simcfg = dynamics.SimConfig(dt=cfg.dt, t_end=max(cfg.t_end, args.t1),
+                                record_every=50)
+    dynamics.check_speed_window(simcfg, (args.t0, args.t1))
+    return simcfg
 
 
 def cmd_params(cfg: RunConfig, args, _) -> None:
@@ -201,13 +202,24 @@ def cmd_eigs(cfg: RunConfig, args, _) -> None:
           f"weighted tail factor {tm.tail_factor:.3e}")
 
 
+def _write_run(cfg: RunConfig, simcfg: dynamics.SimConfig, sub: str,
+               run: tuple[dict, dynamics.Trace]) -> dict:
+    """Write a time run's ``trace.csv`` and its ``report.json``, the
+    experiment's report with the run's ``dt``, ``steps`` and
+    ``guard_margin``; returns the experiment's report."""
+    rep, tr = run
+    out = _outdir(cfg, sub)
+    dynamics.trace_to_csv(tr, out / "trace.csv")
+    _write_json(out / "report.json", dict(rep, dt=simcfg.dt, steps=tr.steps,
+                                          guard_margin=tr.guard_margin), cfg)
+    return rep
+
+
 def cmd_stability(cfg: RunConfig, args, simcfg: dynamics.SimConfig) -> None:
     prof, _ = _solve_pipeline(cfg)
-    rep = dynamics.stability_experiment(
-        prof, spectrum.WeightPair(cfg.sigma1, cfg.sigma2), simcfg)
-    out = _outdir(cfg, "stability")
-    dynamics.trace_to_csv(rep.pop("trace"), out / "trace.csv")
-    _write_json(out / "report.json", rep, cfg)
+    w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
+    rep = _write_run(cfg, simcfg, "stability",
+                     dynamics.stability_experiment(prof, w, simcfg))
     print(f"weighted norm {rep['initial_weighted_norm']:.4e} -> "
           f"{rep['final_weighted_norm']:.4e} (ratio {rep['norm_ratio']:.3e}); "
           f"fitted decay b = {rep['b']:.4f}")
@@ -215,23 +227,18 @@ def cmd_stability(cfg: RunConfig, args, simcfg: dynamics.SimConfig) -> None:
 
 def cmd_instability(cfg: RunConfig, args, simcfg: dynamics.SimConfig) -> None:
     prof, _ = _solve_pipeline(cfg)
-    rep = dynamics.instability_experiment(
-        prof, spectrum.WeightPair(cfg.sigma1, cfg.sigma2), simcfg)
-    out = _outdir(cfg, "instability")
-    dynamics.trace_to_csv(rep.pop("trace"), out / "trace.csv")
-    _write_json(out / "report.json", rep, cfg)
+    w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
+    rep = _write_run(cfg, simcfg, "instability",
+                     dynamics.instability_experiment(prof, w, simcfg))
     print(f"sup-norm deviation grew {rep['growth_factor']:.1f}x by "
           f"t = {rep['t_end']:g} (weighted size at start "
           f"{rep['initial_weighted_norm']:.3e})")
 
 
 def cmd_spread(cfg: RunConfig, args, simcfg: dynamics.SimConfig) -> None:
-    rep = dynamics.spreading_experiment(
+    rep = _write_run(cfg, simcfg, "spread", dynamics.spreading_experiment(
         derive_params(cfg.alpha, cfg.k), make_grid(cfg.L, cfg.n), simcfg,
-        (args.t0, args.t1))
-    out = _outdir(cfg, "spread")
-    dynamics.trace_to_csv(rep.pop("trace"), out / "trace.csv")
-    _write_json(out / "report.json", rep, cfg)
+        (args.t0, args.t1)))
     print(f"measured spreading speed {rep['speed']:.4f} "
           f"(selected speed {rep['predicted_speed']:g})")
 

@@ -413,9 +413,13 @@ def spreading_speed(tr: Trace, t_window: tuple[float, float]) -> float:
     return least_squares_line(tr.times[mask], x, FrontNotFoundError)[0]
 
 
-def stability_experiment(wave: Profile, w: WeightPair, cfg: SimConfig) -> dict:
+def stability_experiment(wave: Profile, w: WeightPair,
+                         cfg: SimConfig) -> tuple[dict, Trace]:
     """Small weighted perturbation (``AMPLITUDE``) decays in the frame of
-    ``wave.c``: returns norms and (M, b) fitted from ``DECAY_FIT_START`` on."""
+    ``wave.c``.  Returns ``(report, trace)``: the report holds the norms
+    and (M, b) fitted from ``DECAY_FIT_START`` on.  A run too short for
+    the fit (``check_decay_window``) is refused before any step."""
+    check_decay_window(cfg)
     initial = perturb(wave, "gaussian", AMPLITUDE)
     tr = run_simulation(initial, cfg, w=w, reference=wave)
     M, b = fit_decay_constant(tr, DECAY_FIT_START)
@@ -428,20 +432,16 @@ def stability_experiment(wave: Profile, w: WeightPair, cfg: SimConfig) -> dict:
         "M": M,
         "b": b,
         "t_end": cfg.t_end,
-        "dt": cfg.dt,
         "sigma1": w.sigma1,
         "sigma2": w.sigma2,
-        "steps": tr.steps,
-        "guard_margin": tr.guard_margin,
-        "trace": tr,
-    }
+    }, tr
 
 
 def instability_experiment(wave: Profile, w: WeightPair,
-                           cfg: SimConfig) -> dict:
+                           cfg: SimConfig) -> tuple[dict, Trace]:
     """Left-tail perturbation (``AMPLITUDE``) grows in sup norm in the frame
     of ``wave.c``; blow-up is reported, not raised.  ``w`` measures the
-    perturbation's weighted size."""
+    perturbation's weighted size.  Returns ``(report, trace)``."""
     initial = perturb(wave, "left_tail", AMPLITUDE)
     tr = run_simulation(initial, cfg, w=w, reference=wave, on_blowup="stop")
     return {
@@ -453,11 +453,7 @@ def instability_experiment(wave: Profile, w: WeightPair,
         "initial_weighted_norm": float(tr.weighted_norms[0]),
         "blew_up": tr.blew_up,
         "t_end": cfg.t_end,
-        "dt": cfg.dt,
-        "steps": tr.steps,
-        "guard_margin": tr.guard_margin,
-        "trace": tr,
-    }
+    }, tr
 
 
 def spreading_seed(p: ModelParams, g: Grid) -> Profile:
@@ -490,12 +486,13 @@ def spreading_seed(p: ModelParams, g: Grid) -> Profile:
     return Profile(g, np.column_stack(seed), 0.0, p)
 
 
-def check_speed_window(t_window: tuple[float, float]) -> None:
-    """Raise ParameterError unless the speed window is 0 < t0 < t1.
+def check_speed_window(cfg: SimConfig, t_window: tuple[float, float]) -> None:
+    """Raise ParameterError unless the speed window is 0 < t0 < t1 <= t_end.
 
     The seed's height ``SEED_HEIGHT`` lies below ``FRONT_LEVEL``, so at
     t = 0 the front has no position, and a fit over a window that reaches
-    t = 0 could only fail, after the whole run.
+    t = 0 could only fail, after the whole run.  A window past the run's
+    ``cfg.t_end`` would be fitted on its recorded part alone.
     """
     t0, t1 = t_window
     if not t0 < t1:
@@ -504,6 +501,9 @@ def check_speed_window(t_window: tuple[float, float]) -> None:
         raise ParameterError(
             f"speed window [{t0}, {t1}] reaches t = 0, where the seed "
             f"(height {SEED_HEIGHT:g}) has no front at level {FRONT_LEVEL:g}")
+    if not t1 <= cfg.t_end:
+        raise ParameterError(f"speed window [{t0}, {t1}] ends after "
+                             f"t_end = {cfg.t_end:g}")
 
 
 def check_decay_window(cfg: SimConfig) -> None:
@@ -518,8 +518,9 @@ def check_decay_window(cfg: SimConfig) -> None:
 
 
 def spreading_experiment(p: ModelParams, g: Grid, cfg: SimConfig,
-                         t_window: tuple[float, float]) -> dict:
+                         t_window: tuple[float, float]) -> tuple[dict, Trace]:
     """Lab-frame invasion from ``spreading_seed``; measures front speed.
+    Returns ``(report, trace)``.
 
     The window is checked first (``check_speed_window``).  The seed, the
     frame speed 0 and the Dirichlet data are even in x, so the solution is
@@ -534,20 +535,15 @@ def spreading_experiment(p: ModelParams, g: Grid, cfg: SimConfig,
     zeros to smear subnormals into.  The selected front speed is
     2 sqrt(alpha).
     """
-    check_speed_window(t_window)
+    check_speed_window(cfg, t_window)
     initial = spreading_seed(p, half_line(g))
     tr = run_simulation(initial, cfg)
-    speed = spreading_speed(tr, t_window)
     return {
         "kind": "spreading",
-        "speed": speed,
+        "speed": spreading_speed(tr, t_window),
         "predicted_speed": p.cmin,
         "t_window": list(t_window),
-        "dt": cfg.dt,
-        "steps": tr.steps,
-        "guard_margin": tr.guard_margin,
-        "trace": tr,
-    }
+    }, tr
 
 
 def trace_to_csv(tr: Trace, path) -> None:

@@ -178,11 +178,14 @@ class Grid:
 
 
 def make_grid(L: float, n: int) -> Grid:
-    """Uniform grid with n interior nodes on [-L, L], spacing h = 2L/(n+1)."""
+    """Uniform grid with n interior nodes on [-L, L], spacing h = 2L/(n+1).
+    An n that is not a Python or numpy integer, or is below 3, raises
+    GridError."""
     if L <= 0:
         raise GridError(f"half-length must be positive, got {L}")
-    if n < 3:
-        raise GridError(f"need at least 3 interior nodes, got {n}")
+    if not isinstance(n, (int, np.integer)) or n < 3:
+        raise GridError(f"need an integer count of at least 3 interior "
+                        f"nodes, got {n!r}")
     h = 2.0 * L / (n + 1)
     nodes = -L + h * np.arange(1, n + 1)
     return Grid(L=float(L), n=int(n), h=h, nodes=nodes)
@@ -675,12 +678,14 @@ def save_profile(prof: Profile, csv_path) -> None:
 
 def load_profile(csv_path) -> tuple[Profile, dict]:
     """Inverse of save_profile; returns the profile and its metadata dict.
-    A sidecar whose alpha, k, c or L is not a number, whose n is not an
-    int, or whose model lies outside the admissible box raises
-    ParameterError."""
+    A sidecar that lacks alpha, k, c, L or n, whose alpha, k, c or L is not
+    a number, whose n is not an int, or whose model lies outside the
+    admissible box raises ParameterError."""
     csv_path = Path(csv_path)
     meta = json.loads(csv_path.with_suffix(".json").read_text())
     for key in ("alpha", "k", "c", "L", "n"):
+        if key not in meta:
+            raise ParameterError(f"the sidecar has no key {key!r}")
         # a bool is no number, and a node count no float
         kinds, what = (((int,), "an int") if key == "n"
                        else ((int, float), "a number"))

@@ -222,10 +222,10 @@ def test_criterion_10_point_spectrum(base_wave, coarse_wave_400,
 
 def test_criterion_11_dynamic_stability(base_wave, base_weights):
     prof, _ = base_wave
-    rep1 = stability_experiment(prof, base_weights,
-                                SimConfig(dt=0.01, t_end=50.0))
-    rep2 = stability_experiment(prof, base_weights,
-                                SimConfig(dt=0.005, t_end=50.0))
+    rep1, _ = stability_experiment(prof, base_weights,
+                                   SimConfig(dt=0.01, t_end=50.0))
+    rep2, _ = stability_experiment(prof, base_weights,
+                                   SimConfig(dt=0.005, t_end=50.0))
     ok_ratio = rep1["norm_ratio"] < 0.1
     ok_b = rep1["b"] > 0.05
     ok_stable = abs(rep2["b"] - rep1["b"]) <= 0.2 * rep1["b"]
@@ -236,8 +236,8 @@ def test_criterion_11_dynamic_stability(base_wave, base_weights):
 
 def test_criterion_12_dynamic_instability(base_wave, base_weights):
     prof, _ = base_wave
-    rep = instability_experiment(prof, base_weights,
-                                 SimConfig(dt=0.01, t_end=20.0))
+    rep, _ = instability_experiment(prof, base_weights,
+                                    SimConfig(dt=0.01, t_end=20.0))
     ok = rep["growth_factor"] >= 5.0
     _report(12, ok, f"sup-norm deviation growth {rep['growth_factor']:.1f}x "
                     f">= 5 by t=20 (weighted start {rep['initial_weighted_norm']:.1f})")
@@ -245,9 +245,9 @@ def test_criterion_12_dynamic_instability(base_wave, base_weights):
 
 def test_criterion_13_spreading_speed(base_params):
     g = make_grid(150.0, 5999)
-    rep = spreading_experiment(base_params, g,
-                               SimConfig(dt=0.01, t_end=80.0, record_every=100),
-                               t_window=(40.0, 80.0))
+    rep, _ = spreading_experiment(
+        base_params, g, SimConfig(dt=0.01, t_end=80.0, record_every=100),
+        t_window=(40.0, 80.0))
     err = abs(rep["speed"] - 1.0)
     _report(13, err < 0.10,
             f"measured speed {rep['speed']:.4f}, error {err:.1%} < 10% of 1.0")

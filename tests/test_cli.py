@@ -357,6 +357,58 @@ def test_spread_smoke(capsys, tmp_path):
     assert 0.0 < rep["guard_margin"] < 12.0
 
 
+RUN_KEYS = {"dt", "guard_margin", "steps"}
+
+
+@pytest.mark.parametrize("sub, experiment, argv, keys", [
+    ("stability", "stability_experiment",
+     ["--L", "20", "--n", "399", "--t-end", "8"],
+     {"M", "amplitude", "b", "final_weighted_norm", "initial_weighted_norm",
+      "kind", "norm_ratio", "sigma1", "sigma2", "t_end"}),
+    ("instability", "instability_experiment",
+     ["--L", "20", "--n", "399", "--t-end", "6"],
+     {"amplitude", "blew_up", "final_sup_norm", "growth_factor",
+      "initial_sup_norm", "initial_weighted_norm", "kind", "t_end"}),
+    ("spread", "spreading_experiment",
+     ["--L", "40", "--n", "399", "--dt", "0.05", "--t-end", "18", "--t0",
+      "12", "--t1", "18"],
+     {"kind", "predicted_speed", "speed", "t_window"}),
+], ids=["stability", "instability", "spread"])
+def test_time_run_artifacts(capsys, tmp_path, monkeypatch, sub, experiment,
+                            argv, keys):
+    """Each time run's experiment returns ``(report, trace)`` with no trace
+    in the report; ``report.json`` is that report plus the run's ``dt``,
+    ``steps`` and ``guard_margin`` and the configuration, and ``trace.csv``
+    holds the returned trace."""
+    runs = []
+    run_experiment = getattr(dynamics, experiment)
+
+    def spy(*args, **kwargs):
+        runs.append(run_experiment(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(dynamics, experiment, spy)
+    code, _, _ = run_cli(capsys, sub, *argv, "--output-dir", str(tmp_path))
+    assert code == 0
+    [(rep, tr)] = runs
+    assert type(rep) is dict and isinstance(tr, dynamics.Trace)
+    assert set(rep) == keys
+    assert not any(isinstance(v, dynamics.Trace) for v in rep.values())
+    written = json.loads((tmp_path / sub / "report.json").read_text())
+    assert set(written) == keys | RUN_KEYS | {"config"}
+    assert written["dt"] == written["config"]["dt"]
+    assert written["steps"] == tr.steps == round(
+        tr.times[-1] / written["dt"])
+    assert written["guard_margin"] == tr.guard_margin
+    assert {k: written[k] for k in keys} == json.loads(json.dumps(rep))
+    rows = (tmp_path / sub / "trace.csv").read_text().splitlines()
+    assert rows[0] == "t,weighted_norm,sup_norm,front_position"
+    table = np.array([[float(x) for x in r.split(",")] for r in rows[1:]])
+    np.testing.assert_array_equal(
+        table, np.column_stack((tr.times, tr.weighted_norms, tr.sup_norms,
+                                tr.front_positions)))
+
+
 def test_spread_checks_window_before_running(capsys, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the spread ran before the window check")

@@ -654,11 +654,10 @@ def test_front_position_between_nodes():
 
 def test_stability_experiment_short(base_wave, base_weights):
     prof, _ = base_wave
-    rep = stability_experiment(prof, base_weights,
-                               SimConfig(dt=0.01, t_end=12.0, record_every=50))
+    rep, tr = stability_experiment(
+        prof, base_weights, SimConfig(dt=0.01, t_end=12.0, record_every=50))
     assert rep["final_weighted_norm"] < rep["initial_weighted_norm"]
     assert rep["b"] > 0.05
-    tr = rep["trace"]
     tail = tr.weighted_norms[tr.times >= 5.0]
     assert np.all(np.diff(tail) <= 1e-15)
 
@@ -674,22 +673,47 @@ def test_stability_zero_perturbation_floor(base_wave, base_weights):
 
 def test_instability_experiment_short(base_wave, base_weights):
     prof, _ = base_wave
-    rep = instability_experiment(prof, base_weights,
-                                 SimConfig(dt=0.01, t_end=10.0, record_every=100))
+    rep, _ = instability_experiment(
+        prof, base_weights, SimConfig(dt=0.01, t_end=10.0, record_every=100))
     assert rep["growth_factor"] > 2.0
     assert rep["initial_weighted_norm"] >= 1.0
 
 
 def test_spreading_experiment_short(base_params):
     g = make_grid(60.0, 1199)
-    rep = spreading_experiment(base_params, g,
-                               SimConfig(dt=0.02, t_end=30.0, record_every=50),
-                               t_window=(15.0, 30.0))
+    rep, _ = spreading_experiment(
+        base_params, g, SimConfig(dt=0.02, t_end=30.0, record_every=50),
+        t_window=(15.0, 30.0))
     assert rep["speed"] == pytest.approx(1.0, rel=0.15)
     # a window that reaches t = 0, where the seed has no front, is refused
     with pytest.raises(ParameterError, match="reaches t = 0"):
         spreading_experiment(base_params, g, SimConfig(dt=0.02, t_end=30.0),
                              t_window=(0.0, 30.0))
+
+
+def _refuse_to_step(*args, **kwargs):
+    raise AssertionError("the run stepped before its window was checked")
+
+
+def test_stability_experiment_checks_the_decay_window_first(
+        base_wave, base_weights, monkeypatch):
+    # t_end = 5 records one sample from DECAY_FIT_START = 5 on; the fit
+    # needs two, so the run is refused before its first step
+    monkeypatch.setattr(pggwave.dynamics, "run_simulation", _refuse_to_step)
+    with pytest.raises(ParameterError, match="the fit needs 2"):
+        stability_experiment(base_wave[0], base_weights,
+                             SimConfig(dt=0.01, t_end=5.0))
+
+
+def test_spreading_experiment_refuses_a_window_past_t_end(base_params,
+                                                          monkeypatch):
+    # a speed fitted on [20, 30] must not be reported as the speed on
+    # [20, 80]
+    monkeypatch.setattr(pggwave.dynamics, "run_simulation", _refuse_to_step)
+    with pytest.raises(ParameterError, match="ends after t_end = 30"):
+        spreading_experiment(base_params, make_grid(60.0, 599),
+                             SimConfig(dt=0.02, t_end=30.0, record_every=25),
+                             (20.0, 80.0))
 
 
 @pytest.mark.parametrize("n", [799, 800], ids=["odd", "even"])
@@ -701,8 +725,7 @@ def test_half_line_spread_matches_full_line(base_params, n):
     cfg = SimConfig(dt=0.05, t_end=18.0, record_every=10)
     window = (12.0, 18.0)
     full = run_simulation(spreading_seed(base_params, g), cfg)
-    rep = spreading_experiment(base_params, g, cfg, window)
-    half = rep["trace"]
+    rep, half = spreading_experiment(base_params, g, cfg, window)
     assert half.final_state.grid.mirror
     assert half.final_state.grid.n == (n + 1) // 2
     assert half.steps == full.steps == 360

@@ -30,10 +30,21 @@ def test_make_grid_examples():
     assert g.nodes[-1] == pytest.approx(40.0 - g.h)
 
 
-@pytest.mark.parametrize("L,n", [(1.0, 2), (0.0, 9), (-3.0, 9)])
+# a non-integer n: int(3999.7) would build 3999 nodes spaced for 4000.7,
+# so the last node would not sit at L - h
+@pytest.mark.parametrize("L,n", [(1.0, 2), (0.0, 9), (-3.0, 9), (40.0, 3999.7),
+                                 (40.0, 3999.0), (40.0, np.float64(399)),
+                                 (40.0, "399")])
 def test_make_grid_rejects(L, n):
     with pytest.raises(GridError):
         make_grid(L, n)
+
+
+@pytest.mark.parametrize("n", [np.int64(399), np.int32(399)])
+def test_make_grid_accepts_numpy_integers(n):
+    g = make_grid(40.0, n)
+    assert type(g.n) is int and g.n == 399
+    assert g.nodes[-1] == pytest.approx(40.0 - g.h, abs=1e-12)
 
 
 def test_operator_exact_on_linears():
@@ -181,6 +192,17 @@ def test_load_profile_rejects_non_numeric_model_and_grid(tmp_path, base_params,
     meta = json.loads(csv.with_suffix(".json").read_text())
     csv.with_suffix(".json").write_text(json.dumps({**meta, key: value}))
     with pytest.raises(ParameterError, match=f"sidecar {key} = "):
+        load_profile(csv)
+
+
+@pytest.mark.parametrize("key", ["alpha", "k", "c", "L", "n"])
+def test_load_profile_names_a_missing_key(tmp_path, base_params, key):
+    csv = tmp_path / "profile.csv"
+    save_profile(_zero_profile(base_params), csv)
+    meta = json.loads(csv.with_suffix(".json").read_text())
+    del meta[key]
+    csv.with_suffix(".json").write_text(json.dumps(meta))
+    with pytest.raises(ParameterError, match=f"no key '{key}'"):
         load_profile(csv)
 
 
