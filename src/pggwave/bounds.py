@@ -1,10 +1,10 @@
 """Vector upper/lower solutions built from scalar fronts, and their ordering.
 
 The upper solution is (K* w, w) with w the upper scalar front; the lower is
-(K* l w, w) with w the lower scalar front of parameter l.  ``build_bound``
-makes either from the front alone, reading l from the front's nonlinearity
-(l = 1 for the upper front, as in ``KppNonlinearity._terms``).  Both
-satisfy the componentwise differential inequalities of the wave system, which
+(K* l w, w) with w the lower scalar front of parameter l: one family in l,
+the upper its l = 1 member.  ``build_bound`` makes either from the front
+alone, reading l from the front's nonlinearity.  Both satisfy the
+componentwise differential inequalities of the wave system, which
 ``verify_bound`` checks nodewise with the same discrete operators the
 solvers use, so the margins are at solver-tolerance level rather than at
 O(h^2).
@@ -90,19 +90,18 @@ class MarginReport:
 
 def default_l(p: ModelParams) -> float:
     """Lower-solution parameter at ``L_FRACTION`` of its admissible range."""
-    return L_FRACTION * (1.0 - p.k + p.k * p.alpha)
+    return L_FRACTION * p.d
 
 
 def build_bound(s: ScalarProfile) -> Profile:
     """Componentwise (K* l w, w) at the scalar front's knots, with l the
-    front's lower-solution parameter, or 1 for the upper front.
+    front's parameter: 1 for the upper front.
 
     The upper bound's right end is exactly (K*, 1), the lower's strictly
     below it; the left end is the scalar's tiny pinned datum.
     """
-    l = 1.0 if s.nl.l is None else s.nl.l
     return Profile(s.grid, np.column_stack(
-        (s.nl.params.kstar * l * s.knots, s.knots)), s.c, s.nl.params)
+        (s.nl.params.kstar * s.nl.l * s.knots, s.knots)), s.c, s.nl.params)
 
 
 def verify_bound(prof: Profile, kind: str) -> MarginReport:

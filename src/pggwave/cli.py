@@ -115,8 +115,7 @@ def _check_spread(cfg: RunConfig, args) -> dynamics.SimConfig:
 
 def cmd_params(cfg: RunConfig, args, _) -> None:
     p = derive_params(cfg.alpha, cfg.k)
-    identity_gap = abs((1.0 + p.k * p.kstar - p.kstar)
-                       - p.alpha / (1.0 - p.k + p.alpha * p.k))
+    identity_gap = abs((1.0 + p.k * p.kstar - p.kstar) - p.alpha / p.d)
     print(f"alpha = {p.alpha:.17g}")
     print(f"k = {p.k:.17g}")
     print(f"K* = {p.kstar:.17g}")
@@ -167,6 +166,13 @@ def cmd_bounds_check(cfg: RunConfig, args, verdict) -> None:
 def cmd_spectrum(cfg: RunConfig, args, _) -> None:
     p = derive_params(cfg.alpha, cfg.k)
     w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
+    # the window first: its speed verdict refuses a speed outside (0, inf)
+    try:
+        win = spectrum.weight_window(p, cfg.c)
+        window = (f"sigma1 in [0, {win.sigma1_max:.7f}), sigma2 in "
+                  f"({win.sigma2_min:.7f}, {win.sigma2_max:.7f})")
+    except EmptyWindowError as exc:  # at critical speed; still report curves
+        window = str(exc)
     rep = spectrum.make_spectrum_report(p, cfg.c, w)
     out = _outdir(cfg, "spectrum")
     write_csv(out / "curves.csv", "branch,y,x",
@@ -174,12 +180,7 @@ def cmd_spectrum(cfg: RunConfig, args, _) -> None:
               [y for cv in rep.curves for y in cv["y"]],
               [x for cv in rep.curves for x in cv["x"]])
     _write_json(out / "spectrum_report.json", rep, cfg)
-    try:
-        win = spectrum.weight_window(p, cfg.c)
-        print(f"weight window: sigma1 in [0, {win.sigma1_max:.7f}), "
-              f"sigma2 in ({win.sigma2_min:.7f}, {win.sigma2_max:.7f})")
-    except EmptyWindowError as exc:  # at critical speed; still report curves
-        print(f"weight window: {exc}")
+    print(f"weight window: {window}")
     print(f"max Re essential spectrum = {rep.max_re_essential:.17g}")
 
 

@@ -3,6 +3,7 @@ annotations; flat key=value files; validation by each setting's owner; echo."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -94,5 +95,5 @@ def validate_config(cfg: RunConfig) -> None:
     spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
     dynamics.SimConfig(dt=cfg.dt, t_end=cfg.t_end)
     # no constructor takes tol before a solve
-    if cfg.tol <= 0:
-        raise ParameterError("tol must be positive")
+    if not 0.0 < cfg.tol < math.inf:
+        raise ParameterError("tol must be positive and finite")

@@ -126,12 +126,12 @@ class SimConfig:
     record_every: int = 100
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ParameterError("dt must be positive")
         if self.dt > 0.1:
             raise ParameterError("dt above 0.1 loses reaction accuracy")
-        if self.t_end <= 0:
-            raise ParameterError("t_end must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise ParameterError("t_end must be positive and finite")
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ParameterError(

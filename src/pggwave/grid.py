@@ -181,8 +181,8 @@ def make_grid(L: float, n: int) -> Grid:
     """Uniform grid with n interior nodes on [-L, L], spacing h = 2L/(n+1).
     An n that is not a Python or numpy integer, or is below 3, raises
     GridError."""
-    if L <= 0:
-        raise GridError(f"half-length must be positive, got {L}")
+    if not 0.0 < L < math.inf:
+        raise GridError(f"half-length must be positive and finite, got {L}")
     if not isinstance(n, (int, np.integer)) or n < 3:
         raise GridError(f"need an integer count of at least 3 interior "
                         f"nodes, got {n!r}")

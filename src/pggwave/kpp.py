@@ -1,9 +1,10 @@
 """Scalar KPP boundary-value solves that seed the vector bounds.
 
-Two nonlinearities are supported: the "upper" one, whose front rises to 1,
-and the "lower" family with parameter l in (0, 1-k+k*alpha), whose front
-rises to a plateau strictly below 1.  Both share f'(0) = alpha, so both
-fronts decay toward -inf at one rate, the slow root of the speed verdict.
+The nonlinearities are one family in l: l = 1 is the "upper" one, whose
+front rises to 1, and l in (0, d), d = ``ModelParams.d``, the "lower" ones,
+whose fronts rise to a plateau strictly below 1.  All share f'(0) = alpha,
+so all fronts decay toward -inf at one rate, the slow root of the speed
+verdict.
 
 On the truncated domain the phase of the front is controlled by the left
 Dirichlet datum: with the datum exactly zero the discrete problem's unique
@@ -59,46 +60,40 @@ BORDERED_MAX_STEPS = 40
 DATUM_STEP_MAX = 2.0
 
 
+def _lower_l(p: ModelParams, l: float) -> float:
+    """l if it lies in (0, d), the lower fronts' range; else ParameterError."""
+    if not (isinstance(l, float) and 0.0 < l < p.d):
+        raise ParameterError(
+            f"lower-solution parameter l={l} outside (0, {p.d})")
+    return l
+
+
 @dataclass(frozen=True)
 class KppNonlinearity:
-    """Tagged reaction term f for the scalar front equation w'' - c w' + f(w) = 0.
-
-    ``l`` is None for the upper variant (plateau 1); otherwise the lower
-    variant with parameter l.
-    """
+    """Reaction term f of the scalar front equation w'' - c w' + f(w) = 0,
+    one member of the family in l: l = 1 is the upper front (plateau 1),
+    l in (0, d) a lower front (plateau below 1)."""
 
     params: ModelParams
-    l: float | None = None
+    l: float = 1.0
 
     def __post_init__(self):
-        if self.l is not None:
-            p = self.params
-            lmax = 1.0 - p.k + p.k * p.alpha
-            if not (0.0 < self.l < lmax):
-                raise ParameterError(
-                    f"lower-solution parameter l={self.l} outside (0, {lmax})"
-                )
+        if self.l != 1.0:
+            _lower_l(self.params, self.l)
 
     @property
     def plateau(self) -> float:
-        """Right limit of the front: 1 for the upper variant, <1 for the
-        lower."""
-        if self.l is None:
-            return 1.0
+        """Right limit of the front, pref/(pref + (1 - l) K*) with pref =
+        alpha/d: exactly 1 at l = 1, below 1 for a lower front."""
         p = self.params
-        kk = p.k * p.kstar
-        return (1.0 + kk - p.kstar) / (1.0 + kk - self.l * p.kstar)
+        pref = p.alpha / p.d
+        return pref / (pref + (1.0 - self.l) * p.kstar)
 
     def _terms(self):
-        """(pref, k K*, l, q) of f = pref w (1 - q w) / (1 + k K* (1 - l w)).
-
-        The upper variant is l = q = 1; the lower has q = 1/plateau.
-        """
+        """(pref, k K*, l, q) of f = pref w (1 - q w) / (1 + k K* (1 - l w)),
+        with q = 1/plateau (1 for the upper front)."""
         p = self.params
-        pref = p.alpha / (1.0 - p.k + p.alpha * p.k)
-        if self.l is None:
-            return pref, p.k * p.kstar, 1.0, 1.0
-        return pref, p.k * p.kstar, self.l, 1.0 / self.plateau
+        return p.alpha / p.d, p.k * p.kstar, self.l, 1.0 / self.plateau
 
     def f(self, w):
         pref, kk, l, q = self._terms()
@@ -123,21 +118,22 @@ class KppNonlinearity:
         """
         p = self.params
         numeric = float(self.fprime(self.plateau))
-        if self.l is None:
-            printed = -p.alpha / (1.0 - p.k + p.alpha * p.k)
+        if self.l == 1.0:
+            printed = -p.alpha / p.d
         else:
             printed = -(1.0 - self.l + self.l * p.alpha) / (
-                1.0 - self.l + self.l * p.alpha * (1.0 - p.k + p.alpha * p.k)
-            )
+                1.0 - self.l + self.l * p.alpha * p.d)
         return {"numeric": numeric, "printed": printed}
 
 
 def upper_nonlinearity(p: ModelParams) -> KppNonlinearity:
-    return KppNonlinearity(params=p, l=None)
+    return KppNonlinearity(params=p)
 
 
 def lower_nonlinearity(p: ModelParams, l: float) -> KppNonlinearity:
-    return KppNonlinearity(params=p, l=l)
+    """The lower front of parameter l in (0, d); l = 1, the upper front,
+    is refused."""
+    return KppNonlinearity(params=p, l=_lower_l(p, l))
 
 
 @dataclass(frozen=True)
@@ -195,8 +191,10 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
     (``grid._banded_solve``) solves it on copies: every step reuses the
     right-hand side, whose column 1 must stay zero below row 0.  ``grid._damped``
     halves a step until the iterate stays in [0, plateau] and |ds| stays
-    below DATUM_STEP_MAX.  The iteration starts from the logistic front of
-    tail rate mu and settles once a full step moves no unknown knot, the
+    below DATUM_STEP_MAX.  The iteration starts from the front with both
+    tail rates: (b/2) e^{mu xi} for xi < 0 and b (1 - e^{nu xi}/2) for
+    xi >= 0, b the plateau and nu the negative root of nu^2 - c nu +
+    f'(b) = 0.  It settles once a full step moves no unknown knot, the
     left datum e^s included, by ``tol``; past BORDERED_MAX_STEPS steps, or
     damped below ``grid.DAMPING_FLOOR``, it raises ConvergenceError.
 
@@ -207,19 +205,22 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
     crossing must lie within PHASE_TOL of 0.  A subcritical speed raises.
     The returned front carries ``nl``, ``c`` and ``g`` with its samples.
     """
-    if tol <= 0:
-        raise ParameterError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ParameterError("tolerance must be positive and finite")
     mu = require_monotone_wave(nl.params, c).roots[0].real
     require_m_matrix(g, c)
     b = nl.plateau
     half = b / 2.0
+    nu = (c - math.sqrt(c * c - 4.0 * float(nl.fprime(b)))) / 2.0
     lo = stencil_coefficients(g, c)[0]
 
     logb = math.log(b)
     s = logb - mu * g.L
     knots = np.empty(g.n + 2)
     knots[0], knots[-1] = math.exp(s), b
-    knots[1:-1] = b * np.exp(-np.logaddexp(0.0, -mu * g.nodes))
+    j = int(np.searchsorted(g.nodes, 0.0))   # the first node at xi >= 0
+    knots[1:j + 1] = half * np.exp(mu * g.nodes[:j])
+    knots[j + 1:-1] = b * (1.0 - np.exp(nu * g.nodes[j:]) / 2.0)
     rhs = np.zeros((g.n, 2))
 
     # the phase row at 0, which lies in the knot segment [xs[1], xs[2]],

@@ -46,35 +46,39 @@ class StateVec(NamedTuple):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Dimensionless constants of the rescaled system.
+    """The model's two parameters and the constants derived from them.
 
     alpha   altruism penalty rate, in (0, 1)
     k       public-goods coefficient, in (0, 1)
-    kstar   cooperator-dominated equilibrium level (1-alpha)/(1-k+alpha*k)
+    d       1 - k + alpha*k
+    kstar   cooperator-dominated equilibrium level (1-alpha)/d
     cmin    minimal front speed 2*sqrt(alpha)
     """
 
     alpha: float
     k: float
-    kstar: float
-    cmin: float
+
+    @property
+    def d(self) -> float:
+        return 1.0 - self.k + self.alpha * self.k
+
+    @property
+    def kstar(self) -> float:
+        return (1.0 - self.alpha) / self.d
+
+    @property
+    def cmin(self) -> float:
+        return 2.0 * math.sqrt(self.alpha)
 
 
 def derive_params(alpha: float, k: float) -> ModelParams:
-    """Validate hypothesis 0 < alpha, k < 1 and compute the derived constants."""
+    """Validate hypothesis 0 < alpha, k < 1; the model's constants derive
+    from the two."""
     if not (0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     if not (0.0 < k < 1.0):
         raise ParameterError(f"k must lie in (0, 1), got {k}")
-    denom = 1.0 - k + alpha * k
-    kstar = (1.0 - alpha) / denom
-    p = ModelParams(alpha=alpha, k=k, kstar=kstar, cmin=2.0 * math.sqrt(alpha))
-    # identity 1 + k*K* - K* = alpha/(1-k+alpha*k), used by the bound algebra
-    if abs((1.0 + k * kstar - kstar) - alpha / denom) >= 1e-13:
-        raise ParameterError(
-            f"derived constants inconsistent for alpha={alpha}, k={k}"
-        )
-    return p
+    return ModelParams(alpha=alpha, k=k)
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,8 @@ def subcritical_verdict(p: ModelParams, c: float) -> SpeedVerdict:
 
     Within SPEED_TOL of cmin the -inf pair is the double root sqrt(alpha),
     discriminant 0, however c^2 - 4 alpha rounds; below, it is complex."""
-    if c <= 0:
-        raise ParameterError(f"speed must be positive, got {c}")
+    if not 0.0 < c < math.inf:
+        raise ParameterError(f"speed must be positive and finite, got {c}")
     disc = c * c - 4.0 * p.alpha
     half = c / 2.0
     if c < p.cmin - SPEED_TOL:
@@ -143,7 +147,7 @@ def reaction(p: ModelParams, s: StateVec, out: np.ndarray | None = None
     w = np.subtract(p.kstar, u, out=np.empty(out.shape[1:]))
     np.multiply(w, p.k, out=f2)
     f2 += 1.0
-    np.multiply(u, 1.0 - p.k + p.alpha * p.k, out=f1)
+    np.multiply(u, p.d, out=f1)
     np.subtract(v, f1, out=f1)
     f1 *= w
     f1 /= f2

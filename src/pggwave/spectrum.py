@@ -68,8 +68,10 @@ class WeightPair:
     sigma2: float = 0.0
 
     def __post_init__(self):
-        if self.sigma1 < 0 or self.sigma2 < 0:
-            raise ParameterError("weight exponents must be nonnegative")
+        if not (0.0 <= self.sigma1 < math.inf
+                and 0.0 <= self.sigma2 < math.inf):
+            raise ParameterError(
+                "weight exponents must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ def branch_vertices(p: ModelParams, c: float, w: WeightPair) -> np.ndarray:
     return np.array([
         q1 - p.alpha,
         q1 - 1.0,
-        q2 - (1.0 - p.alpha) * (1.0 - p.k + p.k * p.alpha),
+        q2 - (1.0 - p.alpha) * p.d,
         q2 + p.alpha,
     ])
 

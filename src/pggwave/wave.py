@@ -136,8 +136,8 @@ def solve_wave(bounds: BoundPair, tol: float = 1e-10,
     ``grid.SWEEP_MAX_ITER`` sweeps, and passes every accepted iterate to
     ``callback(k, U)``.
     """
-    if tol <= 0:
-        raise ParameterError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ParameterError("tolerance must be positive and finite")
     top = bounds.shifted_upper
     p, c, g = top.params, top.c, top.grid
     require_monotone_wave(p, c)

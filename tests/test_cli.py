@@ -1,8 +1,10 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from pggwave import (default_l, derive_params, dynamics, errors, spectrum,
 from pggwave.cli import COMMANDS, OPTIONS, build_parser, main
 from pggwave.config import RunConfig, load_config_file, resolve_config
 from pggwave.errors import ParameterError
+from pggwave.grid import load_profile
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +37,81 @@ def test_params_rejects_bad_alpha(capsys):
     code, _, err = run_cli(capsys, "params", "--alpha", "1.2", "--k", "0.5")
     assert code == 2
     assert "invalid" in err.lower()
+
+
+def test_params_at_a_corner_of_the_box(capsys):
+    # 1 + k K* - K* cancels here to a relative error of 3.3e-13; the
+    # constants are formed without it, and nothing refuses this point
+    code, out, err = run_cli(capsys, "params", "--alpha", "0.0001",
+                             "--k", "0.9999")
+    assert code == 0, err
+    assert "K* = 4999.74998749965" in out
+
+
+def test_bounds_check_refuses_l_1(capsys, tmp_path):
+    # l = 1 is the upper front, no lower one
+    code, _, err = run_cli(capsys, "bounds-check", "--l", "1",
+                           "--output-dir", str(tmp_path))
+    assert code == 2
+    assert err == ("invalid configuration: lower-solution parameter l=1.0 "
+                   "outside (0, 0.625)\n")
+
+
+def test_wave_at_small_alpha_and_k_near_1(capsys, tmp_path):
+    # a start with the -inf tail rate alone failed the upper scalar solve
+    # here (exit 3); the +inf tail fit is not asserted, since L = 40 lies
+    # inside its Dirichlet boundary layer (ROADMAP item 4)
+    code, out, err = run_cli(capsys, "wave", "--alpha", "0.02", "--k",
+                             "0.99", "--c", "0.55", "--L", "40", "--n", "3999",
+                             "--output-dir", str(tmp_path))
+    assert code == 0, err
+    # the solved front increases strictly; its phase-normalised copy, padded
+    # with its end rows, does not decrease
+    mins = re.search(r"min forward differences (\S+), (\S+)$", out, re.M)
+    assert float(mins[1]) > 0.0 and float(mins[2]) > 0.0
+    prof, _ = load_profile(tmp_path / "wave" / "profile.csv")
+    assert np.min(np.diff(prof.knots, axis=0)) >= 0.0
+
+
+# a float setting, a subcommand that reads it, and its owner's refusal
+NONFINITE_CASES = [
+    ("alpha", "params", r"alpha must lie in \(0, 1\)"),
+    ("k", "params", r"k must lie in \(0, 1\)"),
+    ("c", "wave", "speed must be positive and finite"),
+    ("c", "spectrum", "speed must be positive and finite"),
+    ("l", "bounds-check", "lower-solution parameter l="),
+    ("L", "wave", "half-length must be positive and finite"),
+    ("sigma1", "eigs", "weight exponents must be nonnegative and finite"),
+    ("sigma2", "eigs", "weight exponents must be nonnegative and finite"),
+    ("tol", "wave", "tol must be positive and finite"),
+    ("dt", "stability", "dt (must be positive|above 0.1)"),
+    ("t-end", "spread", "t_end must be positive and finite"),
+    ("t0", "spread", r"speed window \[.*\] (is empty|reaches t = 0)"),
+    ("t1", "spread", r"speed window \[.*\] is empty|t_end must be positive "
+                     "and finite"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag,command,message", NONFINITE_CASES,
+                         ids=[f"{f}-{c}" for f, c, _ in NONFINITE_CASES])
+def test_a_nonfinite_setting_exits_2(capsys, tmp_path, monkeypatch, flag,
+                                     command, message, value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before the setting was refused")
+
+    for module, name in ((pggwave.bounds, "make_bounds"),
+                         (dynamics, "run_simulation"),
+                         (spectrum, "make_spectrum_report")):
+        monkeypatch.setattr(module, name, refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, command, f"--{flag}={value}",
+                                 "--output-dir", str(tmp_path))
+    assert code == 2
+    assert re.match(f"invalid configuration: ({message})", err), err
+    assert out == "" and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_wave_subcritical_exit_code(capsys, tmp_path):

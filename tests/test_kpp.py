@@ -51,6 +51,21 @@ def test_lower_parameter_range(base_params):
         lower_nonlinearity(base_params, 0.0)
 
 
+def test_the_upper_front_is_the_l_1_member(base_params):
+    # pref/(pref + (1 - l) K*) is exactly 1 at l = 1, also where 1 + k K* -
+    # K* cancels to a relative error of 3.3e-13
+    for p in (base_params, derive_params(1e-4, 0.9999)):
+        nl = upper_nonlinearity(p)
+        assert nl.l == 1.0 and nl.plateau == 1.0
+    # the lower fronts keep l in (0, d): l = 1 is no lower front
+    with pytest.raises(ParameterError,
+                       match=r"^lower-solution parameter l=1.0 outside "
+                             r"\(0, 0.625\)$"):
+        lower_nonlinearity(base_params, 1.0)
+    with pytest.raises(ParameterError, match="l=None"):
+        kpp.KppNonlinearity(base_params, None)
+
+
 def test_plateau_slope_report(base_params):
     p = base_params
     up = upper_nonlinearity(p).plateau_slope_report()
@@ -69,7 +84,7 @@ def test_plateau_slope_report(base_params):
     assert abs(rep["numeric"] - rep["printed"]) > 0.1
 
 
-@pytest.mark.parametrize("l", [None, 0.05, 0.3, 0.6])
+@pytest.mark.parametrize("l", [1.0, 0.05, 0.3, 0.6])
 def test_fprime_is_derivative_of_f(base_params, l):
     nl = kpp.KppNonlinearity(params=base_params, l=l)
     w = np.linspace(0.0, nl.plateau, 401)
@@ -252,7 +267,7 @@ def contract_fronts():
             g = make_grid(CONTRACT_L, n)
             for nl in (upper_nonlinearity(p),
                        lower_nonlinearity(p, default_l(p))):
-                out[alpha, k, c, n, nl.l is None] = nl, solve_kpp(nl, c, g)
+                out[alpha, k, c, n, nl.l == 1.0] = nl, solve_kpp(nl, c, g)
     return out
 
 

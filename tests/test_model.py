@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from pggwave import StateVec, derive_params, jacobian, reaction, to_original
 from pggwave.errors import ParameterError
+from pggwave.model import ModelParams
 
 EPS = Fraction(np.finfo(float).eps)
 
@@ -21,6 +23,12 @@ def test_identity_both_sides(base_params):
     assert left == pytest.approx(0.4, abs=1e-14)
     assert right == pytest.approx(0.4, abs=1e-14)
     assert abs(left - right) < 1e-13
+
+
+def test_model_params_hold_only_the_two_parameters(base_params):
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["alpha", "k"]
+    assert base_params == ModelParams(0.25, 0.5)
+    assert (base_params.d, base_params.cmin) == (0.625, 1.0)
 
 
 def test_extreme_alpha_small_kstar():

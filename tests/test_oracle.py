@@ -26,7 +26,7 @@ NS = (999, 1999, 3999, 7999)
 def _error(alpha, L, n):
     """|v - w| at every node and the nodes, for the front solved on
     make_grid(L, n) and normalised to v(0) = 1/2."""
-    p = ModelParams(alpha, 0.0, 1.0 - alpha, 2.0 * math.sqrt(alpha))
+    p = ModelParams(alpha, 0.0)
     g = make_grid(L, n)
     prof, rep = solve_wave(make_bounds(p, 5.0 * math.sqrt(alpha / 6.0), g),
                            tol=1e-10)

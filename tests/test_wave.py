@@ -73,6 +73,16 @@ def test_zero_tolerance_refused(base_params):
         solve_wave(bp, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_nonfinite_tolerance_refused(base_params, tol):
+    # tol = inf accepted the first sweep from the upper bound as the front
+    bp = make_bounds(base_params, C, make_grid(20.0, 199))
+    with pytest.raises(ParameterError, match="positive and finite"):
+        solve_wave(bp, tol=tol)
+    with pytest.raises(ParameterError, match="positive and finite"):
+        solve_kpp(upper_nonlinearity(base_params), C, bp.upper.grid, tol=tol)
+
+
 def test_sweep_budget_spent(base_params, monkeypatch):
     monkeypatch.setattr(grid, "SWEEP_MAX_ITER", 10)
     g = make_grid(20.0, 199)
