@@ -15,17 +15,17 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import dynamics, kpp, spectrum, wave
-from .config import RunConfig, _coerce, resolve_config, validate_config
+from .config import RunConfig, _coerce, resolve_config
 from .errors import EmptyWindowError, NumericalError, ParameterError
-from .grid import (make_grid, require_m_matrix, save_profile, write_csv,
-                   write_json)
-from .model import SpeedVerdict, derive_params, require_monotone_wave
+from .grid import require_m_matrix, save_profile, write_csv, write_json
+from .model import SpeedVerdict, require_monotone_wave
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -38,15 +38,8 @@ def _write_json(path: Path, report, cfg: RunConfig) -> None:
     write_json(path, {**payload, "config": cfg.echo()})
 
 
-def _outdir(cfg: RunConfig, sub: str) -> Path:
-    d = Path(cfg.output_dir) / sub
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
 def _bounds(cfg: RunConfig) -> bounds_mod.BoundPair:
-    return bounds_mod.make_bounds(derive_params(cfg.alpha, cfg.k), cfg.c,
-                                  make_grid(cfg.L, cfg.n), l=cfg.l,
+    return bounds_mod.make_bounds(cfg.params, cfg.c, cfg.grid, l=cfg.l,
                                   tol=min(cfg.tol, 1e-12))
 
 
@@ -61,8 +54,8 @@ def _check_none(cfg: RunConfig, args) -> None:
 def _check_front(cfg: RunConfig, args) -> SpeedVerdict:
     """A front solve's preconditions: a monotone wave exists at speed c, and
     the stencil at c is an M-matrix on the grid."""
-    verdict = require_monotone_wave(derive_params(cfg.alpha, cfg.k), cfg.c)
-    require_m_matrix(make_grid(cfg.L, cfg.n), cfg.c)
+    verdict = require_monotone_wave(cfg.params, cfg.c)
+    require_m_matrix(cfg.grid, cfg.c)
     return verdict
 
 
@@ -70,7 +63,7 @@ def _check_wave(cfg: RunConfig, args) -> SpeedVerdict:
     """A front solve's preconditions, and tail fit windows that hold enough
     nodes."""
     verdict = _check_front(cfg, args)
-    wave.check_fit_windows(make_grid(cfg.L, cfg.n))
+    wave.check_fit_windows(cfg.grid)
     return verdict
 
 
@@ -85,8 +78,7 @@ def _check_stability(cfg: RunConfig, args) -> dynamics.SimConfig:
     edge the computed vertex can round to >= 0), and a run that records
     enough samples for its decay fit."""
     _check_front(cfg, args)
-    p = derive_params(cfg.alpha, cfg.k)
-    w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
+    p, w = cfg.params, cfg.weights
     if not spectrum.weight_window(p, cfg.c).contains(w):
         raise ParameterError(
             f"weights ({w.sigma1}, {w.sigma2}) outside the admissible window")
@@ -101,20 +93,34 @@ def _check_stability(cfg: RunConfig, args) -> dynamics.SimConfig:
     return simcfg
 
 
+def _run_to(cfg: RunConfig, t_end: float, rule: str, **options):
+    """A time run to ``t_end``, the horizon ``rule`` sets from the settings;
+    a refusal names the horizon and its rule, not a t_end the user did not
+    give."""
+    try:
+        return dynamics.SimConfig(dt=cfg.dt, t_end=t_end, **options)
+    except ParameterError as exc:
+        raise ParameterError(f"the run's horizon {rule} = {t_end:g} is "
+                             f"refused: {exc}") from None
+
+
 def _check_instability(cfg: RunConfig, args) -> dynamics.SimConfig:
     _check_front(cfg, args)
-    return dynamics.SimConfig(dt=cfg.dt, t_end=min(cfg.t_end, 20.0))
+    return _run_to(cfg, min(cfg.t_end, 20.0), "min(t_end, 20)")
 
 
 def _check_spread(cfg: RunConfig, args) -> dynamics.SimConfig:
-    simcfg = dynamics.SimConfig(dt=cfg.dt, t_end=max(cfg.t_end, args.t1),
-                                record_every=50)
+    """A run to the later of t_end and the speed window's end t1, and the
+    window inside it; a t1 that is not finite sets no horizon, so the
+    window's own check refuses it."""
+    simcfg = _run_to(cfg, args.t1 if cfg.t_end < args.t1 < math.inf
+                     else cfg.t_end, "max(t_end, t1)", record_every=50)
     dynamics.check_speed_window(simcfg, (args.t0, args.t1))
     return simcfg
 
 
 def cmd_params(cfg: RunConfig, args, _) -> None:
-    p = derive_params(cfg.alpha, cfg.k)
+    p = cfg.params
     identity_gap = abs((1.0 + p.k * p.kstar - p.kstar) - p.alpha / p.d)
     print(f"alpha = {p.alpha:.17g}")
     print(f"k = {p.k:.17g}")
@@ -127,7 +133,7 @@ def cmd_wave(cfg: RunConfig, args, verdict: SpeedVerdict) -> None:
     prof, report = _solve_pipeline(cfg)
     normalized = wave.normalize_phase(prof)
     fits = [wave.fit_decay(normalized, side) for side in ("-inf", "+inf")]
-    out = _outdir(cfg, "wave")
+    out = Path(cfg.output_dir) / "wave"
     save_profile(normalized, out / "profile.csv")
     _write_json(out / "iteration_report.json", report, cfg)
     _write_json(out / "decay_fits.json", {"fits": fits, "verdict": verdict},
@@ -144,7 +150,7 @@ def cmd_wave(cfg: RunConfig, args, verdict: SpeedVerdict) -> None:
 
 def cmd_bounds_check(cfg: RunConfig, args, verdict) -> None:
     bp = _bounds(cfg)
-    out = _outdir(cfg, "bounds-check")
+    out = Path(cfg.output_dir) / "bounds-check"
     reports = {}
     for kind, prof in (("upper", bp.upper), ("lower", bp.lower)):
         rep = bounds_mod.verify_bound(prof, kind)
@@ -164,17 +170,15 @@ def cmd_bounds_check(cfg: RunConfig, args, verdict) -> None:
 
 
 def cmd_spectrum(cfg: RunConfig, args, _) -> None:
-    p = derive_params(cfg.alpha, cfg.k)
-    w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
     # the window first: its speed verdict refuses a speed outside (0, inf)
     try:
-        win = spectrum.weight_window(p, cfg.c)
+        win = spectrum.weight_window(cfg.params, cfg.c)
         window = (f"sigma1 in [0, {win.sigma1_max:.7f}), sigma2 in "
                   f"({win.sigma2_min:.7f}, {win.sigma2_max:.7f})")
     except EmptyWindowError as exc:  # at critical speed; still report curves
         window = str(exc)
-    rep = spectrum.make_spectrum_report(p, cfg.c, w)
-    out = _outdir(cfg, "spectrum")
+    rep = spectrum.make_spectrum_report(cfg.params, cfg.c, cfg.weights)
+    out = Path(cfg.output_dir) / "spectrum"
     write_csv(out / "curves.csv", "branch,y,x",
               [cv["branch"] for cv in rep.curves for _ in cv["y"]],
               [y for cv in rep.curves for y in cv["y"]],
@@ -186,15 +190,14 @@ def cmd_spectrum(cfg: RunConfig, args, _) -> None:
 
 def cmd_eigs(cfg: RunConfig, args, _) -> None:
     prof, _ = _solve_pipeline(cfg)
-    w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
-    op = spectrum.assemble_weighted_operator(prof, w)
-    rep = spectrum.make_spectrum_report(
-        prof.params, prof.c, w, spectrum.eigen_report(op, args.count))
-    out = _outdir(cfg, "eigs")
+    op = spectrum.assemble_weighted_operator(prof, cfg.weights)
+    rep = spectrum.make_spectrum_report(prof.params, prof.c, cfg.weights,
+                                        spectrum.eigen_report(op, args.count))
+    out = Path(cfg.output_dir) / "eigs"
     cols = ("re", "im", "boundary_mass_fraction")
     write_csv(out / "eigenvalues.csv", ",".join(cols),
               *([ev[key] for ev in rep.eigenvalues] for key in cols))
-    tm = spectrum.translation_mode_check(prof, w)
+    tm = spectrum.translation_mode_check(prof, cfg.weights)
     _write_json(out / "spectrum_report.json",
                 {**asdict(rep), "translation_mode": tm}, cfg)
     print(f"rightmost eigenvalue: {rep.rightmost.real:.8f} "
@@ -209,7 +212,7 @@ def _write_run(cfg: RunConfig, simcfg: dynamics.SimConfig, sub: str,
     experiment's report with the run's ``dt``, ``steps`` and
     ``guard_margin``; returns the experiment's report."""
     rep, tr = run
-    out = _outdir(cfg, sub)
+    out = Path(cfg.output_dir) / sub
     dynamics.trace_to_csv(tr, out / "trace.csv")
     _write_json(out / "report.json", dict(rep, dt=simcfg.dt, steps=tr.steps,
                                           guard_margin=tr.guard_margin), cfg)
@@ -218,9 +221,8 @@ def _write_run(cfg: RunConfig, simcfg: dynamics.SimConfig, sub: str,
 
 def cmd_stability(cfg: RunConfig, args, simcfg: dynamics.SimConfig) -> None:
     prof, _ = _solve_pipeline(cfg)
-    w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
     rep = _write_run(cfg, simcfg, "stability",
-                     dynamics.stability_experiment(prof, w, simcfg))
+                     dynamics.stability_experiment(prof, cfg.weights, simcfg))
     print(f"weighted norm {rep['initial_weighted_norm']:.4e} -> "
           f"{rep['final_weighted_norm']:.4e} (ratio {rep['norm_ratio']:.3e}); "
           f"fitted decay b = {rep['b']:.4f}")
@@ -228,9 +230,8 @@ def cmd_stability(cfg: RunConfig, args, simcfg: dynamics.SimConfig) -> None:
 
 def cmd_instability(cfg: RunConfig, args, simcfg: dynamics.SimConfig) -> None:
     prof, _ = _solve_pipeline(cfg)
-    w = spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
-    rep = _write_run(cfg, simcfg, "instability",
-                     dynamics.instability_experiment(prof, w, simcfg))
+    run = dynamics.instability_experiment(prof, cfg.weights, simcfg)
+    rep = _write_run(cfg, simcfg, "instability", run)
     print(f"sup-norm deviation grew {rep['growth_factor']:.1f}x by "
           f"t = {rep['t_end']:g} (weighted size at start "
           f"{rep['initial_weighted_norm']:.3e})")
@@ -238,8 +239,7 @@ def cmd_instability(cfg: RunConfig, args, simcfg: dynamics.SimConfig) -> None:
 
 def cmd_spread(cfg: RunConfig, args, simcfg: dynamics.SimConfig) -> None:
     rep = _write_run(cfg, simcfg, "spread", dynamics.spreading_experiment(
-        derive_params(cfg.alpha, cfg.k), make_grid(cfg.L, cfg.n), simcfg,
-        (args.t0, args.t1)))
+        cfg.params, cfg.grid, simcfg, (args.t0, args.t1)))
     print(f"measured spreading speed {rep['speed']:.4f} "
           f"(selected speed {rep['predicted_speed']:g})")
 
@@ -267,7 +267,6 @@ def cmd_sweep(cfg: RunConfig, args, _) -> None:
         if str(sub) in points:
             raise ParameterError(f"two sweep points would write to {sub}")
         point_cfg = replace(cfg, output_dir=str(sub), **point)
-        validate_config(point_cfg)
         points[str(sub)] = (point_cfg, check(point_cfg, point_args))
     for point_cfg, checked in points.values():
         run(point_cfg, point_args, checked)

@@ -1,16 +1,18 @@
 """Run configuration: the settings are ``RunConfig``'s fields, typed by their
-annotations; flat key=value files; validation by each setting's owner; echo."""
+annotations; flat key=value files; validation by each setting's owner when
+a configuration is built; the model, grid and weights the settings make;
+echo."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import dynamics, grid, kpp, spectrum
 from .bounds import default_l
 from .errors import ParameterError
-from .model import derive_params
+from .model import ModelParams, derive_params
 
 __all__ = ["RunConfig", "load_config_file", "resolve_config"]
 
@@ -19,7 +21,13 @@ __all__ = ["RunConfig", "load_config_file", "resolve_config"]
 class RunConfig:
     """Run parameters, the base configuration by default; l = None is
     ``bounds.default_l``, the one rule for the default l (0.3 at the base
-    configuration)."""
+    configuration).
+
+    A configuration is valid once built: construction, and so
+    ``dataclasses.replace``, builds what every run builds from the settings,
+    and each constructor raises a ParameterError or GridError on a value
+    outside its range.  ``params``, ``grid`` and ``weights`` are the one
+    place the settings become those objects."""
 
     alpha: float = 0.25
     k: float = 0.5
@@ -34,11 +42,35 @@ class RunConfig:
     t_end: float = 50.0
     output_dir: str = "out"
 
+    def __post_init__(self):
+        # the owners check in this order: alpha and k, l, L and n, the
+        # weights, dt and t_end, tol; so the first bad setting is named
+        p = self.params
+        if self.l is not None:
+            kpp.lower_nonlinearity(p, self.l)
+        _ = self.grid, self.weights
+        dynamics.SimConfig(dt=self.dt, t_end=self.t_end)
+        # no constructor takes tol before a solve
+        if not 0.0 < self.tol < math.inf:
+            raise ParameterError("tol must be positive and finite")
+
+    @property
+    def params(self) -> ModelParams:
+        return derive_params(self.alpha, self.k)
+
+    @property
+    def grid(self) -> grid.Grid:
+        return grid.make_grid(self.L, self.n)
+
+    @property
+    def weights(self) -> spectrum.WeightPair:
+        return spectrum.WeightPair(self.sigma1, self.sigma2)
+
     def echo(self) -> dict:
         """All resolved values, including a numeric l."""
         d = asdict(self)
         if d["l"] is None:
-            d["l"] = default_l(derive_params(self.alpha, self.k))
+            d["l"] = default_l(self.params)
         return d
 
 
@@ -76,24 +108,8 @@ def load_config_file(path) -> dict:
 
 
 def resolve_config(file_path=None, overrides: dict | None = None) -> RunConfig:
-    """Defaults, then the config file, then explicit overrides; validated."""
-    cfg = RunConfig()
-    if file_path is not None:
-        cfg = replace(cfg, **load_config_file(file_path))
-    cfg = replace(cfg, **(overrides or {}))
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: RunConfig) -> None:
-    """Build what every run builds from ``cfg``; each constructor raises a
-    ParameterError or GridError on a value outside its range."""
-    p = derive_params(cfg.alpha, cfg.k)
-    if cfg.l is not None:
-        kpp.lower_nonlinearity(p, cfg.l)
-    grid.make_grid(cfg.L, cfg.n)
-    spectrum.WeightPair(cfg.sigma1, cfg.sigma2)
-    dynamics.SimConfig(dt=cfg.dt, t_end=cfg.t_end)
-    # no constructor takes tol before a solve
-    if not 0.0 < cfg.tol < math.inf:
-        raise ParameterError("tol must be positive and finite")
+    """Defaults, then the config file, then explicit overrides, built (and
+    so validated) once: a file value an override replaces is never
+    checked."""
+    values = {} if file_path is None else load_config_file(file_path)
+    return RunConfig(**{**values, **(overrides or {})})

@@ -622,14 +622,16 @@ def least_squares_line(x, y, error) -> tuple[float, float, float]:
 
 
 def write_csv(path, header: str, *columns) -> None:
-    """Write equal-length numeric columns as CSV rows under ``header``; values
-    are written with 17 significant digits so a round trip is bit-faithful.
+    """Write equal-length numeric columns as CSV rows under ``header``,
+    creating the parent directory; values are written with 17 significant
+    digits so a round trip is bit-faithful.
     The rows are formatted and written _CSV_BLOCK at a time, so the memory
     the writer holds does not grow with the row count.  A block of m rows
     is one ``%`` of the row format repeated m times over the block's
     values, read row by row."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     nrows = min((len(col) for col in columns), default=0)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(header + "\n")
         for start in range(0, nrows, _CSV_BLOCK):

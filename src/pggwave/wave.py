@@ -184,7 +184,15 @@ def solve_wave(bounds: BoundPair, tol: float = 1e-10,
 def normalize_phase(prof: Profile) -> Profile:
     """Translate (monotone interpolation, re-sampled) so that v(0) = 1/2.
 
-    Queries beyond the truncated domain are clamped to the boundary data.
+    Queries beyond the truncated domain are clamped to the boundary data,
+    so a front crossing 1/2 at x0 > 0 comes back ending in about x0/h
+    copies of its right Dirichlet row, and is not strictly increasing
+    there.  The benchmark's base and critical fronts cross at x0 = 1.0567
+    and 1.1055, and the front at (alpha, k, c) = (0.02, 0.99, 0.55) on
+    ``make_grid(40, 3999)`` at 8.6507: 52, 55 and 432 repeated rows
+    (``tools/state.py``).  A phase condition on the vector front itself
+    (ROADMAP item 6) would remove the translation.
+
     At odd n a node sits at 0 and holds 1/2, so the result crosses 1/2 at
     0 and a second pass moves it by roundoff only (measured <= 5.3e-16 and
     5.6e-17).  At even n, 0 lies between two nodes, and the re-sampled

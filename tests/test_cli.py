@@ -17,7 +17,7 @@ from pggwave import (default_l, derive_params, dynamics, errors, spectrum,
 from pggwave.cli import COMMANDS, OPTIONS, build_parser, main
 from pggwave.config import RunConfig, load_config_file, resolve_config
 from pggwave.errors import ParameterError
-from pggwave.grid import load_profile
+from pggwave.grid import load_profile, make_grid
 
 
 def run_cli(capsys, *argv):
@@ -87,8 +87,7 @@ NONFINITE_CASES = [
     ("dt", "stability", "dt (must be positive|above 0.1)"),
     ("t-end", "spread", "t_end must be positive and finite"),
     ("t0", "spread", r"speed window \[.*\] (is empty|reaches t = 0)"),
-    ("t1", "spread", r"speed window \[.*\] is empty|t_end must be positive "
-                     "and finite"),
+    ("t1", "spread", r"speed window \[.*\] (is empty|ends after t_end)"),
 ]
 
 
@@ -399,19 +398,34 @@ def test_benchmark_weights_pass_the_stability_check():
     assert check(cfg, None).t_end == cfg.t_end
 
 
-@pytest.mark.parametrize("argv", [
-    ("stability", "--dt", "0.03", "--t-end", "0.1"),
-    ("stability", "--sigma2", "0.1"),
-    ("instability", "--dt", "0.03"),
-], ids=["stability-dt", "stability-window", "instability-dt"])
+@pytest.mark.parametrize("argv,message", [
+    (("stability", "--dt", "0.03", "--t-end", "0.1"),
+     "t_end = 0.1 is not a multiple of dt = 0.03"),
+    (("stability", "--sigma2", "0.1"),
+     r"weights \(0.05, 0.1\) outside the admissible window"),
+    (("instability", "--dt", "0.03"),
+     "t_end = 50 is not a multiple of dt = 0.03"),
+    # a refused horizon that a rule set names the rule, not a t_end the
+    # user did not give
+    (("instability", "--dt", "0.03", "--t-end", "30"),
+     r"the run's horizon min\(t_end, 20\) = 20 is refused: t_end = 20 is "
+     "not a multiple of dt = 0.03"),
+    (("spread", "--dt", "0.03", "--t-end", "30", "--t1", "70"),
+     r"the run's horizon max\(t_end, t1\) = 70 is refused: t_end = 70 is "
+     "not a multiple of dt = 0.03"),
+], ids=["stability-dt", "stability-window", "instability-dt",
+        "instability-horizon", "spread-horizon"])
 def test_dynamics_commands_validate_before_solving(capsys, tmp_path,
-                                                   monkeypatch, argv):
+                                                   monkeypatch, argv, message):
     def refuse(*args, **kwargs):
-        raise AssertionError("the wave was solved before validation")
+        raise AssertionError("work began before validation")
 
     monkeypatch.setattr(wave, "solve_wave", refuse)
-    code, _, _ = run_cli(capsys, *argv, "--output-dir", str(tmp_path))
+    monkeypatch.setattr(dynamics, "run_simulation", refuse)
+    code, _, err = run_cli(capsys, *argv, "--output-dir", str(tmp_path))
     assert code == 2
+    assert re.match(f"invalid configuration: {message}", err), err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_instability_smoke(capsys, tmp_path):
@@ -664,6 +678,40 @@ def test_malformed_flag_names_its_key(capsys):
     assert "n = 'abc' is not int" in err
 
 
+# the settings' owners in the order they check, each with a value it
+# refuses, its error and its message
+REFUSED_SETTINGS = [
+    ("alpha", 2.0, ParameterError, r"alpha must lie in \(0, 1\)"),
+    ("l", 0.9, ParameterError, r"lower-solution parameter l=0.9"),
+    ("n", 2, errors.GridError, "need an integer count of at least 3"),
+    ("sigma1", -1.0, ParameterError, "weight exponents must be nonnegative"),
+    ("dt", 0.5, ParameterError, "dt above 0.1"),
+    ("tol", float("nan"), ParameterError, "tol must be positive and finite"),
+]
+
+
+@pytest.mark.parametrize("first", range(len(REFUSED_SETTINGS)),
+                         ids=[name for name, *_ in REFUSED_SETTINGS])
+def test_a_config_is_checked_when_built(first):
+    # alone, and with every later setting out of range too, this one is
+    # named
+    name, value, error, message = REFUSED_SETTINGS[first]
+    with pytest.raises(error, match=message):
+        RunConfig(**{name: value})
+    bad = {name: value for name, value, *_ in REFUSED_SETTINGS[first:]}
+    with pytest.raises(error, match=message):
+        RunConfig(**bad)
+    with pytest.raises(error, match=message):
+        replace(RunConfig(), **bad)
+
+
+def test_a_config_makes_its_model_grid_and_weights():
+    cfg = RunConfig()
+    assert cfg.params == derive_params(0.25, 0.5)
+    assert cfg.grid == make_grid(40.0, 3999)
+    assert cfg.weights == spectrum.WeightPair(0.05, 0.5)
+
+
 def test_config_file(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("alpha = 0.3\nk = 0.4   # comment\nn = 499\n")
@@ -697,6 +745,13 @@ def test_config_file_cli_exit(capsys, tmp_path):
     bad.write_text("alpha = 2.0\n")
     code, _, err = run_cli(capsys, "params", "--config", str(bad))
     assert code == 2
+    # a file value a flag overrides is checked only after the merge
+    bad.write_text("n = 2\n")
+    code, _, err = run_cli(capsys, "params", "--config", str(bad))
+    assert code == 2 and "at least 3 interior nodes, got 2" in err
+    code, _, err = run_cli(capsys, "params", "--config", str(bad),
+                           "--n", "399")
+    assert code == 0, err
 
 
 def test_only_eigs_calls_numpy_linalg(capsys, tmp_path, monkeypatch):

@@ -7,17 +7,18 @@ from scipy.linalg import solve_banded, solveh_banded
 
 import pggwave.dynamics
 from pggwave import (Profile, SimConfig, StateVec, Trace, WeightPair,
-                     derive_params, fit_decay_constant,
-                     instability_experiment, make_grid, perturb,
-                     run_simulation, spreading_experiment,
-                     spreading_speed, stability_experiment, weighted_norm)
+                     derive_params, essential_spectrum_max,
+                     fit_decay_constant, instability_experiment, make_bounds,
+                     make_grid, perturb, run_simulation, solve_wave,
+                     spreading_experiment, spreading_speed,
+                     stability_experiment, weighted_norm)
 from pggwave.dynamics import (SCALE_LOG_BOUND, SEED_EDGE, SEED_FLOOR,
                               SEED_HALFWIDTH, SEED_HEIGHT, factor_banded,
                               front_position, spreading_seed, trace_to_csv)
 from pggwave.errors import (BlowUpError, FrontNotFoundError, GridError,
                             NormError, ParameterError)
 from pggwave.grid import (apply_advection_diffusion, boundary_vector,
-                          half_line, stencil_bands)
+                          half_line, least_squares_line, stencil_bands)
 from pggwave.model import reaction
 
 C = 1.25
@@ -677,6 +678,59 @@ def test_instability_experiment_short(base_wave, base_weights):
         prof, base_weights, SimConfig(dt=0.01, t_end=10.0, record_every=100))
     assert rep["growth_factor"] > 2.0
     assert rep["initial_weighted_norm"] >= 1.0
+
+
+@pytest.fixture(scope="module")
+def coarse_base_front(base_params):
+    prof, _ = solve_wave(make_bounds(base_params, C, make_grid(40.0, 399)))
+    return prof
+
+
+def _early_growth(prof):
+    """The instability run's sup-norm growth rate on [5, 10], the slope of
+    log sup_norms, and its growth factor by t = 20."""
+    rep, tr = instability_experiment(
+        prof, WeightPair(0.05, 0.5),
+        SimConfig(dt=0.01, t_end=20.0, record_every=10))
+    early = (tr.times >= 5.0) & (tr.times <= 10.0)
+    rate, _, _ = least_squares_line(tr.times[early],
+                                    np.log(tr.sup_norms[early]), NormError)
+    return rate, rep["growth_factor"]
+
+
+# The rate on [5, 10] reads 0.2488 (-0.48%) at L = 40 and 0.2532 (+1.29%) at
+# L = 80, the same to 4 digits for every n from 399 to 7999 and at dt 0.01
+# and 0.005.  So 2.5% holds both lengths, and a run growing at half the rate
+# misses it by 20x.  Away from the base point these windows do not read the
+# edge (ROADMAP item 23), so the check is made here only.
+EDGE_RATE_TOL = 0.025
+
+
+def test_instability_grows_at_the_essential_edge(base_params,
+                                                 coarse_base_front):
+    # a perturbation flat over many decay lengths grows at the rightmost
+    # point of the unweighted essential spectrum, the vertex alpha of the
+    # invaded state's Jacobian
+    edge = essential_spectrum_max(base_params, C, WeightPair(0.0, 0.0))[0]
+    assert edge == base_params.alpha
+    rate, growth = _early_growth(coarse_base_front)
+    assert rate == pytest.approx(edge, rel=EDGE_RATE_TOL)
+    assert growth >= 5.0
+
+
+def test_a_halved_reaction_fails_the_rate_not_the_growth(
+        base_params, coarse_base_front, monkeypatch):
+    # the stepper's reaction at half its value: the run grows at 0.1246 on
+    # [5, 10], yet 604.7x by t = 20, which criterion 12's growth gate passes
+    def halved(p, s, out=None):
+        f = reaction(p, s, out=out)
+        f *= 0.5
+        return f
+
+    monkeypatch.setattr(pggwave.dynamics, "reaction", halved)
+    rate, growth = _early_growth(coarse_base_front)
+    assert growth >= 5.0
+    assert rate != pytest.approx(base_params.alpha, rel=EDGE_RATE_TOL)
 
 
 def test_spreading_experiment_short(base_params):

@@ -6,6 +6,14 @@ configuration that made it.
   points raise a ``NumericalError``;
 - the corner survey: how many (alpha, k) near the corners of the open box
   ``derive_params`` refuses;
+- ROADMAP item 2's floors: the largest weighted deviation of the unperturbed
+  front run through ``run_simulation(reference=front)``;
+- ROADMAP item 23's rates: the instability run's sup-norm growth rate on
+  each window, against the unweighted essential edge, and its growth
+  factor;
+- the rows ``normalize_phase`` repeats: the front's crossing x0 of
+  v = 1/2, and how many rows of the normalised front repeat its right
+  Dirichlet row;
 - the code lines, through ``tools/code_lines.py``.
 
 It has no threshold and exits 0 whatever it counts.  Run from anywhere:
@@ -22,14 +30,29 @@ TOOLS = Path(__file__).resolve().parent
 sys.path[:0] = [str(TOOLS.parent / "src"), str(TOOLS)]
 
 import code_lines  # noqa: E402
-from pggwave import derive_params, make_bounds, make_grid, solve_wave  # noqa: E402
+from pggwave import (SimConfig, WeightPair, derive_params,  # noqa: E402
+                     essential_spectrum_max, instability_experiment,
+                     make_bounds, make_grid, normalize_phase, run_simulation,
+                     solve_wave)
 from pggwave.errors import NumericalError, ParameterError  # noqa: E402
+from pggwave.grid import least_squares_line, level_crossing  # noqa: E402
 
 BOX_ALPHAS = (0.01, 0.02, 0.03, 0.05)
 BOX_KS = (0.95, 0.97, 0.98, 0.99)
 BOX_RATIOS = np.linspace(1.0, 3.0, 11)      # c / cmin
 BOX_GRID = (40.0, 3999)
 CORNER_DISTANCES = np.geomspace(1e-6, 0.5, 40)   # alpha, and 1 - k
+# (c, L, n, weights) at alpha 0.25, k 0.5: base and critical speed
+FLOOR_RUNS = ((1.25, 40.0, 3999, (0.05, 0.5)), (1.25, 80.0, 7999, (0.05, 0.5)),
+              (1.0, 80.0, 7999, (0.0, 0.5)), (1.0, 80.0, 7999, (0.0, 0.4)))
+# (alpha, k, c / cmin, L, n): the base point at two lengths, two points off it
+RATE_POINTS = ((0.25, 0.5, 1.25, 40.0, 399), (0.25, 0.5, 1.25, 80.0, 799),
+               (0.09, 0.9, 1.2, 40.0, 399), (0.04, 0.5, 1.5, 40.0, 399))
+RATE_WINDOWS = ((1.0, 5.0), (5.0, 10.0), (10.0, 15.0), (15.0, 20.0))
+# (alpha, k, c, L, n): the benchmark's base and critical fronts, and a front
+# far from its grid's centre
+PHASE_POINTS = ((0.25, 0.5, 1.25, 40.0, 3999), (0.25, 0.5, 1.0, 80.0, 7999),
+                (0.02, 0.99, 0.55, 40.0, 3999))
 
 
 def box_survey() -> None:
@@ -71,9 +94,65 @@ def _admitted(alpha: float, k: float) -> bool:
     return True
 
 
+def _front(alpha: float, k: float, c: float, L: float, n: int):
+    prof, _ = solve_wave(make_bounds(derive_params(alpha, k), c,
+                                     make_grid(L, n)))
+    return prof
+
+
+def floors() -> None:
+    print("item 2 floors: the unperturbed front through "
+          "run_simulation(reference=front), dt = 0.01 to t = 50, its largest "
+          "weighted deviation; alpha 0.25, k 0.5:")
+    for c, L, n, weights in FLOOR_RUNS:
+        front = _front(0.25, 0.5, c, L, n)
+        tr = run_simulation(front, SimConfig(dt=0.01, t_end=50.0),
+                            w=WeightPair(*weights), reference=front)
+        print(f"  c {c:g} L {L:g} n {n} weights {weights}: "
+              f"{np.max(tr.weighted_norms):.3g}")
+
+
+def instability_rates() -> None:
+    print("item 23 rates: instability_experiment, dt = 0.01, t_end = 20, "
+          "record_every = 10; the slope of log sup_norms on each of the "
+          f"windows {RATE_WINDOWS}, the unweighted essential edge, and the "
+          "growth factor by t = 20:")
+    for alpha, k, ratio, L, n in RATE_POINTS:
+        p = derive_params(alpha, k)
+        c = ratio * p.cmin
+        rep, tr = instability_experiment(
+            _front(alpha, k, c, L, n), WeightPair(0.05, 0.5),
+            SimConfig(dt=0.01, t_end=20.0, record_every=10))
+        rates = []
+        for lo, hi in RATE_WINDOWS:
+            inside = (tr.times >= lo) & (tr.times <= hi)
+            rates.append(least_squares_line(
+                tr.times[inside], np.log(tr.sup_norms[inside]), ValueError)[0])
+        edge = essential_spectrum_max(p, c, WeightPair(0.0, 0.0))[0]
+        print(f"  alpha {alpha:g} k {k:g} c/cmin {ratio:g} L {L:g} n {n}: "
+              f"rates {', '.join(f'{r:.4f}' for r in rates)}; edge {edge:g}; "
+              f"growth {rep['growth_factor']:.4g}")
+
+
+def phase_repeats() -> None:
+    print("normalize_phase: the solved front's crossing x0 of v = 1/2, and "
+          "the rows of the normalised front before its last that repeat "
+          "that last, the right Dirichlet row:")
+    for alpha, k, c, L, n in PHASE_POINTS:
+        front = _front(alpha, k, c, L, n)
+        x0 = level_crossing(front.grid, front.knots[:, 1], 0.5)
+        knots = normalize_phase(front).knots
+        trailing = np.all(knots == knots[-1], axis=1)[::-1].argmin()
+        print(f"  alpha {alpha:g} k {k:g} c {c:g} L {L:g} n {n}: "
+              f"x0 {x0:.4f}, {trailing - 1} repeated rows")
+
+
 def main() -> None:
     box_survey()
     corner_survey()
+    floors()
+    instability_rates()
+    phase_repeats()
     print("code lines (tools/code_lines.py):")
     code_lines.main()
 
