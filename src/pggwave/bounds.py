@@ -140,8 +140,11 @@ def _shifted_knots(upper: Profile, m: int) -> np.ndarray:
 
     Grid-multiple shifts are exact index shifts (any interpolant through the
     knots agrees with them there); past +L the profile is extended by its
-    right end row, so at m = n+1 every row is that row.
+    right end row, so at m = n+1 every row is that row.  At m = 0 they are
+    the upper knots themselves, not a copy.
     """
+    if m == 0:
+        return upper.knots
     n = upper.grid.n
     return upper.knots[np.minimum(np.arange(n + 2) + m, n + 1)]
 

@@ -14,10 +14,15 @@ straight into their dgbsv workspace, every entry, so that no (5, 2n) copy
 is made per step.  ``_banded_solve`` hands the front solves' bands to
 LAPACK directly.
 The scalar and the vector front solves share three pieces here:
-``_shifted_sweep``, their beta-shifted monotone sweep; ``_damped``, the one
-rule that halves a Newton step back into the envelope; and
-``_sweep_newton``, the monotone-sweep loop with Newton acceleration, which
-owns their envelope test and their failure when the sweep budget is spent.
+``_shifted_sweep``, their beta-shifted monotone sweep, which adds the
+Dirichlet data as T's two ghost rows, lo*left to row 0 and hi*right to row
+n-1, and touches no row between; ``_damped``, the one rule that halves a
+Newton step back into the envelope; and ``_sweep_newton``, the
+monotone-sweep loop with Newton acceleration, which owns their envelope
+test and their failure when the sweep budget is spent.  The stencil and
+the translation are formed in place, one operation at a time in the order
+of their formulas, so each is the formula's to the last bit and no
+full-length temporary is made only to be read once.
 The tail fits of ``wave`` and the decay and speed fits of ``dynamics``
 share ``least_squares_line``, a line in closed form from centred sums:
 numpy's ``lstsq`` or ``polyfit`` would start numpy's own LAPACK beside
@@ -259,7 +264,17 @@ def apply_advection_diffusion(g: Grid, c: float, knots) -> np.ndarray:
     if len(f) != g.n + 2:
         raise GridError("knot array must have the grid's n+2 rows")
     fl, fr = f[:-2], f[2:]
-    return (fl - 2.0 * f[1:-1] + fr) / g.h**2 - c * (fr - fl) / (2.0 * g.h)
+    # (fl - 2 f + fr) / h^2 - c (fr - fl) / (2h), operation by operation in
+    # that order, in two buffers
+    out = np.multiply(2.0, f[1:-1])
+    np.subtract(fl, out, out=out)
+    out += fr
+    out /= g.h**2
+    drift = np.subtract(fr, fl)
+    np.multiply(c, drift, out=drift)
+    drift /= 2.0 * g.h
+    out -= drift
+    return out
 
 
 def stencil_bands(g: Grid, c: float, scale: float, diag) -> np.ndarray:
@@ -293,7 +308,8 @@ def stencil_bands(g: Grid, c: float, scale: float, diag) -> np.ndarray:
 def boundary_vector(g: Grid, c: float, left, right) -> np.ndarray:
     """Ghost terms of T: lo*left in row 0, hi*right in row n-1, zero between;
     shape (n,), or (n, 2) for a pair of data per end.  On a half line the
-    left ghost lies in ``stencil_bands`` and row 0 stays zero."""
+    left ghost lies in ``stencil_bands`` and row 0 stays zero.  The front
+    solves' sweep (``_shifted_sweep``) adds its two nonzero rows alone."""
     lo, hi = stencil_coefficients(g, c)
     left = np.asarray(left, dtype=float)
     out = np.zeros((g.n,) + left.shape)
@@ -400,7 +416,7 @@ def _banded_solve(l_and_u, ab, b, overwrite_b=False):
 
 def _shifted_sweep(g: Grid, c: float, F, diag, left, right, solve):
     """The monotone sweep U -> (beta - T)^-1 (F(U) + beta U), Dirichlet data
-    ``left`` and ``right`` entering through the ghost vector; returns
+    ``left`` and ``right`` entering as T's two ghost rows; returns
     (beta, sweep).
 
     The shift beta = 1 + max(0, -min(diag)) is one above the largest
@@ -408,15 +424,23 @@ def _shifted_sweep(g: Grid, c: float, F, diag, left, right, solve):
     F(U) + beta U is monotone in U there.  ``solve`` is the caller's banded
     solver, called as solve((1, 1), bands, rhs, overwrite_b=True): each
     sweep builds its right-hand side in Fortran order, and the solution
-    takes its place.
+    takes its place.  The ghost terms are ``boundary_vector``'s two nonzero
+    rows, lo*left added to row 0 (0.0 on a half line, whose left ghost lies
+    in the bands) and hi*right to row n-1.  Between them that vector holds
+    +0.0, whose addition changes nothing but a -0.0 into +0.0, so nothing
+    is added there: a right-hand side row of the fronts' positive iterates
+    holds no -0.0.
     """
     beta = 1.0 + max(0.0, float(-np.min(diag)))
     ab = stencil_bands(g, c, -1.0, beta)
-    bvec = boundary_vector(g, c, left, right)
+    lo, hi = stencil_coefficients(g, c)
+    ghost_left = 0.0 if g.mirror else lo * np.asarray(left, dtype=float)
+    ghost_right = hi * np.asarray(right, dtype=float)
 
     def sweep(U):
         rhs = np.add(F(U), beta * U, order="F")
-        rhs += bvec
+        rhs[0] += ghost_left
+        rhs[-1] += ghost_right
         return solve((1, 1), ab, rhs, overwrite_b=True)
     return beta, sweep
 
@@ -477,7 +501,10 @@ def _sweep_newton(sweep, newton, U, envelope, tol, callback=None):
         if env < -ENVELOPE_SLACK:
             raise EnvelopeViolationError(
                 f"iterate {it} left the envelope by {-env:.3e}")
+        # U alone holds the iterate, so the Newton step that replaces it
+        # frees it
         U = Un
+        del Un
         callback(len(sup_diffs) + len(newton_steps), U)
         if d < tol:
             return U, sup_diffs, newton_steps
@@ -488,6 +515,8 @@ def _sweep_newton(sweep, newton, U, envelope, tol, callback=None):
                 dU = newton(U)
                 size = float(np.max(np.abs(dU)))
                 step = _damped(U, dU, envelope) if size < prev else None
+                # the correction is spent: the next one is built without it
+                del dU
                 if step is None:
                     break
                 lam, U = step
@@ -539,12 +568,27 @@ def _end_slope(h0, h1, m0, m1):
                     np.where(turn, 3.0 * m0, d))
 
 
-def _cubic(c, s):
+def _cubic(c, s, rows=None):
     """Local cubic at offset s, summed in scipy's ``PPoly`` order: from 0.0
-    (so a -0.0 sample reads 0.0), constant term first, s^3 as (s*s)*s."""
+    (so a -0.0 sample reads 0.0), constant term first, s^3 as (s*s)*s.
+
+    With ``rows``, the coefficients are those rows of the arrays in ``c``,
+    taken one array at a time into a single buffer, so no copy of the four
+    is made."""
     c0, c1, c2, c3 = c
     ss = s * s
-    return 0.0 + c3 + c2 * s + c1 * ss + c0 * (ss * s)
+    if rows is None:
+        return 0.0 + c3 + c2 * s + c1 * ss + c0 * (ss * s)
+    total = np.take(c3, rows, axis=0)
+    np.add(0.0, total, out=total)
+    term = np.empty_like(total)
+    for a, power in ((c2, s), (c1, ss), (c0, ss * s)):
+        # rows lie in range; "clip" fills the buffer without the temporary
+        # the default mode stages its result in
+        np.take(a, rows, axis=0, out=term, mode="clip")
+        term *= power
+        total += term
+    return total
 
 
 def level_crossing(g: Grid, ys, level: float) -> float:
@@ -552,8 +596,12 @@ def level_crossing(g: Grid, ys, level: float) -> float:
     upward; level must lie strictly inside the range of the data.  The
     bracketing cubic segment, built from the (at most) four knots around it
     as ``monotone_interpolant`` allows, is bisected until the midpoint is an
-    endpoint; a level that equals a knot value returns that knot exactly."""
+    endpoint; a level that equals a knot value returns that knot exactly.
+    Values that are not the grid's n+2 knots, such as the n interior
+    samples alone, raise GridError."""
     ys = np.asarray(ys, dtype=float)
+    if len(ys) != g.n + 2:
+        raise GridError("knot array must have the grid's n+2 rows")
     if not (ys.min() < level < ys.max()):
         raise LevelNotCrossedError(f"profile does not cross {level} on the domain")
     i = int(np.nonzero(ys >= level)[0][0])
@@ -593,7 +641,7 @@ def translate(g: Grid, ys, x0: float) -> np.ndarray:
     # interval i holds xs[i] <= q < xs[i+1]; the last knot closes the last one
     i = np.minimum(np.searchsorted(xs, q, side="right") - 1, len(xs) - 2)
     s = (q - xs[i]).reshape((-1,) + (1,) * (c[0].ndim - 1))
-    return _cubic([np.take(a, i, axis=0) for a in c], s)
+    return _cubic(c, s, rows=i)
 
 
 def least_squares_line(x, y, error) -> tuple[float, float, float]:

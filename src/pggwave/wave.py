@@ -165,9 +165,9 @@ def solve_wave(bounds: BoundPair, tol: float = 1e-10,
         return solve_banded((2, 2), work, rhs).reshape(U.shape)
 
     upper = top.knots[1:-1]
-    U = upper if initial is None else initial.samples()
+    U = upper if initial is None else initial.knots[1:-1]
     U, sup_diffs, newton_steps = _sweep_newton(
-        sweep, newton, U, (bounds.lower.samples(), upper), tol, callback)
+        sweep, newton, U, (bounds.lower.knots[1:-1], upper), tol, callback)
 
     prof = as_profile(U)
     final_res = float(np.max(np.abs(residual(prof))))

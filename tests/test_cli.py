@@ -796,13 +796,16 @@ for argv in json.loads(sys.argv[1]):
     codes.append(pggwave.cli.main(argv))
     deferred.append(loaded_late())
 print(json.dumps({"codes": codes, "deferred": deferred, "loaded": loaded(
-    "scipy.interpolate", "scipy.optimize", "scipy.special")}))
+    "scipy.interpolate", "scipy.optimize", "scipy.special",
+    "scipy.integrate")}))
 """
 
 
 def test_cli_never_loads_scipy_interpolate_optimize_special(tmp_path):
-    # scipy serves only the LAPACK banded solves; checking after real runs
-    # catches an import deferred into a function as well.  LAPACK comes
+    # scipy serves only the LAPACK banded solves, and scipy.integrate, which
+    # the collocation oracle of the tests uses, stays out of every run;
+    # checking after real runs catches an import deferred into a function
+    # as well.  LAPACK comes
     # from its extension file, so neither the package scipy.linalg, whose
     # init loads numpy.f2py and numpy.testing, nor scipy.sparse loads in
     # any run, the eigensolve of eigs included

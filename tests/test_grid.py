@@ -417,6 +417,10 @@ def test_level_crossing_rejects_levels_not_crossed_upward():
             level_crossing(g, ys, level)
     with pytest.raises(LevelNotCrossedError, match="upward"):
         level_crossing(g, ys[::-1], 0.5)
+    # the n interior samples alone are no knot values: read as knots they
+    # would put the crossing one node off
+    with pytest.raises(GridError, match="n\\+2 rows"):
+        level_crossing(g, ys[1:-1], 0.5)
 
 
 def test_linearization_bands_are_residual_jacobian():

@@ -247,23 +247,59 @@ def test_rejected_newton_resumes_sweeps(base_bounds, base_wave, monkeypatch,
     assert np.max(np.abs(prof.samples() - base_wave[0].samples())) < 1e-8
 
 
-def test_newton_steps_write_their_bands_in_place(base_params):
-    # one critical-speed solve at L = 80, n = 7999: the traced peak above
-    # the start was 3.20 MB while each Newton step built the (5, 2n) bands
-    # (0.64 MB) and copied them into the dgbsv workspace, 2.69 MB with the
-    # bands written into the workspace itself, 2.44 MB with the Jacobian
-    # written into the bands instead of a (2, 2, n) array, and is 2.37 MB
-    # with the residual summed and negated in place
-    bp = make_bounds(base_params, 1.0, make_grid(80.0, 7999), tol=1e-12)
+# the critical front run, c = 1.0, L = 80, n = 7999 at the CLI's
+# tolerances: each stage's traced peak above its start is bounded by its
+# measured value plus at most 5% (``tools/peak_rss.py`` prints all four)
+def _traced_peak(f, *args, **kwargs):
+    """f(*args, **kwargs) and the peak of tracemalloc's traced memory above
+    the start of the call, in bytes."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        _, rep = solve_wave(bp, tol=1e-10)
+        out = f(*args, **kwargs)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+@pytest.fixture(scope="module")
+def critical_bounds(base_params):
+    return make_bounds(base_params, 1.0, make_grid(80.0, 7999), tol=1e-12)
+
+
+def test_critical_bounds_sweep_without_a_ghost_vector(base_params):
+    # the traced peak was 1.16 MB while each scalar sweep held an (n,)
+    # ghost vector that is zero between its end rows; it is 1.09 MB with
+    # the two ghost rows added to the right-hand side alone
+    g = make_grid(80.0, 7999)
+    _, peak = _traced_peak(make_bounds, base_params, 1.0, g, tol=1e-12)
+    assert peak < 1.14e6
+
+
+def test_newton_steps_write_their_bands_in_place(critical_bounds):
+    # the traced peak was 3.20 MB while each Newton step built the (5, 2n)
+    # bands (0.64 MB) and copied them into the dgbsv workspace, 2.69 MB
+    # with the bands written into the workspace itself, 2.44 MB with the
+    # Jacobian written into the bands instead of a (2, 2, n) array, 2.37 MB
+    # with the residual summed and negated in place, and is 1.67 MB once no
+    # (n, 2) array is built only to be read: the sweep adds its two ghost
+    # rows, the envelope reads the bounds' own knots, the unshifted upper
+    # bound is not copied, the stencil forms in two buffers, and neither a
+    # spent correction nor a replaced sweep iterate outlives its use
+    (_, rep), peak = _traced_peak(solve_wave, critical_bounds, tol=1e-10)
     assert rep.newton_steps
-    assert peak < 2.6e6
+    assert peak < 1.75e6
+
+
+def test_phase_translation_takes_no_coefficient_copies(critical_bounds):
+    # the traced peak was 1.61 MB while the translation copied each of the
+    # four (n+1, 2) coefficient arrays at the query rows; it is 1.19 MB with
+    # the rows taken into one buffer, term by term, without the staging
+    # copy np.take makes of a result written to ``out`` in its default mode
+    front, _ = solve_wave(critical_bounds, tol=1e-10)
+    _, peak = _traced_peak(normalize_phase, front)
+    assert peak < 1.24e6
 
 
 def test_report_records_solver_state(base_bounds, base_wave, monkeypatch):
