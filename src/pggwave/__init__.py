@@ -4,12 +4,13 @@ Library surface, one module per concern:
 
 - ``model``     constants, reaction, Jacobian, coordinate maps, speed verdict
 - ``grid``      uniform grid, profiles as knot arrays (Dirichlet data in
-                the end rows), the one stencil (explicit and banded), the
-                linearization's bands, the sweep-Newton loop of both front
-                solves, phase translation, profile I/O
+                the end rows) with a phase origin, the one stencil
+                (explicit and banded), the linearization's bands, the
+                sweep-Newton loop of both front solves, level crossings,
+                profile I/O
 - ``kpp``       scalar front solves seeding the bounds
 - ``bounds``    vector upper/lower solutions, inequality margins, ordering
-- ``wave``      monotone iteration with Newton steps, phase normalization,
+- ``wave``      monotone iteration with Newton steps, the phase origin,
                 decay fits
 - ``spectrum``  essential-spectrum geometry, weighted operator, eigensolves
 - ``dynamics``  IMEX time stepping and the stability/instability/spreading runs

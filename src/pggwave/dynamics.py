@@ -78,7 +78,7 @@ import numpy as np
 
 from .errors import (BlowUpError, FrontNotFoundError, GridError, NormError,
                      ParameterError)
-from .grid import (Grid, Profile, boundary_vector, dpttrf, dpttrs, half_line,
+from .grid import (Grid, Profile, _ghost_rows, dpttrf, dpttrs, half_line,
                    least_squares_line, require_m_matrix, stencil_bands,
                    write_csv)
 from .model import ModelParams, StateVec, reaction, to_original
@@ -279,7 +279,8 @@ def run_simulation(initial: Profile, cfg: SimConfig,
     # Crank-Nicolson on T: implicit matrix A = I - dt/2 T = S B S^-1,
     # factored once; Dirichlet data held
     factors, scale = factor_banded(stencil_bands(g, c, -dt / 2.0, 1.0))
-    ghosts = dt * boundary_vector(g, c, initial.knots[0], initial.knots[-1])
+    ghosts = [dt * ghost for ghost in _ghost_rows(g, c, initial.knots[0],
+                                                  initial.knots[-1])]
     first_cell = g.first_cell
 
     guard = 10.0 * max(p.kstar, 1.0)

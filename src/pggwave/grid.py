@@ -5,39 +5,42 @@ interior rows are the samples, its two end rows the Dirichlet data, which
 every difference stencil reads as ghost values at distance h and every
 interpolant as its end knots.  A ``half_line`` grid carries a solution even
 in x on x >= 0: its left end is the mirror row, whose ghost repeats a
-sample, and ``stencil_bands`` and ``boundary_vector`` close it.  All
+sample, and ``stencil_bands`` and ``_ghost_rows`` close it.  All
 operators are plain centered second-order stencils; the one copy of
-T = d^2/dxi^2 - c d/dxi is here, as is the phase translation of profiles.
+T = d^2/dxi^2 - c d/dxi is here.  A profile's phase is an origin, not a
+resample: its abscissae are the grid's knots less ``Profile.x0``, and its
+values stay the solved front's.
 ``linearization_bands`` is the banded Jacobian of ``residual``; the spectrum
 takes it as a new array, and the wave's Newton steps have it written
 straight into their dgbsv workspace, every entry, so that no (5, 2n) copy
 is made per step.  ``_banded_solve`` hands the front solves' bands to
 LAPACK directly.
 The scalar and the vector front solves share three pieces here:
-``_shifted_sweep``, their beta-shifted monotone sweep, which adds the
-Dirichlet data as T's two ghost rows, lo*left to row 0 and hi*right to row
-n-1, and touches no row between; ``_damped``, the one rule that halves a
-Newton step back into the envelope; and ``_sweep_newton``, the
-monotone-sweep loop with Newton acceleration, which owns their envelope
-test and their failure when the sweep budget is spent.  The stencil and
-the translation are formed in place, one operation at a time in the order
-of their formulas, so each is the formula's to the last bit and no
-full-length temporary is made only to be read once.
+``_shifted_sweep``, their beta-shifted monotone sweep, which adds T's two
+Dirichlet ghost rows (``_ghost_rows``, lo*left to row 0 and hi*right to
+row n-1, which the time steps of ``dynamics`` add too) and touches no row
+between; ``_damped``, the one rule that halves a Newton step back into the
+envelope; and ``_sweep_newton``, the monotone-sweep loop with Newton
+acceleration, which owns their envelope test and their failure when the
+sweep budget is spent.  The stencil is formed in place, one operation at a
+time in the order of its formula, so it is the formula's to the last bit
+and no full-length temporary is made only to be read once.
 The tail fits of ``wave`` and the decay and speed fits of ``dynamics``
 share ``least_squares_line``, a line in closed form from centred sums:
 numpy's ``lstsq`` or ``polyfit`` would start numpy's own LAPACK beside
 scipy's, about 1 MB of peak memory per run.
 
-Phase translation is a PCHIP (Fritsch & Butland) interpolant written in
-numpy, bit-identical to scipy's; a level crossing is found by bisecting its
-bracketing cubic.  The package takes only LAPACK banded solves from
-scipy: its interpolation and root-finding subpackages, and the special
-functions they load, would cost every run a third of its import time and a
-fifth of its memory.  The six LAPACK routines, dgtsv and dgbsv of the
-front solves, dgbtrf and dgbtrs of the eigensolve
-(``spectrum.eigen_report``) and dpttrf and dpttrs of the time steps, come
-from scipy's compiled module ``_flapack``, which ``_load_lapack`` loads at
-import from its file in the installed ``scipy/linalg`` directory.
+The phase origin is a level crossing of a PCHIP (Fritsch & Butland)
+interpolant written in numpy, bit-identical to scipy's, found by bisecting
+its bracketing cubic; the scalar fronts' phase row reads the same cubic.
+The package takes only LAPACK banded solves from scipy: its interpolation
+and root-finding subpackages, and the special functions they load, would
+cost every run a third of its import time and a fifth of its memory.  The
+six LAPACK routines, dgtsv and dgbsv of the front solves, dgbtrf and
+dgbtrs of the eigensolve (``spectrum.eigen_report``) and dpttrf and dpttrs
+of the time steps, come from scipy's compiled module ``_flapack``, which
+``_load_lapack`` loads at import from its file in the installed
+``scipy/linalg`` directory.
 Importing ``scipy.linalg`` instead would run that package's init, whose
 array-API layer loads numpy's f2py, testing, ma and random subpackages
 among 300 modules: 0.3 s of a 0.48 s import and 24 MB of memory on every
@@ -76,12 +79,10 @@ __all__ = [
     "stencil_coefficients",
     "apply_advection_diffusion",
     "stencil_bands",
-    "boundary_vector",
     "residual",
     "linearization_bands",
     "monotone_interpolant",
     "level_crossing",
-    "translate",
     "least_squares_line",
     "write_csv",
     "write_json",
@@ -218,12 +219,19 @@ class Profile:
     A profile carries its whole front problem: the grid, the speed ``c`` and
     the model ``params``.  It is built once, where the problem is first
     stated; a profile derived from it is ``dataclasses.replace(parent,
-    knots=...)``, so the three carry over unchanged."""
+    knots=...)``, so the three carry over unchanged.
+
+    ``x0`` is the phase origin: the profile's abscissae are
+    xi = grid.knots - x0.  ``wave.normalize_phase`` sets it, and its only
+    readers in the package are ``wave.fit_decay`` and ``save_profile``; the
+    solves, the spectrum and the time runs work on the grid's own knots, on
+    the solved front, whose x0 is 0."""
 
     grid: Grid
     knots: np.ndarray
     c: float
     params: ModelParams
+    x0: float = 0.0
 
     def __post_init__(self):
         if np.shape(self.knots) != (self.grid.n + 2, 2):
@@ -279,7 +287,7 @@ def apply_advection_diffusion(g: Grid, c: float, knots) -> np.ndarray:
 
 def stencil_bands(g: Grid, c: float, scale: float, diag) -> np.ndarray:
     """LAPACK (1, 1) bands of scale*T + diag(d) on the interior samples;
-    the Dirichlet data enter through ``boundary_vector``.
+    the Dirichlet data enter through ``_ghost_rows``.
 
     On a half line the mirror row closes the left end.  A node at x = 0
     reads its ghost u(-h) = u(h), so row 0's upper entry gains lo, and
@@ -305,18 +313,15 @@ def stencil_bands(g: Grid, c: float, scale: float, diag) -> np.ndarray:
     return ab
 
 
-def boundary_vector(g: Grid, c: float, left, right) -> np.ndarray:
-    """Ghost terms of T: lo*left in row 0, hi*right in row n-1, zero between;
-    shape (n,), or (n, 2) for a pair of data per end.  On a half line the
-    left ghost lies in ``stencil_bands`` and row 0 stays zero.  The front
-    solves' sweep (``_shifted_sweep``) adds its two nonzero rows alone."""
+def _ghost_rows(g: Grid, c: float, left, right) -> tuple:
+    """T's Dirichlet ghost terms, the only right-hand side rows they touch:
+    (lo*left, hi*right), for rows 0 and n-1, each of the shape of its end
+    row.  On a half line the left ghost lies in ``stencil_bands``, and the
+    left term is 0.0.  The front solves' sweep and the time steps add the
+    two rows alone: the ghost term of every row between is zero."""
     lo, hi = stencil_coefficients(g, c)
-    left = np.asarray(left, dtype=float)
-    out = np.zeros((g.n,) + left.shape)
-    if not g.mirror:
-        out[0] = lo * left
-    out[-1] = hi * np.asarray(right, dtype=float)
-    return out
+    ghost_left = 0.0 if g.mirror else lo * np.asarray(left, dtype=float)
+    return ghost_left, hi * np.asarray(right, dtype=float)
 
 
 def residual(prof: Profile) -> np.ndarray:
@@ -424,18 +429,12 @@ def _shifted_sweep(g: Grid, c: float, F, diag, left, right, solve):
     F(U) + beta U is monotone in U there.  ``solve`` is the caller's banded
     solver, called as solve((1, 1), bands, rhs, overwrite_b=True): each
     sweep builds its right-hand side in Fortran order, and the solution
-    takes its place.  The ghost terms are ``boundary_vector``'s two nonzero
-    rows, lo*left added to row 0 (0.0 on a half line, whose left ghost lies
-    in the bands) and hi*right to row n-1.  Between them that vector holds
-    +0.0, whose addition changes nothing but a -0.0 into +0.0, so nothing
-    is added there: a right-hand side row of the fronts' positive iterates
-    holds no -0.0.
+    takes its place.  The ghost terms are ``_ghost_rows``, added to rows 0
+    and n-1 alone.
     """
     beta = 1.0 + max(0.0, float(-np.min(diag)))
     ab = stencil_bands(g, c, -1.0, beta)
-    lo, hi = stencil_coefficients(g, c)
-    ghost_left = 0.0 if g.mirror else lo * np.asarray(left, dtype=float)
-    ghost_right = hi * np.asarray(right, dtype=float)
+    ghost_left, ghost_right = _ghost_rows(g, c, left, right)
 
     def sweep(U):
         rhs = np.add(F(U), beta * U, order="F")
@@ -568,27 +567,12 @@ def _end_slope(h0, h1, m0, m1):
                     np.where(turn, 3.0 * m0, d))
 
 
-def _cubic(c, s, rows=None):
+def _cubic(c, s):
     """Local cubic at offset s, summed in scipy's ``PPoly`` order: from 0.0
-    (so a -0.0 sample reads 0.0), constant term first, s^3 as (s*s)*s.
-
-    With ``rows``, the coefficients are those rows of the arrays in ``c``,
-    taken one array at a time into a single buffer, so no copy of the four
-    is made."""
+    (so a -0.0 sample reads 0.0), constant term first, s^3 as (s*s)*s."""
     c0, c1, c2, c3 = c
     ss = s * s
-    if rows is None:
-        return 0.0 + c3 + c2 * s + c1 * ss + c0 * (ss * s)
-    total = np.take(c3, rows, axis=0)
-    np.add(0.0, total, out=total)
-    term = np.empty_like(total)
-    for a, power in ((c2, s), (c1, ss), (c0, ss * s)):
-        # rows lie in range; "clip" fills the buffer without the temporary
-        # the default mode stages its result in
-        np.take(a, rows, axis=0, out=term, mode="clip")
-        term *= power
-        total += term
-    return total
+    return 0.0 + c3 + c2 * s + c1 * ss + c0 * (ss * s)
 
 
 def level_crossing(g: Grid, ys, level: float) -> float:
@@ -630,18 +614,6 @@ def level_crossing(g: Grid, ys, level: float) -> float:
         else:
             hi = mid
     return lo if -f(lo) < f(hi) else hi
-
-
-def translate(g: Grid, ys, x0: float) -> np.ndarray:
-    """The interpolant of knot values ys at the knots + x0, queries clamped
-    to [-L, L]: the translated knot values, new Dirichlet data included."""
-    xs = g.knots
-    c = monotone_interpolant(xs, ys)
-    q = np.clip(xs + x0, -g.L, g.L)
-    # interval i holds xs[i] <= q < xs[i+1]; the last knot closes the last one
-    i = np.minimum(np.searchsorted(xs, q, side="right") - 1, len(xs) - 2)
-    s = (q - xs[i]).reshape((-1,) + (1,) * (c[0].ndim - 1))
-    return _cubic(c, s, rows=i)
 
 
 def least_squares_line(x, y, error) -> tuple[float, float, float]:
@@ -712,28 +684,31 @@ def write_json(path, payload) -> None:
 
 
 def save_profile(prof: Profile, csv_path) -> None:
-    """Write a profile's knots as CSV ``xi,u,v`` plus a JSON metadata
-    sidecar (suffix .json) holding its problem, the keys alpha, k, c, L and
-    n that ``load_profile`` reads back; the first and last rows are the
-    Dirichlet data.  A run's weights are no part of its front: they stay in
-    the ``config`` echo of the reports that use them."""
+    """Write a profile as CSV ``xi,u,v``, one row per knot, and a JSON
+    metadata sidecar (suffix .json) holding its problem and phase, the keys
+    alpha, k, c, L, n and x0 that ``load_profile`` reads back.  The u and v
+    columns are the knot values as they are, the first and last rows the
+    Dirichlet data; xi is the knots less the phase origin, grid.knots -
+    x0.  A run's weights are no part of its front: they stay in the
+    ``config`` echo of the reports that use them."""
     csv_path = Path(csv_path)
     g = prof.grid
-    write_csv(csv_path, "xi,u,v", g.knots, prof.knots[:, 0], prof.knots[:, 1])
+    write_csv(csv_path, "xi,u,v", g.knots - prof.x0, prof.knots[:, 0],
+              prof.knots[:, 1])
 
     write_json(csv_path.with_suffix(".json"), {
         "alpha": prof.params.alpha, "k": prof.params.k, "c": prof.c,
-        "L": g.L, "n": g.n})
+        "L": g.L, "n": g.n, "x0": prof.x0})
 
 
 def load_profile(csv_path) -> tuple[Profile, dict]:
     """Inverse of save_profile; returns the profile and its metadata dict.
-    A sidecar that lacks alpha, k, c, L or n, whose alpha, k, c or L is not
-    a number, whose n is not an int, or whose model lies outside the
-    admissible box raises ParameterError."""
+    A sidecar that lacks alpha, k, c, L, n or x0, whose alpha, k, c, L or
+    x0 is not a number, whose n is not an int, or whose model lies outside
+    the admissible box raises ParameterError."""
     csv_path = Path(csv_path)
     meta = json.loads(csv_path.with_suffix(".json").read_text())
-    for key in ("alpha", "k", "c", "L", "n"):
+    for key in ("alpha", "k", "c", "L", "n", "x0"):
         if key not in meta:
             raise ParameterError(f"the sidecar has no key {key!r}")
         # a bool is no number, and a node count no float
@@ -750,4 +725,5 @@ def load_profile(csv_path) -> tuple[Profile, dict]:
     data = np.array([[float(t) for t in r.split(",")] for r in rows[1:]])
     if len(data) != g.n + 2:
         raise ValueError("CSV row count does not match the sidecar's n")
-    return Profile(g, data[:, 1:], float(meta["c"]), params), meta
+    return Profile(g, data[:, 1:], float(meta["c"]), params,
+                   float(meta["x0"])), meta

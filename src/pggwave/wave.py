@@ -56,7 +56,7 @@ from .errors import ConvergenceError, FitWindowError, ParameterError
 from .grid import (Grid, Profile, _banded_solve as solve_banded,
                    _shifted_sweep, _sweep_newton, least_squares_line,
                    level_crossing, linearization_bands, require_m_matrix,
-                   residual, translate)
+                   residual)
 from .model import (ModelParams, StateVec, jacobian, reaction,
                     require_monotone_wave)
 
@@ -182,27 +182,16 @@ def solve_wave(bounds: BoundPair, tol: float = 1e-10,
 
 
 def normalize_phase(prof: Profile) -> Profile:
-    """Translate (monotone interpolation, re-sampled) so that v(0) = 1/2.
-
-    Queries beyond the truncated domain are clamped to the boundary data,
-    so a front crossing 1/2 at x0 > 0 comes back ending in about x0/h
-    copies of its right Dirichlet row, and is not strictly increasing
-    there.  The benchmark's base and critical fronts cross at x0 = 1.0567
-    and 1.1055, and the front at (alpha, k, c) = (0.02, 0.99, 0.55) on
-    ``make_grid(40, 3999)`` at 8.6507: 52, 55 and 432 repeated rows
-    (``tools/state.py``).  A phase condition on the vector front itself
-    (ROADMAP item 6) would remove the translation.
-
-    At odd n a node sits at 0 and holds 1/2, so the result crosses 1/2 at
-    0 and a second pass moves it by roundoff only (measured <= 5.3e-16 and
-    5.6e-17).  At even n, 0 lies between two nodes, and the re-sampled
-    front's own interpolant crosses 1/2 off 0 by its interpolation error,
-    of order h^3: on h-ladders at L = 20, 40 and c = 1, 1.25 the crossing
-    is at most 9.8e-4 h^3 (7.2e-6 at L = 20, n = 200) and a second pass
-    moves the front by at most 7.4e-5 h^3.
+    """The profile with its phase origin at the crossing of v = 1/2:
+    ``x0`` is ``grid.level_crossing`` of the v knots, and the knots, the
+    solved front's, stay as they are.  Its abscissae xi = grid.knots - x0
+    put that crossing at xi = 0 to the bisection's last bit; the paper's
+    front is unique up to this translation.  The solved front stays
+    strictly increasing, with its own nodes and Dirichlet rows: nothing is
+    resampled, so nothing is clamped at the ends.  A profile that carries
+    an origin already gets the same one again.
     """
-    x0 = level_crossing(prof.grid, prof.knots[:, 1], 0.5)
-    return replace(prof, knots=translate(prof.grid, prof.knots, x0))
+    return replace(prof, x0=level_crossing(prof.grid, prof.knots[:, 1], 0.5))
 
 
 def check_monotone(prof: Profile) -> tuple[float, float]:
@@ -210,21 +199,24 @@ def check_monotone(prof: Profile) -> tuple[float, float]:
     return float(np.min(np.diff(prof.u))), float(np.min(np.diff(prof.v)))
 
 
-def _fit_window(g: Grid, side: str) -> tuple[tuple, np.ndarray]:
+def _fit_window(g: Grid, side: str, xi) -> tuple[tuple, np.ndarray]:
     """The tail fit window on ``side``, [-L+5, -L/2] at "-inf" and
-    [L/2, L-5] at "+inf", and the mask of the nodes inside it."""
+    [L/2, L-5] at "+inf", and the mask of the abscissae ``xi`` of the
+    grid's nodes inside it."""
     wins = {"-inf": (-g.L + 5.0, -g.L / 2.0), "+inf": (g.L / 2.0, g.L - 5.0)}
     if side not in wins:
         raise ParameterError(f"side must be '-inf' or '+inf', got {side!r}")
     lo, hi = wins[side]
-    return (lo, hi), (g.nodes >= lo) & (g.nodes <= hi)
+    return (lo, hi), (xi >= lo) & (xi <= hi)
 
 
 def check_fit_windows(g: Grid) -> None:
     """Raise ParameterError unless both tail fit windows hold FIT_MIN_NODES
-    nodes; they depend on the grid alone, so this runs before any solve."""
+    nodes; this reads the grid alone, so it runs before any solve.  A fit
+    reads the windows at its front's phase origin, where one can hold
+    fewer nodes; ``fit_decay``'s FitWindowError guards that."""
     for side in ("-inf", "+inf"):
-        (lo, hi), inwin = _fit_window(g, side)
+        (lo, hi), inwin = _fit_window(g, side, g.nodes)
         if inwin.sum() < FIT_MIN_NODES:
             raise ParameterError(f"the {side} fit window [{lo:g}, {hi:g}] "
                                  f"holds {inwin.sum()} < {FIT_MIN_NODES} nodes")
@@ -233,15 +225,18 @@ def check_fit_windows(g: Grid) -> None:
 def fit_decay(prof: Profile, side: str) -> DecayFit:
     """Log-linear tail fit against the analytic front asymptotics.
 
-    side "-inf" fits log u and log v on its ``_fit_window``; side "+inf"
-    fits log(K*-u) and log(1-v), against the verdict's roots.  At the
-    critical speed the -inf tail carries a linear prefactor, so
+    The fit reads the solved nodes at their abscissae xi = nodes - x0,
+    from the profile's phase origin ``x0``, and no Dirichlet row: side
+    "-inf" fits log u and log v against xi on its ``_fit_window``; side
+    "+inf" fits log(K*-u) and log(1-v), against the verdict's roots.  At
+    the critical speed the -inf tail carries a linear prefactor, so
     log y - log|xi| is fitted instead; each line is
     ``grid.least_squares_line``.  Samples below 1e-14 are excluded;
     fewer than FIT_MIN_NODES usable nodes is an error.
     """
     g, p = prof.grid, prof.params
-    win, inwin = _fit_window(g, side)
+    xi = g.nodes - prof.x0
+    win, inwin = _fit_window(g, side, xi)
     verdict = require_monotone_wave(p, prof.c)
     if side == "-inf":
         data, predicted = (prof.u, prof.v), verdict.roots[0].real
@@ -257,8 +252,8 @@ def fit_decay(prof: Profile, side: str) -> DecayFit:
                 f"only {mask.sum()} usable nodes in the {side} fit window")
         logy = np.log(y[mask])
         if side == "-inf" and verdict.verdict == "CriticalAdmissible":
-            logy = logy - np.log(np.abs(g.nodes[mask]))
-        slope, intercept, r2 = least_squares_line(g.nodes[mask], logy,
+            logy = logy - np.log(np.abs(xi[mask]))
+        slope, intercept, r2 = least_squares_line(xi[mask], logy,
                                                   FitWindowError)
         rates.append(slope)
         amps.append(math.exp(intercept))

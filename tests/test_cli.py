@@ -17,7 +17,7 @@ from pggwave import (default_l, derive_params, dynamics, errors, spectrum,
 from pggwave.cli import COMMANDS, OPTIONS, build_parser, main
 from pggwave.config import RunConfig, load_config_file, resolve_config
 from pggwave.errors import ParameterError
-from pggwave.grid import load_profile, make_grid
+from pggwave.grid import make_grid
 
 
 def run_cli(capsys, *argv):
@@ -65,12 +65,17 @@ def test_wave_at_small_alpha_and_k_near_1(capsys, tmp_path):
                              "0.99", "--c", "0.55", "--L", "40", "--n", "3999",
                              "--output-dir", str(tmp_path))
     assert code == 0, err
-    # the solved front increases strictly; its phase-normalised copy, padded
-    # with its end rows, does not decrease
+    # the solved front increases strictly, and profile.csv holds it as it
+    # is, one row per knot at xi = knots - x0, x0 = 8.65 its crossing of
+    # v = 1/2: no row repeats the right Dirichlet row
     mins = re.search(r"min forward differences (\S+), (\S+)$", out, re.M)
     assert float(mins[1]) > 0.0 and float(mins[2]) > 0.0
-    prof, _ = load_profile(tmp_path / "wave" / "profile.csv")
-    assert np.min(np.diff(prof.knots, axis=0)) >= 0.0
+    xi, u, v = np.loadtxt(tmp_path / "wave" / "profile.csv", delimiter=",",
+                          skiprows=1).T
+    assert len(xi) == 3999 + 2
+    for column in (xi, u, v):
+        assert np.min(np.diff(column)) > 0.0
+    assert v[xi < 0.0].max() < 0.5 < v[xi > 0.0].min()
 
 
 # a float setting, a subcommand that reads it, and its owner's refusal

@@ -17,8 +17,8 @@ from pggwave.dynamics import (SCALE_LOG_BOUND, SEED_EDGE, SEED_FLOOR,
                               front_position, spreading_seed, trace_to_csv)
 from pggwave.errors import (BlowUpError, FrontNotFoundError, GridError,
                             NormError, ParameterError)
-from pggwave.grid import (apply_advection_diffusion, boundary_vector,
-                          half_line, least_squares_line, stencil_bands)
+from pggwave.grid import (_ghost_rows, apply_advection_diffusion, half_line,
+                          least_squares_line, stencil_bands)
 from pggwave.model import reaction
 
 C = 1.25
@@ -236,7 +236,7 @@ def _reference_steps(p, c, init, dt, nsteps):
     g = init.grid
     dl, dr = init.knots[0], init.knots[-1]
     ab = stencil_bands(g, c, -dt / 2.0, 1.0)
-    bvec = boundary_vector(g, c, dl, dr)
+    ghost_left, ghost_right = _ghost_rows(g, c, dl, dr)
     U = init.samples()
     F_prev = None
     for _ in range(nsteps):
@@ -245,7 +245,9 @@ def _reference_steps(p, c, init, dt, nsteps):
         F_prev = F
         rhs = (U + dt / 2.0 * apply_advection_diffusion(g, c,
                                                         np.vstack((dl, U, dr)))
-               + dt / 2.0 * bvec + dt * G)
+               + dt * G)
+        rhs[0] += dt / 2.0 * ghost_left
+        rhs[-1] += dt / 2.0 * ghost_right
         U = solve_banded((1, 1), ab, rhs)
     return U
 
@@ -412,7 +414,8 @@ def _refactorised_steps(p, c, init, dt, nsteps):
     sym, s = _symmetrised(stencil_bands(g, c, -dt / 2.0, 1.0))
     S = np.column_stack((s, s))
     S_inv = 1.0 / S
-    ghosts = dt * boundary_vector(g, c, init.knots[0], init.knots[-1]) * S_inv
+    ghost_left, ghost_right = _ghost_rows(g, c, init.knots[0], init.knots[-1])
+    ghosts = (dt * ghost_left * S_inv[0], dt * ghost_right * S_inv[-1])
     U = init.samples()
     Y = U * S_inv
     F_prev = None
@@ -434,7 +437,8 @@ def _gtsv_steps(p, c, init, dt, nsteps):
     a pivoted LU of the unscaled A on every call (LAPACK gtsv)."""
     g = init.grid
     ab = stencil_bands(g, c, -dt / 2.0, 1.0)
-    ghosts = dt * boundary_vector(g, c, init.knots[0], init.knots[-1])
+    ghosts = [dt * ghost
+              for ghost in _ghost_rows(g, c, init.knots[0], init.knots[-1])]
     U = np.asfortranarray(init.samples())
     F_prev = None
     for _ in range(nsteps):

@@ -14,8 +14,8 @@ from pggwave import (Profile, StateVec, WeightPair, apply_advection_diffusion,
                      kpp, load_profile, make_bounds, make_grid, order_shift,
                      reaction, residual, save_profile, spectrum, wave)
 from pggwave.cli import main
-from pggwave.grid import (boundary_vector, level_crossing, linearization_bands,
-                          stencil_bands, translate, write_csv, write_json)
+from pggwave.grid import (level_crossing, linearization_bands, stencil_bands,
+                          write_csv, write_json)
 from pggwave.errors import (ConvergenceError, FitWindowError, GridError,
                             LevelNotCrossedError, ParameterError)
 
@@ -135,14 +135,20 @@ def test_serialization_round_trip(tmp_path):
     g = make_grid(7.0, 23)
     rng = np.random.default_rng(3)
     knots = np.vstack(([0.0, 0.0], rng.standard_normal((g.n, 2)), [1.2, 1.0]))
-    prof = Profile(grid=g, knots=knots, c=1.25, params=derive_params(0.3, 0.6))
+    prof = Profile(grid=g, knots=knots, c=1.25, params=derive_params(0.3, 0.6),
+                   x0=0.37)
     csv = tmp_path / "profile.csv"
     save_profile(prof, csv)
+    # the rows are the knots as they are, at xi = knots - x0
+    rows = np.loadtxt(csv, delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 0], g.knots - 0.37)
+    assert np.array_equal(rows[:, 1:], knots)
     loaded, meta = load_profile(csv)
     assert np.array_equal(loaded.knots, prof.knots)
-    assert loaded.c == prof.c
+    assert loaded.c == prof.c and loaded.x0 == prof.x0
     assert loaded.params == prof.params
-    assert meta == {"alpha": 0.3, "k": 0.6, "c": 1.25, "L": 7.0, "n": 23}
+    assert meta == {"alpha": 0.3, "k": 0.6, "c": 1.25, "L": 7.0, "n": 23,
+                    "x0": 0.37}
     # a sidecar written with the run's weights beside the problem still reads
     old = {**meta, "sigma1": 0.05, "sigma2": 0.5}
     csv.with_suffix(".json").write_text(json.dumps(old))
@@ -195,7 +201,7 @@ def test_load_profile_rejects_non_numeric_model_and_grid(tmp_path, base_params,
         load_profile(csv)
 
 
-@pytest.mark.parametrize("key", ["alpha", "k", "c", "L", "n"])
+@pytest.mark.parametrize("key", ["alpha", "k", "c", "L", "n", "x0"])
 def test_load_profile_names_a_missing_key(tmp_path, base_params, key):
     csv = tmp_path / "profile.csv"
     save_profile(_zero_profile(base_params), csv)
@@ -317,7 +323,8 @@ def test_write_json_refuses_unknown_objects(tmp_path):
     assert not path.exists()
 
 
-# --- phase translation: scipy's PCHIP and brentq are the oracles ---
+# --- the PCHIP segments and level crossings: scipy's PCHIP and brentq are
+# the oracles ---
 
 PCHIP_GRID = (20.0, 799)
 
@@ -342,11 +349,19 @@ def _pchip_data():
 
 @pytest.mark.parametrize("x0", [0.0, 1e-9, 0.37, -2.5, 3.7, 25.0, -25.0])
 def test_translate_is_scipy_pchip_bit_for_bit(x0):
+    # the segments of ``monotone_interpolant``, each summed by ``_cubic``,
+    # at the knots translated by x0 and clamped to [-L, L]: what
+    # ``level_crossing`` and the scalar fronts' phase row read
     g, cases = _pchip_data()
-    xs = np.concatenate(([-g.L], g.nodes, [g.L]))
+    xs = g.knots
+    q = np.clip(xs + x0, -g.L, g.L)
+    # segment i holds xs[i] <= q < xs[i+1]; the last knot closes the last
+    i = np.minimum(np.searchsorted(xs, q, side="right") - 1, len(xs) - 2)
     for ys in cases:
-        want = PchipInterpolator(xs, ys)(np.clip(xs + x0, -g.L, g.L))
-        got = translate(g, ys, x0)
+        want = PchipInterpolator(xs, ys)(q)
+        seg = [a[i] for a in grid.monotone_interpolant(xs, ys)]
+        s = (q - xs[i]).reshape((-1,) + (1,) * (ys.ndim - 1))
+        got = grid._cubic(seg, s)
         assert got.shape == ys.shape
         assert np.array_equal(got, want)
 
@@ -477,6 +492,14 @@ def _tridiagonal(ab):
     return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
 
 
+def _ghost_vector(g, c, left, right):
+    """T's ghost terms as a whole right-hand side: ``grid._ghost_rows`` in
+    rows 0 and n-1, zero between."""
+    out = np.zeros((g.n,) + np.shape(left))
+    out[0], out[-1] = grid._ghost_rows(g, c, left, right)
+    return out
+
+
 @pytest.mark.parametrize("scale,diag", [
     (1.0, np.linspace(-0.3, 0.2, 57)),   # scalar Newton: T + diag(f'(w))
     (-1.0, 1.7),                          # monotone sweeps: beta - T
@@ -488,7 +511,7 @@ def test_stencil_bands_match_explicit_stencil(scale, diag):
     c, bl, br = 1.25, 0.3, -0.8
     f = np.cos(0.4 * g.nodes) + 0.1 * g.nodes
     implicit = (_tridiagonal(stencil_bands(g, c, scale, diag)) @ f
-                + scale * boundary_vector(g, c, bl, br))
+                + scale * _ghost_vector(g, c, bl, br))
     explicit = (scale * apply_advection_diffusion(g, c, np.r_[bl, f, br])
                 + diag * f)
     assert np.max(np.abs(implicit - explicit)) < 1e-12 / g.h**2
@@ -508,10 +531,10 @@ def test_half_line_mirror_row(n, scale, diag):
     f = np.cos(0.4 * g.knots) + 0.01 * g.knots**2
     fh = np.cos(0.4 * half.knots) + 0.01 * half.knots**2
     full = (_tridiagonal(stencil_bands(g, 0.0, scale, diag)) @ f[1:-1]
-            + scale * boundary_vector(g, 0.0, f[0], f[-1]))
+            + scale * _ghost_vector(g, 0.0, f[0], f[-1]))
     ab = stencil_bands(half, 0.0, scale, diag)
     got = (_tridiagonal(ab) @ fh[1:-1]
-           + scale * boundary_vector(half, 0.0, fh[0], fh[-1]))
+           + scale * _ghost_vector(half, 0.0, fh[0], fh[-1]))
     got[0] /= half.first_cell
     want = full[-half.n:]
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -532,12 +555,12 @@ def test_stencil_two_columns_match_per_column():
                    np.stack([np.sin(g.nodes), np.tanh(g.nodes)], axis=1),
                    [0.2, 1.0]))
     both = apply_advection_diffusion(g, 1.25, F)
-    ghosts = boundary_vector(g, 1.25, F[0], F[-1])
+    ghosts = grid._ghost_rows(g, 1.25, F[0], F[-1])
     for j in range(2):
         assert np.array_equal(both[:, j],
                               apply_advection_diffusion(g, 1.25, F[:, j]))
-        assert np.array_equal(ghosts[:, j],
-                              boundary_vector(g, 1.25, F[0, j], F[-1, j]))
+        one = grid._ghost_rows(g, 1.25, F[0, j], F[-1, j])
+        assert [row[j] for row in ghosts] == list(one)
 
 
 def test_banded_solves_stay_in_their_callers_module(monkeypatch):
@@ -655,7 +678,7 @@ def _parent_sweep(g, c, F, diag, left, right, solve):
     right-hand side, which dgtsv copies."""
     beta = 1.0 + max(0.0, float(-np.min(diag)))
     ab = stencil_bands(g, c, -1.0, beta)
-    bvec = boundary_vector(g, c, left, right)
+    bvec = _ghost_vector(g, c, left, right)
     return beta, lambda U: solve((1, 1), ab, F(U) + beta * U + bvec)
 
 

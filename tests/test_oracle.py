@@ -5,7 +5,8 @@ that front is Ablowitz & Zeppetella's
 
     w(xi) = (1 + (sqrt(2) - 1) e^{-sqrt(alpha/6) xi})^-2,   w(0) = 1/2,
 
-so after ``normalize_phase`` the computed v is compared with w node by node.
+so after ``normalize_phase`` the computed v is compared with w node by node,
+each node at its abscissa xi = node - x0 from the front's origin.
 k = 0 is the edge of the paper's box, which ``derive_params`` refuses; the
 model is built directly.
 """
@@ -25,7 +26,7 @@ NS = (999, 1999, 3999, 7999)
 
 def _error(alpha, L, n):
     """|v - w| at every node and the nodes, for the front solved on
-    make_grid(L, n) and normalised to v(0) = 1/2."""
+    make_grid(L, n), its origin at v = 1/2."""
     p = ModelParams(alpha, 0.0)
     g = make_grid(L, n)
     prof, rep = solve_wave(make_bounds(p, 5.0 * math.sqrt(alpha / 6.0), g),
@@ -34,7 +35,7 @@ def _error(alpha, L, n):
     assert rep.iterations == 1 and rep.newton_steps == []
     prof = normalize_phase(prof)
     exact = (1.0 + (math.sqrt(2.0) - 1.0)
-             * np.exp(-math.sqrt(alpha / 6.0) * g.nodes)) ** -2
+             * np.exp(-math.sqrt(alpha / 6.0) * (g.nodes - prof.x0))) ** -2
     assert np.max(np.abs(prof.u - p.kstar * prof.v)) < 1e-14
     return np.abs(prof.v - exact), g
 

@@ -14,7 +14,10 @@ are read off the left eigenvectors of the two 4x4 first-order matrices.
 The oracle shares only ``model.reaction`` and ``model.jacobian`` with the
 package, so it checks the grid, the stencil, the end rows, the bounds, the
 sweeps, Newton and the phase.  It is warm-started from the package's front,
-and both fronts are compared after phase normalisation at v = 1/2.
+and both fronts are compared with their origins at v = 1/2: the oracle's
+at xi = 0, the package's solved nodes at xi = nodes - x0.  Two columns are
+checked, the base speed c = 1.25 on L = 40 and the critical speed c = 1 on
+L = 80, where the -inf tail takes the form (A|xi| + B) e^{xi/2}.
 """
 
 import numpy as np
@@ -28,6 +31,9 @@ from pggwave.model import StateVec, jacobian, reaction
 CORE = 10.0          # the core is |xi| <= CORE
 L = 40.0
 NS = (999, 1999, 3999)
+# the critical column: c = cmin = 1 on the length critical runs use
+CRITICAL_L = 80.0
+CRITICAL_NS = (1999, 3999, 7999)
 
 
 def _first_order(p, c, state):
@@ -80,7 +86,7 @@ def _oracle(front, tol, nodes):
     guess = [front.knots[:, 0], front.knots[:, 1],
              np.gradient(front.knots[:, 0], xs),
              np.gradient(front.knots[:, 1], xs)]
-    x = np.linspace(-L, L, nodes)
+    x = np.linspace(-front.grid.L, front.grid.L, nodes)
     y = np.array([np.interp(x, xs, row) for row in guess])
     sol = solve_bvp(fun, bc, x, y, fun_jac=fun_jac, tol=tol, max_nodes=10**6)
     assert sol.status == 0, sol.message
@@ -91,12 +97,12 @@ def _oracle(front, tol, nodes):
 
 
 def _core_error(front, truth):
-    """The largest |(u, v) - truth| over the core nodes of the normalised
-    front."""
+    """The largest |(u, v) - truth| over the front's solved nodes in the
+    core, each at its abscissa xi = node - x0 from the front's origin."""
     prof = normalize_phase(front)
-    core = np.abs(prof.grid.nodes) <= CORE
-    return float(np.max(np.abs(prof.knots[1:-1][core].T
-                               - truth(prof.grid.nodes[core]))))
+    xi = prof.grid.nodes - prof.x0
+    core = np.abs(xi) <= CORE
+    return float(np.max(np.abs(prof.knots[1:-1][core].T - truth(xi[core]))))
 
 
 @pytest.fixture(scope="module")
@@ -131,10 +137,50 @@ def test_oracle_tolerances_agree_far_below_the_package_error(oracles,
 
 
 def test_core_error_against_the_oracle_is_second_order(fronts, core_errors):
-    # measured 5.170e-6, 1.292e-6 and 3.229e-7, each 8.07e-4 h^2 to 0.1%;
-    # the constant is gated within 2% of 8.1e-4
+    # measured 5.160e-6, 1.291e-6 and 3.230e-7: 8.063e-4, 8.072e-4 and
+    # 8.075e-4 h^2; the constant is gated within 2% of 8.1e-4
     for n, e in zip(NS, core_errors):
         assert abs(e / fronts[n].grid.h**2 / 8.1e-4 - 1.0) <= 0.02
     # h halves from one grid to the next
     order = np.log2(core_errors[:-1] / core_errors[1:])
+    assert np.all(np.abs(order - 2.0) <= 0.1)
+
+
+@pytest.fixture(scope="module")
+def critical_fronts(base_params):
+    return {n: solve_wave(make_bounds(base_params, 1.0,
+                                      make_grid(CRITICAL_L, n), tol=1e-12),
+                          tol=1e-10)[0]
+            for n in CRITICAL_NS}
+
+
+@pytest.fixture(scope="module")
+def critical_oracles(critical_fronts):
+    """The critical oracle at tolerances 1e-10 (8001 nodes) and 1e-12
+    (32001)."""
+    front = critical_fronts[CRITICAL_NS[-1]]
+    return _oracle(front, 1e-10, 8001), _oracle(front, 1e-12, 32001)
+
+
+@pytest.fixture(scope="module")
+def critical_errors(critical_fronts, critical_oracles):
+    return np.array([_core_error(critical_fronts[n], critical_oracles[1])
+                     for n in CRITICAL_NS])
+
+
+def test_critical_oracle_tolerances_agree(critical_oracles, critical_errors):
+    # measured 6.5e-12, against the package's 5.3e-7 at n = 7999
+    xi = np.linspace(-CORE, CORE, 2001)
+    agree = float(np.max(np.abs(critical_oracles[0](xi)
+                                - critical_oracles[1](xi))))
+    assert agree <= critical_errors.min() / 100.0
+
+
+def test_critical_core_error_against_the_oracle_is_second_order(
+        critical_fronts, critical_errors):
+    # measured 8.578e-6, 2.142e-6 and 5.350e-7: 1.340e-3, 1.339e-3 and
+    # 1.338e-3 h^2; the constant is gated within 2% of 1.34e-3
+    for n, e in zip(CRITICAL_NS, critical_errors):
+        assert abs(e / critical_fronts[n].grid.h**2 / 1.34e-3 - 1.0) <= 0.02
+    order = np.log2(critical_errors[:-1] / critical_errors[1:])
     assert np.all(np.abs(order - 2.0) <= 0.1)

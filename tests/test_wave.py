@@ -4,6 +4,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from pggwave import (BoundPair, Profile, StateVec, check_monotone,
                      derive_params, fit_decay, grid, jacobian, make_bounds,
@@ -14,7 +15,7 @@ from pggwave.errors import (ConvergenceError, EmptyWindowError,
                             EnvelopeViolationError, FitWindowError, GridError,
                             LevelNotCrossedError, ParameterError,
                             SubcriticalSpeedError)
-from pggwave.grid import level_crossing, linearization_bands, translate
+from pggwave.grid import level_crossing, linearization_bands
 from pggwave.wave import IterationReport
 
 C = 1.25
@@ -293,13 +294,14 @@ def test_newton_steps_write_their_bands_in_place(critical_bounds):
 
 
 def test_phase_translation_takes_no_coefficient_copies(critical_bounds):
-    # the traced peak was 1.61 MB while the translation copied each of the
-    # four (n+1, 2) coefficient arrays at the query rows; it is 1.19 MB with
-    # the rows taken into one buffer, term by term, without the staging
-    # copy np.take makes of a result written to ``out`` in its default mode
+    # the traced peak was 1.61 MB while a resampling translation copied
+    # each of the four (n+1, 2) PCHIP coefficient arrays at the query rows,
+    # and 1.19 MB with the rows taken into one buffer.  The phase is an
+    # origin now, and no (n+2, 2) array is made: the peak is 68 kB, the
+    # (n+2,) knot coordinates ``level_crossing`` reads
     front, _ = solve_wave(critical_bounds, tol=1e-10)
     _, peak = _traced_peak(normalize_phase, front)
-    assert peak < 1.24e6
+    assert peak < 0.1e6
 
 
 def test_report_records_solver_state(base_bounds, base_wave, monkeypatch):
@@ -400,48 +402,46 @@ def test_subcritical_speed_rejected(base_bounds):
 
 # --- phase normalization ---
 
-def test_normalize_idempotent(base_wave_normalized):
+def _crossing_offset(prof):
+    """|v - 1/2| at xi = 0, on scipy's PCHIP of the profile's v knots at
+    their abscissae xi = knots - x0."""
+    xi = prof.grid.knots - prof.x0
+    return abs(float(PchipInterpolator(xi, prof.knots[:, 1])(0.0)) - 0.5)
+
+
+def test_normalize_idempotent(base_wave, base_wave_normalized):
     prof = base_wave_normalized
-    mid = (prof.grid.n - 1) // 2
-    assert prof.v[mid] == pytest.approx(0.5, abs=1e-12)
+    # the knots are the solved front's, bit for bit; only the origin moves
+    assert np.array_equal(prof.knots, base_wave[0].knots)
+    assert base_wave[0].x0 == 0.0
+    assert prof.x0 == level_crossing(prof.grid, prof.knots[:, 1], 0.5)
+    assert prof.x0 == pytest.approx(1.0567, abs=1e-4)
+    assert _crossing_offset(prof) <= 4 * np.finfo(float).eps
     again = normalize_phase(prof)
-    assert np.max(np.abs(again.samples() - prof.samples())) < 1e-12
-
-
-def _normalized_offsets(p, c, L, n):
-    """The normalized front's crossing of v = 1/2, and how far a second
-    normalization moves it."""
-    g = make_grid(L, n)
-    once = normalize_phase(solve_wave(make_bounds(p, c, g), tol=1e-10)[0])
-    twice = normalize_phase(once)
-    return (level_crossing(g, once.knots[:, 1], 0.5),
-            float(np.max(np.abs(twice.samples() - once.samples()))))
+    assert again.x0 == prof.x0
+    assert np.array_equal(again.knots, prof.knots)
 
 
 def test_normalize_contract_odd_and_even_n(base_params):
-    # odd n: a node sits at 0 and holds 1/2, exact to roundoff (measured
-    # 4.3e-16 and 5.6e-17 at n = 199)
-    x0, moved = _normalized_offsets(base_params, 1.0, 20.0, 199)
-    assert abs(x0) < 1e-14 and moved < 1e-14
-    # even n: 0 lies between nodes, and the re-sampled front's interpolant
-    # crosses 1/2 off 0 by its O(h^3) error; measured on h-ladders at
-    # L = 20, 40 and c = 1, 1.25: |x0| <= 9.8e-4 h^3, moved <= 7.4e-5 h^3
-    for n in (100, 200, 400, 800):
-        h = make_grid(20.0, n).h
-        x0, moved = _normalized_offsets(base_params, 1.0, 20.0, n)
-        assert abs(x0) < 2e-3 * h**3
-        assert moved < 1.5e-4 * h**3
+    # at odd and even n alike v crosses 1/2 at xi = 0 to the bisection's
+    # last bits (measured <= 5.6e-17), and the front is the solved one
+    for n in (199, 100, 200, 400, 800):
+        g = make_grid(20.0, n)
+        front = solve_wave(make_bounds(base_params, 1.0, g), tol=1e-10)[0]
+        prof = normalize_phase(front)
+        assert np.array_equal(prof.knots, front.knots)
+        assert _crossing_offset(prof) <= 4 * np.finfo(float).eps
 
 
 def test_normalize_round_trip(base_wave_normalized):
+    # the front translated left by m = 185 cells (3.7 at h = 0.02), its
+    # right end row repeated: its origin moves by m h, so each sample keeps
+    # its xi
     prof = base_wave_normalized
-    g = prof.grid
-    # translate by +3.7 via the same monotone machinery, then re-normalize
-    shifted = replace(prof, knots=translate(g, prof.knots, 3.7))
-    back = normalize_phase(shifted)
-    interior = slice(200, g.n - 200)   # translation clamps the outermost band
-    err = np.max(np.abs(back.samples()[interior] - prof.samples()[interior]))
-    assert err < 1e-6
+    m = 185
+    knots = np.vstack((prof.knots[m:], np.repeat(prof.knots[-1:], m, axis=0)))
+    back = normalize_phase(replace(prof, knots=knots))
+    assert abs(prof.x0 - back.x0 - m * prof.grid.h) < 1e-12
 
 
 def test_normalize_requires_crossing(base_params):
@@ -489,7 +489,40 @@ def test_fit_windows_checked_from_the_grid():
     with pytest.raises(ParameterError,
                        match=r"the -inf fit window \[-7, -6\] holds 3 < 20"):
         wave.check_fit_windows(make_grid(12.0, 59))
-    assert wave._fit_window(make_grid(40.0, 3999), "+inf")[0] == (20.0, 35.0)
+    g = make_grid(40.0, 3999)
+    assert wave._fit_window(g, "+inf", g.nodes)[0] == (20.0, 35.0)
+
+
+def test_shifted_fit_windows_read_solved_nodes_only(monkeypatch):
+    # at (alpha, k, c) = (0.02, 0.99, 0.55) the front crosses 1/2 at
+    # x0 = 8.65, so the +inf window [20, 35] in xi holds the nodes in
+    # [28.65, 43.65], cut at L = 40: 567 of the 751 that check_fit_windows
+    # counts on the grid (the -inf window holds 750), every one a solved
+    # node and no Dirichlet row
+    g = make_grid(40.0, 3999)
+    front = solve_wave(make_bounds(derive_params(0.02, 0.99), 0.55, g),
+                       tol=1e-10)[0]
+    prof = normalize_phase(front)
+    assert prof.x0 == pytest.approx(8.6507, abs=1e-4)
+    lines = []
+
+    def recorded(x, y, error):
+        lines.append((x, y))
+        return grid.least_squares_line(x, y, error)
+
+    monkeypatch.setattr(wave, "least_squares_line", recorded)
+    for side, (lo, hi), count in (("-inf", (-35.0, -20.0), 750),
+                                  ("+inf", (20.0, 35.0), 567)):
+        lines.clear()
+        assert fit_decay(prof, side).window == (lo, hi)
+        inside = (g.nodes - prof.x0 >= lo) & (g.nodes - prof.x0 <= hi)
+        assert inside.sum() == count
+        ys = ((front.u, front.v) if side == "-inf"
+              else (prof.params.kstar - front.u, 1.0 - front.v))
+        for (x, logy), y in zip(lines, ys):
+            assert np.array_equal(x, g.nodes[inside] - prof.x0)
+            assert np.array_equal(logy, np.log(y[inside]))
+            assert -g.L < x.min() + prof.x0 and x.max() + prof.x0 < g.L
 
 
 def test_fit_window_too_noisy(base_params):

@@ -12,7 +12,11 @@ Then the front pipeline of ``wave --c 1.0 --L 80 --n 7999`` at alpha =
 ``save_profile``) runs once in a fresh interpreter under tracemalloc, and
 each stage's line is the traced peak above that stage's start, in 1e6
 bytes: the memory its own work adds, which ``ru_maxrss`` hides under the
-import floor.  Run from anywhere: ``python tools/peak_rss.py``.
+import floor.  ``normalize_phase`` sets the front's phase origin and copies
+no knot array, so its line is the (n+2,) knot coordinates that
+``level_crossing`` reads, 0.07 MB; ``save_profile`` writes the knots at
+their abscissae from that origin.  Run from anywhere:
+``python tools/peak_rss.py``.
 """
 
 import json

@@ -11,9 +11,11 @@ configuration that made it.
 - ROADMAP item 23's rates: the instability run's sup-norm growth rate on
   each window, against the unweighted essential edge, and its growth
   factor;
-- the rows ``normalize_phase`` repeats: the front's crossing x0 of
-  v = 1/2, and how many rows of the normalised front repeat its right
-  Dirichlet row;
+- ROADMAP item 28's phase origins: the front's crossing x0 of v = 1/2,
+  which ``normalize_phase`` sets as its origin, how many rows of the
+  ``profile.csv`` that ``save_profile`` writes are not the solved front's
+  knot rows, and the four tail-rate errors of ``fit_decay`` against the
+  verdict's rates;
 - the code lines, through ``tools/code_lines.py``.
 
 It has no threshold and exits 0 whatever it counts.  Run from anywhere:
@@ -21,6 +23,7 @@ It has no threshold and exits 0 whatever it counts.  Run from anywhere:
 """
 
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -31,11 +34,12 @@ sys.path[:0] = [str(TOOLS.parent / "src"), str(TOOLS)]
 
 import code_lines  # noqa: E402
 from pggwave import (SimConfig, WeightPair, derive_params,  # noqa: E402
-                     essential_spectrum_max, instability_experiment,
-                     make_bounds, make_grid, normalize_phase, run_simulation,
+                     essential_spectrum_max, fit_decay,
+                     instability_experiment, make_bounds, make_grid,
+                     normalize_phase, run_simulation, save_profile,
                      solve_wave)
 from pggwave.errors import NumericalError, ParameterError  # noqa: E402
-from pggwave.grid import least_squares_line, level_crossing  # noqa: E402
+from pggwave.grid import least_squares_line  # noqa: E402
 
 BOX_ALPHAS = (0.01, 0.02, 0.03, 0.05)
 BOX_KS = (0.95, 0.97, 0.98, 0.99)
@@ -134,17 +138,27 @@ def instability_rates() -> None:
               f"growth {rep['growth_factor']:.4g}")
 
 
-def phase_repeats() -> None:
-    print("normalize_phase: the solved front's crossing x0 of v = 1/2, and "
-          "the rows of the normalised front before its last that repeat "
-          "that last, the right Dirichlet row:")
-    for alpha, k, c, L, n in PHASE_POINTS:
-        front = _front(alpha, k, c, L, n)
-        x0 = level_crossing(front.grid, front.knots[:, 1], 0.5)
-        knots = normalize_phase(front).knots
-        trailing = np.all(knots == knots[-1], axis=1)[::-1].argmin()
-        print(f"  alpha {alpha:g} k {k:g} c {c:g} L {L:g} n {n}: "
-              f"x0 {x0:.4f}, {trailing - 1} repeated rows")
+def phase_origins() -> None:
+    print("item 28 phase origins: normalize_phase's x0, the crossing of "
+          "v = 1/2; the rows of save_profile's profile.csv that are not the "
+          "solved front's knot rows; and the relative errors of fit_decay's "
+          "rates (u, v at -inf, then at +inf) against the verdict's:")
+    with tempfile.TemporaryDirectory() as where:
+        csv = Path(where) / "profile.csv"
+        for alpha, k, c, L, n in PHASE_POINTS:
+            front = _front(alpha, k, c, L, n)
+            prof = normalize_phase(front)
+            save_profile(prof, csv)
+            rows = np.loadtxt(csv, delimiter=",", skiprows=1)[:, 1:]
+            foreign = int(np.sum(np.any(rows != front.knots, axis=1)))
+            errors = []
+            for side in ("-inf", "+inf"):
+                fit = fit_decay(prof, side)
+                errors += [abs(rate / fit.predicted_rate - 1.0)
+                           for rate in (fit.rate_u, fit.rate_v)]
+            print(f"  alpha {alpha:g} k {k:g} c {c:g} L {L:g} n {n}: "
+                  f"x0 {prof.x0:.4f}, {foreign} rows not solved knots; "
+                  f"errors {', '.join(f'{e:.3e}' for e in errors)}")
 
 
 def main() -> None:
@@ -152,7 +166,7 @@ def main() -> None:
     corner_survey()
     floors()
     instability_rates()
-    phase_repeats()
+    phase_origins()
     print("code lines (tools/code_lines.py):")
     code_lines.main()
 
