@@ -150,6 +150,11 @@ class SimConfig:
 
 @dataclass
 class Trace:
+    """A run's recorded norms and front positions, one entry per recorded
+    step.  ``final_state`` is the state after the last step, built as
+    ``replace(initial, knots=...)``: it carries the initial state's phase
+    origin ``x0``, not that of the front it has moved to."""
+
     times: np.ndarray
     weighted_norms: np.ndarray
     sup_norms: np.ndarray
@@ -366,12 +371,13 @@ def perturb(base: Profile, kind: str, amplitude: float) -> Profile:
     "gaussian": amplitude * exp(-xi^2/4), inside every admissible weighted
     space.  "left_tail": amplitude * indicator(xi < -L/2) smoothed over
     ``LEFT_TAIL_WIDTH`` units - bounded, but weighted-norm large.  Each bump
-    is evaluated once on the grid's knots, so the end knots, the Dirichlet
+    is evaluated once at the profile's abscissae xi = grid.knots - x0, so
+    it sits at the front's phase origin, and the end knots, the Dirichlet
     data, are perturbed consistently.
     """
     if amplitude == 0:
         raise ParameterError("perturbation amplitude must be nonzero")
-    x = base.grid.knots
+    x = base.grid.knots - base.x0
     if kind == "gaussian":
         bump = np.exp(-(x**2) / 4.0)
     elif kind == "left_tail":

@@ -223,9 +223,10 @@ class Profile:
 
     ``x0`` is the phase origin: the profile's abscissae are
     xi = grid.knots - x0.  ``wave.normalize_phase`` sets it, and its only
-    readers in the package are ``wave.fit_decay`` and ``save_profile``; the
-    solves, the spectrum and the time runs work on the grid's own knots, on
-    the solved front, whose x0 is 0."""
+    readers in the package are ``wave.fit_decay``, ``save_profile`` and
+    ``dynamics.perturb``, which centres its bumps at xi = 0; the solves,
+    the spectrum and the time runs work on the grid's own knots, on the
+    solved front, whose x0 is 0."""
 
     grid: Grid
     knots: np.ndarray

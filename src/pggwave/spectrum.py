@@ -273,6 +273,13 @@ def _shift_invert_arnoldi(m: OperatorMatrix, sigma: float,
     residuals' decay between the last two tests predicts eps sooner.  A
     basis of ARNOLDI_MAX_BASIS vectors that has not converged raises
     ConvergenceError.
+
+    The storage grows with the test schedule: V, H and the squared norms
+    hold the rows of the next test size and two more, and a failed test
+    moves them into arrays sized for the test after it, copying only the
+    rows and columns written so far.  The Ritz vectors Y^T V are formed
+    from Re Y and Im Y against the real basis, one real product when Y is
+    real, so the basis is never copied to complex.
     """
     N = m.size
     work = np.empty((7, N), order="F")
@@ -285,13 +292,13 @@ def _shift_invert_arnoldi(m: OperatorMatrix, sigma: float,
 
     eps = np.finfo(float).eps
     M = min(N, ARNOLDI_MAX_BASIS)
-    V = np.empty((M + 2, N))                   # a row is written, then read
-    H = np.zeros((M + 2, M))
-    sq = np.ones(M + 2)
+    test_at, last = min(M, max(2 * k + 2, 20)), None
+    V = np.empty((test_at + 2, N))             # a row is written, then read
+    H = np.zeros((test_at + 2, test_at))
+    sq = np.ones(test_at + 2)
     V[:2] = 0.0
     V[0, 0::2] = V[1, 1::2] = 1.0 / math.sqrt(N // 2)
     sq[:2] = V[0] @ V[0], V[1] @ V[1]
-    test_at, last = min(M, max(2 * k + 2, 20)), None
     tiny = (N * eps) ** 2
     for j in range(M):
         new = j + 2                            # the row B v_j becomes
@@ -327,7 +334,11 @@ def _shift_invert_arnoldi(m: OperatorMatrix, sigma: float,
         # B V y - theta V y is H y on the two vectors past the basis
         resid = np.linalg.norm(H[size:size + 2, :size] @ Y, axis=0)
         if size > k and np.all(resid <= eps * np.abs(theta)):
-            return theta, Y.T @ V[:size]
+            # real products: a complex Y would take a complex copy of V
+            vecs = Y.real.T @ V[:size]
+            if np.iscomplexobj(Y):
+                vecs = vecs + 1j * (Y.imag.T @ V[:size])
+            return theta, vecs
         # the residuals fall about geometrically in the basis size
         worst = float(np.max(resid / np.abs(theta))) / eps
         grow = size // 2
@@ -336,6 +347,14 @@ def _shift_invert_arnoldi(m: OperatorMatrix, sigma: float,
             grow = min(grow, max(size // 8, math.ceil(math.log(worst) / rate)))
         last = (size, worst)
         test_at = min(M, size + grow)
+        if size < test_at:
+            # room up to the next test; only the rows written so far move
+            rows, more = min(size + 2, N), test_at - size
+            grown = np.empty((test_at + 2, N))
+            grown[:rows] = V[:rows]
+            V = grown
+            H = np.pad(H, (0, more))
+            sq = np.pad(sq, (0, more), constant_values=1.0)
     done = int(np.sum(resid <= eps * np.abs(theta)))
     worst = float(np.max(resid / np.abs(theta)))
     raise ConvergenceError(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,3 +51,19 @@ def dense_eigenvalues():
         vals = np.linalg.eigvals(op.to_dense())
         return vals[np.lexsort((vals.imag, -vals.real))][:count]
     return solve
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """f(*args, **kwargs) and the peak of tracemalloc's traced memory above
+    the start of the call, in bytes."""
+    def run(f, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = f(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        return out, peak
+    return run

@@ -93,6 +93,23 @@ def test_left_tail_perturbation_norm(base_wave, base_weights):
     assert pert.knots[0, 1] == pytest.approx(prof.knots[0, 1] + 1e-3, abs=1e-9)
 
 
+def test_perturb_centres_its_bumps_at_the_phase_origin(base_params):
+    # the bumps sit at the profile's abscissae xi = grid.knots - x0, so a
+    # front whose origin is x0 = 1.5 gets its Gaussian peak at xi = 0 and
+    # its left tail's half height at xi = -L/2, not at grid knots 0 and -L/2
+    g = make_grid(10.0, 399)                      # h = 0.05: both are knots
+    flat = Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=C,
+                   params=base_params, x0=1.5)
+    xi = g.knots - flat.x0
+    gauss = perturb(flat, "gaussian", 1e-3).knots[:, 1]
+    assert xi[np.argmax(gauss)] == pytest.approx(0.0, abs=1e-12)
+    assert np.max(gauss) == pytest.approx(1e-3, rel=1e-15)
+    tail = perturb(flat, "left_tail", 1e-3).knots[:, 1]
+    half = int(np.argmin(np.abs(xi + g.L / 2.0)))
+    assert xi[half] == pytest.approx(-g.L / 2.0, abs=1e-12)
+    assert tail[half] == pytest.approx(0.5e-3, rel=1e-12)
+
+
 def test_perturb_rejects_zero_amplitude(base_wave):
     prof, _ = base_wave
     with pytest.raises(ParameterError):

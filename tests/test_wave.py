@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -251,34 +250,23 @@ def test_rejected_newton_resumes_sweeps(base_bounds, base_wave, monkeypatch,
 # the critical front run, c = 1.0, L = 80, n = 7999 at the CLI's
 # tolerances: each stage's traced peak above its start is bounded by its
 # measured value plus at most 5% (``tools/peak_rss.py`` prints all four)
-def _traced_peak(f, *args, **kwargs):
-    """f(*args, **kwargs) and the peak of tracemalloc's traced memory above
-    the start of the call, in bytes."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        out = f(*args, **kwargs)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    return out, peak
-
-
 @pytest.fixture(scope="module")
 def critical_bounds(base_params):
     return make_bounds(base_params, 1.0, make_grid(80.0, 7999), tol=1e-12)
 
 
-def test_critical_bounds_sweep_without_a_ghost_vector(base_params):
+def test_critical_bounds_sweep_without_a_ghost_vector(base_params,
+                                                      traced_peak):
     # the traced peak was 1.16 MB while each scalar sweep held an (n,)
     # ghost vector that is zero between its end rows; it is 1.09 MB with
     # the two ghost rows added to the right-hand side alone
     g = make_grid(80.0, 7999)
-    _, peak = _traced_peak(make_bounds, base_params, 1.0, g, tol=1e-12)
+    _, peak = traced_peak(make_bounds, base_params, 1.0, g, tol=1e-12)
     assert peak < 1.14e6
 
 
-def test_newton_steps_write_their_bands_in_place(critical_bounds):
+def test_newton_steps_write_their_bands_in_place(critical_bounds,
+                                                 traced_peak):
     # the traced peak was 3.20 MB while each Newton step built the (5, 2n)
     # bands (0.64 MB) and copied them into the dgbsv workspace, 2.69 MB
     # with the bands written into the workspace itself, 2.44 MB with the
@@ -288,19 +276,20 @@ def test_newton_steps_write_their_bands_in_place(critical_bounds):
     # rows, the envelope reads the bounds' own knots, the unshifted upper
     # bound is not copied, the stencil forms in two buffers, and neither a
     # spent correction nor a replaced sweep iterate outlives its use
-    (_, rep), peak = _traced_peak(solve_wave, critical_bounds, tol=1e-10)
+    (_, rep), peak = traced_peak(solve_wave, critical_bounds, tol=1e-10)
     assert rep.newton_steps
     assert peak < 1.75e6
 
 
-def test_phase_translation_takes_no_coefficient_copies(critical_bounds):
+def test_phase_translation_takes_no_coefficient_copies(critical_bounds,
+                                                       traced_peak):
     # the traced peak was 1.61 MB while a resampling translation copied
     # each of the four (n+1, 2) PCHIP coefficient arrays at the query rows,
     # and 1.19 MB with the rows taken into one buffer.  The phase is an
     # origin now, and no (n+2, 2) array is made: the peak is 68 kB, the
     # (n+2,) knot coordinates ``level_crossing`` reads
     front, _ = solve_wave(critical_bounds, tol=1e-10)
-    _, peak = _traced_peak(normalize_phase, front)
+    _, peak = traced_peak(normalize_phase, front)
     assert peak < 0.1e6
 
 

@@ -1,5 +1,6 @@
-"""Print the peak resident memory of one run of each CLI subcommand, and
-the traced peak of each stage of the critical front run.
+"""Print the peak resident memory of one run of each CLI subcommand, the
+traced peak of each stage of the critical front run, and that of the
+eigensolve of the base ``eigs`` run.
 
 Each subcommand runs once on a small grid, in a fresh interpreter and a
 temporary working directory, and the line printed for it is that
@@ -15,7 +16,14 @@ bytes: the memory its own work adds, which ``ru_maxrss`` hides under the
 import floor.  ``normalize_phase`` sets the front's phase origin and copies
 no knot array, so its line is the (n+2,) knot coordinates that
 ``level_crossing`` reads, 0.07 MB; ``save_profile`` writes the knots at
-their abscissae from that origin.  Run from anywhere:
+their abscissae from that origin.
+
+Last, ``eigen_report(op, 6)`` on the weighted operator of ``eigs --c 1.25
+--L 40 --n 400`` with weights (0.05, 0.5), the eigensolve of ``base``'s
+``eigs`` step, runs once in a fresh interpreter, and its line is the
+traced peak above its start, in 1e6 bytes: the Krylov basis grows with the
+solve's test schedule, so the peak is the growth to the 94 vectors at which
+it converges, the old and the new basis side by side.  Run from anywhere:
 ``python tools/peak_rss.py``.
 """
 
@@ -78,6 +86,22 @@ for name, stage in stages.items():
 print(json.dumps(peaks))
 """
 
+# the eigensolve of the base eigs run, at the CLI's tolerance, traced from
+# its own start
+EIGEN = """
+import tracemalloc
+from pggwave import (WeightPair, assemble_weighted_operator, derive_params,
+                     make_bounds, make_grid, solve_wave)
+from pggwave.spectrum import eigen_report
+p, g = derive_params(0.25, 0.5), make_grid(40.0, 400)
+front, _ = solve_wave(make_bounds(p, 1.25, g), tol=1e-10)
+op = assemble_weighted_operator(front, WeightPair(0.05, 0.5))
+tracemalloc.start()
+start = tracemalloc.get_traced_memory()[0]
+eigen_report(op, 6)
+print(tracemalloc.get_traced_memory()[1] - start)
+"""
+
 
 def run_snippet(code: str, *args) -> str:
     """The last line ``code`` prints in a fresh interpreter, in a temporary
@@ -101,6 +125,9 @@ def main() -> None:
           "(c = 1.0, L = 80, n = 7999):")
     for name, peak in json.loads(run_snippet(STAGES)).items():
         print(f"  {name:16s} {peak / 1e6:6.2f} MB")
+    print("eigensolve, traced peak above its start (c = 1.25, L = 40, "
+          "n = 400, weights (0.05, 0.5), count 6):")
+    print(f"  {'eigen_report':16s} {int(run_snippet(EIGEN)) / 1e6:6.2f} MB")
 
 
 if __name__ == "__main__":
