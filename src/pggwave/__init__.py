@@ -7,7 +7,7 @@ Library surface, one module per concern:
                 the end rows) with a phase origin, the one stencil
                 (explicit and banded), the linearization's bands, the
                 sweep-Newton loop of both front solves, level crossings,
-                profile I/O
+                the profile writer
 - ``kpp``       scalar front solves seeding the bounds
 - ``bounds``    vector upper/lower solutions, inequality margins, ordering
 - ``wave``      monotone iteration with Newton steps, the phase origin,
@@ -23,8 +23,8 @@ from .dynamics import (SimConfig, Trace, fit_decay_constant,
                        instability_experiment, perturb, run_simulation,
                        spreading_experiment, spreading_speed,
                        stability_experiment, weighted_norm)
-from .grid import (Grid, Profile, apply_advection_diffusion, load_profile,
-                   make_grid, residual, save_profile)
+from .grid import (Grid, Profile, apply_advection_diffusion, make_grid,
+                   residual, save_profile)
 from .kpp import (KppNonlinearity, ScalarProfile, lower_nonlinearity,
                   solve_kpp, upper_nonlinearity)
 from .model import (ModelParams, SpeedVerdict, StateVec, derive_params,

@@ -249,17 +249,20 @@ def cmd_sweep(cfg: RunConfig, args, _) -> None:
     check, run = COMMANDS[args.run]
     point_args = argparse.Namespace(**OPTIONS.get(args.run, {}))
     sweepable = {f.name for f in fields(RunConfig)} - {"output_dir"}
-    axes = []
+    axes = {}
     for item in args.vary:
         key, _, vals = item.partition("=")
         key = key.strip()
         if key not in sweepable:
             raise ParameterError(f"cannot sweep {key!r}: not a sweepable key")
-        axes.append((key, [_coerce(key, v) for v in vals.split(",")]))
+        if key in axes:
+            raise ParameterError(f"{key!r} is varied twice: give its values "
+                                 f"in one --vary {key}=a,b,...")
+        axes[key] = [_coerce(key, v) for v in vals.split(",")]
     base_out = Path(cfg.output_dir)
     points = {}
-    for combo in itertools.product(*(vals for _, vals in axes)):
-        point = dict(zip((k for k, _ in axes), combo))
+    for combo in itertools.product(*axes.values()):
+        point = dict(zip(axes, combo))
         sub = base_out / args.run
         for key, val in point.items():
             sub = sub / (f"{key}={val:g}" if isinstance(val, float)

@@ -91,8 +91,9 @@ def _coerce(name: str, text: str):
 
 
 def load_config_file(path) -> dict:
-    """Parse a flat ``key = value`` file; '#' starts a comment."""
-    values = {}
+    """Parse a flat ``key = value`` file; '#' starts a comment.  A key set
+    twice in one file is refused, not overwritten."""
+    values, lines = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -103,7 +104,10 @@ def load_config_file(path) -> dict:
         key = key.strip()
         if key not in _TYPES:
             raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, val)
+        if key in lines:
+            raise ParameterError(f"{path}:{lineno}: {key!r} is already set "
+                                 f"on line {lines[key]}")
+        values[key], lines[key] = _coerce(key, val), lineno
     return values
 
 

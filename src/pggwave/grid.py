@@ -1,4 +1,4 @@
-"""Uniform truncated grid, second-order difference operators, profile I/O.
+"""Uniform truncated grid, second-order difference operators, profile output.
 
 A profile is one array of values at the knots [-L, nodes..., L]: its n
 interior rows are the samples, its two end rows the Dirichlet data, which
@@ -67,8 +67,8 @@ import numpy as np
 import scipy
 
 from .errors import (ConvergenceError, EnvelopeViolationError, GridError,
-                     LevelNotCrossedError, ParameterError)
-from .model import ModelParams, StateVec, derive_params, jacobian, reaction
+                     LevelNotCrossedError)
+from .model import ModelParams, StateVec, jacobian, reaction
 
 __all__ = [
     "Grid",
@@ -87,7 +87,6 @@ __all__ = [
     "write_csv",
     "write_json",
     "save_profile",
-    "load_profile",
 ]
 
 # Newton steps allowed per attempt before the sweeps take over again
@@ -686,12 +685,12 @@ def write_json(path, payload) -> None:
 
 def save_profile(prof: Profile, csv_path) -> None:
     """Write a profile as CSV ``xi,u,v``, one row per knot, and a JSON
-    metadata sidecar (suffix .json) holding its problem and phase, the keys
-    alpha, k, c, L, n and x0 that ``load_profile`` reads back.  The u and v
-    columns are the knot values as they are, the first and last rows the
-    Dirichlet data; xi is the knots less the phase origin, grid.knots -
-    x0.  A run's weights are no part of its front: they stay in the
-    ``config`` echo of the reports that use them."""
+    metadata sidecar (suffix .json) recording its problem and origin, the
+    keys alpha, k, c, L, n and x0; no package function reads either back.
+    The u and v columns are the knot values as they are, the first and last
+    rows the Dirichlet data; xi is the knots less the phase origin,
+    grid.knots - x0.  A run's weights are no part of its front: they stay in
+    the ``config`` echo of the reports that use them."""
     csv_path = Path(csv_path)
     g = prof.grid
     write_csv(csv_path, "xi,u,v", g.knots - prof.x0, prof.knots[:, 0],
@@ -700,31 +699,3 @@ def save_profile(prof: Profile, csv_path) -> None:
     write_json(csv_path.with_suffix(".json"), {
         "alpha": prof.params.alpha, "k": prof.params.k, "c": prof.c,
         "L": g.L, "n": g.n, "x0": prof.x0})
-
-
-def load_profile(csv_path) -> tuple[Profile, dict]:
-    """Inverse of save_profile; returns the profile and its metadata dict.
-    A sidecar that lacks alpha, k, c, L, n or x0, whose alpha, k, c, L or
-    x0 is not a number, whose n is not an int, or whose model lies outside
-    the admissible box raises ParameterError."""
-    csv_path = Path(csv_path)
-    meta = json.loads(csv_path.with_suffix(".json").read_text())
-    for key in ("alpha", "k", "c", "L", "n", "x0"):
-        if key not in meta:
-            raise ParameterError(f"the sidecar has no key {key!r}")
-        # a bool is no number, and a node count no float
-        kinds, what = (((int,), "an int") if key == "n"
-                       else ((int, float), "a number"))
-        if type(meta[key]) not in kinds:
-            raise ParameterError(f"sidecar {key} = {meta[key]!r} is not {what}")
-    params = derive_params(meta["alpha"], meta["k"])
-    g = make_grid(meta["L"], meta["n"])
-
-    rows = csv_path.read_text().strip().splitlines()
-    if rows[0].strip() != "xi,u,v":
-        raise ValueError(f"unexpected CSV header {rows[0]!r}")
-    data = np.array([[float(t) for t in r.split(",")] for r in rows[1:]])
-    if len(data) != g.n + 2:
-        raise ValueError("CSV row count does not match the sidecar's n")
-    return Profile(g, data[:, 1:], float(meta["c"]), params,
-                   float(meta["x0"])), meta

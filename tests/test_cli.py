@@ -557,6 +557,16 @@ def test_sweep_rejects_invalid_point(capsys, tmp_path, vary):
     assert not (tmp_path / "spectrum").exists()
 
 
+def test_sweep_refuses_a_key_varied_twice(capsys, tmp_path):
+    # two --vary of one key would fold into one axis and run only the last
+    code, _, err = run_cli(capsys, "sweep", "--run", "spectrum",
+                           "--vary", "c=1.1", "--vary", "c=1.3",
+                           "--output-dir", str(tmp_path))
+    assert code == 2
+    assert "invalid configuration: 'c' is varied twice" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("run,argv", [
     # the second point's stencil is no M-matrix: c*h/2 = 2.38
     ("wave", ("--vary", "n=399,20", "--L", "40")),
@@ -735,6 +745,18 @@ def test_config_file(tmp_path):
     bad.write_text("alpha 0.3\n")
     with pytest.raises(ParameterError, match="bad.cfg:1: expected key = value"):
         load_config_file(bad)
+
+
+def test_config_file_refuses_a_key_set_twice(capsys, tmp_path):
+    # within one file a repeat is refused; a flag still overrides the file
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("c = 1.1\n# a note\nalpha = 0.3\nc = 1.3\n")
+    with pytest.raises(ParameterError,
+                       match="run.cfg:4: 'c' is already set on line 1"):
+        load_config_file(cfgfile)
+    code, _, err = run_cli(capsys, "params", "--config", str(cfgfile),
+                           "--c", "1.5")
+    assert code == 2 and "'c' is already set on line 1" in err
 
 
 def test_config_file_refuses_max_iter(tmp_path):

@@ -11,8 +11,8 @@ from scipy.optimize import brentq
 
 from pggwave import (Profile, StateVec, WeightPair, apply_advection_diffusion,
                      assemble_weighted_operator, derive_params, dynamics, grid,
-                     kpp, load_profile, make_bounds, make_grid, order_shift,
-                     reaction, residual, save_profile, spectrum, wave)
+                     kpp, make_bounds, make_grid, order_shift, reaction,
+                     residual, save_profile, spectrum, wave)
 from pggwave.cli import main
 from pggwave.grid import (level_crossing, linearization_bands, stencil_bands,
                           write_csv, write_json)
@@ -126,11 +126,6 @@ def test_profile_components_view_knots_and_samples_copy(base_params):
     assert np.array_equal(prof.knots, knots)
 
 
-def _zero_profile(p):
-    g = make_grid(7.0, 23)
-    return Profile(grid=g, knots=np.zeros((g.n + 2, 2)), c=1.25, params=p)
-
-
 def test_serialization_round_trip(tmp_path):
     g = make_grid(7.0, 23)
     rng = np.random.default_rng(3)
@@ -143,82 +138,10 @@ def test_serialization_round_trip(tmp_path):
     rows = np.loadtxt(csv, delimiter=",", skiprows=1)
     assert np.array_equal(rows[:, 0], g.knots - 0.37)
     assert np.array_equal(rows[:, 1:], knots)
-    loaded, meta = load_profile(csv)
-    assert np.array_equal(loaded.knots, prof.knots)
-    assert loaded.c == prof.c and loaded.x0 == prof.x0
-    assert loaded.params == prof.params
+    # the sidecar records the problem and the origin, and nothing else
+    meta = json.loads(csv.with_suffix(".json").read_text())
     assert meta == {"alpha": 0.3, "k": 0.6, "c": 1.25, "L": 7.0, "n": 23,
                     "x0": 0.37}
-    # a sidecar written with the run's weights beside the problem still reads
-    old = {**meta, "sigma1": 0.05, "sigma2": 0.5}
-    csv.with_suffix(".json").write_text(json.dumps(old))
-    loaded, meta = load_profile(csv)
-    assert np.array_equal(loaded.knots, prof.knots)
-    assert loaded.params == prof.params and meta == old
-
-
-def test_load_profile_rejects_a_model_outside_the_box(tmp_path, base_params):
-    csv = tmp_path / "profile.csv"
-    save_profile(_zero_profile(base_params), csv)
-    meta = json.loads(csv.with_suffix(".json").read_text())
-    csv.with_suffix(".json").write_text(json.dumps({**meta, "alpha": 1.5}))
-    with pytest.raises(ParameterError, match="alpha must lie in"):
-        load_profile(csv)
-
-
-def test_load_profile_rejects_bad_header_and_row_count(tmp_path, base_params):
-    csv = tmp_path / "profile.csv"
-    save_profile(_zero_profile(base_params), csv)
-    rows = csv.read_text().splitlines()
-    csv.write_text("\n".join(["xi,v,u", *rows[1:]]) + "\n")
-    with pytest.raises(ValueError, match="header"):
-        load_profile(csv)
-    csv.write_text("\n".join(rows[:-1]) + "\n")
-    with pytest.raises(ValueError, match="row count"):
-        load_profile(csv)
-
-
-@pytest.mark.parametrize("c", [None, "1.25", True])
-def test_load_profile_rejects_non_numeric_speed(tmp_path, base_params, c):
-    csv = tmp_path / "profile.csv"
-    save_profile(_zero_profile(base_params), csv)
-    meta = json.loads(csv.with_suffix(".json").read_text())
-    csv.with_suffix(".json").write_text(json.dumps({**meta, "c": c}))
-    with pytest.raises(ParameterError, match="not a number"):
-        load_profile(csv)
-
-
-@pytest.mark.parametrize("value", ["0.3", None, True])
-@pytest.mark.parametrize("key", ["alpha", "k", "L", "n"])
-def test_load_profile_rejects_non_numeric_model_and_grid(tmp_path, base_params,
-                                                         key, value):
-    # each would otherwise reach a range comparison and raise TypeError
-    csv = tmp_path / "profile.csv"
-    save_profile(_zero_profile(base_params), csv)
-    meta = json.loads(csv.with_suffix(".json").read_text())
-    csv.with_suffix(".json").write_text(json.dumps({**meta, key: value}))
-    with pytest.raises(ParameterError, match=f"sidecar {key} = "):
-        load_profile(csv)
-
-
-@pytest.mark.parametrize("key", ["alpha", "k", "c", "L", "n", "x0"])
-def test_load_profile_names_a_missing_key(tmp_path, base_params, key):
-    csv = tmp_path / "profile.csv"
-    save_profile(_zero_profile(base_params), csv)
-    meta = json.loads(csv.with_suffix(".json").read_text())
-    del meta[key]
-    csv.with_suffix(".json").write_text(json.dumps(meta))
-    with pytest.raises(ParameterError, match=f"no key '{key}'"):
-        load_profile(csv)
-
-
-def test_load_profile_rejects_a_float_node_count(tmp_path, base_params):
-    csv = tmp_path / "profile.csv"
-    save_profile(_zero_profile(base_params), csv)
-    meta = json.loads(csv.with_suffix(".json").read_text())
-    csv.with_suffix(".json").write_text(json.dumps({**meta, "n": 23.0}))
-    with pytest.raises(ParameterError, match="is not an int"):
-        load_profile(csv)
 
 
 def test_lapack_routines_are_scipys_own():
@@ -348,7 +271,7 @@ def _pchip_data():
 
 
 @pytest.mark.parametrize("x0", [0.0, 1e-9, 0.37, -2.5, 3.7, 25.0, -25.0])
-def test_translate_is_scipy_pchip_bit_for_bit(x0):
+def test_monotone_interpolant_cubic_is_scipy_pchip_bit_for_bit(x0):
     # the segments of ``monotone_interpolant``, each summed by ``_cubic``,
     # at the knots translated by x0 and clamped to [-L, L]: what
     # ``level_crossing`` and the scalar fronts' phase row read

@@ -2,8 +2,10 @@
 configuration that made it.
 
 - the box survey: the front pipeline (``make_bounds`` + ``solve_wave``) on
-  ``make_grid(40, 3999)`` at small alpha and k near 1, and how many of its
-  points raise a ``NumericalError``;
+  ``make_grid(40, 3999)`` at small alpha and k near 1, how many of its
+  points raise a ``NumericalError``, and the ordering shift: at how many of
+  the points ``make_bounds`` built the ``BoundPair.shift`` is positive, and
+  the largest shift;
 - the corner survey: how many (alpha, k) near the corners of the open box
   ``derive_params`` refuses;
 - ROADMAP item 2's floors: the largest weighted deviation of the unperturbed
@@ -61,7 +63,7 @@ PHASE_POINTS = ((0.25, 0.5, 1.25, 40.0, 3999), (0.25, 0.5, 1.0, 80.0, 7999),
 
 def box_survey() -> None:
     g = make_grid(*BOX_GRID)
-    failed, points = [], 0
+    failed, shifts, points = [], [], 0
     start = time.perf_counter()
     for alpha in BOX_ALPHAS:
         for k in BOX_KS:
@@ -69,7 +71,9 @@ def box_survey() -> None:
             for ratio in BOX_RATIOS:
                 points += 1
                 try:
-                    solve_wave(make_bounds(p, float(ratio) * p.cmin, g))
+                    bp = make_bounds(p, float(ratio) * p.cmin, g)
+                    shifts.append(bp.shift)
+                    solve_wave(bp)
                 except NumericalError as exc:
                     failed.append((alpha, k, float(ratio), exc))
     seconds = time.perf_counter() - start
@@ -80,6 +84,9 @@ def box_survey() -> None:
     for alpha, k, ratio, exc in failed:
         print(f"  alpha {alpha:g} k {k:g} c/cmin {ratio:g}: "
               f"{type(exc).__name__}: {exc}")
+    print(f"ordering shift: BoundPair.shift > 0 at "
+          f"{sum(s > 0 for s in shifts)} of the {len(shifts)} points "
+          f"make_bounds built, largest {max(shifts, default=0.0):g}")
 
 
 def corner_survey() -> None:
