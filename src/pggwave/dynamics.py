@@ -151,9 +151,9 @@ class SimConfig:
 @dataclass
 class Trace:
     """A run's recorded norms and front positions, one entry per recorded
-    step.  ``final_state`` is the state after the last step, built as
-    ``replace(initial, knots=...)``: it carries the initial state's phase
-    origin ``x0``, not that of the front it has moved to."""
+    step.  ``final_state`` is the state after the last step, on the grid's
+    own knots with origin x0 = 0, as every solve's output is; the origin of
+    the front it has moved to is ``wave.normalize_phase``'s to set."""
 
     times: np.ndarray
     weighted_norms: np.ndarray
@@ -358,7 +358,8 @@ def run_simulation(initial: Profile, cfg: SimConfig,
             record(mstep + 1, U)
 
     left = initial.knots[0] if g.mirror_row is None else U[g.mirror_row]
-    final = replace(initial, knots=np.vstack((left, U, initial.knots[-1])))
+    final = replace(initial, knots=np.vstack((left, U, initial.knots[-1])),
+                    x0=0.0)
     return Trace(times=np.array(times), weighted_norms=np.array(wnorms),
                  sup_norms=np.array(snorms), front_positions=np.array(fronts),
                  blew_up=blew_up, final_state=final, steps=steps,

@@ -2,8 +2,8 @@
 
 A profile is one array of values at the knots [-L, nodes..., L]: its n
 interior rows are the samples, its two end rows the Dirichlet data, which
-every difference stencil reads as ghost values at distance h and every
-interpolant as its end knots.  A ``half_line`` grid carries a solution even
+every difference stencil reads as ghost values at distance h and the
+phase cubic as its end knots.  A ``half_line`` grid carries a solution even
 in x on x >= 0: its left end is the mirror row, whose ghost repeats a
 sample, and ``stencil_bands`` and ``_ghost_rows`` close it.  All
 operators are plain centered second-order stencils; the one copy of
@@ -30,9 +30,10 @@ share ``least_squares_line``, a line in closed form from centred sums:
 numpy's ``lstsq`` or ``polyfit`` would start numpy's own LAPACK beside
 scipy's, about 1 MB of peak memory per run.
 
-The phase origin is a level crossing of a PCHIP (Fritsch & Butland)
-interpolant written in numpy, bit-identical to scipy's, found by bisecting
-its bracketing cubic; the scalar fronts' phase row reads the same cubic.
+The phase origin is a level crossing: the cubic through the four knots
+around the bracketing segment, bisected.  ``_four_knot_weights`` owns that
+cubic, as four Lagrange weights, and the scalar fronts' phase row reads
+the same weights at 0, so its value and its gradient are the cubic's.
 The package takes only LAPACK routines from scipy: its interpolation and
 root-finding subpackages, and the special functions they load, would cost
 every run a third of its import time and a fifth of its memory.  The seven
@@ -81,7 +82,6 @@ __all__ = [
     "stencil_bands",
     "residual",
     "linearization_bands",
-    "monotone_interpolant",
     "level_crossing",
     "least_squares_line",
     "write_csv",
@@ -530,60 +530,37 @@ def _sweep_newton(sweep, newton, U, envelope, tol, callback=None):
         f"sup-diff {sup_diffs[-1]:.3e})")
 
 
-def monotone_interpolant(xs, ys) -> tuple:
-    """PCHIP interpolant of values ys, (m,) or (m, 2), at increasing knots
-    xs, (m,), m >= 3: the coefficients (c0, c1, c2, c3) of the cubic
-    c0 s^3 + c1 s^2 + c2 s + c3, s = x - xs[i], on [xs[i], xs[i+1]].
-    An interior segment reads only the knots i - 1 .. i + 2, so the four
-    knots around it give it to the last bit.
+def _four_knot_weights(xs, i):
+    """The cubic through the four knots around the bracket [xs[i-1], xs[i]]
+    of the increasing knots xs: knots i-2 .. i+1, moved inward where they
+    would pass either end.  Returns (j, weights): the four knots are
+    xs[j:j+4], and weights(x) is the tuple of the cubic's weights at x, the
+    Lagrange basis polynomials, so its value there is the sum of
+    weights(x)[m] * ys[j+m].  Each weight is a product of the ratios
+    (x - xs[l]) / (xs[k] - xs[l]) over the other three knots l, so at a knot
+    the weights are exactly that knot's unit vector.  This is the one phase
+    interpolant: ``level_crossing`` bisects it, and the scalar fronts'
+    phase row reads its weights at 0."""
+    j = min(max(i - 2, 0), len(xs) - 4)
+    x0, x1, x2, x3 = xs[j:j + 4].tolist()
 
-    The slopes are Fritsch & Butland's weighted harmonic means (zero at a
-    sign change or flat segment) with shape-preserving one-sided three-point
-    end slopes, computed in the order scipy's PCHIP uses, so the
-    interpolant is scipy's to the last bit.
-    """
-    ys = np.asarray(ys, dtype=float)
-    hx = (xs[1:] - xs[:-1]).reshape((-1,) + (1,) * (ys.ndim - 1))
-    m = (ys[1:] - ys[:-1]) / hx
-    h0, h1 = hx[:-1], hx[1:]
-    w1, w2 = 2 * h1 + h0, h1 + 2 * h0
-    sm, zero = np.sign(m), m == 0
-    flat = (sm[1:] != sm[:-1]) | zero[1:] | zero[:-1]
-    d = np.empty_like(ys)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d[1:-1] = np.where(flat, 0.0,
-                           1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    d[0] = _end_slope(hx[0], hx[1], m[0], m[1])
-    d[-1] = _end_slope(hx[-1], hx[-2], m[-1], m[-2])
-    t = (d[:-1] + d[1:] - 2 * m) / hx
-    return t / hx, (m - d[:-1]) / hx - t, d[:-1], ys[:-1]
-
-
-def _end_slope(h0, h1, m0, m1):
-    """One-sided three-point slope, zeroed against m0's sign and capped at
-    3 m0 where the data turn."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    turn = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
-    return np.where(np.sign(d) != np.sign(m0), 0.0,
-                    np.where(turn, 3.0 * m0, d))
-
-
-def _cubic(c, s):
-    """Local cubic at offset s, summed in scipy's ``PPoly`` order: from 0.0
-    (so a -0.0 sample reads 0.0), constant term first, s^3 as (s*s)*s."""
-    c0, c1, c2, c3 = c
-    ss = s * s
-    return 0.0 + c3 + c2 * s + c1 * ss + c0 * (ss * s)
+    def weights(x):
+        a, b, c, d = x - x0, x - x1, x - x2, x - x3
+        return (b / (x0 - x1) * (c / (x0 - x2)) * (d / (x0 - x3)),
+                a / (x1 - x0) * (c / (x1 - x2)) * (d / (x1 - x3)),
+                a / (x2 - x0) * (b / (x2 - x1)) * (d / (x2 - x3)),
+                a / (x3 - x0) * (b / (x3 - x1)) * (c / (x3 - x2)))
+    return j, weights
 
 
 def level_crossing(g: Grid, ys, level: float) -> float:
     """Where the interpolant of (n+2,) knot values ys first crosses level,
-    upward; level must lie strictly inside the range of the data.  The
-    bracketing cubic segment, built from the (at most) four knots around it
-    as ``monotone_interpolant`` allows, is bisected until the midpoint is an
-    endpoint; a level that equals a knot value returns that knot exactly.
-    Values that are not the grid's n+2 knots, such as the n interior
-    samples alone, raise GridError."""
+    upward; level must lie strictly inside the range of the data.  On the
+    bracketing knot segment the interpolant is the cubic through the four
+    knots around it (``_four_knot_weights``), bisected until the midpoint
+    is an endpoint; a level that equals a knot value returns that knot
+    exactly.  Values that are not the grid's n+2 knots, such as the n
+    interior samples alone, raise GridError."""
     ys = np.asarray(ys, dtype=float)
     if len(ys) != g.n + 2:
         raise GridError("knot array must have the grid's n+2 rows")
@@ -595,25 +572,16 @@ def level_crossing(g: Grid, ys, level: float) -> float:
     xs = g.knots
     if ys[i] == level:
         return float(xs[i])
-    x_lo = lo = float(xs[i - 1])
-    hi = float(xs[i])
-    # knots i-2 .. i+1, cut at either end, where the end slope rule is the
-    # full interpolant's own
-    j = max(i - 2, 0)
-    seg = [float(a[i - 1 - j])
-           for a in monotone_interpolant(xs[j:i + 2], ys[j:i + 2])]
+    lo, hi = float(xs[i - 1]), float(xs[i])
+    j, weights = _four_knot_weights(xs, i)
+    y0, y1, y2, y3 = ys[j:j + 4].tolist()
 
     def f(x):
-        return _cubic(seg, x - x_lo) - level
+        w0, w1, w2, w3 = weights(x)
+        return w0 * y0 + w1 * y1 + w2 * y2 + w3 * y3 - level
 
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
     return lo if -f(lo) < f(hi) else hi
 
 

@@ -11,9 +11,11 @@ Dirichlet datum: with the datum exactly zero the discrete problem's unique
 solution collapses into a layer at +L, while a small positive datum pins a
 front whose position depends log-linearly on the datum.  ``solve_kpp``
 therefore takes s = log(left datum) as one more unknown and closes the
-system with a phase row: the PCHIP interpolant at 0, the crossing the
-certificate reads, equals plateau/2.  One bordered Newton iteration (Beyn
-1990) finds the samples and the datum together, in one pass at every n.
+system with a phase row: the cubic through the four knots around 0, the
+one whose crossing the certificate bisects, equals plateau/2 at 0.  The
+row is linear in the knots, so its gradient, the cubic's weights, is
+exact at every n, and one bordered Newton iteration (Beyn 1990) finds the
+samples and the datum together in one pass.
 The left knot thus holds a tiny positive number (of the order of the
 natural tail value e^{-mu*L}) rather than exactly zero.  The iteration's
 steps are damped by ``grid._damped``, the rule the wave's Newton steps
@@ -37,10 +39,9 @@ import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 from .grid import (DAMPING_FLOOR, Grid, _banded_solve as solve_banded,
-                   _cubic, _damped, _shifted_sweep, _sweep_newton,
+                   _damped, _four_knot_weights, _shifted_sweep, _sweep_newton,
                    apply_advection_diffusion, level_crossing,
-                   monotone_interpolant, require_m_matrix, stencil_bands,
-                   stencil_coefficients)
+                   require_m_matrix, stencil_bands, stencil_coefficients)
 from .model import ModelParams, require_monotone_wave
 
 __all__ = [
@@ -182,12 +183,15 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
     """Solve the scalar front BVP, phase-pinned so w(0) = plateau/2.
 
     One bordered Newton iteration (Beyn 1990) solves for the samples w and
-    s = log(left datum) together.  The added row's value phi is the PCHIP
-    interpolant at 0 less plateau/2, read off the four knots around 0; its
-    gradient phi_w reads w linearly at 0, the exact gradient at odd n,
-    where a node sits at 0.  A step is one two-column tridiagonal solve,
-    J a = -r and J z = lo e^s e_0 (dr/ds lives in row 0 only), then
-    ds = (phi + phi_w a)/(phi_w z) and dw = a - ds z.  LAPACK's dgtsv
+    s = log(left datum) together.  The added row's value phi is, less
+    plateau/2, the cubic through the four knots around 0 at 0
+    (``grid._four_knot_weights``), the cubic whose crossing the certificate
+    bisects.  phi is linear in the knots, so its gradient is that cubic's
+    weights rho at 0, exact at every n: rho_w on the samples, rho_0 e^s on
+    s where knot 0 is one of the four, and none on the plateau knot.  A
+    step is one two-column tridiagonal solve, J a = -r and J z = lo e^s e_0
+    (dr/ds lives in row 0 only), then ds = (phi + rho_w a)/(rho_w z -
+    rho_0 e^s) and dw = a - ds z.  LAPACK's dgtsv
     (``grid._banded_solve``) solves it on copies: every step reuses the
     right-hand side, whose column 1 must stay zero below row 0.  ``grid._damped``
     halves a step until the iterate stays in [0, plateau] and |ds| stays
@@ -223,12 +227,14 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
     knots[j + 1:-1] = b * (1.0 - np.exp(nu * g.nodes[j:]) / 2.0)
     rhs = np.zeros((g.n, 2))
 
-    # the phase row at 0, which lies in the knot segment [xs[1], xs[2]],
-    # between nodes i and i + 1: its value is the PCHIP interpolant, which
-    # reads only the four knots xs there; its gradient reads w linearly
-    i = int(np.searchsorted(g.nodes, 0.0, side="right")) - 1
-    xs = g.knots[i:i + 4]
-    t = -xs[1] / (xs[2] - xs[1])
+    # the phase row reads knots k .. k+3; those of them in 1 .. n are the
+    # samples w[first - 1:k + 3]
+    k, weights = _four_knot_weights(
+        g.knots, int(np.searchsorted(g.knots, 0.0, side="right")))
+    rho = np.array(weights(0.0))
+    first = max(k, 1)
+    rho_w = rho[first - k:g.n + 1 - k]
+    rho_0 = rho[0] if k == 0 else 0.0
 
     steps: list[float] = []
     datum_steps: list[float] = []
@@ -236,8 +242,7 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
     settled = False
     while not settled:
         w = knots[1:-1]
-        seg = [a[1] for a in monotone_interpolant(xs, knots[i:i + 4])]
-        phi = float(_cubic(seg, -xs[1]) - half)
+        phi = float(np.sum(rho * knots[k:k + 4])) - half
         if len(steps) == BORDERED_MAX_STEPS:
             raise ConvergenceError(
                 f"bordered Newton did not settle in {BORDERED_MAX_STEPS} "
@@ -247,12 +252,12 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
         rhs[0, 1] = lo * knots[0]
         a, z = solve_banded((1, 1), stencil_bands(g, c, 1.0, nl.fprime(w)),
                             rhs).T
-        dz = float((1.0 - t) * z[i] + t * z[i + 1])
+        dz = float(np.sum(rho_w * z[first - 1:k + 3])) - rho_0 * knots[0]
         if not 0.0 < abs(dz) < math.inf:
             raise ConvergenceError(
                 f"bordered Newton: the phase row is singular (left "
                 f"datum {knots[0]:.3e}, phase offset {phi:.3e})")
-        ds = (phi + float((1.0 - t) * a[i] + t * a[i + 1])) / dz
+        ds = (phi + float(np.sum(rho_w * a[first - 1:k + 3]))) / dz
         dw = a - ds * z
         size = float(np.max(np.abs(dw)))
         step = _damped(w, dw, (0.0, b), lambda lam: (

@@ -183,9 +183,10 @@ def solve_wave(bounds: BoundPair, tol: float = 1e-10,
 
 def normalize_phase(prof: Profile) -> Profile:
     """The profile with its phase origin at the crossing of v = 1/2:
-    ``x0`` is ``grid.level_crossing`` of the v knots, and the knots, the
-    solved front's, stay as they are.  Its abscissae xi = grid.knots - x0
-    put that crossing at xi = 0 to the bisection's last bit; the paper's
+    ``x0`` is ``grid.level_crossing`` of the v knots, where the cubic
+    through the four knots around the bracket crosses 1/2, and the knots,
+    the solved front's, stay as they are.  Its abscissae xi = grid.knots -
+    x0 put that crossing at xi = 0 to the bisection's last bit; the paper's
     front is unique up to this translation.  The solved front stays
     strictly increasing, with its own nodes and Dirichlet rows: nothing is
     resampled, so nothing is clamped at the ends.  A profile that carries

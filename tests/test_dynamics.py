@@ -9,7 +9,8 @@ import pggwave.dynamics
 from pggwave import (Profile, SimConfig, StateVec, Trace, WeightPair,
                      derive_params, essential_spectrum_max,
                      fit_decay_constant, instability_experiment, make_bounds,
-                     make_grid, perturb, run_simulation, solve_wave,
+                     make_grid, normalize_phase, perturb,
+                     run_simulation, solve_wave,
                      spreading_experiment, spreading_speed,
                      stability_experiment, weighted_norm)
 from pggwave.dynamics import (SCALE_LOG_BOUND, SEED_EDGE, SEED_FLOOR,
@@ -18,7 +19,7 @@ from pggwave.dynamics import (SCALE_LOG_BOUND, SEED_EDGE, SEED_FLOOR,
 from pggwave.errors import (BlowUpError, FrontNotFoundError, GridError,
                             NormError, ParameterError)
 from pggwave.grid import (_ghost_rows, apply_advection_diffusion, half_line,
-                          least_squares_line, stencil_bands)
+                          least_squares_line, level_crossing, stencil_bands)
 from pggwave.model import reaction
 
 C = 1.25
@@ -211,6 +212,19 @@ def test_trace_reports_steps_and_guard_margin(base_params):
     # the plateau holds sup|U| = K* = 1.2 to roundoff; the guard is 10 K*
     assert tr.guard_margin == pytest.approx(9.0 * base_params.kstar,
                                             rel=1e-14)
+
+
+def test_final_state_has_the_grid_origin(base_params):
+    # a run from a phase-normalised front ends on the grid's own knots with
+    # origin 0, not with the initial origin (1.0565) its front has left
+    g = make_grid(40.0, 799)
+    front = normalize_phase(solve_wave(make_bounds(base_params, C, g))[0])
+    init = perturb(front, "gaussian", 0.05)
+    final = run_simulation(init, SimConfig(dt=0.01, t_end=5.0)).final_state
+    assert front.x0 > 1.0
+    assert final.x0 == 0.0
+    assert normalize_phase(final).x0 == level_crossing(g, final.knots[:, 1],
+                                                       0.5)
 
 
 def _nan_forcing(column):

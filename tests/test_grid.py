@@ -1,11 +1,12 @@
 import json
+import math
 import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 import scipy.linalg.lapack
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import BarycentricInterpolator
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
@@ -248,110 +249,99 @@ def test_write_json_refuses_unknown_objects(tmp_path):
     assert not path.exists()
 
 
-# --- the PCHIP segments and level crossings: scipy's PCHIP and brentq are
-# the oracles ---
+# --- level crossings: the cubic through the four knots around the bracket,
+# with scipy's barycentric interpolant and brentq as the oracles ---
 
-PCHIP_GRID = (20.0, 799)
+CROSSING_GRID = (20.0, 799)
 
 
-def _pchip_data():
-    """Knot arrays: a smooth front, a front pair, and a rounded random walk
-    whose flat runs and sign changes zero interior slopes and whose ends are
-    set so both end-slope clamps act (left: capped at 3 m0; right: zeroed
-    against m0's sign)."""
-    g = make_grid(*PCHIP_GRID)
-    u = 0.6 * (1.0 + np.tanh(g.nodes / 5.0))
+def _front_knots():
+    """A smooth front's knot values on make_grid(*CROSSING_GRID), with
+    Dirichlet data 0 and 1."""
+    g = make_grid(*CROSSING_GRID)
     v = 0.5 * (1.0 + np.tanh(g.nodes / 3.0))
-    walk = np.round(np.random.default_rng(5).standard_normal(g.n).cumsum(), 1)
-    walk[:2] = (1.0, -4.0)
-    walk[-2:] = (0.0, 4.0)
-    return g, [np.concatenate(([0.0], v, [1.0])),
-               np.vstack(([0.0, 0.0], np.stack([u, v], axis=1), [1.2, 1.0])),
-               np.concatenate(([0.0], walk, [5.0])),
-               np.vstack(([0.0, -0.0], np.stack([walk, -walk], axis=1),
-                          [5.0, -5.0]))]
+    return g, np.concatenate(([0.0], v, [1.0]))
 
 
-@pytest.mark.parametrize("x0", [0.0, 1e-9, 0.37, -2.5, 3.7, 25.0, -25.0])
-def test_monotone_interpolant_cubic_is_scipy_pchip_bit_for_bit(x0):
-    # the segments of ``monotone_interpolant``, each summed by ``_cubic``,
-    # at the knots translated by x0 and clamped to [-L, L]: what
-    # ``level_crossing`` and the scalar fronts' phase row read
-    g, cases = _pchip_data()
+def _four_knots(g, ys, level):
+    """(i, j, cubic): the bracket's right knot i, and scipy's cubic through
+    the four knots j .. j+3 around the bracket, i-2 .. i+1 moved inward at
+    either end."""
     xs = g.knots
-    q = np.clip(xs + x0, -g.L, g.L)
-    # segment i holds xs[i] <= q < xs[i+1]; the last knot closes the last
-    i = np.minimum(np.searchsorted(xs, q, side="right") - 1, len(xs) - 2)
-    for ys in cases:
-        want = PchipInterpolator(xs, ys)(q)
-        seg = [a[i] for a in grid.monotone_interpolant(xs, ys)]
-        s = (q - xs[i]).reshape((-1,) + (1,) * (ys.ndim - 1))
-        got = grid._cubic(seg, s)
-        assert got.shape == ys.shape
-        assert np.array_equal(got, want)
+    i = int(np.nonzero(ys >= level)[0][0])
+    j = min(max(i - 2, 0), len(xs) - 4)
+    return i, j, BarycentricInterpolator(xs[j:j + 4], ys[j:j + 4])
 
 
 @pytest.mark.parametrize("level", [0.5, 0.1, 0.9, 0.01234, 0.99])
 def test_level_crossing_matches_brentq(level):
-    g, cases = _pchip_data()
-    ys = cases[0]
-    xs = np.concatenate(([-g.L], g.nodes, [g.L]))
-    interp = PchipInterpolator(xs, ys)
-    i = int(np.nonzero(ys >= level)[0][0])
+    g, ys = _front_knots()
+    xs = g.knots
+    i, j, interp = _four_knots(g, ys, level)
     want = brentq(lambda x: float(interp(x)) - level, xs[i - 1], xs[i],
                   xtol=1e-14)
     got = level_crossing(g, ys, level)
     # brentq's own accuracy, xtol + rtol |x| with its default rtol = 4 eps;
-    # bisection to adjacent floats lands at least as close to the level
+    # bisection to adjacent floats lands at least as close to the level, in
+    # the arithmetic it bisects: the package's own weights of the cubic,
+    # which round otherwise than scipy's barycentric sums
     assert abs(got - want) <= 1e-14 + 4.0 * np.finfo(float).eps * abs(want)
-    assert abs(interp(got) - level) <= abs(interp(want) - level)
+    weights = grid._four_knot_weights(xs, i)[1]
+
+    def offset(x):
+        return abs(sum(w * y for w, y in zip(weights(x), ys[j:j + 4].tolist()))
+                   - level)
+    assert offset(got) <= offset(want)
     assert xs[i - 1] < got <= xs[i]
-
-
-def _full_crossing(g, ys, level):
-    """The crossing bisected on the segment of the interpolant over all
-    knots: what ``level_crossing`` reads off four."""
-    xs = g.knots
-    i = int(np.nonzero(ys >= level)[0][0])
-    x_lo = lo = float(xs[i - 1])
-    hi = float(xs[i])
-    seg = [float(a[i - 1]) for a in grid.monotone_interpolant(xs, ys)]
-
-    def f(x):
-        return grid._cubic(seg, x - x_lo) - level
-
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo if -f(lo) < f(hi) else hi
 
 
 def test_level_crossing_reads_four_knots_bit_for_bit():
     # random nondecreasing data, flat runs included, and a level inside
-    # every bracket, the two end segments among them
+    # every bracket, the two end segments among them: the crossing lies in
+    # its bracket, where the cubic through its four knots crosses the level
+    # upward, and moving every other knot leaves it as it is, bit for bit
     rng = np.random.default_rng(28)
     g = make_grid(3.0, 9)
+    xs = g.knots
     for _ in range(50):
         steps = rng.exponential(size=g.n + 2) * (rng.uniform(size=g.n + 2)
                                                  > 0.2)
         ys = np.cumsum(steps)
         for i in np.nonzero(ys[1:] > ys[:-1])[0] + 1:
             level = ys[i - 1] + rng.uniform(0.01, 0.99) * (ys[i] - ys[i - 1])
-            assert level_crossing(g, ys, level) == _full_crossing(g, ys, level)
+            got = level_crossing(g, ys, level)
+            bracket, j, cubic = _four_knots(g, ys, level)
+            assert bracket == i
+            assert xs[i - 1] < got < xs[i]
+            step = 1e-9 * g.h
+            assert cubic(got - step) < level < cubic(got + step)
+            moved = ys.copy()
+            moved[:j] -= 1.0
+            moved[j + 4:] += 1.0
+            assert level_crossing(g, moved, level) == got
+
+
+def test_level_crossing_is_fourth_order():
+    # a smooth asymmetric logistic front, whose level-1/2 crossing
+    # 0.3 - 3 log(sqrt(2) - 1) lies off the knots of every grid: the
+    # four-knot cubic's error is O(h^4) (measured <= 4.2e-4 h^4), while a
+    # PCHIP crossing's, with its second-order slopes, reads 2.1e-3 h^4 at
+    # n = 99 and grows as h shrinks
+    exact = 0.3 - 3.0 * math.log(math.sqrt(2.0) - 1.0)
+    for n in (99, 199, 399, 799, 1599, 3199):
+        g = make_grid(20.0, n)
+        ys = (1.0 + np.exp(-(g.knots - 0.3) / 3.0)) ** -2.0
+        assert abs(level_crossing(g, ys, 0.5) - exact) <= 1e-3 * g.h**4, n
 
 
 def test_level_crossing_returns_node_at_sample_level():
-    g, cases = _pchip_data()
-    ys = cases[0]
+    g, ys = _front_knots()
     for j in (0, 123, g.n // 2, g.n - 1):
         assert level_crossing(g, ys, ys[j + 1]) == g.nodes[j]
 
 
 def test_level_crossing_rejects_levels_not_crossed_upward():
-    g, cases = _pchip_data()
-    ys = cases[0]
+    g, ys = _front_knots()
     for level in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(LevelNotCrossedError, match="on the domain"):
             level_crossing(g, ys, level)

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from pggwave import (default_l, derive_params, grid, kpp, lower_nonlinearity,
-                     make_grid, solve_kpp, upper_nonlinearity)
+                     make_bounds, make_grid, solve_kpp, upper_nonlinearity)
 from pggwave.errors import ConvergenceError, ParameterError, SubcriticalSpeedError
 from pggwave.grid import apply_advection_diffusion, level_crossing
 from pggwave.kpp import scalar_residual
@@ -285,8 +285,8 @@ def _contract_cases(marks=None):
 def test_phase_contract(contract_fronts, key):
     nl, s = contract_fronts[key]
     x0 = level_crossing(s.grid, s.knots, s.plateau / 2.0)
-    # the phase row's value is the PCHIP crossing's own condition, at odd
-    # and at even n alike
+    # the phase row's value is the four-knot cubic the crossing bisects, and
+    # its gradient that cubic's weights, at odd and at even n alike
     assert abs(x0) < 1e-10
     assert s.report.crossing == x0
     assert s.report.left_datum == s.knots[0] > 0.0
@@ -307,6 +307,15 @@ FLOOR_CASE = {(0.09, 0.5, 0.6, 3999, True): pytest.mark.xfail(
 def test_contract_residual(contract_fronts, key):
     nl, s = contract_fronts[key]
     assert np.max(np.abs(scalar_residual(s))) < 1e-12
+
+
+@pytest.mark.parametrize("L,n", [(2.0, 3), (2.0, 4), (3.0, 5), (5.0, 6)])
+def test_phase_row_on_tiny_grids(base_params, L, n):
+    # at n = 3 the four knots around 0 reach the plateau's Dirichlet row,
+    # which carries no unknown; the phase row holds at both parities
+    bp = make_bounds(base_params, C, make_grid(L, n))
+    for side, report in bp.fronts.items():
+        assert abs(report.crossing) < kpp.PHASE_TOL, side
 
 
 def _tail_rate(g, y, lo, hi, floor=1e-14):

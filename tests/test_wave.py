@@ -3,7 +3,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import BarycentricInterpolator
 
 from pggwave import (BoundPair, Profile, StateVec, check_monotone,
                      derive_params, fit_decay, grid, jacobian, make_bounds,
@@ -392,10 +392,14 @@ def test_subcritical_speed_rejected(base_bounds):
 # --- phase normalization ---
 
 def _crossing_offset(prof):
-    """|v - 1/2| at xi = 0, on scipy's PCHIP of the profile's v knots at
-    their abscissae xi = knots - x0."""
+    """|v - 1/2| at xi = 0, on scipy's cubic through the four v knots around
+    the bracket of 1/2, at their abscissae xi = knots - x0."""
     xi = prof.grid.knots - prof.x0
-    return abs(float(PchipInterpolator(xi, prof.knots[:, 1])(0.0)) - 0.5)
+    v = prof.knots[:, 1]
+    i = int(np.nonzero(v >= 0.5)[0][0])
+    j = min(max(i - 2, 0), len(v) - 4)
+    cubic = BarycentricInterpolator(xi[j:j + 4], v[j:j + 4])
+    return abs(float(cubic(0.0)) - 0.5)
 
 
 def test_normalize_idempotent(base_wave, base_wave_normalized):

@@ -17,7 +17,10 @@ configuration that made it.
   which ``normalize_phase`` sets as its origin, how many rows of the
   ``profile.csv`` that ``save_profile`` writes are not the solved front's
   knot rows, and the four tail-rate errors of ``fit_decay`` against the
-  verdict's rates;
+  verdict's rates; then both scalar fronts' certified crossings
+  (``KppReport.crossing``) at the base point on the benchmark's base grid
+  (n = 3999, odd) and its eigs grid (n = 400, even), where the phase row
+  and the certificate read one cubic;
 - the code lines, through ``tools/code_lines.py``.
 
 It has no threshold and exits 0 whatever it counts.  Run from anywhere:
@@ -59,6 +62,9 @@ RATE_WINDOWS = ((1.0, 5.0), (5.0, 10.0), (10.0, 15.0), (15.0, 20.0))
 # far from its grid's centre
 PHASE_POINTS = ((0.25, 0.5, 1.25, 40.0, 3999), (0.25, 0.5, 1.0, 80.0, 7999),
                 (0.02, 0.99, 0.55, 40.0, 3999))
+# (alpha, k, c, L, n): the base point on the base and eigs grids, odd and
+# even n
+CROSSING_POINTS = ((0.25, 0.5, 1.25, 40.0, 3999), (0.25, 0.5, 1.25, 40.0, 400))
 
 
 def box_survey() -> None:
@@ -166,6 +172,13 @@ def phase_origins() -> None:
             print(f"  alpha {alpha:g} k {k:g} c {c:g} L {L:g} n {n}: "
                   f"x0 {prof.x0:.4f}, {foreign} rows not solved knots; "
                   f"errors {', '.join(f'{e:.3e}' for e in errors)}")
+    print("  the scalar fronts' certified crossings of plateau/2 "
+          "(KppReport.crossing), which the phase row puts at 0:")
+    for alpha, k, c, L, n in CROSSING_POINTS:
+        bp = make_bounds(derive_params(alpha, k), c, make_grid(L, n))
+        print(f"  alpha {alpha:g} k {k:g} c {c:g} L {L:g} n {n}: "
+              + ", ".join(f"{side} {rep.crossing:.3e}"
+                          for side, rep in bp.fronts.items()))
 
 
 def main() -> None:
