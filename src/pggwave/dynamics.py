@@ -78,9 +78,9 @@ import numpy as np
 
 from .errors import (BlowUpError, FrontNotFoundError, GridError, NormError,
                      ParameterError)
-from .grid import (Grid, Profile, _ghost_rows, dpttrf, dpttrs, half_line,
-                   least_squares_line, require_m_matrix, stencil_bands,
-                   write_csv)
+from .grid import (Grid, Profile, _ghost_rows, _solution_buffer, dpttrf,
+                   dpttrs, half_line, least_squares_line, require_m_matrix,
+                   stencil_bands, write_csv)
 from .model import ModelParams, StateVec, reaction, to_original
 from .spectrum import WeightPair, exp_or_inf, log_weight
 
@@ -210,7 +210,8 @@ def factor_banded(ab: np.ndarray) -> tuple[tuple, np.ndarray | None]:
     raised when max|log s_i| exceeds ``SCALE_LOG_BOUND`` or when dpttrf
     reports a nonzero ``info``, naming the failed pivot.
     """
-    upper, diag, lower = ab[0, 1:], ab[1], ab[2, :-1]
+    # dpttrf factors in place, and the bands stay the caller's
+    upper, diag, lower = ab[0, 1:].copy(), ab[1].copy(), ab[2, :-1]
     scale = None
     if not np.array_equal(upper, lower):
         rho = np.sqrt(lower / upper)
@@ -226,7 +227,7 @@ def factor_banded(ab: np.ndarray) -> tuple[tuple, np.ndarray | None]:
         scale = np.ones(len(diag))
         scale[m + 1:] = np.cumprod(rho[m:])
         scale[:m] = np.cumprod(1.0 / rho[:m][::-1])[::-1]
-        upper = np.copysign(np.sqrt(lower * upper), upper)
+        np.copysign(np.sqrt(lower * upper), upper, out=upper)
     *factors, info = dpttrf(diag, upper)
     if info != 0:
         raise GridError(f"factorising the step matrix failed at pivot {info}")
@@ -240,7 +241,9 @@ def solve_banded(factors: tuple, rhs: np.ndarray) -> np.ndarray:
     ``rhs`` is an (n, 2) float array, overwritten when it is in F order;
     applying the scale is the caller's part.
     """
-    return dpttrs(*factors, rhs, overwrite_b=True)[0]
+    x = _solution_buffer(rhs, True)
+    dpttrs(*factors, x)
+    return x
 
 
 def run_simulation(initial: Profile, cfg: SimConfig,

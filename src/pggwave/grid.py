@@ -26,46 +26,37 @@ sweep budget is spent.  The stencil is formed in place, one operation at a
 time in the order of its formula, so it is the formula's to the last bit
 and no full-length temporary is made only to be read once.
 The tail fits of ``wave`` and the decay and speed fits of ``dynamics``
-share ``least_squares_line``, a line in closed form from centred sums:
-numpy's ``lstsq`` or ``polyfit`` would start numpy's own LAPACK beside
-scipy's, about 1 MB of peak memory per run.
+share ``least_squares_line``, a line in closed form from centred sums,
+which calls no LAPACK routine.
 
 The phase origin is a level crossing: the cubic through the four knots
 around the bracketing segment, bisected.  ``_four_knot_weights`` owns that
 cubic, as four Lagrange weights, and the scalar fronts' phase row reads
 the same weights at 0, so its value and its gradient are the cubic's.
-The package takes only LAPACK routines from scipy: its interpolation and
-root-finding subpackages, and the special functions they load, would cost
-every run a third of its import time and a fifth of its memory.  The seven
-routines, dgtsv and dgbsv of the front solves, dgbtrf, dgbtrs and dgeev of
-the eigensolve (``spectrum.eigen_report``; dgeev with its workspace query)
-and dpttrf and dpttrs of the time steps, come from scipy's ``_flapack``, which
-``_load_lapack`` loads at import from its file in the installed
-``scipy/linalg`` directory.
-Importing ``scipy.linalg`` instead would run that package's init, whose
-array-API layer loads numpy's f2py, testing, ma and random subpackages
-among 300 modules: 0.3 s of a 0.48 s import and 24 MB of memory on every
-run.  The routines are the objects ``scipy.linalg.lapack`` exports, so the
-solves' bits do not depend on the route; the loader does depend on scipy's
-installed file layout, and raises ImportError where it differs.  No run
-imports ``scipy.linalg`` or ``scipy.sparse``.  Every CSV artifact goes
-through ``write_csv``, which formats a block of rows with one ``%``, and
-every JSON artifact through ``write_json``, which serialises a report from
-its fields.
+LAPACK comes from the OpenBLAS that numpy's extension ``_multiarray_umath``
+links, so a run maps one BLAS and imports no ``scipy`` module.
+``_routine`` looks each routine up at import through that extension's
+handle, under numpy's ILP64 symbol, and raises ImportError naming the
+symbols it tried where numpy bundles no LAPACK.  The seven are dgtsv and
+dgbsv (front solves), dgbtrf, dgbtrs and dgeev (the eigensolve) and
+dpttrf and dpttrs (time steps).  Each overwrites its arrays as LAPACK
+does, so every copy is made by its caller.  ``_bind`` builds a call's
+``ctypes`` arguments once; dgbtrs and dpttrs keep them for the next call
+on the same arrays (``_keep``).  Every CSV artifact goes through
+``write_csv``, which formats a block of rows with one ``%``, and every JSON
+artifact through ``write_json``, which serialises a report from its fields.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
+import ctypes
 import json
 import math
-import sys
+import weakref
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .errors import (ConvergenceError, EnvelopeViolationError, GridError,
                      LevelNotCrossedError)
@@ -101,46 +92,181 @@ SWEEP_MAX_ITER = 20000
 _CSV_BLOCK = 1024
 
 
-def _load_lapack():
-    """scipy's compiled LAPACK module ``_flapack``, loaded from the
-    installed ``scipy/linalg`` directory without running that package's
-    ``__init__``.
-
-    Top-level ``scipy`` is imported first: on wheel installs its
-    ``__init__`` sets up the paths of the bundled libraries the extension
-    links against.  CPython files a single-phase extension in sys.modules
-    under its name as it creates it; the entry there before the load, or
-    its absence, is put back, so a later ``import scipy.linalg`` loads as
-    it would have.  That load finds the extension's cached module
-    definition and holds the same routine objects as this one.
-    """
-    name = "scipy.linalg._flapack"
-    where = Path(scipy.__file__).parent / "linalg"
-    spec = importlib.machinery.FileFinder(
-        str(where), (importlib.machinery.ExtensionFileLoader,
-                     importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
-    if spec is None:
-        raise ImportError(f"no LAPACK extension _flapack in {where} "
-                          f"(scipy {scipy.__version__})")
-    held = sys.modules.get(name)
-    try:
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        if held is None:
-            sys.modules.pop(name, None)
-        else:
-            sys.modules[name] = held
-    return module
+try:
+    from numpy._core import _multiarray_umath as _numpy_ext
+except ImportError:                                     # numpy 1.x
+    from numpy.core import _multiarray_umath as _numpy_ext
+_NUMPY_LIBS = ctypes.CDLL(_numpy_ext.__file__)
+# each routine's count of arguments, info included, and how many of them
+# are one-letter options, whose hidden string lengths follow info
+_ARITY = {"dgtsv": (8, 0), "dgbsv": (10, 0), "dgbtrf": (8, 0),
+          "dgbtrs": (11, 1), "dgeev": (14, 2), "dpttrf": (4, 0),
+          "dpttrs": (7, 0)}
+# the arrays LAPACK takes: values and pivots
+_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
 
 
-_lapack = _load_lapack()
-# dgtsv and dgbsv of the front solves, dgbtrf, dgbtrs and dgeev (with its
-# workspace query) of the eigensolve, dpttrf and dpttrs of the time steps
-dgbsv, dgtsv = _lapack.dgbsv, _lapack.dgtsv
-dgbtrf, dgbtrs = _lapack.dgbtrf, _lapack.dgbtrs
-dgeev, dgeev_lwork = _lapack.dgeev, _lapack.dgeev_lwork
-dpttrf, dpttrs = _lapack.dpttrf, _lapack.dpttrs
+def _routine(name: str):
+    """LAPACK's ``name`` from the OpenBLAS numpy's extension links, looked
+    up through the extension's handle, which searches the libraries it
+    links: under numpy 2's ILP64 symbol, else numpy 1.x's.  ImportError
+    names both when neither is there."""
+    tried = (f"scipy_{name}_64_", f"{name}_64_")
+    for symbol in tried:
+        if hasattr(_NUMPY_LIBS, symbol):
+            fn = getattr(_NUMPY_LIBS, symbol)
+            fn.restype = None
+            return fn
+    raise ImportError(f"numpy {np.__version__} carries no bundled ILP64 "
+                      f"LAPACK: {_numpy_ext.__file__} and the libraries it "
+                      f"links export none of {', '.join(tried)}")
+
+
+_LAPACK = {name: _routine(name) for name in _ARITY}
+
+
+def _bind(name: str, *args):
+    """LAPACK's ``name`` bound to ``args``, in the routine's order without
+    its ``info``: a function of no arguments that calls it and returns
+    ``info``.
+
+    An array goes by its data pointer and must be a Fortran-ordered float64
+    array (int64 for pivots); the caller keeps it alive while the binding
+    is used.  An int goes by reference as a 64-bit integer, a one-letter
+    option (bytes) as a string, with its hidden length after ``info``.
+    Every argument is made here, once, as the ``ctypes`` object of its C
+    type, and their count is checked against ``_ARITY``; so no
+    ``argtypes`` are declared, and a call converts nothing."""
+    count, options = _ARITY[name]
+    if (len(args) + 1, sum(isinstance(a, bytes) for a in args)) != (
+            count, options):
+        raise TypeError(f"{name} takes {count - 1} arguments and info, "
+                        f"{options} of them one-letter options")
+    refs, info = [], ctypes.c_int64()
+    for a in args:
+        if isinstance(a, np.ndarray):
+            if not (a.flags.f_contiguous and a.dtype in _DTYPES):
+                raise TypeError(f"{name} takes Fortran-ordered float64 or "
+                                f"int64 arrays, not this {a.dtype} {a.shape}")
+            a = ctypes.c_void_p(a.ctypes.data)
+        elif not isinstance(a, bytes):
+            a = ctypes.byref(ctypes.c_int64(a))
+        refs.append(a)
+    refs += [ctypes.byref(info)] + [ctypes.c_size_t(1)] * options
+    fn = _LAPACK[name]
+
+    def call() -> int:
+        fn(*refs)
+        return info.value
+    return call
+
+
+def _sizes_match(name: str, match: bool) -> None:
+    """Raise ValueError unless ``match``: LAPACK would read past an array
+    shorter than the matrix order says."""
+    if not match:
+        raise ValueError(f"{name}: the arrays' sizes do not fit one matrix")
+
+
+# the bindings of the substitutions, each kept under its routine and the
+# ids of its arrays until one of those arrays goes
+_bound: dict = {}
+
+
+def _keep(key: tuple, arrays: tuple, call):
+    """Keep ``call``, a binding of ``arrays``, under ``key``, its routine
+    and the arrays' ids, and return it: a substitution on one factor and
+    one right-hand side binds once.  The binding goes as soon as one of
+    its arrays does, so an id in a kept key is that live array's.  An
+    array resized in place would keep a stale pointer; none is."""
+    def forget(ref):
+        _bound.pop(key, None)
+    call.arrays = [weakref.ref(a, forget) for a in arrays]
+    _bound[key] = call
+    return call
+
+
+def dgtsv(dl, d, du, b) -> int:
+    """Solve the tridiagonal system of sub-, main and superdiagonal (dl, d,
+    du) for the right-hand side ``b``, (n,) or (n, k): LAPACK's dgtsv,
+    which overwrites all four, ``b`` with the solution.  Returns info."""
+    _sizes_match("dgtsv", len(dl) == len(du) == len(d) - 1)
+    return _bind("dgtsv", len(d), b.size // len(b), dl, d, du, b, len(b))()
+
+
+def dgbsv(kl, ku, ab, b) -> int:
+    """Solve the banded system with kl sub- and ku superdiagonals stored in
+    rows kl.. of ``ab``, (2 kl + ku + 1, n), for ``b``: LAPACK's dgbsv,
+    which factors ``ab`` in place and overwrites ``b`` with the solution.
+    Returns info."""
+    n = ab.shape[1]
+    ipiv = np.zeros(n, dtype=np.int64)
+    return _bind("dgbsv", n, kl, ku, b.size // len(b), ab, len(ab), ipiv, b,
+                 len(b))()
+
+
+def dgbtrf(ab, kl, ku):
+    """LAPACK's dgbtrf: the LU factors of the banded matrix in ``ab``, laid
+    out as dgbsv's, written over it.  Returns (ab, ipiv, info), with
+    LAPACK's 1-based int64 pivots."""
+    n = ab.shape[1]
+    ipiv = np.zeros(n, dtype=np.int64)
+    return ab, ipiv, _bind("dgbtrf", n, n, kl, ku, ab, len(ab), ipiv)()
+
+
+def dgbtrs(ab, kl, ku, b, ipiv) -> int:
+    """LAPACK's dgbtrs with dgbtrf's factors (ab, ipiv): overwrites ``b``
+    with the solution of A x = b.  Returns info."""
+    key = ("dgbtrs", kl, ku, id(ab), id(ipiv), id(b))
+    call = _bound.get(key)
+    if call is None:
+        _sizes_match("dgbtrs", len(ipiv) == ab.shape[1])
+        call = _keep(key, (ab, ipiv, b), _bind(
+            "dgbtrs", b"N", ab.shape[1], kl, ku, b.size // len(b), ab,
+            len(ab), ipiv, b, len(b)))
+    return call()
+
+
+def dgeev(a, lwork):
+    """LAPACK's dgeev on the (n, n) Fortran-ordered ``a``, which it
+    overwrites, with a workspace of ``lwork`` entries: (wr, wi, vl, vr,
+    info), the right eigenvectors in vr; vl is a (1, 1) placeholder, as
+    no left ones are computed."""
+    n = len(a)
+    _sizes_match("dgeev", a.shape == (n, n))
+    wr, wi, vr = np.empty(n), np.empty(n), np.empty((n, n), order="F")
+    vl, work = np.zeros((1, 1)), np.empty(lwork)
+    return wr, wi, vl, vr, _bind("dgeev", b"N", b"V", n, a, n, wr, wi, vl,
+                                 1, vr, n, work, lwork)()
+
+
+def dgeev_lwork(n):
+    """dgeev's optimal workspace size for an (n, n) matrix, from LAPACK's
+    query: (size, info)."""
+    one, work = np.zeros(1), np.zeros(1)
+    info = _bind("dgeev", b"N", b"V", n, one, n, one, one, one, 1, one, n,
+                 work, -1)()
+    return float(work[0]), info
+
+
+def dpttrf(d, e):
+    """LAPACK's dpttrf: the L D L^T factors of the symmetric tridiagonal
+    matrix of diagonal ``d`` and off-diagonal ``e``, written over them.
+    Returns (d, e, info)."""
+    _sizes_match("dpttrf", len(e) == len(d) - 1)
+    return d, e, _bind("dpttrf", len(d), d, e)()
+
+
+def dpttrs(d, e, b) -> int:
+    """LAPACK's dpttrs with dpttrf's factors (d, e): overwrites ``b`` with
+    the solution.  Returns info."""
+    key = ("dpttrs", id(d), id(e), id(b))
+    call = _bound.get(key)
+    if call is None:
+        _sizes_match("dpttrs", len(e) == len(d) - 1)
+        call = _keep(key, (d, e, b), _bind(
+            "dpttrs", len(d), b.size // len(b), d, e, b, len(b)))
+    return call()
 
 
 @dataclass(frozen=True)
@@ -397,27 +523,38 @@ def _banded_solve(l_and_u, ab, b, overwrite_b=False):
     ``scipy.linalg.solve_banded`` calls, without its copies and finiteness
     scans: the same routine on the same values, so the same bits.
 
-    (1, 1): ``ab`` holds the three bands, shape (3, n), and dgtsv works on
-    a copy of them, so ``ab`` does not change; ``b`` does not either,
-    unless ``overwrite_b`` is set and ``b`` is Fortran-contiguous, when
-    dgtsv overwrites it with the solution.  (l, u) otherwise: ``ab``
-    is a (2l + u + 1, n) workspace, Fortran-ordered so that LAPACK takes it
-    as it is, whose rows l.. hold the bands in ``solve_banded``'s order;
-    rows 0..l-1 are the LU factors' fill, which dgbsv does not read on
-    entry.  dgbsv factors ``ab`` in place and overwrites ``b`` (when it is
-    contiguous) with the solution.  A zero pivot raises ConvergenceError,
-    and a non-finite value is not checked for: it spreads into the result.
+    ``b`` is overwritten with the solution when ``overwrite_b`` is set and
+    it is a Fortran-ordered float64 array; otherwise the solution is a new
+    array.  (1, 1): ``ab`` holds the three bands, shape (3, n), and dgtsv,
+    which overwrites its bands, works on one copy of them, so ``ab`` does
+    not change.  (l, u) otherwise: ``ab`` is a (2l + u + 1, n) workspace,
+    Fortran-ordered so that LAPACK takes it as it is, whose rows l.. hold
+    the bands in ``solve_banded``'s order; rows 0..l-1 are the LU factors'
+    fill, which dgbsv does not read on entry, and dgbsv factors ``ab`` in
+    place.  A zero pivot raises ConvergenceError, and a non-finite value
+    is not checked for: it spreads into the result.
     """
     l, u = l_and_u
+    x = _solution_buffer(b, overwrite_b)
     if l == u == 1:
-        *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b,
-                            overwrite_b=overwrite_b)
+        bands = ab.copy()
+        info = dgtsv(bands[2, :-1], bands[1], bands[0, 1:], x)
     else:
-        *_, x, info = dgbsv(l, u, ab, b, overwrite_ab=1, overwrite_b=1)
+        info = dgbsv(l, u, ab, x)
     if info:
         raise ConvergenceError(
             f"banded ({l}, {u}) solve: zero pivot in row {info}")
     return x
+
+
+def _solution_buffer(b, overwrite_b: bool) -> np.ndarray:
+    """``b`` itself when ``overwrite_b`` is set and LAPACK can write the
+    solution into it as it is, a Fortran-ordered float64 array; a
+    Fortran-ordered float64 copy of it otherwise."""
+    if (overwrite_b and b.dtype == np.float64 and b.flags.f_contiguous
+            and b.flags.writeable):
+        return b
+    return np.array(b, dtype=float, order="F")
 
 
 def _shifted_sweep(g: Grid, c: float, F, diag, left, right, solve):

@@ -20,9 +20,9 @@ banded LU (dgbtrf and dgbtrs, from ``grid``), its dense eigensolver
 (dgeev, for the small projected matrix) and numpy products: the basis
 starts from the two component indicators, and each new vector is the
 image of the vector two places back, orthogonalised against all before
-it.  No eigensolver package is imported, so ``eigs`` loads no more of
-scipy than any other run, and no run calls ``numpy.linalg``, whose LAPACK
-and matrix-product code would be paged in beside scipy's.
+it.  No eigensolver package is imported, and no run calls
+``numpy.linalg`` or numpy's matrix-matrix product, whose dense code would
+be paged into ``eigs``.
 """
 
 from __future__ import annotations
@@ -256,8 +256,9 @@ def _eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     column j and the conjugate in column j + 1.  The workspace is the
     optimal one of LAPACK's query, as numpy's: its size picks blocked or
     unblocked steps, so with another the bits would differ from numpy's."""
-    lwork = int(dgeev_lwork(len(a), compute_vl=0)[0])
-    wr, wi, _, vr, info = dgeev(a, compute_vl=0, lwork=lwork)
+    lwork = int(dgeev_lwork(len(a))[0])
+    # dgeev overwrites its matrix
+    wr, wi, _, vr, info = dgeev(np.array(a, order="F"), lwork=lwork)
     if info:
         raise ConvergenceError(f"dgeev: the QR algorithm left {info} "
                                f"eigenvalues of {len(wr)} unconverged")
@@ -307,13 +308,13 @@ def _shift_invert_arnoldi(m: OperatorMatrix, sigma: float,
     from Re Y and Im Y against the real basis, one real product when Y is
     real, so the basis is never copied to complex.  These products and the
     residuals' are ``einsum``s, which call no BLAS: numpy's matrix-matrix
-    product would page a second BLAS into the run, beside scipy's.
+    product would page OpenBLAS's level-3 code into the run.
     """
     N = m.size
     work = np.empty((7, N), order="F")
     work[2:] = m.bands
     work[4] -= sigma
-    lu, piv, info = dgbtrf(work, 2, 2, overwrite_ab=1)
+    lu, piv, info = dgbtrf(work, 2, 2)
     if info:
         raise ConvergenceError(f"A - sigma I is singular: zero pivot in row "
                                f"{info}")
@@ -328,10 +329,12 @@ def _shift_invert_arnoldi(m: OperatorMatrix, sigma: float,
     V[0, 0::2] = V[1, 1::2] = 1.0 / math.sqrt(N // 2)
     sq[:2] = V[0] @ V[0], V[1] @ V[1]
     tiny = (N * eps) ** 2
+    w = np.empty(N)                 # B v_j, solved in place: dgbtrs binds once
     for j in range(M):
         new = j + 2                            # the row B v_j becomes
         basis = V[:min(new, N)]                # a full space has no row N
-        w = dgbtrs(lu, 2, 2, V[j], piv)[0]
+        w[...] = V[j]
+        dgbtrs(lu, 2, 2, w, piv)
         noise = tiny * (w @ w)                 # squared
         h = basis @ w
         h[j] = V[j] @ w

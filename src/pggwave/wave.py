@@ -162,12 +162,16 @@ def solve_wave(bounds: BoundPair, tol: float = 1e-10,
         linearization_bands(prof, out=work[2:])
         rhs = residual(prof).ravel()
         np.negative(rhs, out=rhs)
-        return solve_banded((2, 2), work, rhs).reshape(U.shape)
+        return solve_banded((2, 2), work, rhs,
+                            overwrite_b=True).reshape(U.shape)
 
     upper = top.knots[1:-1]
     U = upper if initial is None else initial.knots[1:-1]
     U, sup_diffs, newton_steps = _sweep_newton(
         sweep, newton, U, (bounds.lower.knots[1:-1], upper), tol, callback)
+    # the Newton workspace and the sweep's bands are spent: the final
+    # residual check does not hold them
+    del sweep, newton, work
 
     prof = as_profile(U)
     final_res = float(np.max(np.abs(residual(prof))))

@@ -784,10 +784,10 @@ def test_config_file_cli_exit(capsys, tmp_path):
 def test_no_run_calls_numpy_linalg(capsys, tmp_path, monkeypatch):
     # the tail rates, the decay constant and the spreading speed are
     # closed-form lines (grid.least_squares_line), and the eigensolve's
-    # projected matrix goes to scipy's dgeev: no run calls numpy's LAPACK,
-    # through numpy.linalg or numpy.polyfit, eigs and a sweep of it included
+    # projected matrix goes to grid's dgeev binding: no run calls
+    # numpy.linalg or numpy.polyfit, eigs and a sweep of it included
     def refuse(*args, **kwargs):
-        raise AssertionError("numpy's LAPACK was called")
+        raise AssertionError("numpy.linalg was called")
 
     for name in np.linalg.__all__:
         fn = getattr(np.linalg, name)
@@ -811,33 +811,27 @@ def test_no_run_calls_numpy_linalg(capsys, tmp_path, monkeypatch):
 _IMPORT_GRAPH_SCRIPT = """
 import json, sys
 
-def loaded(*prefixes):
-    return sorted(m for m in sys.modules
-                  if any(m == p or m.startswith(p + ".") for p in prefixes))
-
-def loaded_late():
-    return loaded("scipy.sparse", "scipy.linalg", "numpy.f2py", "numpy.testing")
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy"
+                  or m.startswith(("scipy.", "numpy.f2py", "numpy.testing")))
 
 import pggwave, pggwave.cli
-deferred = [loaded_late()]
+after = [loaded()]
 codes = []
 for argv in json.loads(sys.argv[1]):
     codes.append(pggwave.cli.main(argv))
-    deferred.append(loaded_late())
-print(json.dumps({"codes": codes, "deferred": deferred, "loaded": loaded(
-    "scipy.interpolate", "scipy.optimize", "scipy.special",
-    "scipy.integrate")}))
+    after.append(loaded())
+print(json.dumps({"codes": codes, "after": after}))
 """
 
 
-def test_cli_never_loads_scipy_interpolate_optimize_special(tmp_path):
-    # scipy serves only the LAPACK banded solves, and scipy.integrate, which
-    # the collocation oracle of the tests uses, stays out of every run;
-    # checking after real runs catches an import deferred into a function
-    # as well.  LAPACK comes
-    # from its extension file, so neither the package scipy.linalg, whose
-    # init loads numpy.f2py and numpy.testing, nor scipy.sparse loads in
-    # any run, the eigensolve of eigs included
+def test_cli_never_loads_scipy(tmp_path):
+    # LAPACK comes from numpy's own OpenBLAS, so no scipy module loads, at
+    # the import or after any run, the eigensolve of eigs and a sweep
+    # included; scipy.integrate, which the collocation oracle of the tests
+    # uses, stays out too.  Checking after real runs catches an import
+    # deferred into a function as well.  Nor do numpy.f2py and
+    # numpy.testing load, which scipy.linalg's init would bring
     small = ["--L", "20", "--n", "399", "--output-dir", "out"]
     runs = [["params"], ["wave", *small], ["bounds-check", *small],
             ["spectrum", "--output-dir", "out"],
@@ -858,6 +852,5 @@ def test_cli_never_loads_scipy_interpolate_optimize_special(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["codes"] == [0] * len(runs)
-    assert result["loaded"] == []
     # the import, then every run
-    assert result["deferred"] == [[]] * (len(runs) + 1)
+    assert result["after"] == [[]] * (len(runs) + 1)

@@ -145,16 +145,99 @@ def test_serialization_round_trip(tmp_path):
                     "x0": 0.37}
 
 
-def test_lapack_routines_are_scipys_own():
-    # grid loads scipy's LAPACK extension from its file, beside the package
-    # scipy.linalg; both loads hold the same routine objects, so the solves
-    # run the routines scipy.linalg.lapack exports, bit for bit
-    for used, name in ((grid.dgbsv, "dgbsv"), (grid.dgtsv, "dgtsv"),
-                       (spectrum.dgbtrf, "dgbtrf"), (spectrum.dgbtrs, "dgbtrs"),
-                       (spectrum.dgeev, "dgeev"),
-                       (spectrum.dgeev_lwork, "dgeev_lwork"),
-                       (dynamics.dpttrf, "dpttrf"), (dynamics.dpttrs, "dpttrs")):
-        assert used is getattr(scipy.linalg.lapack, name), name
+def _same(*pairs):
+    for got, want in pairs:
+        assert np.array_equal(got, want), (got, want)
+
+
+def _banded_bindings_match(rng, n, zero_column):
+    """dgtsv, dgbsv, dgbtrf/dgbtrs and dpttrf/dpttrs on fixed inputs
+    against scipy.linalg.lapack's routines, bit for bit; a zero column (a
+    non-positive diagonal entry for dpttrf) at ``zero_column`` must give
+    scipy's nonzero info."""
+    lapack = scipy.linalg.lapack
+    b = np.asfortranarray(rng.standard_normal((n, 2)))
+
+    bands = rng.uniform(-1.0, 1.0, (3, n))
+    bands[1] += 3.0
+    if zero_column is not None:
+        bands[:, zero_column] = 0.0
+    dl, d, du = bands[2, :-1], bands[1], bands[0, 1:]
+    got = [dl.copy(), d.copy(), du.copy(), b.copy(order="F")]
+    info = grid.dgtsv(*got)
+    *want, want_info = lapack.dgtsv(dl, d, du, b)
+    _same(*zip(got, want), (info, want_info))
+    assert (info == 0) == (zero_column is None)
+
+    ab = np.asfortranarray(rng.uniform(1.0, 2.0, (7, n)))
+    if zero_column is not None:
+        ab[:, zero_column] = 0.0
+    got = [ab.copy(order="F"), b.copy(order="F")]
+    info = grid.dgbsv(2, 2, *got)
+    lub, _, x, want_info = lapack.dgbsv(2, 2, ab, b)
+    _same((got[0], lub), (got[1], x), (info, want_info))
+
+    lu, piv, info = spectrum.dgbtrf(ab.copy(order="F"), 2, 2)
+    want_lu, want_piv, want_info = lapack.dgbtrf(ab, 2, 2)
+    # scipy counts the pivots from 0, LAPACK from 1
+    _same((lu, want_lu), (piv, want_piv + 1), (info, want_info))
+    if zero_column is None:
+        for rhs in (b[:, 0], b):
+            x = rhs.copy(order="F")
+            assert spectrum.dgbtrs(lu, 2, 2, x, piv) == 0
+            _same((x, lapack.dgbtrs(want_lu, 2, 2, rhs, want_piv)[0]))
+
+    e = rng.uniform(-1.0, 1.0, n - 1)
+    d = rng.uniform(3.0, 4.0, n)
+    if zero_column is not None:
+        d[zero_column] = -1.0
+    *factors, info = dynamics.dpttrf(d.copy(), e.copy())
+    *want, want_info = lapack.dpttrf(d, e)
+    _same(*zip(factors, want), (info, want_info))
+    assert (info == 0) == (zero_column is None)
+    if zero_column is None:
+        # the binding of one call is reused for the next on the same
+        # arrays, and a new right-hand side gets its own
+        x = b.copy(order="F")
+        for rhs in (b, 2.0 * b, None):
+            if rhs is None:
+                x = np.asfortranarray(rng.standard_normal((n, 2)))
+                rhs = x.copy()
+            x[...] = rhs
+            assert dynamics.dpttrs(*factors, x) == 0
+            _same((x, lapack.dpttrs(*want, rhs)[0]))
+        # a kept binding goes with its arrays, so an id reused by a new
+        # array never finds a stale pointer
+        kept = len(grid._bound)
+        del x
+        assert len(grid._bound) == kept - 1
+
+
+def test_lapack_bindings_match_scipys_routines():
+    # grid binds LAPACK from numpy's own OpenBLAS, and each binding gives
+    # the bits of scipy.linalg.lapack's routine on the same inputs, a zero
+    # pivot's info included; the bindings overwrite their arrays, so each
+    # gets copies
+    rng = np.random.default_rng(51)
+    for zero_column in (None, 3):
+        _banded_bindings_match(rng, 40, zero_column)
+    # dgeev agrees with scipy's up to about a hundred rows, where the two
+    # libraries' kernels still take the same steps
+    lapack = scipy.linalg.lapack
+    for size in (12, 96):
+        a = rng.standard_normal((size, size))
+        work, info = spectrum.dgeev_lwork(size)
+        _same((work, lapack.dgeev_lwork(size, compute_vl=0)[0]), (info, 0))
+        wr, wi, _, vr, info = spectrum.dgeev(np.array(a, order="F"),
+                                             lwork=int(work))
+        want_wr, want_wi, _, want_vr, want_info = lapack.dgeev(
+            a, compute_vl=0, lwork=int(work))
+        _same((wr, want_wr), (wi, want_wi), (vr, want_vr), (info, want_info))
+        assert np.any(wi != 0.0)                # complex pairs as well
+    # LAPACK reads Fortran order: a C-ordered (7, n) workspace would be
+    # read as another matrix
+    with pytest.raises(TypeError, match="Fortran-ordered"):
+        grid.dgbsv(2, 2, np.ones((7, 8)), np.ones(8))
 
 
 def test_write_csv_matches_per_value_format(tmp_path):

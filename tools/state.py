@@ -21,12 +21,19 @@ configuration that made it.
   (``KppReport.crossing``) at the base point on the benchmark's base grid
   (n = 3999, odd) and its eigs grid (n = 400, even), where the phase row
   and the certificate read one cubic;
+- ROADMAP item 29's import floor: the peak resident memory and the module
+  count of ``import pggwave, pggwave.cli`` in a fresh interpreter, how
+  many of those modules are scipy's, and the symbols ``grid`` bound its
+  LAPACK routines under;
 - the code lines, through ``tools/code_lines.py``.
 
 It has no threshold and exits 0 whatever it counts.  Run from anywhere:
 ``python tools/state.py``.
 """
 
+import json
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -181,12 +188,42 @@ def phase_origins() -> None:
                           for side, rep in bp.fronts.items()))
 
 
+# the child's own peak is its VmHWM: Linux carries the parent's peak into
+# a child's ru_maxrss across exec
+_IMPORT_FLOOR = """
+import sys
+import pggwave, pggwave.cli
+modules = list(sys.modules)
+import json
+with open("/proc/self/status") as status:
+    kb = next(int(line.split()[1]) for line in status
+              if line.startswith("VmHWM:"))
+print(json.dumps({
+    "mb": kb / 1024,
+    "modules": len(modules),
+    "scipy": sum(m == "scipy" or m.startswith("scipy.") for m in modules),
+    "symbols": sorted(fn.__name__ for fn in pggwave.grid._LAPACK.values())}))
+"""
+
+
+def import_floor() -> None:
+    env = dict(os.environ, PYTHONPATH=str(TOOLS.parent / "src"))
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", _IMPORT_FLOOR], env=env, capture_output=True,
+        text=True, check=True).stdout)
+    print(f"item 29 import floor: import pggwave, pggwave.cli in a fresh "
+          f"interpreter peaks at {out['mb']:.2f} MB with {out['modules']} "
+          f"modules, {out['scipy']} of them scipy's; LAPACK from numpy "
+          f"{np.__version__}'s OpenBLAS as {', '.join(out['symbols'])}")
+
+
 def main() -> None:
     box_survey()
     corner_survey()
     floors()
     instability_rates()
     phase_origins()
+    import_floor()
     print("code lines (tools/code_lines.py):")
     code_lines.main()
 
