@@ -43,10 +43,12 @@ the two columns of an F-order (n, 2) state, at every speed:
   ``SCALE_LOG_BOUND``; a grid past it raises GridError before any step is
   taken, as does a nonzero pivot report.
 
-The substitution is the module-level ``solve_banded(factors, rhs)``, the
-name under which perfbench's tracer counts banded solves; it makes no
-finiteness check, a non-finite value in a column spreads through that
-column's solve, and the blow-up guard after every step reports it.  The
+A run binds dpttrs to the factors and its right-hand side once, and each
+step runs that binding through the module-level ``solve_banded``, the
+name under which perfbench's tracer counts banded solves; the solution
+takes the right-hand side's place.  No finiteness check is made, a
+non-finite value in a column spreads through that column's solve, and the
+blow-up guard after every step reports it.  The
 state (and at c != 0 the scaled state), the two alternating reaction
 buffers, the right-hand side and one temporary are allocated once per run,
 and a step writes into them with in-place ufuncs in the arithmetic order
@@ -78,9 +80,9 @@ import numpy as np
 
 from .errors import (BlowUpError, FrontNotFoundError, GridError, NormError,
                      ParameterError)
-from .grid import (Grid, Profile, _ghost_rows, _solution_buffer, dpttrf,
-                   dpttrs, half_line, least_squares_line, require_m_matrix,
-                   stencil_bands, write_csv)
+from .grid import (Grid, Profile, _ghost_rows, dpttrf, dpttrs, half_line,
+                   least_squares_line, require_m_matrix, stencil_bands,
+                   write_csv)
 from .model import ModelParams, StateVec, reaction, to_original
 from .spectrum import WeightPair, exp_or_inf, log_weight
 
@@ -228,22 +230,18 @@ def factor_banded(ab: np.ndarray) -> tuple[tuple, np.ndarray | None]:
         scale[m + 1:] = np.cumprod(rho[m:])
         scale[:m] = np.cumprod(1.0 / rho[:m][::-1])[::-1]
         np.copysign(np.sqrt(lower * upper), upper, out=upper)
-    *factors, info = dpttrf(diag, upper)
+    info = dpttrf(diag, upper)
     if info != 0:
         raise GridError(f"factorising the step matrix failed at pivot {info}")
-    return tuple(factors), scale
+    return (diag, upper), scale
 
 
-def solve_banded(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    """B^-1 rhs from the factors of ``factor_banded``: one dpttrs
-    substitution, no checks.
-
-    ``rhs`` is an (n, 2) float array, overwritten when it is in F order;
-    applying the scale is the caller's part.
-    """
-    x = _solution_buffer(rhs, True)
-    dpttrs(*factors, x)
-    return x
+def solve_banded(substitute) -> None:
+    """One step's B^-1 rhs: ``substitute``, a dpttrs binding of the factors
+    of ``factor_banded`` to the run's (n, 2) F-ordered right-hand side,
+    which it overwrites with the solution.  No checks; applying the scale
+    is the caller's part."""
+    substitute()
 
 
 def run_simulation(initial: Profile, cfg: SimConfig,
@@ -299,6 +297,7 @@ def run_simulation(initial: Profile, cfg: SimConfig,
     # temporary
     U, F, F_prev, rhs, tmp = (np.empty((g.n, 2), order="F")
                               for _ in range(5))
+    substitute = dpttrs(*factors, rhs)
     U[...] = initial.knots[1:-1]
     # the step evolves Y = S^-1 U, the state B's solve works in, so the
     # Adams-Bashforth weights stay scalars; at c = 0 Y is U itself and
@@ -343,7 +342,8 @@ def run_simulation(initial: Profile, cfg: SimConfig,
         else:
             rhs[0] += ghosts[0]
         rhs[-1] += ghosts[-1]
-        np.subtract(solve_banded(factors, rhs), Y, out=Y)
+        solve_banded(substitute)
+        np.subtract(rhs, Y, out=Y)
         if scale is not None:
             np.multiply(Y, S, out=U)
         steps += 1

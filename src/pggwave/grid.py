@@ -12,9 +12,9 @@ resample: its abscissae are the grid's knots less ``Profile.x0``, and its
 values stay the solved front's.
 ``linearization_bands`` is the banded Jacobian of ``residual``; the spectrum
 takes it as a new array, and the wave's Newton steps have it written
-straight into their dgbsv workspace, every entry, so that no (5, 2n) copy
+straight into their band workspace, every entry, so that no (5, 2n) copy
 is made per step.  ``_banded_solve`` hands the front solves' bands to
-LAPACK directly.
+LAPACK directly and writes the solution over the right-hand side.
 The scalar and the vector front solves share three pieces here:
 ``_shifted_sweep``, their beta-shifted monotone sweep, which adds T's two
 Dirichlet ghost rows (``_ghost_rows``, lo*left to row 0 and hi*right to
@@ -37,12 +37,13 @@ LAPACK comes from the OpenBLAS that numpy's extension ``_multiarray_umath``
 links, so a run maps one BLAS and imports no ``scipy`` module.
 ``_routine`` looks each routine up at import through that extension's
 handle, under numpy's ILP64 symbol, and raises ImportError naming the
-symbols it tried where numpy bundles no LAPACK.  The seven are dgtsv and
-dgbsv (front solves), dgbtrf, dgbtrs and dgeev (the eigensolve) and
-dpttrf and dpttrs (time steps).  Each overwrites its arrays as LAPACK
-does, so every copy is made by its caller.  ``_bind`` builds a call's
-``ctypes`` arguments once; dgbtrs and dpttrs keep them for the next call
-on the same arrays (``_keep``).  Every CSV artifact goes through
+symbols it tried where numpy bundles no LAPACK.  The six are dgtsv,
+dgbtrf and dgbtrs (front solves; dgbsv is dgbtrf and then dgbtrs), dgeev
+(the eigensolve) and dpttrf and dpttrs (time steps).  Each overwrites its
+arrays as LAPACK does, so every copy is made by its caller.  ``_bind``
+builds a call's ``ctypes`` arguments once, and the call holds its arrays;
+dgbtrs and dpttrs return that binding, which their callers make once and
+call at every substitution.  Every CSV artifact goes through
 ``write_csv``, which formats a block of rows with one ``%``, and every JSON
 artifact through ``write_json``, which serialises a report from its fields.
 """
@@ -52,7 +53,6 @@ from __future__ import annotations
 import ctypes
 import json
 import math
-import weakref
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
@@ -99,9 +99,8 @@ except ImportError:                                     # numpy 1.x
 _NUMPY_LIBS = ctypes.CDLL(_numpy_ext.__file__)
 # each routine's count of arguments, info included, and how many of them
 # are one-letter options, whose hidden string lengths follow info
-_ARITY = {"dgtsv": (8, 0), "dgbsv": (10, 0), "dgbtrf": (8, 0),
-          "dgbtrs": (11, 1), "dgeev": (14, 2), "dpttrf": (4, 0),
-          "dpttrs": (7, 0)}
+_ARITY = {"dgtsv": (8, 0), "dgbtrf": (8, 0), "dgbtrs": (11, 1),
+          "dgeev": (14, 2), "dpttrf": (4, 0), "dpttrs": (7, 0)}
 # the arrays LAPACK takes: values and pivots
 _DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
 
@@ -128,15 +127,17 @@ _LAPACK = {name: _routine(name) for name in _ARITY}
 def _bind(name: str, *args):
     """LAPACK's ``name`` bound to ``args``, in the routine's order without
     its ``info``: a function of no arguments that calls it and returns
-    ``info``.
+    ``info``, and raises ValueError naming the argument LAPACK refused when
+    ``info`` is negative.
 
     An array goes by its data pointer and must be a Fortran-ordered float64
-    array (int64 for pivots); the caller keeps it alive while the binding
-    is used.  An int goes by reference as a 64-bit integer, a one-letter
-    option (bytes) as a string, with its hidden length after ``info``.
-    Every argument is made here, once, as the ``ctypes`` object of its C
-    type, and their count is checked against ``_ARITY``; so no
-    ``argtypes`` are declared, and a call converts nothing."""
+    array (int64 for pivots); the binding holds every argument, so its
+    arrays live as long as it does.  An int goes by reference as a 64-bit
+    integer, a one-letter option (bytes) as a string, with its hidden
+    length after ``info``.  Every argument is made here, once, as the
+    ``ctypes`` object of its C type, and their count is checked against
+    ``_ARITY``; so no ``argtypes`` are declared, and a call converts
+    nothing."""
     count, options = _ARITY[name]
     if (len(args) + 1, sum(isinstance(a, bytes) for a in args)) != (
             count, options):
@@ -157,6 +158,13 @@ def _bind(name: str, *args):
 
     def call() -> int:
         fn(*refs)
+        if info.value < 0:
+            # naming args here keeps them, the arrays too, alive as long
+            # as the binding
+            bad = args[-info.value - 1]
+            raise ValueError(f"{name}: LAPACK refused argument {-info.value}"
+                             + ("" if isinstance(bad, np.ndarray)
+                                else f" = {bad!r}"))
         return info.value
     return call
 
@@ -168,105 +176,59 @@ def _sizes_match(name: str, match: bool) -> None:
         raise ValueError(f"{name}: the arrays' sizes do not fit one matrix")
 
 
-# the bindings of the substitutions, each kept under its routine and the
-# ids of its arrays until one of those arrays goes
-_bound: dict = {}
-
-
-def _keep(key: tuple, arrays: tuple, call):
-    """Keep ``call``, a binding of ``arrays``, under ``key``, its routine
-    and the arrays' ids, and return it: a substitution on one factor and
-    one right-hand side binds once.  The binding goes as soon as one of
-    its arrays does, so an id in a kept key is that live array's.  An
-    array resized in place would keep a stale pointer; none is."""
-    def forget(ref):
-        _bound.pop(key, None)
-    call.arrays = [weakref.ref(a, forget) for a in arrays]
-    _bound[key] = call
-    return call
-
-
 def dgtsv(dl, d, du, b) -> int:
     """Solve the tridiagonal system of sub-, main and superdiagonal (dl, d,
     du) for the right-hand side ``b``, (n,) or (n, k): LAPACK's dgtsv,
     which overwrites all four, ``b`` with the solution.  Returns info."""
-    _sizes_match("dgtsv", len(dl) == len(du) == len(d) - 1)
+    _sizes_match("dgtsv", len(dl) == len(du) == len(d) - 1 == len(b) - 1)
     return _bind("dgtsv", len(d), b.size // len(b), dl, d, du, b, len(b))()
 
 
-def dgbsv(kl, ku, ab, b) -> int:
-    """Solve the banded system with kl sub- and ku superdiagonals stored in
-    rows kl.. of ``ab``, (2 kl + ku + 1, n), for ``b``: LAPACK's dgbsv,
-    which factors ``ab`` in place and overwrites ``b`` with the solution.
-    Returns info."""
-    n = ab.shape[1]
-    ipiv = np.zeros(n, dtype=np.int64)
-    return _bind("dgbsv", n, kl, ku, b.size // len(b), ab, len(ab), ipiv, b,
-                 len(b))()
-
-
 def dgbtrf(ab, kl, ku):
-    """LAPACK's dgbtrf: the LU factors of the banded matrix in ``ab``, laid
-    out as dgbsv's, written over it.  Returns (ab, ipiv, info), with
-    LAPACK's 1-based int64 pivots."""
+    """LAPACK's dgbtrf: the LU factors of the banded matrix with kl sub-
+    and ku superdiagonals stored in rows kl.. of ``ab``, (2 kl + ku + 1,
+    n), written over it.  Returns (ipiv, info), with LAPACK's 1-based int64
+    pivots."""
     n = ab.shape[1]
     ipiv = np.zeros(n, dtype=np.int64)
-    return ab, ipiv, _bind("dgbtrf", n, n, kl, ku, ab, len(ab), ipiv)()
+    return ipiv, _bind("dgbtrf", n, n, kl, ku, ab, len(ab), ipiv)()
 
 
-def dgbtrs(ab, kl, ku, b, ipiv) -> int:
-    """LAPACK's dgbtrs with dgbtrf's factors (ab, ipiv): overwrites ``b``
-    with the solution of A x = b.  Returns info."""
-    key = ("dgbtrs", kl, ku, id(ab), id(ipiv), id(b))
-    call = _bound.get(key)
-    if call is None:
-        _sizes_match("dgbtrs", len(ipiv) == ab.shape[1])
-        call = _keep(key, (ab, ipiv, b), _bind(
-            "dgbtrs", b"N", ab.shape[1], kl, ku, b.size // len(b), ab,
-            len(ab), ipiv, b, len(b)))
-    return call()
+def dgbtrs(ab, kl, ku, b, ipiv):
+    """LAPACK's dgbtrs with dgbtrf's factors (ab, ipiv), bound to ``b``: a
+    call overwrites ``b`` with the solution of A x = b and returns info."""
+    _sizes_match("dgbtrs", len(ipiv) == ab.shape[1] == len(b))
+    return _bind("dgbtrs", b"N", ab.shape[1], kl, ku, b.size // len(b), ab,
+                 len(ab), ipiv, b, len(b))
 
 
-def dgeev(a, lwork):
+def dgeev(a):
     """LAPACK's dgeev on the (n, n) Fortran-ordered ``a``, which it
-    overwrites, with a workspace of ``lwork`` entries: (wr, wi, vl, vr,
-    info), the right eigenvectors in vr; vl is a (1, 1) placeholder, as
-    no left ones are computed."""
+    overwrites, with the optimal workspace of LAPACK's query: (wr, wi, vr,
+    info), the right eigenvectors in vr; no left ones are computed."""
     n = len(a)
     _sizes_match("dgeev", a.shape == (n, n))
     wr, wi, vr = np.empty(n), np.empty(n), np.empty((n, n), order="F")
-    vl, work = np.zeros((1, 1)), np.empty(lwork)
-    return wr, wi, vl, vr, _bind("dgeev", b"N", b"V", n, a, n, wr, wi, vl,
-                                 1, vr, n, work, lwork)()
+    vl, query = np.zeros((1, 1)), np.zeros(1)
+    _bind("dgeev", b"N", b"V", n, a, n, wr, wi, vl, 1, vr, n, query, -1)()
+    lwork = int(query[0])
+    return wr, wi, vr, _bind("dgeev", b"N", b"V", n, a, n, wr, wi, vl, 1,
+                             vr, n, np.empty(lwork), lwork)()
 
 
-def dgeev_lwork(n):
-    """dgeev's optimal workspace size for an (n, n) matrix, from LAPACK's
-    query: (size, info)."""
-    one, work = np.zeros(1), np.zeros(1)
-    info = _bind("dgeev", b"N", b"V", n, one, n, one, one, one, 1, one, n,
-                 work, -1)()
-    return float(work[0]), info
-
-
-def dpttrf(d, e):
+def dpttrf(d, e) -> int:
     """LAPACK's dpttrf: the L D L^T factors of the symmetric tridiagonal
     matrix of diagonal ``d`` and off-diagonal ``e``, written over them.
-    Returns (d, e, info)."""
+    Returns info."""
     _sizes_match("dpttrf", len(e) == len(d) - 1)
-    return d, e, _bind("dpttrf", len(d), d, e)()
+    return _bind("dpttrf", len(d), d, e)()
 
 
-def dpttrs(d, e, b) -> int:
-    """LAPACK's dpttrs with dpttrf's factors (d, e): overwrites ``b`` with
-    the solution.  Returns info."""
-    key = ("dpttrs", id(d), id(e), id(b))
-    call = _bound.get(key)
-    if call is None:
-        _sizes_match("dpttrs", len(e) == len(d) - 1)
-        call = _keep(key, (d, e, b), _bind(
-            "dpttrs", len(d), b.size // len(b), d, e, b, len(b)))
-    return call()
+def dpttrs(d, e, b):
+    """LAPACK's dpttrs with dpttrf's factors (d, e), bound to ``b``: a call
+    overwrites ``b`` with the solution and returns info."""
+    _sizes_match("dpttrs", len(e) == len(d) - 1 == len(b) - 1)
+    return _bind("dpttrs", len(d), b.size // len(b), d, e, b, len(b))
 
 
 @dataclass(frozen=True)
@@ -475,7 +437,7 @@ def linearization_bands(prof: Profile, g1=0.0, g2=0.0,
     order: row d holds offset 2 - d.
 
     The bands are written into ``out`` when one is given (any (5, 2n) float
-    array, strided views included, such as rows 2.. of a dgbsv workspace)
+    array, strided views included, such as rows 2.. of a dgbtrf workspace)
     and returned.  Every entry is written, the zeros outside the bands too,
     so whatever ``out`` held before, a previous LU factorisation included,
     does not show.
@@ -517,44 +479,35 @@ def linearization_bands(prof: Profile, g1=0.0, g2=0.0,
     return bands
 
 
-def _banded_solve(l_and_u, ab, b, overwrite_b=False):
+def _banded_solve(l_and_u, ab, b):
     """The solution of the banded system with bands ``ab`` and right-hand
-    side ``b``, (n,) or (n, k), by the LAPACK routine
+    side ``b``, (n,) or (n, k), by the LAPACK routines
     ``scipy.linalg.solve_banded`` calls, without its copies and finiteness
-    scans: the same routine on the same values, so the same bits.
+    scans: the same routines on the same values, so the same bits.
 
-    ``b`` is overwritten with the solution when ``overwrite_b`` is set and
-    it is a Fortran-ordered float64 array; otherwise the solution is a new
-    array.  (1, 1): ``ab`` holds the three bands, shape (3, n), and dgtsv,
-    which overwrites its bands, works on one copy of them, so ``ab`` does
-    not change.  (l, u) otherwise: ``ab`` is a (2l + u + 1, n) workspace,
-    Fortran-ordered so that LAPACK takes it as it is, whose rows l.. hold
-    the bands in ``solve_banded``'s order; rows 0..l-1 are the LU factors'
-    fill, which dgbsv does not read on entry, and dgbsv factors ``ab`` in
-    place.  A zero pivot raises ConvergenceError, and a non-finite value
-    is not checked for: it spreads into the result.
+    The solution is written over ``b``, which must be a Fortran-ordered
+    float64 array, and returned.  (1, 1): ``ab`` holds the three bands,
+    shape (3, n), and dgtsv, which overwrites its bands, works on one copy
+    of them, so ``ab`` does not change.  (l, u) otherwise: ``ab`` is a
+    (2l + u + 1, n) workspace, Fortran-ordered so that LAPACK takes it as
+    it is, whose rows l.. hold the bands in ``solve_banded``'s order; rows
+    0..l-1 are the LU factors' fill, which dgbtrf does not read on entry,
+    and dgbtrf factors ``ab`` in place before dgbtrs substitutes, as
+    LAPACK's dgbsv does.  A zero pivot raises ConvergenceError, and a
+    non-finite value is not checked for: it spreads into the result.
     """
     l, u = l_and_u
-    x = _solution_buffer(b, overwrite_b)
     if l == u == 1:
         bands = ab.copy()
-        info = dgtsv(bands[2, :-1], bands[1], bands[0, 1:], x)
+        info = dgtsv(bands[2, :-1], bands[1], bands[0, 1:], b)
     else:
-        info = dgbsv(l, u, ab, x)
+        ipiv, info = dgbtrf(ab, l, u)
+        if not info:
+            dgbtrs(ab, l, u, b, ipiv)()
     if info:
         raise ConvergenceError(
             f"banded ({l}, {u}) solve: zero pivot in row {info}")
-    return x
-
-
-def _solution_buffer(b, overwrite_b: bool) -> np.ndarray:
-    """``b`` itself when ``overwrite_b`` is set and LAPACK can write the
-    solution into it as it is, a Fortran-ordered float64 array; a
-    Fortran-ordered float64 copy of it otherwise."""
-    if (overwrite_b and b.dtype == np.float64 and b.flags.f_contiguous
-            and b.flags.writeable):
-        return b
-    return np.array(b, dtype=float, order="F")
+    return b
 
 
 def _shifted_sweep(g: Grid, c: float, F, diag, left, right, solve):
@@ -565,10 +518,9 @@ def _shifted_sweep(g: Grid, c: float, F, diag, left, right, solve):
     The shift beta = 1 + max(0, -min(diag)) is one above the largest
     negative Jacobian diagonal over the caller's box samples ``diag``, so
     F(U) + beta U is monotone in U there.  ``solve`` is the caller's banded
-    solver, called as solve((1, 1), bands, rhs, overwrite_b=True): each
-    sweep builds its right-hand side in Fortran order, and the solution
-    takes its place.  The ghost terms are ``_ghost_rows``, added to rows 0
-    and n-1 alone.
+    solver, called as solve((1, 1), bands, rhs): each sweep builds its
+    right-hand side in Fortran order, and the solution takes its place.
+    The ghost terms are ``_ghost_rows``, added to rows 0 and n-1 alone.
     """
     beta = 1.0 + max(0.0, float(-np.min(diag)))
     ab = stencil_bands(g, c, -1.0, beta)
@@ -578,7 +530,7 @@ def _shifted_sweep(g: Grid, c: float, F, diag, left, right, solve):
         rhs = np.add(F(U), beta * U, order="F")
         rhs[0] += ghost_left
         rhs[-1] += ghost_right
-        return solve((1, 1), ab, rhs, overwrite_b=True)
+        return solve((1, 1), ab, rhs)
     return beta, sweep
 
 

@@ -192,8 +192,9 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
     step is one two-column tridiagonal solve, J a = -r and J z = lo e^s e_0
     (dr/ds lives in row 0 only), then ds = (phi + rho_w a)/(rho_w z -
     rho_0 e^s) and dw = a - ds z.  LAPACK's dgtsv
-    (``grid._banded_solve``) solves it on copies: every step reuses the
-    right-hand side, whose column 1 must stay zero below row 0.  ``grid._damped``
+    (``grid._banded_solve``) solves it on a copy of the bands and a
+    Fortran-ordered copy of the right-hand side, which every step reuses:
+    its column 1 must stay zero below row 0.  ``grid._damped``
     halves a step until the iterate stays in [0, plateau] and |ds| stays
     below DATUM_STEP_MAX.  The iteration starts from the front with both
     tail rates: (b/2) e^{mu xi} for xi < 0 and b (1 - e^{nu xi}/2) for
@@ -251,7 +252,7 @@ def solve_kpp(nl: KppNonlinearity, c: float, g: Grid,
         rhs[:, 0] = -(apply_advection_diffusion(g, c, knots) + nl.f(w))
         rhs[0, 1] = lo * knots[0]
         a, z = solve_banded((1, 1), stencil_bands(g, c, 1.0, nl.fprime(w)),
-                            rhs).T
+                            rhs.copy(order="F")).T
         dz = float(np.sum(rho_w * z[first - 1:k + 3])) - rho_0 * knots[0]
         if not 0.0 < abs(dz) < math.inf:
             raise ConvergenceError(

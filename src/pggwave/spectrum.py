@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateWeightError, EmptyWindowError,
                      ParameterError)
-from .grid import (Grid, Profile, dgbtrf, dgbtrs, dgeev, dgeev_lwork,
-                   linearization_bands, residual)
+from .grid import (Grid, Profile, dgbtrf, dgbtrs, dgeev, linearization_bands,
+                   residual)
 from .model import (ModelParams, StateVec, jacobian, reaction,
                     subcritical_verdict)
 
@@ -256,9 +256,8 @@ def _eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     column j and the conjugate in column j + 1.  The workspace is the
     optimal one of LAPACK's query, as numpy's: its size picks blocked or
     unblocked steps, so with another the bits would differ from numpy's."""
-    lwork = int(dgeev_lwork(len(a))[0])
     # dgeev overwrites its matrix
-    wr, wi, _, vr, info = dgeev(np.array(a, order="F"), lwork=lwork)
+    wr, wi, vr, info = dgeev(np.array(a, order="F"))
     if info:
         raise ConvergenceError(f"dgeev: the QR algorithm left {info} "
                                f"eigenvalues of {len(wr)} unconverged")
@@ -279,10 +278,11 @@ def _shift_invert_arnoldi(m: OperatorMatrix, sigma: float,
     dgbtrf factors A - sigma I once, in the (2, 2) band workspace of the
     Newton steps.  The basis starts from the two component indicators,
     ones on the u rows and ones on the v rows, and grows as a band
-    Arnoldi of width two: one dgbtrs maps v_j through B, and classical
-    Gram-Schmidt against every basis vector so far, repeated once when
-    the first pass cancels more than rounding, turns the image into
-    v_{j+2}, so that H = V^T B V is Hessenberg with two subdiagonals.  A
+    Arnoldi of width two: one dgbtrs, bound once to the image buffer,
+    maps v_j through B, and classical Gram-Schmidt against every basis
+    vector so far, repeated once when the first pass cancels more than
+    rounding, turns the image into v_{j+2}, so that H = V^T B V is
+    Hessenberg with two subdiagonals.  A
     coefficient is <v_i, w> / <v_i, v_i>, the diagonal one formed with
     the dot that gave <v_i, v_i>: an image B v_i = theta v_i gives
     theta's own ratio.
@@ -314,7 +314,7 @@ def _shift_invert_arnoldi(m: OperatorMatrix, sigma: float,
     work = np.empty((7, N), order="F")
     work[2:] = m.bands
     work[4] -= sigma
-    lu, piv, info = dgbtrf(work, 2, 2)
+    piv, info = dgbtrf(work, 2, 2)
     if info:
         raise ConvergenceError(f"A - sigma I is singular: zero pivot in row "
                                f"{info}")
@@ -329,12 +329,13 @@ def _shift_invert_arnoldi(m: OperatorMatrix, sigma: float,
     V[0, 0::2] = V[1, 1::2] = 1.0 / math.sqrt(N // 2)
     sq[:2] = V[0] @ V[0], V[1] @ V[1]
     tiny = (N * eps) ** 2
-    w = np.empty(N)                 # B v_j, solved in place: dgbtrs binds once
+    w = np.empty(N)                 # B v_j, solved in place
+    substitute = dgbtrs(work, 2, 2, w, piv)
     for j in range(M):
         new = j + 2                            # the row B v_j becomes
         basis = V[:min(new, N)]                # a full space has no row N
         w[...] = V[j]
-        dgbtrs(lu, 2, 2, w, piv)
+        substitute()
         noise = tiny * (w @ w)                 # squared
         h = basis @ w
         h[j] = V[j] @ w

@@ -18,9 +18,10 @@ The sweeps contract at a rate rho that tends to 1 at the critical speed
 pentadiagonal Jacobian of the discretized system (``grid.linearization_bands``,
 the zero-weight operator of the spectrum module) accelerates them.  A
 Newton step writes those five bands straight into one Fortran-ordered
-(7, 2n) workspace, allocated once per solve, which LAPACK's dgbsv factors
-in place (``grid._banded_solve``): the routine ``scipy.linalg.solve_banded``
-calls, on the same values, with none of its copies or finiteness scans.  The
+(7, 2n) workspace, allocated once per solve, which LAPACK's dgbtrf factors
+in place before dgbtrs substitutes (``grid._banded_solve``): the routines
+``scipy.linalg.solve_banded`` calls, on the same values, with none of its
+copies or finiteness scans.  The
 sweep is ``grid._shifted_sweep`` and the loop ``grid._sweep_newton``, both
 shared with the scalar solves of ``kpp``: Newton from the first sweep, each
 step halved back into the envelope (``grid._damped``), the envelope check
@@ -153,7 +154,7 @@ def solve_wave(bounds: BoundPair, tol: float = 1e-10,
         g, c, lambda U: reaction(p, StateVec(U[:, 0], U[:, 1])).T,
         _box_diagonal(p), top.knots[0], top.knots[-1], solve_banded)
 
-    # dgbsv's band storage, allocated once; a Newton step writes the five
+    # dgbtrf's band storage, allocated once; a Newton step writes the five
     # bands below the two fill rows and factors it in place
     work = np.empty((7, 2 * g.n), order="F")
 
@@ -162,8 +163,7 @@ def solve_wave(bounds: BoundPair, tol: float = 1e-10,
         linearization_bands(prof, out=work[2:])
         rhs = residual(prof).ravel()
         np.negative(rhs, out=rhs)
-        return solve_banded((2, 2), work, rhs,
-                            overwrite_b=True).reshape(U.shape)
+        return solve_banded((2, 2), work, rhs).reshape(U.shape)
 
     upper = top.knots[1:-1]
     U = upper if initial is None else initial.knots[1:-1]

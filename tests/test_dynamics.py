@@ -307,29 +307,33 @@ def test_step_matches_explicit_form(base_params, c, nsteps):
 
 def test_one_solve_and_one_reaction_per_step(base_params, monkeypatch):
     """One in-place substitution and one reaction call per step, with and
-    without the symmetrising scale."""
-    counts = {"solve_banded": 0, "reaction": 0}
+    without the symmetrising scale: a run binds dpttrs once, to its
+    F-ordered right-hand side, and every step runs that one binding."""
+    counts = {"dpttrs": 0, "solve_banded": 0, "reaction": 0}
+    bound = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
             out = fn(*args, **kwargs)
+            if name == "dpttrs":
+                assert args[2].flags.f_contiguous
+                bound.append(out)
             if name == "solve_banded":
-                assert np.shares_memory(out, args[1])
+                assert out is None and args == (bound[-1],)
             return out
         return wrapper
 
-    monkeypatch.setattr(pggwave.dynamics, "solve_banded",
-                        counted("solve_banded", pggwave.dynamics.solve_banded))
-    monkeypatch.setattr(pggwave.dynamics, "reaction",
-                        counted("reaction", pggwave.dynamics.reaction))
+    for name in counts:
+        monkeypatch.setattr(pggwave.dynamics, name,
+                            counted(name, getattr(pggwave.dynamics, name)))
     nsteps = 7
     for runs, c in enumerate((0.0, C), start=1):
         tr = run_simulation(_plateau(base_params, c),
                             SimConfig(dt=0.01, t_end=nsteps * 0.01,
                                       record_every=3))
         assert not tr.blew_up
-        assert counts == {"solve_banded": runs * nsteps,
+        assert counts == {"dpttrs": runs, "solve_banded": runs * nsteps,
                           "reaction": runs * nsteps}
 
 
@@ -348,15 +352,20 @@ def test_spread_seed_solves_stay_normal(base_params, monkeypatch, L, n, line):
     reads or returns a subnormal number.  A seed whose tails are exact zeros
     fails at step 0, when the solve smears subnormals into the zero runs of
     its right-hand side; past L ~ 181 so does one without ``SEED_FLOOR``."""
-    seen = []
+    seen, bound = [], []
 
-    def checked(factors, rhs):
+    def binding(d, e, rhs):
+        bound.append(rhs)
+        return bind(d, e, rhs)
+
+    def checked(substitute):
+        rhs, = bound
         before = _subnormals(rhs)
-        out = solve(factors, rhs)
-        seen.append((before, _subnormals(out)))
-        return out
+        solve(substitute)
+        seen.append((before, _subnormals(rhs)))
 
-    solve = pggwave.dynamics.solve_banded
+    bind, solve = pggwave.dynamics.dpttrs, pggwave.dynamics.solve_banded
+    monkeypatch.setattr(pggwave.dynamics, "dpttrs", binding)
     monkeypatch.setattr(pggwave.dynamics, "solve_banded", checked)
     g = make_grid(L, n)
     init = spreading_seed(base_params, g if line == "full" else half_line(g))
@@ -519,8 +528,9 @@ def test_scaled_solve_backward_error(L, n, c):
     worst = 0.0
     for _ in range(20):
         b = np.exp(rng.uniform(-20.0, 0.0, (n, 2)))
-        x = pggwave.dynamics.solve_banded(
-            factors, np.multiply(b, S_inv, order="F")) * S
+        x = np.multiply(b, S_inv, order="F")
+        pggwave.dynamics.solve_banded(pggwave.dynamics.dpttrs(*factors, x))
+        x *= S
         xl = x.astype(np.longdouble)
         Ax = diag * xl
         Ax[:-1] += upper[1:] * xl[1:]
@@ -556,7 +566,7 @@ def test_failed_factorisation_is_a_grid_error(base_params, monkeypatch, c,
                                               route):
     lapack = getattr(pggwave.dynamics, route)
     monkeypatch.setattr(pggwave.dynamics, route,
-                        lambda *args: (*lapack(*args)[:-1], 3))
+                        lambda *args: (lapack(*args), 3)[1])
     reactions = []
     monkeypatch.setattr(pggwave.dynamics, "reaction",
                         lambda *args: reactions.append(args))

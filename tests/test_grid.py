@@ -1,6 +1,8 @@
+import contextlib
 import json
 import math
 import tracemalloc
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -151,10 +153,10 @@ def _same(*pairs):
 
 
 def _banded_bindings_match(rng, n, zero_column):
-    """dgtsv, dgbsv, dgbtrf/dgbtrs and dpttrf/dpttrs on fixed inputs
-    against scipy.linalg.lapack's routines, bit for bit; a zero column (a
-    non-positive diagonal entry for dpttrf) at ``zero_column`` must give
-    scipy's nonzero info."""
+    """dgtsv, dgbtrf/dgbtrs (and, as ``_banded_solve``'s (2, 2) branch,
+    dgbsv) and dpttrf/dpttrs on fixed inputs against scipy.linalg.lapack's
+    routines, bit for bit; a zero column (a non-positive diagonal entry for
+    dpttrf) at ``zero_column`` must give scipy's nonzero info."""
     lapack = scipy.linalg.lapack
     b = np.asfortranarray(rng.standard_normal((n, 2)))
 
@@ -173,44 +175,53 @@ def _banded_bindings_match(rng, n, zero_column):
     if zero_column is not None:
         ab[:, zero_column] = 0.0
     got = [ab.copy(order="F"), b.copy(order="F")]
-    info = grid.dgbsv(2, 2, *got)
     lub, _, x, want_info = lapack.dgbsv(2, 2, ab, b)
-    _same((got[0], lub), (got[1], x), (info, want_info))
+    assert (want_info == 0) == (zero_column is None)
+    # a zero pivot leaves the right-hand side as it was, as dgbsv does
+    with (pytest.raises(ConvergenceError, match=f"in row {want_info}$")
+          if want_info else contextlib.nullcontext()):
+        grid._banded_solve((2, 2), *got)
+    _same((got[0], lub), (got[1], x))
 
-    lu, piv, info = spectrum.dgbtrf(ab.copy(order="F"), 2, 2)
+    lu = ab.copy(order="F")
+    piv, info = spectrum.dgbtrf(lu, 2, 2)
     want_lu, want_piv, want_info = lapack.dgbtrf(ab, 2, 2)
     # scipy counts the pivots from 0, LAPACK from 1
     _same((lu, want_lu), (piv, want_piv + 1), (info, want_info))
     if zero_column is None:
         for rhs in (b[:, 0], b):
             x = rhs.copy(order="F")
-            assert spectrum.dgbtrs(lu, 2, 2, x, piv) == 0
+            assert spectrum.dgbtrs(lu, 2, 2, x, piv)() == 0
             _same((x, lapack.dgbtrs(want_lu, 2, 2, rhs, want_piv)[0]))
 
     e = rng.uniform(-1.0, 1.0, n - 1)
     d = rng.uniform(3.0, 4.0, n)
     if zero_column is not None:
         d[zero_column] = -1.0
-    *factors, info = dynamics.dpttrf(d.copy(), e.copy())
+    factors = [d.copy(), e.copy()]
+    info = dynamics.dpttrf(*factors)
     *want, want_info = lapack.dpttrf(d, e)
     _same(*zip(factors, want), (info, want_info))
     assert (info == 0) == (zero_column is None)
     if zero_column is None:
-        # the binding of one call is reused for the next on the same
-        # arrays, and a new right-hand side gets its own
+        # one binding serves every call on its arrays' new values
         x = b.copy(order="F")
-        for rhs in (b, 2.0 * b, None):
-            if rhs is None:
-                x = np.asfortranarray(rng.standard_normal((n, 2)))
-                rhs = x.copy()
+        substitute = dynamics.dpttrs(*factors, x)
+        for rhs in (b, 2.0 * b):
             x[...] = rhs
-            assert dynamics.dpttrs(*factors, x) == 0
+            assert substitute() == 0
             _same((x, lapack.dpttrs(*want, rhs)[0]))
-        # a kept binding goes with its arrays, so an id reused by a new
-        # array never finds a stale pointer
-        kept = len(grid._bound)
-        del x
-        assert len(grid._bound) == kept - 1
+        # a binding holds its arrays: with every other reference to them
+        # dropped, and new arrays of their sizes made where they would
+        # have been freed, it still solves on them
+        x[...] = b
+        solution = weakref.ref(x)
+        substitute = dynamics.dpttrs(*(f.copy() for f in factors), x)
+        del x, factors
+        litter = [np.full(shape, np.nan, order="F")
+                  for shape in ((n,), (n - 1,), (n, 2)) * 4]
+        assert substitute() == 0
+        _same((solution(), lapack.dpttrs(*want, b)[0]))
 
 
 def test_lapack_bindings_match_scipys_routines():
@@ -226,18 +237,53 @@ def test_lapack_bindings_match_scipys_routines():
     lapack = scipy.linalg.lapack
     for size in (12, 96):
         a = rng.standard_normal((size, size))
-        work, info = spectrum.dgeev_lwork(size)
-        _same((work, lapack.dgeev_lwork(size, compute_vl=0)[0]), (info, 0))
-        wr, wi, _, vr, info = spectrum.dgeev(np.array(a, order="F"),
-                                             lwork=int(work))
+        # spectrum's dgeev takes the optimal workspace of LAPACK's query
+        work = int(lapack.dgeev_lwork(size, compute_vl=0)[0])
+        wr, wi, vr, info = spectrum.dgeev(np.array(a, order="F"))
         want_wr, want_wi, _, want_vr, want_info = lapack.dgeev(
-            a, compute_vl=0, lwork=int(work))
+            a, compute_vl=0, lwork=work)
         _same((wr, want_wr), (wi, want_wi), (vr, want_vr), (info, want_info))
         assert np.any(wi != 0.0)                # complex pairs as well
     # LAPACK reads Fortran order: a C-ordered (7, n) workspace would be
     # read as another matrix
     with pytest.raises(TypeError, match="Fortran-ordered"):
-        grid.dgbsv(2, 2, np.ones((7, 8)), np.ones(8))
+        grid._banded_solve((2, 2), np.ones((7, 8)), np.ones(8))
+
+
+@pytest.mark.parametrize("name, args, refused", [
+    ("dgtsv", (-1, 1, "dl", "d", "du", "b", 1), 1),
+    ("dgbtrf", (-1, 1, 0, 0, "ab", 1, "ipiv"), 1),
+    ("dgbtrs", (b"N", -1, 0, 0, 1, "ab", 1, "ipiv", "b", 1), 2),
+    ("dgeev", (b"N", b"V", -1, "a", 1, "wr", "wi", "vl", 1, "vr", 1, "work",
+               4), 3),
+    ("dpttrf", (-1, "d", "e"), 1),
+    ("dpttrs", (-1, 1, "d", "e", "b", 1), 1)])
+def test_refused_argument_is_a_value_error(name, args, refused):
+    # a negative info is LAPACK refusing an argument, not a numerical
+    # failure: every binding raises ValueError naming it
+    arrays = {"ipiv": np.zeros(1, dtype=np.int64)}
+    call = grid._bind(name, *(arrays.get(a, np.zeros(4)) if isinstance(a, str)
+                              else a for a in args))
+    with pytest.raises(ValueError, match=f"^{name}: LAPACK refused argument "
+                                         f"{refused} = -1$"):
+        call()
+
+
+def test_short_right_hand_side_never_reaches_lapack(capfd):
+    # a right-hand side shorter than the matrix order is refused before
+    # the call, so LAPACK neither reads past it nor prints its complaint
+    rng = np.random.default_rng(52)
+    bands = np.asfortranarray(rng.uniform(1.0, 2.0, (3, 8)))
+    short = np.ones(4)
+    with pytest.raises(ValueError, match="dgtsv: the arrays' sizes"):
+        grid._banded_solve((1, 1), bands, short)
+    ab = np.asfortranarray(rng.uniform(1.0, 2.0, (7, 8)))
+    ipiv, _ = grid.dgbtrf(ab, 2, 2)
+    with pytest.raises(ValueError, match="dgbtrs: the arrays' sizes"):
+        grid.dgbtrs(ab, 2, 2, short, ipiv)
+    with pytest.raises(ValueError, match="dpttrs: the arrays' sizes"):
+        grid.dpttrs(np.full(8, 3.0), np.ones(7), short)
+    assert capfd.readouterr().out == ""
 
 
 def test_write_csv_matches_per_value_format(tmp_path):
@@ -595,11 +641,11 @@ def test_banded_solve_is_solve_banded_bit_for_bit(base_wave):
     ab = np.vstack([rng.uniform(-1.0, 1.0, n), rng.uniform(3.0, 4.0, n),
                     rng.uniform(-1.0, 1.0, n)])
     for b in (rng.standard_normal(n), rng.standard_normal((n, 2))):
-        ab_in, b_in = ab.copy(), b.copy()
-        x = grid._banded_solve((1, 1), ab, b)
+        ab_in = ab.copy()
+        x = grid._banded_solve((1, 1), ab, b.copy(order="F"))
         assert np.array_equal(x, solve_banded((1, 1), ab, b))
-        # a (1, 1) solve leaves its bands and right-hand side as they were
-        assert np.array_equal(ab, ab_in) and np.array_equal(b, b_in)
+        # a (1, 1) solve leaves its bands as they were
+        assert np.array_equal(ab, ab_in)
 
     prof, _ = base_wave
     bands = linearization_bands(prof)
@@ -673,11 +719,12 @@ def test_order_shift_refuses_bounds_on_two_grids(base_bounds):
 
 def _parent_sweep(g, c, F, diag, left, right, solve):
     """The sweep as it was before it solved in place: a fresh C-ordered
-    right-hand side, which dgtsv copies."""
+    right-hand side, whose Fortran-ordered copy dgtsv overwrites."""
     beta = 1.0 + max(0.0, float(-np.min(diag)))
     ab = stencil_bands(g, c, -1.0, beta)
     bvec = _ghost_vector(g, c, left, right)
-    return beta, lambda U: solve((1, 1), ab, F(U) + beta * U + bvec)
+    return beta, lambda U: solve((1, 1), ab,
+                                 (F(U) + beta * U + bvec).copy(order="F"))
 
 
 def test_wave_sweep_solves_in_place_with_the_same_bits(monkeypatch):
@@ -685,8 +732,8 @@ def test_wave_sweep_solves_in_place_with_the_same_bits(monkeypatch):
     solve = wave.solve_banded
     in_place = []
 
-    def recorded(l_and_u, ab, b, **kwargs):
-        x = solve(l_and_u, ab, b, **kwargs)
+    def recorded(l_and_u, ab, b):
+        x = solve(l_and_u, ab, b)
         if l_and_u == (1, 1):
             in_place.append(b.flags.f_contiguous and np.shares_memory(x, b))
         return x

@@ -465,9 +465,9 @@ def test_dense_eigensolve_is_numpys_eig(coarse_wave, monkeypatch):
 
 def test_dense_eigensolve_failure_raises(coarse_wave, monkeypatch):
     # dgeev's info > 0: its QR algorithm left eigenvalues unconverged
-    def unconverged(a, **kwargs):
+    def unconverged(a):
         n = len(a)
-        return np.zeros(n), np.zeros(n), np.zeros((1, n)), np.eye(n), 1
+        return np.zeros(n), np.zeros(n), np.eye(n), 1
 
     monkeypatch.setattr(spectrum, "dgeev", unconverged)
     op = assemble_weighted_operator(coarse_wave, WeightPair(0.05, 0.5))
